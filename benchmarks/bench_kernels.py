@@ -8,7 +8,6 @@ RIPSCOLLAPSE_DISABLE_NUMBA=1 set, only the fallback implementations are timed.
 """
 from __future__ import annotations
 
-import importlib.util
 import math
 import random
 import time
@@ -76,17 +75,11 @@ def _dim1_block(cells):
     return R, len(rows_g)
 
 
-def bench_pairwise():
-    print("--- pairwise distance matrix (2000 points, 3-d) ---")
-    rng = np.random.default_rng(0)
-    X = rng.random((2000, 3))
-    py = _kernels.PY_IMPLS["pairwise_numpy"]
-    times_py = _time(py, X)
-    if _kernels.USING_NUMBA:
-        times_fast = _time(_kernels.pairwise_kernel, X)
-        _print_results("pairwise", times_fast, times_py)
-    else:
-        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms (compiled path disabled)")
+def _why_fallback_only() -> str:
+    """Why the compiled kernels are not in use (call only when they are not)."""
+    if _kernels._flag_disabled():
+        return f"disabled by {_kernels.ENV_FLAG}"
+    return "numba not installed"
 
 
 def bench_collapse():
@@ -102,7 +95,7 @@ def bench_collapse():
         times_fast = _time(_kernels.collapse_kernel, *args)
         _print_results("collapse", times_fast, times_py)
     else:
-        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms (compiled path disabled)")
+        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms ({_why_fallback_only()})")
 
 
 def bench_reduce():
@@ -130,7 +123,7 @@ def bench_reduce():
         times_fast = _time(run, _kernels.reduce_block, R)
         _print_results("reduce", times_fast, times_py)
     else:
-        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms (compiled path disabled)")
+        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms ({_why_fallback_only()})")
 
 
 def bench_pipeline():
@@ -143,18 +136,16 @@ def bench_pipeline():
     print(f"  {mode}: {np.mean(times) * 1000:8.3f} +- {np.std(times) * 1000:.3f} ms")
     if _kernels.USING_NUMBA:
         print(f"  (set {_kernels.ENV_FLAG}=1 and rerun to time the fallback path)")
-    elif importlib.util.find_spec("numba") is None:
+    elif _kernels._flag_disabled():
+        print(f"  (unset {_kernels.ENV_FLAG} and rerun to time the compiled path)")
+    else:
         print("  (numba is not installed; install the `fast` extra,"
               " `pip install ripscollapse[fast]`, to time the compiled path)")
-    else:
-        print(f"  (unset {_kernels.ENV_FLAG} and rerun to time the compiled path)")
 
 
 def main() -> None:
     mode = "compiled kernels" if _kernels.USING_NUMBA else "fallback only"
     print(f"kernel path: {mode}\n")
-    bench_pairwise()
-    print()
     bench_collapse()
     print()
     bench_reduce()

@@ -1,6 +1,6 @@
-"""Hot numeric kernels with two interchangeable implementations.
+"""The two hot numeric kernels: strong collapse and GF(2) block reduction.
 
-Every kernel here is written once as a plain Python/NumPy function.  It is
+Each kernel is written once as a plain Python/NumPy function.  It is
 compiled with numba's ``@njit`` only when numba is importable (the optional
 ``fast`` extra: ``pip install ripscollapse[fast]``) and the environment
 variable ``RIPSCOLLAPSE_DISABLE_NUMBA`` is unset at import; otherwise the
@@ -28,23 +28,6 @@ _U0 = np.uint64(0)
 
 def _flag_disabled() -> bool:
     return os.environ.get(ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-def _sorted_subset_py(a, b):
-    """True iff sorted int64 array *a* is a subset of sorted int64 array *b*."""
-    na = a.shape[0]
-    nb = b.shape[0]
-    if na > nb:
-        return False
-    p = 0
-    for i in range(na):
-        x = a[i]
-        while p < nb and b[p] < x:
-            p += 1
-        if p >= nb or b[p] != x:
-            return False
-        p += 1
-    return True
 
 
 def _collapse_py(row_ptr, row_entries, col_ptr, col_entries):
@@ -284,45 +267,11 @@ def _reduce_block_py(R, skip, pivot_of_row, pair_local):
         pair_local[j] = low
 
 
-def _pairwise_loops_py(X):
-    """Euclidean distance matrix via explicit loops (the compiled path)."""
-    n = X.shape[0]
-    k = X.shape[1]
-    D = np.zeros((n, n), np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s = 0.0
-            for t in range(k):
-                d = X[i, t] - X[j, t]
-                s += d * d
-            r = np.sqrt(s)
-            D[i, j] = r
-            D[j, i] = r
-    return D
-
-
-def _pairwise_numpy(X):
-    """Euclidean distance matrix via broadcasting (the fallback path).
-
-    The squared coordinates are accumulated one coordinate at a time, in the
-    same order as the loop version, so both paths round identically.
-    """
-    n, k = X.shape
-    s = np.zeros((n, n), np.float64)
-    for t in range(k):
-        d = X[:, t, None] - X[None, :, t]
-        s += d * d
-    return np.sqrt(s)
-
-
 #: Uncompiled reference implementations, exposed for the benchmark and for
 #: the compiled-vs-fallback equivalence tests.
 PY_IMPLS = {
-    "sorted_subset": _sorted_subset_py,
     "collapse": _collapse_py,
     "reduce_block": _reduce_block_py,
-    "pairwise_loops": _pairwise_loops_py,
-    "pairwise_numpy": _pairwise_numpy,
 }
 
 USING_NUMBA = False
@@ -336,12 +285,8 @@ if not _flag_disabled():
 
 if USING_NUMBA:
     _jit = numba.njit(cache=True, nogil=True)
-    sorted_subset = _jit(_sorted_subset_py)
     collapse_kernel = _jit(_collapse_py)
     reduce_block = _jit(_reduce_block_py)
-    pairwise_kernel = _jit(_pairwise_loops_py)
 else:
-    sorted_subset = _sorted_subset_py
     collapse_kernel = _collapse_py
     reduce_block = _reduce_block_py
-    pairwise_kernel = _pairwise_numpy

@@ -9,7 +9,8 @@ Subcommands:
 - ``compare``: run the collapsed and uncollapsed pipelines and report
   per-dimension equality and bottleneck distances.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 expansion cap exceeded.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 size bound exceeded
+(expansion cap or reduction memory guard).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 from .collapse import core as collapse_core
 from .collapse import trace_to_text
 from .complexes import DEFAULT_EXPANSION_CAP
-from .errors import ExpansionCapError, RipsCollapseError
+from .errors import ExpansionCapError, ReductionMemoryError, RipsCollapseError
 from .io_formats import (
     parse_complex,
     parse_distmat,
@@ -209,6 +210,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ExpansionCapError as exc:
         print(
             f"error: {exc}\nreduce the schedule end, coarsen the step, or raise --cap",
+            file=sys.stderr,
+        )
+        return EXIT_CAP
+    except ReductionMemoryError as exc:
+        print(
+            f"error: {exc}\nreduce the schedule end or coarsen the step",
             file=sys.stderr,
         )
         return EXIT_CAP

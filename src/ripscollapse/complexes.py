@@ -215,24 +215,3 @@ class ComplexMatrix:
             for k in range(1, len(s) + 1):
                 cells.update(combinations(s, k))
         return sorted(cells, key=lambda c: (len(c), c))
-
-
-# Module-level aliases so the operations read as plain functions where that
-# flows better (e.g. in the pipeline code).
-
-def from_simplex_list(simplices: Iterable[Iterable[int]]) -> ComplexMatrix:
-    return ComplexMatrix.from_simplex_list(simplices)
-
-
-def stats(matrix: ComplexMatrix) -> ComplexStats:
-    return matrix.stats()
-
-
-def contains_simplex(matrix: ComplexMatrix, s: Iterable[int]) -> bool:
-    return matrix.contains_simplex(s)
-
-
-def expand_all_simplices(
-    matrix: ComplexMatrix, cap: int = DEFAULT_EXPANSION_CAP
-) -> list[Simplex]:
-    return matrix.expand_all_simplices(cap)

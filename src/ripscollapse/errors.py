@@ -29,6 +29,19 @@ class ExpansionCapError(RipsCollapseError, RuntimeError):
         self.cap = cap
 
 
+class ReductionMemoryError(RipsCollapseError, RuntimeError):
+    """A packed boundary block of the reduction would exceed the memory guard."""
+
+    def __init__(self, dim: int, block_bytes: int, limit: int) -> None:
+        super().__init__(
+            f"boundary block for dimension {dim} needs {block_bytes} bytes, "
+            f"over the {limit}-byte memory guard"
+        )
+        self.dim = dim
+        self.block_bytes = block_bytes
+        self.limit = limit
+
+
 class FormatError(RipsCollapseError, ValueError):
     """Input text does not match the expected file format."""
 

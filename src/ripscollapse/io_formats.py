@@ -18,7 +18,6 @@ are written with ``repr`` so every value round-trips exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -274,30 +273,3 @@ def write_filtration(filtration: Filtration) -> str:
         _fmt(grade) + " " + " ".join(str(v) for v in s) + "\n"
         for s, grade in filtration.cells
     )
-
-
-# -- generic input dispatch --------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class ParsedInput:
-    """A parsed CLI input: which format it was, and the parsed value."""
-
-    kind: str
-    payload: object
-
-
-_PARSERS = {
-    "points": parse_points,
-    "distmat": parse_distmat,
-    "complex": parse_complex,
-}
-
-
-def parse(kind: str, text: str) -> ParsedInput:
-    """Parse *text* as one of the input formats: points, distmat, complex."""
-    try:
-        parser = _PARSERS[kind]
-    except KeyError:
-        raise ValueError(f"unknown input format {kind!r}") from None
-    return ParsedInput(kind, parser(text))

@@ -3,8 +3,9 @@
 Cells are ordered by (grade, dimension, lexicographic vertex order); the
 boundary matrix is packed into 64-bit words and reduced column-by-column,
 one dimension block at a time (columns of different dimensions never
-interact).  The optional twist mode processes dimensions top-down and skips
-columns already known to die, producing the identical diagram.
+interact).  Dimensions are reduced top-down with clearing (Chen & Kerber's
+twist): a cell already paired as the creator of a higher-dimensional class
+has a column that reduces to zero, so that column is skipped.
 
 This module also hosts the validation tooling mandated around the diagrams:
 Betti numbers of a single complex, the uncollapsed snapshot-filtration
@@ -14,7 +15,6 @@ oracle, and exact bottleneck distance.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +26,7 @@ from .complexes import (
     ComplexMatrix,
     Simplex,
 )
-from .errors import FiltrationOrderError
+from .errors import FiltrationOrderError, ReductionMemoryError
 from .rips import SnapshotSchedule, as_grades, rips_snapshot, validate_distance_matrix
 from .tower import Filtration
 
@@ -102,7 +102,7 @@ class BoundaryMatrix:
         return cls(cells, tuple(columns))
 
 
-def _reduce(matrix: BoundaryMatrix, use_twist: bool):
+def _reduce(matrix: BoundaryMatrix):
     """Run the packed reduction; return (pairs, essential) as global indices."""
     cells = matrix.cells
     n = len(cells)
@@ -117,18 +117,15 @@ def _reduce(matrix: BoundaryMatrix, use_twist: bool):
     is_destroyer = np.zeros(n, np.bool_)
     pairs: list[tuple[int, int]] = []
 
-    dims = range(max_dim, 0, -1) if use_twist else range(1, max_dim + 1)
-    for p in dims:
+    for p in range(max_dim, 0, -1):
         cols_g = by_dim[p]
         rows_g = by_dim[p - 1]
         if not cols_g:
             continue
         n_words = (len(rows_g) + 63) // 64
-        if len(cols_g) * n_words * 8 > _MAX_BLOCK_BYTES:
-            raise RuntimeError(
-                f"boundary block for dimension {p} exceeds the memory guard; "
-                f"reduce the schedule or the expansion cap"
-            )
+        block_bytes = len(cols_g) * n_words * 8
+        if block_bytes > _MAX_BLOCK_BYTES:
+            raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
         local_of = np.full(n, -1, np.int64)
         local_of[rows_g] = np.arange(len(rows_g), dtype=np.int64)
 
@@ -140,24 +137,18 @@ def _reduce(matrix: BoundaryMatrix, use_twist: bool):
         R = np.zeros((len(cols_g), n_words), np.uint64)
         np.bitwise_or.at(R, (col_idx, faces_local >> 6), _BIT[faces_local & 63])
 
-        skip = np.zeros(len(cols_g), np.bool_)
-        if use_twist:
-            for j, g in enumerate(cols_g):
-                if killed[g]:
-                    skip[j] = True
+        skip = killed[cols_g]
         pivot_of_row = np.full(len(rows_g), -1, np.int64)
         pair_local = np.empty(len(cols_g), np.int64)
         reduce_block(R, skip, pivot_of_row, pair_local)
 
-        for j, g in enumerate(cols_g):
-            if skip[j]:
-                continue
-            l = pair_local[j]
-            if l >= 0:
-                creator = rows_g[l]
-                pairs.append((creator, g))
-                killed[creator] = True
-                is_destroyer[g] = True
+        for j in np.flatnonzero(pair_local >= 0):
+            creator = rows_g[pair_local[j]]
+            g = cols_g[j]
+            pairs.append((creator, g))
+            killed[creator] = True
+            is_destroyer[g] = True
+        del R  # free this block before the next one is packed
 
     essential = [i for i in range(n) if not killed[i] and not is_destroyer[i]]
     return pairs, essential
@@ -167,17 +158,15 @@ def compute_persistence(
     filtration: Filtration,
     *,
     include_zero_pairs: bool = False,
-    use_twist: bool = False,
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
 
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an
-    infinite death.  *use_twist* enables the clearing optimisation, which
-    never changes the result.
+    infinite death.
     """
     matrix = BoundaryMatrix.from_filtration(filtration)
-    pairs, essential = _reduce(matrix, use_twist)
+    pairs, essential = _reduce(matrix)
     cells = matrix.cells
     out: list[tuple[int, float, float]] = []
     for creator, destroyer in pairs:
@@ -252,23 +241,51 @@ def oracle_pipeline(
 # -- bottleneck distance ---------------------------------------------------
 
 
+def _augment(
+    root: int,
+    adj: Sequence[Sequence[int]],
+    dist: list[float],
+    match_l: list[int],
+    match_r: list[int],
+) -> bool:
+    """Depth-first search for an augmenting path from free *root* along the
+    BFS layers in *dist*, with an explicit stack; flips the path if found.
+
+    A left vertex whose search fails gets an infinite layer so later searches
+    of the same phase skip it.
+    """
+    path = [root]  # left vertices of the current alternating path
+    via: list[int] = []  # via[k] is the right vertex between path[k] and path[k + 1]
+    untried = [iter(adj[root])]  # per path entry, its neighbours not yet tried
+    while path:
+        u = path[-1]
+        for v in untried[-1]:
+            w = match_r[v]
+            if w == -1:
+                via.append(v)
+                for x, y in zip(path, via):
+                    match_l[x] = y
+                    match_r[y] = x
+                return True
+            if dist[w] == dist[u] + 1:
+                path.append(w)
+                via.append(v)
+                untried.append(iter(adj[w]))
+                break
+        else:
+            dist[u] = math.inf
+            path.pop()
+            untried.pop()
+            if via:
+                via.pop()
+    return False
+
+
 def _hopcroft_karp(adj: Sequence[Sequence[int]], n_left: int, n_right: int) -> int:
     """Maximum bipartite matching size."""
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-    inf = float("inf")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * (n_left + n_right) + 1000))
-
-    def try_augment(u: int, dist: list[float]) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and try_augment(w, dist)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = inf
-        return False
-
+    inf = math.inf
     size = 0
     while True:
         dist = [inf] * n_left
@@ -290,7 +307,7 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n_left: int, n_right: int) -> i
         if not reachable_free:
             return size
         for u in range(n_left):
-            if match_l[u] == -1 and try_augment(u, dist):
+            if match_l[u] == -1 and _augment(u, adj, dist, match_l, match_r):
                 size += 1
 
 

@@ -11,13 +11,11 @@ consecutive snapshots be compared vertex-by-vertex downstream.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import pairwise_kernel
 from .complexes import ComplexMatrix, Simplex
 
 
@@ -30,7 +28,13 @@ def pairwise_distances(points: Sequence[Sequence[float]] | np.ndarray) -> np.nda
         raise ValueError("points must form a non-empty 2-d array")
     if not np.isfinite(X).all():
         raise ValueError("points must have finite coordinates")
-    return pairwise_kernel(X)
+    # squares summed one coordinate at a time, in order, so the result is
+    # bitwise that of the plain loop over pairs and coordinates
+    s = np.zeros((X.shape[0], X.shape[0]), np.float64)
+    for t in range(X.shape[1]):
+        d = X[:, t, None] - X[None, :, t]
+        s += d * d
+    return np.sqrt(s)
 
 
 def validate_distance_matrix(D: np.ndarray) -> np.ndarray:
@@ -175,20 +179,6 @@ def rips_snapshot(D: np.ndarray, t: float) -> ComplexMatrix:
     """
     cliques = maximal_cliques(neighborhood_bitsets(D, t))
     return ComplexMatrix.from_simplex_list(cliques)
-
-
-def rips_snapshots(
-    D: np.ndarray,
-    sched: SnapshotSchedule | Iterable[float],
-    workers: int = 1,
-) -> list[ComplexMatrix]:
-    """Snapshot complexes at every grade of *sched*, in grade order."""
-    D = validate_distance_matrix(D)
-    grades = as_grades(sched)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: rips_snapshot(D, t), grades))
-    return [rips_snapshot(D, t) for t in grades]
 
 
 def count_rips_simplices(D: np.ndarray, t: float) -> int:

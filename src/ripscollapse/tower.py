@@ -90,11 +90,6 @@ class Tower:
             else:  # pragma: no cover - type misuse
                 raise TowerOpError(f"op {i}: unknown op {op!r}")
 
-    def max_grade(self) -> float:
-        if not self.ops:
-            raise TowerOpError("empty tower has no grades")
-        return self.ops[-1].grade
-
 
 @dataclass(frozen=True, slots=True)
 class Filtration:
@@ -123,9 +118,6 @@ class Filtration:
                 if face and face not in seen:
                     raise FiltrationOrderError(f"cell {s} precedes its face {face}", i)
             seen.add(s)
-
-    def max_dimension(self) -> int:
-        return max(len(s) for s, _ in self.cells) - 1
 
 
 def assemble_core_tower(

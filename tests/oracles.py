@@ -1,8 +1,8 @@
 """Deliberately naive reference implementations used to pin expected values.
 
 Everything here favours obviousness over speed and shares no code with the
-package: maximality by pairwise subset tests, expansion by powersets, clique
-enumeration by subset scan, Betti numbers by dense GF(2) rank, persistence by
+package: maximality by pairwise subset tests, expansion by powersets, distances
+by loops, clique enumeration by subset scan, Betti numbers by dense GF(2) rank, persistence by
 the textbook set-based column reduction, the exact edge-length Rips
 filtration, and bottleneck distance by exhaustive matching.
 """
@@ -56,6 +56,22 @@ def random_maximal_simplices(rng, n_vertices, n_simplices, max_card):
         k = rng.randint(1, max_card)
         out.append(tuple(sorted(rng.sample(range(n_vertices), min(k, n_vertices)))))
     return out
+
+
+# -- distances ---------------------------------------------------------------
+
+
+def naive_pairwise_distances(points):
+    """Euclidean distances by explicit loops over pairs and coordinates."""
+    n = len(points)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s = 0.0
+            for a, b in zip(points[i], points[j]):
+                s += (a - b) * (a - b)
+            D[i, j] = D[j, i] = math.sqrt(s)
+    return D
 
 
 # -- cliques -----------------------------------------------------------------
@@ -126,6 +142,25 @@ def betti_by_rank(cells):
     return tuple(betti)
 
 
+def naive_column_reduction(columns):
+    """Textbook left-to-right GF(2) reduction of columns given as row sets.
+
+    Each column, in order, adds the reduced column owning its largest row
+    until that row is unowned or the column is empty.  Returns the reduced
+    columns; the largest row of a non-empty one is its pivot.
+    """
+    low_of = {}
+    reduced = []
+    for j, col in enumerate(columns):
+        col = set(col)
+        while col and max(col) in low_of:
+            col ^= reduced[low_of[max(col)]]
+        if col:
+            low_of[max(col)] = j
+        reduced.append(col)
+    return reduced
+
+
 def naive_persistence(cells):
     """Textbook set-based reduction of an ordered filtration.
 
@@ -141,17 +176,11 @@ def naive_persistence(cells):
             columns.append(set())
         else:
             columns.append({order[f] for f in combinations(s, len(s) - 1)})
-    low_of = {}
     pairs = []
     killed = set()
-    for j, col in enumerate(columns):
-        col = set(col)
-        while col and max(col) in low_of:
-            col ^= columns[low_of[max(col)]]
+    for j, col in enumerate(naive_column_reduction(columns)):
         if col:
             low = max(col)
-            low_of[low] = j
-            columns[j] = col
             pairs.append((low, j))
             killed.add(low)
             killed.add(j)

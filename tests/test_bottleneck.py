@@ -2,9 +2,10 @@
 
 import math
 import random
+import sys
 
 from oracles import brute_bottleneck
-from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance
+from ripscollapse.persistence import PersistenceDiagram, _hopcroft_karp, bottleneck_distance
 
 
 def _diagram(dim, points, essentials=()):
@@ -67,3 +68,21 @@ def test_matches_exhaustive_enumeration():
         want = brute_bottleneck(a_pts, b_pts)
         assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12)
         assert bottleneck_distance(b, a, 2) == got
+
+
+def test_recursion_limit_is_left_alone():
+    limit = sys.getrecursionlimit()
+    a = _diagram(1, [(i, i + 10.0) for i in range(150)])
+    b = _diagram(1, [(i + 0.125, i + 10.125) for i in range(150)])
+    assert bottleneck_distance(a, b, 1) == 0.125
+    assert sys.getrecursionlimit() == limit
+
+
+def test_matching_follows_augmenting_paths_deeper_than_the_recursion_limit():
+    # greedy phase one matches u_i to v_(i+1), leaving u_(n-1) free; the only
+    # augmenting path then walks the whole chain back to v_0
+    n = 3 * sys.getrecursionlimit()
+    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    limit = sys.getrecursionlimit()
+    assert _hopcroft_karp(adj, n, n) == n
+    assert sys.getrecursionlimit() == limit

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ripscollapse import persistence
 from ripscollapse.cli import EXIT_CAP, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 TABLE_COMPLEX = "1 2\n1 4\n0 1 3\n3 4\n4 5\n"
@@ -291,3 +292,14 @@ def test_cap_exit_3(tmp_path, capsys):
     )
     assert rc == EXIT_CAP
     assert "raise --cap" in capsys.readouterr().err
+
+
+def test_reduction_memory_guard_exit_3(square_file, monkeypatch, capsys):
+    monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", 0)
+    rc = main(
+        ["pipeline", "--input", square_file, "--start", "0.5", "--step", "0.5", "--end", "1.5"]
+    )
+    assert rc == EXIT_CAP
+    err = capsys.readouterr().err
+    assert "memory guard" in err
+    assert "Traceback" not in err

@@ -6,10 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import FiltrationOrderError, FormatError
 from ripscollapse.io_formats import (
-    parse,
     parse_complex,
     parse_diagram,
     parse_distmat,
@@ -176,11 +174,3 @@ def test_filtration_round_trip_and_validation():
         parse_filtration("0.0 0 1\n")
     with pytest.raises(FormatError):
         parse_filtration("0.0\n")
-
-
-def test_dispatcher():
-    assert parse("points", "0 0\n").kind == "points"
-    assert parse("distmat", "1\n").payload.shape == (1, 1)
-    assert isinstance(parse("complex", "0 1\n").payload, ComplexMatrix)
-    with pytest.raises(ValueError):
-        parse("towers", "")

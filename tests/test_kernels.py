@@ -6,43 +6,61 @@ import sys
 import numpy as np
 
 from ripscollapse import _kernels
-from ripscollapse._kernels import (
-    ENV_FLAG,
-    PY_IMPLS,
-    collapse_kernel,
-    pairwise_kernel,
-    reduce_block,
-    sorted_subset,
+from ripscollapse._kernels import ENV_FLAG, PY_IMPLS, collapse_kernel, reduce_block
+from ripscollapse.collapse import (
+    _csr_positions,
+    find_dominating_column,
+    find_dominating_row,
+    replay_trace,
 )
-from ripscollapse.collapse import _csr_positions
 from ripscollapse.complexes import ComplexMatrix
 
-from oracles import random_maximal_simplices
+from oracles import naive_column_reduction, random_maximal_simplices
 
 
-def test_sorted_subset_matches_set_semantics():
-    rng = random.Random(5)
-    for _ in range(300):
-        a = sorted(rng.sample(range(12), rng.randint(0, 6)))
-        b = sorted(rng.sample(range(12), rng.randint(0, 9)))
-        got = sorted_subset(np.array(a, np.int64), np.array(b, np.int64))
-        assert bool(got) == set(a).issubset(b)
-
-
-def _random_csr(rng):
-    gen = random_maximal_simplices(rng, rng.randint(1, 12), rng.randint(1, 12), 5)
-    return _csr_positions(ComplexMatrix.from_simplex_list(gen))[2:]
+def _check_collapse_by_replay(matrix, result):
+    """The kernel's events replay, each one checked, to the core its masks
+    describe, and no survivor of that core is dominated any more."""
+    alive_r, alive_c, ev_kind, ev_removed, ev_by, n_ev, _ = result
+    ids = (matrix.vertex_ids, matrix.column_ids)
+    events = [
+        ("row" if k == 0 else "col", ids[k][r], ids[k][b])
+        for k, r, b in zip(ev_kind, ev_removed, ev_by)
+    ]
+    assert len(events) == n_ev
+    replayed = replay_trace(matrix, events, check=True)
+    survivors = {ids[0][i] for i in np.flatnonzero(alive_r)}
+    claimed = ComplexMatrix.from_columns(
+        {
+            ids[1][i]: [v for v in matrix.column(ids[1][i]) if v in survivors]
+            for i in np.flatnonzero(alive_c)
+        }
+    )
+    assert replayed == claimed
+    assert set(replayed.vertex_ids) == survivors
+    for v in replayed.vertex_ids:
+        assert find_dominating_row(replayed, v) is None
+    for c in replayed.column_ids:
+        assert find_dominating_column(replayed, c) is None
 
 
 def test_collapse_kernel_paths_agree():
     rng = random.Random(31337)
     for _ in range(60):
-        arrays = _random_csr(rng)
+        gen = random_maximal_simplices(rng, rng.randint(1, 12), rng.randint(1, 12), 5)
+        matrix = ComplexMatrix.from_simplex_list(gen)
+        arrays = _csr_positions(matrix)[2:]
         got = collapse_kernel(*arrays)
         want = PY_IMPLS["collapse"](*(a.copy() for a in arrays))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(np.asarray(g), np.asarray(w))
+        _check_collapse_by_replay(matrix, got)
+
+
+def _rows_of(words, n_rows):
+    """Set of the rows whose bits are set in one packed column."""
+    return {r for r in range(n_rows) if int(words[r >> 6]) >> (r & 63) & 1}
 
 
 def test_reduce_block_paths_agree():
@@ -62,16 +80,18 @@ def test_reduce_block_paths_agree():
         for a, b in zip(args_a, args_b):
             assert np.array_equal(a, b)
 
-
-def test_pairwise_paths_agree_bitwise():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        X = rng.random((int(rng.integers(1, 30)), int(rng.integers(1, 5))))
-        loops = PY_IMPLS["pairwise_loops"](X)
-        broadcast = PY_IMPLS["pairwise_numpy"](X)
-        selected = pairwise_kernel(X)
-        assert np.array_equal(loops, broadcast)
-        assert np.array_equal(selected, loops)
+        # against the set-based reduction, skipped columns taken as zero
+        reduced = naive_column_reduction(
+            [set() if skip[j] else _rows_of(R[j], n_rows) for j in range(n_cols)]
+        )
+        lows = [max(col, default=-1) for col in reduced]
+        got_R, _, pivot_of_row, pair_local = args_a
+        assert pair_local.tolist() == lows
+        assert pivot_of_row.tolist() == [
+            lows.index(r) if r in lows else -1 for r in range(n_rows)
+        ]
+        for j in np.flatnonzero(~skip):
+            assert _rows_of(got_R[j], n_rows) == reduced[j]
 
 
 def test_env_flag_selects_fallback():
@@ -79,7 +99,7 @@ def test_env_flag_selects_fallback():
         "from ripscollapse import _kernels\n"
         "assert not _kernels.USING_NUMBA\n"
         "assert _kernels.collapse_kernel is _kernels.PY_IMPLS['collapse']\n"
-        "assert _kernels.pairwise_kernel is _kernels.PY_IMPLS['pairwise_numpy']\n"
+        "assert _kernels.reduce_block is _kernels.PY_IMPLS['reduce_block']\n"
     )
     env = dict(os.environ, **{ENV_FLAG: "1"})
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
@@ -87,10 +107,8 @@ def test_env_flag_selects_fallback():
 
 # Each selected kernel and the PY_IMPLS function that is its fallback.
 _SELECTED = (
-    ("sorted_subset", "sorted_subset"),
     ("collapse_kernel", "collapse"),
     ("reduce_block", "reduce_block"),
-    ("pairwise_kernel", "pairwise_numpy"),
 )
 
 

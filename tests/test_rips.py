@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import naive_clique_count, naive_maximal_cliques
+from oracles import naive_clique_count, naive_maximal_cliques, naive_pairwise_distances
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
     as_grades,
@@ -15,7 +16,6 @@ from ripscollapse.rips import (
     neighborhood_bitsets,
     pairwise_distances,
     rips_snapshot,
-    rips_snapshots,
     validate_distance_matrix,
 )
 
@@ -29,6 +29,13 @@ def test_pairwise_distances_unit_square():
     assert D[0, 2] == math.sqrt(2.0)
     assert np.array_equal(D, D.T)
     assert not np.diagonal(D).any()
+
+
+def test_pairwise_distances_match_loop_reference_bitwise():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        X = rng.random((int(rng.integers(1, 30)), int(rng.integers(1, 5))))
+        assert np.array_equal(pairwise_distances(X), naive_pairwise_distances(X.tolist()))
 
 
 def test_pairwise_distances_accepts_1d_input():
@@ -171,7 +178,8 @@ def test_snapshot_expansion_agrees_with_count():
 def test_snapshots_follow_schedule_and_workers_agree():
     D = pairwise_distances(UNIT_SQUARE)
     sched = SnapshotSchedule(0.5, 0.5, 1.5)
-    serial = rips_snapshots(D, sched)
-    threaded = rips_snapshots(D, sched, workers=4)
+    serial = run_pipeline(D, sched, collapse=False).snapshots
+    threaded = run_pipeline(D, sched, collapse=False, workers=4).snapshots
     assert serial == threaded
-    assert [m.stats().n_maximal for m in serial] == [4, 4, 1]
+    assert [s.grade for s in serial] == sched.grades()
+    assert [s.before.n_maximal for s in serial] == [4, 4, 1]
