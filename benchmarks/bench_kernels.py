@@ -16,7 +16,7 @@ import numpy as np
 
 from ripscollapse import _kernels
 from ripscollapse.collapse import _csr_positions
-from ripscollapse.persistence import BoundaryMatrix, _BIT
+from ripscollapse.persistence import BoundaryMatrix, _pack_block
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
 from ripscollapse.tower import Filtration
@@ -58,21 +58,11 @@ def _circle_cloud(n, seed):
 
 
 def _dim1_block(cells):
-    """Pack the dimension-1 boundary block the way the reduction does."""
+    """Pack the dimension-1 boundary block with the reduction's own packer."""
     matrix = BoundaryMatrix.from_filtration(Filtration(cells))
     rows_g = [i for i, (s, _) in enumerate(matrix.cells) if len(s) == 1]
     cols_g = [i for i, (s, _) in enumerate(matrix.cells) if len(s) == 2]
-    local_of = np.full(len(matrix.cells), -1, np.int64)
-    local_of[rows_g] = np.arange(len(rows_g), dtype=np.int64)
-    faces_flat = np.asarray(
-        [f for g in cols_g for f in matrix.columns[g]], dtype=np.int64
-    )
-    faces_local = local_of[faces_flat]
-    col_idx = np.repeat(np.arange(len(cols_g), dtype=np.int64), 2)
-    n_words = (len(rows_g) + 63) // 64
-    R = np.zeros((len(cols_g), n_words), np.uint64)
-    np.bitwise_or.at(R, (col_idx, faces_local >> 6), _BIT[faces_local & 63])
-    return R, len(rows_g)
+    return _pack_block(matrix, cols_g, rows_g, 1), len(rows_g)
 
 
 def _why_fallback_only() -> str:
@@ -112,10 +102,9 @@ def bench_reduce():
 
     def run(impl, R0):
         work = R0.copy()
-        skip = np.zeros(work.shape[0], np.bool_)
         pivot_of_row = np.full(n_rows, -1, np.int64)
         pair_local = np.empty(work.shape[0], np.int64)
-        impl(work, skip, pivot_of_row, pair_local)
+        impl(work, pivot_of_row, pair_local)
 
     py = _kernels.PY_IMPLS["reduce_block"]
     times_py = _time(run, py, R)

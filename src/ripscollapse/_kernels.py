@@ -1,5 +1,10 @@
 """The two hot numeric kernels: strong collapse and GF(2) block reduction.
 
+Each kernel is one loop.  The collapse runs a single domination phase for
+rows and for columns, on the incidence matrix or its transpose, alternating
+sides.  The block reduction sees only the columns the caller packed, which
+excludes those that clearing has already shown to vanish.
+
 Each kernel is written once as a plain Python/NumPy function.  It is
 compiled with numba's ``@njit`` only when numba is importable (the optional
 ``fast`` extra: ``pip install ripscollapse[fast]``) and the environment
@@ -38,44 +43,34 @@ def _collapse_py(row_ptr, row_entries, col_ptr, col_entries):
     Membership arrays never change; deletions only flip aliveness masks and
     decrement live-entry counters.
 
-    A row ``v`` is removed when some live row ``w`` satisfies
-    ``live_row(v) <= live_row(w)`` as sets, with ``w < v`` required when the
-    two sets are equal (so the earlier id survives); columns symmetrically.
-    Candidates for ``w`` are read off the first live column of ``v``, which
-    must contain every possible dominator.
+    Rows (``side`` 0) and columns (``side`` 1) run the same phase on their
+    own CSR half: an entry ``x`` is removed when some live ``y`` of the same
+    side satisfies ``live(x) <= live(y)`` as sets, with ``y < x`` required
+    when the two sets are equal (so the earlier id survives).  Candidates for
+    ``y`` are read off the first live entry of ``x`` on the other side, which
+    must contain every possible dominator.  A phase empties its own FIFO
+    queue and only appends to the other side's, so the phases alternate,
+    rows first, until the next one has nothing queued.
 
     Returns ``(alive_rows, alive_cols, ev_kind, ev_removed, ev_by, n_events,
     counters)`` where the ``ev_*`` arrays have length ``n_events``,
-    ``ev_kind`` is 0 for row removals and 1 for column removals, in execution
-    order, and ``counters`` holds ``[phases_total, row_phases, col_phases,
+    ``ev_kind`` is the side of each removal, in execution order, and
+    ``counters`` holds ``[phases_total, row_phases, col_phases,
     row_candidate_tests, col_candidate_tests]``.
     """
     n_rows = row_ptr.shape[0] - 1
     n_cols = col_ptr.shape[0] - 1
-
-    alive_r = np.ones(n_rows, np.bool_)
-    alive_c = np.ones(n_cols, np.bool_)
-
-    # live-entry counts, used both for O(1) "cannot contain" pruning and for
-    # detecting the equal-set case of the domination predicate
-    r_len = np.empty(n_rows, np.int64)
-    for v in range(n_rows):
-        r_len[v] = row_ptr[v + 1] - row_ptr[v]
-    c_len = np.empty(n_cols, np.int64)
-    for c in range(n_cols):
-        c_len[c] = col_ptr[c + 1] - col_ptr[c]
-
-    # FIFO ring buffers with membership flags for de-duplication
-    cap_r = n_rows + 1
-    cap_c = n_cols + 1
-    rq = np.empty(cap_r, np.int64)
-    rq_head = 0
-    rq_tail = 0
-    in_rq = np.zeros(n_rows, np.bool_)
-    cq = np.empty(cap_c, np.int64)
-    cq_head = 0
-    cq_tail = 0
-    in_cq = np.zeros(n_cols, np.bool_)
+    # per side: CSR half, aliveness, and live-entry counts (used both for
+    # O(1) "cannot contain" pruning and for the equal-set tie-break)
+    ptr = (row_ptr, col_ptr)
+    ent = (row_entries, col_entries)
+    alive = (np.ones(n_rows, np.bool_), np.ones(n_cols, np.bool_))
+    size = (row_ptr[1:] - row_ptr[:-1], col_ptr[1:] - col_ptr[:-1])
+    # per side: the candidates of its next phase in FIFO order, with
+    # membership flags for de-duplication; every row starts queued
+    queue = (np.arange(n_rows), np.empty(n_cols, np.int64))
+    queued = (np.ones(n_rows, np.bool_), np.zeros(n_cols, np.bool_))
+    n_queued = n_rows
 
     ev_kind = np.empty(n_rows + n_cols, np.int8)
     ev_removed = np.empty(n_rows + n_cols, np.int64)
@@ -84,133 +79,73 @@ def _collapse_py(row_ptr, row_entries, col_ptr, col_entries):
 
     counters = np.zeros(5, np.int64)
 
-    for v in range(n_rows):
-        rq[rq_tail] = v
-        rq_tail = (rq_tail + 1) % cap_r
-        in_rq[v] = True
-
-    while True:
-        if rq_head == rq_tail:
-            break
+    side = 0
+    while n_queued > 0:
+        other = 1 - side
+        own_ptr, own_ent, own_alive, own_size = ptr[side], ent[side], alive[side], size[side]
+        oth_ptr, oth_ent, oth_alive, oth_size = ptr[other], ent[other], alive[other], size[other]
+        own_queue, own_queued = queue[side], queued[side]
+        oth_queue, oth_queued = queue[other], queued[other]
         counters[0] += 1
-        counters[1] += 1
-        while rq_head != rq_tail:
-            v = rq[rq_head]
-            rq_head = (rq_head + 1) % cap_r
-            in_rq[v] = False
-            if not alive_r[v]:
+        counters[1 + side] += 1
+        n_next = 0
+        for q in range(n_queued):
+            x = own_queue[q]
+            own_queued[x] = False
+            if not own_alive[x]:
                 continue
-            # candidates live in the first live column of v
             first = -1
-            for i in range(row_ptr[v], row_ptr[v + 1]):
-                c = row_entries[i]
-                if alive_c[c]:
-                    first = c
+            for i in range(own_ptr[x], own_ptr[x + 1]):
+                if oth_alive[own_ent[i]]:
+                    first = own_ent[i]
                     break
             dom = -1
             if first >= 0:
-                for j in range(col_ptr[first], col_ptr[first + 1]):
-                    w = col_entries[j]
-                    if w == v or not alive_r[w]:
+                for j in range(oth_ptr[first], oth_ptr[first + 1]):
+                    y = oth_ent[j]
+                    if y == x or not own_alive[y]:
                         continue
-                    counters[3] += 1
-                    if r_len[w] < r_len[v]:
+                    counters[3 + side] += 1
+                    if own_size[y] < own_size[x]:
                         continue
-                    if r_len[w] == r_len[v] and w > v:
+                    if own_size[y] == own_size[x] and y > x:
                         continue
                     ok = True
-                    p = row_ptr[w]
-                    pe = row_ptr[w + 1]
-                    for i in range(row_ptr[v], row_ptr[v + 1]):
-                        c = row_entries[i]
-                        if not alive_c[c]:
+                    p = own_ptr[y]
+                    pe = own_ptr[y + 1]
+                    for i in range(own_ptr[x], own_ptr[x + 1]):
+                        e = own_ent[i]
+                        if not oth_alive[e]:
                             continue
-                        while p < pe and row_entries[p] < c:
+                        while p < pe and own_ent[p] < e:
                             p += 1
-                        if p >= pe or row_entries[p] != c:
+                        if p >= pe or own_ent[p] != e:
                             ok = False
                             break
                         p += 1
                     if ok:
-                        dom = w
+                        dom = y
                         break
             if dom >= 0:
-                alive_r[v] = False
-                ev_kind[n_ev] = 0
-                ev_removed[n_ev] = v
+                own_alive[x] = False
+                ev_kind[n_ev] = side
+                ev_removed[n_ev] = x
                 ev_by[n_ev] = dom
                 n_ev += 1
-                for i in range(row_ptr[v], row_ptr[v + 1]):
-                    c = row_entries[i]
-                    if alive_c[c]:
-                        c_len[c] -= 1
-                        if not in_cq[c]:
-                            cq[cq_tail] = c
-                            cq_tail = (cq_tail + 1) % cap_c
-                            in_cq[c] = True
-        if cq_head == cq_tail:
-            break
-        counters[0] += 1
-        counters[2] += 1
-        while cq_head != cq_tail:
-            c = cq[cq_head]
-            cq_head = (cq_head + 1) % cap_c
-            in_cq[c] = False
-            if not alive_c[c]:
-                continue
-            first = -1
-            for i in range(col_ptr[c], col_ptr[c + 1]):
-                v = col_entries[i]
-                if alive_r[v]:
-                    first = v
-                    break
-            dom = -1
-            if first >= 0:
-                for j in range(row_ptr[first], row_ptr[first + 1]):
-                    d = row_entries[j]
-                    if d == c or not alive_c[d]:
-                        continue
-                    counters[4] += 1
-                    if c_len[d] < c_len[c]:
-                        continue
-                    if c_len[d] == c_len[c] and d > c:
-                        continue
-                    ok = True
-                    p = col_ptr[d]
-                    pe = col_ptr[d + 1]
-                    for i in range(col_ptr[c], col_ptr[c + 1]):
-                        v = col_entries[i]
-                        if not alive_r[v]:
-                            continue
-                        while p < pe and col_entries[p] < v:
-                            p += 1
-                        if p >= pe or col_entries[p] != v:
-                            ok = False
-                            break
-                        p += 1
-                    if ok:
-                        dom = d
-                        break
-            if dom >= 0:
-                alive_c[c] = False
-                ev_kind[n_ev] = 1
-                ev_removed[n_ev] = c
-                ev_by[n_ev] = dom
-                n_ev += 1
-                for i in range(col_ptr[c], col_ptr[c + 1]):
-                    v = col_entries[i]
-                    if alive_r[v]:
-                        r_len[v] -= 1
-                        if not in_rq[v]:
-                            rq[rq_tail] = v
-                            rq_tail = (rq_tail + 1) % cap_r
-                            in_rq[v] = True
-        if rq_head == rq_tail:
-            break
+                for i in range(own_ptr[x], own_ptr[x + 1]):
+                    e = own_ent[i]
+                    if oth_alive[e]:
+                        oth_size[e] -= 1
+                        if not oth_queued[e]:
+                            oth_queue[n_next] = e
+                            n_next += 1
+                            oth_queued[e] = True
+        n_queued = n_next
+        side = other
 
     return (
-        alive_r,
-        alive_c,
+        alive[0],
+        alive[1],
         ev_kind[:n_ev],
         ev_removed[:n_ev],
         ev_by[:n_ev],
@@ -219,21 +154,17 @@ def _collapse_py(row_ptr, row_entries, col_ptr, col_entries):
     )
 
 
-def _reduce_block_py(R, skip, pivot_of_row, pair_local):
+def _reduce_block_py(R, pivot_of_row, pair_local):
     """Left-to-right GF(2) column reduction of one packed boundary block.
 
     ``R`` is a ``(n_cols, n_words)`` uint64 matrix; bit ``r`` of column ``j``
-    says face ``r`` occurs in the boundary of cell ``j``.  Columns flagged in
-    ``skip`` are known to reduce to zero and are left untouched.
+    says face ``r`` occurs in the boundary of cell ``j``.
     ``pivot_of_row`` (init -1) maps a face index to the column that owns it
     as lowest bit; ``pair_local[j]`` receives the final lowest face index of
     column ``j`` or -1 when the column vanishes.  ``R`` is modified in place.
     """
     n_cols, n_words = R.shape
     for j in range(n_cols):
-        if skip[j]:
-            pair_local[j] = -1
-            continue
         low = -1
         w = n_words - 1
         while w >= 0:

@@ -137,19 +137,16 @@ def core(matrix: ComplexMatrix) -> CoreResult:
     :func:`core` on the result again changes nothing.
     """
     vids, cids, row_ptr, row_entries, col_ptr, col_entries = _csr_positions(matrix)
-    alive_r, alive_c, ev_kind, ev_removed, ev_by, n_ev, counters = collapse_kernel(
+    alive_r, alive_c, ev_kind, ev_removed, ev_by, _, counters = collapse_kernel(
         row_ptr, row_entries, col_ptr, col_entries
     )
 
-    events = []
-    dominator: dict[int, int] = {}
-    for i in range(n_ev):
-        if ev_kind[i] == 0:
-            removed, by = vids[ev_removed[i]], vids[ev_by[i]]
-            events.append(("row", removed, by))
-            dominator[removed] = by
-        else:
-            events.append(("col", cids[ev_removed[i]], cids[ev_by[i]]))
+    ids = (vids, cids)
+    events = [
+        (("row", "col")[k], ids[k][r], ids[k][b])
+        for k, r, b in zip(ev_kind.tolist(), ev_removed.tolist(), ev_by.tolist())
+    ]
+    dominator = {removed: by for kind, removed, by in events if kind == "row"}
 
     alive_vertex = {vids[i] for i in range(len(vids)) if alive_r[i]}
     core_cols = {

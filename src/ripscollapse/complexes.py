@@ -74,8 +74,9 @@ class ComplexMatrix:
 
     Instances built through :meth:`from_simplex_list` are canonical (no
     column contains another, no duplicates).  :meth:`from_columns` trusts the
-    caller and is used for intermediate states of the collapse machinery,
-    where columns may temporarily be nested.
+    caller: it builds Rips snapshots, whose cliques are maximal by
+    construction, and intermediate states of the collapse machinery, where
+    columns may temporarily be nested.
     """
 
     __slots__ = ("_cols", "_rows")
@@ -125,9 +126,9 @@ class ComplexMatrix:
     def from_columns(cls, cols: Mapping[int, Iterable[int]]) -> "ComplexMatrix":
         """Build a complex with explicit column ids, trusting maximality.
 
-        Vertex tuples are still validated and sorted.  Intended for
-        intermediate states (e.g. nerve transposes) where columns may be
-        nested in each other on purpose.
+        Vertex tuples are still validated and sorted.  Intended for columns
+        known to be maximal, and for intermediate states (e.g. nerve
+        transposes) where columns may be nested in each other on purpose.
         """
         if not cols:
             raise EmptyComplexError()
@@ -157,9 +158,6 @@ class ComplexMatrix:
     def column(self, c: int) -> Simplex:
         """Vertex set of maximal simplex *c*."""
         return self._cols[c]
-
-    def has_vertex(self, v: int) -> bool:
-        return v in self._rows
 
     def columns_sorted(self) -> list[tuple[int, Simplex]]:
         """``(column id, vertex tuple)`` pairs in increasing column id."""

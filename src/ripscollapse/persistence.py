@@ -5,7 +5,7 @@ boundary matrix is packed into 64-bit words and reduced column-by-column,
 one dimension block at a time (columns of different dimensions never
 interact).  Dimensions are reduced top-down with clearing (Chen & Kerber's
 twist): a cell already paired as the creator of a higher-dimensional class
-has a column that reduces to zero, so that column is skipped.
+has a column that reduces to zero, so that column is never packed.
 
 This module also hosts the validation tooling mandated around the diagrams:
 Betti numbers of a single complex, the uncollapsed snapshot-filtration
@@ -102,6 +102,26 @@ class BoundaryMatrix:
         return cls(cells, tuple(columns))
 
 
+def _pack_block(matrix: BoundaryMatrix, cols: Sequence[int], rows: Sequence[int], p: int):
+    """Boundaries of the dimension-*p* cells *cols*, packed over the faces *rows*.
+
+    Row ``j`` of the ``(len(cols), ceil(len(rows) / 64))`` uint64 result has
+    bit ``r`` set when ``rows[r]`` is a face of ``cols[j]``.  Raises
+    :class:`ReductionMemoryError` rather than allocate past the guard.
+    """
+    n_words = (len(rows) + 63) // 64
+    block_bytes = len(cols) * n_words * 8
+    if block_bytes > _MAX_BLOCK_BYTES:
+        raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
+    local_of = np.full(len(matrix.cells), -1, np.int64)
+    local_of[rows] = np.arange(len(rows), dtype=np.int64)
+    faces = local_of[np.asarray([f for g in cols for f in matrix.columns[g]], dtype=np.int64)]
+    col_idx = np.repeat(np.arange(len(cols), dtype=np.int64), p + 1)
+    R = np.zeros((len(cols), n_words), np.uint64)
+    np.bitwise_or.at(R, (col_idx, faces >> 6), _BIT[faces & 63])
+    return R
+
+
 def _reduce(matrix: BoundaryMatrix):
     """Run the packed reduction; return (pairs, essential) as global indices."""
     cells = matrix.cells
@@ -118,29 +138,16 @@ def _reduce(matrix: BoundaryMatrix):
     pairs: list[tuple[int, int]] = []
 
     for p in range(max_dim, 0, -1):
-        cols_g = by_dim[p]
-        rows_g = by_dim[p - 1]
+        # clearing: a cell that creates a class killed in dimension p + 1
+        # has a column that reduces to zero, so it is never packed
+        cols_g = [g for g in by_dim[p] if not killed[g]]
         if not cols_g:
             continue
-        n_words = (len(rows_g) + 63) // 64
-        block_bytes = len(cols_g) * n_words * 8
-        if block_bytes > _MAX_BLOCK_BYTES:
-            raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
-        local_of = np.full(n, -1, np.int64)
-        local_of[rows_g] = np.arange(len(rows_g), dtype=np.int64)
-
-        faces_flat = np.asarray(
-            [f for g in cols_g for f in matrix.columns[g]], dtype=np.int64
-        )
-        faces_local = local_of[faces_flat]
-        col_idx = np.repeat(np.arange(len(cols_g), dtype=np.int64), p + 1)
-        R = np.zeros((len(cols_g), n_words), np.uint64)
-        np.bitwise_or.at(R, (col_idx, faces_local >> 6), _BIT[faces_local & 63])
-
-        skip = killed[cols_g]
+        rows_g = by_dim[p - 1]
+        R = _pack_block(matrix, cols_g, rows_g, p)
         pivot_of_row = np.full(len(rows_g), -1, np.int64)
         pair_local = np.empty(len(cols_g), np.int64)
-        reduce_block(R, skip, pivot_of_row, pair_local)
+        reduce_block(R, pivot_of_row, pair_local)
 
         for j in np.flatnonzero(pair_local >= 0):
             creator = rows_g[pair_local[j]]

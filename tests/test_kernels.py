@@ -1,3 +1,5 @@
+import hashlib
+import math
 import os
 import random
 import subprocess
@@ -9,11 +11,14 @@ from ripscollapse import _kernels
 from ripscollapse._kernels import ENV_FLAG, PY_IMPLS, collapse_kernel, reduce_block
 from ripscollapse.collapse import (
     _csr_positions,
+    core,
     find_dominating_column,
     find_dominating_row,
     replay_trace,
+    trace_to_text,
 )
 from ripscollapse.complexes import ComplexMatrix
+from ripscollapse.rips import pairwise_distances, rips_snapshot
 
 from oracles import naive_column_reduction, random_maximal_simplices
 
@@ -58,6 +63,84 @@ def test_collapse_kernel_paths_agree():
         _check_collapse_by_replay(matrix, got)
 
 
+def _collapse_fingerprint(matrix):
+    """(trace digest, the five counters, alive rows, alive columns) of one collapse."""
+    trace = core(matrix).trace
+    alive_r, alive_c, *_ = collapse_kernel(*_csr_positions(matrix)[2:])
+    return (
+        hashlib.sha256(trace_to_text(trace).encode()).hexdigest()[:16],
+        (
+            trace.rounds,
+            trace.row_phases,
+            trace.col_phases,
+            trace.row_candidate_tests,
+            trace.col_candidate_tests,
+        ),
+        "".join("01"[b] for b in alive_r.tolist()),
+        "".join("01"[b] for b in alive_c.tolist()),
+    )
+
+
+# Recorded from the collapse kernel; any change in event order, tie-break or
+# work counts fails here.
+_PINNED_RANDOM = (
+    ("ab7da07b25da1521", (3, 2, 1, 11, 2), "1000000", "10"),
+    ("c3b41e547c227ca9", (3, 2, 1, 43, 26), "1011010001110", "1111111110"),
+    ("357ccf73029dbc0b", (2, 1, 1, 35, 8), "1011101101101", "11111111"),
+    ("0ca92af59cedb6e0", (2, 1, 1, 6, 0), "1000", "1"),
+    ("b7b67cfa44cb2f44", (3, 2, 1, 30, 6), "10110010000001", "11011"),
+    ("1ee494f7fea8cb5c", (2, 1, 1, 4, 0), "100", "1"),
+    ("aa36fee8db9fd85b", (4, 2, 2, 28, 10), "000100000010010", "0110100"),
+    ("516486d8b92aad85", (4, 2, 2, 14, 2), "0000010000", "100"),
+    ("b72857cd642cb03b", (3, 2, 1, 10, 4), "0100000", "100"),
+    ("6ed74c64cd9d399c", (4, 2, 2, 34, 11), "1010010000100", "11110"),
+    ("07c7168b61d15e65", (2, 1, 1, 4, 0), "100", "1"),
+    ("947f61073db0a047", (2, 1, 1, 56, 9), "111111111110", "11111111111"),
+    ("5e99e87c9d3d00b6", (3, 2, 1, 16, 3), "000010000000", "100"),
+    ("12409af7016a7661", (3, 2, 1, 16, 3), "0000101100", "1101"),
+    ("783e413921cad7f2", (3, 2, 1, 26, 13), "111111000010", "1111011"),
+    ("8fdbb03410ce79fe", (3, 2, 1, 38, 19), "10101101101", "111111011"),
+    ("c8244428e272b05b", (5, 3, 2, 63, 25), "1110111010011001", "1101011111111"),
+    ("b37874b2ba481f64", (2, 1, 1, 10, 0), "100000", "1"),
+    ("f08bae293fd00c7b", (3, 2, 1, 10, 6), "0000100", "1000"),
+    ("704051713f8e92e9", (4, 2, 2, 31, 8), "10001000001", "101001"),
+    ("e3b0c44298fc1c14", (1, 1, 0, 0, 0), "111", "111"),
+    ("4857b2953eb580db", (2, 1, 1, 8, 0), "10000", "1"),
+    ("9bd0976d332620c7", (4, 2, 2, 22, 8), "00001000110", "01110"),
+    ("4857b2953eb580db", (2, 1, 1, 8, 0), "10000", "1"),
+    ("0dac7dc66e382881", (4, 2, 2, 55, 42), "11100011101", "1010111110"),
+    ("4857b2953eb580db", (2, 1, 1, 8, 0), "10000", "1"),
+    ("e1c69cdaa8f88324", (3, 2, 1, 30, 12), "1100010100", "101011"),
+    ("d1cc65f9c93c1c9b", (3, 2, 1, 32, 14), "0111000100111", "11011111"),
+    ("07c7168b61d15e65", (2, 1, 1, 4, 0), "100", "1"),
+    ("79dc53b88f787a07", (3, 2, 1, 16, 4), "0000101010", "1110"),
+)
+
+
+def _noisy_circle(seed, n):
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(n):
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        r = 1.0 + rng.uniform(-0.05, 0.05)
+        pts.append((r * math.cos(a), r * math.sin(a)))
+    return pts
+
+
+def test_collapse_kernel_output_is_pinned():
+    rng = random.Random(2024)
+    for want in _PINNED_RANDOM:
+        gen = random_maximal_simplices(rng, rng.randint(2, 16), rng.randint(2, 16), 6)
+        assert _collapse_fingerprint(ComplexMatrix.from_simplex_list(gen)) == want
+    # the benchmark's circle-snapshots cloud (n=300, seed 3) at t=0.3: 38 phases
+    snapshot = rips_snapshot(pairwise_distances(_noisy_circle(3, 300)), 0.3)
+    digest, counters, rows, cols = _collapse_fingerprint(snapshot)
+    assert (len(rows), len(cols)) == (300, 159)
+    assert (digest, counters) == ("5ffc09c66ed6e5c5", (38, 19, 19, 2752, 1310))
+    assert (rows.count("1"), cols.count("1")) == (22, 22)
+    assert hashlib.sha256(f"{rows}|{cols}".encode()).hexdigest()[:16] == "673c90e9e3a710b9"
+
+
 def _rows_of(words, n_rows):
     """Set of the rows whose bits are set in one packed column."""
     return {r for r in range(n_rows) if int(words[r >> 6]) >> (r & 63) & 1}
@@ -72,25 +155,22 @@ def test_reduce_block_paths_agree():
         R = rng.integers(0, 2**63, size=(n_cols, n_words), dtype=np.uint64)
         if n_rows % 64:
             R[:, -1] &= (np.uint64(1) << np.uint64(n_rows % 64)) - np.uint64(1)
-        skip = rng.integers(0, 2, size=n_cols).astype(np.bool_)
-        args_a = (R.copy(), skip.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
-        args_b = (R.copy(), skip.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
+        args_a = (R.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
+        args_b = (R.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
         reduce_block(*args_a)
         PY_IMPLS["reduce_block"](*args_b)
         for a, b in zip(args_a, args_b):
             assert np.array_equal(a, b)
 
-        # against the set-based reduction, skipped columns taken as zero
-        reduced = naive_column_reduction(
-            [set() if skip[j] else _rows_of(R[j], n_rows) for j in range(n_cols)]
-        )
+        # against the set-based reduction
+        reduced = naive_column_reduction([_rows_of(R[j], n_rows) for j in range(n_cols)])
         lows = [max(col, default=-1) for col in reduced]
-        got_R, _, pivot_of_row, pair_local = args_a
+        got_R, pivot_of_row, pair_local = args_a
         assert pair_local.tolist() == lows
         assert pivot_of_row.tolist() == [
             lows.index(r) if r in lows else -1 for r in range(n_rows)
         ]
-        for j in np.flatnonzero(~skip):
+        for j in range(n_cols):
             assert _rows_of(got_R[j], n_rows) == reduced[j]
 
 

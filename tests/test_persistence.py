@@ -5,10 +5,17 @@ import random
 
 import pytest
 
-from oracles import betti_by_rank, naive_persistence, random_maximal_simplices
+from oracles import (
+    betti_by_rank,
+    naive_column_reduction,
+    naive_persistence,
+    random_maximal_simplices,
+)
+from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import FiltrationOrderError
 from ripscollapse.persistence import (
+    BoundaryMatrix,
     PersistenceDiagram,
     betti_numbers,
     compute_persistence,
@@ -93,6 +100,39 @@ def test_matches_naive_reduction_on_random_snapshot_filtrations():
         want = naive_persistence(ordered)
         got = compute_persistence(filtration)
         assert list(got.pairs) == list(want)
+
+
+def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
+    """Each packed block has one column per dim-p cell not killed in dim p + 1."""
+    packed = []
+    kernel = persistence.reduce_block
+
+    def recording(R, *rest):
+        packed.append(R.shape[0])
+        return kernel(R, *rest)
+
+    monkeypatch.setattr(persistence, "reduce_block", recording)
+    rng = random.Random(1731)
+    cleared = 0
+    for _ in range(15):
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 9))]
+        grades = sorted({round(rng.uniform(0.1, 1.0), 2) for _ in range(rng.randint(1, 4))})
+        filtration = snapshot_filtration(pairwise_distances(pts), grades)
+        matrix = BoundaryMatrix.from_filtration(filtration)
+        reduced = naive_column_reduction([set(faces) for faces in matrix.columns])
+        killed = {max(col) for col in reduced if col}
+        dims = [len(s) - 1 for s, _ in matrix.cells]
+        want = []
+        for p in range(max(dims), 0, -1):
+            cells = [i for i, d in enumerate(dims) if d == p]
+            cleared += sum(i in killed for i in cells)
+            kept = sum(i not in killed for i in cells)
+            if kept:
+                want.append(kept)
+        packed.clear()
+        compute_persistence(filtration)
+        assert packed == want
+    assert cleared > 0
 
 
 def test_cell_order_within_equal_grades_does_not_matter():

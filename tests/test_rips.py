@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import naive_clique_count, naive_maximal_cliques, naive_pairwise_distances
+from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
@@ -153,6 +154,14 @@ def test_maximal_cliques_match_subset_scan():
     for _ in range(40):
         table, masks = _random_graph(rng, rng.randint(1, 11))
         assert maximal_cliques(masks) == naive_maximal_cliques(table)
+    # snapshots number the cliques without a maximality check of their own
+    rng = random.Random(96)
+    for _ in range(20):
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(1, 11))]
+        D = pairwise_distances(pts)
+        t = rng.uniform(0.1, 0.9)
+        want = ComplexMatrix.from_simplex_list(naive_maximal_cliques((D <= t).astype(int)))
+        assert rips_snapshot(D, t) == want
 
 
 def test_simplex_count_matches_subset_scan():
