@@ -2,6 +2,9 @@
 
 Run: python3 benchmarks/bench_kernels.py
 
+The collapse section also times ``flag_core``, the graph collapse the
+pipeline runs on Rips snapshots, on the same snapshot as the matrix kernel.
+
 The compiled side needs numba, the optional ``fast`` extra
 (``pip install ripscollapse[fast]``).  Without numba, or with
 RIPSCOLLAPSE_DISABLE_NUMBA=1 set, only the fallback implementations are timed.
@@ -18,7 +21,13 @@ from ripscollapse import _kernels
 from ripscollapse.collapse import _csr_positions
 from ripscollapse.persistence import BoundaryMatrix, _pack_block
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
+from ripscollapse.rips import (
+    SnapshotSchedule,
+    flag_core,
+    neighborhood_bitsets,
+    pairwise_distances,
+    rips_snapshot,
+)
 from ripscollapse.tower import Filtration
 
 N_WARMUP = 2
@@ -86,6 +95,12 @@ def bench_collapse():
         _print_results("collapse", times_fast, times_py)
     else:
         print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms ({_why_fallback_only()})")
+    # the pipeline's collapse: the same snapshot, strong-collapsed on its graph
+    adj = neighborhood_bitsets(D, 0.4)
+    edges = sum(a.bit_count() for a in adj) // 2
+    times_graph = _time(flag_core, adj)
+    print(f"  graph:    {np.mean(times_graph) * 1000:8.3f} +- {np.std(times_graph) * 1000:.3f} ms"
+          f" (flag_core, pure Python; {len(adj)} vertices x {edges} edges)")
 
 
 def bench_reduce():

@@ -8,6 +8,11 @@ deletion phases, driven by FIFO queues of candidates, until neither applies.
 With the deterministic tie-breaks used here (smallest candidate wins; on
 equal sets the larger id is removed) the result is a function of the input,
 and ids of surviving rows and columns are preserved.
+
+:func:`core` serves general complexes and ``ripscollapse core``.  Rips
+snapshots are flag complexes, so the pipeline collapses them on their
+neighbourhood graph instead (:func:`ripscollapse.rips.flag_core`), which
+returns the same :class:`CoreResult` with a row-only trace.
 """
 
 from __future__ import annotations
@@ -46,6 +51,27 @@ class RetractionMap:
     def identity(cls, vertices: Iterable[int]) -> "RetractionMap":
         return cls({v: v for v in vertices})
 
+    @classmethod
+    def from_dominators(
+        cls, vertices: Iterable[int], dominator: dict[int, int]
+    ) -> "RetractionMap":
+        """Compose removal steps: each removed vertex follows its chain of
+        dominators (``removed -> by``) to the vertex that survived."""
+        target: dict[int, int] = {}
+        for v in vertices:
+            u = v
+            chain = []
+            while u in dominator:
+                chain.append(u)
+                u = dominator[u]
+                if u in target:
+                    u = target[u]
+                    break
+            for x in chain:
+                target[x] = u
+            target[v] = u
+        return cls(target)
+
     def __call__(self, v: int) -> int:
         return self.target[v]
 
@@ -67,7 +93,8 @@ class CollapseTrace:
     ``events`` interleaves row and column removals exactly as they were
     executed; ``rounds`` counts the row/column phases that ran.  The work
     counters record how many domination candidates each phase kind examined,
-    for the complexity smoke tests.
+    for the complexity smoke tests.  A graph collapse (``flag_core``) is one
+    row phase with row events only.
     """
 
     events: tuple[RowEvent, ...]
@@ -156,20 +183,7 @@ def core(matrix: ComplexMatrix) -> CoreResult:
     }
     core_matrix = ComplexMatrix.from_columns(core_cols)
 
-    target: dict[int, int] = {}
-    for v in vids:
-        u = v
-        chain = []
-        while u in dominator:
-            chain.append(u)
-            u = dominator[u]
-            if u in target:
-                u = target[u]
-                break
-        for x in chain:
-            target[x] = u
-        target[v] = u
-    retraction = RetractionMap(target)
+    retraction = RetractionMap.from_dominators(vids, dominator)
 
     trace = CollapseTrace(
         events=tuple(events),

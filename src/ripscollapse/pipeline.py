@@ -1,12 +1,13 @@
 """End-to-end snapshot pipeline.
 
-The accelerated path builds the Rips snapshot at every grade, strong-collapses
-each one to its core (snapshots are independent, so a worker pool may handle
-them concurrently), assembles the cores into a tower, converts the tower to an
-equivalent filtration and reduces it.  The uncollapsed twin skips collapsing
-and reduces the first-appearance filtration of the fully expanded snapshots —
-the same construction the verification oracle uses — so the two diagrams can
-be compared per dimension.
+The accelerated path builds the neighbourhood graph at every grade, records
+the size of the full snapshot, and strong-collapses the snapshot to its core on
+the graph with :func:`~ripscollapse.rips.flag_core` (snapshots are independent,
+so a worker pool may handle them concurrently).  It then assembles the cores
+into a tower, converts the tower to an equivalent filtration and reduces it.
+The uncollapsed twin skips collapsing and reduces the first-appearance
+filtration of the fully expanded snapshots — the same construction the
+verification oracle uses — so the two diagrams can be compared per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 """
@@ -20,15 +21,23 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .collapse import core
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats
+from .collapse import CoreResult
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, ComplexStats
 from .persistence import (
     PersistenceDiagram,
     bottleneck_distance,
     compute_persistence,
     filtration_from_snapshots,
 )
-from .rips import SnapshotSchedule, as_grades, rips_snapshot, validate_distance_matrix
+from .rips import (
+    SnapshotSchedule,
+    as_grades,
+    flag_core,
+    maximal_cliques,
+    neighborhood_bitsets,
+    rips_snapshot,
+    validate_distance_matrix,
+)
 from .tower import Filtration, Include, Tower, assemble_core_tower, tower_to_filtration
 
 _T = TypeVar("_T")
@@ -47,7 +56,7 @@ class SnapshotStats:
 class PipelineTimings:
     """The three timed phases, in seconds."""
 
-    collapse_max: float  # slowest single-snapshot collapse (MCT)
+    collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
     assembly: float  # tower assembly + conversion to a filtration (AT)
     reduction: float  # boundary-matrix reduction (PDT)
 
@@ -92,11 +101,13 @@ def run_pipeline(
 
     if collapse:
 
-        def job(g: float) -> tuple[ComplexStats, object, float]:
-            snapshot = rips_snapshot(D, g)
+        def job(g: float) -> tuple[ComplexStats, CoreResult, float]:
+            adj = neighborhood_bitsets(D, g)
+            cliques = maximal_cliques(adj)
+            before = ComplexMatrix.from_columns(dict(enumerate(cliques))).stats()
             t0 = perf_counter()
-            result = core(snapshot)
-            return snapshot.stats(), result, perf_counter() - t0
+            result = flag_core(adj)
+            return before, result, perf_counter() - t0
 
         results = _map_ordered(job, grades, workers)
         stats = tuple(

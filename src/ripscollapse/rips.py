@@ -3,19 +3,24 @@
 A snapshot at threshold ``t`` is the clique complex of the graph connecting
 points at distance ``<= t``; its maximal simplices are the maximal cliques,
 found with Bron-Kerbosch over bitset adjacency (greedy max-degree pivot,
-degeneracy ordering at the top level).  Vertex ids are point indices and are
-identical across all snapshots, which is what lets the collapse cores of
+degeneracy ordering at the top level, an explicit stack instead of
+recursion).  Because a snapshot is a flag complex, :func:`flag_core`
+strong-collapses it on the graph itself, by closed-neighbourhood containment,
+and enumerates cliques only on the core.  Vertex ids are point indices and
+are identical across all snapshots, which is what lets the collapse cores of
 consecutive snapshots be compared vertex-by-vertex downstream.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .collapse import CollapseTrace, CoreResult, RetractionMap
 from .complexes import ComplexMatrix, Simplex
 
 
@@ -109,22 +114,51 @@ def neighborhood_bitsets(D: np.ndarray, t: float) -> list[int]:
 
 
 def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    remaining = set(range(n))
+    """Vertices by repeatedly taking the smallest ``(live degree, id)``.
+
+    A lazy-deletion heap: a vertex's entry is pushed again whenever its
+    live degree drops.  Its newest entry has the smallest key, so it is the
+    one popped first, and the older ones are skipped once the vertex is gone.
+    """
+    degree = [a.bit_count() for a in adj]
+    heap = [(d, v) for v, d in enumerate(degree)]
+    heapq.heapify(heap)
     alive = (1 << n) - 1
     order = []
-    for _ in range(n):
-        v = min(remaining, key=lambda u: ((adj[u] & alive).bit_count(), u))
+    while heap:
+        v = heapq.heappop(heap)[1]
+        if not alive >> v & 1:
+            continue
         order.append(v)
-        remaining.remove(v)
-        alive &= ~(1 << v)
+        alive ^= 1 << v
+        nb = adj[v] & alive
+        while nb:
+            low = nb & -nb
+            w = low.bit_length() - 1
+            nb ^= low
+            degree[w] -= 1
+            heapq.heappush(heap, (degree[w], w))
     return order
 
 
-def _bron_kerbosch(R: list[int], P: int, X: int, adj: list[int], out: list[Simplex]) -> None:
-    if P == 0 and X == 0:
-        out.append(tuple(sorted(R)))
-        return
-    # pivot: vertex of P|X with the most neighbours inside P, smallest id wins
+def _bits(mask: int) -> Simplex:
+    """Set bits of *mask* in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _extension(P: int, X: int, adj: list[int]) -> int:
+    """Vertices of *P* to branch on: those not adjacent to the pivot.
+
+    The pivot is the vertex of ``P | X`` with the most neighbours inside
+    ``P``; the smallest id wins ties, so the scan stops at the first vertex
+    whose count no other vertex can exceed.
+    """
+    most = P.bit_count() - (X == 0)
     best_u = -1
     best = -1
     PX = P | X
@@ -136,39 +170,105 @@ def _bron_kerbosch(R: list[int], P: int, X: int, adj: list[int], out: list[Simpl
         if cnt > best:
             best = cnt
             best_u = u
-    ext = P & ~adj[best_u]
-    while ext:
+            if cnt == most:
+                break
+    return P & ~adj[best_u]
+
+
+def _bron_kerbosch(R: int, P: int, X: int, adj: list[int], out: list[Simplex]) -> None:
+    """Append every maximal clique extending clique *R* by vertices of *P*.
+
+    Depth-first on an explicit stack of ``[R, P, X, branches left]`` frames,
+    so clique size is not bounded by the interpreter's recursion limit.
+    """
+    stack: list[list[int]] = []
+    while True:
+        if P:
+            stack.append([R, P, X, _extension(P, X, adj)])
+        elif not X:
+            out.append(_bits(R))
+        while stack and not stack[-1][3]:
+            stack.pop()
+        if not stack:
+            return
+        frame = stack[-1]
+        R, P, X, ext = frame
         low = ext & -ext
         v = low.bit_length() - 1
-        ext ^= low
-        _bron_kerbosch(R + [v], P & adj[v], X & adj[v], adj, out)
-        P &= ~low
-        X |= low
+        frame[1], frame[2], frame[3] = P ^ low, X | low, ext ^ low
+        R, P, X = R | low, P & adj[v], X & adj[v]
 
 
 def maximal_cliques(adj: list[int]) -> list[Simplex]:
     """All maximal cliques (isolated vertices included), sorted lexicographically."""
     n = len(adj)
-    order = _degeneracy_order(adj, n)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
     out: list[Simplex] = []
-    for v in order:
-        later = 0
-        earlier = 0
-        nb = adj[v]
-        while nb:
-            low = nb & -nb
-            w = low.bit_length() - 1
-            nb ^= low
-            if pos[w] > pos[v]:
-                later |= low
-            else:
-                earlier |= low
-        _bron_kerbosch([v], later, earlier, adj, out)
+    earlier = 0
+    for v in _degeneracy_order(adj, n):
+        _bron_kerbosch(1 << v, adj[v] & ~earlier, adj[v] & earlier, adj, out)
+        earlier |= 1 << v
     out.sort()
     return out
+
+
+def flag_core(adj: list[int]) -> CoreResult:
+    """Strong-collapse the flag complex of the graph *adj* to its core.
+
+    In a flag complex a vertex ``x`` is dominated by ``y`` iff the closed
+    neighbourhood ``N[x]`` is contained in ``N[y]``, and the core is the
+    flag complex of the surviving vertices.  A FIFO queue, seeded with every
+    vertex in id order, removes ``x`` in favour of its smallest live
+    neighbour ``y`` with ``N[x] <= N[y]`` (on live vertices); when the two
+    sets are equal, ``y`` must also be the smaller id, so exactly one of an
+    equal pair goes.  Only the live neighbours of a removed vertex can
+    become dominated, so only they are queued again.
+
+    The core's columns are its maximal cliques, numbered in lexicographic
+    order; the trace lists one ``("row", removed, by)`` event per removal,
+    as a single row phase with its candidate-test count.
+    """
+    n = len(adj)
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    alive = (1 << n) - 1
+    queued = alive
+    queue = list(range(n))
+    dominator: dict[int, int] = {}  # removed -> by, in removal order
+    tests = 0
+    for x in queue:  # also visits the vertices queued again on the way
+        queued ^= 1 << x
+        nx = closed[x] & alive
+        cand = nx ^ 1 << x
+        while cand:
+            low = cand & -cand
+            y = low.bit_length() - 1
+            cand ^= low
+            tests += 1
+            ny = closed[y] & alive
+            if nx & ~ny == 0 and (nx != ny or y < x):
+                alive ^= 1 << x
+                dominator[x] = y
+                fresh = nx & alive & ~queued
+                queued |= fresh
+                queue.extend(_bits(fresh))
+                break
+
+    survivors = _bits(alive)
+    pos = {v: i for i, v in enumerate(survivors)}
+    sub = [0] * len(survivors)
+    for i, v in enumerate(survivors):
+        for w in _bits(adj[v] & alive):
+            sub[i] |= 1 << pos[w]
+    cliques = maximal_cliques(sub)
+    matrix = ComplexMatrix.from_columns(
+        {c: tuple(survivors[i] for i in clique) for c, clique in enumerate(cliques)}
+    )
+    trace = CollapseTrace(
+        events=tuple(("row", x, y) for x, y in dominator.items()),
+        rounds=1,
+        row_phases=1,
+        row_candidate_tests=tests,
+    )
+    return CoreResult(matrix, RetractionMap.from_dominators(range(n), dominator), trace)
 
 
 def rips_snapshot(D: np.ndarray, t: float) -> ComplexMatrix:

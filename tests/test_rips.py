@@ -2,17 +2,27 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from oracles import naive_clique_count, naive_maximal_cliques, naive_pairwise_distances
+from oracles import (
+    betti_by_rank,
+    naive_clique_count,
+    naive_degeneracy_order,
+    naive_maximal_cliques,
+    naive_pairwise_distances,
+)
+from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
+    _degeneracy_order,
     as_grades,
     count_rips_simplices,
+    flag_core,
     maximal_cliques,
     neighborhood_bitsets,
     pairwise_distances,
@@ -192,3 +202,100 @@ def test_snapshots_follow_schedule_and_workers_agree():
     assert serial == threaded
     assert [s.grade for s in serial] == sched.grades()
     assert [s.before.n_maximal for s in serial] == [4, 4, 1]
+
+
+def test_cliques_larger_than_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    n = 1100
+    full = (1 << n) - 1
+    assert maximal_cliques([full ^ 1 << v for v in range(n)]) == [tuple(range(n))]
+    D = np.full((n, n), 0.5)
+    np.fill_diagonal(D, 0.0)
+    assert run_pipeline(D, [1.0]).diagram.pairs == ((0, 1.0, math.inf),)
+    assert sys.getrecursionlimit() == limit
+
+
+def test_degeneracy_order_matches_minimum_scan():
+    rng = random.Random(61)
+    graphs = [[0], [0, 0, 0]]
+    for n in (3, 6, 11):  # every vertex tied: cycles and complete graphs
+        graphs.append([(1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)])
+        graphs.append([((1 << n) - 1) ^ 1 << v for v in range(n)])
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        _, masks = _random_graph(rng, n)
+        for v in rng.sample(range(n), rng.randint(0, n // 3)):  # isolate some
+            masks = [m & ~(1 << v) for m in masks]
+            masks[v] = 0
+        graphs.append(masks)
+    for masks in graphs:
+        assert _degeneracy_order(masks, len(masks)) == naive_degeneracy_order(masks, len(masks))
+
+
+def _clouds(seed, count, n_max):
+    """Seeded uniform clouds in the unit square or cube."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = 2 + i % 2
+        n = rng.randint(1, n_max)
+        yield pairwise_distances([[rng.random() for _ in range(dim)] for _ in range(n)])
+
+
+GRADES = (0.15, 0.3, 0.45, 0.7)
+
+
+def test_flag_core_unit_square():
+    D = pairwise_distances(UNIT_SQUARE)
+    cycle = flag_core(neighborhood_bitsets(D, 1.0))
+    assert cycle.matrix == rips_snapshot(D, 1.0)
+    assert cycle.trace.events == ()
+    full = flag_core(neighborhood_bitsets(D, 1.5))
+    assert full.matrix.columns_sorted() == [(0, (0,))]
+    assert full.trace.events == (("row", 1, 0), ("row", 2, 0), ("row", 3, 0))
+    assert full.retraction.target == {0: 0, 1: 0, 2: 0, 3: 0}
+
+
+def test_flag_core_matches_matrix_collapse():
+    for D in _clouds(41, 24, 40):
+        for t in GRADES:
+            graph = flag_core(neighborhood_bitsets(D, t))
+            assert graph.matrix.stats() == core(rips_snapshot(D, t)).matrix.stats()
+            assert core(graph.matrix).trace.events == ()
+
+
+def test_flag_core_events_hold_at_their_moment():
+    for D in _clouds(42, 24, 40):
+        for t in GRADES:
+            adj = neighborhood_bitsets(D, t)
+            n = len(adj)
+            closed = [{u for u in range(n) if adj[v] >> u & 1} | {v} for v in range(n)]
+            result = flag_core(adj)
+            alive = set(range(n))
+            for kind, x, y in result.trace.events:
+                assert kind == "row" and x != y and x in alive and y in alive
+                nx, ny = closed[x] & alive, closed[y] & alive
+                assert nx <= ny and (nx != ny or y < x)
+                alive.remove(x)
+            for x in alive:  # no survivor is left dominated
+                nx = closed[x] & alive
+                assert not any(nx <= closed[y] & alive for y in nx - {x})
+            assert result.matrix.vertex_ids == tuple(sorted(alive))
+            assert result.retraction.fixed_points() == tuple(sorted(alive))
+            assert result.trace.row_candidate_tests >= len(result.trace.events)
+            for clique in maximal_cliques(adj):
+                assert result.matrix.contains_simplex(result.retraction.apply_to(clique))
+
+
+def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers():
+    for D in _clouds(43, 30, 10):
+        for t in GRADES:
+            table = (D <= t).astype(int)
+            result = flag_core(neighborhood_bitsets(D, t))
+            keep = result.matrix.vertex_ids
+            induced = [[table[u][v] for v in keep] for u in keep]
+            want = [tuple(keep[i] for i in c) for c in naive_maximal_cliques(induced)]
+            assert result.matrix.maximal_simplices() == want
+            full = betti_by_rank(rips_snapshot(D, t).expand_all_simplices())
+            small = betti_by_rank(result.matrix.expand_all_simplices())
+            width = max(len(full), len(small))
+            assert full + (0,) * (width - len(full)) == small + (0,) * (width - len(small))
