@@ -1,13 +1,15 @@
-"""Benchmark the compiled kernels against their pure-NumPy/Python fallbacks.
+"""Benchmark the compiled reduction kernel against its pure-NumPy/Python
+fallback, and the two strong collapses, which need no kernel.
 
 Run: python3 benchmarks/bench_kernels.py
 
-The collapse section also times ``flag_core``, the graph collapse the
-pipeline runs on Rips snapshots, on the same snapshot as the matrix kernel.
+The collapse section times ``core`` on a Rips snapshot's maximal simplices
+and ``flag_core``, the graph collapse the pipeline runs, on the same
+snapshot's neighbourhood graph.
 
 The compiled side needs numba, the optional ``fast`` extra
 (``pip install ripscollapse[fast]``).  Without numba, or with
-RIPSCOLLAPSE_DISABLE_NUMBA=1 set, only the fallback implementations are timed.
+RIPSCOLLAPSE_DISABLE_NUMBA=1 set, only the fallback implementation is timed.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import time
 import numpy as np
 
 from ripscollapse import _kernels
-from ripscollapse.collapse import _csr_positions
+from ripscollapse.collapse import core
 from ripscollapse.persistence import BoundaryMatrix, _pack_block
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
@@ -75,7 +77,7 @@ def _dim1_block(cells):
 
 
 def _why_fallback_only() -> str:
-    """Why the compiled kernels are not in use (call only when they are not)."""
+    """Why the compiled kernel is not in use (call only when it is not)."""
     if _kernels._flag_disabled():
         return f"disabled by {_kernels.ENV_FLAG}"
     return "numba not installed"
@@ -85,22 +87,14 @@ def bench_collapse():
     print("--- strong collapse (400-point noisy circle, t=0.4) ---")
     D = pairwise_distances(_circle_cloud(400, seed=1))
     m = rips_snapshot(D, 0.4)
-    _, _, row_ptr, row_entries, col_ptr, col_entries = _csr_positions(m)
-    args = (row_ptr, row_entries, col_ptr, col_entries)
-    print(f"  input: {len(m.vertex_ids)} vertices x {len(m.column_ids)} maximal")
-    py = _kernels.PY_IMPLS["collapse"]
-    times_py = _time(py, *args)
-    if _kernels.USING_NUMBA:
-        times_fast = _time(_kernels.collapse_kernel, *args)
-        _print_results("collapse", times_fast, times_py)
-    else:
-        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms ({_why_fallback_only()})")
-    # the pipeline's collapse: the same snapshot, strong-collapsed on its graph
     adj = neighborhood_bitsets(D, 0.4)
     edges = sum(a.bit_count() for a in adj) // 2
+    times_core = _time(core, m)
+    print(f"  core:      {np.mean(times_core) * 1000:8.3f} +- {np.std(times_core) * 1000:.3f} ms"
+          f" ({len(m.vertex_ids)} vertices x {len(m.column_ids)} maximal)")
     times_graph = _time(flag_core, adj)
-    print(f"  graph:    {np.mean(times_graph) * 1000:8.3f} +- {np.std(times_graph) * 1000:.3f} ms"
-          f" (flag_core, pure Python; {len(adj)} vertices x {edges} edges)")
+    print(f"  flag_core: {np.mean(times_graph) * 1000:8.3f} +- {np.std(times_graph) * 1000:.3f} ms"
+          f" ({len(adj)} vertices x {edges} edges)")
 
 
 def bench_reduce():
@@ -148,7 +142,7 @@ def bench_pipeline():
 
 
 def main() -> None:
-    mode = "compiled kernels" if _kernels.USING_NUMBA else "fallback only"
+    mode = "compiled kernel" if _kernels.USING_NUMBA else "fallback only"
     print(f"kernel path: {mode}\n")
     bench_collapse()
     print()

@@ -9,20 +9,19 @@ With the deterministic tie-breaks used here (smallest candidate wins; on
 equal sets the larger id is removed) the result is a function of the input,
 and ids of surviving rows and columns are preserved.
 
-:func:`core` serves general complexes and ``ripscollapse core``.  Rips
-snapshots are flag complexes, so the pipeline collapses them on their
-neighbourhood graph instead (:func:`ripscollapse.rips.flag_core`), which
-returns the same :class:`CoreResult` with a row-only trace.
+:func:`core` serves general complexes and ``ripscollapse core``; it keeps
+each row and each column as a Python-int bitset of positions on the other
+side, so it needs no compiled kernel.  Rips snapshots are flag complexes, so
+the pipeline collapses them on their neighbourhood graph instead
+(:func:`ripscollapse.rips.flag_core`, also on int bitsets), which returns
+the same :class:`CoreResult` with a row-only trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-import numpy as np
-
-from ._kernels import collapse_kernel
 from .complexes import ComplexMatrix, Simplex, as_simplex
 from .errors import CollapseConsistencyError, FormatError
 
@@ -46,10 +45,6 @@ class RetractionMap:
                 raise CollapseConsistencyError(
                     f"retraction target {w} of vertex {v} is not a fixed point"
                 )
-
-    @classmethod
-    def identity(cls, vertices: Iterable[int]) -> "RetractionMap":
-        return cls({v: v for v in vertices})
 
     @classmethod
     def from_dominators(
@@ -125,75 +120,91 @@ class CoreResult:
         return iter((self.matrix, self.retraction, self.trace))
 
 
-def _csr_positions(matrix: ComplexMatrix):
-    """Flatten the incidence structure into positional CSR arrays."""
-    vids = matrix.vertex_ids
-    cids = matrix.column_ids
-    vpos = {v: i for i, v in enumerate(vids)}
-    cpos = {c: i for i, c in enumerate(cids)}
-
-    row_ptr = np.zeros(len(vids) + 1, np.int64)
-    row_entries = []
-    for i, v in enumerate(vids):
-        cols = matrix.row(v)
-        row_entries.extend(cpos[c] for c in cols)
-        row_ptr[i + 1] = row_ptr[i] + len(cols)
-
-    col_ptr = np.zeros(len(cids) + 1, np.int64)
-    col_entries = []
-    for i, c in enumerate(cids):
-        verts = matrix.column(c)
-        col_entries.extend(vpos[v] for v in verts)
-        col_ptr[i + 1] = col_ptr[i] + len(verts)
-
-    return (
-        vids,
-        cids,
-        row_ptr,
-        np.asarray(row_entries, np.int64),
-        col_ptr,
-        np.asarray(col_entries, np.int64),
-    )
+def _bits(mask: int) -> Simplex:
+    """Set bits of *mask* in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def core(matrix: ComplexMatrix) -> CoreResult:
     """Collapse *matrix* to its core.
 
+    Rows and columns are int bitsets of positions on the other side.  Each
+    phase takes one side's FIFO queue, rows first, and removes an entry
+    ``x`` when a live ``y`` of the same side has ``live(x) <= live(y)``,
+    with ``y < x`` required when the two are equal (so the earlier id
+    survives).  Every dominator of ``x`` is a member of ``x``'s first live
+    entry on the other side, so only those are tested.  A removal queues
+    the live entries of ``x`` for the other side's next phase; the phases
+    alternate until the next one has nothing queued.
+
     The returned matrix keeps the surviving row and column ids of the input;
     the retraction maps every input vertex to its survivor.  Running
     :func:`core` on the result again changes nothing.
     """
-    vids, cids, row_ptr, row_entries, col_ptr, col_entries = _csr_positions(matrix)
-    alive_r, alive_c, ev_kind, ev_removed, ev_by, _, counters = collapse_kernel(
-        row_ptr, row_entries, col_ptr, col_entries
+    ids = (matrix.vertex_ids, matrix.column_ids)
+    vpos = {v: i for i, v in enumerate(ids[0])}
+    rows = [0] * len(ids[0])
+    cols = []
+    for j, c in enumerate(ids[1]):
+        col = 0
+        for v in matrix.column(c):
+            rows[vpos[v]] |= 1 << j
+            col |= 1 << vpos[v]
+        cols.append(col)
+    masks = (rows, cols)
+    alive = [(1 << len(rows)) - 1, (1 << len(cols)) - 1]
+    # phases total, row phases, column phases, row tests, column tests
+    counters = [0] * 5
+    events: list[RowEvent] = []
+    queue = list(range(len(rows)))
+    side = 0
+    while queue:
+        other = 1 - side
+        own, oth = masks[side], masks[other]
+        counters[0] += 1
+        counters[1 + side] += 1
+        queued = 0
+        next_queue: list[int] = []
+        for x in queue:
+            # never 0: a removed row's dominator stays in all of its columns,
+            # and a removed column's vertices stay in the column containing it
+            lx = own[x] & alive[other]
+            cand = oth[(lx & -lx).bit_length() - 1] & alive[side] & ~(1 << x)
+            while cand:
+                low = cand & -cand
+                y = low.bit_length() - 1
+                cand ^= low
+                counters[3 + side] += 1
+                ly = own[y] & alive[other]
+                if lx & ~ly == 0 and (lx != ly or y < x):
+                    alive[side] ^= 1 << x
+                    events.append((("row", "col")[side], ids[side][x], ids[side][y]))
+                    fresh = lx & ~queued
+                    queued |= fresh
+                    next_queue.extend(_bits(fresh))
+                    break
+        queue = next_queue
+        side = other
+
+    vids, cids = ids
+    core_matrix = ComplexMatrix.from_columns(
+        {cids[j]: [vids[i] for i in _bits(cols[j] & alive[0])] for j in _bits(alive[1])}
     )
-
-    ids = (vids, cids)
-    events = [
-        (("row", "col")[k], ids[k][r], ids[k][b])
-        for k, r, b in zip(ev_kind.tolist(), ev_removed.tolist(), ev_by.tolist())
-    ]
     dominator = {removed: by for kind, removed, by in events if kind == "row"}
-
-    alive_vertex = {vids[i] for i in range(len(vids)) if alive_r[i]}
-    core_cols = {
-        cids[i]: tuple(v for v in matrix.column(cids[i]) if v in alive_vertex)
-        for i in range(len(cids))
-        if alive_c[i]
-    }
-    core_matrix = ComplexMatrix.from_columns(core_cols)
-
-    retraction = RetractionMap.from_dominators(vids, dominator)
-
     trace = CollapseTrace(
         events=tuple(events),
-        rounds=int(counters[0]),
-        row_phases=int(counters[1]),
-        col_phases=int(counters[2]),
-        row_candidate_tests=int(counters[3]),
-        col_candidate_tests=int(counters[4]),
+        rounds=counters[0],
+        row_phases=counters[1],
+        col_phases=counters[2],
+        row_candidate_tests=counters[3],
+        col_candidate_tests=counters[4],
     )
-    return CoreResult(core_matrix, retraction, trace)
+    return CoreResult(core_matrix, RetractionMap.from_dominators(vids, dominator), trace)
 
 
 def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:

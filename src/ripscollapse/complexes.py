@@ -55,13 +55,12 @@ def simplex_faces(s: Simplex) -> Iterator[Simplex]:
 
 @dataclass(frozen=True, slots=True)
 class ComplexStats:
-    """Size summary of a complex: vertex/maximal-simplex counts, dimension
-    and the largest number of maximal simplices sharing one vertex."""
+    """Size summary of a complex: vertex and maximal-simplex counts and
+    dimension."""
 
     n_vertices: int
     n_maximal: int
     dimension: int
-    max_cofaces: int
 
 
 class ComplexMatrix:
@@ -182,12 +181,11 @@ class ComplexMatrix:
     # -- queries --------------------------------------------------------
 
     def stats(self) -> ComplexStats:
-        """Vertex/maximal counts, dimension, and max cofaces per vertex."""
+        """Vertex and maximal-simplex counts and dimension."""
         return ComplexStats(
             n_vertices=len(self._rows),
             n_maximal=len(self._cols),
             dimension=max(len(s) for s in self._cols.values()) - 1,
-            max_cofaces=max(len(r) for r in self._rows.values()),
         )
 
     def contains_simplex(self, s: Iterable[int]) -> bool:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .collapse import CoreResult
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, ComplexStats
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats
 from .persistence import (
     PersistenceDiagram,
     bottleneck_distance,
@@ -104,7 +104,7 @@ def run_pipeline(
         def job(g: float) -> tuple[ComplexStats, CoreResult, float]:
             adj = neighborhood_bitsets(D, g)
             cliques = maximal_cliques(adj)
-            before = ComplexMatrix.from_columns(dict(enumerate(cliques))).stats()
+            before = ComplexStats(len(adj), len(cliques), max(map(len, cliques)) - 1)
             t0 = perf_counter()
             result = flag_core(adj)
             return before, result, perf_counter() - t0

@@ -3,24 +3,24 @@
 A snapshot at threshold ``t`` is the clique complex of the graph connecting
 points at distance ``<= t``; its maximal simplices are the maximal cliques,
 found with Bron-Kerbosch over bitset adjacency (greedy max-degree pivot,
-degeneracy ordering at the top level, an explicit stack instead of
+vertices in id order at the top level, an explicit stack instead of
 recursion).  Because a snapshot is a flag complex, :func:`flag_core`
-strong-collapses it on the graph itself, by closed-neighbourhood containment,
-and enumerates cliques only on the core.  Vertex ids are point indices and
+strong-collapses it on the graph itself, by closed-neighbourhood containment
+on the same int bitsets that :func:`ripscollapse.collapse.core` uses, and
+enumerates cliques only on the core.  Vertex ids are point indices and
 are identical across all snapshots, which is what lets the collapse cores of
 consecutive snapshots be compared vertex-by-vertex downstream.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .collapse import CollapseTrace, CoreResult, RetractionMap
+from .collapse import CollapseTrace, CoreResult, RetractionMap, _bits
 from .complexes import ComplexMatrix, Simplex
 
 
@@ -113,44 +113,6 @@ def neighborhood_bitsets(D: np.ndarray, t: float) -> list[int]:
     ]
 
 
-def _degeneracy_order(adj: list[int], n: int) -> list[int]:
-    """Vertices by repeatedly taking the smallest ``(live degree, id)``.
-
-    A lazy-deletion heap: a vertex's entry is pushed again whenever its
-    live degree drops.  Its newest entry has the smallest key, so it is the
-    one popped first, and the older ones are skipped once the vertex is gone.
-    """
-    degree = [a.bit_count() for a in adj]
-    heap = [(d, v) for v, d in enumerate(degree)]
-    heapq.heapify(heap)
-    alive = (1 << n) - 1
-    order = []
-    while heap:
-        v = heapq.heappop(heap)[1]
-        if not alive >> v & 1:
-            continue
-        order.append(v)
-        alive ^= 1 << v
-        nb = adj[v] & alive
-        while nb:
-            low = nb & -nb
-            w = low.bit_length() - 1
-            nb ^= low
-            degree[w] -= 1
-            heapq.heappush(heap, (degree[w], w))
-    return order
-
-
-def _bits(mask: int) -> Simplex:
-    """Set bits of *mask* in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _extension(P: int, X: int, adj: list[int]) -> int:
     """Vertices of *P* to branch on: those not adjacent to the pivot.
 
@@ -201,10 +163,9 @@ def _bron_kerbosch(R: int, P: int, X: int, adj: list[int], out: list[Simplex]) -
 
 def maximal_cliques(adj: list[int]) -> list[Simplex]:
     """All maximal cliques (isolated vertices included), sorted lexicographically."""
-    n = len(adj)
     out: list[Simplex] = []
     earlier = 0
-    for v in _degeneracy_order(adj, n):
+    for v in range(len(adj)):
         _bron_kerbosch(1 << v, adj[v] & ~earlier, adj[v] & earlier, adj, out)
         earlier |= 1 << v
     out.sort()

@@ -2,10 +2,9 @@
 
 Everything here favours obviousness over speed and shares no code with the
 package: maximality by pairwise subset tests, expansion by powersets, distances
-by loops, clique enumeration by subset scan, degeneracy order by repeated
-minimum scans, Betti numbers by dense GF(2) rank, persistence by the textbook
-set-based column reduction, the exact edge-length Rips filtration, and
-bottleneck distance by exhaustive matching.
+by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
+rank, persistence by the textbook set-based column reduction, the exact
+edge-length Rips filtration, and bottleneck distance by exhaustive matching.
 """
 
 from __future__ import annotations
@@ -90,22 +89,6 @@ def naive_maximal_cliques(adjacency):
     return sorted(
         c for c, a in zip(cliques, sets) if not any(a < b for b in sets)
     )
-
-
-def naive_degeneracy_order(adj, n):
-    """Vertices by repeatedly scanning for the smallest (live degree, id).
-
-    *adj* holds one int neighbour bitmask per vertex.
-    """
-    remaining = set(range(n))
-    alive = (1 << n) - 1
-    order = []
-    for _ in range(n):
-        v = min(remaining, key=lambda u: ((adj[u] & alive).bit_count(), u))
-        order.append(v)
-        remaining.remove(v)
-        alive &= ~(1 << v)
-    return order
 
 
 def naive_clique_count(adjacency):

@@ -59,7 +59,6 @@ def test_stats():
     assert s.n_vertices == 6
     assert s.n_maximal == 5
     assert s.dimension == 2
-    assert s.max_cofaces == 3  # vertices b and e sit in three maximal simplices
 
 
 def test_contains_simplex():

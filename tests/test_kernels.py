@@ -8,9 +8,8 @@ import sys
 import numpy as np
 
 from ripscollapse import _kernels
-from ripscollapse._kernels import ENV_FLAG, PY_IMPLS, collapse_kernel, reduce_block
+from ripscollapse._kernels import ENV_FLAG, PY_IMPLS, reduce_block
 from ripscollapse.collapse import (
-    _csr_positions,
     core,
     find_dominating_column,
     find_dominating_row,
@@ -23,50 +22,27 @@ from ripscollapse.rips import pairwise_distances, rips_snapshot
 from oracles import naive_column_reduction, random_maximal_simplices
 
 
-def _check_collapse_by_replay(matrix, result):
-    """The kernel's events replay, each one checked, to the core its masks
-    describe, and no survivor of that core is dominated any more."""
-    alive_r, alive_c, ev_kind, ev_removed, ev_by, n_ev, _ = result
-    ids = (matrix.vertex_ids, matrix.column_ids)
-    events = [
-        ("row" if k == 0 else "col", ids[k][r], ids[k][b])
-        for k, r, b in zip(ev_kind, ev_removed, ev_by)
-    ]
-    assert len(events) == n_ev
-    replayed = replay_trace(matrix, events, check=True)
-    survivors = {ids[0][i] for i in np.flatnonzero(alive_r)}
-    claimed = ComplexMatrix.from_columns(
-        {
-            ids[1][i]: [v for v in matrix.column(ids[1][i]) if v in survivors]
-            for i in np.flatnonzero(alive_c)
-        }
-    )
-    assert replayed == claimed
-    assert set(replayed.vertex_ids) == survivors
-    for v in replayed.vertex_ids:
-        assert find_dominating_row(replayed, v) is None
-    for c in replayed.column_ids:
-        assert find_dominating_column(replayed, c) is None
-
-
 def test_collapse_kernel_paths_agree():
+    """The collapse's events replay, each one checked, to the core it
+    returns, and no survivor of that core is dominated any more."""
     rng = random.Random(31337)
     for _ in range(60):
         gen = random_maximal_simplices(rng, rng.randint(1, 12), rng.randint(1, 12), 5)
         matrix = ComplexMatrix.from_simplex_list(gen)
-        arrays = _csr_positions(matrix)[2:]
-        got = collapse_kernel(*arrays)
-        want = PY_IMPLS["collapse"](*(a.copy() for a in arrays))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(np.asarray(g), np.asarray(w))
-        _check_collapse_by_replay(matrix, got)
+        result = core(matrix)
+        replayed = replay_trace(matrix, result.trace.events, check=True)
+        assert replayed == result.matrix
+        for v in replayed.vertex_ids:
+            assert find_dominating_row(replayed, v) is None
+        for c in replayed.column_ids:
+            assert find_dominating_column(replayed, c) is None
 
 
 def _collapse_fingerprint(matrix):
     """(trace digest, the five counters, alive rows, alive columns) of one collapse."""
-    trace = core(matrix).trace
-    alive_r, alive_c, *_ = collapse_kernel(*_csr_positions(matrix)[2:])
+    result = core(matrix)
+    trace = result.trace
+    rows, cols = set(result.matrix.vertex_ids), set(result.matrix.column_ids)
     return (
         hashlib.sha256(trace_to_text(trace).encode()).hexdigest()[:16],
         (
@@ -76,13 +52,13 @@ def _collapse_fingerprint(matrix):
             trace.row_candidate_tests,
             trace.col_candidate_tests,
         ),
-        "".join("01"[b] for b in alive_r.tolist()),
-        "".join("01"[b] for b in alive_c.tolist()),
+        "".join("01"[v in rows] for v in matrix.vertex_ids),
+        "".join("01"[c in cols] for c in matrix.column_ids),
     )
 
 
-# Recorded from the collapse kernel; any change in event order, tie-break or
-# work counts fails here.
+# Recorded from the CSR collapse kernel that the bitset core replaced; any
+# change in event order, tie-break or work counts fails here.
 _PINNED_RANDOM = (
     ("ab7da07b25da1521", (3, 2, 1, 11, 2), "1000000", "10"),
     ("c3b41e547c227ca9", (3, 2, 1, 43, 26), "1011010001110", "1111111110"),
@@ -178,7 +154,6 @@ def test_env_flag_selects_fallback():
     code = (
         "from ripscollapse import _kernels\n"
         "assert not _kernels.USING_NUMBA\n"
-        "assert _kernels.collapse_kernel is _kernels.PY_IMPLS['collapse']\n"
         "assert _kernels.reduce_block is _kernels.PY_IMPLS['reduce_block']\n"
     )
     env = dict(os.environ, **{ENV_FLAG: "1"})
@@ -186,10 +161,7 @@ def test_env_flag_selects_fallback():
 
 
 # Each selected kernel and the PY_IMPLS function that is its fallback.
-_SELECTED = (
-    ("collapse_kernel", "collapse"),
-    ("reduce_block", "reduce_block"),
-)
+_SELECTED = (("reduce_block", "reduce_block"),)
 
 
 def test_numba_enabled_by_default_here():

@@ -15,7 +15,7 @@ from ripscollapse.pipeline import (
     run_pipeline,
     stats_to_csv,
 )
-from ripscollapse.rips import SnapshotSchedule, pairwise_distances
+from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -78,6 +78,17 @@ def test_collapsing_never_grows_any_snapshot():
             assert s.after.n_vertices <= s.before.n_vertices
             assert s.after.n_maximal <= s.before.n_maximal
             assert s.after.dimension <= s.before.dimension
+
+
+def test_before_stats_are_those_of_the_full_snapshot():
+    rng = random.Random(246)
+    for i in range(12):
+        dim = 2 + i % 2
+        pts = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 30))]
+        D = pairwise_distances(pts)
+        grades = [0.1, 0.25, 0.4, 0.6, 2.0]
+        for s in run_pipeline(D, grades).snapshots:
+            assert s.before == rips_snapshot(D, s.grade).stats()
 
 
 def test_compare_pipelines_verdicts():

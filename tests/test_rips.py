@@ -10,7 +10,6 @@ import pytest
 from oracles import (
     betti_by_rank,
     naive_clique_count,
-    naive_degeneracy_order,
     naive_maximal_cliques,
     naive_pairwise_distances,
 )
@@ -19,7 +18,6 @@ from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
-    _degeneracy_order,
     as_grades,
     count_rips_simplices,
     flag_core,
@@ -213,23 +211,6 @@ def test_cliques_larger_than_the_recursion_limit():
     np.fill_diagonal(D, 0.0)
     assert run_pipeline(D, [1.0]).diagram.pairs == ((0, 1.0, math.inf),)
     assert sys.getrecursionlimit() == limit
-
-
-def test_degeneracy_order_matches_minimum_scan():
-    rng = random.Random(61)
-    graphs = [[0], [0, 0, 0]]
-    for n in (3, 6, 11):  # every vertex tied: cycles and complete graphs
-        graphs.append([(1 << (v + 1) % n) | (1 << (v - 1) % n) for v in range(n)])
-        graphs.append([((1 << n) - 1) ^ 1 << v for v in range(n)])
-    for _ in range(60):
-        n = rng.randint(1, 40)
-        _, masks = _random_graph(rng, n)
-        for v in rng.sample(range(n), rng.randint(0, n // 3)):  # isolate some
-            masks = [m & ~(1 << v) for m in masks]
-            masks[v] = 0
-        graphs.append(masks)
-    for masks in graphs:
-        assert _degeneracy_order(masks, len(masks)) == naive_degeneracy_order(masks, len(masks))
 
 
 def _clouds(seed, count, n_max):
