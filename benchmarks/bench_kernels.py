@@ -1,11 +1,15 @@
 """Benchmark the compiled reduction kernel against its pure-NumPy/Python
-fallback, and the two strong collapses, which need no kernel.
+fallback, and the stages that need no kernel: the two strong collapses and
+the tower.
 
 Run: python3 benchmarks/bench_kernels.py
 
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
-snapshot's neighbourhood graph.
+snapshot's neighbourhood graph.  The tower section times
+``assemble_core_tower`` and ``tower_to_filtration`` separately on the
+``flag_core`` cores of the torus-tower workload's cloud and grades, taken
+from ``perfbench/workloads.py`` (without the run seed's isometry).
 
 The compiled side needs numba, the optional ``fast`` extra
 (``pip install ripscollapse[fast]``).  Without numba, or with
@@ -15,7 +19,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +36,12 @@ from ripscollapse.rips import (
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import Filtration
+from ripscollapse.tower import (
+    Contract,
+    Filtration,
+    assemble_core_tower,
+    tower_to_filtration,
+)
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -97,6 +108,28 @@ def bench_collapse():
           f" ({len(adj)} vertices x {edges} edges)")
 
 
+def _ms(times):
+    return f"{np.mean(times) * 1000:8.3f} +- {np.std(times) * 1000:.3f} ms"
+
+
+def bench_tower():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    w = workloads.get("torus-tower")
+    grades = w.grades()
+    print(f"--- tower ({w.n}-point torus, {len(grades)} grades from {w.start} by {w.step}) ---")
+    D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
+    results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
+    args = ([r.matrix for r in results], [r.retraction for r in results], grades)
+    tower = assemble_core_tower(*args)
+    contracts = sum(isinstance(op, Contract) for op in tower)
+    print(f"  assemble_core_tower: {_ms(_time(assemble_core_tower, *args))}"
+          f" ({len(tower) - contracts} includes, {contracts} contracts)")
+    cells = len(tower_to_filtration(tower))
+    print(f"  tower_to_filtration: {_ms(_time(tower_to_filtration, tower))} ({cells} cells)")
+
+
 def bench_reduce():
     print("--- boundary reduction, dimension-1 block (3000-point geometric graph) ---")
     rng = np.random.default_rng(2)
@@ -145,6 +178,8 @@ def main() -> None:
     mode = "compiled kernel" if _kernels.USING_NUMBA else "fallback only"
     print(f"kernel path: {mode}\n")
     bench_collapse()
+    print()
+    bench_tower()
     print()
     bench_reduce()
     print()

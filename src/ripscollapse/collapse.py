@@ -86,18 +86,22 @@ class CollapseTrace:
     """Ordered log of one collapse run.
 
     ``events`` interleaves row and column removals exactly as they were
-    executed; ``rounds`` counts the row/column phases that ran.  The work
-    counters record how many domination candidates each phase kind examined,
-    for the complexity smoke tests.  A graph collapse (``flag_core``) is one
-    row phase with row events only.
+    executed; ``row_phases`` and ``col_phases`` count the phases of each
+    kind that ran.  The work counters record how many domination candidates
+    each phase kind examined, for the complexity smoke tests.  A graph
+    collapse (``flag_core``) is one row phase with row events only.
     """
 
     events: tuple[RowEvent, ...]
-    rounds: int
     row_phases: int = 0
     col_phases: int = 0
     row_candidate_tests: int = 0
     col_candidate_tests: int = 0
+
+    @property
+    def rounds(self) -> int:
+        """Phases run in total, of either kind."""
+        return self.row_phases + self.col_phases
 
     @property
     def removed_rows(self) -> tuple[int, ...]:
@@ -158,16 +162,15 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         cols.append(col)
     masks = (rows, cols)
     alive = [(1 << len(rows)) - 1, (1 << len(cols)) - 1]
-    # phases total, row phases, column phases, row tests, column tests
-    counters = [0] * 5
+    # row phases, column phases, row tests, column tests
+    counters = [0] * 4
     events: list[RowEvent] = []
     queue = list(range(len(rows)))
     side = 0
     while queue:
         other = 1 - side
         own, oth = masks[side], masks[other]
-        counters[0] += 1
-        counters[1 + side] += 1
+        counters[side] += 1
         queued = 0
         next_queue: list[int] = []
         for x in queue:
@@ -179,7 +182,7 @@ def core(matrix: ComplexMatrix) -> CoreResult:
                 low = cand & -cand
                 y = low.bit_length() - 1
                 cand ^= low
-                counters[3 + side] += 1
+                counters[2 + side] += 1
                 ly = own[y] & alive[other]
                 if lx & ~ly == 0 and (lx != ly or y < x):
                     alive[side] ^= 1 << x
@@ -198,11 +201,10 @@ def core(matrix: ComplexMatrix) -> CoreResult:
     dominator = {removed: by for kind, removed, by in events if kind == "row"}
     trace = CollapseTrace(
         events=tuple(events),
-        rounds=counters[0],
-        row_phases=counters[1],
-        col_phases=counters[2],
-        row_candidate_tests=counters[3],
-        col_candidate_tests=counters[4],
+        row_phases=counters[0],
+        col_phases=counters[1],
+        row_candidate_tests=counters[2],
+        col_candidate_tests=counters[3],
     )
     return CoreResult(core_matrix, RetractionMap.from_dominators(vids, dominator), trace)
 

@@ -225,7 +225,6 @@ def flag_core(adj: list[int]) -> CoreResult:
     )
     trace = CollapseTrace(
         events=tuple(("row", x, y) for x, y in dominator.items()),
-        rounds=1,
         row_phases=1,
         row_candidate_tests=tests,
     )

@@ -8,12 +8,17 @@ cannot express vertex merges directly, :func:`tower_to_filtration` realises
 each Contract(u, v) by coning: every cell of the closed star of ``u`` gains
 the cone cell with apex ``v``, which makes ``u`` dominated by ``v`` from
 that grade on without ever renaming existing cells.
+
+Both the conversion and :meth:`Tower.validate` keep the complex the tower
+has reached with a per-vertex index of the cells containing each vertex,
+so an Include costs in proportion to the faces it adds and a Contract(u, v)
+to the star of ``u``, never to the whole complex.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import RetractionMap
@@ -62,8 +67,13 @@ class Tower:
         return iter(self.ops)
 
     def validate(self) -> None:
-        """Replay the ops, checking the elementary-op invariants."""
-        present: set[Simplex] = set()
+        """Replay the ops, checking the elementary-op invariants.
+
+        The replayed complex keeps a per-vertex index of its cells, so an
+        Include costs in proportion to its missing faces and a
+        Contract(u, v) to the star of ``u``.
+        """
+        present = _Complex()
         live: set[int] = set()
         prev_grade: float | None = None
         for i, op in enumerate(self.ops):
@@ -72,10 +82,9 @@ class Tower:
             prev_grade = op.grade
             if isinstance(op, Include):
                 s = as_simplex(op.simplex)
-                if s in present:
+                if s in present.cells:
                     raise TowerOpError(f"op {i}: include of already present {s}")
-                for k in range(1, len(s) + 1):
-                    present.update(combinations(s, k))
+                present.add(present.missing_faces(s))
                 live.update(s)
             elif isinstance(op, Contract):
                 u, v = op.source, op.target
@@ -83,9 +92,8 @@ class Tower:
                     raise TowerOpError(f"op {i}: contract of a vertex into itself")
                 if u not in live or v not in live:
                     raise TowerOpError(f"op {i}: contract ({u} -> {v}) of a non-live vertex")
-                present = {
-                    tuple(sorted({v if x == u else x for x in s})) for s in present
-                }
+                star = present.star(u)
+                present.replace(star, [_rename(s, u, v) for s in star])
                 live.discard(u)
             else:  # pragma: no cover - type misuse
                 raise TowerOpError(f"op {i}: unknown op {op!r}")
@@ -118,6 +126,73 @@ class Filtration:
                 if face and face not in seen:
                     raise FiltrationOrderError(f"cell {s} precedes its face {face}", i)
             seen.add(s)
+
+
+def _by_dim(s: Simplex) -> tuple[int, Simplex]:
+    return len(s), s
+
+
+def _rename(s: Simplex, u: int, v: int) -> Simplex:
+    """Image of *s* under the vertex map ``u -> v``."""
+    return tuple(sorted({v if x == u else x for x in s}))
+
+
+class _Complex:
+    """A downward-closed set of cells with a per-vertex index of cofaces.
+
+    ``cofaces[x]`` lists, in order of addition, the cells added that contain
+    ``x``.  The lists are append-only: a cell that has left ``cells`` stays
+    listed, and readers skip it by testing membership in ``cells``.  A
+    vertex's own list is dropped when the vertex is renamed away, because
+    no cell that contains it is left.
+    """
+
+    __slots__ = ("cells", "cofaces")
+
+    def __init__(self) -> None:
+        self.cells: set[Simplex] = set()
+        self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
+
+    def missing_faces(self, target: Simplex) -> list[Simplex]:
+        """Faces of *target*, itself included, that are not cells, in
+        (dimension, lexicographic) order.
+
+        They form an upward-closed set, so a top-down search from *target*
+        that follows only missing codimension-1 faces finds all of them.
+        """
+        cells = self.cells
+        if target in cells:
+            return []
+        missing = {target}
+        stack = [target]
+        while stack:
+            s = stack.pop()
+            if len(s) > 1:
+                for j in range(len(s)):
+                    face = s[:j] + s[j + 1 :]
+                    if face not in cells and face not in missing:
+                        missing.add(face)
+                        stack.append(face)
+        return sorted(missing, key=_by_dim)
+
+    def add(self, new: Iterable[Simplex]) -> None:
+        """Add the cells *new*, none of which may be present yet."""
+        cells, cofaces = self.cells, self.cofaces
+        for s in new:
+            cells.add(s)
+            for x in s:
+                cofaces[x].append(s)
+
+    def star(self, u: int) -> list[Simplex]:
+        """Cells containing *u*, forgetting *u*'s index (a listed cell may
+        repeat if it left and was added again)."""
+        cells = self.cells
+        return [s for s in self.cofaces.pop(u, ()) if s in cells]
+
+    def replace(self, old: Iterable[Simplex], new: Iterable[Simplex]) -> None:
+        """Remove the cells *old*, then add those of *new* not present."""
+        self.cells.difference_update(old)
+        self.add(set(new).difference(self.cells))
 
 
 def assemble_core_tower(
@@ -230,11 +305,23 @@ def tower_to_filtration(tower: Tower) -> Filtration:
     permanently; no cell is ever renamed or removed, so earlier prefixes
     stay intact.
 
-    The closed star is taken in the complex the tower has reached, not in
-    the accumulated filtration: the contracted image is carried forward
-    separately, so cone cells from one contraction never feed the star of
-    the next and the filtration stays within a constant factor of the tower
-    itself.
+    The closed star is taken in the complex the tower has reached (the
+    *current* complex), not in the accumulated filtration: the contracted
+    image is carried forward separately, so cone cells from one contraction
+    never feed the star of the next and the filtration stays within a
+    constant factor of the tower itself.  The closed star of ``u`` is
+    ``star(u)`` together with ``s - {u}`` for each ``s`` in it, so the cone
+    is ``s + {v}`` and ``(s - {u}) + {v}`` over ``star(u)``; the contraction
+    then replaces ``star(u)`` by its images.  Each op therefore costs in
+    proportion to the faces it adds or to the star of ``u``.
+
+    A cell is emitted exactly when it is new to the current complex.  That
+    is the same as new to the filtration: the current complex holds only
+    live vertices (Include resolves aliases, Contract renames ``u`` away),
+    and every emitted cell that has left it contains a dead vertex, since
+    a Contract removes only cells of ``star(u)``.  So emitted-but-absent
+    cells can never be emitted again, and no record of emitted cells is
+    needed.
     """
     alias: dict[int, int] = {}
     known: set[int] = set()
@@ -245,8 +332,7 @@ def tower_to_filtration(tower: Tower) -> Filtration:
         return x
 
     cells: list[tuple[Simplex, float]] = []
-    present: set[Simplex] = set()
-    current: set[Simplex] = set()
+    current = _Complex()
     prev_grade: float | None = None
 
     for i, op in enumerate(tower.ops):
@@ -256,13 +342,9 @@ def tower_to_filtration(tower: Tower) -> Filtration:
         if isinstance(op, Include):
             raw = as_simplex(op.simplex)
             known.update(raw)
-            target = tuple(sorted({resolve(x) for x in raw}))
-            for k in range(1, len(target) + 1):
-                for face in combinations(target, k):
-                    current.add(face)
-                    if face not in present:
-                        present.add(face)
-                        cells.append((face, op.grade))
+            new = current.missing_faces(tuple(sorted({resolve(x) for x in raw})))
+            current.add(new)
+            cells.extend((s, op.grade) for s in new)
         elif isinstance(op, Contract):
             if op.source not in known or op.target not in known:
                 raise TowerOpError(
@@ -272,18 +354,13 @@ def tower_to_filtration(tower: Tower) -> Filtration:
             v = resolve(op.target)
             if u == v:
                 continue
-            closed_star: set[Simplex] = set()
-            for s in current:
-                if u in s:
-                    for k in range(1, len(s) + 1):
-                        closed_star.update(combinations(s, k))
-            cone = {tuple(sorted(set(t) | {v})) for t in closed_star}
-            for c in sorted(cone - present, key=lambda s: (len(s), s)):
-                present.add(c)
-                cells.append((c, op.grade))
-            current = {
-                tuple(sorted({v if x == u else x for x in s})) for s in current
-            }
+            star = current.star(u)
+            images = [_rename(s, u, v) for s in star]
+            cone = set(images)
+            cone.update(tuple(sorted(s + (v,))) for s in star if v not in s)
+            new = sorted(cone - current.cells, key=_by_dim)
+            cells.extend((s, op.grade) for s in new)
+            current.replace(star, images)
             alias[u] = v
         else:  # pragma: no cover - type misuse
             raise TowerOpError(f"op {i}: unknown op {op!r}")

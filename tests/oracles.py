@@ -4,7 +4,10 @@ Everything here favours obviousness over speed and shares no code with the
 package: maximality by pairwise subset tests, expansion by powersets, distances
 by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
 rank, persistence by the textbook set-based column reduction, the exact
-edge-length Rips filtration, and bottleneck distance by exhaustive matching.
+edge-length Rips filtration, bottleneck distance by exhaustive matching, and
+tower replay and coning by whole-complex rewrites.  The tower oracles take
+the package's op types, ``as_simplex`` and ``TowerOpError`` so that their
+output and their errors compare with the package's one for one.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import math
 from itertools import chain, combinations, permutations
 
 import numpy as np
+
+from ripscollapse.complexes import as_simplex
+from ripscollapse.errors import TowerOpError
+from ripscollapse.tower import Contract, Filtration, Include
 
 # -- complexes ---------------------------------------------------------------
 
@@ -245,3 +252,94 @@ def brute_bottleneck(a_pts, b_pts):
                         cost = max(cost, diag(b_pts[j]))
                 best = min(best, cost)
     return best if (a_pts or b_pts) else 0.0
+
+
+# -- towers ------------------------------------------------------------------
+
+
+def naive_validate_tower(tower):
+    """``Tower.validate`` by rewriting the whole complex on every Contract."""
+    present: set = set()
+    live: set[int] = set()
+    prev_grade: float | None = None
+    for i, op in enumerate(tower.ops):
+        if prev_grade is not None and op.grade < prev_grade:
+            raise TowerOpError(f"op {i}: grade decreases along the tower")
+        prev_grade = op.grade
+        if isinstance(op, Include):
+            s = as_simplex(op.simplex)
+            if s in present:
+                raise TowerOpError(f"op {i}: include of already present {s}")
+            for k in range(1, len(s) + 1):
+                present.update(combinations(s, k))
+            live.update(s)
+        elif isinstance(op, Contract):
+            u, v = op.source, op.target
+            if u == v:
+                raise TowerOpError(f"op {i}: contract of a vertex into itself")
+            if u not in live or v not in live:
+                raise TowerOpError(f"op {i}: contract ({u} -> {v}) of a non-live vertex")
+            present = {
+                tuple(sorted({v if x == u else x for x in s})) for s in present
+            }
+            live.discard(u)
+        else:  # pragma: no cover - type misuse
+            raise TowerOpError(f"op {i}: unknown op {op!r}")
+
+
+def naive_tower_to_filtration(tower):
+    """``tower_to_filtration`` by walking every face of every Include and
+    rebuilding the whole complex on every Contract."""
+    alias: dict[int, int] = {}
+    known: set[int] = set()
+
+    def resolve(x: int) -> int:
+        while x in alias:
+            x = alias[x]
+        return x
+
+    cells: list = []
+    present: set = set()
+    current: set = set()
+    prev_grade: float | None = None
+
+    for i, op in enumerate(tower.ops):
+        if prev_grade is not None and op.grade < prev_grade:
+            raise TowerOpError(f"op {i}: grade decreases along the tower")
+        prev_grade = op.grade
+        if isinstance(op, Include):
+            raw = as_simplex(op.simplex)
+            known.update(raw)
+            target = tuple(sorted({resolve(x) for x in raw}))
+            for k in range(1, len(target) + 1):
+                for face in combinations(target, k):
+                    current.add(face)
+                    if face not in present:
+                        present.add(face)
+                        cells.append((face, op.grade))
+        elif isinstance(op, Contract):
+            if op.source not in known or op.target not in known:
+                raise TowerOpError(
+                    f"op {i}: contract ({op.source} -> {op.target}) of an unknown vertex"
+                )
+            u = resolve(op.source)
+            v = resolve(op.target)
+            if u == v:
+                continue
+            closed_star: set = set()
+            for s in current:
+                if u in s:
+                    for k in range(1, len(s) + 1):
+                        closed_star.update(combinations(s, k))
+            cone = {tuple(sorted(set(t) | {v})) for t in closed_star}
+            for c in sorted(cone - present, key=lambda s: (len(s), s)):
+                present.add(c)
+                cells.append((c, op.grade))
+            current = {
+                tuple(sorted({v if x == u else x for x in s})) for s in current
+            }
+            alias[u] = v
+        else:  # pragma: no cover - type misuse
+            raise TowerOpError(f"op {i}: unknown op {op!r}")
+
+    return Filtration(tuple(cells))

@@ -4,12 +4,18 @@ import math
 import random
 
 import pytest
+from oracles import naive_tower_to_filtration, naive_validate_tower
 
 from ripscollapse.collapse import RetractionMap, core
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import CollapseConsistencyError, TowerOpError
 from ripscollapse.persistence import compute_persistence, oracle_pipeline
-from ripscollapse.rips import pairwise_distances, rips_snapshot
+from ripscollapse.rips import (
+    flag_core,
+    neighborhood_bitsets,
+    pairwise_distances,
+    rips_snapshot,
+)
 from ripscollapse.tower import (
     Contract,
     Filtration,
@@ -234,3 +240,61 @@ def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
         D = pairwise_distances(pts)
         got = compute_persistence(tower_to_filtration(tower))
         assert got.pairs == oracle_pipeline(D, grades).pairs
+
+
+def _outcome(fn, tower):
+    """(result, None) or (None, message) of one conversion or validation."""
+    try:
+        return fn(tower), None
+    except TowerOpError as e:
+        return None, str(e)
+
+
+def _random_tower(rng):
+    """Ops on ids 0-9: includes of 1-4 vertices (also of dead or present
+    cells), contractions between any two known ids (also dead, equal or
+    aliased ones), repeated grades and the odd decreasing one."""
+    ops, known, grade = [], [], 0.0
+    for _ in range(rng.randint(1, 14)):
+        if known and rng.random() < 0.35:
+            ops.append(Contract(rng.choice(known), rng.choice(known), grade))
+        else:
+            s = tuple(sorted(rng.sample(range(10), rng.randint(1, 4))))
+            known.extend(x for x in s if x not in known)
+            ops.append(Include(s, grade))
+        r = rng.random()
+        grade += 0.0 if r < 0.4 else (-0.5 if r < 0.42 else 0.5)
+    return Tower(tuple(ops))
+
+
+def _flag_core_tower(points, grades):
+    """The tower ``run_pipeline`` builds: ``flag_core`` of every snapshot."""
+    D = pairwise_distances(points)
+    results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
+    return assemble_core_tower(
+        [res.matrix for res in results],
+        [res.retraction for res in results],
+        grades,
+    )
+
+
+def test_incremental_tower_code_matches_whole_complex_oracles():
+    rng = random.Random(77)
+    towers = [_random_tower(rng) for _ in range(2000)]
+    for seed in range(24):
+        cloud = random.Random(seed)
+        dim = 2 + seed % 2
+        pts = [tuple(cloud.uniform(0, 1) for _ in range(dim)) for _ in range(cloud.randint(10, 24))]
+        towers.append(_flag_core_tower(pts, [0.1, 0.25, 0.4, 0.55]))
+    raised = coned = 0
+    for tower in towers:
+        got = _outcome(tower_to_filtration, tower)
+        assert got == _outcome(naive_tower_to_filtration, tower), tower
+        assert _outcome(Tower.validate, tower) == _outcome(naive_validate_tower, tower), tower
+        if got[1] is not None:
+            raised += 1
+        elif len(got[0]) > sum(isinstance(op, Include) for op in tower):
+            coned += 1
+    # both the error and the coning paths are reached
+    assert 0 < raised < len(towers) // 2
+    assert coned > len(towers) // 4
