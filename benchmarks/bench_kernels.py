@@ -1,6 +1,5 @@
-"""Benchmark the compiled reduction kernel against its pure-NumPy/Python
-fallback, and the stages that need no kernel: the two strong collapses and
-the tower.
+"""Benchmark the GF(2) reduction kernel and the stages that need no kernel:
+the two strong collapses and the tower.
 
 Run: python3 benchmarks/bench_kernels.py
 
@@ -11,9 +10,9 @@ snapshot's neighbourhood graph.  The tower section times
 ``flag_core`` cores of the torus-tower workload's cloud and grades, taken
 from ``perfbench/workloads.py`` (without the run seed's isometry).
 
-The compiled side needs numba, the optional ``fast`` extra
-(``pip install ripscollapse[fast]``).  Without numba, or with
-RIPSCOLLAPSE_DISABLE_NUMBA=1 set, only the fallback implementation is timed.
+The reduction section times ``reduce_block`` on the dimension-1 block of a
+3000-point geometric graph, with its Python-int columns built the way
+``persistence._reduce`` builds them.
 """
 from __future__ import annotations
 
@@ -25,9 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ripscollapse import _kernels
+from ripscollapse._kernels import reduce_block
 from ripscollapse.collapse import core
-from ripscollapse.persistence import BoundaryMatrix, _pack_block
+from ripscollapse.persistence import BoundaryMatrix
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
@@ -58,17 +57,6 @@ def _time(fn, *args):
     return times
 
 
-def _print_results(label, times_fast, times_py):
-    mean_fast = np.mean(times_fast) * 1000
-    mean_py = np.mean(times_py) * 1000
-    std_fast = np.std(times_fast) * 1000
-    std_py = np.std(times_py) * 1000
-    print(f"  compiled: {mean_fast:8.3f} +- {std_fast:.3f} ms")
-    print(f"  fallback: {mean_py:8.3f} +- {std_py:.3f} ms")
-    if mean_fast > 0:
-        print(f"  speedup:  {mean_py / mean_fast:8.2f}x")
-
-
 def _circle_cloud(n, seed):
     rng = random.Random(seed)
     pts = []
@@ -80,18 +68,19 @@ def _circle_cloud(n, seed):
 
 
 def _dim1_block(cells):
-    """Pack the dimension-1 boundary block with the reduction's own packer."""
+    """The dimension-1 boundary columns as ints, bit r = the r-th vertex."""
     matrix = BoundaryMatrix.from_filtration(Filtration(cells))
-    rows_g = [i for i, (s, _) in enumerate(matrix.cells) if len(s) == 1]
-    cols_g = [i for i, (s, _) in enumerate(matrix.cells) if len(s) == 2]
-    return _pack_block(matrix, cols_g, rows_g, 1), len(rows_g)
-
-
-def _why_fallback_only() -> str:
-    """Why the compiled kernel is not in use (call only when it is not)."""
-    if _kernels._flag_disabled():
-        return f"disabled by {_kernels.ENV_FLAG}"
-    return "numba not installed"
+    pos = {}
+    columns = []
+    for i, (s, _) in enumerate(matrix.cells):
+        if len(s) == 1:
+            pos[i] = len(pos)
+        elif len(s) == 2:
+            c = 0
+            for f in matrix.columns[i]:
+                c |= 1 << pos[f]
+            columns.append(c)
+    return columns, len(pos)
 
 
 def bench_collapse():
@@ -139,22 +128,9 @@ def bench_reduce():
         for j in range(i + 1, D.shape[0]):
             if D[i, j] <= 0.04:
                 cells.append(((i, j), 0.0))
-    R, n_rows = _dim1_block(cells)
-    print(f"  input: {R.shape[0]} columns x {n_rows} rows")
-
-    def run(impl, R0):
-        work = R0.copy()
-        pivot_of_row = np.full(n_rows, -1, np.int64)
-        pair_local = np.empty(work.shape[0], np.int64)
-        impl(work, pivot_of_row, pair_local)
-
-    py = _kernels.PY_IMPLS["reduce_block"]
-    times_py = _time(run, py, R)
-    if _kernels.USING_NUMBA:
-        times_fast = _time(run, _kernels.reduce_block, R)
-        _print_results("reduce", times_fast, times_py)
-    else:
-        print(f"  fallback: {np.mean(times_py) * 1000:8.3f} ms ({_why_fallback_only()})")
+    columns, n_rows = _dim1_block(cells)
+    print(f"  input: {len(columns)} columns x {n_rows} rows")
+    print(f"  reduce_block: {_ms(_time(lambda: reduce_block(list(columns))))}")
 
 
 def bench_pipeline():
@@ -162,21 +138,10 @@ def bench_pipeline():
     D = pairwise_distances(_circle_cloud(120, seed=3))
     sched = SnapshotSchedule(0.1, 0.01, 0.5)
 
-    times = _time(lambda: run_pipeline(D, sched))
-    mode = "compiled" if _kernels.USING_NUMBA else "fallback"
-    print(f"  {mode}: {np.mean(times) * 1000:8.3f} +- {np.std(times) * 1000:.3f} ms")
-    if _kernels.USING_NUMBA:
-        print(f"  (set {_kernels.ENV_FLAG}=1 and rerun to time the fallback path)")
-    elif _kernels._flag_disabled():
-        print(f"  (unset {_kernels.ENV_FLAG} and rerun to time the compiled path)")
-    else:
-        print("  (numba is not installed; install the `fast` extra,"
-              " `pip install ripscollapse[fast]`, to time the compiled path)")
+    print(f"  run_pipeline: {_ms(_time(lambda: run_pipeline(D, sched)))}")
 
 
 def main() -> None:
-    mode = "compiled kernel" if _kernels.USING_NUMBA else "fallback only"
-    print(f"kernel path: {mode}\n")
     bench_collapse()
     print()
     bench_tower()

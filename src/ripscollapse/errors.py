@@ -30,7 +30,7 @@ class ExpansionCapError(RipsCollapseError, RuntimeError):
 
 
 class ReductionMemoryError(RipsCollapseError, RuntimeError):
-    """A packed boundary block of the reduction would exceed the memory guard."""
+    """A boundary block of the reduction would exceed the memory guard."""
 
     def __init__(self, dim: int, block_bytes: int, limit: int) -> None:
         super().__init__(

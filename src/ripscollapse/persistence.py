@@ -1,11 +1,12 @@
 """Persistence diagrams via GF(2) boundary-matrix reduction.
 
-Cells are ordered by (grade, dimension, lexicographic vertex order); the
-boundary matrix is packed into 64-bit words and reduced column-by-column,
-one dimension block at a time (columns of different dimensions never
-interact).  Dimensions are reduced top-down with clearing (Chen & Kerber's
-twist): a cell already paired as the creator of a higher-dimensional class
-has a column that reduces to zero, so that column is never packed.
+Cells are ordered by (grade, dimension, lexicographic vertex order); each
+boundary column is a Python-int bitset over the faces of the dimension
+below, and the columns are reduced left to right, one dimension block at a
+time (columns of different dimensions never interact).  Dimensions are
+reduced top-down with clearing (Chen & Kerber's twist): a cell already
+paired as the creator of a higher-dimensional class has a column that
+reduces to zero, so that column is never built.
 
 This module also hosts the validation tooling mandated around the diagrams:
 Betti numbers of a single complex, the uncollapsed snapshot-filtration
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._kernels import _BIT, reduce_block
+from ._kernels import reduce_block
 from .complexes import (
     DEFAULT_EXPANSION_CAP,
     ComplexMatrix,
@@ -30,8 +31,9 @@ from .errors import FiltrationOrderError, ReductionMemoryError
 from .rips import SnapshotSchedule, as_grades, rips_snapshot, validate_distance_matrix
 from .tower import Filtration
 
-# Refuse reductions whose packed boundary blocks would not fit comfortably
-# in memory; at that size the expansion cap has usually fired already.
+# Refuse reductions whose boundary blocks, counted as one bit per face and
+# column rounded up to 64-bit words, would not fit comfortably in memory; at
+# that size the expansion cap has usually fired already.
 _MAX_BLOCK_BYTES = 1 << 30
 
 
@@ -102,60 +104,49 @@ class BoundaryMatrix:
         return cls(cells, tuple(columns))
 
 
-def _pack_block(matrix: BoundaryMatrix, cols: Sequence[int], rows: Sequence[int], p: int):
-    """Boundaries of the dimension-*p* cells *cols*, packed over the faces *rows*.
-
-    Row ``j`` of the ``(len(cols), ceil(len(rows) / 64))`` uint64 result has
-    bit ``r`` set when ``rows[r]`` is a face of ``cols[j]``.  Raises
-    :class:`ReductionMemoryError` rather than allocate past the guard.
-    """
-    n_words = (len(rows) + 63) // 64
-    block_bytes = len(cols) * n_words * 8
-    if block_bytes > _MAX_BLOCK_BYTES:
-        raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
-    local_of = np.full(len(matrix.cells), -1, np.int64)
-    local_of[rows] = np.arange(len(rows), dtype=np.int64)
-    faces = local_of[np.asarray([f for g in cols for f in matrix.columns[g]], dtype=np.int64)]
-    col_idx = np.repeat(np.arange(len(cols), dtype=np.int64), p + 1)
-    R = np.zeros((len(cols), n_words), np.uint64)
-    np.bitwise_or.at(R, (col_idx, faces >> 6), _BIT[faces & 63])
-    return R
-
-
 def _reduce(matrix: BoundaryMatrix):
-    """Run the packed reduction; return (pairs, essential) as global indices."""
+    """Run the bitset reduction; return (pairs, essential) as global indices."""
     cells = matrix.cells
     n = len(cells)
-    dim_of = [len(s) - 1 for s, _ in cells]
-    max_dim = max(dim_of, default=-1)
+    max_dim = max((len(s) - 1 for s, _ in cells), default=-1)
 
+    # by_dim[d] lists the dim-d cells in order; pos[i] is cell i's place there
     by_dim: list[list[int]] = [[] for _ in range(max_dim + 1)]
-    for i, d in enumerate(dim_of):
-        by_dim[d].append(i)
+    pos = [0] * n
+    for i, (s, _) in enumerate(cells):
+        cells_d = by_dim[len(s) - 1]
+        pos[i] = len(cells_d)
+        cells_d.append(i)
 
-    killed = np.zeros(n, np.bool_)
-    is_destroyer = np.zeros(n, np.bool_)
+    killed = [False] * n
+    is_destroyer = [False] * n
     pairs: list[tuple[int, int]] = []
 
     for p in range(max_dim, 0, -1):
         # clearing: a cell that creates a class killed in dimension p + 1
-        # has a column that reduces to zero, so it is never packed
+        # has a column that reduces to zero, so it is never built
         cols_g = [g for g in by_dim[p] if not killed[g]]
         if not cols_g:
             continue
         rows_g = by_dim[p - 1]
-        R = _pack_block(matrix, cols_g, rows_g, p)
-        pivot_of_row = np.full(len(rows_g), -1, np.int64)
-        pair_local = np.empty(len(cols_g), np.int64)
-        reduce_block(R, pivot_of_row, pair_local)
+        block_bytes = len(cols_g) * ((len(rows_g) + 63) // 64) * 8
+        if block_bytes > _MAX_BLOCK_BYTES:
+            raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
+        block = []
+        for g in cols_g:
+            c = 0
+            for f in matrix.columns[g]:
+                c |= 1 << pos[f]
+            block.append(c)
+        lows = reduce_block(block)
+        del block  # free this block before the next one is built
 
-        for j in np.flatnonzero(pair_local >= 0):
-            creator = rows_g[pair_local[j]]
-            g = cols_g[j]
-            pairs.append((creator, g))
-            killed[creator] = True
-            is_destroyer[g] = True
-        del R  # free this block before the next one is packed
+        for g, low in zip(cols_g, lows):
+            if low >= 0:
+                creator = rows_g[low]
+                pairs.append((creator, g))
+                killed[creator] = True
+                is_destroyer[g] = True
 
     essential = [i for i in range(n) if not killed[i] and not is_destroyer[i]]
     return pairs, essential

@@ -97,6 +97,8 @@ def as_grades(sched: SnapshotSchedule | Iterable[float]) -> list[float]:
     grades = [float(g) for g in sched]
     if not grades:
         raise ValueError("at least one snapshot grade is required")
+    if not all(map(math.isfinite, grades)):
+        raise ValueError("snapshot grades must be finite")
     for a, b in zip(grades, grades[1:]):
         if b <= a:
             raise ValueError("snapshot grades must be strictly increasing")

@@ -271,6 +271,17 @@ def test_data_errors_exit_2(tmp_path, square_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_grade_exit_2(tmp_path, square_file, capsys, bad):
+    grades = tmp_path / "grades.txt"
+    grades.write_text(f"0.5\n{bad}\n")
+    rc = main(["pipeline", "--input", square_file, "--grades", str(grades)])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_cap_exit_3(tmp_path, capsys):
     line = tmp_path / "line.txt"
     line.write_text("".join(f"{i} 0\n" for i in range(12)))

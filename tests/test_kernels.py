@@ -1,14 +1,11 @@
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 
 from ripscollapse import _kernels
-from ripscollapse._kernels import ENV_FLAG, PY_IMPLS, reduce_block
+from ripscollapse._kernels import reduce_block
 from ripscollapse.collapse import (
     core,
     find_dominating_column,
@@ -117,12 +114,14 @@ def test_collapse_kernel_output_is_pinned():
     assert hashlib.sha256(f"{rows}|{cols}".encode()).hexdigest()[:16] == "673c90e9e3a710b9"
 
 
-def _rows_of(words, n_rows):
-    """Set of the rows whose bits are set in one packed column."""
-    return {r for r in range(n_rows) if int(words[r >> 6]) >> (r & 63) & 1}
+def _rows_of(column):
+    """Set of the rows whose bits are set in one int column."""
+    return {r for r in range(column.bit_length()) if column >> r & 1}
 
 
 def test_reduce_block_paths_agree():
+    """The int-bitset reduction gives the lows and reduced columns of the
+    set-based textbook reduction."""
     rng = np.random.default_rng(17)
     for _ in range(40):
         n_cols = int(rng.integers(1, 40))
@@ -131,63 +130,11 @@ def test_reduce_block_paths_agree():
         R = rng.integers(0, 2**63, size=(n_cols, n_words), dtype=np.uint64)
         if n_rows % 64:
             R[:, -1] &= (np.uint64(1) << np.uint64(n_rows % 64)) - np.uint64(1)
-        args_a = (R.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
-        args_b = (R.copy(), np.full(n_rows, -1, np.int64), np.full(n_cols, -1, np.int64))
-        reduce_block(*args_a)
-        PY_IMPLS["reduce_block"](*args_b)
-        for a, b in zip(args_a, args_b):
-            assert np.array_equal(a, b)
-
-        # against the set-based reduction
-        reduced = naive_column_reduction([_rows_of(R[j], n_rows) for j in range(n_cols)])
-        lows = [max(col, default=-1) for col in reduced]
-        got_R, pivot_of_row, pair_local = args_a
-        assert pair_local.tolist() == lows
-        assert pivot_of_row.tolist() == [
-            lows.index(r) if r in lows else -1 for r in range(n_rows)
+        columns = [
+            sum(int(w) << (64 * k) for k, w in enumerate(R[j])) for j in range(n_cols)
         ]
-        for j in range(n_cols):
-            assert _rows_of(got_R[j], n_rows) == reduced[j]
-
-
-def test_env_flag_selects_fallback():
-    code = (
-        "from ripscollapse import _kernels\n"
-        "assert not _kernels.USING_NUMBA\n"
-        "assert _kernels.reduce_block is _kernels.PY_IMPLS['reduce_block']\n"
-    )
-    env = dict(os.environ, **{ENV_FLAG: "1"})
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-# Each selected kernel and the PY_IMPLS function that is its fallback.
-_SELECTED = (("reduce_block", "reduce_block"),)
-
-
-def test_numba_enabled_by_default_here():
-    # Compiled kernels are used iff numba (the optional ``fast`` extra)
-    # imports and the fallback flag is unset.
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        numba_importable = False
-    else:
-        numba_importable = True
-    expect_compiled = numba_importable and not _kernels._flag_disabled()
-    assert _kernels.USING_NUMBA == expect_compiled
-    for attr, impl in _SELECTED:
-        is_fallback = getattr(_kernels, attr) is PY_IMPLS[impl]
-        assert is_fallback != expect_compiled, attr
-
-    # Absent numba, the import still succeeds and selects every fallback,
-    # checked even where numba is installed.
-    code = (
-        "import sys\n"
-        "sys.modules['numba'] = None\n"
-        "from ripscollapse import _kernels\n"
-        "assert not _kernels.USING_NUMBA\n"
-        f"for attr, impl in {_SELECTED!r}:\n"
-        "    assert getattr(_kernels, attr) is _kernels.PY_IMPLS[impl], attr\n"
-    )
-    env = {k: v for k, v in os.environ.items() if k != ENV_FLAG}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+        reduced = naive_column_reduction([_rows_of(c) for c in columns])
+        lows = reduce_block(columns)
+        assert lows == [max(col, default=-1) for col in reduced]
+        assert [_rows_of(c) for c in columns] == reduced
+    assert _kernels.USING_NUMBA is False

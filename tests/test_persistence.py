@@ -103,13 +103,13 @@ def test_matches_naive_reduction_on_random_snapshot_filtrations():
 
 
 def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
-    """Each packed block has one column per dim-p cell not killed in dim p + 1."""
+    """Each block has one column per dim-p cell not killed in dim p + 1."""
     packed = []
     kernel = persistence.reduce_block
 
-    def recording(R, *rest):
-        packed.append(R.shape[0])
-        return kernel(R, *rest)
+    def recording(columns):
+        packed.append(len(columns))
+        return kernel(columns)
 
     monkeypatch.setattr(persistence, "reduce_block", recording)
     rng = random.Random(1731)

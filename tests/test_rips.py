@@ -15,7 +15,7 @@ from oracles import (
 )
 from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.pipeline import run_pipeline
+from ripscollapse.pipeline import compare_pipelines, run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
     as_grades,
@@ -105,6 +105,19 @@ def test_as_grades_passthrough_and_checks():
         as_grades([0.5, 0.5])
     with pytest.raises(ValueError):
         as_grades([1.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "grades", [[0.5, math.nan, 1.5], [math.nan], [0.5, math.inf], [-math.inf, 1.0]]
+)
+def test_non_finite_grades_are_rejected(grades):
+    D = pairwise_distances([(0, 0), (1, 0), (1, 1), (0, 1)])
+    with pytest.raises(ValueError, match="finite"):
+        as_grades(grades)
+    with pytest.raises(ValueError, match="finite"):
+        run_pipeline(D, grades)
+    with pytest.raises(ValueError, match="finite"):
+        compare_pipelines(D, grades)
 
 
 def test_neighborhood_bitsets_unit_square():
