@@ -6,9 +6,10 @@ Run: python3 benchmarks/bench_kernels.py
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
-``assemble_core_tower`` and ``tower_to_filtration`` separately on the
-``flag_core`` cores of the torus-tower workload's cloud and grades, taken
-from ``perfbench/workloads.py`` (without the run seed's isometry).
+``assemble_tower_filtration`` on the ``flag_core`` cores of the torus-tower
+workload's cloud and grades, taken from ``perfbench/workloads.py`` (without
+the run seed's isometry), then ``tower_to_filtration`` on the tower it
+built, and checks that the two filtrations are equal.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, with its Python-int columns built the way
@@ -38,7 +39,7 @@ from ripscollapse.rips import (
 from ripscollapse.tower import (
     Contract,
     Filtration,
-    assemble_core_tower,
+    assemble_tower_filtration,
     tower_to_filtration,
 )
 
@@ -111,12 +112,13 @@ def bench_tower():
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
     args = ([r.matrix for r in results], [r.retraction for r in results], grades)
-    tower = assemble_core_tower(*args)
+    tower, filtration = assemble_tower_filtration(*args)
     contracts = sum(isinstance(op, Contract) for op in tower)
-    print(f"  assemble_core_tower: {_ms(_time(assemble_core_tower, *args))}"
-          f" ({len(tower) - contracts} includes, {contracts} contracts)")
-    cells = len(tower_to_filtration(tower))
-    print(f"  tower_to_filtration: {_ms(_time(tower_to_filtration, tower))} ({cells} cells)")
+    print(f"  assemble_tower_filtration: {_ms(_time(assemble_tower_filtration, *args))}"
+          f" ({len(tower) - contracts} includes, {contracts} contracts, {len(filtration)} cells)")
+    if tower_to_filtration(tower) != filtration:
+        raise SystemExit("tower_to_filtration disagrees with assemble_tower_filtration")
+    print(f"  tower_to_filtration:       {_ms(_time(tower_to_filtration, tower))}")
 
 
 def bench_reduce():

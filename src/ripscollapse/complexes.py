@@ -197,15 +197,17 @@ class ComplexMatrix:
         target = set(simplex)
         return any(target.issubset(self._cols[cid]) for cid in self._rows[first])
 
-    def expand_all_simplices(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[Simplex]:
-        """All faces of all maximal simplices, sorted by (dimension, lex).
-
-        Refuses to run when the projected output (sum of subset counts over
-        the columns, an upper bound on the true total) exceeds *cap*.
-        """
+    def check_expansion_cap(self, cap: int = DEFAULT_EXPANSION_CAP) -> None:
+        """Raise :class:`ExpansionCapError` when the projected cell count (sum of
+        subset counts over the columns, an upper bound) exceeds *cap*."""
         projected = sum(2 ** len(s) - 1 for s in self._cols.values())
         if projected > cap:
             raise ExpansionCapError(projected, cap)
+
+    def expand_all_simplices(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[Simplex]:
+        """All faces of all maximal simplices, sorted by (dimension, lex),
+        once :meth:`check_expansion_cap` accepts *cap*."""
+        self.check_expansion_cap(cap)
         cells: set[Simplex] = set()
         for s in self._cols.values():
             for k in range(1, len(s) + 1):

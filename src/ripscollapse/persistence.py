@@ -70,7 +70,7 @@ class PersistenceDiagram:
 
 @dataclass(frozen=True, slots=True)
 class BoundaryMatrix:
-    """Cells in reduction order plus, per cell, its sorted face indices."""
+    """Cells in reduction order plus, per cell, its face indices (unsorted)."""
 
     cells: tuple[tuple[Simplex, float], ...]
     columns: tuple[tuple[int, ...], ...]
@@ -100,7 +100,7 @@ class BoundaryMatrix:
                     raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
                 faces.append(index[face])
             index[s] = i
-            columns.append(tuple(sorted(faces)))
+            columns.append(tuple(faces))
         return cls(cells, tuple(columns))
 
 

@@ -4,7 +4,8 @@ The accelerated path builds the neighbourhood graph at every grade, records
 the size of the full snapshot, and strong-collapses the snapshot to its core on
 the graph with :func:`~ripscollapse.rips.flag_core` (snapshots are independent,
 so a worker pool may handle them concurrently).  It then assembles the cores
-into a tower, converts the tower to an equivalent filtration and reduces it.
+into a tower, building the tower's equivalent filtration in the same pass,
+and reduces that filtration.
 The uncollapsed twin skips collapsing and reduces the first-appearance
 filtration of the fully expanded snapshots — the same construction the
 verification oracle uses — so the two diagrams can be compared per dimension.
@@ -38,7 +39,7 @@ from .rips import (
     rips_snapshot,
     validate_distance_matrix,
 )
-from .tower import Filtration, Include, Tower, assemble_core_tower, tower_to_filtration
+from .tower import Filtration, Include, Tower, assemble_tower_filtration
 
 _T = TypeVar("_T")
 
@@ -57,7 +58,7 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    assembly: float  # tower assembly + conversion to a filtration (AT)
+    assembly: float  # tower assembly with its filtration (AT)
     reduction: float  # boundary-matrix reduction (PDT)
 
 
@@ -116,13 +117,12 @@ def run_pipeline(
         )
         collapse_max = max(elapsed for _, _, elapsed in results)
         t0 = perf_counter()
-        tower = assemble_core_tower(
+        tower, filtration = assemble_tower_filtration(
             [res.matrix for _, res, _ in results],
             [res.retraction for _, res, _ in results],
             grades,
             cap,
         )
-        filtration = tower_to_filtration(tower)
         assembly = perf_counter() - t0
     else:
         snapshots = _map_ordered(lambda g: rips_snapshot(D, g), grades, workers)

@@ -4,15 +4,16 @@ The cores of consecutive snapshots are connected by the composite maps
 "include into the next snapshot, then retract onto its core".  A tower
 encodes those maps as elementary operations: Include adds a simplex at a
 grade, Contract merges a live vertex into another.  Because a filtration
-cannot express vertex merges directly, :func:`tower_to_filtration` realises
-each Contract(u, v) by coning: every cell of the closed star of ``u`` gains
-the cone cell with apex ``v``, which makes ``u`` dominated by ``v`` from
-that grade on without ever renaming existing cells.
+cannot express vertex merges directly, each Contract(u, v) is realised by
+coning: every cell of the closed star of ``u`` gains the cone cell with apex
+``v``, which makes ``u`` dominated by ``v`` from that grade on without ever
+renaming existing cells.
 
-Both the conversion and :meth:`Tower.validate` keep the complex the tower
-has reached with a per-vertex index of the cells containing each vertex,
-so an Include costs in proportion to the faces it adds and a Contract(u, v)
-to the star of ``u``, never to the whole complex.
+:func:`assemble_tower_filtration` emits that filtration as it builds the
+tower of a sequence of cores; :func:`tower_to_filtration` converts a tower
+built elsewhere.  Both, and :meth:`Tower.validate`, replay the ops on a
+:class:`_Complex`, so an Include costs in proportion to the faces it adds
+and a Contract(u, v) to the star of ``u``, never to the whole complex.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ class Tower:
         Contract(u, v) to the star of ``u``.
         """
         present = _Complex()
-        live: set[int] = set()
         prev_grade: float | None = None
         for i, op in enumerate(self.ops):
             if prev_grade is not None and op.grade < prev_grade:
@@ -85,16 +85,13 @@ class Tower:
                 if s in present.cells:
                     raise TowerOpError(f"op {i}: include of already present {s}")
                 present.add(present.missing_faces(s))
-                live.update(s)
             elif isinstance(op, Contract):
                 u, v = op.source, op.target
                 if u == v:
                     raise TowerOpError(f"op {i}: contract of a vertex into itself")
-                if u not in live or v not in live:
+                if (u,) not in present.cells or (v,) not in present.cells:
                     raise TowerOpError(f"op {i}: contract ({u} -> {v}) of a non-live vertex")
-                star = present.star(u)
-                present.replace(star, [_rename(s, u, v) for s in star])
-                live.discard(u)
+                present.contract(u, v)
             else:  # pragma: no cover - type misuse
                 raise TowerOpError(f"op {i}: unknown op {op!r}")
 
@@ -130,11 +127,6 @@ class Filtration:
 
 def _by_dim(s: Simplex) -> tuple[int, Simplex]:
     return len(s), s
-
-
-def _rename(s: Simplex, u: int, v: int) -> Simplex:
-    """Image of *s* under the vertex map ``u -> v``."""
-    return tuple(sorted({v if x == u else x for x in s}))
 
 
 class _Complex:
@@ -183,37 +175,49 @@ class _Complex:
             for x in s:
                 cofaces[x].append(s)
 
-    def star(self, u: int) -> list[Simplex]:
-        """Cells containing *u*, forgetting *u*'s index (a listed cell may
-        repeat if it left and was added again)."""
+    def contract(self, u: int, v: int) -> list[Simplex]:
+        """Rename vertex *u* to *v*; return the cells of the cone over the
+        closed star of *u* with apex *v* that are new to the complex, in
+        (dimension, lexicographic) order.
+
+        The closed star of ``u`` is ``star(u)`` together with ``s - {u}`` for
+        each ``s`` in it, so the cone is ``s + {v}`` and ``(s - {u}) + {v}``
+        over ``star(u)``; the images ``(s - {u}) + {v}`` then replace
+        ``star(u)``.  The cost is in proportion to the star of ``u``.
+        """
         cells = self.cells
-        return [s for s in self.cofaces.pop(u, ()) if s in cells]
+        # a listed cell may repeat if it left and was added again
+        star = [s for s in self.cofaces.pop(u, ()) if s in cells]
+        images = {tuple(sorted({v if x == u else x for x in s})) for s in star}
+        cone = images.union(tuple(sorted(s + (v,))) for s in star if v not in s)
+        new = sorted(cone.difference(cells), key=_by_dim)
+        cells.difference_update(star)
+        self.add(images.difference(cells))
+        return new
 
-    def replace(self, old: Iterable[Simplex], new: Iterable[Simplex]) -> None:
-        """Remove the cells *old*, then add those of *new* not present."""
-        self.cells.difference_update(old)
-        self.add(set(new).difference(self.cells))
 
-
-def assemble_core_tower(
+def assemble_tower_filtration(
     cores: Sequence[ComplexMatrix],
     retractions: Sequence[RetractionMap],
     grades: Sequence[float],
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> Tower:
-    """Assemble per-snapshot cores into one tower.
+) -> tuple[Tower, Filtration]:
+    """Assemble per-snapshot cores into one tower and its filtration.
 
     For each snapshot j > 0, every live vertex whose image under the
     snapshot's retraction differs from it is contracted into that image (in
-    increasing vertex id), then every simplex of core j missing from the
-    contracted complex is included, in (dimension, lexicographic) order.
+    increasing vertex id).  Then every simplex of core j missing from the
+    complex is included, in (dimension, lexicographic) order; for j = 0
+    that is all of core 0.  The ops are replayed on one complex as they are
+    recorded, and the filtration is each Include's cell and each Contract's
+    new cone cells: the one :func:`tower_to_filtration` makes of the tower.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
     (collapses are independent per snapshot), so each core is rewritten
-    through a point-to-tower-id table before comparison; a returning point
-    is given a fresh id.  A contract whose target id is not yet live is
-    preceded by the inclusion of that single vertex, keeping every op valid.
+    through a point-to-tower-id table; a returning point is given a fresh
+    id.  A contract whose target id is not yet live is preceded by the
+    inclusion of that single vertex, keeping every op valid.
     """
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
@@ -227,19 +231,15 @@ def assemble_core_tower(
     next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
 
     ops: list[ElementaryOp] = []
-    first_cells = cores[0].expand_all_simplices(cap)
-    ops.extend(Include(s, grades[0]) for s in first_cells)
-    present: set[Simplex] = set(first_cells)
+    cells: list[tuple[Simplex, float]] = []
+    current = _Complex()
     # point id -> live tower id; identical until a contracted id returns
-    ident: dict[int, int] = {p: p for p in cores[0].vertex_ids}
-    used: set[int] = set(ident)
+    ident: dict[int, int] = {}
+    used: set[int] = set()
 
-    for j in range(1, len(cores)):
-        g = grades[j]
-        r = retractions[j]
-
+    for j, (core, r, g) in enumerate(zip(cores, retractions, grades)):
         new_ident: dict[int, int] = {}
-        for q in cores[j].vertex_ids:
+        for q in core.vertex_ids:
             if q in ident:
                 new_ident[q] = ident[q]
             elif q in used:
@@ -253,47 +253,47 @@ def assemble_core_tower(
         # retraction fixes core vertices and their tower ids carry over
         mapping: dict[int, int] = {}
         for p, x in ident.items():
-            if p not in r.target:
+            if r.target.get(p) not in new_ident:
                 raise CollapseConsistencyError(
-                    f"retraction of snapshot {j} is undefined on point {p}"
+                    f"retraction of snapshot {j} does not send point {p} into its core"
                 )
             mapping[x] = new_ident[r.target[p]]
 
-        live = set(ident.values())
+        core.check_expansion_cap(cap)
+        # After snapshot j-1 the complex equals core j-1 (in tower ids) and the
+        # retraction is simplicial, so the contracted complex lies in core j
+        # iff the image of every maximal simplex of core j-1 is a face of it.
+        if j:
+            for s in cores[j - 1].maximal_simplices():
+                image = {r.target[p] for p in s}
+                if not core.contains_simplex(image):
+                    raise CollapseConsistencyError(
+                        f"snapshot {j}: contracted cell {tuple(sorted(image))}"
+                        " is not in the next core"
+                    )
+
         for u in sorted(mapping):
             w = mapping[u]
             if w == u:
                 continue
-            if w not in live:
+            if (w,) not in current.cells:
                 ops.append(Include((w,), g))
-                present.add((w,))
-                live.add(w)
+                cells.append(((w,), g))
+                current.add([(w,)])
             ops.append(Contract(u, w, g))
-            live.discard(u)
-        # vertices included just-in-time above already carry stage-j ids
-        present = {tuple(sorted({mapping.get(x, x) for x in s})) for s in present}
+            cells.extend((s, g) for s in current.contract(u, w))
 
-        target_cells: set[Simplex] = set()
-        rewritten: list[Simplex] = []
-        for s in cores[j].expand_all_simplices(cap):
-            t = tuple(sorted(new_ident[x] for x in s))
-            target_cells.add(t)
-            rewritten.append(t)
-        rewritten.sort(key=lambda s: (len(s), s))
-
-        for s in present:
-            if s not in target_cells:
-                raise CollapseConsistencyError(
-                    f"snapshot {j}: contracted cell {s} is not in the next core"
-                )
-
-        for t in rewritten:
-            if t not in present:
-                ops.append(Include(t, g))
-                present.add(t)
+        new: list[Simplex] = []
+        for s in core.maximal_simplices():
+            faces = current.missing_faces(tuple(sorted(new_ident[x] for x in s)))
+            current.add(faces)
+            new.extend(faces)
+        new.sort(key=_by_dim)
+        ops.extend(Include(t, g) for t in new)
+        cells.extend((t, g) for t in new)
         ident = new_ident
 
-    return Tower(tuple(ops))
+    return Tower(tuple(ops)), Filtration(tuple(cells))
 
 
 def tower_to_filtration(tower: Tower) -> Filtration:
@@ -309,11 +309,8 @@ def tower_to_filtration(tower: Tower) -> Filtration:
     *current* complex), not in the accumulated filtration: the contracted
     image is carried forward separately, so cone cells from one contraction
     never feed the star of the next and the filtration stays within a
-    constant factor of the tower itself.  The closed star of ``u`` is
-    ``star(u)`` together with ``s - {u}`` for each ``s`` in it, so the cone
-    is ``s + {v}`` and ``(s - {u}) + {v}`` over ``star(u)``; the contraction
-    then replaces ``star(u)`` by its images.  Each op therefore costs in
-    proportion to the faces it adds or to the star of ``u``.
+    constant factor of the tower itself.  Each op costs in proportion to
+    the faces it adds or to the star of ``u`` (see :meth:`_Complex.contract`).
 
     A cell is emitted exactly when it is new to the current complex.  That
     is the same as new to the filtration: the current complex holds only
@@ -354,13 +351,7 @@ def tower_to_filtration(tower: Tower) -> Filtration:
             v = resolve(op.target)
             if u == v:
                 continue
-            star = current.star(u)
-            images = [_rename(s, u, v) for s in star]
-            cone = set(images)
-            cone.update(tuple(sorted(s + (v,))) for s in star if v not in s)
-            new = sorted(cone - current.cells, key=_by_dim)
-            cells.extend((s, op.grade) for s in new)
-            current.replace(star, images)
+            cells.extend((s, op.grade) for s in current.contract(u, v))
             alias[u] = v
         else:  # pragma: no cover - type misuse
             raise TowerOpError(f"op {i}: unknown op {op!r}")

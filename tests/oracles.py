@@ -5,9 +5,9 @@ package: maximality by pairwise subset tests, expansion by powersets, distances
 by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
 rank, persistence by the textbook set-based column reduction, the exact
 edge-length Rips filtration, bottleneck distance by exhaustive matching, and
-tower replay and coning by whole-complex rewrites.  The tower oracles take
-the package's op types, ``as_simplex`` and ``TowerOpError`` so that their
-output and their errors compare with the package's one for one.
+tower assembly, replay and coning by whole-complex rewrites.  The tower
+oracles take the package's op types, ``as_simplex`` and error types so that
+their output and their errors compare with the package's one for one.
 """
 
 from __future__ import annotations
@@ -18,8 +18,12 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from ripscollapse.complexes import as_simplex
-from ripscollapse.errors import TowerOpError
-from ripscollapse.tower import Contract, Filtration, Include
+from ripscollapse.errors import (
+    CollapseConsistencyError,
+    ExpansionCapError,
+    TowerOpError,
+)
+from ripscollapse.tower import Contract, Filtration, Include, Tower
 
 # -- complexes ---------------------------------------------------------------
 
@@ -255,6 +259,69 @@ def brute_bottleneck(a_pts, b_pts):
 
 
 # -- towers ------------------------------------------------------------------
+
+
+def naive_assemble_core_tower(cores, retractions, grades, cap):
+    """The core tower by expanding every core in full, rewriting the whole
+    contracted complex after every snapshot and comparing it cell by cell
+    with the next core."""
+
+    def expand(c):
+        projected = sum(2 ** len(s) - 1 for s in c.maximal_simplices())
+        if projected > cap:
+            raise ExpansionCapError(projected, cap)
+        return expand_by_powerset(c.maximal_simplices())
+
+    grades = [float(g) for g in grades]
+    next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
+    first_cells = expand(cores[0])
+    ops = [Include(s, grades[0]) for s in first_cells]
+    present = set(first_cells)
+    ident = {p: p for p in cores[0].vertex_ids}
+    used = set(ident)
+
+    for j in range(1, len(cores)):
+        g, r = grades[j], retractions[j]
+        new_ident = {}
+        for q in cores[j].vertex_ids:
+            if q in ident:
+                new_ident[q] = ident[q]
+            elif q in used:
+                new_ident[q] = next_fresh
+                next_fresh += 1
+            else:
+                new_ident[q] = q
+        used.update(new_ident.values())
+
+        mapping = {}
+        for p, x in ident.items():
+            if p not in r.target or r.target[p] not in new_ident:
+                raise CollapseConsistencyError(f"snapshot {j}: no core image of point {p}")
+            mapping[x] = new_ident[r.target[p]]
+
+        live = set(ident.values())
+        for u in sorted(mapping):
+            w = mapping[u]
+            if w == u:
+                continue
+            if w not in live:
+                ops.append(Include((w,), g))
+                present.add((w,))
+                live.add(w)
+            ops.append(Contract(u, w, g))
+            live.discard(u)
+        present = {tuple(sorted({mapping.get(x, x) for x in s})) for s in present}
+
+        target = [tuple(sorted(new_ident[x] for x in s)) for s in expand(cores[j])]
+        if not present <= set(target):
+            raise CollapseConsistencyError(f"snapshot {j}: contracted cell not in the next core")
+        for t in sorted(target, key=lambda s: (len(s), s)):
+            if t not in present:
+                ops.append(Include(t, g))
+                present.add(t)
+        ident = new_ident
+
+    return Tower(tuple(ops))
 
 
 def naive_validate_tower(tower):

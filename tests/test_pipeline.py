@@ -16,6 +16,7 @@ from ripscollapse.pipeline import (
     stats_to_csv,
 )
 from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
+from ripscollapse.tower import tower_to_filtration
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -78,6 +79,15 @@ def test_collapsing_never_grows_any_snapshot():
             assert s.after.n_vertices <= s.before.n_vertices
             assert s.after.n_maximal <= s.before.n_maximal
             assert s.after.dimension <= s.before.dimension
+
+
+def test_filtration_is_the_conversion_of_the_tower():
+    rng = random.Random(135)
+    for i in range(12):
+        dim = 2 + i % 2
+        pts = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 30))]
+        result = run_pipeline(pairwise_distances(pts), [0.1, 0.25, 0.4, 0.6, 2.0])
+        assert result.filtration == tower_to_filtration(result.tower)
 
 
 def test_before_stats_are_those_of_the_full_snapshot():

@@ -4,11 +4,19 @@ import math
 import random
 
 import pytest
-from oracles import naive_tower_to_filtration, naive_validate_tower
+from oracles import (
+    naive_assemble_core_tower,
+    naive_tower_to_filtration,
+    naive_validate_tower,
+)
 
 from ripscollapse.collapse import RetractionMap, core
-from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.errors import CollapseConsistencyError, TowerOpError
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
+from ripscollapse.errors import (
+    CollapseConsistencyError,
+    ExpansionCapError,
+    TowerOpError,
+)
 from ripscollapse.persistence import compute_persistence, oracle_pipeline
 from ripscollapse.rips import (
     flag_core,
@@ -21,7 +29,7 @@ from ripscollapse.tower import (
     Filtration,
     Include,
     Tower,
-    assemble_core_tower,
+    assemble_tower_filtration,
     tower_to_filtration,
 )
 
@@ -30,19 +38,26 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
 
+def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
+    """The assembled tower, once its filtration is checked against the
+    reference conversion of that tower."""
+    tower, filtration = assemble_tower_filtration(cores, retractions, grades, cap)
+    assert filtration == tower_to_filtration(tower)
+    return tower
+
+
+def _core_inputs(results, grades):
+    return [res.matrix for res in results], [res.retraction for res in results], grades
+
+
 def _pipeline_tower(points, grades):
     D = pairwise_distances(points)
-    results = [core(rips_snapshot(D, g)) for g in grades]
-    return assemble_core_tower(
-        [res.matrix for res in results],
-        [res.retraction for res in results],
-        grades,
-    )
+    return _assemble(*_core_inputs([core(rips_snapshot(D, g)) for g in grades], grades))
 
 
 def test_single_snapshot_tower_is_expanded_core():
     res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
-    tower = assemble_core_tower([res.matrix], [res.retraction], [0.0])
+    tower = _assemble([res.matrix], [res.retraction], [0.0])
     assert tower.ops == (
         Include((1,), 0.0),
         Include((3,), 0.0),
@@ -56,7 +71,7 @@ def test_single_snapshot_tower_is_expanded_core():
 
 def test_identical_snapshots_add_no_ops():
     res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
-    tower = assemble_core_tower(
+    tower = _assemble(
         [res.matrix, res.matrix],
         [res.retraction, res.retraction],
         [0.0, 1.0],
@@ -91,7 +106,7 @@ def test_contract_into_vertex_absent_from_tower_includes_it_first():
         ComplexMatrix.from_simplex_list([(1,)]),
     ]
     retractions = [RetractionMap({0: 0}), RetractionMap({0: 1, 1: 1, 2: 1})]
-    tower = assemble_core_tower(cores, retractions, [0.0, 1.0])
+    tower = _assemble(cores, retractions, [0.0, 1.0])
     assert tower.ops == (
         Include((0,), 0.0),
         Include((1,), 1.0),
@@ -113,7 +128,7 @@ def test_returning_point_id_gets_a_fresh_tower_id():
         RetractionMap({0: 0, 1: 0}),
         RetractionMap({0: 0, 1: 1}),
     ]
-    tower = assemble_core_tower(cores, retractions, [0.0, 1.0, 2.0])
+    tower = _assemble(cores, retractions, [0.0, 1.0, 2.0])
     assert tower.ops == (
         Include((0,), 0.0),
         Include((1,), 0.0),
@@ -127,11 +142,11 @@ def test_returning_point_id_gets_a_fresh_tower_id():
 def test_assemble_input_validation():
     res = core(ComplexMatrix.from_simplex_list([(0, 1)]))
     with pytest.raises(ValueError):
-        assemble_core_tower([res.matrix], [res.retraction, res.retraction], [0.0])
+        assemble_tower_filtration([res.matrix], [res.retraction, res.retraction], [0.0])
     with pytest.raises(ValueError):
-        assemble_core_tower([], [], [])
+        assemble_tower_filtration([], [], [])
     with pytest.raises(ValueError):
-        assemble_core_tower(
+        assemble_tower_filtration(
             [res.matrix, res.matrix], [res.retraction, res.retraction], [1.0, 1.0]
         )
 
@@ -143,7 +158,28 @@ def test_assemble_rejects_retraction_missing_a_point():
     ]
     retractions = [RetractionMap({0: 0}), RetractionMap({5: 5})]
     with pytest.raises(CollapseConsistencyError):
-        assemble_core_tower(cores, retractions, [0.0, 1.0])
+        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
+
+
+def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
+    cores = [
+        ComplexMatrix.from_simplex_list([(0, 1)]),
+        ComplexMatrix.from_simplex_list([(1, 2)]),
+    ]
+    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 3, 1: 1, 2: 2, 3: 3})]
+    with pytest.raises(CollapseConsistencyError, match="into its core"):
+        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
+
+
+def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
+    # the edge 01 retracts onto 12, but the next core is two loose vertices
+    cores = [
+        ComplexMatrix.from_simplex_list([(0, 1)]),
+        ComplexMatrix.from_simplex_list([(1,), (2,)]),
+    ]
+    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 2, 1: 1, 2: 2})]
+    with pytest.raises(CollapseConsistencyError, match="not in the next core"):
+        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
 
 
 def test_tower_validate_rejects_bad_ops():
@@ -267,25 +303,21 @@ def _random_tower(rng):
     return Tower(tuple(ops))
 
 
-def _flag_core_tower(points, grades):
-    """The tower ``run_pipeline`` builds: ``flag_core`` of every snapshot."""
-    D = pairwise_distances(points)
-    results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
-    return assemble_core_tower(
-        [res.matrix for res in results],
-        [res.retraction for res in results],
-        grades,
-    )
+def _flag_core_inputs(seed):
+    """Cores, retractions and grades as ``run_pipeline`` builds them, with
+    ``flag_core`` on every snapshot of a seeded cloud."""
+    cloud = random.Random(seed)
+    dim = 2 + seed % 2
+    pts = [tuple(cloud.uniform(0, 1) for _ in range(dim)) for _ in range(cloud.randint(10, 24))]
+    D = pairwise_distances(pts)
+    grades = [0.1, 0.25, 0.4, 0.55]
+    return _core_inputs([flag_core(neighborhood_bitsets(D, g)) for g in grades], grades)
 
 
 def test_incremental_tower_code_matches_whole_complex_oracles():
     rng = random.Random(77)
     towers = [_random_tower(rng) for _ in range(2000)]
-    for seed in range(24):
-        cloud = random.Random(seed)
-        dim = 2 + seed % 2
-        pts = [tuple(cloud.uniform(0, 1) for _ in range(dim)) for _ in range(cloud.randint(10, 24))]
-        towers.append(_flag_core_tower(pts, [0.1, 0.25, 0.4, 0.55]))
+    towers.extend(_assemble(*_flag_core_inputs(seed)) for seed in range(24))
     raised = coned = 0
     for tower in towers:
         got = _outcome(tower_to_filtration, tower)
@@ -298,3 +330,64 @@ def test_incremental_tower_code_matches_whole_complex_oracles():
     # both the error and the coning paths are reached
     assert 0 < raised < len(towers) // 2
     assert coned > len(towers) // 4
+
+
+def _mutated(rng, cores, retractions, grades):
+    """The inputs with one retraction changed, keeping it a retraction onto
+    the same core: a point on an edge of the previous core that the snapshot
+    removes sent to another core vertex, a class of points dropped, or a
+    class sent to a point outside every core."""
+    moves = [
+        (j, p)
+        for j in range(1, len(cores))
+        for s in cores[j - 1].maximal_simplices()
+        if len(s) > 1
+        for p in s
+        if retractions[j].target.get(p, p) != p
+    ]
+    kind = rng.randrange(0 if moves else 1, 3)
+    j, p = rng.choice(moves) if kind == 0 else (rng.randrange(1, len(cores)), None)
+    target = dict(retractions[j].target)
+    fixed = sorted(w for q, w in target.items() if q == w)
+    a = rng.choice(fixed)
+    if kind == 0:
+        target[p] = a
+    elif kind == 1:
+        target = {q: w for q, w in target.items() if w != a}
+    else:
+        target = {q: 1000 if w == a else w for q, w in target.items()}
+        target[1000] = 1000
+    retractions = list(retractions)
+    retractions[j] = RetractionMap(target)
+    return cores, retractions, grades
+
+
+def _assembly_outcome(fn, inputs, cap):
+    """(ops, None) or (None, error type) of one assembly."""
+    try:
+        return fn(*inputs, cap).ops, None
+    except (CollapseConsistencyError, ExpansionCapError) as e:
+        return None, type(e)
+
+
+def test_incremental_assembly_matches_whole_set_oracle():
+    rng = random.Random(5)
+    cases = [_flag_core_inputs(seed) for seed in range(24)]
+    for seed in range(8):
+        # noisy circles, whose cores keep a cycle of edges for a while
+        cloud = random.Random(100 + seed)
+        n = cloud.randint(6, 10)
+        angles = [2 * math.pi * (k + cloud.uniform(-0.2, 0.2)) / n for k in range(n)]
+        D = pairwise_distances([(math.cos(a), math.sin(a)) for a in angles])
+        grades = [0.3, 0.8, 1.2, 1.6]
+        cases.append(_core_inputs([core(rips_snapshot(D, g)) for g in grades], grades))
+    cases.extend([_mutated(rng, *case) for case in cases for _ in range(3)])
+    seen = []
+    for inputs in cases:
+        for cap in (DEFAULT_EXPANSION_CAP, rng.randint(1, 40)):
+            got = _assembly_outcome(_assemble, inputs, cap)
+            assert got == _assembly_outcome(naive_assemble_core_tower, inputs, cap), inputs
+            seen.append(got[1])
+    # successes and both error types are reached
+    assert {None, CollapseConsistencyError, ExpansionCapError} <= set(seen)
+    assert seen.count(CollapseConsistencyError) > 10
