@@ -53,6 +53,17 @@ def simplex_faces(s: Simplex) -> Iterator[Simplex]:
         yield s[:i] + s[i + 1 :]
 
 
+def check_expansion_cap(
+    maximal: Iterable[Simplex], cap: int = DEFAULT_EXPANSION_CAP
+) -> None:
+    """Raise :class:`ExpansionCapError` when the projected cell count of the
+    complex with maximal simplices *maximal* (sum of their subset counts, an
+    upper bound) exceeds *cap*."""
+    projected = sum(2 ** len(s) - 1 for s in maximal)
+    if projected > cap:
+        raise ExpansionCapError(projected, cap)
+
+
 @dataclass(frozen=True, slots=True)
 class ComplexStats:
     """Size summary of a complex: vertex and maximal-simplex counts and
@@ -198,11 +209,8 @@ class ComplexMatrix:
         return any(target.issubset(self._cols[cid]) for cid in self._rows[first])
 
     def check_expansion_cap(self, cap: int = DEFAULT_EXPANSION_CAP) -> None:
-        """Raise :class:`ExpansionCapError` when the projected cell count (sum of
-        subset counts over the columns, an upper bound) exceeds *cap*."""
-        projected = sum(2 ** len(s) - 1 for s in self._cols.values())
-        if projected > cap:
-            raise ExpansionCapError(projected, cap)
+        """:func:`check_expansion_cap` on the columns."""
+        check_expansion_cap(self._cols.values(), cap)
 
     def expand_all_simplices(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[Simplex]:
         """All faces of all maximal simplices, sorted by (dimension, lex),

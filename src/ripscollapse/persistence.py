@@ -26,9 +26,16 @@ from .complexes import (
     DEFAULT_EXPANSION_CAP,
     ComplexMatrix,
     Simplex,
+    check_expansion_cap,
 )
 from .errors import FiltrationOrderError, ReductionMemoryError
-from .rips import SnapshotSchedule, as_grades, rips_snapshot, validate_distance_matrix
+from .rips import (
+    SnapshotSchedule,
+    as_grades,
+    maximal_cliques,
+    neighborhood_bitsets,
+    validate_distance_matrix,
+)
 from .tower import Filtration
 
 # Refuse reductions whose boundary blocks, counted as one bit per face and
@@ -192,27 +199,48 @@ def betti_numbers(
     return tuple(betti)
 
 
-def filtration_from_snapshots(
-    snapshots: Sequence[ComplexMatrix],
-    grades: Sequence[float],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> Filtration:
-    """First-appearance filtration of fully expanded nested snapshots.
+def _snapshot_filtration(
+    D: np.ndarray, grades: list[float], cap: int
+) -> tuple[Filtration, list[list[Simplex]]]:
+    """:func:`snapshot_filtration` of a checked ``D`` and grade list, with
+    the maximal cliques of each snapshot in grade order."""
+    snapshots = [maximal_cliques(neighborhood_bitsets(D, g)) for g in grades]
+    for cliques in snapshots:
+        check_expansion_cap(cliques, cap)
 
-    Every simplex of every snapshot appears once, graded by the first
-    snapshot containing it; cells of one grade are ordered by (dimension,
-    lexicographic).
-    """
-    if len(snapshots) != len(grades):
-        raise ValueError("snapshots and grades must have equal length")
-    seen: set[Simplex] = set()
+    # grade index of each edge: the first grade g with D[u, v] <= g
+    first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
+    adj = neighborhood_bitsets(D, grades[-1])
+    buckets: dict[tuple[int, int], list[Simplex]] = {}
+    for v in range(len(adj)):
+        # frames (clique, grade index, common neighbours above its last vertex)
+        stack = [((v,), 0, adj[v] >> (v + 1) << (v + 1))]
+        while stack:
+            s, i, above = stack.pop()
+            key = (i, len(s))
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [s]
+            else:
+                bucket.append(s)
+            # push the extensions largest vertex first, so they pop in
+            # lexicographic order
+            rest = above
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                row = first[w]
+                j = i
+                for u in s:
+                    if row[u] > j:
+                        j = row[u]
+                stack.append((s + (w,), j, above & adj[w] >> (w + 1) << (w + 1)))
+
     cells: list[tuple[Simplex, float]] = []
-    for snapshot, g in zip(snapshots, grades):
-        for s in snapshot.expand_all_simplices(cap):
-            if s not in seen:
-                seen.add(s)
-                cells.append((s, float(g)))
-    return Filtration(tuple(cells))
+    for key in sorted(buckets):
+        g = grades[key[0]]
+        cells.extend((s, g) for s in buckets[key])
+    return Filtration(tuple(cells)), snapshots
 
 
 def snapshot_filtration(
@@ -220,11 +248,27 @@ def snapshot_filtration(
     sched: SnapshotSchedule | Iterable[float],
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> Filtration:
-    """Uncollapsed filtration of the snapshot sequence of ``D``."""
+    """Uncollapsed first-appearance filtration of the snapshot sequence of ``D``.
+
+    Every simplex of every snapshot appears once, graded by the first
+    snapshot containing it, and cells of one grade are ordered by
+    (dimension, lexicographic).  A Rips simplex first appears at the first
+    grade at or above its longest edge (a point at the first grade), so all
+    cells come from one enumeration of the cliques of the last snapshot's
+    graph: a depth-first search that extends a clique only by common
+    neighbours above its last vertex, smallest first, and grades each
+    extension by its parent's grade and its new edges.  That search meets
+    every clique exactly once, so no set of seen cells is needed, and in
+    lexicographic order, so appending each clique to the list of its
+    (grade, dimension) and concatenating the lists in that order gives the
+    filtration order without a sort.
+
+    Raises :class:`ExpansionCapError` at the first snapshot whose projected
+    cell count (from its maximal cliques) exceeds *cap*, before any cell is
+    built.
+    """
     D = validate_distance_matrix(D)
-    grades = as_grades(sched)
-    snapshots = [rips_snapshot(D, g) for g in grades]
-    return filtration_from_snapshots(snapshots, grades, cap)
+    return _snapshot_filtration(D, as_grades(sched), cap)[0]
 
 
 def oracle_pipeline(

@@ -7,8 +7,9 @@ so a worker pool may handle them concurrently).  It then assembles the cores
 into a tower, building the tower's equivalent filtration in the same pass,
 and reduces that filtration.
 The uncollapsed twin skips collapsing and reduces the first-appearance
-filtration of the fully expanded snapshots — the same construction the
-verification oracle uses — so the two diagrams can be compared per dimension.
+filtration of the snapshots, built in one clique enumeration of the last
+snapshot's graph by the builder the verification oracle uses, so the two
+diagrams can be compared per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 """
@@ -23,12 +24,13 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .collapse import CoreResult
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex
 from .persistence import (
     PersistenceDiagram,
+    _snapshot_filtration,
     bottleneck_distance,
     compute_persistence,
-    filtration_from_snapshots,
+    oracle_pipeline,
 )
 from .rips import (
     SnapshotSchedule,
@@ -36,7 +38,6 @@ from .rips import (
     flag_core,
     maximal_cliques,
     neighborhood_bitsets,
-    rips_snapshot,
     validate_distance_matrix,
 )
 from .tower import Filtration, Include, Tower, assemble_tower_filtration
@@ -71,6 +72,11 @@ class PipelineResult:
     timings: PipelineTimings
 
 
+def _clique_stats(n: int, cliques: list[Simplex]) -> ComplexStats:
+    """Stats of the flag complex on *n* points with maximal cliques *cliques*."""
+    return ComplexStats(n, len(cliques), max(map(len, cliques)) - 1)
+
+
 def _map_ordered(
     fn: Callable[[float], _T], items: Sequence[float], workers: int
 ) -> list[_T]:
@@ -91,9 +97,9 @@ def run_pipeline(
 ) -> PipelineResult:
     """Run the snapshot pipeline on a distance matrix.
 
-    With ``collapse=False`` the snapshots are expanded as-is instead of being
-    collapsed first; the resulting tower is inclusions only and the stats
-    report each snapshot unchanged.
+    With ``collapse=False`` the snapshots are not collapsed: the filtration
+    is :func:`~ripscollapse.persistence.snapshot_filtration`, the tower is
+    its cells as inclusions, and the stats report each snapshot unchanged.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -105,7 +111,7 @@ def run_pipeline(
         def job(g: float) -> tuple[ComplexStats, CoreResult, float]:
             adj = neighborhood_bitsets(D, g)
             cliques = maximal_cliques(adj)
-            before = ComplexStats(len(adj), len(cliques), max(map(len, cliques)) - 1)
+            before = _clique_stats(len(adj), cliques)
             t0 = perf_counter()
             result = flag_core(adj)
             return before, result, perf_counter() - t0
@@ -125,14 +131,11 @@ def run_pipeline(
         )
         assembly = perf_counter() - t0
     else:
-        snapshots = _map_ordered(lambda g: rips_snapshot(D, g), grades, workers)
-        stats = tuple(
-            SnapshotStats(g, s.stats(), s.stats())
-            for g, s in zip(grades, snapshots)
-        )
         collapse_max = 0.0
         t0 = perf_counter()
-        filtration = filtration_from_snapshots(snapshots, grades, cap)
+        filtration, snapshots = _snapshot_filtration(D, grades, cap)
+        sizes = [_clique_stats(len(D), cliques) for cliques in snapshots]
+        stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
         tower = Tower(tuple(Include(s, g) for s, g in filtration.cells))
         assembly = perf_counter() - t0
 
@@ -188,17 +191,18 @@ def compare_pipelines(
     workers: int = 1,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> CompareReport:
-    """Run the collapsed and uncollapsed pipelines and compare the diagrams."""
-    collapsed = run_pipeline(D, sched, workers=workers, collapse=True, cap=cap)
-    uncollapsed = run_pipeline(D, sched, workers=workers, collapse=False, cap=cap)
-    a, b = collapsed.diagram, uncollapsed.diagram
-    dims = sorted(set(a.dimensions()) | set(b.dimensions()))
-    verdicts = tuple(
-        DimensionVerdict(
-            dim,
-            sorted(a.in_dimension(dim)) == sorted(b.in_dimension(dim)),
-            bottleneck_distance(a, b, dim),
+    """Run the collapsed pipeline and the uncollapsed oracle and compare the
+    diagrams.
+
+    Where a dimension's diagrams are equal their bottleneck distance is
+    exactly 0.0, so it is computed only for the unequal dimensions.
+    """
+    a = run_pipeline(D, sched, workers=workers, collapse=True, cap=cap).diagram
+    b = oracle_pipeline(D, sched, cap)
+    verdicts = []
+    for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
+        equal = sorted(a.in_dimension(dim)) == sorted(b.in_dimension(dim))
+        verdicts.append(
+            DimensionVerdict(dim, equal, 0.0 if equal else bottleneck_distance(a, b, dim))
         )
-        for dim in dims
-    )
-    return CompareReport(a, b, verdicts)
+    return CompareReport(a, b, tuple(verdicts))

@@ -204,13 +204,15 @@ def assemble_tower_filtration(
 ) -> tuple[Tower, Filtration]:
     """Assemble per-snapshot cores into one tower and its filtration.
 
-    For each snapshot j > 0, every live vertex whose image under the
-    snapshot's retraction differs from it is contracted into that image (in
-    increasing vertex id).  Then every simplex of core j missing from the
-    complex is included, in (dimension, lexicographic) order; for j = 0
-    that is all of core 0.  The ops are replayed on one complex as they are
-    recorded, and the filtration is each Include's cell and each Contract's
-    new cone cells: the one :func:`tower_to_filtration` makes of the tower.
+    Each snapshot's retraction must fix every vertex of its core and send
+    every live point into that core.  For each snapshot j > 0, every live
+    vertex whose image under the snapshot's retraction differs from it is
+    contracted into that image (in increasing vertex id).  Then every
+    simplex of core j missing from the complex is included, in (dimension,
+    lexicographic) order; for j = 0 that is all of core 0.  The ops are
+    replayed on one complex as they are recorded, and the filtration is each
+    Include's cell and each Contract's new cone cells: the one
+    :func:`tower_to_filtration` makes of the tower.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -249,6 +251,13 @@ def assemble_tower_filtration(
                 new_ident[q] = q
         used.update(new_ident.values())
 
+        # a retraction that moved a core vertex would contract an id that
+        # the core's Include ops then use again
+        for q in core.vertex_ids:
+            if r.target.get(q) != q:
+                raise CollapseConsistencyError(
+                    f"retraction of snapshot {j} does not fix core vertex {q}"
+                )
         # stage map on live tower ids; targets are fixed points because the
         # retraction fixes core vertices and their tower ids carry over
         mapping: dict[int, int] = {}

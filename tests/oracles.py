@@ -3,11 +3,14 @@
 Everything here favours obviousness over speed and shares no code with the
 package: maximality by pairwise subset tests, expansion by powersets, distances
 by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
-rank, persistence by the textbook set-based column reduction, the exact
-edge-length Rips filtration, bottleneck distance by exhaustive matching, and
-tower assembly, replay and coning by whole-complex rewrites.  The tower
-oracles take the package's op types, ``as_simplex`` and error types so that
-their output and their errors compare with the package's one for one.
+rank, persistence by the textbook set-based column reduction, the
+snapshot filtration by expanding every snapshot and dropping the cells seen
+before, the exact edge-length Rips filtration, bottleneck distance by
+exhaustive matching, and tower assembly, replay and coning by whole-complex
+rewrites.  The tower oracles take the package's op types, ``as_simplex``
+and error types so that their output and their errors compare with the
+package's one for one; the snapshot-filtration oracle expands the
+package's ``ComplexMatrix`` snapshots and so raises its cap error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from ripscollapse.complexes import as_simplex
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, Simplex, as_simplex
 from ripscollapse.errors import (
     CollapseConsistencyError,
     ExpansionCapError,
@@ -206,6 +209,26 @@ def naive_persistence(cells):
     return sorted(out)
 
 
+def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP):
+    """First-appearance filtration of fully expanded nested snapshots.
+
+    Every simplex of every snapshot appears once, graded by the first
+    snapshot containing it; cells of one grade are ordered by (dimension,
+    lexicographic).  ``snapshots`` are ``ComplexMatrix`` objects, each
+    expanded with its own ``expand_all_simplices`` after its cap check.
+    """
+    if len(snapshots) != len(grades):
+        raise ValueError("snapshots and grades must have equal length")
+    seen: set[Simplex] = set()
+    cells: list[tuple[Simplex, float]] = []
+    for snapshot, g in zip(snapshots, grades):
+        for s in snapshot.expand_all_simplices(cap):
+            if s not in seen:
+                seen.add(s)
+                cells.append((s, float(g)))
+    return Filtration(tuple(cells))
+
+
 def exact_rips_filtration(D, max_dim=None):
     """Edge-length Rips filtration of a full distance matrix (n <= ~12).
 
@@ -272,8 +295,13 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
             raise ExpansionCapError(projected, cap)
         return expand_by_powerset(c.maximal_simplices())
 
+    def check_fixed(j):
+        if any(retractions[j].target.get(q) != q for q in cores[j].vertex_ids):
+            raise CollapseConsistencyError(f"snapshot {j}: a core vertex is moved")
+
     grades = [float(g) for g in grades]
     next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
+    check_fixed(0)
     first_cells = expand(cores[0])
     ops = [Include(s, grades[0]) for s in first_cells]
     present = set(first_cells)
@@ -293,6 +321,7 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
                 new_ident[q] = q
         used.update(new_ident.values())
 
+        check_fixed(j)
         mapping = {}
         for p, x in ident.items():
             if p not in r.target or r.target[p] not in new_ident:

@@ -8,22 +8,22 @@ import pytest
 from oracles import (
     betti_by_rank,
     naive_column_reduction,
+    naive_filtration_from_snapshots,
     naive_persistence,
     random_maximal_simplices,
 )
 from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.errors import FiltrationOrderError
+from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
 from ripscollapse.persistence import (
     BoundaryMatrix,
     PersistenceDiagram,
     betti_numbers,
     compute_persistence,
-    filtration_from_snapshots,
     oracle_pipeline,
     snapshot_filtration,
 )
-from ripscollapse.rips import pairwise_distances
+from ripscollapse.rips import pairwise_distances, rips_snapshot
 from ripscollapse.tower import Filtration
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -166,7 +166,53 @@ def test_filtration_validate():
 def test_filtration_from_snapshots_grades_by_first_appearance():
     a = ComplexMatrix.from_simplex_list([(0,), (1,)])
     b = ComplexMatrix.from_simplex_list([(0, 1)])
-    f = filtration_from_snapshots([a, b], [0.25, 0.75])
+    f = naive_filtration_from_snapshots([a, b], [0.25, 0.75])
     assert f.cells == (((0,), 0.25), ((1,), 0.25), ((0, 1), 0.75))
     with pytest.raises(ValueError):
-        filtration_from_snapshots([a], [0.25, 0.75])
+        naive_filtration_from_snapshots([a], [0.25, 0.75])
+    # the same points as a distance matrix, through the clique enumeration
+    D = pairwise_distances([(0.0,), (0.5,)])
+    assert snapshot_filtration(D, [0.25, 0.75]) == f
+
+
+def _snapshot_filtration_outcome(fn, D, grades, cap):
+    """(filtration, None) or (None, (projected, cap)) of one build."""
+    try:
+        return fn(D, grades, cap), None
+    except ExpansionCapError as e:
+        return None, (e.projected, e.cap)
+
+
+def _naive_snapshot_filtration(D, grades, cap):
+    return naive_filtration_from_snapshots([rips_snapshot(D, g) for g in grades], grades, cap)
+
+
+def test_snapshot_filtration_matches_naive_expansion():
+    rng = random.Random(2024)
+    cases = []
+    for k in range(60):
+        dim = 1 + k % 3
+        n = rng.randint(1, 10)
+        pts = [tuple(rng.uniform(0, 1) for _ in range(dim)) for _ in range(n)]
+        if n > 2 and k % 4 == 0:
+            pts[1] = pts[0]  # duplicate points: a zero off-diagonal distance
+        if k % 5 == 0:
+            pts.append(tuple(9.0 for _ in range(dim)))  # isolated at every grade
+        D = pairwise_distances(pts)
+        grades = sorted({round(rng.uniform(0.0, 1.2), 2) for _ in range(rng.randint(1, 5))})
+        if k % 3 == 0:
+            grades[0] = -0.5  # below 0: every point and no edge
+        if k % 7 == 0:
+            grades = grades[-1:]  # a single grade
+        cases.append((D, grades))
+    below_all = pairwise_distances([(0.0,), (1.0,), (3.0,)])
+    cases.append((below_all, [0.5]))  # below every distance
+    duplicates = pairwise_distances([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
+    cases.append((duplicates, [-1.0, 0.0, 2.0]))
+    caps = set()
+    for D, grades in cases:
+        for cap in (10**7, rng.randint(1, 60)):
+            got = _snapshot_filtration_outcome(snapshot_filtration, D, grades, cap)
+            assert got == _snapshot_filtration_outcome(_naive_snapshot_filtration, D, grades, cap)
+            caps.add(got[1] is not None)
+    assert caps == {True, False}  # the cap both fires and stays quiet

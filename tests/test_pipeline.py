@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from ripscollapse import pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
 from ripscollapse.errors import ExpansionCapError
 from ripscollapse.io_formats import write_diagram, write_tower
-from ripscollapse.persistence import oracle_pipeline
+from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, oracle_pipeline
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
     compare_pipelines,
@@ -97,8 +98,11 @@ def test_before_stats_are_those_of_the_full_snapshot():
         pts = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 30))]
         D = pairwise_distances(pts)
         grades = [0.1, 0.25, 0.4, 0.6, 2.0]
-        for s in run_pipeline(D, grades).snapshots:
-            assert s.before == rips_snapshot(D, s.grade).stats()
+        # the uncollapsed run stops at 0.4: its later snapshots are slow to
+        # expand or over the cap
+        for collapse, upto in ((True, 5), (False, 3)):
+            for s in run_pipeline(D, grades[:upto], collapse=collapse).snapshots:
+                assert s.before == rips_snapshot(D, s.grade).stats()
 
 
 def test_compare_pipelines_verdicts():
@@ -107,6 +111,35 @@ def test_compare_pipelines_verdicts():
     assert report.equal
     assert [v.dim for v in report.verdicts] == [0, 1]
     assert all(v.bottleneck == 0.0 for v in report.verdicts)
+
+
+def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
+    """Equal dimensions report 0.0 without a matching; it must be the exact
+    bottleneck distance there too, and on unequal dimensions."""
+    rng = random.Random(988)
+    oracle = pipeline.oracle_pipeline
+
+    def perturbed(D, sched, cap):
+        pairs = list(oracle(D, sched, cap).pairs)
+        kind = rng.randrange(4)
+        if kind == 1 and pairs:
+            pairs.pop(rng.randrange(len(pairs)))
+        elif kind == 2:
+            pairs.append((rng.randrange(3), 0.25, 0.25 + rng.choice([0.25, 0.5])))
+        elif kind == 3:
+            pairs.append((1, 0.5, math.inf))
+        return PersistenceDiagram.from_pairs(pairs)
+
+    monkeypatch.setattr(pipeline, "oracle_pipeline", perturbed)
+    seen = set()
+    for _ in range(30):
+        pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(2, 10))]
+        report = compare_pipelines(pairwise_distances(pts), SnapshotSchedule(0.25, 0.25, 1.0))
+        for v in report.verdicts:
+            want = bottleneck_distance(report.collapsed, report.uncollapsed, v.dim)
+            assert v.bottleneck == want
+            seen.add((v.equal, math.isinf(want)))
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_compare_pipelines_random_clouds():

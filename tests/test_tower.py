@@ -182,6 +182,23 @@ def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
         assemble_tower_filtration(cores, retractions, [0.0, 1.0])
 
 
+def test_assemble_rejects_retraction_that_merges_core_vertices():
+    # Sending live core vertex a to core vertex b is a valid retraction, but
+    # assembling it would contract a and then include cells on the dead id a.
+    for seed in range(6):
+        cores, retractions, grades = _flag_core_inputs(seed)
+        j = 1
+        live = set(cores[j - 1].vertex_ids)
+        a = next(q for q in cores[j].vertex_ids if q in live)
+        b = next(q for q in cores[j].vertex_ids if q != a)
+        merged = list(retractions)
+        merged[j] = RetractionMap(
+            {q: b if w == a else w for q, w in retractions[j].target.items()}
+        )
+        with pytest.raises(CollapseConsistencyError, match=f"does not fix core vertex {a}"):
+            assemble_tower_filtration(cores, merged, grades)
+
+
 def test_tower_validate_rejects_bad_ops():
     with pytest.raises(TowerOpError):
         Tower((Include((0,), 1.0), Include((1,), 0.0))).validate()
