@@ -8,8 +8,9 @@ and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower_filtration`` on the ``flag_core`` cores of the torus-tower
 workload's cloud and grades, taken from ``perfbench/workloads.py`` (without
-the run seed's isometry), then ``tower_to_filtration`` on the tower it
-built, and checks that the two filtrations are equal.
+the run seed's isometry).  It then checks, untimed, that the filtration
+equals ``naive_tower_to_filtration`` of the tower, the whole-complex coning
+in ``tests/oracles.py``.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, with its Python-int columns built the way
@@ -36,12 +37,7 @@ from ripscollapse.rips import (
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import (
-    Contract,
-    Filtration,
-    assemble_tower_filtration,
-    tower_to_filtration,
-)
+from ripscollapse.tower import Contract, Filtration, assemble_tower_filtration
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -103,8 +99,10 @@ def _ms(times):
 
 
 def bench_tower():
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    root = Path(__file__).resolve().parents[1]
+    sys.path[:0] = [str(root / "perfbench"), str(root / "tests")]
     import workloads
+    from oracles import naive_tower_to_filtration
 
     w = workloads.get("torus-tower")
     grades = w.grades()
@@ -116,9 +114,8 @@ def bench_tower():
     contracts = sum(isinstance(op, Contract) for op in tower)
     print(f"  assemble_tower_filtration: {_ms(_time(assemble_tower_filtration, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(filtration)} cells)")
-    if tower_to_filtration(tower) != filtration:
-        raise SystemExit("tower_to_filtration disagrees with assemble_tower_filtration")
-    print(f"  tower_to_filtration:       {_ms(_time(tower_to_filtration, tower))}")
+    if naive_tower_to_filtration(tower) != filtration:
+        raise SystemExit("naive_tower_to_filtration disagrees with assemble_tower_filtration")
 
 
 def bench_reduce():

@@ -36,7 +36,6 @@ from .errors import (
     ReductionMemoryError,
     RipsCollapseError,
     SimplexError,
-    TowerOpError,
 )
 from .persistence import (
     BoundaryMatrix,
@@ -75,7 +74,6 @@ from .tower import (
     Include,
     Tower,
     assemble_tower_filtration,
-    tower_to_filtration,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +107,6 @@ __all__ = [
     "SnapshotSchedule",
     "SnapshotStats",
     "Tower",
-    "TowerOpError",
     "as_grades",
     "as_simplex",
     "assemble_tower_filtration",
@@ -133,7 +130,6 @@ __all__ = [
     "simplex_faces",
     "snapshot_filtration",
     "stats_to_csv",
-    "tower_to_filtration",
     "trace_events_from_text",
     "trace_to_text",
     "validate_distance_matrix",

@@ -74,12 +74,6 @@ class RetractionMap:
         """Image of a simplex under the map (duplicate targets merge)."""
         return as_simplex(set(self.target[v] for v in simplex))
 
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v, w in self.target.items() if v == w))
-
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in self.target.items())
-
 
 @dataclass(frozen=True, slots=True)
 class CollapseTrace:

@@ -60,9 +60,5 @@ class FiltrationOrderError(RipsCollapseError, ValueError):
         self.cell_index = cell_index
 
 
-class TowerOpError(RipsCollapseError, ValueError):
-    """A tower operation references vertices in an inconsistent way."""
-
-
 class CollapseConsistencyError(RipsCollapseError, RuntimeError):
     """A retraction map failed to be simplicial; indicates a collapse bug."""

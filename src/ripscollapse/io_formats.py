@@ -1,31 +1,35 @@
-"""Line-oriented text formats for every artifact the pipeline exchanges.
+"""Line-oriented text formats of the files the command line reads and writes.
 
-All formats are UTF-8 text; a line whose first non-blank character is ``#``
-is a comment (the tower header being the one special ``#`` line).  Floats
-are written with ``repr`` so every value round-trips exactly.
+All formats are UTF-8 text.  In the files read, a line whose first
+non-blank character is ``#`` is a comment.  Floats are written with
+``repr``, so a written grade or diagram value is the exact double computed.
+
+Read:
 
 - points: one point per line, whitespace-separated coordinates.
 - distmat: lower-triangular distance matrix; row ``k`` holds the ``k``
   distances to the earlier points, so the first row is empty.  An optional
   leading line holding a single integer declares the point count.
-- complex: one maximal simplex per line, as whitespace-separated vertex ids.
+- complex: one maximal simplex per line, as whitespace-separated vertex ids
+  (also written, for the core).
+
+Written:
+
 - tower: header ``# tower 1``; then ``i <grade> <v0> ... <vk>`` for an
   inclusion and ``c <grade> <u> <v>`` for a contraction, in replay order.
 - diagram: ``<dim> <birth> <death>`` lines, ``inf`` for essential classes.
-- filtration: ``<grade> <v0> ... <vk>`` lines in filtration order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Union
 
 import numpy as np
 
 from .complexes import ComplexMatrix
 from .errors import FormatError
 from .persistence import PersistenceDiagram
-from .tower import Contract, Filtration, Include, Tower
+from .tower import Include, Tower
 
 
 def _fmt(x: float) -> str:
@@ -93,11 +97,6 @@ def parse_points(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-def write_points(points: np.ndarray) -> str:
-    X = np.asarray(points, dtype=np.float64)
-    return "".join(" ".join(_fmt(c) for c in row) + "\n" for row in X)
-
-
 # -- lower-triangular distance matrix ----------------------------------------
 
 
@@ -141,18 +140,6 @@ def parse_distmat(text: str) -> np.ndarray:
     return _distmat_from_rows(rows)
 
 
-def write_distmat(D: np.ndarray) -> str:
-    D = np.asarray(D, dtype=np.float64)
-    n = D.shape[0]
-    if n == 1:
-        # a single point would serialize as one blank line; the explicit
-        # count header keeps the file self-describing
-        return "1\n"
-    return "".join(
-        " ".join(_fmt(D[i, j]) for j in range(i)) + "\n" for i in range(n)
-    )
-
-
 # -- complex ------------------------------------------------------------------
 
 
@@ -176,46 +163,8 @@ def write_complex(matrix: ComplexMatrix) -> str:
 
 # -- tower --------------------------------------------------------------------
 
-_TOWER_HEADER = "# tower 1"
-
-
-def parse_tower(text: str) -> Tower:
-    raw_lines = text.splitlines()
-    header_seen = False
-    ops: list[Union[Include, Contract]] = []
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if not header_seen:
-            if line != _TOWER_HEADER:
-                raise FormatError(f"expected tower header {_TOWER_HEADER!r}", lineno)
-            header_seen = True
-            continue
-        if line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "i":
-            if len(parts) < 3:
-                raise FormatError("inclusion needs a grade and at least one vertex", lineno)
-            grade = _floats(parts[1:2], lineno)[0]
-            ops.append(Include(tuple(sorted(_ints(parts[2:], lineno))), grade))
-        elif kind == "c":
-            if len(parts) != 4:
-                raise FormatError("contraction needs a grade and two vertices", lineno)
-            grade = _floats(parts[1:2], lineno)[0]
-            u, v = _ints(parts[2:], lineno)
-            ops.append(Contract(u, v, grade))
-        else:
-            raise FormatError(f"unknown tower op {kind!r}", lineno)
-    if not header_seen:
-        raise FormatError(f"expected tower header {_TOWER_HEADER!r}")
-    return Tower(tuple(ops))
-
-
 def write_tower(tower: Tower) -> str:
-    lines = [_TOWER_HEADER]
+    lines = ["# tower 1"]
     for op in tower.ops:
         if isinstance(op, Include):
             lines.append("i " + _fmt(op.grade) + " " + " ".join(str(v) for v in op.simplex))
@@ -227,49 +176,7 @@ def write_tower(tower: Tower) -> str:
 # -- persistence diagram --------------------------------------------------------
 
 
-def parse_diagram(text: str) -> PersistenceDiagram:
-    pairs = []
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 3:
-            raise FormatError("diagram lines hold dim, birth, death", lineno)
-        dim = _ints(parts[:1], lineno)[0]
-        birth, death = _floats(parts[1:], lineno)
-        if dim < 0:
-            raise FormatError(f"negative dimension {dim}", lineno)
-        if math.isinf(birth):
-            raise FormatError("birth must be finite", lineno)
-        if death < birth:
-            raise FormatError(f"death {death} precedes birth {birth}", lineno)
-        pairs.append((dim, birth, death))
-    return PersistenceDiagram.from_pairs(pairs)
-
-
 def write_diagram(diagram: PersistenceDiagram) -> str:
     return "".join(
         f"{dim} {_fmt(birth)} {_fmt(death)}\n" for dim, birth, death in diagram.pairs
-    )
-
-
-# -- filtration -------------------------------------------------------------------
-
-
-def parse_filtration(text: str) -> Filtration:
-    cells = []
-    for lineno, line in _data_lines(text):
-        parts = line.split()
-        if len(parts) < 2:
-            raise FormatError("filtration lines hold a grade and vertex ids", lineno)
-        grade = _floats(parts[:1], lineno)[0]
-        verts = _ints(parts[1:], lineno)
-        cells.append((tuple(sorted(verts)), grade))
-    filtration = Filtration(tuple(cells))
-    filtration.validate()
-    return filtration
-
-
-def write_filtration(filtration: Filtration) -> str:
-    return "".join(
-        _fmt(grade) + " " + " ".join(str(v) for v in s) + "\n"
-        for s, grade in filtration.cells
     )

@@ -78,6 +78,8 @@ class SnapshotSchedule:
             raise ValueError("schedule step must be positive")
         if self.end < self.start:
             raise ValueError("schedule end must not precede start")
+        if not math.isfinite((self.end - self.start) / self.step):
+            raise ValueError("schedule has too many grades: (end - start) / step overflows")
 
     def grades(self) -> list[float]:
         last = int(math.floor((self.end - self.start) / self.step + 0.5))

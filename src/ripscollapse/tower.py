@@ -1,4 +1,4 @@
-"""Core towers and their conversion to equivalent filtrations.
+"""Core towers and their equivalent filtrations.
 
 The cores of consecutive snapshots are connected by the composite maps
 "include into the next snapshot, then retract onto its core".  A tower
@@ -9,9 +9,8 @@ coning: every cell of the closed star of ``u`` gains the cone cell with apex
 ``v``, which makes ``u`` dominated by ``v`` from that grade on without ever
 renaming existing cells.
 
-:func:`assemble_tower_filtration` emits that filtration as it builds the
-tower of a sequence of cores; :func:`tower_to_filtration` converts a tower
-built elsewhere.  Both, and :meth:`Tower.validate`, replay the ops on a
+:func:`assemble_tower_filtration` builds the tower of a sequence of cores
+and emits that filtration in the same pass.  It replays the ops on a
 :class:`_Complex`, so an Include costs in proportion to the faces it adds
 and a Contract(u, v) to the star of ``u``, never to the whole complex.
 """
@@ -23,12 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import RetractionMap
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, as_simplex
-from .errors import (
-    CollapseConsistencyError,
-    FiltrationOrderError,
-    TowerOpError,
-)
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex
+from .errors import CollapseConsistencyError
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,34 +62,6 @@ class Tower:
     def __iter__(self) -> Iterator[ElementaryOp]:
         return iter(self.ops)
 
-    def validate(self) -> None:
-        """Replay the ops, checking the elementary-op invariants.
-
-        The replayed complex keeps a per-vertex index of its cells, so an
-        Include costs in proportion to its missing faces and a
-        Contract(u, v) to the star of ``u``.
-        """
-        present = _Complex()
-        prev_grade: float | None = None
-        for i, op in enumerate(self.ops):
-            if prev_grade is not None and op.grade < prev_grade:
-                raise TowerOpError(f"op {i}: grade decreases along the tower")
-            prev_grade = op.grade
-            if isinstance(op, Include):
-                s = as_simplex(op.simplex)
-                if s in present.cells:
-                    raise TowerOpError(f"op {i}: include of already present {s}")
-                present.add(present.missing_faces(s))
-            elif isinstance(op, Contract):
-                u, v = op.source, op.target
-                if u == v:
-                    raise TowerOpError(f"op {i}: contract of a vertex into itself")
-                if (u,) not in present.cells or (v,) not in present.cells:
-                    raise TowerOpError(f"op {i}: contract ({u} -> {v}) of a non-live vertex")
-                present.contract(u, v)
-            else:  # pragma: no cover - type misuse
-                raise TowerOpError(f"op {i}: unknown op {op!r}")
-
 
 @dataclass(frozen=True, slots=True)
 class Filtration:
@@ -107,22 +74,6 @@ class Filtration:
 
     def __iter__(self) -> Iterator[tuple[Simplex, float]]:
         return iter(self.cells)
-
-    def validate(self) -> None:
-        """Check downward closure by prefix and non-decreasing grades."""
-        seen: set[Simplex] = set()
-        prev_grade: float | None = None
-        for i, (s, g) in enumerate(self.cells):
-            if prev_grade is not None and g < prev_grade:
-                raise FiltrationOrderError("grade decreases along the filtration", i)
-            prev_grade = g
-            if s in seen:
-                raise FiltrationOrderError(f"duplicate cell {s}", i)
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if face and face not in seen:
-                    raise FiltrationOrderError(f"cell {s} precedes its face {face}", i)
-            seen.add(s)
 
 
 def _by_dim(s: Simplex) -> tuple[int, Simplex]:
@@ -209,10 +160,14 @@ def assemble_tower_filtration(
     vertex whose image under the snapshot's retraction differs from it is
     contracted into that image (in increasing vertex id).  Then every
     simplex of core j missing from the complex is included, in (dimension,
-    lexicographic) order; for j = 0 that is all of core 0.  The ops are
-    replayed on one complex as they are recorded, and the filtration is each
-    Include's cell and each Contract's new cone cells: the one
-    :func:`tower_to_filtration` makes of the tower.
+    lexicographic) order; for j = 0 that is all of core 0.
+
+    The ops are replayed on one complex as they are recorded, and the
+    filtration is each Include's cell and, for each Contract(u, v), the cells
+    of the cone over the closed star of ``u`` with apex ``v`` that are new to
+    that complex.  No cell is emitted twice: the complex holds only live
+    vertices, and a cell that has left it contains a contracted id, which
+    never returns.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -303,66 +258,3 @@ def assemble_tower_filtration(
         ident = new_ident
 
     return Tower(tuple(ops)), Filtration(tuple(cells))
-
-
-def tower_to_filtration(tower: Tower) -> Filtration:
-    """Convert a tower into a filtration with the same persistence.
-
-    Include ops append their missing faces (vertices rewritten through the
-    current alias map, so deleted ids are tolerated).  Contract(u, v) cones
-    the closed star of ``u`` with apex ``v`` and then aliases ``u`` to ``v``
-    permanently; no cell is ever renamed or removed, so earlier prefixes
-    stay intact.
-
-    The closed star is taken in the complex the tower has reached (the
-    *current* complex), not in the accumulated filtration: the contracted
-    image is carried forward separately, so cone cells from one contraction
-    never feed the star of the next and the filtration stays within a
-    constant factor of the tower itself.  Each op costs in proportion to
-    the faces it adds or to the star of ``u`` (see :meth:`_Complex.contract`).
-
-    A cell is emitted exactly when it is new to the current complex.  That
-    is the same as new to the filtration: the current complex holds only
-    live vertices (Include resolves aliases, Contract renames ``u`` away),
-    and every emitted cell that has left it contains a dead vertex, since
-    a Contract removes only cells of ``star(u)``.  So emitted-but-absent
-    cells can never be emitted again, and no record of emitted cells is
-    needed.
-    """
-    alias: dict[int, int] = {}
-    known: set[int] = set()
-
-    def resolve(x: int) -> int:
-        while x in alias:
-            x = alias[x]
-        return x
-
-    cells: list[tuple[Simplex, float]] = []
-    current = _Complex()
-    prev_grade: float | None = None
-
-    for i, op in enumerate(tower.ops):
-        if prev_grade is not None and op.grade < prev_grade:
-            raise TowerOpError(f"op {i}: grade decreases along the tower")
-        prev_grade = op.grade
-        if isinstance(op, Include):
-            raw = as_simplex(op.simplex)
-            known.update(raw)
-            new = current.missing_faces(tuple(sorted({resolve(x) for x in raw})))
-            current.add(new)
-            cells.extend((s, op.grade) for s in new)
-        elif isinstance(op, Contract):
-            if op.source not in known or op.target not in known:
-                raise TowerOpError(
-                    f"op {i}: contract ({op.source} -> {op.target}) of an unknown vertex"
-                )
-            u = resolve(op.source)
-            v = resolve(op.target)
-            if u == v:
-                continue
-            cells.extend((s, op.grade) for s in current.contract(u, v))
-            alias[u] = v
-        else:  # pragma: no cover - type misuse
-            raise TowerOpError(f"op {i}: unknown op {op!r}")
-
-    return Filtration(tuple(cells))

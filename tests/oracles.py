@@ -6,10 +6,12 @@ by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
 rank, persistence by the textbook set-based column reduction, the
 snapshot filtration by expanding every snapshot and dropping the cells seen
 before, the exact edge-length Rips filtration, bottleneck distance by
-exhaustive matching, and tower assembly, replay and coning by whole-complex
-rewrites.  The tower oracles take the package's op types, ``as_simplex``
-and error types so that their output and their errors compare with the
-package's one for one; the snapshot-filtration oracle expands the
+exhaustive matching, tower assembly, replay and coning by whole-complex
+rewrites, and face-first order by a set of the cells seen so far.  The
+tower oracles take the package's op types and ``as_simplex``, and the
+assembly oracle its error types, so that their output and their errors
+compare with the package's one for one; replay and coning raise the local
+:class:`TowerOpError`.  The snapshot-filtration oracle expands the
 package's ``ComplexMatrix`` snapshots and so raises its cap error.
 """
 
@@ -21,12 +23,13 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, Simplex, as_simplex
-from ripscollapse.errors import (
-    CollapseConsistencyError,
-    ExpansionCapError,
-    TowerOpError,
-)
+from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.tower import Contract, Filtration, Include, Tower
+
+
+class TowerOpError(ValueError):
+    """A tower op references vertices in an inconsistent way."""
+
 
 # -- complexes ---------------------------------------------------------------
 
@@ -229,6 +232,21 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
     return Filtration(tuple(cells))
 
 
+def naive_check_filtration(cells):
+    """Fail unless grades never decrease, no cell repeats and every cell's
+    codimension-1 faces come before it, so that every prefix is downward
+    closed."""
+    seen = set()
+    prev = -math.inf
+    for i, (s, g) in enumerate(cells):
+        assert g >= prev, f"cell {i}: grade {g} after {prev}"
+        assert s not in seen, f"cell {i}: {s} repeats"
+        late = [f for f in combinations(s, len(s) - 1) if f and f not in seen]
+        assert not late, f"cell {i}: {s} precedes its faces {late}"
+        seen.add(s)
+        prev = g
+
+
 def exact_rips_filtration(D, max_dim=None):
     """Edge-length Rips filtration of a full distance matrix (n <= ~12).
 
@@ -354,7 +372,10 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
 
 
 def naive_validate_tower(tower):
-    """``Tower.validate`` by rewriting the whole complex on every Contract."""
+    """Replay the ops, rewriting the whole complex on every Contract, and
+    raise :class:`TowerOpError` at the first op that breaks the tower's
+    invariants: a grade decreases, an Include of a present cell, or a
+    Contract of a vertex into itself or of one that is not live."""
     present: set = set()
     live: set[int] = set()
     prev_grade: float | None = None
@@ -384,8 +405,15 @@ def naive_validate_tower(tower):
 
 
 def naive_tower_to_filtration(tower):
-    """``tower_to_filtration`` by walking every face of every Include and
-    rebuilding the whole complex on every Contract."""
+    """The filtration with the persistence of *tower*, by walking every face
+    of every Include and rebuilding the whole complex on every Contract.
+
+    An Include adds its missing faces, its vertices rewritten through the
+    aliases of earlier Contracts.  Contract(u, v) adds the cone with apex
+    ``v`` over the closed star of ``u`` in the current complex, then
+    aliases ``u`` to ``v``; one whose ends resolve to one vertex does
+    nothing.  A decreasing grade, or a Contract of an id no Include named,
+    raises :class:`TowerOpError`."""
     alias: dict[int, int] = {}
     known: set[int] = set()
 

@@ -282,6 +282,16 @@ def test_non_finite_grade_exit_2(tmp_path, square_file, capsys, bad):
     assert "Traceback" not in err
 
 
+def test_grade_count_overflow_exit_2(square_file, capsys):
+    rc = main(
+        ["pipeline", "--input", square_file, "--start", "0", "--step", "5e-324", "--end", "1e300"]
+    )
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cap_exit_3(tmp_path, capsys):
     line = tmp_path / "line.txt"
     line.write_text("".join(f"{i} 0\n" for i in range(12)))

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     betti_by_rank,
+    naive_check_filtration,
     naive_column_reduction,
     naive_filtration_from_snapshots,
     naive_persistence,
@@ -155,12 +156,15 @@ def test_missing_face_and_duplicate_are_rejected():
 
 
 def test_filtration_validate():
-    good = Filtration((((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)))
-    good.validate()
-    with pytest.raises(FiltrationOrderError):
-        Filtration((((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0))).validate()
-    with pytest.raises(FiltrationOrderError):
-        Filtration((((0,), 1.0), ((1,), 0.0))).validate()
+    naive_check_filtration((((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)))
+    for bad in (
+        (((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)),
+        (((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)),
+        (((0,), 1.0), ((1,), 0.0)),
+        (((0,), 0.0), ((0,), 1.0)),
+    ):
+        with pytest.raises(AssertionError):
+            naive_check_filtration(bad)
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from oracles import naive_check_filtration, naive_tower_to_filtration
 
+import ripscollapse
 from ripscollapse import pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
 from ripscollapse.errors import ExpansionCapError
@@ -17,7 +19,6 @@ from ripscollapse.pipeline import (
     stats_to_csv,
 )
 from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
-from ripscollapse.tower import tower_to_filtration
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -87,8 +88,13 @@ def test_filtration_is_the_conversion_of_the_tower():
     for i in range(12):
         dim = 2 + i % 2
         pts = [[rng.uniform(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, 30))]
-        result = run_pipeline(pairwise_distances(pts), [0.1, 0.25, 0.4, 0.6, 2.0])
-        assert result.filtration == tower_to_filtration(result.tower)
+        D = pairwise_distances(pts)
+        grades = [0.1, 0.25, 0.4, 0.6, 2.0]
+        # the uncollapsed run stops at 0.4, as in the before-stats test below
+        for collapse, upto in ((True, 5), (False, 3)):
+            result = run_pipeline(D, grades[:upto], collapse=collapse)
+            naive_check_filtration(result.filtration.cells)
+            assert result.filtration == naive_tower_to_filtration(result.tower)
 
 
 def test_before_stats_are_those_of_the_full_snapshot():
@@ -176,3 +182,10 @@ def test_cap_propagates_to_expansion():
 def test_workers_validation():
     with pytest.raises(ValueError):
         run_pipeline(pairwise_distances(UNIT_SQUARE), [1.0], workers=0)
+
+
+def test_every_public_name_resolves_once():
+    names = ripscollapse.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(ripscollapse, name), name

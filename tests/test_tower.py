@@ -1,22 +1,20 @@
-"""Tower assembly from cores and the coning conversion to filtrations."""
+"""Tower assembly from cores, and the coning that turns a tower into a filtration."""
 
 import math
 import random
 
 import pytest
 from oracles import (
+    TowerOpError,
     naive_assemble_core_tower,
+    naive_check_filtration,
     naive_tower_to_filtration,
     naive_validate_tower,
 )
 
 from ripscollapse.collapse import RetractionMap, core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
-from ripscollapse.errors import (
-    CollapseConsistencyError,
-    ExpansionCapError,
-    TowerOpError,
-)
+from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.persistence import compute_persistence, oracle_pipeline
 from ripscollapse.rips import (
     flag_core,
@@ -24,14 +22,7 @@ from ripscollapse.rips import (
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import (
-    Contract,
-    Filtration,
-    Include,
-    Tower,
-    assemble_tower_filtration,
-    tower_to_filtration,
-)
+from ripscollapse.tower import Contract, Include, Tower, assemble_tower_filtration
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -39,10 +30,11 @@ TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
 
 def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
-    """The assembled tower, once its filtration is checked against the
-    reference conversion of that tower."""
+    """The assembled tower, once its filtration is checked for face-first
+    order and against the whole-complex coning of that tower."""
     tower, filtration = assemble_tower_filtration(cores, retractions, grades, cap)
-    assert filtration == tower_to_filtration(tower)
+    naive_check_filtration(filtration.cells)
+    assert filtration == naive_tower_to_filtration(tower)
     return tower
 
 
@@ -50,9 +42,9 @@ def _core_inputs(results, grades):
     return [res.matrix for res in results], [res.retraction for res in results], grades
 
 
-def _pipeline_tower(points, grades):
+def _pipeline_inputs(points, grades):
     D = pairwise_distances(points)
-    return _assemble(*_core_inputs([core(rips_snapshot(D, g)) for g in grades], grades))
+    return _core_inputs([core(rips_snapshot(D, g)) for g in grades], grades)
 
 
 def test_single_snapshot_tower_is_expanded_core():
@@ -66,7 +58,7 @@ def test_single_snapshot_tower_is_expanded_core():
         Include((1, 4), 0.0),
         Include((3, 4), 0.0),
     )
-    tower.validate()
+    naive_validate_tower(tower)
 
 
 def test_identical_snapshots_add_no_ops():
@@ -81,7 +73,7 @@ def test_identical_snapshots_add_no_ops():
 
 
 def test_unit_square_tower_ops():
-    tower = _pipeline_tower(UNIT_SQUARE, [0.5, 1.0, 1.5])
+    tower = _assemble(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
     assert tower.ops == (
         Include((0,), 0.5),
         Include((1,), 0.5),
@@ -95,7 +87,7 @@ def test_unit_square_tower_ops():
         Contract(2, 0, 1.5),
         Contract(3, 0, 1.5),
     )
-    tower.validate()
+    naive_validate_tower(tower)
 
 
 def test_contract_into_vertex_absent_from_tower_includes_it_first():
@@ -112,7 +104,7 @@ def test_contract_into_vertex_absent_from_tower_includes_it_first():
         Include((1,), 1.0),
         Contract(0, 1, 1.0),
     )
-    tower.validate()
+    naive_validate_tower(tower)
 
 
 def test_returning_point_id_gets_a_fresh_tower_id():
@@ -135,7 +127,8 @@ def test_returning_point_id_gets_a_fresh_tower_id():
         Contract(1, 0, 1.0),
         Include((2,), 2.0),
     )
-    diagram = compute_persistence(tower_to_filtration(tower))
+    _, filtration = assemble_tower_filtration(cores, retractions, [0.0, 1.0, 2.0])
+    diagram = compute_persistence(filtration)
     assert diagram.pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf), (0, 2.0, math.inf))
 
 
@@ -200,28 +193,27 @@ def test_assemble_rejects_retraction_that_merges_core_vertices():
 
 
 def test_tower_validate_rejects_bad_ops():
-    with pytest.raises(TowerOpError):
-        Tower((Include((0,), 1.0), Include((1,), 0.0))).validate()
-    with pytest.raises(TowerOpError):
-        Tower((Include((0,), 0.0), Include((0,), 0.0))).validate()
-    with pytest.raises(TowerOpError):
-        Tower((Include((0,), 0.0), Contract(0, 0, 1.0))).validate()
-    with pytest.raises(TowerOpError):
-        Tower((Include((0,), 0.0), Contract(1, 0, 1.0))).validate()
-    with pytest.raises(TowerOpError):
-        Tower((Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(0, 1, 2.0))).validate()
+    for ops in (
+        (Include((0,), 1.0), Include((1,), 0.0)),
+        (Include((0,), 0.0), Include((0,), 0.0)),
+        (Include((0,), 0.0), Contract(0, 0, 1.0)),
+        (Include((0,), 0.0), Contract(1, 0, 1.0)),
+        (Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(0, 1, 2.0)),
+    ):
+        with pytest.raises(TowerOpError):
+            naive_validate_tower(Tower(ops))
 
 
 def test_includes_only_tower_converts_verbatim():
     tower = Tower((Include((2, 5), 0.0), Include((7,), 1.5)))
-    f = tower_to_filtration(tower)
+    f = naive_tower_to_filtration(tower)
     assert f.cells == (((2,), 0.0), ((5,), 0.0), ((2, 5), 0.0), ((7,), 1.5))
-    f.validate()
+    naive_check_filtration(f.cells)
 
 
 def test_contract_of_dominated_edge_needs_no_cone_cells():
     tower = Tower((Include((0, 1), 0.0), Contract(0, 1, 1.0)))
-    f = tower_to_filtration(tower)
+    f = naive_tower_to_filtration(tower)
     assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
     diagram = compute_persistence(f, include_zero_pairs=True)
     assert diagram.pairs == ((0, 0.0, 0.0), (0, 0.0, math.inf))
@@ -229,7 +221,7 @@ def test_contract_of_dominated_edge_needs_no_cone_cells():
 
 def test_coning_adds_the_closed_star_with_the_new_apex():
     tower = Tower((Include((0, 1, 2), 0.0), Include((3,), 0.0), Contract(0, 3, 1.0)))
-    f = tower_to_filtration(tower)
+    f = naive_tower_to_filtration(tower)
     added = [(s, g) for s, g in f.cells if g == 1.0]
     assert added == [
         ((0, 3), 1.0),
@@ -240,7 +232,7 @@ def test_coning_adds_the_closed_star_with_the_new_apex():
         ((1, 2, 3), 1.0),
         ((0, 1, 2, 3), 1.0),
     ]
-    f.validate()
+    naive_check_filtration(f.cells)
     diagram = compute_persistence(f)
     assert diagram.pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf))
 
@@ -249,7 +241,7 @@ def test_include_after_contract_is_rewritten_through_the_alias():
     tower = Tower(
         (Include((0, 1), 0.0), Contract(0, 1, 1.0), Include((0, 2), 2.0))
     )
-    f = tower_to_filtration(tower)
+    f = naive_tower_to_filtration(tower)
     assert f.cells == (
         ((0,), 0.0),
         ((1,), 0.0),
@@ -257,29 +249,27 @@ def test_include_after_contract_is_rewritten_through_the_alias():
         ((2,), 2.0),
         ((1, 2), 2.0),
     )
-    f.validate()
+    naive_check_filtration(f.cells)
 
 
 def test_contract_resolving_to_itself_is_a_no_op():
     tower = Tower((Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(1, 0, 2.0)))
-    f = tower_to_filtration(tower)
+    f = naive_tower_to_filtration(tower)
     assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
 
 
 def test_contract_of_unknown_vertex_is_rejected():
     tower = Tower((Include((0, 1), 0.0), Contract(9, 0, 1.0)))
     with pytest.raises(TowerOpError):
-        tower_to_filtration(tower)
+        naive_tower_to_filtration(tower)
     tower = Tower((Include((0, 1), 0.0), Contract(0, 9, 1.0)))
     with pytest.raises(TowerOpError):
-        tower_to_filtration(tower)
+        naive_tower_to_filtration(tower)
 
 
 def test_every_tower_prefix_stays_downward_closed():
-    tower = _pipeline_tower(UNIT_SQUARE, [0.5, 1.0, 1.5])
-    f = tower_to_filtration(tower)
-    for stop in range(1, len(f.cells) + 1):
-        Filtration(f.cells[:stop]).validate()
+    _, f = assemble_tower_filtration(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
+    naive_check_filtration(f.cells)
 
 
 def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
@@ -288,36 +278,10 @@ def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
         n = rng.randint(2, 8)
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(n)]
         grades = [0.3, 0.8, 1.4]
-        tower = _pipeline_tower(pts, grades)
-        tower.validate()
-        D = pairwise_distances(pts)
-        got = compute_persistence(tower_to_filtration(tower))
-        assert got.pairs == oracle_pipeline(D, grades).pairs
-
-
-def _outcome(fn, tower):
-    """(result, None) or (None, message) of one conversion or validation."""
-    try:
-        return fn(tower), None
-    except TowerOpError as e:
-        return None, str(e)
-
-
-def _random_tower(rng):
-    """Ops on ids 0-9: includes of 1-4 vertices (also of dead or present
-    cells), contractions between any two known ids (also dead, equal or
-    aliased ones), repeated grades and the odd decreasing one."""
-    ops, known, grade = [], [], 0.0
-    for _ in range(rng.randint(1, 14)):
-        if known and rng.random() < 0.35:
-            ops.append(Contract(rng.choice(known), rng.choice(known), grade))
-        else:
-            s = tuple(sorted(rng.sample(range(10), rng.randint(1, 4))))
-            known.extend(x for x in s if x not in known)
-            ops.append(Include(s, grade))
-        r = rng.random()
-        grade += 0.0 if r < 0.4 else (-0.5 if r < 0.42 else 0.5)
-    return Tower(tuple(ops))
+        inputs = _pipeline_inputs(pts, grades)
+        naive_validate_tower(_assemble(*inputs))
+        got = compute_persistence(assemble_tower_filtration(*inputs)[1])
+        assert got.pairs == oracle_pipeline(pairwise_distances(pts), grades).pairs
 
 
 def _flag_core_inputs(seed):
@@ -329,24 +293,6 @@ def _flag_core_inputs(seed):
     D = pairwise_distances(pts)
     grades = [0.1, 0.25, 0.4, 0.55]
     return _core_inputs([flag_core(neighborhood_bitsets(D, g)) for g in grades], grades)
-
-
-def test_incremental_tower_code_matches_whole_complex_oracles():
-    rng = random.Random(77)
-    towers = [_random_tower(rng) for _ in range(2000)]
-    towers.extend(_assemble(*_flag_core_inputs(seed)) for seed in range(24))
-    raised = coned = 0
-    for tower in towers:
-        got = _outcome(tower_to_filtration, tower)
-        assert got == _outcome(naive_tower_to_filtration, tower), tower
-        assert _outcome(Tower.validate, tower) == _outcome(naive_validate_tower, tower), tower
-        if got[1] is not None:
-            raised += 1
-        elif len(got[0]) > sum(isinstance(op, Include) for op in tower):
-            coned += 1
-    # both the error and the coning paths are reached
-    assert 0 < raised < len(towers) // 2
-    assert coned > len(towers) // 4
 
 
 def _mutated(rng, cores, retractions, grades):
