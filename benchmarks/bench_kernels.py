@@ -1,7 +1,8 @@
 """Benchmark the GF(2) reduction kernel and the stages that need no kernel:
 the two strong collapses and the tower.
 
-Run: python3 benchmarks/bench_kernels.py
+Run: python3 benchmarks/bench_kernels.py (from a checkout; it puts ``src``
+on ``sys.path``).
 
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
@@ -26,18 +27,21 @@ from pathlib import Path
 
 import numpy as np
 
-from ripscollapse._kernels import reduce_block
-from ripscollapse.collapse import core
-from ripscollapse.persistence import BoundaryMatrix
-from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import (
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from ripscollapse._kernels import reduce_block  # noqa: E402
+from ripscollapse.collapse import core  # noqa: E402
+from ripscollapse.persistence import BoundaryMatrix  # noqa: E402
+from ripscollapse.pipeline import run_pipeline  # noqa: E402
+from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
     neighborhood_bitsets,
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import Contract, Filtration, assemble_tower_filtration
+from ripscollapse.tower import Contract, Filtration, assemble_tower_filtration  # noqa: E402
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -67,17 +71,13 @@ def _circle_cloud(n, seed):
 def _dim1_block(cells):
     """The dimension-1 boundary columns as ints, bit r = the r-th vertex."""
     matrix = BoundaryMatrix.from_filtration(Filtration(cells))
-    pos = {}
     columns = []
-    for i, (s, _) in enumerate(matrix.cells):
-        if len(s) == 1:
-            pos[i] = len(pos)
-        elif len(s) == 2:
-            c = 0
-            for f in matrix.columns[i]:
-                c |= 1 << pos[f]
-            columns.append(c)
-    return columns, len(pos)
+    for i in matrix.by_dim[1]:
+        c = 0
+        for f in matrix.columns[i]:
+            c |= 1 << f
+        columns.append(c)
+    return columns, len(matrix.by_dim[0])
 
 
 def bench_collapse():
@@ -99,8 +99,7 @@ def _ms(times):
 
 
 def bench_tower():
-    root = Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(root / "perfbench"), str(root / "tests")]
+    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
     import workloads
     from oracles import naive_tower_to_filtration
 

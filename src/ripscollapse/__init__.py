@@ -16,7 +16,6 @@ from .collapse import (
     find_dominating_row,
     nerve_step,
     replay_trace,
-    trace_events_from_text,
     trace_to_text,
 )
 from .complexes import (
@@ -130,7 +129,6 @@ __all__ = [
     "simplex_faces",
     "snapshot_filtration",
     "stats_to_csv",
-    "trace_events_from_text",
     "trace_to_text",
     "validate_distance_matrix",
 ]

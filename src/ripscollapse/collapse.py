@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .complexes import ComplexMatrix, Simplex, as_simplex
-from .errors import CollapseConsistencyError, FormatError
+from .errors import CollapseConsistencyError
 
 RowEvent = tuple[str, int, int]  # ("row" | "col", removed id, dominating id)
 
@@ -317,20 +317,3 @@ def trace_to_text(trace: CollapseTrace) -> str:
     """Dump trace events, one ``r <removed> <by>`` / ``c <removed> <by>`` line each."""
     return "".join(f"{kind[0]} {removed} {by}\n" for kind, removed, by in trace.events)
 
-
-def trace_events_from_text(text: str) -> tuple[RowEvent, ...]:
-    """Parse the output of :func:`trace_to_text` back into event tuples."""
-    events: list[RowEvent] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("r", "c"):
-            raise FormatError(f"bad trace line {line!r}", lineno)
-        try:
-            removed, by = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"bad trace ids in {line!r}", lineno) from None
-        events.append(("row" if parts[0] == "r" else "col", removed, by))
-    return tuple(events)

@@ -53,7 +53,7 @@ class FormatError(RipsCollapseError, ValueError):
 
 
 class FiltrationOrderError(RipsCollapseError, ValueError):
-    """A filtration cell appears before one of its faces."""
+    """A filtration cell repeats, precedes one of its faces, or lowers the grade."""
 
     def __init__(self, message: str, cell_index: int) -> None:
         super().__init__(f"{message} (cell index {cell_index})")

@@ -8,8 +8,10 @@ Read:
 
 - points: one point per line, whitespace-separated coordinates.
 - distmat: lower-triangular distance matrix; row ``k`` holds the ``k``
-  distances to the earlier points, so the first row is empty.  An optional
-  leading line holding a single integer declares the point count.
+  distances to the earlier points, so the first row is empty and may be
+  omitted.  An optional leading line holding a single integer declares the
+  point count when the rows after it hold 0, 1, ... (or 1, 2, ...) values
+  up to one fewer than that count; otherwise it is row 1.
 - complex: one maximal simplex per line, as whitespace-separated vertex ids
   (also written, for the core).
 
@@ -125,15 +127,14 @@ def parse_distmat(text: str) -> np.ndarray:
     first_lineno, first = rows[0]
     token = lines[0][1].split()
     if len(token) == 1 and token[0].isdigit():
-        n = int(token[0])
+        # a point count only if the rows after it have the lengths it
+        # implies; otherwise the line is row 1 holding one integer distance
         body = rows[1:]
-        if len(body) == n:
-            return _distmat_from_rows(body)
-        if len(body) == n - 1:
-            return _distmat_from_rows([(first_lineno, [])] + body)
-        raise FormatError(
-            f"header declares {n} points but {len(body)} rows follow", first_lineno
-        )
+        omitted = int(token[0]) - len(body)  # 1 when row 0 is left out
+        if omitted in (0, 1) and all(
+            len(values) == i + omitted for i, (_, values) in enumerate(body)
+        ):
+            return _distmat_from_rows([(first_lineno, [])] * omitted + body)
     if first:
         # no header and a non-empty first row: the zero-length row 0 was omitted
         rows = [(first_lineno, [])] + rows

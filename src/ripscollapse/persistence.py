@@ -1,12 +1,13 @@
 """Persistence diagrams via GF(2) boundary-matrix reduction.
 
-Cells are ordered by (grade, dimension, lexicographic vertex order); each
-boundary column is a Python-int bitset over the faces of the dimension
-below, and the columns are reduced left to right, one dimension block at a
-time (columns of different dimensions never interact).  Dimensions are
-reduced top-down with clearing (Chen & Kerber's twist): a cell already
-paired as the creator of a higher-dimensional class has a column that
-reduces to zero, so that column is never built.
+Cells are reduced in the order the filtration gives them, which must put
+faces first and never lower the grade; each boundary column is a Python-int
+bitset over the faces of the dimension below, and the columns are reduced
+left to right, one dimension block at a time (columns of different
+dimensions never interact).  Dimensions are reduced top-down with clearing
+(Chen & Kerber's twist): a cell already paired as the creator of a
+higher-dimensional class has a column that reduces to zero, so that column
+is never built.
 
 This module also hosts the validation tooling mandated around the diagrams:
 Betti numbers of a single complex, the uncollapsed snapshot-filtration
@@ -77,62 +78,67 @@ class PersistenceDiagram:
 
 @dataclass(frozen=True, slots=True)
 class BoundaryMatrix:
-    """Cells in reduction order plus, per cell, its face indices (unsorted)."""
+    """A filtration's cells, in its own order, indexed for the reduction.
+
+    ``by_dim[d]`` lists the indices into ``cells`` of the dimension-``d``
+    cells in order, and ``columns[i]`` holds the faces of cell ``i`` as
+    positions in ``by_dim[d - 1]``, unsorted (empty for a vertex).
+    """
 
     cells: tuple[tuple[Simplex, float], ...]
+    by_dim: tuple[tuple[int, ...], ...]
     columns: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_filtration(cls, filtration: Filtration) -> "BoundaryMatrix":
-        order = sorted(
-            range(len(filtration.cells)),
-            key=lambda i: (
-                filtration.cells[i][1],
-                len(filtration.cells[i][0]),
-                filtration.cells[i][0],
-            ),
-        )
-        cells = tuple(filtration.cells[i] for i in order)
-        index: dict[Simplex, int] = {}
+        """Index *filtration* in one pass that also checks its order.
+
+        Raises :class:`FiltrationOrderError` at the first cell that repeats
+        an earlier one, lacks a face among the cells before it, or has a
+        grade below its predecessor's.
+        """
+        cells = filtration.cells
+        pos: dict[Simplex, int] = {}
+        by_dim: list[list[int]] = []
         columns: list[tuple[int, ...]] = []
-        for i, (s, _) in enumerate(cells):
-            if s in index:
+        last = -math.inf
+        for i, (s, grade) in enumerate(cells):
+            if grade < last:
+                raise FiltrationOrderError(
+                    f"cell {s} has grade {grade} below its predecessor's {last}", i
+                )
+            last = grade
+            if s in pos:
                 raise FiltrationOrderError(f"duplicate cell {s}", i)
             faces = []
-            for j in range(len(s)):
-                face = s[:j] + s[j + 1 :]
-                if not face:
-                    continue
-                if face not in index:
-                    raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
-                faces.append(index[face])
-            index[s] = i
+            if len(s) > 1:
+                for j in range(len(s)):
+                    face = s[:j] + s[j + 1 :]
+                    f = pos.get(face)
+                    if f is None:
+                        raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
+                    faces.append(f)
+            d = len(s) - 1
+            if d == len(by_dim):
+                by_dim.append([])
+            cells_d = by_dim[d]
+            pos[s] = len(cells_d)
+            cells_d.append(i)
             columns.append(tuple(faces))
-        return cls(cells, tuple(columns))
+        return cls(cells, tuple(map(tuple, by_dim)), tuple(columns))
 
 
 def _reduce(matrix: BoundaryMatrix):
-    """Run the bitset reduction; return (pairs, essential) as global indices."""
-    cells = matrix.cells
-    n = len(cells)
-    max_dim = max((len(s) - 1 for s, _ in cells), default=-1)
-
-    # by_dim[d] lists the dim-d cells in order; pos[i] is cell i's place there
-    by_dim: list[list[int]] = [[] for _ in range(max_dim + 1)]
-    pos = [0] * n
-    for i, (s, _) in enumerate(cells):
-        cells_d = by_dim[len(s) - 1]
-        pos[i] = len(cells_d)
-        cells_d.append(i)
-
-    killed = [False] * n
-    is_destroyer = [False] * n
+    """Run the bitset reduction; return (pairs, essential) as cell indices."""
+    by_dim = matrix.by_dim
+    paired = [False] * len(matrix.cells)
     pairs: list[tuple[int, int]] = []
 
-    for p in range(max_dim, 0, -1):
+    for p in range(len(by_dim) - 1, 0, -1):
         # clearing: a cell that creates a class killed in dimension p + 1
-        # has a column that reduces to zero, so it is never built
-        cols_g = [g for g in by_dim[p] if not killed[g]]
+        # has a column that reduces to zero, so it is never built; no dim-p
+        # cell is paired as a destroyer before this block is built
+        cols_g = [g for g in by_dim[p] if not paired[g]]
         if not cols_g:
             continue
         rows_g = by_dim[p - 1]
@@ -143,7 +149,7 @@ def _reduce(matrix: BoundaryMatrix):
         for g in cols_g:
             c = 0
             for f in matrix.columns[g]:
-                c |= 1 << pos[f]
+                c |= 1 << f
             block.append(c)
         lows = reduce_block(block)
         del block  # free this block before the next one is built
@@ -152,10 +158,10 @@ def _reduce(matrix: BoundaryMatrix):
             if low >= 0:
                 creator = rows_g[low]
                 pairs.append((creator, g))
-                killed[creator] = True
-                is_destroyer[g] = True
+                paired[creator] = True
+                paired[g] = True
 
-    essential = [i for i in range(n) if not killed[i] and not is_destroyer[i]]
+    essential = [i for i, done in enumerate(paired) if not done]
     return pairs, essential
 
 
@@ -165,6 +171,11 @@ def compute_persistence(
     include_zero_pairs: bool = False,
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
+
+    The cells are reduced in the filtration's own order, which must list
+    every face before its cofaces and never lower the grade; a cell that
+    breaks this raises :class:`FiltrationOrderError`.  Within one grade the
+    order does not change the diagram.
 
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an

@@ -93,7 +93,6 @@ def run_pipeline(
     workers: int = 1,
     collapse: bool = True,
     cap: int = DEFAULT_EXPANSION_CAP,
-    include_zero_pairs: bool = False,
 ) -> PipelineResult:
     """Run the snapshot pipeline on a distance matrix.
 
@@ -140,7 +139,7 @@ def run_pipeline(
         assembly = perf_counter() - t0
 
     t0 = perf_counter()
-    diagram = compute_persistence(filtration, include_zero_pairs=include_zero_pairs)
+    diagram = compute_persistence(filtration)
     reduction = perf_counter() - t0
     return PipelineResult(
         diagram,

@@ -65,7 +65,8 @@ class Tower:
 
 @dataclass(frozen=True, slots=True)
 class Filtration:
-    """Cells with grades, ordered so every face precedes its cofaces."""
+    """Cells with grades, ordered so every face precedes its cofaces and
+    grades never decrease."""
 
     cells: tuple[tuple[Simplex, float], ...]
 

@@ -67,6 +67,24 @@ def test_parse_distmat_single_point():
     assert np.array_equal(parse_distmat("1\n"), np.zeros((1, 1)))
 
 
+@pytest.mark.parametrize(
+    "text, lower",
+    [
+        ("1\n2 3\n", [1, 2, 3]),
+        ("2\n", [2]),
+        ("4\n5 6\n7 8 9\n", [4, 5, 6, 7, 8, 9]),
+    ],
+    ids=["three-points", "two-points", "four-points"],
+)
+def test_parse_distmat_integer_first_row_is_not_a_header(text, lower):
+    # a lone integer first line is a point count only when the rows after it
+    # have the lengths that count implies; otherwise it is row 1
+    got = parse_distmat(text)
+    n = got.shape[0]
+    assert [got[i, j] for i in range(n) for j in range(i)] == lower
+    assert np.array_equal(got, got.T)
+
+
 def test_parse_distmat_errors():
     with pytest.raises(FormatError):
         parse_distmat("")

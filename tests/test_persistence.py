@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,7 @@ from ripscollapse.persistence import (
     oracle_pipeline,
     snapshot_filtration,
 )
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import pairwise_distances, rips_snapshot
 from ripscollapse.tower import Filtration
 
@@ -120,7 +122,14 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
         grades = sorted({round(rng.uniform(0.1, 1.0), 2) for _ in range(rng.randint(1, 4))})
         filtration = snapshot_filtration(pairwise_distances(pts), grades)
         matrix = BoundaryMatrix.from_filtration(filtration)
-        reduced = naive_column_reduction([set(faces) for faces in matrix.columns])
+        # columns hold positions in the dimension below; the naive reduction
+        # wants cell indices
+        reduced = naive_column_reduction(
+            [
+                {matrix.by_dim[len(s) - 2][f] for f in faces}
+                for (s, _), faces in zip(matrix.cells, matrix.columns)
+            ]
+        )
         killed = {max(col) for col in reduced if col}
         dims = [len(s) - 1 for s, _ in matrix.cells]
         want = []
@@ -136,15 +145,43 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
     assert cleared > 0
 
 
+def _face_first_shuffle(rng, cells):
+    """The cells reordered at random within each grade, faces still first.
+
+    Each cell's key is the largest of a fresh random number and its faces'
+    keys, so sorting by (grade, key, dimension) keeps every face ahead of
+    its cofaces while cells of different dimensions interleave.
+    """
+    key = {}
+    for s, _ in cells:
+        faces = combinations(s, len(s) - 1) if len(s) > 1 else ()
+        key[s] = max([rng.random()] + [key[f] for f in faces])
+    return tuple(sorted(cells, key=lambda c: (c[1], key[c[0]], len(c[0]))))
+
+
 def test_cell_order_within_equal_grades_does_not_matter():
-    D = pairwise_distances(UNIT_SQUARE)
-    filtration = snapshot_filtration(D, [0.5, 1.0, 1.5])
-    reference = compute_persistence(filtration)
+    filtrations = [snapshot_filtration(pairwise_distances(UNIT_SQUARE), [0.5, 1.0, 1.5])]
     rng = random.Random(7)
-    for _ in range(5):
-        shuffled = list(filtration.cells)
-        rng.shuffle(shuffled)
-        assert compute_persistence(Filtration(tuple(shuffled))).pairs == reference.pairs
+    for _ in range(10):
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 12))]
+        grades = sorted({round(rng.uniform(0.1, 0.8), 2) for _ in range(rng.randint(1, 5))})
+        filtrations.append(run_pipeline(pairwise_distances(pts), grades).filtration)
+    interleaved = 0
+    for filtration in filtrations:
+        reference = compute_persistence(filtration, include_zero_pairs=True)
+        for _ in range(5):
+            # shuffle each (grade, dimension) bucket
+            bucketed = sorted(filtration.cells, key=lambda c: (c[1], len(c[0]), rng.random()))
+            # any face-first order within each grade
+            mixed = _face_first_shuffle(rng, filtration.cells)
+            interleaved += any(
+                a[1] == b[1] and len(a[0]) > len(b[0]) for a, b in zip(mixed, mixed[1:])
+            )
+            for cells in (bucketed, mixed):
+                naive_check_filtration(cells)
+                got = compute_persistence(Filtration(tuple(cells)), include_zero_pairs=True)
+                assert got.pairs == reference.pairs
+    assert interleaved > 0
 
 
 def test_missing_face_and_duplicate_are_rejected():
@@ -156,15 +193,20 @@ def test_missing_face_and_duplicate_are_rejected():
 
 
 def test_filtration_validate():
-    naive_check_filtration((((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)))
-    for bad in (
-        (((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)),
-        (((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)),
-        (((0,), 1.0), ((1,), 0.0)),
-        (((0,), 0.0), ((0,), 1.0)),
+    good = (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
+    naive_check_filtration(good)
+    compute_persistence(Filtration(good))
+    for bad, cell_index in (
+        ((((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)), 0),
+        ((((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)), 2),
+        ((((0,), 1.0), ((1,), 0.0)), 1),
+        ((((0,), 0.0), ((0,), 1.0)), 1),
     ):
         with pytest.raises(AssertionError):
             naive_check_filtration(bad)
+        with pytest.raises(FiltrationOrderError) as exc:
+            compute_persistence(Filtration(bad))
+        assert exc.value.cell_index == cell_index
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

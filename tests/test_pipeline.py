@@ -11,7 +11,12 @@ from ripscollapse import pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
 from ripscollapse.errors import ExpansionCapError
 from ripscollapse.io_formats import write_diagram, write_tower
-from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, oracle_pipeline
+from ripscollapse.persistence import (
+    PersistenceDiagram,
+    bottleneck_distance,
+    compute_persistence,
+    oracle_pipeline,
+)
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
     compare_pipelines,
@@ -159,14 +164,14 @@ def test_compare_pipelines_random_clouds():
 def test_zero_pair_flag_passes_through():
     D = pairwise_distances([(0.0, 0.0), (1.0, 0.0)])
     assert run_pipeline(D, [1.0]).diagram.pairs == ((0, 1.0, math.inf),)
-    flat = run_pipeline(D, [1.0], collapse=False, include_zero_pairs=True)
-    assert flat.diagram.pairs == ((0, 1.0, 1.0), (0, 1.0, math.inf))
+    flat = run_pipeline(D, [1.0], collapse=False)
+    flat_pairs = compute_persistence(flat.filtration, include_zero_pairs=True).pairs
+    assert flat_pairs == ((0, 1.0, 1.0), (0, 1.0, math.inf))
     # the coning cells of the collapsed square all land on the diagonal
-    square_d = pairwise_distances(UNIT_SQUARE)
-    plain = run_pipeline(square_d, SQUARE_SCHED)
-    full = run_pipeline(square_d, SQUARE_SCHED, include_zero_pairs=True)
-    assert any(b == d for _, b, d in full.diagram.pairs)
-    assert tuple(p for p in full.diagram.pairs if p[1] < p[2]) == plain.diagram.pairs
+    plain = run_pipeline(pairwise_distances(UNIT_SQUARE), SQUARE_SCHED)
+    full = compute_persistence(plain.filtration, include_zero_pairs=True)
+    assert any(b == d for _, b, d in full.pairs)
+    assert tuple(p for p in full.pairs if p[1] < p[2]) == plain.diagram.pairs
 
 
 def test_cap_propagates_to_expansion():
