@@ -12,10 +12,6 @@ from .collapse import (
     CoreResult,
     RetractionMap,
     core,
-    find_dominating_column,
-    find_dominating_row,
-    nerve_step,
-    replay_trace,
     trace_to_text,
 )
 from .complexes import (
@@ -24,7 +20,6 @@ from .complexes import (
     ComplexStats,
     Simplex,
     as_simplex,
-    simplex_faces,
 )
 from .errors import (
     CollapseConsistencyError,
@@ -39,7 +34,6 @@ from .errors import (
 from .persistence import (
     BoundaryMatrix,
     PersistenceDiagram,
-    betti_numbers,
     bottleneck_distance,
     compute_persistence,
     oracle_pipeline,
@@ -109,24 +103,18 @@ __all__ = [
     "as_grades",
     "as_simplex",
     "assemble_tower_filtration",
-    "betti_numbers",
     "bottleneck_distance",
     "compare_pipelines",
     "compute_persistence",
     "core",
     "count_rips_simplices",
-    "find_dominating_column",
-    "find_dominating_row",
     "flag_core",
     "maximal_cliques",
-    "nerve_step",
     "neighborhood_bitsets",
     "oracle_pipeline",
     "pairwise_distances",
-    "replay_trace",
     "rips_snapshot",
     "run_pipeline",
-    "simplex_faces",
     "snapshot_filtration",
     "stats_to_csv",
     "trace_to_text",

@@ -51,13 +51,21 @@ class RetractionMap:
         cls, vertices: Iterable[int], dominator: dict[int, int]
     ) -> "RetractionMap":
         """Compose removal steps: each removed vertex follows its chain of
-        dominators (``removed -> by``) to the vertex that survived."""
+        dominators (``removed -> by``) to the vertex that survived.
+
+        Raises :class:`CollapseConsistencyError` when a chain is longer
+        than *dominator*, which only a cycle allows.
+        """
         target: dict[int, int] = {}
         for v in vertices:
             u = v
             chain = []
             while u in dominator:
                 chain.append(u)
+                if len(chain) > len(dominator):
+                    raise CollapseConsistencyError(
+                        f"the dominator chain of vertex {v} is a cycle"
+                    )
                 u = dominator[u]
                 if u in target:
                     u = target[u]
@@ -91,19 +99,6 @@ class CollapseTrace:
     col_phases: int = 0
     row_candidate_tests: int = 0
     col_candidate_tests: int = 0
-
-    @property
-    def rounds(self) -> int:
-        """Phases run in total, of either kind."""
-        return self.row_phases + self.col_phases
-
-    @property
-    def removed_rows(self) -> tuple[int, ...]:
-        return tuple(e[1] for e in self.events if e[0] == "row")
-
-    @property
-    def removed_cols(self) -> tuple[int, ...]:
-        return tuple(e[1] for e in self.events if e[0] == "col")
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,116 +196,6 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         col_candidate_tests=counters[3],
     )
     return CoreResult(core_matrix, RetractionMap.from_dominators(vids, dominator), trace)
-
-
-def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:
-    """Smallest vertex dominating *v* in *matrix*, or ``None``.
-
-    A vertex ``w`` dominates ``v`` when ``row(v)`` is contained in
-    ``row(w)``; when the two rows are equal, only the smaller id counts as
-    the dominator, so exactly one of an equal pair is removable.
-    """
-    row_v = matrix.row(v)
-    set_v = set(row_v)
-    n_v = len(row_v)
-    for w in matrix.column(row_v[0]):
-        if w == v:
-            continue
-        row_w = matrix.row(w)
-        if len(row_w) < n_v:
-            continue
-        if len(row_w) == n_v and w > v:
-            continue
-        if set_v.issubset(row_w):
-            return w
-    return None
-
-
-def find_dominating_column(matrix: ComplexMatrix, c: int) -> int | None:
-    """Smallest column containing column *c*'s vertex set, or ``None``.
-
-    Mirrors :func:`find_dominating_row` on the transpose: equal columns keep
-    the smaller id.
-    """
-    col_c = matrix.column(c)
-    set_c = set(col_c)
-    n_c = len(col_c)
-    for d in matrix.row(col_c[0]):
-        if d == c:
-            continue
-        col_d = matrix.column(d)
-        if len(col_d) < n_c:
-            continue
-        if len(col_d) == n_c and d > c:
-            continue
-        if set_c.issubset(col_d):
-            return d
-    return None
-
-
-def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
-    """One nerve: drop non-maximal rows, then transpose.
-
-    The new matrix has the old column ids as vertices and the kept old
-    vertex ids as columns (each column listing the maximal simplices that
-    vertex belonged to).  Equal rows keep the smallest id.  Applying this
-    twice yields the full subcomplex of the input spanned by the vertices
-    that survive the first step; on a core it returns the input itself.
-    """
-    rows = {v: matrix.row(v) for v in matrix.vertex_ids}
-    row_sets = {v: set(r) for v, r in rows.items()}
-    kept = [
-        v
-        for v in rows
-        if not any(
-            w != v
-            and row_sets[v] <= row_sets[w]
-            and (len(rows[w]) > len(rows[v]) or w < v)
-            for w in matrix.column(rows[v][0])
-        )
-    ]
-    return ComplexMatrix.from_columns({v: rows[v] for v in kept})
-
-
-def replay_trace(
-    matrix: ComplexMatrix, events: Iterable[RowEvent], check: bool = False
-) -> ComplexMatrix:
-    """Apply recorded removal events to *matrix* and return the result.
-
-    With ``check=True`` every event is verified: the removed and dominating
-    objects must be alive and the domination containment must hold at that
-    moment; violations raise :class:`CollapseConsistencyError`.
-    """
-    cols = {cid: set(s) for cid, s in matrix.columns_sorted()}
-    rows = {v: set(matrix.row(v)) for v in matrix.vertex_ids}
-    for kind, removed, by in events:
-        if kind == "row":
-            if removed not in rows or by not in rows:
-                raise CollapseConsistencyError(
-                    f"row event ({removed} -> {by}) references a dead vertex"
-                )
-            if check and not rows[removed] <= rows[by]:
-                raise CollapseConsistencyError(
-                    f"vertex {removed} is not dominated by {by} at its event"
-                )
-            for c in rows.pop(removed):
-                cols[c].discard(removed)
-        elif kind == "col":
-            if removed not in cols or by not in cols:
-                raise CollapseConsistencyError(
-                    f"column event ({removed} -> {by}) references a dead column"
-                )
-            if check and not cols[removed] <= cols[by]:
-                raise CollapseConsistencyError(
-                    f"column {removed} is not contained in {by} at its event"
-                )
-            for v in cols.pop(removed):
-                rows[v].discard(removed)
-        else:
-            raise CollapseConsistencyError(f"unknown event kind {kind!r}")
-    return ComplexMatrix.from_columns(
-        {cid: tuple(sorted(vs)) for cid, vs in cols.items()}
-    )
 
 
 def trace_to_text(trace: CollapseTrace) -> str:

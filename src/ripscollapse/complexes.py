@@ -10,8 +10,7 @@ count, which is what makes strong collapse cheap on clique-like complexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EmptyComplexError, ExpansionCapError, SimplexError
 
@@ -43,14 +42,6 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
         if a == b:
             raise SimplexError(f"duplicate vertex {a} in simplex")
     return verts
-
-
-def simplex_faces(s: Simplex) -> Iterator[Simplex]:
-    """Yield the codimension-1 faces of *s* (empty for vertices)."""
-    if len(s) == 1:
-        return
-    for i in range(len(s)):
-        yield s[:i] + s[i + 1 :]
 
 
 def check_expansion_cap(
@@ -85,8 +76,7 @@ class ComplexMatrix:
     Instances built through :meth:`from_simplex_list` are canonical (no
     column contains another, no duplicates).  :meth:`from_columns` trusts the
     caller: it builds Rips snapshots, whose cliques are maximal by
-    construction, and intermediate states of the collapse machinery, where
-    columns may temporarily be nested.
+    construction, and collapse cores, whose surviving columns are maximal.
     """
 
     __slots__ = ("_cols", "_rows")
@@ -136,9 +126,8 @@ class ComplexMatrix:
     def from_columns(cls, cols: Mapping[int, Iterable[int]]) -> "ComplexMatrix":
         """Build a complex with explicit column ids, trusting maximality.
 
-        Vertex tuples are still validated and sorted.  Intended for columns
-        known to be maximal, and for intermediate states (e.g. nerve
-        transposes) where columns may be nested in each other on purpose.
+        Vertex tuples are still validated and sorted, but a column nested
+        in another is kept as given: maximality is the caller's to ensure.
         """
         if not cols:
             raise EmptyComplexError()
@@ -211,13 +200,3 @@ class ComplexMatrix:
     def check_expansion_cap(self, cap: int = DEFAULT_EXPANSION_CAP) -> None:
         """:func:`check_expansion_cap` on the columns."""
         check_expansion_cap(self._cols.values(), cap)
-
-    def expand_all_simplices(self, cap: int = DEFAULT_EXPANSION_CAP) -> list[Simplex]:
-        """All faces of all maximal simplices, sorted by (dimension, lex),
-        once :meth:`check_expansion_cap` accepts *cap*."""
-        self.check_expansion_cap(cap)
-        cells: set[Simplex] = set()
-        for s in self._cols.values():
-            for k in range(1, len(s) + 1):
-                cells.update(combinations(s, k))
-        return sorted(cells, key=lambda c: (len(c), c))

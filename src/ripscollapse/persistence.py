@@ -10,8 +10,7 @@ higher-dimensional class has a column that reduces to zero, so that column
 is never built.
 
 This module also hosts the validation tooling mandated around the diagrams:
-Betti numbers of a single complex, the uncollapsed snapshot-filtration
-oracle, and exact bottleneck distance.
+the uncollapsed snapshot-filtration oracle and exact bottleneck distance.
 """
 
 from __future__ import annotations
@@ -23,12 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._kernels import reduce_block
-from .complexes import (
-    DEFAULT_EXPANSION_CAP,
-    ComplexMatrix,
-    Simplex,
-    check_expansion_cap,
-)
+from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
 from .errors import FiltrationOrderError, ReductionMemoryError
 from .rips import (
     SnapshotSchedule,
@@ -93,9 +87,9 @@ class BoundaryMatrix:
     def from_filtration(cls, filtration: Filtration) -> "BoundaryMatrix":
         """Index *filtration* in one pass that also checks its order.
 
-        Raises :class:`FiltrationOrderError` at the first cell that repeats
-        an earlier one, lacks a face among the cells before it, or has a
-        grade below its predecessor's.
+        Raises :class:`FiltrationOrderError` at the first cell that is
+        empty, repeats an earlier one, lacks a face among the cells before
+        it, or has a grade that is NaN or below its predecessor's.
         """
         cells = filtration.cells
         pos: dict[Simplex, int] = {}
@@ -103,9 +97,10 @@ class BoundaryMatrix:
         columns: list[tuple[int, ...]] = []
         last = -math.inf
         for i, (s, grade) in enumerate(cells):
-            if grade < last:
+            # written so that a NaN grade fails it too
+            if not grade >= last:
                 raise FiltrationOrderError(
-                    f"cell {s} has grade {grade} below its predecessor's {last}", i
+                    f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
                 )
             last = grade
             if s in pos:
@@ -118,6 +113,8 @@ class BoundaryMatrix:
                     if f is None:
                         raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
                     faces.append(f)
+            elif not s:
+                raise FiltrationOrderError("the empty simplex is not a cell", i)
             d = len(s) - 1
             if d == len(by_dim):
                 by_dim.append([])
@@ -194,20 +191,6 @@ def compute_persistence(
     for i in essential:
         out.append((len(cells[i][0]) - 1, cells[i][1], math.inf))
     return PersistenceDiagram.from_pairs(out)
-
-
-def betti_numbers(
-    matrix: ComplexMatrix, cap: int = DEFAULT_EXPANSION_CAP
-) -> tuple[int, ...]:
-    """Betti numbers over GF(2), indices 0 through the complex dimension."""
-    cells = matrix.expand_all_simplices(cap)
-    filtration = Filtration(tuple((s, 0.0) for s in cells))
-    diagram = compute_persistence(filtration)
-    betti = [0] * (matrix.stats().dimension + 1)
-    for dim, _, death in diagram.pairs:
-        if math.isinf(death):
-            betti[dim] += 1
-    return tuple(betti)
 
 
 def _snapshot_filtration(

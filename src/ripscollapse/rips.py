@@ -58,13 +58,19 @@ def validate_distance_matrix(D: np.ndarray) -> np.ndarray:
     return D
 
 
+# Largest number of grades a schedule may have: ``grades`` builds them all as
+# one list before any snapshot, and so before any expansion cap check.
+_MAX_GRADES = 10**6
+
+
 @dataclass(frozen=True, slots=True)
 class SnapshotSchedule:
     """Uniform grid of thresholds ``start, start+step, ..., end``.
 
     Grades never exceed ``end``, except that the final grade is kept when it
     overshoots by mere rounding (within 1e-9 relative), so accumulated
-    floating point drift cannot drop the last snapshot.
+    floating point drift cannot drop the last snapshot.  A schedule of more
+    than 10**6 grades raises ``ValueError``.
     """
 
     start: float
@@ -78,10 +84,12 @@ class SnapshotSchedule:
             raise ValueError("schedule step must be positive")
         if self.end < self.start:
             raise ValueError("schedule end must not precede start")
-        if not math.isfinite((self.end - self.start) / self.step):
-            raise ValueError("schedule has too many grades: (end - start) / step overflows")
+        # the finiteness test comes first: ``_last`` cannot floor an infinity
+        if not math.isfinite((self.end - self.start) / self.step) or self._last() >= _MAX_GRADES:
+            raise ValueError(f"schedule has too many grades: more than {_MAX_GRADES:,}")
 
-    def grades(self) -> list[float]:
+    def _last(self) -> int:
+        """Index of the final grade."""
         last = int(math.floor((self.end - self.start) / self.step + 0.5))
         if last > 0:
             top = self.start + last * self.step
@@ -89,7 +97,10 @@ class SnapshotSchedule:
                 top, self.end, rel_tol=1e-9, abs_tol=1e-12
             ):
                 last -= 1
-        return [self.start + k * self.step for k in range(last + 1)]
+        return last
+
+    def grades(self) -> list[float]:
+        return [self.start + k * self.step for k in range(self._last() + 1)]
 
 
 def as_grades(sched: SnapshotSchedule | Iterable[float]) -> list[float]:

@@ -97,16 +97,15 @@ class _Complex:
         self.cells: set[Simplex] = set()
         self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
 
-    def missing_faces(self, target: Simplex) -> list[Simplex]:
-        """Faces of *target*, itself included, that are not cells, in
-        (dimension, lexicographic) order.
+    def missing_faces(self, target: Simplex) -> set[Simplex]:
+        """Faces of *target*, itself included, that are not cells, unordered.
 
         They form an upward-closed set, so a top-down search from *target*
         that follows only missing codimension-1 faces finds all of them.
         """
         cells = self.cells
         if target in cells:
-            return []
+            return set()
         missing = {target}
         stack = [target]
         while stack:
@@ -117,7 +116,7 @@ class _Complex:
                     if face not in cells and face not in missing:
                         missing.add(face)
                         stack.append(face)
-        return sorted(missing, key=_by_dim)
+        return missing
 
     def add(self, new: Iterable[Simplex]) -> None:
         """Add the cells *new*, none of which may be present yet."""

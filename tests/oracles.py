@@ -1,28 +1,34 @@
 """Deliberately naive reference implementations used to pin expected values.
 
 Everything here favours obviousness over speed and shares no code with the
-package: maximality by pairwise subset tests, expansion by powersets, distances
-by loops, clique enumeration by subset scan, Betti numbers by dense GF(2)
-rank, persistence by the textbook set-based column reduction, the
-snapshot filtration by expanding every snapshot and dropping the cells seen
-before, the exact edge-length Rips filtration, bottleneck distance by
-exhaustive matching, tower assembly, replay and coning by whole-complex
-rewrites, and face-first order by a set of the cells seen so far.  The
-tower oracles take the package's op types and ``as_simplex``, and the
-assembly oracle its error types, so that their output and their errors
-compare with the package's one for one; replay and coning raise the local
-:class:`TowerOpError`.  The snapshot-filtration oracle expands the
-package's ``ComplexMatrix`` snapshots and so raises its cap error.
+package: maximality by pairwise subset tests, expansion by powersets, domination
+by set containment, the collapse's events by replaying them on row and column
+sets, the nerve by a pairwise row scan, distances by loops, clique enumeration
+by subset scan, Betti numbers by dense GF(2) rank, persistence by the textbook
+set-based column reduction, the snapshot filtration by expanding every
+snapshot and dropping the cells seen before, the exact edge-length Rips
+filtration, bottleneck distance by exhaustive matching, tower assembly, replay
+and coning by whole-complex rewrites, and face-first order by a set of the
+cells seen so far.  The collapse judges read and build the package's
+``ComplexMatrix`` and raise its ``CollapseConsistencyError``, so that they
+compare with ``core`` directly.  The tower oracles take the package's op
+types and ``as_simplex``, and the assembly oracle its error types, so that
+their output and their errors compare with the package's one for one; replay
+and coning raise the local :class:`TowerOpError`.  The snapshot-filtration
+oracle expands the package's ``ComplexMatrix`` snapshots after their own cap
+check and so raises its cap error.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain, combinations, permutations
+from typing import Iterable
 
 import numpy as np
 
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, Simplex, as_simplex
+from ripscollapse.collapse import RowEvent
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, as_simplex
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.tower import Contract, Filtration, Include, Tower
 
@@ -73,6 +79,119 @@ def random_maximal_simplices(rng, n_vertices, n_simplices, max_card):
         k = rng.randint(1, max_card)
         out.append(tuple(sorted(rng.sample(range(n_vertices), min(k, n_vertices)))))
     return out
+
+
+# -- collapse ----------------------------------------------------------------
+
+
+def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:
+    """Smallest vertex dominating *v* in *matrix*, or ``None``.
+
+    A vertex ``w`` dominates ``v`` when ``row(v)`` is contained in
+    ``row(w)``; when the two rows are equal, only the smaller id counts as
+    the dominator, so exactly one of an equal pair is removable.
+    """
+    row_v = matrix.row(v)
+    set_v = set(row_v)
+    n_v = len(row_v)
+    for w in matrix.column(row_v[0]):
+        if w == v:
+            continue
+        row_w = matrix.row(w)
+        if len(row_w) < n_v:
+            continue
+        if len(row_w) == n_v and w > v:
+            continue
+        if set_v.issubset(row_w):
+            return w
+    return None
+
+
+def find_dominating_column(matrix: ComplexMatrix, c: int) -> int | None:
+    """Smallest column containing column *c*'s vertex set, or ``None``.
+
+    Mirrors :func:`find_dominating_row` on the transpose: equal columns keep
+    the smaller id.
+    """
+    col_c = matrix.column(c)
+    set_c = set(col_c)
+    n_c = len(col_c)
+    for d in matrix.row(col_c[0]):
+        if d == c:
+            continue
+        col_d = matrix.column(d)
+        if len(col_d) < n_c:
+            continue
+        if len(col_d) == n_c and d > c:
+            continue
+        if set_c.issubset(col_d):
+            return d
+    return None
+
+
+def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
+    """One nerve: drop non-maximal rows, then transpose.
+
+    The new matrix has the old column ids as vertices and the kept old
+    vertex ids as columns (each column listing the maximal simplices that
+    vertex belonged to).  Equal rows keep the smallest id.  Applying this
+    twice yields the full subcomplex of the input spanned by the vertices
+    that survive the first step; on a core it returns the input itself.
+    """
+    rows = {v: matrix.row(v) for v in matrix.vertex_ids}
+    row_sets = {v: set(r) for v, r in rows.items()}
+    kept = [
+        v
+        for v in rows
+        if not any(
+            w != v
+            and row_sets[v] <= row_sets[w]
+            and (len(rows[w]) > len(rows[v]) or w < v)
+            for w in matrix.column(rows[v][0])
+        )
+    ]
+    return ComplexMatrix.from_columns({v: rows[v] for v in kept})
+
+
+def replay_trace(
+    matrix: ComplexMatrix, events: Iterable[RowEvent], check: bool = False
+) -> ComplexMatrix:
+    """Apply recorded removal events to *matrix* and return the result.
+
+    With ``check=True`` every event is verified: the removed and dominating
+    objects must be alive and the domination containment must hold at that
+    moment; violations raise :class:`CollapseConsistencyError`.
+    """
+    cols = {cid: set(s) for cid, s in matrix.columns_sorted()}
+    rows = {v: set(matrix.row(v)) for v in matrix.vertex_ids}
+    for kind, removed, by in events:
+        if kind == "row":
+            if removed not in rows or by not in rows:
+                raise CollapseConsistencyError(
+                    f"row event ({removed} -> {by}) references a dead vertex"
+                )
+            if check and not rows[removed] <= rows[by]:
+                raise CollapseConsistencyError(
+                    f"vertex {removed} is not dominated by {by} at its event"
+                )
+            for c in rows.pop(removed):
+                cols[c].discard(removed)
+        elif kind == "col":
+            if removed not in cols or by not in cols:
+                raise CollapseConsistencyError(
+                    f"column event ({removed} -> {by}) references a dead column"
+                )
+            if check and not cols[removed] <= cols[by]:
+                raise CollapseConsistencyError(
+                    f"column {removed} is not contained in {by} at its event"
+                )
+            for v in cols.pop(removed):
+                rows[v].discard(removed)
+        else:
+            raise CollapseConsistencyError(f"unknown event kind {kind!r}")
+    return ComplexMatrix.from_columns(
+        {cid: tuple(sorted(vs)) for cid, vs in cols.items()}
+    )
 
 
 # -- distances ---------------------------------------------------------------
@@ -218,14 +337,15 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it; cells of one grade are ordered by (dimension,
     lexicographic).  ``snapshots`` are ``ComplexMatrix`` objects, each
-    expanded with its own ``expand_all_simplices`` after its cap check.
+    expanded by powerset after its own ``check_expansion_cap``.
     """
     if len(snapshots) != len(grades):
         raise ValueError("snapshots and grades must have equal length")
     seen: set[Simplex] = set()
     cells: list[tuple[Simplex, float]] = []
     for snapshot, g in zip(snapshots, grades):
-        for s in snapshot.expand_all_simplices(cap):
+        snapshot.check_expansion_cap(cap)
+        for s in expand_by_powerset(snapshot.maximal_simplices()):
             if s not in seen:
                 seen.add(s)
                 cells.append((s, float(g)))

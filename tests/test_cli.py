@@ -283,13 +283,16 @@ def test_non_finite_grade_exit_2(tmp_path, square_file, capsys, bad):
 
 
 def test_grade_count_overflow_exit_2(square_file, capsys):
-    rc = main(
-        ["pipeline", "--input", square_file, "--start", "0", "--step", "5e-324", "--end", "1e300"]
-    )
-    assert rc == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    # a count that overflows, and a finite one over the 10**6 limit
+    for step, end in (("5e-324", "1e300"), ("1e-12", "1")):
+        rc = main(
+            ["pipeline", "--input", square_file, "--start", "0", "--step", step, "--end", end]
+        )
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "too many grades" in err
+        assert "Traceback" not in err
 
 
 def test_cap_exit_3(tmp_path, capsys):

@@ -8,10 +8,9 @@ from ripscollapse import (
     ExpansionCapError,
     SimplexError,
     as_simplex,
-    simplex_faces,
 )
 
-from oracles import expand_by_powerset, maximal_by_pairwise_subset, random_maximal_simplices
+from oracles import maximal_by_pairwise_subset, random_maximal_simplices
 
 TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
@@ -29,11 +28,6 @@ def test_as_simplex_sorts_and_validates():
         as_simplex([True, 2])
     with pytest.raises(SimplexError):
         as_simplex([0.5, 2])
-
-
-def test_simplex_faces():
-    assert sorted(simplex_faces((0, 1, 2))) == [(0, 1), (0, 2), (1, 2)]
-    assert list(simplex_faces((7,))) == []
 
 
 def test_from_simplex_list_drops_duplicates_and_subsets():
@@ -69,14 +63,6 @@ def test_contains_simplex():
     assert not m.contains_simplex((1, 3, 4))
 
 
-def test_expand_all_simplices_matches_powerset_oracle():
-    rng = random.Random(20260814)
-    for _ in range(50):
-        gen = random_maximal_simplices(rng, rng.randint(1, 9), rng.randint(1, 8), 4)
-        m = ComplexMatrix.from_simplex_list(gen)
-        assert m.expand_all_simplices() == expand_by_powerset(gen)
-
-
 def test_maximality_matches_pairwise_oracle():
     rng = random.Random(99)
     for _ in range(80):
@@ -89,8 +75,8 @@ def test_maximality_matches_pairwise_oracle():
 def test_expansion_cap():
     m = ComplexMatrix.from_simplex_list([tuple(range(10))])
     with pytest.raises(ExpansionCapError):
-        m.expand_all_simplices(cap=1000)
-    assert len(m.expand_all_simplices(cap=1023)) == 1023
+        m.check_expansion_cap(cap=1000)
+    m.check_expansion_cap(cap=1023)
 
 
 def test_equality_ignores_construction_route():

