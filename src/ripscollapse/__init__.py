@@ -36,8 +36,6 @@ from .persistence import (
     PersistenceDiagram,
     bottleneck_distance,
     compute_persistence,
-    oracle_pipeline,
-    snapshot_filtration,
 )
 from .pipeline import (
     CompareReport,
@@ -46,6 +44,7 @@ from .pipeline import (
     PipelineTimings,
     SnapshotStats,
     compare_pipelines,
+    oracle_pipeline,
     run_pipeline,
     stats_to_csv,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "pairwise_distances",
     "rips_snapshot",
     "run_pipeline",
-    "snapshot_filtration",
     "stats_to_csv",
     "trace_to_text",
     "validate_distance_matrix",

@@ -205,6 +205,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.func in (_cmd_pipeline, _cmd_compare):
             if args.workers < 1:
                 parser.error("--workers must be at least 1")
+            if args.cap < 1:
+                parser.error("--cap must be at least 1")
             args.schedule = _resolve_schedule(parser, args)
         return args.func(args)
     except ExpansionCapError as exc:

@@ -49,7 +49,9 @@ def check_expansion_cap(
 ) -> None:
     """Raise :class:`ExpansionCapError` when the projected cell count of the
     complex with maximal simplices *maximal* (sum of their subset counts, an
-    upper bound) exceeds *cap*."""
+    upper bound) exceeds *cap*, and ``ValueError`` when *cap* is below 1."""
+    if cap < 1:
+        raise ValueError(f"expansion cap must be at least 1, got {cap}")
     projected = sum(2 ** len(s) - 1 for s in maximal)
     if projected > cap:
         raise ExpansionCapError(projected, cap)
@@ -196,7 +198,3 @@ class ComplexMatrix:
             return False
         target = set(simplex)
         return any(target.issubset(self._cols[cid]) for cid in self._rows[first])
-
-    def check_expansion_cap(self, cap: int = DEFAULT_EXPANSION_CAP) -> None:
-        """:func:`check_expansion_cap` on the columns."""
-        check_expansion_cap(self._cols.values(), cap)

@@ -9,8 +9,8 @@ dimensions never interact).  Dimensions are reduced top-down with clearing
 higher-dimensional class has a column that reduces to zero, so that column
 is never built.
 
-This module also hosts the validation tooling mandated around the diagrams:
-the uncollapsed snapshot-filtration oracle and exact bottleneck distance.
+The exact bottleneck distance between two diagrams, which compares the
+collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
 """
 
 from __future__ import annotations
@@ -19,18 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ._kernels import reduce_block
-from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
+from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
-from .rips import (
-    SnapshotSchedule,
-    as_grades,
-    maximal_cliques,
-    neighborhood_bitsets,
-    validate_distance_matrix,
-)
 from .tower import Filtration
 
 # Refuse reductions whose boundary blocks, counted as one bit per face and
@@ -191,87 +182,6 @@ def compute_persistence(
     for i in essential:
         out.append((len(cells[i][0]) - 1, cells[i][1], math.inf))
     return PersistenceDiagram.from_pairs(out)
-
-
-def _snapshot_filtration(
-    D: np.ndarray, grades: list[float], cap: int
-) -> tuple[Filtration, list[list[Simplex]]]:
-    """:func:`snapshot_filtration` of a checked ``D`` and grade list, with
-    the maximal cliques of each snapshot in grade order."""
-    snapshots = [maximal_cliques(neighborhood_bitsets(D, g)) for g in grades]
-    for cliques in snapshots:
-        check_expansion_cap(cliques, cap)
-
-    # grade index of each edge: the first grade g with D[u, v] <= g
-    first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
-    adj = neighborhood_bitsets(D, grades[-1])
-    buckets: dict[tuple[int, int], list[Simplex]] = {}
-    for v in range(len(adj)):
-        # frames (clique, grade index, common neighbours above its last vertex)
-        stack = [((v,), 0, adj[v] >> (v + 1) << (v + 1))]
-        while stack:
-            s, i, above = stack.pop()
-            key = (i, len(s))
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [s]
-            else:
-                bucket.append(s)
-            # push the extensions largest vertex first, so they pop in
-            # lexicographic order
-            rest = above
-            while rest:
-                w = rest.bit_length() - 1
-                rest ^= 1 << w
-                row = first[w]
-                j = i
-                for u in s:
-                    if row[u] > j:
-                        j = row[u]
-                stack.append((s + (w,), j, above & adj[w] >> (w + 1) << (w + 1)))
-
-    cells: list[tuple[Simplex, float]] = []
-    for key in sorted(buckets):
-        g = grades[key[0]]
-        cells.extend((s, g) for s in buckets[key])
-    return Filtration(tuple(cells)), snapshots
-
-
-def snapshot_filtration(
-    D: np.ndarray,
-    sched: SnapshotSchedule | Iterable[float],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> Filtration:
-    """Uncollapsed first-appearance filtration of the snapshot sequence of ``D``.
-
-    Every simplex of every snapshot appears once, graded by the first
-    snapshot containing it, and cells of one grade are ordered by
-    (dimension, lexicographic).  A Rips simplex first appears at the first
-    grade at or above its longest edge (a point at the first grade), so all
-    cells come from one enumeration of the cliques of the last snapshot's
-    graph: a depth-first search that extends a clique only by common
-    neighbours above its last vertex, smallest first, and grades each
-    extension by its parent's grade and its new edges.  That search meets
-    every clique exactly once, so no set of seen cells is needed, and in
-    lexicographic order, so appending each clique to the list of its
-    (grade, dimension) and concatenating the lists in that order gives the
-    filtration order without a sort.
-
-    Raises :class:`ExpansionCapError` at the first snapshot whose projected
-    cell count (from its maximal cliques) exceeds *cap*, before any cell is
-    built.
-    """
-    D = validate_distance_matrix(D)
-    return _snapshot_filtration(D, as_grades(sched), cap)[0]
-
-
-def oracle_pipeline(
-    D: np.ndarray,
-    sched: SnapshotSchedule | Iterable[float],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> PersistenceDiagram:
-    """Ground-truth diagram of the snapshot sequence, with no collapsing."""
-    return compute_persistence(snapshot_filtration(D, sched, cap))
 
 
 # -- bottleneck distance ---------------------------------------------------

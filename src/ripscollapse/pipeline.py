@@ -8,14 +8,18 @@ into a tower, building the tower's equivalent filtration in the same pass,
 and reduces that filtration.
 The uncollapsed twin skips collapsing and reduces the first-appearance
 filtration of the snapshots, built in one clique enumeration of the last
-snapshot's graph by the builder the verification oracle uses, so the two
-diagrams can be compared per dimension.
+snapshot's graph.  That twin is the verification oracle:
+:func:`oracle_pipeline` returns its diagram alone, and
+:func:`compare_pipelines` compares it with the collapsed diagram per
+dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
+Only the collapsing path uses workers, at most one per snapshot and per CPU.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -24,14 +28,8 @@ from typing import Callable, Iterable, Sequence, TypeVar
 import numpy as np
 
 from .collapse import CoreResult
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex
-from .persistence import (
-    PersistenceDiagram,
-    _snapshot_filtration,
-    bottleneck_distance,
-    compute_persistence,
-    oracle_pipeline,
-)
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
+from .persistence import PersistenceDiagram, bottleneck_distance, compute_persistence
 from .rips import (
     SnapshotSchedule,
     as_grades,
@@ -80,10 +78,75 @@ def _clique_stats(n: int, cliques: list[Simplex]) -> ComplexStats:
 def _map_ordered(
     fn: Callable[[float], _T], items: Sequence[float], workers: int
 ) -> list[_T]:
+    # more threads than items or cores only add threads
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _snapshot_filtration(
+    D: np.ndarray, grades: list[float], cap: int
+) -> tuple[Filtration, list[list[Simplex]]]:
+    """Uncollapsed first-appearance filtration of the snapshot sequence of a
+    checked ``D`` at *grades*, with the maximal cliques of each snapshot in
+    grade order.
+
+    Every simplex of every snapshot appears once, graded by the first
+    snapshot containing it, and cells of one grade are ordered by
+    (dimension, lexicographic).  A Rips simplex first appears at the first
+    grade at or above its longest edge (a point at the first grade), so all
+    cells come from one enumeration of the cliques of the last snapshot's
+    graph: a depth-first search that extends a clique only by common
+    neighbours above its last vertex, smallest first, and grades each
+    extension by its parent's grade and its new edges.  That search meets
+    every clique exactly once, so no set of seen cells is needed, and in
+    lexicographic order, so appending each clique to the list of its
+    (grade, dimension) and concatenating the lists in that order gives the
+    filtration order without a sort.
+
+    Raises :class:`ExpansionCapError` at the first snapshot whose projected
+    cell count (from its maximal cliques) exceeds *cap*, before any cell is
+    built.
+    """
+    snapshots = [maximal_cliques(neighborhood_bitsets(D, g)) for g in grades]
+    for cliques in snapshots:
+        check_expansion_cap(cliques, cap)
+
+    # grade index of each edge: the first grade g with D[u, v] <= g
+    first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
+    adj = neighborhood_bitsets(D, grades[-1])
+    buckets: dict[tuple[int, int], list[Simplex]] = {}
+    for v in range(len(adj)):
+        # frames (clique, grade index, common neighbours above its last vertex)
+        stack = [((v,), 0, adj[v] >> (v + 1) << (v + 1))]
+        while stack:
+            s, i, above = stack.pop()
+            key = (i, len(s))
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [s]
+            else:
+                bucket.append(s)
+            # push the extensions largest vertex first, so they pop in
+            # lexicographic order
+            rest = above
+            while rest:
+                w = rest.bit_length() - 1
+                rest ^= 1 << w
+                row = first[w]
+                j = i
+                for u in s:
+                    if row[u] > j:
+                        j = row[u]
+                stack.append((s + (w,), j, above & adj[w] >> (w + 1) << (w + 1)))
+
+    cells: list[tuple[Simplex, float]] = []
+    for key in sorted(buckets):
+        g = grades[key[0]]
+        cells.extend((s, g) for s in buckets[key])
+    return Filtration(tuple(cells)), snapshots
 
 
 def run_pipeline(
@@ -97,8 +160,9 @@ def run_pipeline(
     """Run the snapshot pipeline on a distance matrix.
 
     With ``collapse=False`` the snapshots are not collapsed: the filtration
-    is :func:`~ripscollapse.persistence.snapshot_filtration`, the tower is
-    its cells as inclusions, and the stats report each snapshot unchanged.
+    is the first-appearance filtration of the snapshots (the one
+    :func:`oracle_pipeline` reduces), the tower is its cells as inclusions,
+    the stats report each snapshot unchanged, and *workers* is not used.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -181,6 +245,18 @@ class CompareReport:
     @property
     def equal(self) -> bool:
         return all(v.equal for v in self.verdicts)
+
+
+def oracle_pipeline(
+    D: np.ndarray,
+    sched: SnapshotSchedule | Iterable[float],
+    cap: int = DEFAULT_EXPANSION_CAP,
+) -> PersistenceDiagram:
+    """Ground-truth diagram of the snapshot sequence, with no collapsing:
+    the diagram of ``run_pipeline(D, sched, collapse=False, cap=cap)``
+    without its tower and stats."""
+    D = validate_distance_matrix(D)
+    return compute_persistence(_snapshot_filtration(D, as_grades(sched), cap)[0])
 
 
 def compare_pipelines(

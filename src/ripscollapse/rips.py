@@ -36,9 +36,12 @@ def pairwise_distances(points: Sequence[Sequence[float]] | np.ndarray) -> np.nda
     # squares summed one coordinate at a time, in order, so the result is
     # bitwise that of the plain loop over pairs and coordinates
     s = np.zeros((X.shape[0], X.shape[0]), np.float64)
-    for t in range(X.shape[1]):
-        d = X[:, t, None] - X[None, :, t]
-        s += d * d
+    with np.errstate(over="ignore"):
+        for t in range(X.shape[1]):
+            d = X[:, t, None] - X[None, :, t]
+            s += d * d
+    if not np.isfinite(s).all():
+        raise ValueError("squared distances overflow float64; rescale the points")
     return np.sqrt(s)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import RetractionMap
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex
+from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, check_expansion_cap
 from .errors import CollapseConsistencyError
 
 
@@ -223,7 +223,8 @@ def assemble_tower_filtration(
                 )
             mapping[x] = new_ident[r.target[p]]
 
-        core.check_expansion_cap(cap)
+        maximal = core.maximal_simplices()
+        check_expansion_cap(maximal, cap)
         # After snapshot j-1 the complex equals core j-1 (in tower ids) and the
         # retraction is simplicial, so the contracted complex lies in core j
         # iff the image of every maximal simplex of core j-1 is a face of it.
@@ -248,7 +249,7 @@ def assemble_tower_filtration(
             cells.extend((s, g) for s in current.contract(u, w))
 
         new: list[Simplex] = []
-        for s in core.maximal_simplices():
+        for s in maximal:
             faces = current.missing_faces(tuple(sorted(new_ident[x] for x in s)))
             current.add(faces)
             new.extend(faces)

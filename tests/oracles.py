@@ -28,7 +28,13 @@ from typing import Iterable
 import numpy as np
 
 from ripscollapse.collapse import RowEvent
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, as_simplex
+from ripscollapse.complexes import (
+    DEFAULT_EXPANSION_CAP,
+    ComplexMatrix,
+    Simplex,
+    as_simplex,
+    check_expansion_cap,
+)
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.tower import Contract, Filtration, Include, Tower
 
@@ -337,15 +343,17 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it; cells of one grade are ordered by (dimension,
     lexicographic).  ``snapshots`` are ``ComplexMatrix`` objects, each
-    expanded by powerset after its own ``check_expansion_cap``.
+    expanded by powerset after ``check_expansion_cap`` on its maximal
+    simplices.
     """
     if len(snapshots) != len(grades):
         raise ValueError("snapshots and grades must have equal length")
     seen: set[Simplex] = set()
     cells: list[tuple[Simplex, float]] = []
     for snapshot, g in zip(snapshots, grades):
-        snapshot.check_expansion_cap(cap)
-        for s in expand_by_powerset(snapshot.maximal_simplices()):
+        maximal = snapshot.maximal_simplices()
+        check_expansion_cap(maximal, cap)
+        for s in expand_by_powerset(maximal):
             if s not in seen:
                 seen.add(s)
                 cells.append((s, float(g)))

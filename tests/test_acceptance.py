@@ -20,12 +20,8 @@ from oracles import (
 from ripscollapse.cli import EXIT_OK, main
 from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.persistence import (
-    PersistenceDiagram,
-    bottleneck_distance,
-    oracle_pipeline,
-)
-from ripscollapse.pipeline import run_pipeline
+from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance
+from ripscollapse.pipeline import oracle_pipeline, run_pipeline
 from ripscollapse.rips import SnapshotSchedule, count_rips_simplices, pairwise_distances
 
 TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]

@@ -238,6 +238,16 @@ def test_usage_errors_exit_1(square_file, tmp_path, capsys):
             ]
         )
     assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    for command in ("pipeline", "compare"):
+        for cap in ("0", "-5"):
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [command, "--input", square_file, "--start", "0.5", "--step", "0.5"]
+                    + ["--end", "1.5", "--cap", cap]
+                )
+            assert exc.value.code == EXIT_USAGE
+            assert "--cap must be at least 1" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()

@@ -9,6 +9,7 @@ from ripscollapse import (
     SimplexError,
     as_simplex,
 )
+from ripscollapse.complexes import check_expansion_cap
 
 from oracles import maximal_by_pairwise_subset, random_maximal_simplices
 
@@ -73,10 +74,14 @@ def test_maximality_matches_pairwise_oracle():
 
 
 def test_expansion_cap():
-    m = ComplexMatrix.from_simplex_list([tuple(range(10))])
+    maximal = ComplexMatrix.from_simplex_list([tuple(range(10))]).maximal_simplices()
     with pytest.raises(ExpansionCapError):
-        m.check_expansion_cap(cap=1000)
-    m.check_expansion_cap(cap=1023)
+        check_expansion_cap(maximal, cap=1000)
+    check_expansion_cap(maximal, cap=1023)
+    for cap in (0, -5):
+        for small in ([], [(0,)]):
+            with pytest.raises(ValueError, match="at least 1"):
+                check_expansion_cap(small, cap)
 
 
 def test_equality_ignores_construction_route():

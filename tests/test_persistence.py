@@ -18,14 +18,8 @@ from oracles import (
 from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
-from ripscollapse.persistence import (
-    BoundaryMatrix,
-    PersistenceDiagram,
-    compute_persistence,
-    oracle_pipeline,
-    snapshot_filtration,
-)
-from ripscollapse.pipeline import run_pipeline
+from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
+from ripscollapse.pipeline import oracle_pipeline, run_pipeline
 from ripscollapse.rips import pairwise_distances, rips_snapshot
 from ripscollapse.tower import Filtration
 
@@ -81,7 +75,7 @@ def test_matches_naive_reduction_on_random_snapshot_filtrations():
         pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
         D = pairwise_distances(pts)
         grades = sorted({round(rng.uniform(0.05, 1.0), 2) for _ in range(rng.randint(1, 5))})
-        filtrations.append(snapshot_filtration(D, grades))
+        filtrations.append(run_pipeline(D, grades, collapse=False).filtration)
     # static complexes: every cell at grade 0, so only essential classes show
     rng = random.Random(1730)
     for _ in range(20):
@@ -109,7 +103,7 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
     for _ in range(15):
         pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 9))]
         grades = sorted({round(rng.uniform(0.1, 1.0), 2) for _ in range(rng.randint(1, 4))})
-        filtration = snapshot_filtration(pairwise_distances(pts), grades)
+        filtration = run_pipeline(pairwise_distances(pts), grades, collapse=False).filtration
         matrix = BoundaryMatrix.from_filtration(filtration)
         # columns hold positions in the dimension below; the naive reduction
         # wants cell indices
@@ -149,7 +143,8 @@ def _face_first_shuffle(rng, cells):
 
 
 def test_cell_order_within_equal_grades_does_not_matter():
-    filtrations = [snapshot_filtration(pairwise_distances(UNIT_SQUARE), [0.5, 1.0, 1.5])]
+    D = pairwise_distances(UNIT_SQUARE)
+    filtrations = [run_pipeline(D, [0.5, 1.0, 1.5], collapse=False).filtration]
     rng = random.Random(7)
     for _ in range(10):
         pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 12))]
@@ -225,7 +220,7 @@ def test_filtration_from_snapshots_grades_by_first_appearance():
         naive_filtration_from_snapshots([a], [0.25, 0.75])
     # the same points as a distance matrix, through the clique enumeration
     D = pairwise_distances([(0.0,), (0.5,)])
-    assert snapshot_filtration(D, [0.25, 0.75]) == f
+    assert run_pipeline(D, [0.25, 0.75], collapse=False).filtration == f
 
 
 def _snapshot_filtration_outcome(fn, D, grades, cap):
@@ -234,6 +229,10 @@ def _snapshot_filtration_outcome(fn, D, grades, cap):
         return fn(D, grades, cap), None
     except ExpansionCapError as e:
         return None, (e.projected, e.cap)
+
+
+def _uncollapsed_filtration(D, grades, cap):
+    return run_pipeline(D, grades, collapse=False, cap=cap).filtration
 
 
 def _naive_snapshot_filtration(D, grades, cap):
@@ -265,7 +264,7 @@ def test_snapshot_filtration_matches_naive_expansion():
     caps = set()
     for D, grades in cases:
         for cap in (10**7, rng.randint(1, 60)):
-            got = _snapshot_filtration_outcome(snapshot_filtration, D, grades, cap)
+            got = _snapshot_filtration_outcome(_uncollapsed_filtration, D, grades, cap)
             assert got == _snapshot_filtration_outcome(_naive_snapshot_filtration, D, grades, cap)
             caps.add(got[1] is not None)
     assert caps == {True, False}  # the cap both fires and stays quiet

@@ -1,6 +1,7 @@
 """The end-to-end pipeline: frozen artifacts, determinism, oracle parity."""
 
 import math
+import os
 import random
 
 import pytest
@@ -11,15 +12,11 @@ from ripscollapse import pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
 from ripscollapse.errors import ExpansionCapError
 from ripscollapse.io_formats import write_diagram, write_tower
-from ripscollapse.persistence import (
-    PersistenceDiagram,
-    bottleneck_distance,
-    compute_persistence,
-    oracle_pipeline,
-)
+from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, compute_persistence
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
     compare_pipelines,
+    oracle_pipeline,
     run_pipeline,
     stats_to_csv,
 )
@@ -182,11 +179,48 @@ def test_cap_propagates_to_expansion():
     small = run_pipeline(D, [20.0], collapse=True, cap=1000)
     assert len(small.filtration) == 1
     assert DEFAULT_EXPANSION_CAP > 1000
+    for collapse in (True, False):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_pipeline(D, [20.0], collapse=collapse, cap=0)
 
 
 def test_workers_validation():
     with pytest.raises(ValueError):
         run_pipeline(pairwise_distances(UNIT_SQUARE), [1.0], workers=0)
+
+
+def test_worker_pool_is_bounded_by_grades_and_cpus(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in the calling thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    D = pairwise_distances(UNIT_SQUARE)
+    serial = run_pipeline(D, SQUARE_SCHED)
+    # three grades; no CPU count reported means one worker
+    for cpus, want in ((64, [3]), (2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        result = run_pipeline(D, SQUARE_SCHED, workers=10**6)
+        assert sizes == want
+        assert (result.diagram, result.tower, result.snapshots) == (
+            serial.diagram,
+            serial.tower,
+            serial.snapshots,
+        )
 
 
 def test_every_public_name_resolves_once():

@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oracles import (
 )
 from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.pipeline import compare_pipelines, run_pipeline
+from ripscollapse.pipeline import SnapshotStats, compare_pipelines, run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
     as_grades,
@@ -60,6 +61,12 @@ def test_pairwise_distances_rejects_bad_input():
         pairwise_distances([])
     with pytest.raises(ValueError):
         pairwise_distances([(0.0, math.nan)])
+    # squares that overflow in the subtraction, the product or the sum
+    for points in ([(1e308,), (-1e308,)], [(0.0, 0.0), (1e200, 0.0)], [(1e154, 1e154), (0, 0)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                pairwise_distances(points)
 
 
 def test_validate_distance_matrix_errors():
@@ -217,9 +224,12 @@ def test_snapshot_expansion_agrees_with_count():
 def test_snapshots_follow_schedule_and_workers_agree():
     D = pairwise_distances(UNIT_SQUARE)
     sched = SnapshotSchedule(0.5, 0.5, 1.5)
-    serial = run_pipeline(D, sched, collapse=False).snapshots
-    threaded = run_pipeline(D, sched, collapse=False, workers=4).snapshots
+    serial = run_pipeline(D, sched).snapshots
+    threaded = run_pipeline(D, sched, workers=4).snapshots
     assert serial == threaded
+    assert run_pipeline(D, sched, collapse=False).snapshots == tuple(
+        SnapshotStats(s.grade, s.before, s.before) for s in serial
+    )
     assert [s.grade for s in serial] == sched.grades()
     assert [s.before.n_maximal for s in serial] == [4, 4, 1]
 

@@ -15,7 +15,8 @@ from oracles import (
 from ripscollapse.collapse import RetractionMap, core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
-from ripscollapse.persistence import compute_persistence, oracle_pipeline
+from ripscollapse.persistence import compute_persistence
+from ripscollapse.pipeline import oracle_pipeline, run_pipeline
 from ripscollapse.rips import (
     flag_core,
     neighborhood_bitsets,
@@ -354,3 +355,33 @@ def test_incremental_assembly_matches_whole_set_oracle():
     # successes and both error types are reached
     assert {None, CollapseConsistencyError, ExpansionCapError} <= set(seen)
     assert seen.count(CollapseConsistencyError) > 10
+
+
+def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
+    """Full snapshots with identity retractions assemble into exactly the
+    uncollapsed pipeline's filtration and tower: the same cells in the same
+    order, and only Include ops."""
+    rng = random.Random(2026)
+    cases = [(pairwise_distances(UNIT_SQUARE), [0.5, 1.0, 1.5])]
+    for k in range(40):
+        dim = 1 + k % 3
+        n = rng.randint(1, 10)
+        pts = [tuple(rng.uniform(0, 1) for _ in range(dim)) for _ in range(n)]
+        if n > 2 and k % 4 == 0:
+            pts[1] = pts[0]  # duplicate points
+        if k % 5 == 0:
+            pts.append(tuple(9.0 for _ in range(dim)))  # isolated at every grade
+        grades = sorted({round(rng.uniform(0.0, 1.2), 2) for _ in range(rng.randint(1, 5))})
+        if k % 3 == 0:
+            grades[0] = -0.5  # below every distance
+        if k % 7 == 0:
+            grades = grades[-1:]  # a single grade
+        cases.append((pairwise_distances(pts), grades))
+    for D, grades in cases:
+        snapshots = [rips_snapshot(D, g) for g in grades]
+        identities = [RetractionMap({v: v for v in s.vertex_ids}) for s in snapshots]
+        tower, filtration = assemble_tower_filtration(snapshots, identities, grades)
+        want = run_pipeline(D, grades, collapse=False)
+        assert filtration.cells == want.filtration.cells
+        assert tower.ops == want.tower.ops
+        assert all(isinstance(op, Include) for op in tower.ops)
