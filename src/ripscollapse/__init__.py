@@ -51,7 +51,6 @@ from .pipeline import (
 from .rips import (
     SnapshotSchedule,
     as_grades,
-    count_rips_simplices,
     flag_core,
     maximal_cliques,
     neighborhood_bitsets,
@@ -106,7 +105,6 @@ __all__ = [
     "compare_pipelines",
     "compute_persistence",
     "core",
-    "count_rips_simplices",
     "flag_core",
     "maximal_cliques",
     "neighborhood_bitsets",

@@ -1,12 +1,12 @@
-"""The hot numeric kernel: GF(2) block reduction.
+"""The package's one numeric kernel: GF(2) block reduction.
 
-The block reduction is one loop over Python-int bitset columns.  It sees
+:func:`reduce_block` is one loop over Python-int bitset columns.  It sees
 only the columns the caller built, which excludes those that clearing has
 already shown to vanish.  Strong collapse needs no kernel: both
 :func:`ripscollapse.collapse.core` and :func:`ripscollapse.rips.flag_core`
 work on Python-int bitsets too.
 
-The kernel operates on positional indices (0..n-1), not on public ids;
+The kernel works on positional indices (0..n-1), not on public ids;
 :mod:`ripscollapse.persistence` translates back and forth.
 """
 

@@ -95,9 +95,7 @@ def _load_distances(args: argparse.Namespace):
     text = _read_text(args.input)
     if args.format == "points":
         return pairwise_distances(parse_points(text))
-    if args.format == "distmat":
-        return validate_distance_matrix(parse_distmat(text))
-    raise ValueError(f"format {args.format!r} has no distances; use points or distmat")
+    return validate_distance_matrix(parse_distmat(text))  # --format distmat
 
 
 def _cmd_core(args: argparse.Namespace) -> int:

@@ -15,12 +15,16 @@ side, so it needs no compiled kernel.  Rips snapshots are flag complexes, so
 the pipeline collapses them on their neighbourhood graph instead
 (:func:`ripscollapse.rips.flag_core`, also on int bitsets), which returns
 the same :class:`CoreResult` with a row-only trace.
+
+Each collapse logs every removal in its trace, and that log is its one
+record of them: the retraction onto the core is the composite of the
+trace's row removals, each sending the removed vertex to its dominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .complexes import ComplexMatrix, Simplex, as_simplex
 from .errors import CollapseConsistencyError
@@ -45,35 +49,6 @@ class RetractionMap:
                 raise CollapseConsistencyError(
                     f"retraction target {w} of vertex {v} is not a fixed point"
                 )
-
-    @classmethod
-    def from_dominators(
-        cls, vertices: Iterable[int], dominator: dict[int, int]
-    ) -> "RetractionMap":
-        """Compose removal steps: each removed vertex follows its chain of
-        dominators (``removed -> by``) to the vertex that survived.
-
-        Raises :class:`CollapseConsistencyError` when a chain is longer
-        than *dominator*, which only a cycle allows.
-        """
-        target: dict[int, int] = {}
-        for v in vertices:
-            u = v
-            chain = []
-            while u in dominator:
-                chain.append(u)
-                if len(chain) > len(dominator):
-                    raise CollapseConsistencyError(
-                        f"the dominator chain of vertex {v} is a cycle"
-                    )
-                u = dominator[u]
-                if u in target:
-                    u = target[u]
-                    break
-            for x in chain:
-                target[x] = u
-            target[v] = u
-        return cls(target)
 
     def __call__(self, v: int) -> int:
         return self.target[v]
@@ -121,6 +96,21 @@ def _bits(mask: int) -> Simplex:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _retraction(vertices: Iterable[int], events: Sequence[RowEvent]) -> RetractionMap:
+    """Retraction of *vertices* onto the core that the removals *events* leave.
+
+    A row event ``("row", x, y)`` sends ``x`` to ``y``, which is live when it
+    dominates ``x``; read right to left, every later removal has already set
+    ``y``'s image, so one reverse pass composes them.  Column events move no
+    vertex.
+    """
+    target = {v: v for v in vertices}
+    for kind, x, y in reversed(events):
+        if kind == "row":
+            target[x] = target[y]
+    return RetractionMap(target)
 
 
 def core(matrix: ComplexMatrix) -> CoreResult:
@@ -187,7 +177,6 @@ def core(matrix: ComplexMatrix) -> CoreResult:
     core_matrix = ComplexMatrix.from_columns(
         {cids[j]: [vids[i] for i in _bits(cols[j] & alive[0])] for j in _bits(alive[1])}
     )
-    dominator = {removed: by for kind, removed, by in events if kind == "row"}
     trace = CollapseTrace(
         events=tuple(events),
         row_phases=counters[0],
@@ -195,7 +184,7 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         row_candidate_tests=counters[2],
         col_candidate_tests=counters[3],
     )
-    return CoreResult(core_matrix, RetractionMap.from_dominators(vids, dominator), trace)
+    return CoreResult(core_matrix, _retraction(vids, events), trace)
 
 
 def trace_to_text(trace: CollapseTrace) -> str:

@@ -163,9 +163,13 @@ def run_pipeline(
     is the first-appearance filtration of the snapshots (the one
     :func:`oracle_pipeline` reduces), the tower is its cells as inclusions,
     the stats report each snapshot unchanged, and *workers* is not used.
+
+    A *workers* or *cap* below 1 raises ``ValueError`` before any snapshot
+    is built.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    check_expansion_cap((), cap)
     D = validate_distance_matrix(D)
     grades = as_grades(sched)
 
@@ -255,6 +259,7 @@ def oracle_pipeline(
     """Ground-truth diagram of the snapshot sequence, with no collapsing:
     the diagram of ``run_pipeline(D, sched, collapse=False, cap=cap)``
     without its tower and stats."""
+    check_expansion_cap((), cap)
     D = validate_distance_matrix(D)
     return compute_persistence(_snapshot_filtration(D, as_grades(sched), cap)[0])
 

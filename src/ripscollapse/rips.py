@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .collapse import CollapseTrace, CoreResult, RetractionMap, _bits
+from .collapse import CollapseTrace, CoreResult, RowEvent, _bits, _retraction
 from .complexes import ComplexMatrix, Simplex
 
 
@@ -211,7 +211,7 @@ def flag_core(adj: list[int]) -> CoreResult:
     alive = (1 << n) - 1
     queued = alive
     queue = list(range(n))
-    dominator: dict[int, int] = {}  # removed -> by, in removal order
+    events: list[RowEvent] = []
     tests = 0
     for x in queue:  # also visits the vertices queued again on the way
         queued ^= 1 << x
@@ -225,7 +225,7 @@ def flag_core(adj: list[int]) -> CoreResult:
             ny = closed[y] & alive
             if nx & ~ny == 0 and (nx != ny or y < x):
                 alive ^= 1 << x
-                dominator[x] = y
+                events.append(("row", x, y))
                 fresh = nx & alive & ~queued
                 queued |= fresh
                 queue.extend(_bits(fresh))
@@ -242,11 +242,11 @@ def flag_core(adj: list[int]) -> CoreResult:
         {c: tuple(survivors[i] for i in clique) for c, clique in enumerate(cliques)}
     )
     trace = CollapseTrace(
-        events=tuple(("row", x, y) for x, y in dominator.items()),
+        events=tuple(events),
         row_phases=1,
         row_candidate_tests=tests,
     )
-    return CoreResult(matrix, RetractionMap.from_dominators(range(n), dominator), trace)
+    return CoreResult(matrix, _retraction(range(n), events), trace)
 
 
 def rips_snapshot(D: np.ndarray, t: float) -> ComplexMatrix:
@@ -259,22 +259,3 @@ def rips_snapshot(D: np.ndarray, t: float) -> ComplexMatrix:
     cliques = maximal_cliques(neighborhood_bitsets(D, t))
     return ComplexMatrix.from_columns(dict(enumerate(cliques)))
 
-
-def count_rips_simplices(D: np.ndarray, t: float) -> int:
-    """Total number of simplices (all dimensions) of the Rips complex at *t*.
-
-    Counts the non-empty cliques of the neighbourhood graph directly by
-    recursion over bitsets, without materialising them.
-    """
-    adj = neighborhood_bitsets(D, t)
-
-    def count_from(P: int) -> int:
-        total = 1
-        while P:
-            low = P & -P
-            v = low.bit_length() - 1
-            P ^= low
-            total += count_from(P & adj[v])
-        return total
-
-    return count_from((1 << D.shape[0]) - 1) - 1

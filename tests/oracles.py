@@ -2,14 +2,15 @@
 
 Everything here favours obviousness over speed and shares no code with the
 package: maximality by pairwise subset tests, expansion by powersets, domination
-by set containment, the collapse's events by replaying them on row and column
-sets, the nerve by a pairwise row scan, distances by loops, clique enumeration
-by subset scan, Betti numbers by dense GF(2) rank, persistence by the textbook
-set-based column reduction, the snapshot filtration by expanding every
-snapshot and dropping the cells seen before, the exact edge-length Rips
-filtration, bottleneck distance by exhaustive matching, tower assembly, replay
-and coning by whole-complex rewrites, and face-first order by a set of the
-cells seen so far.  The collapse judges read and build the package's
+by set containment, the retraction by following chains of dominators, the
+collapse's events by replaying them on row and column sets, the nerve by a
+pairwise row scan, distances by loops, clique enumeration by subset scan,
+Betti numbers by dense GF(2) rank, persistence by the textbook set-based
+column reduction, the snapshot filtration by expanding every snapshot and
+dropping the cells seen before, the exact edge-length Rips filtration,
+bottleneck distance by exhaustive matching, tower assembly, replay and coning
+by whole-complex rewrites, and face-first order by a set of the cells seen so
+far.  The collapse judges read and build the package's
 ``ComplexMatrix`` and raise its ``CollapseConsistencyError``, so that they
 compare with ``core`` directly.  The tower oracles take the package's op
 types and ``as_simplex``, and the assembly oracle its error types, so that
@@ -157,6 +158,22 @@ def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
         )
     ]
     return ComplexMatrix.from_columns({v: rows[v] for v in kept})
+
+
+def naive_retraction(vertices, dominator):
+    """Survivor of each vertex, found by following its chain of dominators
+    (``removed -> by``) until the chain leaves *dominator*.  A cycle raises
+    :class:`CollapseConsistencyError`."""
+    target = {}
+    for v in vertices:
+        u, seen = v, set()
+        while u in dominator:
+            if u in seen:
+                raise CollapseConsistencyError(f"the dominator chain of vertex {v} is a cycle")
+            seen.add(u)
+            u = dominator[u]
+        target[v] = u
+    return target
 
 
 def replay_trace(

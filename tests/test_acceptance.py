@@ -22,7 +22,7 @@ from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance
 from ripscollapse.pipeline import oracle_pipeline, run_pipeline
-from ripscollapse.rips import SnapshotSchedule, count_rips_simplices, pairwise_distances
+from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
 
 TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
@@ -249,7 +249,8 @@ def test_criterion_9_circle_pipeline_at_scale(capsys):
         (b, d) for b, d in result.diagram.in_dimension(1) if d - b > 0.2
     ]
     collapsed_cells = len(result.filtration)
-    uncollapsed_cells = count_rips_simplices(D, sched.grades()[-1])
+    last = rips_snapshot(D, sched.grades()[-1])
+    uncollapsed_cells = len(expand_by_powerset(last.maximal_simplices()))
     ratio = uncollapsed_cells / collapsed_cells
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -184,6 +184,39 @@ def test_cap_propagates_to_expansion():
             run_pipeline(D, [20.0], collapse=collapse, cap=0)
 
 
+def test_bad_cap_fails_before_any_snapshot(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("flag_core", "maximal_cliques"):
+        monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
+    rng = random.Random(30)
+    D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
+    grades = [0.1, 0.2, 0.3, 0.4]
+    runs = [
+        lambda cap: run_pipeline(D, grades, cap=cap),
+        lambda cap: run_pipeline(D, grades, collapse=False, cap=cap),
+        lambda cap: oracle_pipeline(D, grades, cap),
+        lambda cap: compare_pipelines(D, grades, cap=cap),
+    ]
+    for run in runs:
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="at least 1"):
+                run(cap)
+        assert calls == []
+    # the wrappers do count: a valid cap reaches both stages
+    run_pipeline(D, grades)
+    assert calls.count("flag_core") == 4 and calls.count("maximal_cliques") == 4
+    run_pipeline(D, grades, collapse=False)
+    assert calls.count("maximal_cliques") == 8
+
+
 def test_workers_validation():
     with pytest.raises(ValueError):
         run_pipeline(pairwise_distances(UNIT_SQUARE), [1.0], workers=0)

@@ -14,6 +14,7 @@ from oracles import (
     naive_clique_count,
     naive_maximal_cliques,
     naive_pairwise_distances,
+    naive_retraction,
 )
 from ripscollapse.collapse import core
 from ripscollapse.complexes import ComplexMatrix
@@ -21,7 +22,6 @@ from ripscollapse.pipeline import SnapshotStats, compare_pipelines, run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
     as_grades,
-    count_rips_simplices,
     flag_core,
     maximal_cliques,
     neighborhood_bitsets,
@@ -201,16 +201,6 @@ def test_maximal_cliques_match_subset_scan():
         assert rips_snapshot(D, t) == want
 
 
-def test_simplex_count_matches_subset_scan():
-    rng = random.Random(98)
-    for _ in range(20):
-        n = rng.randint(1, 10)
-        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(n)]
-        D = pairwise_distances(pts)
-        t = rng.uniform(0.1, 0.9)
-        assert count_rips_simplices(D, t) == naive_clique_count((D <= t).astype(int))
-
-
 def test_snapshot_expansion_agrees_with_count():
     rng = random.Random(99)
     for _ in range(10):
@@ -218,7 +208,9 @@ def test_snapshot_expansion_agrees_with_count():
         D = pairwise_distances(pts)
         t = rng.uniform(0.2, 0.8)
         snap = rips_snapshot(D, t)
-        assert len(expand_by_powerset(snap.maximal_simplices())) == count_rips_simplices(D, t)
+        count = len(expand_by_powerset(snap.maximal_simplices()))
+        assert count == naive_clique_count((D <= t).astype(int))
+        assert count == len(run_pipeline(D, [t], collapse=False).filtration)
 
 
 def test_snapshots_follow_schedule_and_workers_agree():
@@ -274,6 +266,17 @@ def test_flag_core_matches_matrix_collapse():
             graph = flag_core(neighborhood_bitsets(D, t))
             assert graph.matrix.stats() == core(rips_snapshot(D, t)).matrix.stats()
             assert core(graph.matrix).trace.events == ()
+
+
+def test_flag_core_retraction_follows_the_dominator_chains():
+    chained = 0  # removed vertices whose dominator was removed later
+    for D in _clouds(43, 40, 40):
+        for t in GRADES:
+            result = flag_core(neighborhood_bitsets(D, t))
+            dominator = {x: y for _, x, y in result.trace.events}
+            assert result.retraction.target == naive_retraction(range(len(D)), dominator)
+            chained += sum(result.retraction(x) != y for x, y in dominator.items())
+    assert chained > 100
 
 
 def test_flag_core_events_hold_at_their_moment():
