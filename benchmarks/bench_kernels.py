@@ -41,7 +41,7 @@ from ripscollapse.rips import (  # noqa: E402
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import Contract, Filtration, assemble_tower_filtration  # noqa: E402
+from ripscollapse.tower import Filtration, assemble_tower_filtration  # noqa: E402
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -110,7 +110,7 @@ def bench_tower():
     results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
     args = ([r.matrix for r in results], [r.retraction for r in results], grades)
     tower, filtration = assemble_tower_filtration(*args)
-    contracts = sum(isinstance(op, Contract) for op in tower)
+    contracts = len(tower.contractions)
     print(f"  assemble_tower_filtration: {_ms(_time(assemble_tower_filtration, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(filtration)} cells)")
     if naive_tower_to_filtration(tower) != filtration:

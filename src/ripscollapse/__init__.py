@@ -44,7 +44,6 @@ from .pipeline import (
     PipelineTimings,
     SnapshotStats,
     compare_pipelines,
-    oracle_pipeline,
     run_pipeline,
     stats_to_csv,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "flag_core",
     "maximal_cliques",
     "neighborhood_bitsets",
-    "oracle_pipeline",
     "pairwise_distances",
     "rips_snapshot",
     "run_pipeline",

@@ -103,10 +103,8 @@ def _cmd_core(args: argparse.Namespace) -> int:
     result = collapse_core(matrix)
     _write_text(args.out, write_complex(result.matrix))
     if args.out_retraction is not None:
-        lines = "".join(
-            f"{v} {result.retraction(v)}\n" for v in matrix.vertex_ids
-        )
-        _write_text(args.out_retraction, lines)
+        target = result.retraction.target
+        _write_text(args.out_retraction, "".join(f"{v} {target[v]}\n" for v in matrix.vertex_ids))
     if args.out_trace is not None:
         _write_text(args.out_trace, trace_to_text(result.trace))
     return EXIT_OK

@@ -50,9 +50,6 @@ class RetractionMap:
                     f"retraction target {w} of vertex {v} is not a fixed point"
                 )
 
-    def __call__(self, v: int) -> int:
-        return self.target[v]
-
     def apply_to(self, simplex: Iterable[int]) -> Simplex:
         """Image of a simplex under the map (duplicate targets merge)."""
         return as_simplex(set(self.target[v] for v in simplex))

@@ -173,9 +173,6 @@ class ComplexMatrix:
             return NotImplemented
         return self._cols == other._cols
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._cols.items())))
-
     def __repr__(self) -> str:
         cols = ", ".join(f"{cid}:{list(s)}" for cid, s in self.columns_sorted())
         return f"ComplexMatrix({{{cols}}})"

@@ -25,13 +25,14 @@ Written:
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 import numpy as np
 
 from .complexes import ComplexMatrix
 from .errors import FormatError
 from .persistence import PersistenceDiagram
-from .tower import Include, Tower
+from .tower import ElementaryOp, Include
 
 
 def _fmt(x: float) -> str:
@@ -164,9 +165,9 @@ def write_complex(matrix: ComplexMatrix) -> str:
 
 # -- tower --------------------------------------------------------------------
 
-def write_tower(tower: Tower) -> str:
+def write_tower(tower: Iterable[ElementaryOp]) -> str:
     lines = ["# tower 1"]
-    for op in tower.ops:
+    for op in tower:
         if isinstance(op, Include):
             lines.append("i " + _fmt(op.grade) + " " + " ".join(str(v) for v in op.simplex))
         else:

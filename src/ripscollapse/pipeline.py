@@ -6,12 +6,12 @@ the graph with :func:`~ripscollapse.rips.flag_core` (snapshots are independent,
 so a worker pool may handle them concurrently).  It then assembles the cores
 into a tower, building the tower's equivalent filtration in the same pass,
 and reduces that filtration.
-The uncollapsed twin skips collapsing and reduces the first-appearance
-filtration of the snapshots, built in one clique enumeration of the last
-snapshot's graph.  That twin is the verification oracle:
-:func:`oracle_pipeline` returns its diagram alone, and
-:func:`compare_pipelines` compares it with the collapsed diagram per
-dimension.
+The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
+collapsing and reduces the first-appearance filtration of the snapshots,
+built in one clique enumeration of the last snapshot's graph; its tower is
+that filtration's cells as inclusions.  That twin is the verification
+oracle: :func:`compare_pipelines` compares its diagram with the collapsed
+diagram per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -38,7 +38,7 @@ from .rips import (
     neighborhood_bitsets,
     validate_distance_matrix,
 )
-from .tower import Filtration, Include, Tower, assemble_tower_filtration
+from .tower import Filtration, Tower, assemble_tower_filtration
 
 _T = TypeVar("_T")
 
@@ -88,10 +88,10 @@ def _map_ordered(
 
 def _snapshot_filtration(
     D: np.ndarray, grades: list[float], cap: int
-) -> tuple[Filtration, list[list[Simplex]]]:
+) -> tuple[Filtration, list[ComplexStats]]:
     """Uncollapsed first-appearance filtration of the snapshot sequence of a
-    checked ``D`` at *grades*, with the maximal cliques of each snapshot in
-    grade order.
+    checked ``D`` at *grades*, with the stats of each snapshot in grade
+    order.
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
@@ -110,9 +110,11 @@ def _snapshot_filtration(
     cell count (from its maximal cliques) exceeds *cap*, before any cell is
     built.
     """
-    snapshots = [maximal_cliques(neighborhood_bitsets(D, g)) for g in grades]
-    for cliques in snapshots:
+    sizes = []
+    for g in grades:
+        cliques = maximal_cliques(neighborhood_bitsets(D, g))
         check_expansion_cap(cliques, cap)
+        sizes.append(_clique_stats(len(D), cliques))
 
     # grade index of each edge: the first grade g with D[u, v] <= g
     first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
@@ -146,7 +148,7 @@ def _snapshot_filtration(
     for key in sorted(buckets):
         g = grades[key[0]]
         cells.extend((s, g) for s in buckets[key])
-    return Filtration(tuple(cells)), snapshots
+    return Filtration(tuple(cells)), sizes
 
 
 def run_pipeline(
@@ -160,9 +162,10 @@ def run_pipeline(
     """Run the snapshot pipeline on a distance matrix.
 
     With ``collapse=False`` the snapshots are not collapsed: the filtration
-    is the first-appearance filtration of the snapshots (the one
-    :func:`oracle_pipeline` reduces), the tower is its cells as inclusions,
-    the stats report each snapshot unchanged, and *workers* is not used.
+    is the first-appearance filtration of the snapshots, the tower is its
+    cells as inclusions, the stats report each snapshot unchanged, and
+    *workers* is not used.  This is the oracle that
+    :func:`compare_pipelines` checks the collapsed diagram against.
 
     A *workers* or *cap* below 1 raises ``ValueError`` before any snapshot
     is built.
@@ -200,10 +203,9 @@ def run_pipeline(
     else:
         collapse_max = 0.0
         t0 = perf_counter()
-        filtration, snapshots = _snapshot_filtration(D, grades, cap)
-        sizes = [_clique_stats(len(D), cliques) for cliques in snapshots]
+        filtration, sizes = _snapshot_filtration(D, grades, cap)
         stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-        tower = Tower(tuple(Include(s, g) for s, g in filtration.cells))
+        tower = Tower(filtration.cells, ())
         assembly = perf_counter() - t0
 
     t0 = perf_counter()
@@ -251,19 +253,6 @@ class CompareReport:
         return all(v.equal for v in self.verdicts)
 
 
-def oracle_pipeline(
-    D: np.ndarray,
-    sched: SnapshotSchedule | Iterable[float],
-    cap: int = DEFAULT_EXPANSION_CAP,
-) -> PersistenceDiagram:
-    """Ground-truth diagram of the snapshot sequence, with no collapsing:
-    the diagram of ``run_pipeline(D, sched, collapse=False, cap=cap)``
-    without its tower and stats."""
-    check_expansion_cap((), cap)
-    D = validate_distance_matrix(D)
-    return compute_persistence(_snapshot_filtration(D, as_grades(sched), cap)[0])
-
-
 def compare_pipelines(
     D: np.ndarray,
     sched: SnapshotSchedule | Iterable[float],
@@ -271,14 +260,14 @@ def compare_pipelines(
     workers: int = 1,
     cap: int = DEFAULT_EXPANSION_CAP,
 ) -> CompareReport:
-    """Run the collapsed pipeline and the uncollapsed oracle and compare the
+    """Run the pipeline with and without collapsing and compare the
     diagrams.
 
     Where a dimension's diagrams are equal their bottleneck distance is
     exactly 0.0, so it is computed only for the unequal dimensions.
     """
     a = run_pipeline(D, sched, workers=workers, collapse=True, cap=cap).diagram
-    b = oracle_pipeline(D, sched, cap)
+    b = run_pipeline(D, sched, collapse=False, cap=cap).diagram
     verdicts = []
     for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
         equal = sorted(a.in_dimension(dim)) == sorted(b.in_dimension(dim))

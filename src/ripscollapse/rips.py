@@ -107,9 +107,11 @@ class SnapshotSchedule:
 
 
 def as_grades(sched: SnapshotSchedule | Iterable[float]) -> list[float]:
-    """Normalise a schedule or an explicit grade sequence to a grade list."""
+    """Normalise a schedule or an explicit grade sequence to a grade list,
+    checking it is strictly increasing: a schedule's grades may repeat where
+    the step is below their rounding (a step of 1 at 1e16)."""
     if isinstance(sched, SnapshotSchedule):
-        return sched.grades()
+        sched = sched.grades()
     grades = [float(g) for g in sched]
     if not grades:
         raise ValueError("at least one snapshot grade is required")

@@ -9,6 +9,10 @@ coning: every cell of the closed star of ``u`` gains the cone cell with apex
 ``v``, which makes ``u`` dominated by ``v`` from that grade on without ever
 renaming existing cells.
 
+Every Include is thus a cell of the filtration and only a Contract adds
+more, so a :class:`Tower` is the filtration's cells and one record per
+Contract.
+
 :func:`assemble_tower_filtration` builds the tower of a sequence of cores
 and emits that filtration in the same pass.  It replays the ops on a
 :class:`_Complex`, so an Include costs in proportion to the faces it adds
@@ -48,19 +52,32 @@ ElementaryOp = Union[Include, Contract]
 
 @dataclass(frozen=True, slots=True)
 class Tower:
-    """Ordered elementary ops building a complex from nothing.
+    """Ordered elementary ops building a complex from nothing, kept as the
+    *cells* of the tower's filtration and one ``(start, stop, source,
+    target, grade)`` record per Contract, whose cone ``cells[start:stop]``
+    may be empty; every other cell is an Include.  The ops are built only
+    while the tower is iterated.
 
     Grades are non-decreasing; a Contract's endpoints must be live (present
     in the current complex) and its source is dead afterwards.
     """
 
-    ops: tuple[ElementaryOp, ...]
+    cells: tuple[tuple[Simplex, float], ...]
+    contractions: tuple[tuple[int, int, int, int, float], ...]
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.cells) - sum(stop - start - 1 for start, stop, *_ in self.contractions)
 
     def __iter__(self) -> Iterator[ElementaryOp]:
-        return iter(self.ops)
+        cells = self.cells
+        done = 0
+        for start, stop, source, target, grade in self.contractions:
+            for s, g in cells[done:start]:
+                yield Include(s, g)
+            yield Contract(source, target, grade)
+            done = stop
+        for s, g in cells[done:]:
+            yield Include(s, g)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,12 +179,12 @@ def assemble_tower_filtration(
     simplex of core j missing from the complex is included, in (dimension,
     lexicographic) order; for j = 0 that is all of core 0.
 
-    The ops are replayed on one complex as they are recorded, and the
-    filtration is each Include's cell and, for each Contract(u, v), the cells
-    of the cone over the closed star of ``u`` with apex ``v`` that are new to
-    that complex.  No cell is emitted twice: the complex holds only live
-    vertices, and a cell that has left it contains a contracted id, which
-    never returns.
+    The ops are replayed on one complex as they are met, and the filtration
+    (whose cells the tower shares) is each Include's cell and, for each
+    Contract(u, v), the cells of the cone over the closed star of ``u`` with
+    apex ``v`` that are new to that complex.  No cell is emitted twice: the
+    complex holds only live vertices, and a cell that has left it contains a
+    contracted id, which never returns.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -187,8 +204,8 @@ def assemble_tower_filtration(
 
     next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
 
-    ops: list[ElementaryOp] = []
     cells: list[tuple[Simplex, float]] = []
+    contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
     # point id -> live tower id; identical until a contracted id returns
     ident: dict[int, int] = {}
@@ -242,11 +259,11 @@ def assemble_tower_filtration(
             if w == u:
                 continue
             if (w,) not in current.cells:
-                ops.append(Include((w,), g))
                 cells.append(((w,), g))
                 current.add([(w,)])
-            ops.append(Contract(u, w, g))
+            start = len(cells)
             cells.extend((s, g) for s in current.contract(u, w))
+            contractions.append((start, len(cells), u, w, g))
 
         new: list[Simplex] = []
         for s in maximal:
@@ -254,8 +271,8 @@ def assemble_tower_filtration(
             current.add(faces)
             new.extend(faces)
         new.sort(key=_by_dim)
-        ops.extend(Include(t, g) for t in new)
         cells.extend((t, g) for t in new)
         ident = new_ident
 
-    return Tower(tuple(ops)), Filtration(tuple(cells))
+    filtration = Filtration(tuple(cells))
+    return Tower(filtration.cells, tuple(contractions)), filtration

@@ -37,7 +37,7 @@ from ripscollapse.complexes import (
     check_expansion_cap,
 )
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
-from ripscollapse.tower import Contract, Filtration, Include, Tower
+from ripscollapse.tower import Contract, Filtration, Include
 
 
 class TowerOpError(ValueError):
@@ -448,9 +448,9 @@ def brute_bottleneck(a_pts, b_pts):
 
 
 def naive_assemble_core_tower(cores, retractions, grades, cap):
-    """The core tower by expanding every core in full, rewriting the whole
-    contracted complex after every snapshot and comparing it cell by cell
-    with the next core."""
+    """The ops of the core tower, by expanding every core in full, rewriting
+    the whole contracted complex after every snapshot and comparing it cell
+    by cell with the next core."""
 
     def expand(c):
         projected = sum(2 ** len(s) - 1 for s in c.maximal_simplices())
@@ -513,7 +513,7 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
                 present.add(t)
         ident = new_ident
 
-    return Tower(tuple(ops))
+    return tuple(ops)
 
 
 def naive_validate_tower(tower):
@@ -524,7 +524,7 @@ def naive_validate_tower(tower):
     present: set = set()
     live: set[int] = set()
     prev_grade: float | None = None
-    for i, op in enumerate(tower.ops):
+    for i, op in enumerate(tower):
         if prev_grade is not None and op.grade < prev_grade:
             raise TowerOpError(f"op {i}: grade decreases along the tower")
         prev_grade = op.grade
@@ -572,7 +572,7 @@ def naive_tower_to_filtration(tower):
     current: set = set()
     prev_grade: float | None = None
 
-    for i, op in enumerate(tower.ops):
+    for i, op in enumerate(tower):
         if prev_grade is not None and op.grade < prev_grade:
             raise TowerOpError(f"op {i}: grade decreases along the tower")
         prev_grade = op.grade

@@ -1,5 +1,9 @@
 """CLI behaviour: frozen outputs, exit codes, schedule handling."""
 
+import hashlib
+import math
+import random
+
 import pytest
 
 from ripscollapse import persistence
@@ -305,6 +309,18 @@ def test_grade_count_overflow_exit_2(square_file, capsys):
         assert "Traceback" not in err
 
 
+def test_repeated_schedule_grade_exit_2(square_file, capsys):
+    # the schedule's first two grades are both 1e16; every command rejects
+    # it before building a graph, the uncollapsed path included
+    sched = ["--start", "1e16", "--step", "1", "--end", "10000000000000004"]
+    for command in (["pipeline"], ["pipeline", "--no-collapse"], ["compare"]):
+        rc = main([*command, "--input", square_file, *sched])
+        assert rc == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: snapshot grades must be strictly increasing\n"
+
+
 def test_cap_exit_3(tmp_path, capsys):
     line = tmp_path / "line.txt"
     line.write_text("".join(f"{i} 0\n" for i in range(12)))
@@ -337,3 +353,49 @@ def test_reduction_memory_guard_exit_3(square_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "memory guard" in err
     assert "Traceback" not in err
+
+
+# sha256 of the artifacts at commit 3421828, before the tower kept only its
+# contractions: a tower, diagram or stats change must be argued and logged
+CIRCLE_DIGESTS = {
+    ("pipeline", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
+    ("pipeline", "tower"): "ef8551a4d4b197864f4710c96bc96a38c95f24ffa319633f8125e5ad732cbd8d",
+    ("pipeline", "stats"): "eb23add47d3fcdb344254840bfe7f2c5c29376114959a56b6391ea1973bf5942",
+    ("no-collapse", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
+    ("no-collapse", "tower"): "f44a0ef16665618112590e2fe3f82a9b2c3a53bb3473b76cd5ec294ddcda231a",
+    ("no-collapse", "stats"): "8d9ad5384b297f451f51373881345a07b47b3bb244b2339be2dda5f7623ff380",
+    ("compare", "stdout"): "2121454a5b50238748c57ae02233d9afc1e76cc379c77afcf8b99f92a8624601",
+}
+
+
+def test_artifacts_are_byte_identical(tmp_path, capsys):
+    # 60 points on a noisy unit circle, written to 9 decimals so that the
+    # input bytes do not depend on the platform's sin and cos
+    rng = random.Random(16)
+    lines = []
+    for _ in range(60):
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        r = 1.0 + rng.uniform(-0.05, 0.05)
+        lines.append(f"{r * math.cos(a):.9f} {r * math.sin(a):.9f}\n")
+    cloud = tmp_path / "circle.txt"
+    cloud.write_text("".join(lines))
+    base = ["--input", str(cloud), "--start", "0.1", "--step", "0.05", "--end", "0.6"]
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    got = {}
+    for mode, extra in (("pipeline", []), ("no-collapse", ["--no-collapse"])):
+        paths = {kind: tmp_path / f"{mode}.{kind}" for kind in ("pd", "tower", "stats")}
+        rc = main(
+            ["pipeline", *base, *extra]
+            + ["--out-pd", str(paths["pd"]), "--out-tower", str(paths["tower"])]
+            + ["--out-stats", str(paths["stats"])]
+        )
+        assert rc == EXIT_OK
+        for kind, path in paths.items():
+            got[mode, kind] = digest(path.read_bytes())
+    capsys.readouterr()
+    assert main(["compare", *base]) == EXIT_OK
+    got["compare", "stdout"] = digest(capsys.readouterr().out.encode())
+    assert got == CIRCLE_DIGESTS

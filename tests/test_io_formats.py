@@ -15,7 +15,7 @@ from ripscollapse.io_formats import (
     write_tower,
 )
 from ripscollapse.persistence import PersistenceDiagram
-from ripscollapse.tower import Contract, Include, Tower
+from ripscollapse.tower import Contract, Include
 
 
 def test_parse_points_basic():
@@ -122,13 +122,11 @@ def test_complex_round_trip_drops_non_maximal():
 
 
 def test_tower_round_trip():
-    tower = Tower(
-        (
-            Include((0,), 0.1),
-            Include((3,), 0.1),
-            Include((0, 3, 7), 0.1 + 0.2),
-            Contract(7, 0, 1.5),
-        )
+    tower = (
+        Include((0,), 0.1),
+        Include((3,), 0.1),
+        Include((0, 3, 7), 0.1 + 0.2),
+        Contract(7, 0, 1.5),
     )
     assert write_tower(tower) == (
         "# tower 1\n"

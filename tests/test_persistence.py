@@ -19,7 +19,7 @@ from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
 from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
-from ripscollapse.pipeline import oracle_pipeline, run_pipeline
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import pairwise_distances, rips_snapshot
 from ripscollapse.tower import Filtration
 
@@ -50,7 +50,7 @@ def test_betti_of_triangle_boundary_and_disc():
 
 def test_unit_square_snapshot_diagram():
     D = pairwise_distances(UNIT_SQUARE)
-    diagram = oracle_pipeline(D, [0.5, 1.0, 1.5])
+    diagram = run_pipeline(D, [0.5, 1.0, 1.5], collapse=False).diagram
     assert diagram.pairs == (
         (0, 0.5, 1.0),
         (0, 0.5, 1.0),

@@ -1,5 +1,6 @@
 """The end-to-end pipeline: frozen artifacts, determinism, oracle parity."""
 
+import dataclasses
 import math
 import os
 import random
@@ -16,7 +17,6 @@ from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, co
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
     compare_pipelines,
-    oracle_pipeline,
     run_pipeline,
     stats_to_csv,
 )
@@ -53,7 +53,7 @@ def test_unit_square_artifacts():
 def test_uncollapsed_pipeline_matches_oracle():
     D = pairwise_distances(UNIT_SQUARE)
     result = run_pipeline(D, SQUARE_SCHED, collapse=False)
-    assert result.diagram.pairs == oracle_pipeline(D, SQUARE_SCHED).pairs
+    assert result.diagram.pairs == run_pipeline(D, SQUARE_SCHED).diagram.pairs
     assert len(result.filtration) == 15
     assert len(result.tower) == 15
     assert all(s.before == s.after for s in result.snapshots)
@@ -125,10 +125,13 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
     """Equal dimensions report 0.0 without a matching; it must be the exact
     bottleneck distance there too, and on unequal dimensions."""
     rng = random.Random(988)
-    oracle = pipeline.oracle_pipeline
+    run = pipeline.run_pipeline
 
-    def perturbed(D, sched, cap):
-        pairs = list(oracle(D, sched, cap).pairs)
+    def perturbed(D, sched, *, collapse=True, **kwargs):
+        result = run(D, sched, collapse=collapse, **kwargs)
+        if collapse:
+            return result
+        pairs = list(result.diagram.pairs)
         kind = rng.randrange(4)
         if kind == 1 and pairs:
             pairs.pop(rng.randrange(len(pairs)))
@@ -136,9 +139,9 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
             pairs.append((rng.randrange(3), 0.25, 0.25 + rng.choice([0.25, 0.5])))
         elif kind == 3:
             pairs.append((1, 0.5, math.inf))
-        return PersistenceDiagram.from_pairs(pairs)
+        return dataclasses.replace(result, diagram=PersistenceDiagram.from_pairs(pairs))
 
-    monkeypatch.setattr(pipeline, "oracle_pipeline", perturbed)
+    monkeypatch.setattr(pipeline, "run_pipeline", perturbed)
     seen = set()
     for _ in range(30):
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(2, 10))]
@@ -202,7 +205,6 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
     runs = [
         lambda cap: run_pipeline(D, grades, cap=cap),
         lambda cap: run_pipeline(D, grades, collapse=False, cap=cap),
-        lambda cap: oracle_pipeline(D, grades, cap),
         lambda cap: compare_pipelines(D, grades, cap=cap),
     ]
     for run in runs:

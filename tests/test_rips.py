@@ -110,6 +110,9 @@ def test_schedule_validation():
         with pytest.raises(ValueError, match="too many grades"):
             SnapshotSchedule(*bounds)
     SnapshotSchedule(0.0, 1.0, 999_999.0)  # exactly 10**6 grades
+    # near 1e16 a step of 1 rounds two grades to the same value
+    with pytest.raises(ValueError, match="strictly increasing"):
+        as_grades(SnapshotSchedule(1e16, 1.0, 1e16 + 4))
 
 
 def test_as_grades_passthrough_and_checks():
@@ -275,7 +278,7 @@ def test_flag_core_retraction_follows_the_dominator_chains():
             result = flag_core(neighborhood_bitsets(D, t))
             dominator = {x: y for _, x, y in result.trace.events}
             assert result.retraction.target == naive_retraction(range(len(D)), dominator)
-            chained += sum(result.retraction(x) != y for x, y in dominator.items())
+            chained += sum(result.retraction.target[x] != y for x, y in dominator.items())
     assert chained > 100
 
 

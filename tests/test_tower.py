@@ -15,15 +15,16 @@ from oracles import (
 from ripscollapse.collapse import RetractionMap, core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
+from ripscollapse.io_formats import write_tower
 from ripscollapse.persistence import compute_persistence
-from ripscollapse.pipeline import oracle_pipeline, run_pipeline
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import (
     flag_core,
     neighborhood_bitsets,
     pairwise_distances,
     rips_snapshot,
 )
-from ripscollapse.tower import Contract, Include, Tower, assemble_tower_filtration
+from ripscollapse.tower import Contract, Include, assemble_tower_filtration
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -51,7 +52,7 @@ def _pipeline_inputs(points, grades):
 def test_single_snapshot_tower_is_expanded_core():
     res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
     tower = _assemble([res.matrix], [res.retraction], [0.0])
-    assert tower.ops == (
+    assert tuple(tower) == (
         Include((1,), 0.0),
         Include((3,), 0.0),
         Include((4,), 0.0),
@@ -69,13 +70,13 @@ def test_identical_snapshots_add_no_ops():
         [res.retraction, res.retraction],
         [0.0, 1.0],
     )
-    assert all(op.grade == 0.0 for op in tower.ops)
-    assert len(tower.ops) == 6
+    assert all(op.grade == 0.0 for op in tower)
+    assert len(tower) == 6
 
 
 def test_unit_square_tower_ops():
     tower = _assemble(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
-    assert tower.ops == (
+    assert tuple(tower) == (
         Include((0,), 0.5),
         Include((1,), 0.5),
         Include((2,), 0.5),
@@ -100,7 +101,7 @@ def test_contract_into_vertex_absent_from_tower_includes_it_first():
     ]
     retractions = [RetractionMap({0: 0}), RetractionMap({0: 1, 1: 1, 2: 1})]
     tower = _assemble(cores, retractions, [0.0, 1.0])
-    assert tower.ops == (
+    assert tuple(tower) == (
         Include((0,), 0.0),
         Include((1,), 1.0),
         Contract(0, 1, 1.0),
@@ -122,7 +123,7 @@ def test_returning_point_id_gets_a_fresh_tower_id():
         RetractionMap({0: 0, 1: 1}),
     ]
     tower = _assemble(cores, retractions, [0.0, 1.0, 2.0])
-    assert tower.ops == (
+    assert tuple(tower) == (
         Include((0,), 0.0),
         Include((1,), 0.0),
         Contract(1, 0, 1.0),
@@ -202,18 +203,18 @@ def test_tower_validate_rejects_bad_ops():
         (Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(0, 1, 2.0)),
     ):
         with pytest.raises(TowerOpError):
-            naive_validate_tower(Tower(ops))
+            naive_validate_tower(ops)
 
 
 def test_includes_only_tower_converts_verbatim():
-    tower = Tower((Include((2, 5), 0.0), Include((7,), 1.5)))
+    tower = (Include((2, 5), 0.0), Include((7,), 1.5))
     f = naive_tower_to_filtration(tower)
     assert f.cells == (((2,), 0.0), ((5,), 0.0), ((2, 5), 0.0), ((7,), 1.5))
     naive_check_filtration(f.cells)
 
 
 def test_contract_of_dominated_edge_needs_no_cone_cells():
-    tower = Tower((Include((0, 1), 0.0), Contract(0, 1, 1.0)))
+    tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0))
     f = naive_tower_to_filtration(tower)
     assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
     diagram = compute_persistence(f, include_zero_pairs=True)
@@ -221,7 +222,7 @@ def test_contract_of_dominated_edge_needs_no_cone_cells():
 
 
 def test_coning_adds_the_closed_star_with_the_new_apex():
-    tower = Tower((Include((0, 1, 2), 0.0), Include((3,), 0.0), Contract(0, 3, 1.0)))
+    tower = (Include((0, 1, 2), 0.0), Include((3,), 0.0), Contract(0, 3, 1.0))
     f = naive_tower_to_filtration(tower)
     added = [(s, g) for s, g in f.cells if g == 1.0]
     assert added == [
@@ -239,9 +240,7 @@ def test_coning_adds_the_closed_star_with_the_new_apex():
 
 
 def test_include_after_contract_is_rewritten_through_the_alias():
-    tower = Tower(
-        (Include((0, 1), 0.0), Contract(0, 1, 1.0), Include((0, 2), 2.0))
-    )
+    tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0), Include((0, 2), 2.0))
     f = naive_tower_to_filtration(tower)
     assert f.cells == (
         ((0,), 0.0),
@@ -254,16 +253,16 @@ def test_include_after_contract_is_rewritten_through_the_alias():
 
 
 def test_contract_resolving_to_itself_is_a_no_op():
-    tower = Tower((Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(1, 0, 2.0)))
+    tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(1, 0, 2.0))
     f = naive_tower_to_filtration(tower)
     assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
 
 
 def test_contract_of_unknown_vertex_is_rejected():
-    tower = Tower((Include((0, 1), 0.0), Contract(9, 0, 1.0)))
+    tower = (Include((0, 1), 0.0), Contract(9, 0, 1.0))
     with pytest.raises(TowerOpError):
         naive_tower_to_filtration(tower)
-    tower = Tower((Include((0, 1), 0.0), Contract(0, 9, 1.0)))
+    tower = (Include((0, 1), 0.0), Contract(0, 9, 1.0))
     with pytest.raises(TowerOpError):
         naive_tower_to_filtration(tower)
 
@@ -282,7 +281,8 @@ def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
         inputs = _pipeline_inputs(pts, grades)
         naive_validate_tower(_assemble(*inputs))
         got = compute_persistence(assemble_tower_filtration(*inputs)[1])
-        assert got.pairs == oracle_pipeline(pairwise_distances(pts), grades).pairs
+        want = run_pipeline(pairwise_distances(pts), grades, collapse=False).diagram
+        assert got.pairs == want.pairs
 
 
 def _flag_core_inputs(seed):
@@ -329,7 +329,7 @@ def _mutated(rng, cores, retractions, grades):
 def _assembly_outcome(fn, inputs, cap):
     """(ops, None) or (None, error type) of one assembly."""
     try:
-        return fn(*inputs, cap).ops, None
+        return tuple(fn(*inputs, cap)), None
     except (CollapseConsistencyError, ExpansionCapError) as e:
         return None, type(e)
 
@@ -383,5 +383,69 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
         tower, filtration = assemble_tower_filtration(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
         assert filtration.cells == want.filtration.cells
-        assert tower.ops == want.tower.ops
-        assert all(isinstance(op, Include) for op in tower.ops)
+        assert tuple(tower) == tuple(want.tower)
+        assert all(isinstance(op, Include) for op in tower)
+
+
+def _derived_tower_cases():
+    """``run_pipeline`` results on seeded clouds, with and without collapse."""
+    rng = random.Random(16)
+    for k in range(12):
+        dim = 2 + k % 2
+        pts = [tuple(rng.uniform(0, 1) for _ in range(dim)) for _ in range(rng.randint(10, 16))]
+        D = pairwise_distances(pts)
+        for collapse in (True, False):
+            yield run_pipeline(D, [0.15, 0.3, 0.45, 0.6, 0.75], collapse=collapse)
+
+
+def test_derived_tower_replays_to_its_filtration():
+    cone_sizes = set()
+    for result in _derived_tower_cases():
+        tower = result.tower
+        assert len(tower) == sum(1 for _ in tower)
+        naive_validate_tower(tower)
+        assert naive_tower_to_filtration(tower) == result.filtration
+        ops = tuple(tower)
+        assert sum(isinstance(op, Contract) for op in ops) == len(tower.contractions)
+        cone_sizes.update(stop - start for start, stop, *_ in tower.contractions)
+    # empty cones, and cones of one cell and of several
+    assert {0, 1} < cone_sizes
+
+
+def test_contraction_with_an_empty_cone_is_still_an_op():
+    # 1 dominates 0 in the edge 01, so contracting 0 into 1 adds no cell
+    cores = [ComplexMatrix.from_simplex_list([(0, 1)]), ComplexMatrix.from_simplex_list([(1,)])]
+    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 1, 1: 1})]
+    tower = _assemble(cores, retractions, [0.0, 1.0])
+    assert tower.contractions == ((3, 3, 0, 1, 1.0),)
+    assert len(tower) == 4
+    assert tuple(tower) == (
+        Include((0,), 0.0),
+        Include((1,), 0.0),
+        Include((0, 1), 0.0),
+        Contract(0, 1, 1.0),
+    )
+    assert write_tower(tower) == "# tower 1\ni 0.0 0\ni 0.0 1\ni 0.0 0 1\nc 1.0 0 1\n"
+
+
+def test_ops_are_built_only_while_the_tower_is_iterated(monkeypatch):
+    made = []
+    for cls in (Include, Contract):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            made.append(_name)
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    rng = random.Random(17)
+    D = pairwise_distances([(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(20)])
+    for collapse in (True, False):
+        result = run_pipeline(D, [0.2, 0.35, 0.5], collapse=collapse)
+        assert made == []
+        assert len(result.tower) > 0 and made == []
+        for _ in result.tower:
+            pass
+        assert len(made) == len(result.tower)
+        assert made.count("Contract") == len(result.tower.contractions)
+        assert (made.count("Contract") > 0) == collapse
+        made.clear()
