@@ -7,11 +7,11 @@ on ``sys.path``).
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
-``assemble_tower_filtration`` on the ``flag_core`` cores of the torus-tower
-workload's cloud and grades, taken from ``perfbench/workloads.py`` (without
-the run seed's isometry).  It then checks, untimed, that the filtration
-equals ``naive_tower_to_filtration`` of the tower, the whole-complex coning
-in ``tests/oracles.py``.
+``assemble_tower`` on the ``flag_core`` cores of the torus-tower workload's
+cloud and grades, taken from ``perfbench/workloads.py`` (without the run
+seed's isometry).  It then checks, untimed, that the tower's cells equal
+``naive_tower_to_filtration`` of the tower, the whole-complex coning in
+``tests/oracles.py``.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, with its Python-int columns built the way
@@ -32,16 +32,17 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ripscollapse._kernels import reduce_block  # noqa: E402
 from ripscollapse.collapse import core  # noqa: E402
+from ripscollapse.complexes import ComplexMatrix  # noqa: E402
 from ripscollapse.persistence import BoundaryMatrix  # noqa: E402
 from ripscollapse.pipeline import run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
+    maximal_cliques,
     neighborhood_bitsets,
     pairwise_distances,
-    rips_snapshot,
 )
-from ripscollapse.tower import Filtration, assemble_tower_filtration  # noqa: E402
+from ripscollapse.tower import assemble_tower  # noqa: E402
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -70,7 +71,7 @@ def _circle_cloud(n, seed):
 
 def _dim1_block(cells):
     """The dimension-1 boundary columns as ints, bit r = the r-th vertex."""
-    matrix = BoundaryMatrix.from_filtration(Filtration(cells))
+    matrix = BoundaryMatrix.from_filtration(cells)
     columns = []
     for i in matrix.by_dim[1]:
         c = 0
@@ -83,8 +84,8 @@ def _dim1_block(cells):
 def bench_collapse():
     print("--- strong collapse (400-point noisy circle, t=0.4) ---")
     D = pairwise_distances(_circle_cloud(400, seed=1))
-    m = rips_snapshot(D, 0.4)
     adj = neighborhood_bitsets(D, 0.4)
+    m = ComplexMatrix.from_columns(dict(enumerate(maximal_cliques(adj))))
     edges = sum(a.bit_count() for a in adj) // 2
     times_core = _time(core, m)
     print(f"  core:      {np.mean(times_core) * 1000:8.3f} +- {np.std(times_core) * 1000:.3f} ms"
@@ -109,12 +110,12 @@ def bench_tower():
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
     args = ([r.matrix for r in results], [r.retraction for r in results], grades)
-    tower, filtration = assemble_tower_filtration(*args)
+    tower = assemble_tower(*args)
     contracts = len(tower.contractions)
-    print(f"  assemble_tower_filtration: {_ms(_time(assemble_tower_filtration, *args))}"
-          f" ({len(tower) - contracts} includes, {contracts} contracts, {len(filtration)} cells)")
-    if naive_tower_to_filtration(tower) != filtration:
-        raise SystemExit("naive_tower_to_filtration disagrees with assemble_tower_filtration")
+    print(f"  assemble_tower: {_ms(_time(assemble_tower, *args))}"
+          f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
+    if naive_tower_to_filtration(tower) != tower.cells:
+        raise SystemExit("naive_tower_to_filtration disagrees with assemble_tower")
 
 
 def bench_reduce():

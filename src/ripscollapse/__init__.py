@@ -2,7 +2,7 @@
 
 The library represents simplicial complexes by their maximal simplices,
 collapses each Rips snapshot to its core, assembles the cores into a tower
-of inclusions and vertex contractions together with an equivalent
+of inclusions and vertex contractions whose cells are an equivalent
 filtration, and reduces that filtration to a persistence diagram.  An
 uncollapsed twin of the pipeline serves as the verification oracle.
 """
@@ -54,16 +54,14 @@ from .rips import (
     maximal_cliques,
     neighborhood_bitsets,
     pairwise_distances,
-    rips_snapshot,
     validate_distance_matrix,
 )
 from .tower import (
     Contract,
     ElementaryOp,
-    Filtration,
     Include,
     Tower,
-    assemble_tower_filtration,
+    assemble_tower,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +80,6 @@ __all__ = [
     "ElementaryOp",
     "EmptyComplexError",
     "ExpansionCapError",
-    "Filtration",
     "FiltrationOrderError",
     "FormatError",
     "Include",
@@ -99,7 +96,7 @@ __all__ = [
     "Tower",
     "as_grades",
     "as_simplex",
-    "assemble_tower_filtration",
+    "assemble_tower",
     "bottleneck_distance",
     "compare_pipelines",
     "compute_persistence",
@@ -108,7 +105,6 @@ __all__ = [
     "maximal_cliques",
     "neighborhood_bitsets",
     "pairwise_distances",
-    "rips_snapshot",
     "run_pipeline",
     "stats_to_csv",
     "trace_to_text",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .complexes import ComplexMatrix, Simplex, as_simplex
+from .complexes import ComplexMatrix, Simplex
 from .errors import CollapseConsistencyError
 
 RowEvent = tuple[str, int, int]  # ("row" | "col", removed id, dominating id)
@@ -49,10 +49,6 @@ class RetractionMap:
                 raise CollapseConsistencyError(
                     f"retraction target {w} of vertex {v} is not a fixed point"
                 )
-
-    def apply_to(self, simplex: Iterable[int]) -> Simplex:
-        """Image of a simplex under the map (duplicate targets merge)."""
-        return as_simplex(set(self.target[v] for v in simplex))
 
 
 @dataclass(frozen=True, slots=True)

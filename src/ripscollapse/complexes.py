@@ -152,10 +152,6 @@ class ComplexMatrix:
         """Column (maximal simplex) ids in increasing order."""
         return tuple(sorted(self._cols))
 
-    def row(self, v: int) -> tuple[int, ...]:
-        """Ids of the maximal simplices containing vertex *v*."""
-        return self._rows[v]
-
     def column(self, c: int) -> Simplex:
         """Vertex set of maximal simplex *c*."""
         return self._cols[c]

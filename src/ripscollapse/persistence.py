@@ -1,11 +1,11 @@
 """Persistence diagrams via GF(2) boundary-matrix reduction.
 
-Cells are reduced in the order the filtration gives them, which must put
-faces first and never lower the grade; each boundary column is a Python-int
-bitset over the faces of the dimension below, and the columns are reduced
-left to right, one dimension block at a time (columns of different
-dimensions never interact).  Dimensions are reduced top-down with clearing
-(Chen & Kerber's twist): a cell already paired as the creator of a
+A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
+non-decreasing order, and its cells are reduced in that order; each boundary
+column is a Python-int bitset over the faces of the dimension below, and the
+columns are reduced left to right, one dimension block at a time (columns of
+different dimensions never interact).  Dimensions are reduced top-down with
+clearing (Chen & Kerber's twist): a cell already paired as the creator of a
 higher-dimensional class has a column that reduces to zero, so that column
 is never built.
 
@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
-from .tower import Filtration
 
 # Refuse reductions whose boundary blocks, counted as one bit per face and
 # column rounded up to 64-bit words, would not fit comfortably in memory; at
@@ -75,14 +74,15 @@ class BoundaryMatrix:
     columns: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def from_filtration(cls, filtration: Filtration) -> "BoundaryMatrix":
-        """Index *filtration* in one pass that also checks its order.
+    def from_filtration(cls, filtration: Iterable[tuple[Simplex, float]]) -> "BoundaryMatrix":
+        """Index the ``(simplex, grade)`` pairs of *filtration* in one pass
+        that also checks their order.
 
         Raises :class:`FiltrationOrderError` at the first cell that is
         empty, repeats an earlier one, lacks a face among the cells before
         it, or has a grade that is NaN or below its predecessor's.
         """
-        cells = filtration.cells
+        cells = tuple(filtration)
         pos: dict[Simplex, int] = {}
         by_dim: list[list[int]] = []
         columns: list[tuple[int, ...]] = []
@@ -154,16 +154,17 @@ def _reduce(matrix: BoundaryMatrix):
 
 
 def compute_persistence(
-    filtration: Filtration,
+    filtration: Iterable[tuple[Simplex, float]],
     *,
     include_zero_pairs: bool = False,
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
 
-    The cells are reduced in the filtration's own order, which must list
-    every face before its cofaces and never lower the grade; a cell that
-    breaks this raises :class:`FiltrationOrderError`.  Within one grade the
-    order does not change the diagram.
+    *filtration* is any sequence of ``(simplex, grade)`` pairs.  The cells
+    are reduced in its own order, which must list every face before its
+    cofaces and never lower the grade; a cell that breaks this raises
+    :class:`FiltrationOrderError`.  Within one grade the order does not
+    change the diagram.
 
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an

@@ -4,8 +4,9 @@ The accelerated path builds the neighbourhood graph at every grade, records
 the size of the full snapshot, and strong-collapses the snapshot to its core on
 the graph with :func:`~ripscollapse.rips.flag_core` (snapshots are independent,
 so a worker pool may handle them concurrently).  It then assembles the cores
-into a tower, building the tower's equivalent filtration in the same pass,
-and reduces that filtration.
+into a tower, whose cells are the tower's equivalent filtration, and reduces
+that filtration: a sequence of ``(simplex, grade)`` pairs in face-first,
+non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and reduces the first-appearance filtration of the snapshots,
 built in one clique enumeration of the last snapshot's graph; its tower is
@@ -38,7 +39,7 @@ from .rips import (
     neighborhood_bitsets,
     validate_distance_matrix,
 )
-from .tower import Filtration, Tower, assemble_tower_filtration
+from .tower import Tower, assemble_tower
 
 _T = TypeVar("_T")
 
@@ -65,7 +66,7 @@ class PipelineTimings:
 class PipelineResult:
     diagram: PersistenceDiagram
     tower: Tower
-    filtration: Filtration
+    filtration: tuple[tuple[Simplex, float], ...]  # the tower's cells
     snapshots: tuple[SnapshotStats, ...]
     timings: PipelineTimings
 
@@ -88,7 +89,7 @@ def _map_ordered(
 
 def _snapshot_filtration(
     D: np.ndarray, grades: list[float], cap: int
-) -> tuple[Filtration, list[ComplexStats]]:
+) -> tuple[tuple[tuple[Simplex, float], ...], list[ComplexStats]]:
     """Uncollapsed first-appearance filtration of the snapshot sequence of a
     checked ``D`` at *grades*, with the stats of each snapshot in grade
     order.
@@ -148,7 +149,7 @@ def _snapshot_filtration(
     for key in sorted(buckets):
         g = grades[key[0]]
         cells.extend((s, g) for s in buckets[key])
-    return Filtration(tuple(cells)), sizes
+    return tuple(cells), sizes
 
 
 def run_pipeline(
@@ -193,7 +194,7 @@ def run_pipeline(
         )
         collapse_max = max(elapsed for _, _, elapsed in results)
         t0 = perf_counter()
-        tower, filtration = assemble_tower_filtration(
+        tower = assemble_tower(
             [res.matrix for _, res, _ in results],
             [res.retraction for _, res, _ in results],
             grades,
@@ -203,18 +204,18 @@ def run_pipeline(
     else:
         collapse_max = 0.0
         t0 = perf_counter()
-        filtration, sizes = _snapshot_filtration(D, grades, cap)
+        cells, sizes = _snapshot_filtration(D, grades, cap)
         stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-        tower = Tower(filtration.cells, ())
+        tower = Tower(cells, ())
         assembly = perf_counter() - t0
 
     t0 = perf_counter()
-    diagram = compute_persistence(filtration)
+    diagram = compute_persistence(tower.cells)
     reduction = perf_counter() - t0
     return PipelineResult(
         diagram,
         tower,
-        filtration,
+        tower.cells,
         stats,
         PipelineTimings(collapse_max, assembly, reduction),
     )

@@ -249,15 +249,3 @@ def flag_core(adj: list[int]) -> CoreResult:
         row_candidate_tests=tests,
     )
     return CoreResult(matrix, _retraction(range(n), events), trace)
-
-
-def rips_snapshot(D: np.ndarray, t: float) -> ComplexMatrix:
-    """Maximal-simplex matrix of the Rips complex of *D* at threshold *t*.
-
-    Columns are numbered in lexicographic order of their vertex tuples, so
-    the snapshot is a pure function of ``(D, t)``.  Bron-Kerbosch yields
-    each maximal clique exactly once, so no maximality check is needed.
-    """
-    cliques = maximal_cliques(neighborhood_bitsets(D, t))
-    return ComplexMatrix.from_columns(dict(enumerate(cliques)))
-

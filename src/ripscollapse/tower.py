@@ -9,14 +9,15 @@ coning: every cell of the closed star of ``u`` gains the cone cell with apex
 ``v``, which makes ``u`` dominated by ``v`` from that grade on without ever
 renaming existing cells.
 
-Every Include is thus a cell of the filtration and only a Contract adds
-more, so a :class:`Tower` is the filtration's cells and one record per
-Contract.
+A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
+non-decreasing order.  Every Include is a cell of the tower's filtration
+and only a Contract adds more, so a :class:`Tower` is that filtration's
+cell tuple and one record per Contract.
 
-:func:`assemble_tower_filtration` builds the tower of a sequence of cores
-and emits that filtration in the same pass.  It replays the ops on a
-:class:`_Complex`, so an Include costs in proportion to the faces it adds
-and a Contract(u, v) to the star of ``u``, never to the whole complex.
+:func:`assemble_tower` builds the tower of a sequence of cores, and so its
+filtration, in one pass.  It replays the ops on a :class:`_Complex`, so an
+Include costs in proportion to the faces it adds and a Contract(u, v) to
+the star of ``u``, never to the whole complex.
 """
 
 from __future__ import annotations
@@ -53,10 +54,11 @@ ElementaryOp = Union[Include, Contract]
 @dataclass(frozen=True, slots=True)
 class Tower:
     """Ordered elementary ops building a complex from nothing, kept as the
-    *cells* of the tower's filtration and one ``(start, stop, source,
-    target, grade)`` record per Contract, whose cone ``cells[start:stop]``
-    may be empty; every other cell is an Include.  The ops are built only
-    while the tower is iterated.
+    *cells* of the tower's filtration (``(simplex, grade)`` pairs, faces
+    first) and one ``(start, stop, source, target, grade)`` record per
+    Contract, whose cone ``cells[start:stop]`` may be empty; every other
+    cell is an Include.  The ops are built only while the tower is
+    iterated.
 
     Grades are non-decreasing; a Contract's endpoints must be live (present
     in the current complex) and its source is dead afterwards.
@@ -78,20 +80,6 @@ class Tower:
             done = stop
         for s, g in cells[done:]:
             yield Include(s, g)
-
-
-@dataclass(frozen=True, slots=True)
-class Filtration:
-    """Cells with grades, ordered so every face precedes its cofaces and
-    grades never decrease."""
-
-    cells: tuple[tuple[Simplex, float], ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[tuple[Simplex, float]]:
-        return iter(self.cells)
 
 
 def _by_dim(s: Simplex) -> tuple[int, Simplex]:
@@ -164,13 +152,13 @@ class _Complex:
         return new
 
 
-def assemble_tower_filtration(
+def assemble_tower(
     cores: Sequence[ComplexMatrix],
     retractions: Sequence[RetractionMap],
     grades: Sequence[float],
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> tuple[Tower, Filtration]:
-    """Assemble per-snapshot cores into one tower and its filtration.
+) -> Tower:
+    """Assemble per-snapshot cores into one tower.
 
     Each snapshot's retraction must fix every vertex of its core and send
     every live point into that core.  For each snapshot j > 0, every live
@@ -179,8 +167,8 @@ def assemble_tower_filtration(
     simplex of core j missing from the complex is included, in (dimension,
     lexicographic) order; for j = 0 that is all of core 0.
 
-    The ops are replayed on one complex as they are met, and the filtration
-    (whose cells the tower shares) is each Include's cell and, for each
+    The ops are replayed on one complex as they are met, and the tower's
+    cells (its filtration) are each Include's cell and, for each
     Contract(u, v), the cells of the cone over the closed star of ``u`` with
     apex ``v`` that are new to that complex.  No cell is emitted twice: the
     complex holds only live vertices, and a cell that has left it contains a
@@ -274,5 +262,4 @@ def assemble_tower_filtration(
         cells.extend((t, g) for t in new)
         ident = new_ident
 
-    filtration = Filtration(tuple(cells))
-    return Tower(filtration.cells, tuple(contractions)), filtration
+    return Tower(tuple(cells), tuple(contractions))

@@ -17,7 +17,8 @@ types and ``as_simplex``, and the assembly oracle its error types, so that
 their output and their errors compare with the package's one for one; replay
 and coning raise the local :class:`TowerOpError`.  The snapshot-filtration
 oracle expands the package's ``ComplexMatrix`` snapshots after their own cap
-check and so raises its cap error.
+check and so raises its cap error; :func:`rips_snapshot` builds those
+snapshots from the package's clique enumeration.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from ripscollapse.complexes import (
     check_expansion_cap,
 )
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
-from ripscollapse.tower import Contract, Filtration, Include
+from ripscollapse.rips import maximal_cliques, neighborhood_bitsets
+from ripscollapse.tower import Contract, Include
 
 
 class TowerOpError(ValueError):
@@ -88,6 +90,21 @@ def random_maximal_simplices(rng, n_vertices, n_simplices, max_card):
     return out
 
 
+def rips_snapshot(D, t):
+    """Maximal-simplex matrix of the Rips complex of *D* at threshold *t*,
+    its columns numbered in lexicographic order of their cliques."""
+    return ComplexMatrix.from_columns(dict(enumerate(maximal_cliques(neighborhood_bitsets(D, t)))))
+
+
+def matrix_rows(matrix: ComplexMatrix) -> dict[int, tuple[int, ...]]:
+    """Ids of the columns containing each vertex, in increasing order."""
+    rows: dict[int, list[int]] = {v: [] for v in matrix.vertex_ids}
+    for c in matrix.column_ids:
+        for v in matrix.column(c):
+            rows[v].append(c)
+    return {v: tuple(r) for v, r in rows.items()}
+
+
 # -- collapse ----------------------------------------------------------------
 
 
@@ -98,13 +115,14 @@ def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:
     ``row(w)``; when the two rows are equal, only the smaller id counts as
     the dominator, so exactly one of an equal pair is removable.
     """
-    row_v = matrix.row(v)
+    rows = matrix_rows(matrix)
+    row_v = rows[v]
     set_v = set(row_v)
     n_v = len(row_v)
     for w in matrix.column(row_v[0]):
         if w == v:
             continue
-        row_w = matrix.row(w)
+        row_w = rows[w]
         if len(row_w) < n_v:
             continue
         if len(row_w) == n_v and w > v:
@@ -123,7 +141,7 @@ def find_dominating_column(matrix: ComplexMatrix, c: int) -> int | None:
     col_c = matrix.column(c)
     set_c = set(col_c)
     n_c = len(col_c)
-    for d in matrix.row(col_c[0]):
+    for d in matrix_rows(matrix)[col_c[0]]:
         if d == c:
             continue
         col_d = matrix.column(d)
@@ -145,7 +163,7 @@ def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
     twice yields the full subcomplex of the input spanned by the vertices
     that survive the first step; on a core it returns the input itself.
     """
-    rows = {v: matrix.row(v) for v in matrix.vertex_ids}
+    rows = matrix_rows(matrix)
     row_sets = {v: set(r) for v, r in rows.items()}
     kept = [
         v
@@ -186,7 +204,7 @@ def replay_trace(
     moment; violations raise :class:`CollapseConsistencyError`.
     """
     cols = {cid: set(s) for cid, s in matrix.columns_sorted()}
-    rows = {v: set(matrix.row(v)) for v in matrix.vertex_ids}
+    rows = {v: set(r) for v, r in matrix_rows(matrix).items()}
     for kind, removed, by in events:
         if kind == "row":
             if removed not in rows or by not in rows:
@@ -374,7 +392,7 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
             if s not in seen:
                 seen.add(s)
                 cells.append((s, float(g)))
-    return Filtration(tuple(cells))
+    return tuple(cells)
 
 
 def naive_check_filtration(cells):
@@ -611,4 +629,4 @@ def naive_tower_to_filtration(tower):
         else:  # pragma: no cover - type misuse
             raise TowerOpError(f"op {i}: unknown op {op!r}")
 
-    return Filtration(tuple(cells))
+    return tuple(cells)

@@ -11,7 +11,7 @@ from ripscollapse import (
 )
 from ripscollapse.complexes import check_expansion_cap
 
-from oracles import maximal_by_pairwise_subset, random_maximal_simplices
+from oracles import matrix_rows, maximal_by_pairwise_subset, random_maximal_simplices
 
 TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
@@ -40,8 +40,8 @@ def test_from_simplex_list_drops_duplicates_and_subsets():
 def test_column_ids_number_input_order_of_survivors():
     m = ComplexMatrix.from_simplex_list(TABLE_COLUMNS)
     assert m.columns_sorted() == list(enumerate(TABLE_COLUMNS))
-    assert m.row(4) == (1, 3, 4)
-    assert m.row(0) == (2,)
+    assert matrix_rows(m)[4] == (1, 3, 4)
+    assert matrix_rows(m)[0] == (2,)
 
 
 def test_empty_input_rejected():

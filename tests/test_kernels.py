@@ -8,7 +8,7 @@ from ripscollapse import _kernels
 from ripscollapse._kernels import reduce_block
 from ripscollapse.collapse import core, trace_to_text
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.rips import pairwise_distances, rips_snapshot
+from ripscollapse.rips import pairwise_distances
 
 from oracles import (
     find_dominating_column,
@@ -16,6 +16,7 @@ from oracles import (
     naive_column_reduction,
     random_maximal_simplices,
     replay_trace,
+    rips_snapshot,
 )
 
 

@@ -14,21 +14,20 @@ from oracles import (
     naive_filtration_from_snapshots,
     naive_persistence,
     random_maximal_simplices,
+    rips_snapshot,
 )
 from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
 from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import pairwise_distances, rips_snapshot
-from ripscollapse.tower import Filtration
+from ripscollapse.rips import pairwise_distances
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
-def _static_filtration(matrix: ComplexMatrix) -> Filtration:
-    cells = expand_by_powerset(matrix.maximal_simplices())
-    return Filtration(tuple((s, 0.0) for s in cells))
+def _static_filtration(matrix: ComplexMatrix) -> tuple:
+    return tuple((s, 0.0) for s in expand_by_powerset(matrix.maximal_simplices()))
 
 
 def test_diagram_helpers():
@@ -61,10 +60,24 @@ def test_unit_square_snapshot_diagram():
 
 
 def test_zero_pairs_are_opt_in():
-    cells = Filtration((((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0)))
+    cells = (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
     assert compute_persistence(cells).pairs == ((0, 0.0, math.inf),)
     with_zero = compute_persistence(cells, include_zero_pairs=True)
     assert with_zero.pairs == ((0, 0.0, 0.0), (0, 0.0, math.inf))
+
+
+def test_any_cell_sequence_gives_the_same_diagram():
+    """A list, a tuple and a generator of a producer's cells reduce to one
+    diagram, and a tuple is indexed as it is, not copied."""
+    rng = random.Random(1732)
+    for k in range(12):
+        pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 10))]
+        grades = sorted({round(rng.uniform(0.1, 0.9), 2) for _ in range(rng.randint(1, 4))})
+        cells = run_pipeline(pairwise_distances(pts), grades, collapse=k % 2 == 0).filtration
+        want = compute_persistence(cells, include_zero_pairs=True)
+        assert compute_persistence(list(cells), include_zero_pairs=True) == want
+        assert compute_persistence((c for c in cells), include_zero_pairs=True) == want
+        assert BoundaryMatrix.from_filtration(cells).cells is cells
 
 
 def test_matches_naive_reduction_on_random_snapshot_filtrations():
@@ -82,7 +95,7 @@ def test_matches_naive_reduction_on_random_snapshot_filtrations():
         gen = random_maximal_simplices(rng, rng.randint(1, 8), rng.randint(1, 6), 4)
         filtrations.append(_static_filtration(ComplexMatrix.from_simplex_list(gen)))
     for filtration in filtrations:
-        ordered = sorted(filtration.cells, key=lambda c: (c[1], len(c[0]), c[0]))
+        ordered = sorted(filtration, key=lambda c: (c[1], len(c[0]), c[0]))
         want = naive_persistence(ordered)
         got = compute_persistence(filtration)
         assert list(got.pairs) == list(want)
@@ -155,32 +168,32 @@ def test_cell_order_within_equal_grades_does_not_matter():
         reference = compute_persistence(filtration, include_zero_pairs=True)
         for _ in range(5):
             # shuffle each (grade, dimension) bucket
-            bucketed = sorted(filtration.cells, key=lambda c: (c[1], len(c[0]), rng.random()))
+            bucketed = sorted(filtration, key=lambda c: (c[1], len(c[0]), rng.random()))
             # any face-first order within each grade
-            mixed = _face_first_shuffle(rng, filtration.cells)
+            mixed = _face_first_shuffle(rng, filtration)
             interleaved += any(
                 a[1] == b[1] and len(a[0]) > len(b[0]) for a, b in zip(mixed, mixed[1:])
             )
             for cells in (bucketed, mixed):
                 naive_check_filtration(cells)
-                got = compute_persistence(Filtration(tuple(cells)), include_zero_pairs=True)
+                got = compute_persistence(cells, include_zero_pairs=True)
                 assert got.pairs == reference.pairs
     assert interleaved > 0
 
 
 def test_missing_face_and_duplicate_are_rejected():
     with pytest.raises(FiltrationOrderError) as exc:
-        compute_persistence(Filtration((((0,), 0.0), ((0, 1), 0.0))))
+        compute_persistence((((0,), 0.0), ((0, 1), 0.0)))
     assert exc.value.cell_index == 1
     with pytest.raises(FiltrationOrderError):
-        compute_persistence(Filtration((((0,), 0.0), ((0,), 1.0))))
+        compute_persistence((((0,), 0.0), ((0,), 1.0)))
 
 
 def test_nan_grade_is_rejected():
     # a NaN compares false both ways, so it must not hide the fall to 0.0
     cells = (((0,), 1.0), ((1,), math.nan), ((2,), 0.0))
     with pytest.raises(FiltrationOrderError) as exc:
-        compute_persistence(Filtration(cells))
+        compute_persistence(cells)
     assert exc.value.cell_index == 1
 
 
@@ -190,14 +203,14 @@ def test_empty_cell_is_rejected():
         ((((), 0.0), ((0,), 0.0)), 0),
     ):
         with pytest.raises(FiltrationOrderError) as exc:
-            compute_persistence(Filtration(cells))
+            compute_persistence(cells)
         assert exc.value.cell_index == cell_index
 
 
 def test_filtration_validate():
     good = (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
     naive_check_filtration(good)
-    compute_persistence(Filtration(good))
+    compute_persistence(good)
     for bad, cell_index in (
         ((((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)), 0),
         ((((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)), 2),
@@ -207,7 +220,7 @@ def test_filtration_validate():
         with pytest.raises(AssertionError):
             naive_check_filtration(bad)
         with pytest.raises(FiltrationOrderError) as exc:
-            compute_persistence(Filtration(bad))
+            compute_persistence(bad)
         assert exc.value.cell_index == cell_index
 
 
@@ -215,7 +228,7 @@ def test_filtration_from_snapshots_grades_by_first_appearance():
     a = ComplexMatrix.from_simplex_list([(0,), (1,)])
     b = ComplexMatrix.from_simplex_list([(0, 1)])
     f = naive_filtration_from_snapshots([a, b], [0.25, 0.75])
-    assert f.cells == (((0,), 0.25), ((1,), 0.25), ((0, 1), 0.75))
+    assert f == (((0,), 0.25), ((1,), 0.25), ((0, 1), 0.75))
     with pytest.raises(ValueError):
         naive_filtration_from_snapshots([a], [0.25, 0.75])
     # the same points as a distance matrix, through the clique enumeration

@@ -6,7 +6,7 @@ import os
 import random
 
 import pytest
-from oracles import naive_check_filtration, naive_tower_to_filtration
+from oracles import naive_check_filtration, naive_tower_to_filtration, rips_snapshot
 
 import ripscollapse
 from ripscollapse import pipeline
@@ -20,7 +20,7 @@ from ripscollapse.pipeline import (
     run_pipeline,
     stats_to_csv,
 )
-from ripscollapse.rips import SnapshotSchedule, pairwise_distances, rips_snapshot
+from ripscollapse.rips import SnapshotSchedule, pairwise_distances
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -95,7 +95,7 @@ def test_filtration_is_the_conversion_of_the_tower():
         # the uncollapsed run stops at 0.4, as in the before-stats test below
         for collapse, upto in ((True, 5), (False, 3)):
             result = run_pipeline(D, grades[:upto], collapse=collapse)
-            naive_check_filtration(result.filtration.cells)
+            naive_check_filtration(result.filtration)
             assert result.filtration == naive_tower_to_filtration(result.tower)
 
 

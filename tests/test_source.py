@@ -1,9 +1,13 @@
-"""Source rules for the package: no recursion and no recursion-limit changes.
+"""Source rules for the package: no recursion and no recursion-limit changes,
+and a reduction that does not depend on the stages before it.
 
 A recursive function fails with ``RecursionError`` once its input is deep
 enough (a clique of 1,100 vertices is), and raising the interpreter's limit
 from a library call changes global state.  Every traversal in the package
 runs on an explicit stack or queue instead.
+
+``persistence`` reduces any sequence of ``(simplex, grade)`` pairs, so it
+imports none of the modules that build them.
 """
 
 import ast
@@ -12,6 +16,7 @@ from pathlib import Path
 import ripscollapse
 
 SOURCES = sorted(Path(ripscollapse.__file__).parent.glob("*.py"))
+PERSISTENCE_MAY_IMPORT = {"_kernels", "complexes", "errors"}
 
 
 def _self_calls(tree):
@@ -43,6 +48,30 @@ def _recursion_limit_uses(tree):
     ]
 
 
+def _package_imports(tree):
+    """Package modules a module imports from, by name, whether the import is
+    relative or absolute (``from .tower import Tower``, ``from . import
+    tower``, ``import ripscollapse.tower``)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "ripscollapse":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "ripscollapse":
+                    found.add(parts[1] if len(parts) > 1 else "ripscollapse")
+    return found
+
+
 def test_rules_see_what_they_forbid():
     tree = ast.parse(
         "import sys\n"
@@ -57,6 +86,16 @@ def test_rules_see_what_they_forbid():
     )
     assert _self_calls(tree) == [("walk", 4)]
     assert _recursion_limit_uses(tree) == [2, 9]
+    tree = ast.parse(
+        "import math\n"
+        "import ripscollapse.rips\n"
+        "from numpy import asarray\n"
+        "from .errors import FiltrationOrderError\n"
+        "from . import tower\n"
+        "from ripscollapse.pipeline import run_pipeline\n"
+        "from ripscollapse import collapse\n"
+    )
+    assert _package_imports(tree) == {"rips", "errors", "tower", "pipeline", "collapse"}
 
 
 def test_package_has_no_recursion():
@@ -65,3 +104,9 @@ def test_package_has_no_recursion():
         tree = ast.parse(path.read_text(), filename=str(path))
         assert _self_calls(tree) == [], path.name
         assert _recursion_limit_uses(tree) == [], path.name
+
+
+def test_persistence_imports_none_of_the_producers():
+    path = Path(ripscollapse.__file__).parent / "persistence.py"
+    imported = _package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert imported <= PERSISTENCE_MAY_IMPORT, imported - PERSISTENCE_MAY_IMPORT

@@ -10,6 +10,7 @@ from oracles import (
     naive_check_filtration,
     naive_tower_to_filtration,
     naive_validate_tower,
+    rips_snapshot,
 )
 
 from ripscollapse.collapse import RetractionMap, core
@@ -18,13 +19,8 @@ from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.io_formats import write_tower
 from ripscollapse.persistence import compute_persistence
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import (
-    flag_core,
-    neighborhood_bitsets,
-    pairwise_distances,
-    rips_snapshot,
-)
-from ripscollapse.tower import Contract, Include, assemble_tower_filtration
+from ripscollapse.rips import flag_core, neighborhood_bitsets, pairwise_distances
+from ripscollapse.tower import Contract, Include, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -34,9 +30,9 @@ TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     """The assembled tower, once its filtration is checked for face-first
     order and against the whole-complex coning of that tower."""
-    tower, filtration = assemble_tower_filtration(cores, retractions, grades, cap)
-    naive_check_filtration(filtration.cells)
-    assert filtration == naive_tower_to_filtration(tower)
+    tower = assemble_tower(cores, retractions, grades, cap)
+    naive_check_filtration(tower.cells)
+    assert tower.cells == naive_tower_to_filtration(tower)
     return tower
 
 
@@ -129,19 +125,18 @@ def test_returning_point_id_gets_a_fresh_tower_id():
         Contract(1, 0, 1.0),
         Include((2,), 2.0),
     )
-    _, filtration = assemble_tower_filtration(cores, retractions, [0.0, 1.0, 2.0])
-    diagram = compute_persistence(filtration)
+    diagram = compute_persistence(tower.cells)
     assert diagram.pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf), (0, 2.0, math.inf))
 
 
 def test_assemble_input_validation():
     res = core(ComplexMatrix.from_simplex_list([(0, 1)]))
     with pytest.raises(ValueError):
-        assemble_tower_filtration([res.matrix], [res.retraction, res.retraction], [0.0])
+        assemble_tower([res.matrix], [res.retraction, res.retraction], [0.0])
     with pytest.raises(ValueError):
-        assemble_tower_filtration([], [], [])
+        assemble_tower([], [], [])
     with pytest.raises(ValueError):
-        assemble_tower_filtration(
+        assemble_tower(
             [res.matrix, res.matrix], [res.retraction, res.retraction], [1.0, 1.0]
         )
 
@@ -153,7 +148,7 @@ def test_assemble_rejects_retraction_missing_a_point():
     ]
     retractions = [RetractionMap({0: 0}), RetractionMap({5: 5})]
     with pytest.raises(CollapseConsistencyError):
-        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
+        assemble_tower(cores, retractions, [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
@@ -163,7 +158,7 @@ def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
     ]
     retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 3, 1: 1, 2: 2, 3: 3})]
     with pytest.raises(CollapseConsistencyError, match="into its core"):
-        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
+        assemble_tower(cores, retractions, [0.0, 1.0])
 
 
 def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
@@ -174,7 +169,7 @@ def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
     ]
     retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 2, 1: 1, 2: 2})]
     with pytest.raises(CollapseConsistencyError, match="not in the next core"):
-        assemble_tower_filtration(cores, retractions, [0.0, 1.0])
+        assemble_tower(cores, retractions, [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_that_merges_core_vertices():
@@ -191,7 +186,7 @@ def test_assemble_rejects_retraction_that_merges_core_vertices():
             {q: b if w == a else w for q, w in retractions[j].target.items()}
         )
         with pytest.raises(CollapseConsistencyError, match=f"does not fix core vertex {a}"):
-            assemble_tower_filtration(cores, merged, grades)
+            assemble_tower(cores, merged, grades)
 
 
 def test_tower_validate_rejects_bad_ops():
@@ -209,14 +204,14 @@ def test_tower_validate_rejects_bad_ops():
 def test_includes_only_tower_converts_verbatim():
     tower = (Include((2, 5), 0.0), Include((7,), 1.5))
     f = naive_tower_to_filtration(tower)
-    assert f.cells == (((2,), 0.0), ((5,), 0.0), ((2, 5), 0.0), ((7,), 1.5))
-    naive_check_filtration(f.cells)
+    assert f == (((2,), 0.0), ((5,), 0.0), ((2, 5), 0.0), ((7,), 1.5))
+    naive_check_filtration(f)
 
 
 def test_contract_of_dominated_edge_needs_no_cone_cells():
     tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0))
     f = naive_tower_to_filtration(tower)
-    assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
+    assert f == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
     diagram = compute_persistence(f, include_zero_pairs=True)
     assert diagram.pairs == ((0, 0.0, 0.0), (0, 0.0, math.inf))
 
@@ -224,7 +219,7 @@ def test_contract_of_dominated_edge_needs_no_cone_cells():
 def test_coning_adds_the_closed_star_with_the_new_apex():
     tower = (Include((0, 1, 2), 0.0), Include((3,), 0.0), Contract(0, 3, 1.0))
     f = naive_tower_to_filtration(tower)
-    added = [(s, g) for s, g in f.cells if g == 1.0]
+    added = [(s, g) for s, g in f if g == 1.0]
     assert added == [
         ((0, 3), 1.0),
         ((1, 3), 1.0),
@@ -234,7 +229,7 @@ def test_coning_adds_the_closed_star_with_the_new_apex():
         ((1, 2, 3), 1.0),
         ((0, 1, 2, 3), 1.0),
     ]
-    naive_check_filtration(f.cells)
+    naive_check_filtration(f)
     diagram = compute_persistence(f)
     assert diagram.pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf))
 
@@ -242,20 +237,20 @@ def test_coning_adds_the_closed_star_with_the_new_apex():
 def test_include_after_contract_is_rewritten_through_the_alias():
     tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0), Include((0, 2), 2.0))
     f = naive_tower_to_filtration(tower)
-    assert f.cells == (
+    assert f == (
         ((0,), 0.0),
         ((1,), 0.0),
         ((0, 1), 0.0),
         ((2,), 2.0),
         ((1, 2), 2.0),
     )
-    naive_check_filtration(f.cells)
+    naive_check_filtration(f)
 
 
 def test_contract_resolving_to_itself_is_a_no_op():
     tower = (Include((0, 1), 0.0), Contract(0, 1, 1.0), Contract(1, 0, 2.0))
     f = naive_tower_to_filtration(tower)
-    assert f.cells == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
+    assert f == (((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0))
 
 
 def test_contract_of_unknown_vertex_is_rejected():
@@ -268,8 +263,7 @@ def test_contract_of_unknown_vertex_is_rejected():
 
 
 def test_every_tower_prefix_stays_downward_closed():
-    _, f = assemble_tower_filtration(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
-    naive_check_filtration(f.cells)
+    naive_check_filtration(assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5])).cells)
 
 
 def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
@@ -280,7 +274,7 @@ def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
         grades = [0.3, 0.8, 1.4]
         inputs = _pipeline_inputs(pts, grades)
         naive_validate_tower(_assemble(*inputs))
-        got = compute_persistence(assemble_tower_filtration(*inputs)[1])
+        got = compute_persistence(assemble_tower(*inputs).cells)
         want = run_pipeline(pairwise_distances(pts), grades, collapse=False).diagram
         assert got.pairs == want.pairs
 
@@ -380,9 +374,9 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
     for D, grades in cases:
         snapshots = [rips_snapshot(D, g) for g in grades]
         identities = [RetractionMap({v: v for v in s.vertex_ids}) for s in snapshots]
-        tower, filtration = assemble_tower_filtration(snapshots, identities, grades)
+        tower = assemble_tower(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
-        assert filtration.cells == want.filtration.cells
+        assert tower.cells == want.filtration
         assert tuple(tower) == tuple(want.tower)
         assert all(isinstance(op, Include) for op in tower)
 
@@ -402,6 +396,7 @@ def test_derived_tower_replays_to_its_filtration():
     cone_sizes = set()
     for result in _derived_tower_cases():
         tower = result.tower
+        assert result.filtration is tower.cells
         assert len(tower) == sum(1 for _ in tower)
         naive_validate_tower(tower)
         assert naive_tower_to_filtration(tower) == result.filtration
