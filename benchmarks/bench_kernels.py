@@ -38,8 +38,8 @@ from ripscollapse.pipeline import run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
+    graded_bitsets,
     maximal_cliques,
-    neighborhood_bitsets,
     pairwise_distances,
 )
 from ripscollapse.tower import assemble_tower  # noqa: E402
@@ -84,7 +84,7 @@ def _dim1_block(cells):
 def bench_collapse():
     print("--- strong collapse (400-point noisy circle, t=0.4) ---")
     D = pairwise_distances(_circle_cloud(400, seed=1))
-    adj = neighborhood_bitsets(D, 0.4)
+    adj = graded_bitsets(D, [0.4])[0]
     m = ComplexMatrix.from_columns(dict(enumerate(maximal_cliques(adj))))
     edges = sum(a.bit_count() for a in adj) // 2
     times_core = _time(core, m)
@@ -108,7 +108,7 @@ def bench_tower():
     grades = w.grades()
     print(f"--- tower ({w.n}-point torus, {len(grades)} grades from {w.start} by {w.step}) ---")
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
-    results = [flag_core(neighborhood_bitsets(D, g)) for g in grades]
+    results = [flag_core(adj) for adj in graded_bitsets(D, grades)]
     args = ([r.matrix for r in results], [r.retraction for r in results], grades)
     tower = assemble_tower(*args)
     contracts = len(tower.contractions)

@@ -51,8 +51,8 @@ from .rips import (
     SnapshotSchedule,
     as_grades,
     flag_core,
+    graded_bitsets,
     maximal_cliques,
-    neighborhood_bitsets,
     pairwise_distances,
     validate_distance_matrix,
 )
@@ -102,8 +102,8 @@ __all__ = [
     "compute_persistence",
     "core",
     "flag_core",
+    "graded_bitsets",
     "maximal_cliques",
-    "neighborhood_bitsets",
     "pairwise_distances",
     "run_pipeline",
     "stats_to_csv",

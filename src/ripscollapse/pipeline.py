@@ -1,12 +1,14 @@
 """End-to-end snapshot pipeline.
 
-The accelerated path builds the neighbourhood graph at every grade, records
-the size of the full snapshot, and strong-collapses the snapshot to its core on
-the graph with :func:`~ripscollapse.rips.flag_core` (snapshots are independent,
-so a worker pool may handle them concurrently).  It then assembles the cores
-into a tower, whose cells are the tower's equivalent filtration, and reduces
-that filtration: a sequence of ``(simplex, grade)`` pairs in face-first,
-non-decreasing order.
+The accelerated path builds the neighbourhood graph of every grade in one
+pass (:func:`~ripscollapse.rips.graded_bitsets`) and strong-collapses each
+snapshot to its core on its graph with :func:`~ripscollapse.rips.flag_core`
+(snapshots are independent, so a worker pool may handle them concurrently).
+It keeps each graph for the snapshot's ``before`` stats, whose maximal
+cliques are enumerated only when those stats are first read.  It then
+assembles the cores into a tower, whose cells are the tower's equivalent
+filtration, and reduces that filtration: a sequence of ``(simplex, grade)``
+pairs in face-first, non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and reduces the first-appearance filtration of the snapshots,
 built in one clique enumeration of the last snapshot's graph; its tower is
@@ -21,6 +23,7 @@ Only the collapsing path uses workers, at most one per snapshot and per CPU.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -35,22 +38,70 @@ from .rips import (
     SnapshotSchedule,
     as_grades,
     flag_core,
+    graded_bitsets,
     maximal_cliques,
-    neighborhood_bitsets,
     validate_distance_matrix,
 )
 from .tower import Tower, assemble_tower
 
+_S = TypeVar("_S")
 _T = TypeVar("_T")
 
+# held while a lazy ``before`` enumerates its cliques, so each is counted once
+_BEFORE_LOCK = threading.Lock()
 
-@dataclass(frozen=True, slots=True)
+
 class SnapshotStats:
-    """Size of one snapshot before and after collapsing."""
+    """Size of one snapshot before and after collapsing.
 
-    grade: float
-    before: ComplexStats
-    after: ComplexStats
+    The collapsed pipeline keeps each full snapshot's graph in place of its
+    ``before`` stats: nothing on its path needs them, and counting the
+    snapshot's maximal cliques costs a Bron-Kerbosch run on the full graph.
+    That run happens on the first read of ``before``, and its stats are
+    kept.  Equality, hashing and ``repr`` go by value, so they read
+    ``before``.
+    """
+
+    __slots__ = ("grade", "after", "_before", "_graph")
+
+    def __init__(self, grade: float, before: ComplexStats, after: ComplexStats) -> None:
+        self.grade = grade
+        self.after = after
+        self._before: ComplexStats | None = before
+        self._graph: list[int] | None = None
+
+    @classmethod
+    def _of_graph(cls, grade: float, graph: list[int], after: ComplexStats) -> SnapshotStats:
+        """Stats whose ``before`` is counted from *graph* when first read."""
+        s = cls.__new__(cls)
+        s.grade, s.after, s._before, s._graph = grade, after, None, graph
+        return s
+
+    @property
+    def before(self) -> ComplexStats:
+        if self._before is None:
+            with _BEFORE_LOCK:
+                if self._before is None:
+                    graph = self._graph
+                    self._before = _clique_stats(len(graph), maximal_cliques(graph))
+                    self._graph = None
+        return self._before
+
+    def _key(self) -> tuple[float, ComplexStats, ComplexStats]:
+        return (self.grade, self.before, self.after)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"SnapshotStats(grade={self.grade!r}, before={self.before!r}, after={self.after!r})"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +127,7 @@ def _clique_stats(n: int, cliques: list[Simplex]) -> ComplexStats:
     return ComplexStats(n, len(cliques), max(map(len, cliques)) - 1)
 
 
-def _map_ordered(
-    fn: Callable[[float], _T], items: Sequence[float], workers: int
-) -> list[_T]:
+def _map_ordered(fn: Callable[[_S], _T], items: Sequence[_S], workers: int) -> list[_T]:
     # more threads than items or cores only add threads
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers == 1:
@@ -111,15 +160,16 @@ def _snapshot_filtration(
     cell count (from its maximal cliques) exceeds *cap*, before any cell is
     built.
     """
+    graphs = graded_bitsets(D, grades)
     sizes = []
-    for g in grades:
-        cliques = maximal_cliques(neighborhood_bitsets(D, g))
+    for graph in graphs:
+        cliques = maximal_cliques(graph)
         check_expansion_cap(cliques, cap)
         sizes.append(_clique_stats(len(D), cliques))
 
     # grade index of each edge: the first grade g with D[u, v] <= g
     first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
-    adj = neighborhood_bitsets(D, grades[-1])
+    adj = graphs[-1]
     buckets: dict[tuple[int, int], list[Simplex]] = {}
     for v in range(len(adj)):
         # frames (clique, grade index, common neighbours above its last vertex)
@@ -179,24 +229,22 @@ def run_pipeline(
 
     if collapse:
 
-        def job(g: float) -> tuple[ComplexStats, CoreResult, float]:
-            adj = neighborhood_bitsets(D, g)
-            cliques = maximal_cliques(adj)
-            before = _clique_stats(len(adj), cliques)
+        def job(adj: list[int]) -> tuple[CoreResult, float]:
             t0 = perf_counter()
             result = flag_core(adj)
-            return before, result, perf_counter() - t0
+            return result, perf_counter() - t0
 
-        results = _map_ordered(job, grades, workers)
+        graphs = graded_bitsets(D, grades)
+        results = _map_ordered(job, graphs, workers)
         stats = tuple(
-            SnapshotStats(g, before, res.matrix.stats())
-            for g, (before, res, _) in zip(grades, results)
+            SnapshotStats._of_graph(g, graph, res.matrix.stats())
+            for g, graph, (res, _) in zip(grades, graphs, results)
         )
-        collapse_max = max(elapsed for _, _, elapsed in results)
+        collapse_max = max(elapsed for _, elapsed in results)
         t0 = perf_counter()
         tower = assemble_tower(
-            [res.matrix for _, res, _ in results],
-            [res.retraction for _, res, _ in results],
+            [res.matrix for res, _ in results],
+            [res.retraction for res, _ in results],
             grades,
             cap,
         )

@@ -123,14 +123,32 @@ def as_grades(sched: SnapshotSchedule | Iterable[float]) -> list[float]:
     return grades
 
 
-def neighborhood_bitsets(D: np.ndarray, t: float) -> list[int]:
-    """Adjacency of the distance-``<= t`` graph, one int bitmask per vertex."""
-    mask = D <= t
-    np.fill_diagonal(mask, False)
-    return [
-        int.from_bytes(np.packbits(mask[i], bitorder="little").tobytes(), "little")
-        for i in range(D.shape[0])
-    ]
+def graded_bitsets(D: np.ndarray, grades: Sequence[float]) -> list[list[int]]:
+    """Adjacency of the distance-``<= g`` graph at each of the increasing
+    *grades*, one int bitmask per vertex.
+
+    One ``searchsorted`` finds the first grade of every edge; each grade's
+    list is then a copy of the previous grade's with the edges first present
+    at that grade OR-ed in, so no grade scans ``D`` again.
+    """
+    count = len(grades)
+    first = np.searchsorted(np.asarray(grades), D, side="left")
+    us, vs = np.nonzero(np.triu(first < count, 1))
+    at = first[us, vs]
+    order = np.argsort(at, kind="stable")
+    ends = np.searchsorted(at[order], np.arange(1, count + 1)).tolist()
+    us, vs = us[order].tolist(), vs[order].tolist()
+    adj = [0] * len(D)
+    out = []
+    lo = 0
+    for hi in ends:
+        adj = adj.copy()
+        for u, v in zip(us[lo:hi], vs[lo:hi]):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        out.append(adj)
+        lo = hi
+    return out
 
 
 def _extension(P: int, X: int, adj: list[int]) -> int:

@@ -18,7 +18,9 @@ their output and their errors compare with the package's one for one; replay
 and coning raise the local :class:`TowerOpError`.  The snapshot-filtration
 oracle expands the package's ``ComplexMatrix`` snapshots after their own cap
 check and so raises its cap error; :func:`rips_snapshot` builds those
-snapshots from the package's clique enumeration.
+snapshots from the package's clique enumeration, on the graph of one
+``D <= t`` comparison per threshold (:func:`neighborhood_bitsets`, the judge
+of the package's one-pass ``graded_bitsets``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ripscollapse.complexes import (
     check_expansion_cap,
 )
 from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
-from ripscollapse.rips import maximal_cliques, neighborhood_bitsets
+from ripscollapse.rips import maximal_cliques
 from ripscollapse.tower import Contract, Include
 
 
@@ -88,6 +90,17 @@ def random_maximal_simplices(rng, n_vertices, n_simplices, max_card):
         k = rng.randint(1, max_card)
         out.append(tuple(sorted(rng.sample(range(n_vertices), min(k, n_vertices)))))
     return out
+
+
+def neighborhood_bitsets(D, t):
+    """Adjacency of the distance-``<= t`` graph, one int bitmask per vertex,
+    from one full comparison of *D* with *t*."""
+    mask = D <= t
+    np.fill_diagonal(mask, False)
+    return [
+        int.from_bytes(np.packbits(mask[i], bitorder="little").tobytes(), "little")
+        for i in range(D.shape[0])
+    ]
 
 
 def rips_snapshot(D, t):

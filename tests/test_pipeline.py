@@ -4,6 +4,8 @@ import dataclasses
 import math
 import os
 import random
+import sys
+import threading
 
 import pytest
 from oracles import naive_check_filtration, naive_tower_to_filtration, rips_snapshot
@@ -16,6 +18,7 @@ from ripscollapse.io_formats import write_diagram, write_tower
 from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, compute_persistence
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
+    SnapshotStats,
     compare_pipelines,
     run_pipeline,
     stats_to_csv,
@@ -213,10 +216,83 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
                 run(cap)
         assert calls == []
     # the wrappers do count: a valid cap reaches both stages
-    run_pipeline(D, grades)
+    for s in run_pipeline(D, grades).snapshots:
+        s.before
     assert calls.count("flag_core") == 4 and calls.count("maximal_cliques") == 4
     run_pipeline(D, grades, collapse=False)
     assert calls.count("maximal_cliques") == 8
+
+
+def _count_full_snapshot_cliques(monkeypatch):
+    """A list that grows by one on each pipeline-level ``maximal_cliques``
+    call, that is once per full snapshot enumerated; ``flag_core`` reaches
+    ``rips.maximal_cliques`` for its cores and is not counted."""
+    calls = []
+    enumerate_cliques = pipeline.maximal_cliques
+
+    def counted(adj):
+        calls.append(len(adj))
+        return enumerate_cliques(adj)
+
+    monkeypatch.setattr(pipeline, "maximal_cliques", counted)
+    return calls
+
+
+def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatch):
+    calls = _count_full_snapshot_cliques(monkeypatch)
+    rng = random.Random(31)
+    D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
+    grades = [0.1, 0.2, 0.3, 0.4]
+    snapshots = run_pipeline(D, grades).snapshots
+    assert calls == []
+    first = [s.before for s in snapshots]
+    assert len(calls) == len(grades)
+    assert [s.before for s in snapshots] == first
+    assert len(calls) == len(grades)
+    assert first == [rips_snapshot(D, g).stats() for g in grades]
+    # the oracle's cap check is the only enumeration left in a comparison
+    calls.clear()
+    compare_pipelines(D, grades)
+    assert len(calls) == len(grades)
+
+
+def test_lazy_before_stats_behave_as_values(monkeypatch):
+    rng = random.Random(32)
+    D = pairwise_distances([(rng.random(), rng.random()) for _ in range(40)])
+    grades = [0.2, 0.4, 0.6]
+    lazy = run_pipeline(D, grades).snapshots
+    eager = tuple(
+        SnapshotStats(s.grade, rips_snapshot(D, s.grade).stats(), s.after) for s in lazy
+    )
+    assert [repr(s) for s in lazy] == [repr(s) for s in eager]
+    assert lazy == eager and list(map(hash, lazy)) == list(map(hash, eager))
+    # a fresh run, so that the CSV writer is the first reader
+    assert stats_to_csv(run_pipeline(D, grades).snapshots) == stats_to_csv(eager)
+
+    # threads that read one snapshot's before at once get one value, counted once
+    calls = _count_full_snapshot_cliques(monkeypatch)
+    snapshot = run_pipeline(D, grades[-1:]).snapshots[0]
+    readers = 8
+    barrier = threading.Barrier(readers)
+    seen = []
+
+    def read():
+        barrier.wait(timeout=10)
+        seen.append(snapshot.before)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [eager[-1].before] * readers
+    assert len(calls) == 1
 
 
 def test_workers_validation():

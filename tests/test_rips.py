@@ -15,6 +15,7 @@ from oracles import (
     naive_maximal_cliques,
     naive_pairwise_distances,
     naive_retraction,
+    neighborhood_bitsets,
     rips_snapshot,
 )
 from ripscollapse.collapse import core
@@ -24,8 +25,8 @@ from ripscollapse.rips import (
     SnapshotSchedule,
     as_grades,
     flag_core,
+    graded_bitsets,
     maximal_cliques,
-    neighborhood_bitsets,
     pairwise_distances,
     validate_distance_matrix,
 )
@@ -144,6 +145,22 @@ def test_neighborhood_bitsets_unit_square():
     assert neighborhood_bitsets(D, 1.0) == [0b1010, 0b0101, 0b1010, 0b0101]
     assert neighborhood_bitsets(D, 0.5) == [0, 0, 0, 0]
     assert neighborhood_bitsets(D, 2.0) == [0b1110, 0b1101, 0b1011, 0b0111]
+
+
+def test_graded_bitsets_equal_one_graph_per_grade():
+    """Duplicate points give zero-length edges, and grades equal to edge
+    lengths must keep those edges (``D <= g``), as must a grade of 0.0."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        X = rng.random((n, int(rng.integers(1, 4))))
+        if n > 2:
+            X[rng.integers(n)] = X[rng.integers(n)]
+        D = pairwise_distances(X)
+        lengths = np.unique(D[np.triu_indices(n, 1)]).tolist()
+        picked = rng.choice(lengths, min(len(lengths), 6), replace=False) if lengths else []
+        grades = sorted({-1.0, 0.0, 2.0, float(rng.random()), *map(float, picked)})
+        assert graded_bitsets(D, grades) == [neighborhood_bitsets(D, g) for g in grades]
 
 
 def test_unit_square_snapshots():

@@ -19,7 +19,7 @@ from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
 from ripscollapse.io_formats import write_tower
 from ripscollapse.persistence import compute_persistence
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import flag_core, neighborhood_bitsets, pairwise_distances
+from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import Contract, Include, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -287,7 +287,7 @@ def _flag_core_inputs(seed):
     pts = [tuple(cloud.uniform(0, 1) for _ in range(dim)) for _ in range(cloud.randint(10, 24))]
     D = pairwise_distances(pts)
     grades = [0.1, 0.25, 0.4, 0.55]
-    return _core_inputs([flag_core(neighborhood_bitsets(D, g)) for g in grades], grades)
+    return _core_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
 
 
 def _mutated(rng, cores, retractions, grades):
