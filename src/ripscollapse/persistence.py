@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._kernels import reduce_block
@@ -96,23 +97,22 @@ class BoundaryMatrix:
             last = grade
             if s in pos:
                 raise FiltrationOrderError(f"duplicate cell {s}", i)
-            faces = []
-            if len(s) > 1:
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1 :]
-                    f = pos.get(face)
-                    if f is None:
-                        raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
-                    faces.append(f)
-            elif not s:
-                raise FiltrationOrderError("the empty simplex is not a cell", i)
             d = len(s) - 1
+            if d > 0:
+                faces = tuple(map(pos.get, combinations(s, d)))
+                if None in faces:
+                    face = next(f for f in combinations(s, d) if f not in pos)
+                    raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
+            elif d < 0:
+                raise FiltrationOrderError("the empty simplex is not a cell", i)
+            else:
+                faces = ()
             if d == len(by_dim):
                 by_dim.append([])
             cells_d = by_dim[d]
             pos[s] = len(cells_d)
             cells_d.append(i)
-            columns.append(tuple(faces))
+            columns.append(faces)
         return cls(cells, tuple(map(tuple, by_dim)), tuple(columns))
 
 

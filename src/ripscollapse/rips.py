@@ -222,9 +222,17 @@ def flag_core(adj: list[int]) -> CoreResult:
     equal pair goes.  Only the live neighbours of a removed vertex can
     become dominated, so only they are queued again.
 
+    A failed candidate ``y`` names a witness ``z``, the lowest vertex of
+    ``N[x]`` outside ``N[y]``.  Every dominator of ``x`` contains ``z`` in
+    its closed neighbourhood, and ``z`` is not one itself (``y`` is in
+    ``N[x]`` but not in ``N[z]``), so the candidates left are cut to the
+    neighbours of ``z``.  This drops only non-dominators, so the dominator
+    found is the same as without it.
+
     The core's columns are its maximal cliques, numbered in lexicographic
     order; the trace lists one ``("row", removed, by)`` event per removal,
-    as a single row phase with its candidate-test count.
+    as a single row phase with the count of candidates tested, those left
+    after pruning.
     """
     n = len(adj)
     closed = [a | 1 << v for v, a in enumerate(adj)]
@@ -242,8 +250,12 @@ def flag_core(adj: list[int]) -> CoreResult:
             y = low.bit_length() - 1
             cand ^= low
             tests += 1
-            ny = closed[y] & alive
-            if nx & ~ny == 0 and (nx != ny or y < x):
+            miss = nx & ~closed[y]
+            if miss:
+                # a dominator of x is adjacent to the witness z, the lowest
+                # vertex of miss; z itself is none, as y is in N[x], not N[z]
+                cand &= adj[(miss & -miss).bit_length() - 1]
+            elif y < x or nx != closed[y] & alive:
                 alive ^= 1 << x
                 events.append(("row", x, y))
                 fresh = nx & alive & ~queued

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import RetractionMap
@@ -116,8 +117,7 @@ class _Complex:
         while stack:
             s = stack.pop()
             if len(s) > 1:
-                for j in range(len(s)):
-                    face = s[:j] + s[j + 1 :]
+                for face in combinations(s, len(s) - 1):
                     if face not in cells and face not in missing:
                         missing.add(face)
                         stack.append(face)

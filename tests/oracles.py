@@ -2,15 +2,16 @@
 
 Everything here favours obviousness over speed and shares no code with the
 package: maximality by pairwise subset tests, expansion by powersets, domination
-by set containment, the retraction by following chains of dominators, the
-collapse's events by replaying them on row and column sets, the nerve by a
-pairwise row scan, distances by loops, clique enumeration by subset scan,
-Betti numbers by dense GF(2) rank, persistence by the textbook set-based
-column reduction, the snapshot filtration by expanding every snapshot and
-dropping the cells seen before, the exact edge-length Rips filtration,
-bottleneck distance by exhaustive matching, tower assembly, replay and coning
-by whole-complex rewrites, and face-first order by a set of the cells seen so
-far.  The collapse judges read and build the package's
+by set containment (on the graph, :func:`naive_flag_core` tests every live
+neighbour, where the package prunes), the retraction by following chains of
+dominators, the collapse's events by replaying them on row and column sets,
+the nerve by a pairwise row scan, distances by loops, clique enumeration by
+subset scan, Betti numbers by dense GF(2) rank, persistence by the textbook
+set-based column reduction, the snapshot filtration by expanding every
+snapshot and dropping the cells seen before, the exact edge-length Rips
+filtration, bottleneck distance by exhaustive matching, tower assembly,
+replay and coning by whole-complex rewrites, and face-first order by a set of
+the cells seen so far.  The collapse judges read and build the package's
 ``ComplexMatrix`` and raise its ``CollapseConsistencyError``, so that they
 compare with ``core`` directly.  The tower oracles take the package's op
 types and ``as_simplex``, and the assembly oracle its error types, so that
@@ -26,6 +27,7 @@ of the package's one-pass ``graded_bitsets``).
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import chain, combinations, permutations
 from typing import Iterable
 
@@ -189,6 +191,41 @@ def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
         )
     ]
     return ComplexMatrix.from_columns({v: rows[v] for v in kept})
+
+
+def naive_flag_core(adj):
+    """Strong collapse of the flag complex of the graph *adj* (one int
+    bitmask per vertex), on Python sets: ``(events, survivors, tests)``.
+
+    A FIFO queue, seeded with every vertex in id order, removes ``x`` in
+    favour of the first live neighbour ``y``, in id order, with
+    ``N[x] <= N[y]`` on live vertices (``y < x`` too when the two are
+    equal), and queues again the live neighbours of ``x`` not in the queue.
+    Every live neighbour is tested until one dominates; ``tests`` counts
+    those tests.
+    """
+    n = len(adj)
+    closed = [{u for u in range(n) if adj[v] >> u & 1} | {v} for v in range(n)]
+    alive = set(range(n))
+    queue = deque(range(n))
+    queued = set(queue)
+    events: list[RowEvent] = []
+    tests = 0
+    while queue:
+        x = queue.popleft()
+        queued.remove(x)
+        nx = closed[x] & alive
+        for y in sorted(nx - {x}):
+            tests += 1
+            ny = closed[y] & alive
+            if nx <= ny and (nx != ny or y < x):
+                alive.remove(x)
+                events.append(("row", x, y))
+                fresh = sorted(nx & alive - queued)
+                queue.extend(fresh)
+                queued.update(fresh)
+                break
+    return tuple(events), tuple(sorted(alive)), tests
 
 
 def naive_retraction(vertices, dominator):

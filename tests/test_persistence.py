@@ -185,6 +185,7 @@ def test_missing_face_and_duplicate_are_rejected():
     with pytest.raises(FiltrationOrderError) as exc:
         compute_persistence((((0,), 0.0), ((0, 1), 0.0)))
     assert exc.value.cell_index == 1
+    assert "missing face (1,)" in str(exc.value)
     with pytest.raises(FiltrationOrderError):
         compute_persistence((((0,), 0.0), ((0,), 1.0)))
 
@@ -211,17 +212,18 @@ def test_filtration_validate():
     good = (((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0))
     naive_check_filtration(good)
     compute_persistence(good)
-    for bad, cell_index in (
-        ((((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)), 0),
-        ((((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)), 2),
-        ((((0,), 1.0), ((1,), 0.0)), 1),
-        ((((0,), 0.0), ((0,), 1.0)), 1),
+    for bad, cell_index, reason in (
+        ((((0, 1), 0.0), ((0,), 0.0), ((1,), 0.0)), 0, "missing face"),
+        ((((0,), 0.0), ((1,), 0.0), ((1, 2), 0.0), ((2,), 0.0)), 2, "missing face (2,)"),
+        ((((0,), 1.0), ((1,), 0.0)), 1, "grade"),
+        ((((0,), 0.0), ((0,), 1.0)), 1, "duplicate"),
     ):
         with pytest.raises(AssertionError):
             naive_check_filtration(bad)
         with pytest.raises(FiltrationOrderError) as exc:
             compute_persistence(bad)
         assert exc.value.cell_index == cell_index
+        assert reason in str(exc.value)
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

@@ -12,6 +12,7 @@ from oracles import (
     betti_by_rank,
     expand_by_powerset,
     naive_clique_count,
+    naive_flag_core,
     naive_maximal_cliques,
     naive_pairwise_distances,
     naive_retraction,
@@ -320,6 +321,46 @@ def test_flag_core_events_hold_at_their_moment():
             assert result.trace.row_candidate_tests >= len(result.trace.events)
             for clique in maximal_cliques(adj):
                 assert result.matrix.contains_simplex({result.retraction.target[v] for v in clique})
+
+
+def test_flag_core_equals_the_unpruned_judge():
+    """Witness pruning drops only non-dominators, so the events, survivors
+    and retraction are the unpruned loop's, in fewer candidate tests.
+    Duplicate points have equal closed neighbourhoods, which exercises the
+    ``y < x`` tie rule, and grades equal to edge lengths keep their edges."""
+    rng = np.random.default_rng(31)
+    ties = pruned = unpruned = 0
+    for _ in range(30):
+        n = int(rng.integers(1, 40))
+        X = rng.random((n, int(rng.integers(1, 4))))
+        for _ in range(n // 8):
+            X[rng.integers(n)] = X[rng.integers(n)]
+        D = pairwise_distances(X)
+        lengths = np.unique(D[np.triu_indices(n, 1)]).tolist()
+        picked = rng.choice(lengths, min(len(lengths), 6), replace=False) if lengths else []
+        grades = sorted({0.0, 0.2, 0.4, *map(float, picked)})
+        for adj in graded_bitsets(D, grades):
+            result = flag_core(adj)
+            events, survivors, tests = naive_flag_core(adj)
+            assert result.trace.events == events
+            assert result.matrix.vertex_ids == survivors
+            dominator = {x: y for _, x, y in events}
+            assert result.retraction.target == naive_retraction(range(n), dominator)
+            assert result.trace.row_candidate_tests <= tests
+            pruned += result.trace.row_candidate_tests
+            unpruned += tests
+            ties += sum(adj[x] | 1 << x == adj[y] | 1 << y for _, x, y in events)
+    assert ties > 0
+    assert pruned < unpruned
+
+
+def test_flag_core_candidate_tests_are_pinned():
+    """The noise-free work counter of the collapse: the unpruned loop makes
+    7,277 candidate tests on this cloud for the same 678 removals."""
+    D = pairwise_distances(np.random.default_rng(29).random((80, 2)))
+    results = [flag_core(adj) for adj in graded_bitsets(D, [0.05 * k for k in range(1, 11)])]
+    assert sum(len(r.trace.events) for r in results) == 678
+    assert sum(r.trace.row_candidate_tests for r in results) == 2430
 
 
 def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers():
