@@ -9,7 +9,8 @@ and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower`` on the ``flag_core`` cores of the torus-tower workload's
 cloud and grades, taken from ``perfbench/workloads.py`` (without the run
-seed's isometry).  It then checks, untimed, that the tower's cells equal
+seed's isometry); that time includes the boundary index the assembly
+builds for the reduction.  It then checks, untimed, that the tower's cells equal
 ``naive_tower_to_filtration`` of the tower, the whole-complex coning in
 ``tests/oracles.py``.
 

@@ -170,7 +170,11 @@ def compute_persistence(
     the diagram unless *include_zero_pairs* is set; essential classes get an
     infinite death.
     """
-    matrix = BoundaryMatrix.from_filtration(filtration)
+    return _diagram(BoundaryMatrix.from_filtration(filtration), include_zero_pairs)
+
+
+def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
+    """Reduce an indexed filtration and read off its diagram."""
     pairs, essential = _reduce(matrix)
     cells = matrix.cells
     out: list[tuple[int, float, float]] = []

@@ -33,7 +33,7 @@ import numpy as np
 
 from .collapse import CoreResult
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
-from .persistence import PersistenceDiagram, bottleneck_distance, compute_persistence
+from .persistence import PersistenceDiagram, _diagram, bottleneck_distance, compute_persistence
 from .rips import (
     SnapshotSchedule,
     as_grades,
@@ -42,7 +42,7 @@ from .rips import (
     maximal_cliques,
     validate_distance_matrix,
 )
-from .tower import Tower, assemble_tower
+from .tower import Tower, _assemble_indexed
 
 _S = TypeVar("_S")
 _T = TypeVar("_T")
@@ -109,8 +109,12 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    assembly: float  # tower assembly with its filtration (AT)
-    reduction: float  # boundary-matrix reduction (PDT)
+    # tower assembly with its filtration (AT); when collapsing, also the
+    # boundary index the reduction reads, built as the cells are emitted
+    assembly: float
+    # boundary-matrix reduction (PDT); without collapsing, also the boundary
+    # index, built from the finished filtration
+    reduction: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,13 +246,16 @@ def run_pipeline(
         )
         collapse_max = max(elapsed for _, elapsed in results)
         t0 = perf_counter()
-        tower = assemble_tower(
+        tower, matrix = _assemble_indexed(
             [res.matrix for res, _ in results],
             [res.retraction for res, _ in results],
             grades,
             cap,
         )
         assembly = perf_counter() - t0
+        t0 = perf_counter()
+        diagram = _diagram(matrix)
+        reduction = perf_counter() - t0
     else:
         collapse_max = 0.0
         t0 = perf_counter()
@@ -256,10 +263,9 @@ def run_pipeline(
         stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
         tower = Tower(cells, ())
         assembly = perf_counter() - t0
-
-    t0 = perf_counter()
-    diagram = compute_persistence(tower.cells)
-    reduction = perf_counter() - t0
+        t0 = perf_counter()
+        diagram = compute_persistence(cells)
+        reduction = perf_counter() - t0
     return PipelineResult(
         diagram,
         tower,

@@ -15,9 +15,15 @@ and only a Contract adds more, so a :class:`Tower` is that filtration's
 cell tuple and one record per Contract.
 
 :func:`assemble_tower` builds the tower of a sequence of cores, and so its
-filtration, in one pass.  It replays the ops on a :class:`_Complex`, so an
-Include costs in proportion to the faces it adds and a Contract(u, v) to
-the star of ``u``, never to the whole complex.
+filtration, in one pass.  It replays the ops on a :class:`_Complex`, so a
+core's Includes cost in proportion to the faces of its maximal simplices
+that are not yet cells, and a Contract(u, v) to the star of ``u``, never to
+the whole complex.  A core's new cells are found level by level: the
+k-vertex faces of those maximal simplices, less the live cells, sorted, for
+k = 1, 2, ...  Each
+emitted cell's faces are looked up once, in a table of every emitted
+cell's position within its dimension, so the same pass builds the
+:class:`~ripscollapse.persistence.BoundaryMatrix` the reduction reads.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import RetractionMap
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, check_expansion_cap
-from .errors import CollapseConsistencyError
+from .errors import CollapseConsistencyError, FiltrationOrderError
+from .persistence import BoundaryMatrix
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,73 +90,83 @@ class Tower:
             yield Include(s, g)
 
 
-def _by_dim(s: Simplex) -> tuple[int, Simplex]:
-    return len(s), s
-
-
 class _Complex:
-    """A downward-closed set of cells with a per-vertex index of cofaces.
+    """The filtration emitted so far, indexed for the reduction, and the
+    complex it has reached, with a per-vertex index of cofaces.
 
-    ``cofaces[x]`` lists, in order of addition, the cells added that contain
-    ``x``.  The lists are append-only: a cell that has left ``cells`` stays
-    listed, and readers skip it by testing membership in ``cells``.  A
+    ``emitted`` is the filtration, and ``pos``, ``by_dim`` and ``columns``
+    are its :class:`BoundaryMatrix` fields: ``pos`` maps every emitted cell
+    to its position within its dimension, which never changes.  A cell is
+    live (in the complex) iff it has been emitted and contains no vertex of
+    ``dead``, the renamed-away ones; so a cell on live vertices is live iff
+    it is in ``pos``.
+
+    ``cofaces[x]`` lists, in order of addition, the live cells added that
+    contain ``x``.  The lists are append-only: a cell that has left the
+    complex stays listed, and readers skip it by its dead vertex.  A
     vertex's own list is dropped when the vertex is renamed away, because
     no cell that contains it is left.
     """
 
-    __slots__ = ("cells", "cofaces")
+    __slots__ = ("dead", "cofaces", "emitted", "pos", "by_dim", "columns")
 
     def __init__(self) -> None:
-        self.cells: set[Simplex] = set()
+        self.dead: set[int] = set()
         self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
+        self.emitted: list[tuple[Simplex, float]] = []
+        self.pos: dict[Simplex, int] = {}
+        self.by_dim: list[list[int]] = []
+        self.columns: list[tuple[int, ...]] = []
 
-    def missing_faces(self, target: Simplex) -> set[Simplex]:
-        """Faces of *target*, itself included, that are not cells, unordered.
-
-        They form an upward-closed set, so a top-down search from *target*
-        that follows only missing codimension-1 faces finds all of them.
-        """
-        cells = self.cells
-        if target in cells:
-            return set()
-        missing = {target}
-        stack = [target]
-        while stack:
-            s = stack.pop()
-            if len(s) > 1:
-                for face in combinations(s, len(s) - 1):
-                    if face not in cells and face not in missing:
-                        missing.add(face)
-                        stack.append(face)
-        return missing
-
-    def add(self, new: Iterable[Simplex]) -> None:
-        """Add the cells *new*, none of which may be present yet."""
-        cells, cofaces = self.cells, self.cofaces
+    def add_cofaces(self, new: Iterable[Simplex]) -> None:
+        """List the new live cells *new* under each of their vertices."""
+        cofaces = self.cofaces
         for s in new:
-            cells.add(s)
             for x in s:
                 cofaces[x].append(s)
 
-    def contract(self, u: int, v: int) -> list[Simplex]:
-        """Rename vertex *u* to *v*; return the cells of the cone over the
-        closed star of *u* with apex *v* that are new to the complex, in
-        (dimension, lexicographic) order.
+    def emit(self, new: Iterable[Simplex], grade: float) -> None:
+        """Append the cells *new* at *grade* to the filtration, looking each
+        face up once; each cell's faces must be emitted before it."""
+        emitted, pos, by_dim, columns = self.emitted, self.pos, self.by_dim, self.columns
+        for s in new:
+            d = len(s) - 1
+            if d:
+                faces = tuple(map(pos.get, combinations(s, d)))
+                if None in faces:
+                    face = next(f for f in combinations(s, d) if f not in pos)
+                    raise FiltrationOrderError(f"cell {s} is missing face {face}", len(emitted))
+            else:
+                faces = ()
+            if d == len(by_dim):
+                by_dim.append([])
+            cells_d = by_dim[d]
+            pos[s] = len(cells_d)
+            cells_d.append(len(emitted))
+            emitted.append((s, grade))
+            columns.append(faces)
+
+    def contract(self, u: int, v: int, grade: float) -> None:
+        """Rename vertex *u* to *v*, emitting at *grade* the cells of the
+        cone over the closed star of *u* with apex *v* that are new to the
+        complex, in (dimension, lexicographic) order.
 
         The closed star of ``u`` is ``star(u)`` together with ``s - {u}`` for
         each ``s`` in it, so the cone is ``s + {v}`` and ``(s - {u}) + {v}``
         over ``star(u)``; the images ``(s - {u}) + {v}`` then replace
         ``star(u)``.  The cost is in proportion to the star of ``u``.
         """
-        cells = self.cells
-        # a listed cell may repeat if it left and was added again
-        star = [s for s in self.cofaces.pop(u, ()) if s in cells]
+        dead, pos = self.dead, self.pos
+        star = [s for s in self.cofaces.pop(u, ()) if dead.isdisjoint(s)]
         images = {tuple(sorted({v if x == u else x for x in s})) for s in star}
         cone = images.union(tuple(sorted(s + (v,))) for s in star if v not in s)
-        new = sorted(cone.difference(cells), key=_by_dim)
-        cells.difference_update(star)
-        self.add(images.difference(cells))
-        return new
+        # every cone cell is on live vertices, so it is live iff emitted
+        fresh = images.difference(pos)
+        new = sorted(cone.difference(pos))
+        new.sort(key=len)
+        self.emit(new, grade)
+        dead.add(u)
+        self.add_cofaces(fresh)
 
 
 def assemble_tower(
@@ -181,6 +198,17 @@ def assemble_tower(
     id.  A contract whose target id is not yet live is preceded by the
     inclusion of that single vertex, keeping every op valid.
     """
+    return _assemble_indexed(cores, retractions, grades, cap)[0]
+
+
+def _assemble_indexed(
+    cores: Sequence[ComplexMatrix],
+    retractions: Sequence[RetractionMap],
+    grades: Sequence[float],
+    cap: int,
+) -> tuple[Tower, BoundaryMatrix]:
+    """:func:`assemble_tower`, with the :class:`BoundaryMatrix` of the
+    tower's cells, built as they are emitted."""
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
     if len(cores) == 0:
@@ -192,7 +220,6 @@ def assemble_tower(
 
     next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
 
-    cells: list[tuple[Simplex, float]] = []
     contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
     # point id -> live tower id; identical until a contracted id returns
@@ -246,20 +273,33 @@ def assemble_tower(
             w = mapping[u]
             if w == u:
                 continue
-            if (w,) not in current.cells:
-                cells.append(((w,), g))
-                current.add([(w,)])
-            start = len(cells)
-            cells.extend((s, g) for s in current.contract(u, w))
-            contractions.append((start, len(cells), u, w, g))
+            if (w,) not in current.pos:
+                current.emit([(w,)], g)
+                current.add_cofaces([(w,)])
+            start = len(current.emitted)
+            current.contract(u, w, g)
+            contractions.append((start, len(current.emitted), u, w, g))
 
-        new: list[Simplex] = []
-        for s in maximal:
-            faces = current.missing_faces(tuple(sorted(new_ident[x] for x in s)))
-            current.add(faces)
-            new.extend(faces)
-        new.sort(key=_by_dim)
-        cells.extend((t, g) for t in new)
+        # the new cells are the faces of core j's maximal simplices that are
+        # not live, found level by level, so each level sorts into
+        # lexicographic order; a live maximal simplex has no such face, and
+        # no contraction follows the last core to read its cofaces
+        pos = current.pos
+        tops = [tuple(sorted(new_ident[x] for x in s)) for s in maximal]
+        tops = [t for t in tops if t not in pos]
+        k = 1
+        while tops:
+            level: set[Simplex] = set()
+            for t in tops:
+                level.update(combinations(t, k))
+            new = sorted(level.difference(pos))
+            current.emit(new, g)
+            if j < len(cores) - 1:
+                current.add_cofaces(new)
+            tops = [t for t in tops if len(t) > k]
+            k += 1
         ident = new_ident
 
-    return Tower(tuple(cells), tuple(contractions))
+    cells = tuple(current.emitted)
+    matrix = BoundaryMatrix(cells, tuple(map(tuple, current.by_dim)), tuple(current.columns))
+    return Tower(cells, tuple(contractions)), matrix

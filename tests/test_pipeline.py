@@ -15,7 +15,12 @@ from ripscollapse import pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
 from ripscollapse.errors import ExpansionCapError
 from ripscollapse.io_formats import write_diagram, write_tower
-from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance, compute_persistence
+from ripscollapse.persistence import (
+    BoundaryMatrix,
+    PersistenceDiagram,
+    bottleneck_distance,
+    compute_persistence,
+)
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
     SnapshotStats,
@@ -254,6 +259,30 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
     calls.clear()
     compare_pipelines(D, grades)
     assert len(calls) == len(grades)
+
+
+def test_collapsed_path_reduces_the_index_built_at_assembly(monkeypatch):
+    """The collapsed path indexes its cells for the reduction as the tower
+    emits them, so ``from_filtration`` indexes only the oracle's filtration
+    in a comparison."""
+    calls = []
+    index = BoundaryMatrix.from_filtration.__func__
+
+    def counted(cls, filtration):
+        calls.append(cls)
+        return index(cls, filtration)
+
+    monkeypatch.setattr(BoundaryMatrix, "from_filtration", classmethod(counted))
+    rng = random.Random(33)
+    D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
+    grades = [0.1, 0.2, 0.3, 0.4]
+    result = run_pipeline(D, grades)
+    assert calls == []
+    assert result.diagram == compute_persistence(result.filtration)
+    assert len(calls) == 1
+    calls.clear()
+    compare_pipelines(D, grades)
+    assert len(calls) == 1
 
 
 def test_lazy_before_stats_behave_as_values(monkeypatch):

@@ -8,6 +8,7 @@ from oracles import (
     TowerOpError,
     naive_assemble_core_tower,
     naive_check_filtration,
+    naive_persistence,
     naive_tower_to_filtration,
     naive_validate_tower,
     rips_snapshot,
@@ -15,12 +16,12 @@ from oracles import (
 
 from ripscollapse.collapse import RetractionMap, core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
-from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError
+from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError, FiltrationOrderError
 from ripscollapse.io_formats import write_tower
-from ripscollapse.persistence import compute_persistence
+from ripscollapse.persistence import BoundaryMatrix, _diagram, compute_persistence
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
-from ripscollapse.tower import Contract, Include, assemble_tower
+from ripscollapse.tower import Contract, Include, _assemble_indexed, _Complex, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -29,10 +30,16 @@ TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
 def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     """The assembled tower, once its filtration is checked for face-first
-    order and against the whole-complex coning of that tower."""
-    tower = assemble_tower(cores, retractions, grades, cap)
+    order and against the whole-complex coning of that tower, and the
+    boundary index built with it against the one built from its cells."""
+    tower, matrix = _assemble_indexed(cores, retractions, grades, cap)
+    assert tower == assemble_tower(cores, retractions, grades, cap)
     naive_check_filtration(tower.cells)
     assert tower.cells == naive_tower_to_filtration(tower)
+    assert matrix == BoundaryMatrix.from_filtration(tower.cells)
+    diagram = _diagram(matrix)
+    assert diagram == compute_persistence(tower.cells)
+    assert list(diagram.pairs) == naive_persistence(tower.cells)
     return tower
 
 
@@ -262,21 +269,45 @@ def test_contract_of_unknown_vertex_is_rejected():
         naive_tower_to_filtration(tower)
 
 
+def test_a_cell_emitted_before_its_face_is_rejected():
+    complex_ = _Complex()
+    complex_.emit([(0,), (1,), (0, 1)], 0.0)
+    with pytest.raises(FiltrationOrderError, match=r"cell \(0, 2\) is missing face \(2,\)") as e:
+        complex_.emit([(0, 2)], 1.0)
+    assert e.value.cell_index == 3
+
+
 def test_every_tower_prefix_stays_downward_closed():
     naive_check_filtration(assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5])).cells)
 
 
 def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
+    """Towers of ``core`` and ``flag_core`` cores reduce to the uncollapsed
+    diagram, through the index built at assembly and through the one built
+    from the cells, also with duplicate points and grades equal to edge
+    lengths (lattice points)."""
     rng = random.Random(2025)
+    clouds = []
     for _ in range(10):
         n = rng.randint(2, 8)
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(n)]
-        grades = [0.3, 0.8, 1.4]
-        inputs = _pipeline_inputs(pts, grades)
-        naive_validate_tower(_assemble(*inputs))
-        got = compute_persistence(assemble_tower(*inputs).cells)
-        want = run_pipeline(pairwise_distances(pts), grades, collapse=False).diagram
-        assert got.pairs == want.pairs
+        clouds.append((pts, [0.3, 0.8, 1.4]))
+    for k in range(12):
+        pts = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(3, 9))]
+        pts[1] = pts[0]
+        clouds.append((pts, [0.0, 1.0, 2.0] if k % 2 else [1.0, 2.0**0.5, 2.0]))
+    ties = 0
+    for pts, grades in clouds:
+        D = pairwise_distances(pts)
+        ties += sum(g in D for g in grades)
+        want = run_pipeline(D, grades, collapse=False).diagram
+        tower = _assemble(*_pipeline_inputs(pts, grades))
+        naive_validate_tower(tower)
+        assert compute_persistence(tower.cells).pairs == want.pairs
+        flag_inputs = _core_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
+        naive_validate_tower(_assemble(*flag_inputs))
+        assert run_pipeline(D, grades).diagram.pairs == want.pairs
+    assert ties > 0
 
 
 def _flag_core_inputs(seed):
