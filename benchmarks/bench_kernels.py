@@ -7,10 +7,10 @@ on ``sys.path``).
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
-``assemble_tower`` on the ``flag_core`` cores of the torus-tower workload's
-cloud and grades, taken from ``perfbench/workloads.py`` (without the run
-seed's isometry); that time includes the boundary index the assembly
-builds for the reduction.  It then checks, untimed, that the tower's cells equal
+``assemble_tower`` on the ``flag_core`` cliques and retractions of the
+torus-tower workload's cloud and grades, taken from
+``perfbench/workloads.py`` (without the run seed's isometry); that time
+includes the boundary index the assembly builds for the reduction.  It then checks, untimed, that the tower's cells equal
 ``naive_tower_to_filtration`` of the tower, the whole-complex coning in
 ``tests/oracles.py``.
 
@@ -110,8 +110,8 @@ def bench_tower():
     print(f"--- tower ({w.n}-point torus, {len(grades)} grades from {w.start} by {w.step}) ---")
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     results = [flag_core(adj) for adj in graded_bitsets(D, grades)]
-    args = ([r.matrix for r in results], [r.retraction for r in results], grades)
-    tower = assemble_tower(*args)
+    args = ([r.cliques for r in results], [r.retraction for r in results], grades)
+    tower, _ = assemble_tower(*args)
     contracts = len(tower.contractions)
     print(f"  assemble_tower: {_ms(_time(assemble_tower, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")

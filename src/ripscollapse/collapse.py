@@ -14,7 +14,8 @@ each row and each column as a Python-int bitset of positions on the other
 side, so it needs no compiled kernel.  Rips snapshots are flag complexes, so
 the pipeline collapses them on their neighbourhood graph instead
 (:func:`ripscollapse.rips.flag_core`, also on int bitsets), which returns
-the same :class:`CoreResult` with a row-only trace.
+its core as plain data: the survivors' cliques, the retraction as a list
+indexed by point, and its row removals.
 
 Each collapse logs every removal in its trace, and that log is its one
 record of them: the retraction onto the core is the composite of the
@@ -24,12 +25,13 @@ trace's row removals, each sending the removed vertex to its dominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
 
 from .complexes import ComplexMatrix, Simplex
 from .errors import CollapseConsistencyError
 
 RowEvent = tuple[str, int, int]  # ("row" | "col", removed id, dominating id)
+_Target = TypeVar("_Target", dict[int, int], list[int])  # vertex -> its image
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,8 +60,7 @@ class CollapseTrace:
     ``events`` interleaves row and column removals exactly as they were
     executed; ``row_phases`` and ``col_phases`` count the phases of each
     kind that ran.  The work counters record how many domination candidates
-    each phase kind examined, for the complexity smoke tests.  A graph
-    collapse (``flag_core``) is one row phase with row events only.
+    each phase kind examined, for the complexity smoke tests.
     """
 
     events: tuple[RowEvent, ...]
@@ -91,19 +92,20 @@ def _bits(mask: int) -> Simplex:
     return tuple(out)
 
 
-def _retraction(vertices: Iterable[int], events: Sequence[RowEvent]) -> RetractionMap:
-    """Retraction of *vertices* onto the core that the removals *events* leave.
+def _retraction(target: _Target, events: Sequence[RowEvent]) -> _Target:
+    """Compose the removals *events* into *target*, the identity on the
+    vertices, so that it maps each vertex to its survivor in the core the
+    removals leave; *target* is changed in place and returned.
 
     A row event ``("row", x, y)`` sends ``x`` to ``y``, which is live when it
     dominates ``x``; read right to left, every later removal has already set
     ``y``'s image, so one reverse pass composes them.  Column events move no
     vertex.
     """
-    target = {v: v for v in vertices}
     for kind, x, y in reversed(events):
         if kind == "row":
             target[x] = target[y]
-    return RetractionMap(target)
+    return target
 
 
 def core(matrix: ComplexMatrix) -> CoreResult:
@@ -177,7 +179,8 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         row_candidate_tests=counters[2],
         col_candidate_tests=counters[3],
     )
-    return CoreResult(core_matrix, _retraction(vids, events), trace)
+    retraction = RetractionMap(_retraction({v: v for v in vids}, events))
+    return CoreResult(core_matrix, retraction, trace)
 
 
 def trace_to_text(trace: CollapseTrace) -> str:

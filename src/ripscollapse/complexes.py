@@ -77,8 +77,8 @@ class ComplexMatrix:
 
     Instances built through :meth:`from_simplex_list` are canonical (no
     column contains another, no duplicates).  :meth:`from_columns` trusts the
-    caller: it builds Rips snapshots, whose cliques are maximal by
-    construction, and collapse cores, whose surviving columns are maximal.
+    caller to pass maximal columns: :func:`ripscollapse.collapse.core` builds
+    its cores with it, whose surviving columns are maximal.
     """
 
     __slots__ = ("_cols", "_rows")
@@ -182,12 +182,3 @@ class ComplexMatrix:
             n_maximal=len(self._cols),
             dimension=max(len(s) for s in self._cols.values()) - 1,
         )
-
-    def contains_simplex(self, s: Iterable[int]) -> bool:
-        """True iff *s* is a face of some maximal simplex (maximal or not)."""
-        simplex = as_simplex(s)
-        first = simplex[0]
-        if first not in self._rows:
-            return False
-        target = set(simplex)
-        return any(target.issubset(self._cols[cid]) for cid in self._rows[first])

@@ -16,6 +16,7 @@ collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -116,9 +117,25 @@ class BoundaryMatrix:
         return cls(cells, tuple(map(tuple, by_dim)), tuple(columns))
 
 
+def _check_block_bound(sizes: Sequence[int]) -> None:
+    """Raise :class:`ReductionMemoryError` when the cell counts *sizes*, one
+    per dimension, show that some boundary block must pass the guard.
+
+    Each dimension-(p+1) column clears at most one dimension-p cell, so the
+    dimension-p block keeps at least ``n_p - n_(p+1)`` columns of
+    ``n_(p-1)`` bits; that lower bound needs no boundary index.
+    """
+    for p in range(len(sizes) - 1, 0, -1):
+        above = sizes[p + 1] if p + 1 < len(sizes) else 0
+        bound = max(0, sizes[p] - above) * ((sizes[p - 1] + 63) // 64) * 8
+        if bound > _MAX_BLOCK_BYTES:
+            raise ReductionMemoryError(p, bound, _MAX_BLOCK_BYTES)
+
+
 def _reduce(matrix: BoundaryMatrix):
     """Run the bitset reduction; return (pairs, essential) as cell indices."""
     by_dim = matrix.by_dim
+    _check_block_bound([len(cells_d) for cells_d in by_dim])
     paired = [False] * len(matrix.cells)
     pairs: list[tuple[int, int]] = []
 
@@ -169,8 +186,14 @@ def compute_persistence(
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an
     infinite death.
+
+    A filtration whose cell counts show that a boundary block must pass the
+    memory guard raises :class:`ReductionMemoryError` before it is indexed.
     """
-    return _diagram(BoundaryMatrix.from_filtration(filtration), include_zero_pairs)
+    cells = tuple(filtration)
+    sizes = Counter(len(s) for s, _ in cells)
+    _check_block_bound([sizes[k] for k in range(1, max(sizes, default=0) + 1)])
+    return _diagram(BoundaryMatrix.from_filtration(cells), include_zero_pairs)
 
 
 def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:

@@ -6,9 +6,10 @@ snapshot to its core on its graph with :func:`~ripscollapse.rips.flag_core`
 (snapshots are independent, so a worker pool may handle them concurrently).
 It keeps each graph for the snapshot's ``before`` stats, whose maximal
 cliques are enumerated only when those stats are first read.  It then
-assembles the cores into a tower, whose cells are the tower's equivalent
-filtration, and reduces that filtration: a sequence of ``(simplex, grade)``
-pairs in face-first, non-decreasing order.
+assembles the cores, each given by its maximal cliques and its retraction
+as a list indexed by point, into a tower, whose cells are the tower's
+equivalent filtration, and reduces that filtration: a sequence of
+``(simplex, grade)`` pairs in face-first, non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and reduces the first-appearance filtration of the snapshots,
 built in one clique enumeration of the last snapshot's graph; its tower is
@@ -31,10 +32,10 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .collapse import CoreResult
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
 from .persistence import PersistenceDiagram, _diagram, bottleneck_distance, compute_persistence
 from .rips import (
+    FlagCore,
     SnapshotSchedule,
     as_grades,
     flag_core,
@@ -42,7 +43,7 @@ from .rips import (
     maximal_cliques,
     validate_distance_matrix,
 )
-from .tower import Tower, _assemble_indexed
+from .tower import Tower, assemble_tower
 
 _S = TypeVar("_S")
 _T = TypeVar("_T")
@@ -233,7 +234,7 @@ def run_pipeline(
 
     if collapse:
 
-        def job(adj: list[int]) -> tuple[CoreResult, float]:
+        def job(adj: list[int]) -> tuple[FlagCore, float]:
             t0 = perf_counter()
             result = flag_core(adj)
             return result, perf_counter() - t0
@@ -241,13 +242,13 @@ def run_pipeline(
         graphs = graded_bitsets(D, grades)
         results = _map_ordered(job, graphs, workers)
         stats = tuple(
-            SnapshotStats._of_graph(g, graph, res.matrix.stats())
+            SnapshotStats._of_graph(g, graph, _clique_stats(len(res.survivors), res.cliques))
             for g, graph, (res, _) in zip(grades, graphs, results)
         )
         collapse_max = max(elapsed for _, elapsed in results)
         t0 = perf_counter()
-        tower, matrix = _assemble_indexed(
-            [res.matrix for res, _ in results],
+        tower, matrix = assemble_tower(
+            [res.cliques for res, _ in results],
             [res.retraction for res, _ in results],
             grades,
             cap,

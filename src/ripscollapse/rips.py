@@ -6,22 +6,23 @@ found with Bron-Kerbosch over bitset adjacency (greedy max-degree pivot,
 vertices in id order at the top level, an explicit stack instead of
 recursion).  Because a snapshot is a flag complex, :func:`flag_core`
 strong-collapses it on the graph itself, by closed-neighbourhood containment
-on the same int bitsets that :func:`ripscollapse.collapse.core` uses, and
-enumerates cliques only on the core.  Vertex ids are point indices and
-are identical across all snapshots, which is what lets the collapse cores of
-consecutive snapshots be compared vertex-by-vertex downstream.
+on int bitsets, enumerates cliques only on the core, and returns the core as
+plain data: its cliques, and its retraction as a list indexed by point.
+Vertex ids are point indices and are identical across all snapshots, which
+is what lets the collapse cores of consecutive snapshots be compared
+vertex-by-vertex downstream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .collapse import CollapseTrace, CoreResult, RowEvent, _bits, _retraction
-from .complexes import ComplexMatrix, Simplex
+from .collapse import RowEvent, _bits, _retraction
+from .complexes import Simplex
 
 
 def pairwise_distances(points: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
@@ -210,7 +211,17 @@ def maximal_cliques(adj: list[int]) -> list[Simplex]:
     return out
 
 
-def flag_core(adj: list[int]) -> CoreResult:
+class FlagCore(NamedTuple):
+    """The core of a flag complex, as :func:`flag_core` returns it."""
+
+    survivors: tuple[int, ...]  # the core's vertices, in increasing order
+    cliques: list[Simplex]  # its maximal cliques, in lexicographic order
+    retraction: list[int]  # the survivor each point is sent to, by point
+    events: tuple[RowEvent, ...]  # one ("row", removed, by) per removal
+    candidate_tests: int  # domination candidates tested, after pruning
+
+
+def flag_core(adj: list[int]) -> FlagCore:
     """Strong-collapse the flag complex of the graph *adj* to its core.
 
     In a flag complex a vertex ``x`` is dominated by ``y`` iff the closed
@@ -229,10 +240,9 @@ def flag_core(adj: list[int]) -> CoreResult:
     neighbours of ``z``.  This drops only non-dominators, so the dominator
     found is the same as without it.
 
-    The core's columns are its maximal cliques, numbered in lexicographic
-    order; the trace lists one ``("row", removed, by)`` event per removal,
-    as a single row phase with the count of candidates tested, those left
-    after pruning.
+    The core's maximal cliques are those of the survivors' induced graph.
+    The retraction composes the removals, so it sends each point to a
+    survivor and fixes every survivor.
     """
     n = len(adj)
     closed = [a | 1 << v for v, a in enumerate(adj)]
@@ -269,13 +279,8 @@ def flag_core(adj: list[int]) -> CoreResult:
     for i, v in enumerate(survivors):
         for w in _bits(adj[v] & alive):
             sub[i] |= 1 << pos[w]
-    cliques = maximal_cliques(sub)
-    matrix = ComplexMatrix.from_columns(
-        {c: tuple(survivors[i] for i in clique) for c, clique in enumerate(cliques)}
+    # survivors increase, so relabelling keeps the lexicographic order
+    cliques = [tuple(survivors[i] for i in c) for c in maximal_cliques(sub)]
+    return FlagCore(
+        survivors, cliques, _retraction(list(range(n)), events), tuple(events), tests
     )
-    trace = CollapseTrace(
-        events=tuple(events),
-        row_phases=1,
-        row_candidate_tests=tests,
-    )
-    return CoreResult(matrix, _retraction(range(n), events), trace)

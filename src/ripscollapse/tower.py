@@ -33,9 +33,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence, Union
 
-from .collapse import RetractionMap
-from .complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix, Simplex, check_expansion_cap
-from .errors import CollapseConsistencyError, FiltrationOrderError
+from .collapse import _bits
+from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
+from .errors import (
+    CollapseConsistencyError,
+    EmptyComplexError,
+    FiltrationOrderError,
+    SimplexError,
+)
 from .persistence import BoundaryMatrix
 
 
@@ -170,19 +175,27 @@ class _Complex:
 
 
 def assemble_tower(
-    cores: Sequence[ComplexMatrix],
-    retractions: Sequence[RetractionMap],
+    cores: Sequence[Sequence[Simplex]],
+    retractions: Sequence[Sequence[int]],
     grades: Sequence[float],
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> Tower:
-    """Assemble per-snapshot cores into one tower.
+) -> tuple[Tower, BoundaryMatrix]:
+    """Assemble per-snapshot cores into one tower, and the
+    :class:`BoundaryMatrix` of its cells, built as they are emitted.
 
-    Each snapshot's retraction must fix every vertex of its core and send
-    every live point into that core.  For each snapshot j > 0, every live
-    vertex whose image under the snapshot's retraction differs from it is
-    contracted into that image (in increasing vertex id).  Then every
-    simplex of core j missing from the complex is included, in (dimension,
-    lexicographic) order; for j = 0 that is all of core 0.
+    Each core is given by its maximal simplices, tuples of point ids, and
+    each retraction by a list whose entry ``p`` is the core point that point
+    ``p`` is sent to.  Each snapshot's retraction must fix every vertex of
+    its core and send every live point into that core, and for each
+    snapshot j > 0 the image of every maximal simplex of core j - 1 must be
+    a face of core j; otherwise :class:`CollapseConsistencyError` is
+    raised.  A core with no maximal simplex raises
+    :class:`EmptyComplexError`, and a simplex that repeats a vertex
+    :class:`SimplexError`.  For each snapshot j > 0, every live vertex whose image under
+    the snapshot's retraction differs from it is contracted into that image
+    (in increasing vertex id).  Then every simplex of core j missing from
+    the complex is included, in (dimension, lexicographic) order; for j = 0
+    that is all of core 0.
 
     The ops are replayed on one complex as they are met, and the tower's
     cells (its filtration) are each Include's cell and, for each
@@ -198,27 +211,18 @@ def assemble_tower(
     id.  A contract whose target id is not yet live is preceded by the
     inclusion of that single vertex, keeping every op valid.
     """
-    return _assemble_indexed(cores, retractions, grades, cap)[0]
-
-
-def _assemble_indexed(
-    cores: Sequence[ComplexMatrix],
-    retractions: Sequence[RetractionMap],
-    grades: Sequence[float],
-    cap: int,
-) -> tuple[Tower, BoundaryMatrix]:
-    """:func:`assemble_tower`, with the :class:`BoundaryMatrix` of the
-    tower's cells, built as they are emitted."""
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
     if len(cores) == 0:
         raise ValueError("at least one snapshot is required")
+    if not all(cores):
+        raise EmptyComplexError("every core needs a maximal simplex")
     grades = [float(g) for g in grades]
     for a, b in zip(grades, grades[1:]):
         if b <= a:
             raise ValueError("snapshot grades must be strictly increasing")
 
-    next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
+    next_fresh = 1 + max(max(map(max, core)) for core in cores)
 
     contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
@@ -226,9 +230,10 @@ def _assemble_indexed(
     ident: dict[int, int] = {}
     used: set[int] = set()
 
-    for j, (core, r, g) in enumerate(zip(cores, retractions, grades)):
+    for j, (maximal, r, g) in enumerate(zip(cores, retractions, grades)):
+        vertices = sorted({q for s in maximal for q in s})
         new_ident: dict[int, int] = {}
-        for q in core.vertex_ids:
+        for q in vertices:
             if q in ident:
                 new_ident[q] = ident[q]
             elif q in used:
@@ -240,33 +245,48 @@ def _assemble_indexed(
 
         # a retraction that moved a core vertex would contract an id that
         # the core's Include ops then use again
-        for q in core.vertex_ids:
-            if r.target.get(q) != q:
+        for q in vertices:
+            if not (0 <= q < len(r) and r[q] == q):
                 raise CollapseConsistencyError(
                     f"retraction of snapshot {j} does not fix core vertex {q}"
                 )
         # stage map on live tower ids; targets are fixed points because the
-        # retraction fixes core vertices and their tower ids carry over
+        # retraction fixes core vertices and their tower ids carry over; a
+        # live point is a vertex of core j - 1, so it is not negative
         mapping: dict[int, int] = {}
         for p, x in ident.items():
-            if r.target.get(p) not in new_ident:
+            w = r[p] if p < len(r) else None
+            if w not in new_ident:
                 raise CollapseConsistencyError(
                     f"retraction of snapshot {j} does not send point {p} into its core"
                 )
-            mapping[x] = new_ident[r.target[p]]
+            mapping[x] = new_ident[w]
 
-        maximal = core.maximal_simplices()
         check_expansion_cap(maximal, cap)
+        # vertex -> bitmasks of the maximal simplices of core j that hold it
+        holding: defaultdict[int, list[int]] = defaultdict(list)
+        for s in maximal:
+            mask = 0
+            for q in s:
+                mask |= 1 << q
+            if mask.bit_count() != len(s):
+                raise SimplexError(f"simplex {s} of core {j} repeats a vertex")
+            for q in s:
+                holding[q].append(mask)
         # After snapshot j-1 the complex equals core j-1 (in tower ids) and the
         # retraction is simplicial, so the contracted complex lies in core j
-        # iff the image of every maximal simplex of core j-1 is a face of it.
+        # iff the image of every maximal simplex of core j-1 is a face of it,
+        # that is, lies in a maximal simplex holding its lowest vertex.
+        # Pairwise adjacency would not do: core j need not be a flag complex.
         if j:
-            for s in cores[j - 1].maximal_simplices():
-                image = {r.target[p] for p in s}
-                if not core.contains_simplex(image):
+            for s in cores[j - 1]:
+                image = 0
+                for p in s:
+                    image |= 1 << r[p]
+                low = (image & -image).bit_length() - 1
+                if not any(image & mask == image for mask in holding[low]):
                     raise CollapseConsistencyError(
-                        f"snapshot {j}: contracted cell {tuple(sorted(image))}"
-                        " is not in the next core"
+                        f"snapshot {j}: contracted cell {_bits(image)} is not in the next core"
                     )
 
         for u in sorted(mapping):
@@ -285,7 +305,7 @@ def _assemble_indexed(
         # lexicographic order; a live maximal simplex has no such face, and
         # no contraction follows the last core to read its cofaces
         pos = current.pos
-        tops = [tuple(sorted(new_ident[x] for x in s)) for s in maximal]
+        tops = [tuple(sorted(new_ident[q] for q in s)) for s in maximal]
         tops = [t for t in tops if t not in pos]
         k = 1
         while tops:

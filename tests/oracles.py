@@ -5,7 +5,8 @@ package: maximality by pairwise subset tests, expansion by powersets, domination
 by set containment (on the graph, :func:`naive_flag_core` tests every live
 neighbour, where the package prunes), the retraction by following chains of
 dominators, the collapse's events by replaying them on row and column sets,
-the nerve by a pairwise row scan, distances by loops, clique enumeration by
+the nerve by a pairwise row scan, faces of a complex by a set test against
+each maximal simplex, distances by loops, clique enumeration by
 subset scan, Betti numbers by dense GF(2) rank, persistence by the textbook
 set-based column reduction, the snapshot filtration by expanding every
 snapshot and dropping the cells seen before, the exact edge-length Rips
@@ -14,7 +15,8 @@ replay and coning by whole-complex rewrites, and face-first order by a set of
 the cells seen so far.  The collapse judges read and build the package's
 ``ComplexMatrix`` and raise its ``CollapseConsistencyError``, so that they
 compare with ``core`` directly.  The tower oracles take the package's op
-types and ``as_simplex``, and the assembly oracle its error types, so that
+types and ``as_simplex``, and the assembly oracle its inputs (maximal
+simplices, and retractions as lists indexed by point) and error types, so that
 their output and their errors compare with the package's one for one; replay
 and coning raise the local :class:`TowerOpError`.  The snapshot-filtration
 oracle expands the package's ``ComplexMatrix`` snapshots after their own cap
@@ -83,6 +85,12 @@ def expand_by_powerset(simplices):
         for k in range(1, len(s) + 1):
             cells.update(combinations(s, k))
     return sorted(cells, key=lambda t: (len(t), t))
+
+
+def naive_is_face(maximal, s):
+    """True iff the vertex set *s* lies in one of the simplices *maximal*,
+    by a set test against each of them."""
+    return any(set(s) <= set(m) for m in maximal)
 
 
 def random_maximal_simplices(rng, n_vertices, n_simplices, max_card):
@@ -516,33 +524,39 @@ def brute_bottleneck(a_pts, b_pts):
 
 
 def naive_assemble_core_tower(cores, retractions, grades, cap):
-    """The ops of the core tower, by expanding every core in full, rewriting
-    the whole contracted complex after every snapshot and comparing it cell
-    by cell with the next core."""
+    """The ops of the core tower, by expanding every core (a list of
+    maximal simplices) in full, rewriting the whole contracted complex after
+    every snapshot and comparing it cell by cell with the next core.  A
+    retraction is a list indexed by point, read here as a dict."""
 
     def expand(c):
-        projected = sum(2 ** len(s) - 1 for s in c.maximal_simplices())
+        projected = sum(2 ** len(s) - 1 for s in c)
         if projected > cap:
             raise ExpansionCapError(projected, cap)
-        return expand_by_powerset(c.maximal_simplices())
+        return expand_by_powerset(c)
+
+    def vertex_ids(c):
+        return sorted(set(chain.from_iterable(c)))
+
+    retractions = [dict(enumerate(r)) for r in retractions]
 
     def check_fixed(j):
-        if any(retractions[j].target.get(q) != q for q in cores[j].vertex_ids):
+        if any(retractions[j].get(q) != q for q in vertex_ids(cores[j])):
             raise CollapseConsistencyError(f"snapshot {j}: a core vertex is moved")
 
     grades = [float(g) for g in grades]
-    next_fresh = 1 + max(max(c.vertex_ids) for c in cores)
+    next_fresh = 1 + max(max(vertex_ids(c)) for c in cores)
     check_fixed(0)
     first_cells = expand(cores[0])
     ops = [Include(s, grades[0]) for s in first_cells]
     present = set(first_cells)
-    ident = {p: p for p in cores[0].vertex_ids}
+    ident = {p: p for p in vertex_ids(cores[0])}
     used = set(ident)
 
     for j in range(1, len(cores)):
         g, r = grades[j], retractions[j]
         new_ident = {}
-        for q in cores[j].vertex_ids:
+        for q in vertex_ids(cores[j]):
             if q in ident:
                 new_ident[q] = ident[q]
             elif q in used:
@@ -555,9 +569,9 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
         check_fixed(j)
         mapping = {}
         for p, x in ident.items():
-            if p not in r.target or r.target[p] not in new_ident:
+            if r.get(p) not in new_ident:
                 raise CollapseConsistencyError(f"snapshot {j}: no core image of point {p}")
-            mapping[x] = new_ident[r.target[p]]
+            mapping[x] = new_ident[r[p]]
 
         live = set(ident.values())
         for u in sorted(mapping):

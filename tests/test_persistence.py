@@ -18,7 +18,7 @@ from oracles import (
 )
 from ripscollapse import persistence
 from ripscollapse.complexes import ComplexMatrix
-from ripscollapse.errors import ExpansionCapError, FiltrationOrderError
+from ripscollapse.errors import ExpansionCapError, FiltrationOrderError, ReductionMemoryError
 from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import pairwise_distances
@@ -139,6 +139,64 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
         compute_persistence(filtration)
         assert packed == want
     assert cleared > 0
+
+
+def test_early_memory_check_fires_only_where_the_block_guard_would(monkeypatch):
+    """The bound from cell counts alone refuses a filtration only when the
+    reduction's per-block guard would refuse it too, and it refuses before
+    the boundary index is built.  The limit is set just below and at each
+    dimension's bound, on the uncollapsed and the collapsed filtrations of
+    seeded clouds."""
+    rng = random.Random(1732)
+    filtrations = []
+    for _ in range(12):
+        pts = [tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(rng.randint(4, 12))]
+        D = pairwise_distances(pts)
+        for collapse in (False, True):
+            filtrations.append(run_pipeline(D, [0.3, 0.5, 0.7], collapse=collapse).filtration)
+
+    indexed = []
+    from_filtration = BoundaryMatrix.from_filtration.__func__
+
+    def counted(cls, cells):
+        indexed.append(len(cells))
+        return from_filtration(cls, cells)
+
+    monkeypatch.setattr(BoundaryMatrix, "from_filtration", classmethod(counted))
+    guard = persistence._check_block_bound
+    outcomes = set()
+    for cells in filtrations:
+        matrix = from_filtration(BoundaryMatrix, cells)
+        sizes = [len(cells_d) for cells_d in matrix.by_dim]
+        bounds = [
+            max(0, sizes[p] - (sizes[p + 1] if p + 1 < len(sizes) else 0))
+            * ((sizes[p - 1] + 63) // 64)
+            * 8
+            for p in range(1, len(sizes))
+        ]
+        for limit in {b + d for b in bounds for d in (-1, 0)} - {-1}:
+            monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", limit)
+            try:
+                guard(sizes)
+                early = False
+            except ReductionMemoryError:
+                early = True
+                indexed.clear()
+                with pytest.raises(ReductionMemoryError):
+                    compute_persistence(cells)
+                assert indexed == []
+            # the per-block guard alone
+            monkeypatch.setattr(persistence, "_check_block_bound", lambda sizes: None)
+            try:
+                persistence._reduce(matrix)
+                late = False
+            except ReductionMemoryError:
+                late = True
+            monkeypatch.setattr(persistence, "_check_block_bound", guard)
+            assert late or not early, (sizes, limit)
+            outcomes.add((early, late))
+    # the bound fires, and the block guard also fires where the bound does not
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def _face_first_shuffle(rng, cells):

@@ -13,6 +13,7 @@ from oracles import (
     expand_by_powerset,
     naive_clique_count,
     naive_flag_core,
+    naive_is_face,
     naive_maximal_cliques,
     naive_pairwise_distances,
     naive_retraction,
@@ -273,20 +274,23 @@ GRADES = (0.15, 0.3, 0.45, 0.7)
 def test_flag_core_unit_square():
     D = pairwise_distances(UNIT_SQUARE)
     cycle = flag_core(neighborhood_bitsets(D, 1.0))
-    assert cycle.matrix == rips_snapshot(D, 1.0)
-    assert cycle.trace.events == ()
+    assert cycle.cliques == rips_snapshot(D, 1.0).maximal_simplices()
+    assert cycle.events == ()
+    assert cycle.survivors == (0, 1, 2, 3) and cycle.retraction == [0, 1, 2, 3]
     full = flag_core(neighborhood_bitsets(D, 1.5))
-    assert full.matrix.columns_sorted() == [(0, (0,))]
-    assert full.trace.events == (("row", 1, 0), ("row", 2, 0), ("row", 3, 0))
-    assert full.retraction.target == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert full.survivors == (0,) and full.cliques == [(0,)]
+    assert full.events == (("row", 1, 0), ("row", 2, 0), ("row", 3, 0))
+    assert full.retraction == [0, 0, 0, 0]
 
 
 def test_flag_core_matches_matrix_collapse():
     for D in _clouds(41, 24, 40):
         for t in GRADES:
-            graph = flag_core(neighborhood_bitsets(D, t))
-            assert graph.matrix.stats() == core(rips_snapshot(D, t)).matrix.stats()
-            assert core(graph.matrix).trace.events == ()
+            graph = ComplexMatrix.from_columns(
+                dict(enumerate(flag_core(neighborhood_bitsets(D, t)).cliques))
+            )
+            assert graph.stats() == core(rips_snapshot(D, t)).matrix.stats()
+            assert core(graph).trace.events == ()
 
 
 def test_flag_core_retraction_follows_the_dominator_chains():
@@ -294,9 +298,9 @@ def test_flag_core_retraction_follows_the_dominator_chains():
     for D in _clouds(43, 40, 40):
         for t in GRADES:
             result = flag_core(neighborhood_bitsets(D, t))
-            dominator = {x: y for _, x, y in result.trace.events}
-            assert result.retraction.target == naive_retraction(range(len(D)), dominator)
-            chained += sum(result.retraction.target[x] != y for x, y in dominator.items())
+            dominator = {x: y for _, x, y in result.events}
+            assert dict(enumerate(result.retraction)) == naive_retraction(range(len(D)), dominator)
+            chained += sum(result.retraction[x] != y for x, y in dominator.items())
     assert chained > 100
 
 
@@ -308,7 +312,7 @@ def test_flag_core_events_hold_at_their_moment():
             closed = [{u for u in range(n) if adj[v] >> u & 1} | {v} for v in range(n)]
             result = flag_core(adj)
             alive = set(range(n))
-            for kind, x, y in result.trace.events:
+            for kind, x, y in result.events:
                 assert kind == "row" and x != y and x in alive and y in alive
                 nx, ny = closed[x] & alive, closed[y] & alive
                 assert nx <= ny and (nx != ny or y < x)
@@ -316,11 +320,11 @@ def test_flag_core_events_hold_at_their_moment():
             for x in alive:  # no survivor is left dominated
                 nx = closed[x] & alive
                 assert not any(nx <= closed[y] & alive for y in nx - {x})
-            assert result.matrix.vertex_ids == tuple(sorted(alive))
-            assert {v for v, w in result.retraction.target.items() if v == w} == alive
-            assert result.trace.row_candidate_tests >= len(result.trace.events)
+            assert result.survivors == tuple(sorted(alive))
+            assert {v for v, w in enumerate(result.retraction) if v == w} == alive
+            assert result.candidate_tests >= len(result.events)
             for clique in maximal_cliques(adj):
-                assert result.matrix.contains_simplex({result.retraction.target[v] for v in clique})
+                assert naive_is_face(result.cliques, {result.retraction[v] for v in clique})
 
 
 def test_flag_core_equals_the_unpruned_judge():
@@ -342,12 +346,12 @@ def test_flag_core_equals_the_unpruned_judge():
         for adj in graded_bitsets(D, grades):
             result = flag_core(adj)
             events, survivors, tests = naive_flag_core(adj)
-            assert result.trace.events == events
-            assert result.matrix.vertex_ids == survivors
+            assert result.events == events
+            assert result.survivors == survivors
             dominator = {x: y for _, x, y in events}
-            assert result.retraction.target == naive_retraction(range(n), dominator)
-            assert result.trace.row_candidate_tests <= tests
-            pruned += result.trace.row_candidate_tests
+            assert dict(enumerate(result.retraction)) == naive_retraction(range(n), dominator)
+            assert result.candidate_tests <= tests
+            pruned += result.candidate_tests
             unpruned += tests
             ties += sum(adj[x] | 1 << x == adj[y] | 1 << y for _, x, y in events)
     assert ties > 0
@@ -359,8 +363,8 @@ def test_flag_core_candidate_tests_are_pinned():
     7,277 candidate tests on this cloud for the same 678 removals."""
     D = pairwise_distances(np.random.default_rng(29).random((80, 2)))
     results = [flag_core(adj) for adj in graded_bitsets(D, [0.05 * k for k in range(1, 11)])]
-    assert sum(len(r.trace.events) for r in results) == 678
-    assert sum(r.trace.row_candidate_tests for r in results) == 2430
+    assert sum(len(r.events) for r in results) == 678
+    assert sum(r.candidate_tests for r in results) == 2430
 
 
 def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers():
@@ -368,11 +372,11 @@ def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers(
         for t in GRADES:
             table = (D <= t).astype(int)
             result = flag_core(neighborhood_bitsets(D, t))
-            keep = result.matrix.vertex_ids
+            keep = result.survivors
             induced = [[table[u][v] for v in keep] for u in keep]
             want = [tuple(keep[i] for i in c) for c in naive_maximal_cliques(induced)]
-            assert result.matrix.maximal_simplices() == want
+            assert result.cliques == want
             full = betti_by_rank(expand_by_powerset(rips_snapshot(D, t).maximal_simplices()))
-            small = betti_by_rank(expand_by_powerset(result.matrix.maximal_simplices()))
+            small = betti_by_rank(expand_by_powerset(result.cliques))
             width = max(len(full), len(small))
             assert full + (0,) * (width - len(full)) == small + (0,) * (width - len(small))

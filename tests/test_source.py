@@ -8,6 +8,10 @@ runs on an explicit stack or queue instead.
 
 ``persistence`` reduces any sequence of ``(simplex, grade)`` pairs, so it
 imports none of the modules that build them.
+
+The Rips path is flag-native: ``rips``, ``tower`` and ``pipeline`` pass
+cores as cliques and retractions as lists, and name none of the maximal-
+simplex matrix types that ``ripscollapse core`` uses.
 """
 
 import ast
@@ -17,6 +21,8 @@ import ripscollapse
 
 SOURCES = sorted(Path(ripscollapse.__file__).parent.glob("*.py"))
 PERSISTENCE_MAY_IMPORT = {"_kernels", "complexes", "errors"}
+FLAG_NATIVE = ("rips", "tower", "pipeline")
+MATRIX_TYPES = {"ComplexMatrix", "RetractionMap", "CoreResult"}
 
 
 def _self_calls(tree):
@@ -72,6 +78,23 @@ def _package_imports(tree):
     return found
 
 
+def _names(tree):
+    """Identifiers a module names: bare names, attributes, imported names
+    and their aliases, and string annotations."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+            found.add(node.asname)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
 def test_rules_see_what_they_forbid():
     tree = ast.parse(
         "import sys\n"
@@ -96,6 +119,12 @@ def test_rules_see_what_they_forbid():
         "from ripscollapse import collapse\n"
     )
     assert _package_imports(tree) == {"rips", "errors", "tower", "pipeline", "collapse"}
+    tree = ast.parse(
+        "from .collapse import CoreResult as Result\n"
+        "def f(m: 'ComplexMatrix') -> None:\n"
+        "    return collapse.RetractionMap(m)\n"
+    )
+    assert _names(tree) & MATRIX_TYPES == MATRIX_TYPES
 
 
 def test_package_has_no_recursion():
@@ -110,3 +139,10 @@ def test_persistence_imports_none_of_the_producers():
     path = Path(ripscollapse.__file__).parent / "persistence.py"
     imported = _package_imports(ast.parse(path.read_text(), filename=str(path)))
     assert imported <= PERSISTENCE_MAY_IMPORT, imported - PERSISTENCE_MAY_IMPORT
+
+
+def test_flag_native_modules_name_no_matrix_types():
+    for name in FLAG_NATIVE:
+        path = Path(ripscollapse.__file__).parent / f"{name}.py"
+        named = _names(ast.parse(path.read_text(), filename=str(path))) & MATRIX_TYPES
+        assert not named, (name, named)

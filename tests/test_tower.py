@@ -14,14 +14,20 @@ from oracles import (
     rips_snapshot,
 )
 
-from ripscollapse.collapse import RetractionMap, core
+from ripscollapse.collapse import core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
-from ripscollapse.errors import CollapseConsistencyError, ExpansionCapError, FiltrationOrderError
+from ripscollapse.errors import (
+    CollapseConsistencyError,
+    EmptyComplexError,
+    ExpansionCapError,
+    FiltrationOrderError,
+    SimplexError,
+)
 from ripscollapse.io_formats import write_tower
 from ripscollapse.persistence import BoundaryMatrix, _diagram, compute_persistence
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
-from ripscollapse.tower import Contract, Include, _assemble_indexed, _Complex, assemble_tower
+from ripscollapse.tower import Contract, Include, _Complex, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -32,8 +38,7 @@ def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     """The assembled tower, once its filtration is checked for face-first
     order and against the whole-complex coning of that tower, and the
     boundary index built with it against the one built from its cells."""
-    tower, matrix = _assemble_indexed(cores, retractions, grades, cap)
-    assert tower == assemble_tower(cores, retractions, grades, cap)
+    tower, matrix = assemble_tower(cores, retractions, grades, cap)
     naive_check_filtration(tower.cells)
     assert tower.cells == naive_tower_to_filtration(tower)
     assert matrix == BoundaryMatrix.from_filtration(tower.cells)
@@ -44,7 +49,18 @@ def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
 
 
 def _core_inputs(results, grades):
-    return [res.matrix for res in results], [res.retraction for res in results], grades
+    """Assembly inputs from ``core`` results: each core's maximal simplices,
+    and its retraction as a list indexed by point."""
+    retractions = []
+    for res in results:
+        target = res.retraction.target
+        retractions.append([target.get(p, p) for p in range(max(target) + 1)])
+    return [res.matrix.maximal_simplices() for res in results], retractions, grades
+
+
+def _flag_inputs(results, grades):
+    """Assembly inputs from ``flag_core`` results, as ``run_pipeline`` passes them."""
+    return [res.cliques for res in results], [res.retraction for res in results], grades
 
 
 def _pipeline_inputs(points, grades):
@@ -54,7 +70,7 @@ def _pipeline_inputs(points, grades):
 
 def test_single_snapshot_tower_is_expanded_core():
     res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
-    tower = _assemble([res.matrix], [res.retraction], [0.0])
+    tower = _assemble(*_core_inputs([res], [0.0]))
     assert tuple(tower) == (
         Include((1,), 0.0),
         Include((3,), 0.0),
@@ -68,11 +84,7 @@ def test_single_snapshot_tower_is_expanded_core():
 
 def test_identical_snapshots_add_no_ops():
     res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
-    tower = _assemble(
-        [res.matrix, res.matrix],
-        [res.retraction, res.retraction],
-        [0.0, 1.0],
-    )
+    tower = _assemble(*_core_inputs([res, res], [0.0, 1.0]))
     assert all(op.grade == 0.0 for op in tower)
     assert len(tower) == 6
 
@@ -98,12 +110,7 @@ def test_unit_square_tower_ops():
 def test_contract_into_vertex_absent_from_tower_includes_it_first():
     # first core is the vertex 0, the next snapshot retracts everything onto
     # vertex 1, which the tower has never seen: it must be included on the fly
-    cores = [
-        ComplexMatrix.from_simplex_list([(0,)]),
-        ComplexMatrix.from_simplex_list([(1,)]),
-    ]
-    retractions = [RetractionMap({0: 0}), RetractionMap({0: 1, 1: 1, 2: 1})]
-    tower = _assemble(cores, retractions, [0.0, 1.0])
+    tower = _assemble([[(0,)], [(1,)]], [[0], [1, 1, 1]], [0.0, 1.0])
     assert tuple(tower) == (
         Include((0,), 0.0),
         Include((1,), 1.0),
@@ -115,17 +122,8 @@ def test_contract_into_vertex_absent_from_tower_includes_it_first():
 def test_returning_point_id_gets_a_fresh_tower_id():
     # point 1 is contracted away at grade 1 and reappears in the last core;
     # its id may not be reused, so the tower shows a brand-new vertex instead
-    cores = [
-        ComplexMatrix.from_simplex_list([(0,), (1,)]),
-        ComplexMatrix.from_simplex_list([(0,)]),
-        ComplexMatrix.from_simplex_list([(0,), (1,)]),
-    ]
-    retractions = [
-        RetractionMap({0: 0, 1: 1}),
-        RetractionMap({0: 0, 1: 0}),
-        RetractionMap({0: 0, 1: 1}),
-    ]
-    tower = _assemble(cores, retractions, [0.0, 1.0, 2.0])
+    cores = [[(0,), (1,)], [(0,)], [(0,), (1,)]]
+    tower = _assemble(cores, [[0, 1], [0, 0], [0, 1]], [0.0, 1.0, 2.0])
     assert tuple(tower) == (
         Include((0,), 0.0),
         Include((1,), 0.0),
@@ -137,46 +135,55 @@ def test_returning_point_id_gets_a_fresh_tower_id():
 
 
 def test_assemble_input_validation():
-    res = core(ComplexMatrix.from_simplex_list([(0, 1)]))
     with pytest.raises(ValueError):
-        assemble_tower([res.matrix], [res.retraction, res.retraction], [0.0])
+        assemble_tower([[(0, 1)]], [[0, 1], [0, 1]], [0.0])
     with pytest.raises(ValueError):
         assemble_tower([], [], [])
     with pytest.raises(ValueError):
-        assemble_tower(
-            [res.matrix, res.matrix], [res.retraction, res.retraction], [1.0, 1.0]
-        )
+        assemble_tower([[(0, 1)], [(0, 1)]], [[0, 1], [0, 1]], [1.0, 1.0])
+    with pytest.raises(EmptyComplexError, match="needs a maximal simplex"):
+        assemble_tower([[(0, 1)], []], [[0, 1], [0, 1]], [0.0, 1.0])
+    with pytest.raises(SimplexError, match="repeats a vertex"):
+        assemble_tower([[(0, 1, 1)]], [[0, 1]], [0.0])
 
 
 def test_assemble_rejects_retraction_missing_a_point():
-    cores = [
-        ComplexMatrix.from_simplex_list([(0,)]),
-        ComplexMatrix.from_simplex_list([(5,)]),
-    ]
-    retractions = [RetractionMap({0: 0}), RetractionMap({5: 5})]
-    with pytest.raises(CollapseConsistencyError):
-        assemble_tower(cores, retractions, [0.0, 1.0])
+    # point 7 of the first core lies past the end of the second retraction
+    with pytest.raises(CollapseConsistencyError, match="send point 7 into its core"):
+        assemble_tower([[(7,)], [(5,)]], [list(range(8)), [5] * 6], [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
-    cores = [
-        ComplexMatrix.from_simplex_list([(0, 1)]),
-        ComplexMatrix.from_simplex_list([(1, 2)]),
-    ]
-    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 3, 1: 1, 2: 2, 3: 3})]
-    with pytest.raises(CollapseConsistencyError, match="into its core"):
-        assemble_tower(cores, retractions, [0.0, 1.0])
+    cores = [[(0, 1)], [(1, 2)]]
+    for image in (3, 99, -1):
+        retractions = [[0, 1], [image, 1, 2, 3]]
+        with pytest.raises(CollapseConsistencyError, match="send point 0 into its core"):
+            assemble_tower(cores, retractions, [0.0, 1.0])
 
 
 def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
     # the edge 01 retracts onto 12, but the next core is two loose vertices
-    cores = [
-        ComplexMatrix.from_simplex_list([(0, 1)]),
-        ComplexMatrix.from_simplex_list([(1,), (2,)]),
-    ]
-    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 2, 1: 1, 2: 2})]
-    with pytest.raises(CollapseConsistencyError, match="not in the next core"):
-        assemble_tower(cores, retractions, [0.0, 1.0])
+    with pytest.raises(CollapseConsistencyError, match=r"cell \(1, 2\) is not in the next core"):
+        assemble_tower([[(0, 1)], [(1,), (2,)]], [[0, 1], [2, 1, 2]], [0.0, 1.0])
+
+
+def test_assemble_rejects_a_filled_triangle_mapped_into_a_hollow_one():
+    # The next core holds the triangle's three edges but not the triangle:
+    # its vertices are pairwise adjacent, so only a containment test in the
+    # maximal simplices sees that the image is not a face.
+    hollow = [(0, 1), (0, 2), (1, 2)]
+    with pytest.raises(CollapseConsistencyError, match=r"\(0, 1, 2\) is not in the next core"):
+        assemble_tower([[(0, 1, 2)], hollow], [[0, 1, 2], [0, 1, 2]], [0.0, 1.0])
+    # the image of each edge is an edge of the hollow triangle
+    tower = _assemble([hollow, hollow], [[0, 1, 2], [0, 1, 2]], [0.0, 1.0])
+    assert len(tower.cells) == 6 and tower.contractions == ()
+
+
+def test_assemble_rejects_a_core_vertex_the_retraction_does_not_reach():
+    # core vertex 9 lies past the end of the retraction, and -1 is no point
+    for core_j in ([(0,), (9,)], [(-1, 0)]):
+        with pytest.raises(CollapseConsistencyError, match="does not fix core vertex"):
+            assemble_tower([[(0,)], core_j], [[0], [0]], [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_that_merges_core_vertices():
@@ -185,13 +192,12 @@ def test_assemble_rejects_retraction_that_merges_core_vertices():
     for seed in range(6):
         cores, retractions, grades = _flag_core_inputs(seed)
         j = 1
-        live = set(cores[j - 1].vertex_ids)
-        a = next(q for q in cores[j].vertex_ids if q in live)
-        b = next(q for q in cores[j].vertex_ids if q != a)
+        live = {q for s in cores[j - 1] for q in s}
+        vertices = sorted({q for s in cores[j] for q in s})
+        a = next(q for q in vertices if q in live)
+        b = next(q for q in vertices if q != a)
         merged = list(retractions)
-        merged[j] = RetractionMap(
-            {q: b if w == a else w for q, w in retractions[j].target.items()}
-        )
+        merged[j] = [b if w == a else w for w in retractions[j]]
         with pytest.raises(CollapseConsistencyError, match=f"does not fix core vertex {a}"):
             assemble_tower(cores, merged, grades)
 
@@ -278,7 +284,8 @@ def test_a_cell_emitted_before_its_face_is_rejected():
 
 
 def test_every_tower_prefix_stays_downward_closed():
-    naive_check_filtration(assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5])).cells)
+    tower, _ = assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
+    naive_check_filtration(tower.cells)
 
 
 def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
@@ -304,7 +311,7 @@ def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
         tower = _assemble(*_pipeline_inputs(pts, grades))
         naive_validate_tower(tower)
         assert compute_persistence(tower.cells).pairs == want.pairs
-        flag_inputs = _core_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
+        flag_inputs = _flag_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
         naive_validate_tower(_assemble(*flag_inputs))
         assert run_pipeline(D, grades).diagram.pairs == want.pairs
     assert ties > 0
@@ -318,36 +325,35 @@ def _flag_core_inputs(seed):
     pts = [tuple(cloud.uniform(0, 1) for _ in range(dim)) for _ in range(cloud.randint(10, 24))]
     D = pairwise_distances(pts)
     grades = [0.1, 0.25, 0.4, 0.55]
-    return _core_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
+    return _flag_inputs([flag_core(adj) for adj in graded_bitsets(D, grades)], grades)
 
 
 def _mutated(rng, cores, retractions, grades):
     """The inputs with one retraction changed, keeping it a retraction onto
     the same core: a point on an edge of the previous core that the snapshot
-    removes sent to another core vertex, a class of points dropped, or a
-    class sent to a point outside every core."""
+    removes sent to another core vertex, the list cut short, or a class sent
+    to a point outside every core."""
     moves = [
         (j, p)
         for j in range(1, len(cores))
-        for s in cores[j - 1].maximal_simplices()
+        for s in cores[j - 1]
         if len(s) > 1
         for p in s
-        if retractions[j].target.get(p, p) != p
+        if retractions[j][p] != p
     ]
     kind = rng.randrange(0 if moves else 1, 3)
     j, p = rng.choice(moves) if kind == 0 else (rng.randrange(1, len(cores)), None)
-    target = dict(retractions[j].target)
-    fixed = sorted(w for q, w in target.items() if q == w)
-    a = rng.choice(fixed)
+    target = list(retractions[j])
+    a = rng.choice([w for q, w in enumerate(target) if q == w])
     if kind == 0:
         target[p] = a
     elif kind == 1:
-        target = {q: w for q, w in target.items() if w != a}
+        del target[rng.randrange(len(target)) :]
     else:
-        target = {q: 1000 if w == a else w for q, w in target.items()}
-        target[1000] = 1000
+        target = [1000 if w == a else w for w in target]
+        target.extend(range(len(target), 1001))
     retractions = list(retractions)
-    retractions[j] = RetractionMap(target)
+    retractions[j] = target
     return cores, retractions, grades
 
 
@@ -403,9 +409,9 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
             grades = grades[-1:]  # a single grade
         cases.append((pairwise_distances(pts), grades))
     for D, grades in cases:
-        snapshots = [rips_snapshot(D, g) for g in grades]
-        identities = [RetractionMap({v: v for v in s.vertex_ids}) for s in snapshots]
-        tower = assemble_tower(snapshots, identities, grades)
+        snapshots = [rips_snapshot(D, g).maximal_simplices() for g in grades]
+        identities = [list(range(len(D)))] * len(grades)
+        tower, _ = assemble_tower(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
         assert tower.cells == want.filtration
         assert tuple(tower) == tuple(want.tower)
@@ -440,9 +446,7 @@ def test_derived_tower_replays_to_its_filtration():
 
 def test_contraction_with_an_empty_cone_is_still_an_op():
     # 1 dominates 0 in the edge 01, so contracting 0 into 1 adds no cell
-    cores = [ComplexMatrix.from_simplex_list([(0, 1)]), ComplexMatrix.from_simplex_list([(1,)])]
-    retractions = [RetractionMap({0: 0, 1: 1}), RetractionMap({0: 1, 1: 1})]
-    tower = _assemble(cores, retractions, [0.0, 1.0])
+    tower = _assemble([[(0, 1)], [(1,)]], [[0, 1], [1, 1]], [0.0, 1.0])
     assert tower.contractions == ((3, 3, 0, 1, 1.0),)
     assert len(tower) == 4
     assert tuple(tower) == (
