@@ -10,16 +10,15 @@ uncollapsed twin of the pipeline serves as the verification oracle.
 from .collapse import (
     CollapseTrace,
     CoreResult,
-    RetractionMap,
     core,
     trace_to_text,
 )
 from .complexes import (
     DEFAULT_EXPANSION_CAP,
-    ComplexMatrix,
     ComplexStats,
     Simplex,
     as_simplex,
+    maximal_columns,
 )
 from .errors import (
     CollapseConsistencyError,
@@ -71,7 +70,6 @@ __all__ = [
     "CollapseConsistencyError",
     "CollapseTrace",
     "CompareReport",
-    "ComplexMatrix",
     "ComplexStats",
     "Contract",
     "CoreResult",
@@ -87,7 +85,6 @@ __all__ = [
     "PipelineResult",
     "PipelineTimings",
     "ReductionMemoryError",
-    "RetractionMap",
     "RipsCollapseError",
     "Simplex",
     "SimplexError",
@@ -104,6 +101,7 @@ __all__ = [
     "flag_core",
     "graded_bitsets",
     "maximal_cliques",
+    "maximal_columns",
     "pairwise_distances",
     "run_pipeline",
     "stats_to_csv",

@@ -99,12 +99,10 @@ def _load_distances(args: argparse.Namespace):
 
 
 def _cmd_core(args: argparse.Namespace) -> int:
-    matrix = parse_complex(_read_text(args.input))
-    result = collapse_core(matrix)
-    _write_text(args.out, write_complex(result.matrix))
+    result = collapse_core(parse_complex(_read_text(args.input)))
+    _write_text(args.out, write_complex(result.columns))
     if args.out_retraction is not None:
-        target = result.retraction.target
-        _write_text(args.out_retraction, "".join(f"{v} {target[v]}\n" for v in matrix.vertex_ids))
+        _write_text(args.out_retraction, "".join(f"{v} {w}\n" for v, w in result.retraction.items()))
     if args.out_trace is not None:
         _write_text(args.out_trace, trace_to_text(result.trace))
     return EXIT_OK

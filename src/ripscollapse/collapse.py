@@ -9,13 +9,15 @@ With the deterministic tie-breaks used here (smallest candidate wins; on
 equal sets the larger id is removed) the result is a function of the input,
 and ids of surviving rows and columns are preserved.
 
-:func:`core` serves general complexes and ``ripscollapse core``; it keeps
-each row and each column as a Python-int bitset of positions on the other
-side, so it needs no compiled kernel.  Rips snapshots are flag complexes, so
-the pipeline collapses them on their neighbourhood graph instead
-(:func:`ripscollapse.rips.flag_core`, also on int bitsets), which returns
-its core as plain data: the survivors' cliques, the retraction as a list
-indexed by point, and its row removals.
+:func:`core` serves general complexes and ``ripscollapse core``.  It takes a
+complex as a ``dict[int, Simplex]`` from column (maximal simplex) id to
+vertex tuple and returns its core in the same form, with the retraction as
+a ``dict[int, int]``; it keeps each row and each column as a Python-int
+bitset of positions on the other side, so it needs no compiled kernel.
+Rips snapshots are flag complexes, so the pipeline collapses them on their
+neighbourhood graph instead (:func:`ripscollapse.rips.flag_core`, also on
+int bitsets), which returns its core as plain data: the survivors' cliques,
+the retraction as a list indexed by point, and its row removals.
 
 Each collapse logs every removal in its trace, and that log is its one
 record of them: the retraction onto the core is the composite of the
@@ -25,32 +27,13 @@ trace's row removals, each sending the removed vertex to its dominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .complexes import ComplexMatrix, Simplex
-from .errors import CollapseConsistencyError
+from .complexes import Simplex, as_simplex
+from .errors import CollapseConsistencyError, EmptyComplexError, SimplexError
 
 RowEvent = tuple[str, int, int]  # ("row" | "col", removed id, dominating id)
 _Target = TypeVar("_Target", dict[int, int], list[int])  # vertex -> its image
-
-
-@dataclass(frozen=True, slots=True)
-class RetractionMap:
-    """Vertex map sending each vertex of a complex to its core survivor.
-
-    ``target`` maps every vertex of the input complex to a vertex of the
-    core; core vertices map to themselves.  The map is idempotent and the
-    composition of the individual domination steps that removed vertices.
-    """
-
-    target: dict[int, int]
-
-    def __post_init__(self) -> None:
-        for v, w in self.target.items():
-            if w not in self.target or self.target[w] != w:
-                raise CollapseConsistencyError(
-                    f"retraction target {w} of vertex {v} is not a fixed point"
-                )
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,16 +53,14 @@ class CollapseTrace:
     col_candidate_tests: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class CoreResult:
-    """Core complex together with the retraction onto it and the run log."""
+class CoreResult(NamedTuple):
+    """Core of a complex: its surviving columns (id to vertex tuple, in
+    increasing id), the retraction sending every input vertex to its
+    survivor (keys in increasing order), and the run log."""
 
-    matrix: ComplexMatrix
-    retraction: RetractionMap
+    columns: dict[int, Simplex]
+    retraction: dict[int, int]
     trace: CollapseTrace
-
-    def __iter__(self) -> Iterator:
-        return iter((self.matrix, self.retraction, self.trace))
 
 
 def _bits(mask: int) -> Simplex:
@@ -108,8 +89,22 @@ def _retraction(target: _Target, events: Sequence[RowEvent]) -> _Target:
     return target
 
 
-def core(matrix: ComplexMatrix) -> CoreResult:
-    """Collapse *matrix* to its core.
+def _check_fixed_points(target: dict[int, int]) -> None:
+    """Raise :class:`CollapseConsistencyError` unless every image under the
+    retraction *target* is a vertex that *target* fixes."""
+    for v, w in target.items():
+        if target.get(w) != w:
+            raise CollapseConsistencyError(
+                f"retraction target {w} of vertex {v} is not a fixed point"
+            )
+
+
+def core(columns: Mapping[int, Iterable[int]]) -> CoreResult:
+    """Collapse the complex *columns* (column id to vertex set) to its core.
+
+    Column ids must be non-negative ints and every column goes through
+    :func:`as_simplex`; maximality is the caller's to ensure
+    (:func:`ripscollapse.complexes.maximal_columns` gives it).
 
     Rows and columns are int bitsets of positions on the other side.  Each
     phase takes one side's FIFO queue, rows first, and removes an entry
@@ -120,17 +115,24 @@ def core(matrix: ComplexMatrix) -> CoreResult:
     the live entries of ``x`` for the other side's next phase; the phases
     alternate until the next one has nothing queued.
 
-    The returned matrix keeps the surviving row and column ids of the input;
-    the retraction maps every input vertex to its survivor.  Running
-    :func:`core` on the result again changes nothing.
+    The core keeps the surviving row and column ids of the input; the
+    retraction maps every input vertex to its survivor.  Running
+    :func:`core` on the result's columns again changes nothing.
     """
-    ids = (matrix.vertex_ids, matrix.column_ids)
+    if not columns:
+        raise EmptyComplexError()
+    prepared: dict[int, Simplex] = {}
+    for cid, verts in columns.items():
+        if not isinstance(cid, int) or cid < 0:
+            raise SimplexError(f"column ids must be non-negative integers, got {cid!r}")
+        prepared[cid] = as_simplex(verts)
+    ids = (sorted({v for s in prepared.values() for v in s}), sorted(prepared))
     vpos = {v: i for i, v in enumerate(ids[0])}
     rows = [0] * len(ids[0])
     cols = []
     for j, c in enumerate(ids[1]):
         col = 0
-        for v in matrix.column(c):
+        for v in prepared[c]:
             rows[vpos[v]] |= 1 << j
             col |= 1 << vpos[v]
         cols.append(col)
@@ -169,9 +171,9 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         side = other
 
     vids, cids = ids
-    core_matrix = ComplexMatrix.from_columns(
-        {cids[j]: [vids[i] for i in _bits(cols[j] & alive[0])] for j in _bits(alive[1])}
-    )
+    survivors = {
+        cids[j]: tuple(vids[i] for i in _bits(cols[j] & alive[0])) for j in _bits(alive[1])
+    }
     trace = CollapseTrace(
         events=tuple(events),
         row_phases=counters[0],
@@ -179,8 +181,9 @@ def core(matrix: ComplexMatrix) -> CoreResult:
         row_candidate_tests=counters[2],
         col_candidate_tests=counters[3],
     )
-    retraction = RetractionMap(_retraction({v: v for v in vids}, events))
-    return CoreResult(core_matrix, retraction, trace)
+    retraction = _retraction({v: v for v in vids}, events)
+    _check_fixed_points(retraction)
+    return CoreResult(survivors, retraction, trace)
 
 
 def trace_to_text(trace: CollapseTrace) -> str:

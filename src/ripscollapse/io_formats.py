@@ -12,8 +12,10 @@ Read:
   omitted.  An optional leading line holding a single integer declares the
   point count when the rows after it hold 0, 1, ... (or 1, 2, ...) values
   up to one fewer than that count; otherwise it is row 1.
-- complex: one maximal simplex per line, as whitespace-separated vertex ids
-  (also written, for the core).
+- complex: one simplex per line, as whitespace-separated vertex ids.  It is
+  read as a ``dict[int, Simplex]`` of its maximal simplices, numbered in
+  order of first appearance; a core is written back one column per line,
+  in column id order.
 
 Written:
 
@@ -29,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .complexes import ComplexMatrix
-from .errors import FormatError
+from .complexes import Simplex, as_simplex, maximal_columns
+from .errors import FormatError, SimplexError
 from .persistence import PersistenceDiagram
 from .tower import ElementaryOp, Include
 
@@ -145,22 +147,21 @@ def parse_distmat(text: str) -> np.ndarray:
 # -- complex ------------------------------------------------------------------
 
 
-def parse_complex(text: str) -> ComplexMatrix:
+def parse_complex(text: str) -> dict[int, Simplex]:
     simplices = []
     for lineno, line in _data_lines(text):
-        simplices.append(tuple(_ints(line.split(), lineno)))
+        vertices = _ints(line.split(), lineno)
+        try:
+            simplices.append(as_simplex(vertices))
+        except SimplexError as exc:
+            raise FormatError(str(exc), lineno) from None
     if not simplices:
         raise FormatError("no simplices found")
-    try:
-        return ComplexMatrix.from_simplex_list(simplices)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return maximal_columns(simplices)
 
 
-def write_complex(matrix: ComplexMatrix) -> str:
-    return "".join(
-        " ".join(str(v) for v in verts) + "\n" for _, verts in matrix.columns_sorted()
-    )
+def write_complex(columns: dict[int, Simplex]) -> str:
+    return "".join(" ".join(map(str, columns[c])) + "\n" for c in sorted(columns))
 
 
 # -- tower --------------------------------------------------------------------

@@ -12,18 +12,20 @@ set-based column reduction, the snapshot filtration by expanding every
 snapshot and dropping the cells seen before, the exact edge-length Rips
 filtration, bottleneck distance by exhaustive matching, tower assembly,
 replay and coning by whole-complex rewrites, and face-first order by a set of
-the cells seen so far.  The collapse judges read and build the package's
-``ComplexMatrix`` and raise its ``CollapseConsistencyError``, so that they
-compare with ``core`` directly.  The tower oracles take the package's op
-types and ``as_simplex``, and the assembly oracle its inputs (maximal
-simplices, and retractions as lists indexed by point) and error types, so that
-their output and their errors compare with the package's one for one; replay
-and coning raise the local :class:`TowerOpError`.  The snapshot-filtration
-oracle expands the package's ``ComplexMatrix`` snapshots after their own cap
-check and so raises its cap error; :func:`rips_snapshot` builds those
-snapshots from the package's clique enumeration, on the graph of one
-``D <= t`` comparison per threshold (:func:`neighborhood_bitsets`, the judge
-of the package's one-pass ``graded_bitsets``).
+the cells seen so far.  The collapse judges read and return complexes in the
+package's form, a dict from column id to sorted vertex tuple, and raise its
+``CollapseConsistencyError``, so that they compare with ``core`` directly.
+The tower oracles take the package's op types and ``as_simplex``, and the
+assembly oracle its inputs (maximal simplices, and retractions as lists
+indexed by point) and error types, so that their output and their errors
+compare with the package's one for one; replay and coning raise the local
+:class:`TowerOpError`.  The snapshot-filtration oracle expands snapshots in
+that form after their own cap check and so raises the package's cap error;
+:func:`rips_snapshot` builds those snapshots from the package's clique
+enumeration, on the graph of one ``D <= t`` comparison per threshold
+(:func:`neighborhood_bitsets`, the judge of the package's one-pass
+``graded_bitsets``), and :func:`complex_stats` sizes them as the package's
+``ComplexStats``.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from ripscollapse.collapse import RowEvent
 from ripscollapse.complexes import (
     DEFAULT_EXPANSION_CAP,
-    ComplexMatrix,
+    ComplexStats,
     Simplex,
     as_simplex,
     check_expansion_cap,
@@ -114,16 +116,32 @@ def neighborhood_bitsets(D, t):
 
 
 def rips_snapshot(D, t):
-    """Maximal-simplex matrix of the Rips complex of *D* at threshold *t*,
-    its columns numbered in lexicographic order of their cliques."""
-    return ComplexMatrix.from_columns(dict(enumerate(maximal_cliques(neighborhood_bitsets(D, t)))))
+    """Maximal simplices of the Rips complex of *D* at threshold *t*, as
+    columns numbered in lexicographic order of their cliques."""
+    return dict(enumerate(maximal_cliques(neighborhood_bitsets(D, t))))
 
 
-def matrix_rows(matrix: ComplexMatrix) -> dict[int, tuple[int, ...]]:
+def vertices_of(columns) -> list[int]:
+    """Vertex ids of the complex *columns*, in increasing order."""
+    return sorted(set(chain.from_iterable(columns.values())))
+
+
+def maximal_simplices(columns) -> list[Simplex]:
+    """Vertex tuples of the complex *columns*, in column id order."""
+    return [columns[c] for c in sorted(columns)]
+
+
+def complex_stats(columns) -> ComplexStats:
+    """Vertex and maximal-simplex counts and dimension of *columns*."""
+    top = max(len(s) for s in columns.values()) - 1
+    return ComplexStats(len(vertices_of(columns)), len(columns), top)
+
+
+def matrix_rows(columns) -> dict[int, tuple[int, ...]]:
     """Ids of the columns containing each vertex, in increasing order."""
-    rows: dict[int, list[int]] = {v: [] for v in matrix.vertex_ids}
-    for c in matrix.column_ids:
-        for v in matrix.column(c):
+    rows: dict[int, list[int]] = {v: [] for v in vertices_of(columns)}
+    for c in sorted(columns):
+        for v in columns[c]:
             rows[v].append(c)
     return {v: tuple(r) for v, r in rows.items()}
 
@@ -131,18 +149,18 @@ def matrix_rows(matrix: ComplexMatrix) -> dict[int, tuple[int, ...]]:
 # -- collapse ----------------------------------------------------------------
 
 
-def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:
-    """Smallest vertex dominating *v* in *matrix*, or ``None``.
+def find_dominating_row(columns, v: int) -> int | None:
+    """Smallest vertex dominating *v* in the complex *columns*, or ``None``.
 
     A vertex ``w`` dominates ``v`` when ``row(v)`` is contained in
     ``row(w)``; when the two rows are equal, only the smaller id counts as
     the dominator, so exactly one of an equal pair is removable.
     """
-    rows = matrix_rows(matrix)
+    rows = matrix_rows(columns)
     row_v = rows[v]
     set_v = set(row_v)
     n_v = len(row_v)
-    for w in matrix.column(row_v[0]):
+    for w in columns[row_v[0]]:
         if w == v:
             continue
         row_w = rows[w]
@@ -155,19 +173,19 @@ def find_dominating_row(matrix: ComplexMatrix, v: int) -> int | None:
     return None
 
 
-def find_dominating_column(matrix: ComplexMatrix, c: int) -> int | None:
+def find_dominating_column(columns, c: int) -> int | None:
     """Smallest column containing column *c*'s vertex set, or ``None``.
 
     Mirrors :func:`find_dominating_row` on the transpose: equal columns keep
     the smaller id.
     """
-    col_c = matrix.column(c)
+    col_c = columns[c]
     set_c = set(col_c)
     n_c = len(col_c)
-    for d in matrix_rows(matrix)[col_c[0]]:
+    for d in matrix_rows(columns)[col_c[0]]:
         if d == c:
             continue
-        col_d = matrix.column(d)
+        col_d = columns[d]
         if len(col_d) < n_c:
             continue
         if len(col_d) == n_c and d > c:
@@ -177,16 +195,16 @@ def find_dominating_column(matrix: ComplexMatrix, c: int) -> int | None:
     return None
 
 
-def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
+def nerve_step(columns):
     """One nerve: drop non-maximal rows, then transpose.
 
-    The new matrix has the old column ids as vertices and the kept old
+    The new complex has the old column ids as vertices and the kept old
     vertex ids as columns (each column listing the maximal simplices that
     vertex belonged to).  Equal rows keep the smallest id.  Applying this
     twice yields the full subcomplex of the input spanned by the vertices
     that survive the first step; on a core it returns the input itself.
     """
-    rows = matrix_rows(matrix)
+    rows = matrix_rows(columns)
     row_sets = {v: set(r) for v, r in rows.items()}
     kept = [
         v
@@ -195,10 +213,10 @@ def nerve_step(matrix: ComplexMatrix) -> ComplexMatrix:
             w != v
             and row_sets[v] <= row_sets[w]
             and (len(rows[w]) > len(rows[v]) or w < v)
-            for w in matrix.column(rows[v][0])
+            for w in columns[rows[v][0]]
         )
     ]
-    return ComplexMatrix.from_columns({v: rows[v] for v in kept})
+    return {v: rows[v] for v in kept}
 
 
 def naive_flag_core(adj):
@@ -252,17 +270,16 @@ def naive_retraction(vertices, dominator):
     return target
 
 
-def replay_trace(
-    matrix: ComplexMatrix, events: Iterable[RowEvent], check: bool = False
-) -> ComplexMatrix:
-    """Apply recorded removal events to *matrix* and return the result.
+def replay_trace(columns, events: Iterable[RowEvent], check: bool = False):
+    """Apply recorded removal events to the complex *columns* and return the
+    complex they leave.
 
     With ``check=True`` every event is verified: the removed and dominating
     objects must be alive and the domination containment must hold at that
     moment; violations raise :class:`CollapseConsistencyError`.
     """
-    cols = {cid: set(s) for cid, s in matrix.columns_sorted()}
-    rows = {v: set(r) for v, r in matrix_rows(matrix).items()}
+    cols = {cid: set(s) for cid, s in columns.items()}
+    rows = {v: set(r) for v, r in matrix_rows(columns).items()}
     for kind, removed, by in events:
         if kind == "row":
             if removed not in rows or by not in rows:
@@ -288,9 +305,7 @@ def replay_trace(
                 rows[v].discard(removed)
         else:
             raise CollapseConsistencyError(f"unknown event kind {kind!r}")
-    return ComplexMatrix.from_columns(
-        {cid: tuple(sorted(vs)) for cid, vs in cols.items()}
-    )
+    return {cid: tuple(sorted(vs)) for cid, vs in cols.items()}
 
 
 # -- distances ---------------------------------------------------------------
@@ -435,16 +450,16 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it; cells of one grade are ordered by (dimension,
-    lexicographic).  ``snapshots`` are ``ComplexMatrix`` objects, each
-    expanded by powerset after ``check_expansion_cap`` on its maximal
-    simplices.
+    lexicographic).  ``snapshots`` are complexes (dicts from column id to
+    vertex tuple), each expanded by powerset after ``check_expansion_cap``
+    on its maximal simplices.
     """
     if len(snapshots) != len(grades):
         raise ValueError("snapshots and grades must have equal length")
     seen: set[Simplex] = set()
     cells: list[tuple[Simplex, float]] = []
     for snapshot, g in zip(snapshots, grades):
-        maximal = snapshot.maximal_simplices()
+        maximal = maximal_simplices(snapshot)
         check_expansion_cap(maximal, cap)
         for s in expand_by_powerset(maximal):
             if s not in seen:

@@ -13,6 +13,7 @@ from oracles import (
     betti_by_rank,
     exact_rips_filtration,
     expand_by_powerset,
+    maximal_simplices,
     naive_is_face,
     naive_persistence,
     nerve_step,
@@ -21,7 +22,7 @@ from oracles import (
 )
 from ripscollapse.cli import EXIT_OK, main
 from ripscollapse.collapse import core
-from ripscollapse.complexes import ComplexMatrix
+from ripscollapse.complexes import maximal_columns
 from ripscollapse.persistence import PersistenceDiagram, bottleneck_distance
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import SnapshotSchedule, pairwise_distances
@@ -51,16 +52,16 @@ def _corpus():
             gen = random_maximal_simplices(
                 rng, rng.randint(1, 12), rng.randint(1, 12), rng.randint(1, 6)
             )
-            m = ComplexMatrix.from_simplex_list(gen)
+            m = maximal_columns(gen)
             _CORPUS.append((m, core(m)))
     return _CORPUS
 
 
 def test_criterion_1_worked_example_exactness(capsys):
-    m = ComplexMatrix.from_simplex_list(TABLE_COLUMNS)
-    expected_core = ComplexMatrix.from_columns({1: (1, 4), 2: (1, 3), 3: (3, 4)})
-    expected_nerve = ComplexMatrix.from_columns({1: (0, 1, 2), 3: (2, 3), 4: (1, 3, 4)})
-    exact = core(m).matrix == expected_core and nerve_step(m) == expected_nerve
+    m = maximal_columns(TABLE_COLUMNS)
+    expected_core = {1: (1, 4), 2: (1, 3), 3: (3, 4)}
+    expected_nerve = {1: (0, 1, 2), 3: (2, 3), 4: (1, 3, 4)}
+    exact = core(m).columns == expected_core and nerve_step(m) == expected_nerve
     best = math.inf
     for _ in range(10):
         t0 = time.perf_counter()
@@ -134,8 +135,8 @@ def test_criterion_4_collapse_preserves_betti_numbers(capsys):
     t0 = time.perf_counter()
     bad = 0
     for m, res in _corpus():
-        before = list(betti_by_rank(expand_by_powerset(m.maximal_simplices())))
-        after = list(betti_by_rank(expand_by_powerset(res.matrix.maximal_simplices())))
+        before = list(betti_by_rank(expand_by_powerset(maximal_simplices(m))))
+        after = list(betti_by_rank(expand_by_powerset(maximal_simplices(res.columns))))
         after += [0] * (len(before) - len(after))
         if before != after:
             bad += 1
@@ -156,7 +157,7 @@ def test_criterion_5_every_collapse_step_is_contiguous_to_the_identity(capsys):
     # not survive composition.)
     bad = 0
     for m, res in _corpus():
-        cols = {cid: set(s) for cid, s in m.columns_sorted()}
+        cols = {cid: set(s) for cid, s in m.items()}
         for kind, removed, by in res.trace.events:
             if kind == "row":
                 for members in cols.values():
@@ -168,9 +169,9 @@ def test_criterion_5_every_collapse_step_is_contiguous_to_the_identity(capsys):
                 if not cols[removed] <= cols[by]:
                     bad += 1
                 del cols[removed]
-        for _, s in m.columns_sorted():
-            image = {res.retraction.target[v] for v in s}
-            if not naive_is_face(res.matrix.maximal_simplices(), image):
+        for s in m.values():
+            image = {res.retraction[v] for v in s}
+            if not naive_is_face(res.columns.values(), image):
                 bad += 1
     _verdict(
         capsys,
@@ -183,9 +184,9 @@ def test_criterion_5_every_collapse_step_is_contiguous_to_the_identity(capsys):
 def test_criterion_6_core_is_idempotent_and_minimal(capsys):
     bad = 0
     for _, res in _corpus():
-        c = res.matrix
+        c = res.columns
         again = core(c)
-        if again.matrix != c or again.trace.events != ():
+        if again.columns != c or again.trace.events != ():
             bad += 1
         if nerve_step(nerve_step(c)) != c:
             bad += 1
@@ -253,7 +254,7 @@ def test_criterion_9_circle_pipeline_at_scale(capsys):
     ]
     collapsed_cells = len(result.filtration)
     last = rips_snapshot(D, sched.grades()[-1])
-    uncollapsed_cells = len(expand_by_powerset(last.maximal_simplices()))
+    uncollapsed_cells = len(expand_by_powerset(maximal_simplices(last)))
     ratio = uncollapsed_cells / collapsed_cells
     elapsed = time.perf_counter() - t0
     _verdict(

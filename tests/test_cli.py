@@ -65,6 +65,9 @@ def test_core_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
     assert main(["core", "--input", "-"]) == EXIT_OK
     assert capsys.readouterr().out == "0\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n2 2\n"))
+    assert main(["core", "--input", "-"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: line 2: duplicate vertex 2 in simplex\n"
 
 
 def test_pipeline_writes_all_artifacts(tmp_path, square_file, capsys):

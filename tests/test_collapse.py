@@ -4,9 +4,11 @@ import pytest
 
 from ripscollapse import (
     CollapseConsistencyError,
-    ComplexMatrix,
-    RetractionMap,
+    EmptyComplexError,
+    SimplexError,
+    collapse,
     core,
+    maximal_columns,
     trace_to_text,
 )
 
@@ -15,11 +17,13 @@ from oracles import (
     expand_by_powerset,
     find_dominating_column,
     find_dominating_row,
+    maximal_simplices,
     naive_is_face,
     naive_retraction,
     nerve_step,
     random_maximal_simplices,
     replay_trace,
+    vertices_of,
 )
 
 # the six-vertex complex used throughout: vertices a..f as 0..5,
@@ -27,15 +31,15 @@ from oracles import (
 FIXTURE = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
 
-def fixture_matrix():
-    return ComplexMatrix.from_simplex_list(FIXTURE)
+def fixture_columns():
+    return maximal_columns(FIXTURE)
 
 
 def test_core_of_fixture_is_exact():
-    matrix, retraction, trace = core(fixture_matrix())
-    assert matrix.columns_sorted() == [(1, (1, 4)), (2, (1, 3)), (3, (3, 4))]
-    assert matrix.vertex_ids == (1, 3, 4)
-    assert retraction.target == {0: 1, 1: 1, 2: 1, 3: 3, 4: 4, 5: 4}
+    columns, retraction, trace = result = core(fixture_columns())
+    assert (result.columns, result.retraction, result.trace) == (columns, retraction, trace)
+    assert list(columns.items()) == [(1, (1, 4)), (2, (1, 3)), (3, (3, 4))]
+    assert list(retraction.items()) == [(0, 1), (1, 1), (2, 1), (3, 3), (4, 4), (5, 4)]
     assert trace.events == (
         ("row", 0, 1),
         ("row", 2, 1),
@@ -46,39 +50,66 @@ def test_core_of_fixture_is_exact():
     assert trace.row_phases + trace.col_phases == 3
 
 
+def test_core_checks_its_input():
+    with pytest.raises(EmptyComplexError):
+        core({})
+    for cid in (-1, "0", 1.0):
+        with pytest.raises(SimplexError, match="column ids"):
+            core({cid: (0, 1)})
+    for verts in ((), (1, 1), (-1, 2)):
+        with pytest.raises(SimplexError):
+            core({0: verts})
+    # columns are normalised, and maximality is trusted, not checked: a
+    # nested column is kept as given
+    assert core({5: [2, 0, 1]}).columns == {5: (0,)}
+    assert core({0: (0, 1), 1: (0,)}).columns == {0: (0,), 1: (0,)}
+
+
+def test_retraction_map_validates_fixed_points(monkeypatch):
+    compose = collapse._retraction
+
+    def broken(target, events):
+        target = compose(target, events)
+        target[0] = 1  # 1 is not a fixed point once it is removed in favour of 0
+        return target
+
+    assert core({0: (0, 1)}).retraction == {0: 0, 1: 0}
+    monkeypatch.setattr(collapse, "_retraction", broken)
+    with pytest.raises(CollapseConsistencyError, match="target 1 of vertex 0 is not a fixed point"):
+        core({0: (0, 1)})
+
+
 def test_nerve_step_intermediate():
-    n = nerve_step(fixture_matrix())
-    assert n == ComplexMatrix.from_columns(
-        {1: (0, 1, 2), 3: (2, 3), 4: (1, 3, 4)}
-    )
-    assert n.vertex_ids == (0, 1, 2, 3, 4)
+    n = nerve_step(fixture_columns())
+    assert n == {1: (0, 1, 2), 3: (2, 3), 4: (1, 3, 4)}
+    assert vertices_of(n) == [0, 1, 2, 3, 4]
 
 
 def test_two_nerve_steps_reach_the_core():
-    m = fixture_matrix()
-    assert nerve_step(nerve_step(m)) == core(m).matrix
+    m = fixture_columns()
+    assert nerve_step(nerve_step(m)) == core(m).columns
 
 
 def test_core_is_idempotent():
-    first = core(fixture_matrix())
-    second = core(first.matrix)
-    assert second.matrix == first.matrix
+    first = core(fixture_columns())
+    second = core(first.columns)
+    assert second.columns == first.columns
     assert second.trace.events == ()
-    assert all(v == w for v, w in second.retraction.target.items())
+    assert all(v == w for v, w in second.retraction.items())
 
 
 def test_nerve_step_on_core_round_trips():
-    c = core(fixture_matrix()).matrix
+    c = core(fixture_columns()).columns
     assert nerve_step(nerve_step(c)) == c
 
 
 def test_retraction_properties():
-    m = fixture_matrix()
-    _, r, _ = core(m)
-    cvs = set(core(m).matrix.vertex_ids)
-    assert {v for v, w in r.target.items() if v == w} == cvs
-    for v in m.vertex_ids:
-        assert r.target[r.target[v]] == r.target[v]
+    m = fixture_columns()
+    c, r, _ = core(m)
+    assert {v for v, w in r.items() if v == w} == set(vertices_of(c))
+    assert list(r) == vertices_of(m)
+    for v in r:
+        assert r[r[v]] == r[v]
 
 
 def test_retraction_is_simplicial_and_stepwise_contiguous():
@@ -90,11 +121,11 @@ def test_retraction_is_simplicial_and_stepwise_contiguous():
     rng = random.Random(4242)
     for _ in range(60):
         gen = random_maximal_simplices(rng, rng.randint(1, 10), rng.randint(1, 9), 4)
-        m = ComplexMatrix.from_simplex_list(gen)
+        m = maximal_columns(gen)
         c, r, trace = core(m)
-        for _, s in m.columns_sorted():
-            assert naive_is_face(c.maximal_simplices(), {r.target[v] for v in s})
-        cols = {cid: set(s) for cid, s in m.columns_sorted()}
+        for s in m.values():
+            assert naive_is_face(c.values(), {r[v] for v in s})
+        cols = {cid: set(s) for cid, s in m.items()}
         for kind, removed, by in trace.events:
             if kind == "row":
                 for members in cols.values():
@@ -107,7 +138,7 @@ def test_retraction_is_simplicial_and_stepwise_contiguous():
 
 
 def test_domination_lookups():
-    m = fixture_matrix()
+    m = fixture_columns()
     assert find_dominating_row(m, 0) == 1
     assert find_dominating_row(m, 2) == 1
     assert find_dominating_row(m, 5) == 4
@@ -116,17 +147,10 @@ def test_domination_lookups():
 
 
 def test_equal_rows_keep_the_smaller_id():
-    m = ComplexMatrix.from_simplex_list([(0, 1)])
+    m = maximal_columns([(0, 1)])
     assert find_dominating_row(m, 1) == 0
     assert find_dominating_row(m, 0) is None
-    c = core(m).matrix
-    assert c.vertex_ids == (0,)
-    assert c.columns_sorted() == [(0, (0,))]
-
-
-def test_retraction_map_validates_fixed_points():
-    with pytest.raises(CollapseConsistencyError):
-        RetractionMap({0: 1, 1: 2, 2: 2})  # target 1 is itself moved to 2
+    assert core(m).columns == {0: (0,)}
 
 
 def test_retraction_follows_the_dominator_chains():
@@ -139,23 +163,23 @@ def test_retraction_follows_the_dominator_chains():
     chained = 0  # removed vertices whose dominator was removed later
     for _ in range(1200):
         gen = random_maximal_simplices(rng, rng.randint(1, 12), rng.randint(1, 10), 5)
-        m = ComplexMatrix.from_simplex_list(gen)
+        m = maximal_columns(gen)
         result = core(m)
         dominator = {x: y for kind, x, y in result.trace.events if kind == "row"}
-        assert result.retraction.target == naive_retraction(m.vertex_ids, dominator)
-        chained += sum(result.retraction.target[x] != y for x, y in dominator.items())
+        assert result.retraction == naive_retraction(vertices_of(m), dominator)
+        chained += sum(result.retraction[x] != y for x, y in dominator.items())
     assert chained > 100
 
 
 def test_replay_trace_reproduces_the_core():
-    m = fixture_matrix()
+    m = fixture_columns()
     c, _, trace = core(m)
     assert replay_trace(m, trace.events) == c
     assert replay_trace(m, trace.events, check=True) == c
 
 
 def test_replay_rejects_tampered_events():
-    m = fixture_matrix()
+    m = fixture_columns()
     _, _, trace = core(m)
     bad = (("row", 1, 0),) + trace.events[1:]
     with pytest.raises(CollapseConsistencyError):
@@ -165,7 +189,7 @@ def test_replay_rejects_tampered_events():
 
 
 def test_trace_text_round_trip():
-    _, _, trace = core(fixture_matrix())
+    _, _, trace = core(fixture_columns())
     assert trace_to_text(trace) == "r 0 1\nr 2 1\nr 5 4\nc 0 1\nc 4 1\n"
 
 
@@ -173,16 +197,16 @@ def test_core_preserves_betti_numbers():
     rng = random.Random(2718)
     for _ in range(60):
         gen = random_maximal_simplices(rng, rng.randint(1, 10), rng.randint(1, 9), 4)
-        m = ComplexMatrix.from_simplex_list(gen)
-        c = core(m).matrix
-        full = betti_by_rank(expand_by_powerset(m.maximal_simplices()))
-        small = betti_by_rank(expand_by_powerset(c.maximal_simplices()))
+        m = maximal_columns(gen)
+        c = core(m).columns
+        full = betti_by_rank(expand_by_powerset(maximal_simplices(m)))
+        small = betti_by_rank(expand_by_powerset(maximal_simplices(c)))
         width = max(len(full), len(small))
         assert full + (0,) * (width - len(full)) == small + (0,) * (width - len(small))
 
 
 def test_work_counters_are_recorded():
-    _, _, trace = core(fixture_matrix())
+    _, _, trace = core(fixture_columns())
     n, m = 6, 5
     assert trace.row_phases >= 1 and trace.col_phases >= 1
     rounds = trace.row_phases + trace.col_phases

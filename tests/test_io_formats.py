@@ -110,15 +110,32 @@ def test_distmat_round_trip():
 
 def test_complex_round_trip_drops_non_maximal():
     m = parse_complex("# two triangles sharing an edge\n2 1 0\n1 2\n1 2 3\n")
-    assert [s for _, s in m.columns_sorted()] == [(0, 1, 2), (1, 2, 3)]
+    assert m == {0: (0, 1, 2), 1: (1, 2, 3)}
     again = parse_complex(write_complex(m))
     assert again == m
+    # a core keeps its input's column ids; they are written in id order
+    assert write_complex({7: (2, 5), 3: (0, 1, 4)}) == "0 1 4\n2 5\n"
     with pytest.raises(FormatError):
         parse_complex("")
     with pytest.raises(FormatError):
         parse_complex("0 x\n")
     with pytest.raises(FormatError):
         parse_complex("0 0\n")
+
+
+@pytest.mark.parametrize(
+    ("text", "line", "message"),
+    [
+        ("0 1\n2 2\n", 2, "duplicate vertex 2 in simplex"),
+        ("# a comment\n0 1\n\n3 -1\n", 4, "vertex ids must be non-negative, got -1"),
+    ],
+    ids=["duplicate-vertex", "negative-vertex"],
+)
+def test_parse_complex_names_the_line_of_a_bad_simplex(text, line, message):
+    with pytest.raises(FormatError) as exc:
+        parse_complex(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_tower_round_trip():

@@ -7,7 +7,7 @@ import numpy as np
 from ripscollapse import _kernels
 from ripscollapse._kernels import reduce_block
 from ripscollapse.collapse import core, trace_to_text
-from ripscollapse.complexes import ComplexMatrix
+from ripscollapse.complexes import maximal_columns
 from ripscollapse.rips import pairwise_distances
 
 from oracles import (
@@ -17,6 +17,7 @@ from oracles import (
     random_maximal_simplices,
     replay_trace,
     rips_snapshot,
+    vertices_of,
 )
 
 
@@ -26,21 +27,21 @@ def test_collapse_kernel_paths_agree():
     rng = random.Random(31337)
     for _ in range(60):
         gen = random_maximal_simplices(rng, rng.randint(1, 12), rng.randint(1, 12), 5)
-        matrix = ComplexMatrix.from_simplex_list(gen)
-        result = core(matrix)
-        replayed = replay_trace(matrix, result.trace.events, check=True)
-        assert replayed == result.matrix
-        for v in replayed.vertex_ids:
+        columns = maximal_columns(gen)
+        result = core(columns)
+        replayed = replay_trace(columns, result.trace.events, check=True)
+        assert replayed == result.columns
+        for v in vertices_of(replayed):
             assert find_dominating_row(replayed, v) is None
-        for c in replayed.column_ids:
+        for c in replayed:
             assert find_dominating_column(replayed, c) is None
 
 
-def _collapse_fingerprint(matrix):
+def _collapse_fingerprint(columns):
     """(trace digest, the five counters, alive rows, alive columns) of one collapse."""
-    result = core(matrix)
+    result = core(columns)
     trace = result.trace
-    rows, cols = set(result.matrix.vertex_ids), set(result.matrix.column_ids)
+    rows, cols = set(vertices_of(result.columns)), set(result.columns)
     return (
         hashlib.sha256(trace_to_text(trace).encode()).hexdigest()[:16],
         (
@@ -50,8 +51,8 @@ def _collapse_fingerprint(matrix):
             trace.row_candidate_tests,
             trace.col_candidate_tests,
         ),
-        "".join("01"[v in rows] for v in matrix.vertex_ids),
-        "".join("01"[c in cols] for c in matrix.column_ids),
+        "".join("01"[v in rows] for v in vertices_of(columns)),
+        "".join("01"[c in cols] for c in sorted(columns)),
     )
 
 
@@ -105,7 +106,7 @@ def test_collapse_kernel_output_is_pinned():
     rng = random.Random(2024)
     for want in _PINNED_RANDOM:
         gen = random_maximal_simplices(rng, rng.randint(2, 16), rng.randint(2, 16), 6)
-        assert _collapse_fingerprint(ComplexMatrix.from_simplex_list(gen)) == want
+        assert _collapse_fingerprint(maximal_columns(gen)) == want
     # the benchmark's circle-snapshots cloud (n=300, seed 3) at t=0.3: 38 phases
     snapshot = rips_snapshot(pairwise_distances(_noisy_circle(3, 300)), 0.3)
     digest, counters, rows, cols = _collapse_fingerprint(snapshot)

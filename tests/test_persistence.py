@@ -12,12 +12,13 @@ from oracles import (
     naive_check_filtration,
     naive_column_reduction,
     naive_filtration_from_snapshots,
+    maximal_simplices,
     naive_persistence,
     random_maximal_simplices,
     rips_snapshot,
 )
 from ripscollapse import persistence
-from ripscollapse.complexes import ComplexMatrix
+from ripscollapse.complexes import maximal_columns
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError, ReductionMemoryError
 from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
 from ripscollapse.pipeline import run_pipeline
@@ -26,8 +27,8 @@ from ripscollapse.rips import pairwise_distances
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 
-def _static_filtration(matrix: ComplexMatrix) -> tuple:
-    return tuple((s, 0.0) for s in expand_by_powerset(matrix.maximal_simplices()))
+def _static_filtration(columns) -> tuple:
+    return tuple((s, 0.0) for s in expand_by_powerset(maximal_simplices(columns)))
 
 
 def test_diagram_helpers():
@@ -93,7 +94,7 @@ def test_matches_naive_reduction_on_random_snapshot_filtrations():
     rng = random.Random(1730)
     for _ in range(20):
         gen = random_maximal_simplices(rng, rng.randint(1, 8), rng.randint(1, 6), 4)
-        filtrations.append(_static_filtration(ComplexMatrix.from_simplex_list(gen)))
+        filtrations.append(_static_filtration(maximal_columns(gen)))
     for filtration in filtrations:
         ordered = sorted(filtration, key=lambda c: (c[1], len(c[0]), c[0]))
         want = naive_persistence(ordered)
@@ -285,8 +286,8 @@ def test_filtration_validate():
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():
-    a = ComplexMatrix.from_simplex_list([(0,), (1,)])
-    b = ComplexMatrix.from_simplex_list([(0, 1)])
+    a = maximal_columns([(0,), (1,)])
+    b = maximal_columns([(0, 1)])
     f = naive_filtration_from_snapshots([a, b], [0.25, 0.75])
     assert f == (((0,), 0.25), ((1,), 0.25), ((0, 1), 0.75))
     with pytest.raises(ValueError):

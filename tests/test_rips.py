@@ -10,18 +10,20 @@ import pytest
 
 from oracles import (
     betti_by_rank,
+    complex_stats,
     expand_by_powerset,
     naive_clique_count,
     naive_flag_core,
     naive_is_face,
     naive_maximal_cliques,
     naive_pairwise_distances,
+    maximal_simplices,
     naive_retraction,
     neighborhood_bitsets,
     rips_snapshot,
 )
 from ripscollapse.collapse import core
-from ripscollapse.complexes import ComplexMatrix
+from ripscollapse.complexes import maximal_columns
 from ripscollapse.pipeline import SnapshotStats, compare_pipelines, run_pipeline
 from ripscollapse.rips import (
     SnapshotSchedule,
@@ -168,31 +170,31 @@ def test_graded_bitsets_equal_one_graph_per_grade():
 def test_unit_square_snapshots():
     D = pairwise_distances(UNIT_SQUARE)
     low = rips_snapshot(D, 0.5)
-    assert [s for _, s in low.columns_sorted()] == [(0,), (1,), (2,), (3,)]
+    assert maximal_simplices(low) == [(0,), (1,), (2,), (3,)]
     # the threshold is closed, so the sides appear exactly at t = 1
     mid = rips_snapshot(D, 1.0)
-    assert [s for _, s in mid.columns_sorted()] == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert maximal_simplices(mid) == [(0, 1), (0, 3), (1, 2), (2, 3)]
     high = rips_snapshot(D, 1.5)
-    assert [s for _, s in high.columns_sorted()] == [(0, 1, 2, 3)]
+    assert maximal_simplices(high) == [(0, 1, 2, 3)]
 
 
 def test_snapshot_ids_follow_lexicographic_order():
     D = pairwise_distances(UNIT_SQUARE)
     mid = rips_snapshot(D, 1.0)
-    assert mid.column_ids == (0, 1, 2, 3)
-    assert mid.column(0) == (0, 1)
-    assert mid.column(3) == (2, 3)
+    assert list(mid) == [0, 1, 2, 3]
+    assert mid[0] == (0, 1)
+    assert mid[3] == (2, 3)
 
 
 def test_isolated_vertices_are_kept():
     D = pairwise_distances([(0.0,), (10.0,), (20.5,)])
     snap = rips_snapshot(D, 1.0)
-    assert [s for _, s in snap.columns_sorted()] == [(0,), (1,), (2,)]
+    assert maximal_simplices(snap) == [(0,), (1,), (2,)]
 
 
 def test_single_point_cloud():
     D = pairwise_distances([(0.0, 0.0)])
-    assert [s for _, s in rips_snapshot(D, 0.0).columns_sorted()] == [(0,)]
+    assert maximal_simplices(rips_snapshot(D, 0.0)) == [(0,)]
 
 
 def _random_graph(rng, n):
@@ -219,7 +221,7 @@ def test_maximal_cliques_match_subset_scan():
         pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(1, 11))]
         D = pairwise_distances(pts)
         t = rng.uniform(0.1, 0.9)
-        want = ComplexMatrix.from_simplex_list(naive_maximal_cliques((D <= t).astype(int)))
+        want = maximal_columns(naive_maximal_cliques((D <= t).astype(int)))
         assert rips_snapshot(D, t) == want
 
 
@@ -230,7 +232,7 @@ def test_snapshot_expansion_agrees_with_count():
         D = pairwise_distances(pts)
         t = rng.uniform(0.2, 0.8)
         snap = rips_snapshot(D, t)
-        count = len(expand_by_powerset(snap.maximal_simplices()))
+        count = len(expand_by_powerset(maximal_simplices(snap)))
         assert count == naive_clique_count((D <= t).astype(int))
         assert count == len(run_pipeline(D, [t], collapse=False).filtration)
 
@@ -274,7 +276,7 @@ GRADES = (0.15, 0.3, 0.45, 0.7)
 def test_flag_core_unit_square():
     D = pairwise_distances(UNIT_SQUARE)
     cycle = flag_core(neighborhood_bitsets(D, 1.0))
-    assert cycle.cliques == rips_snapshot(D, 1.0).maximal_simplices()
+    assert cycle.cliques == maximal_simplices(rips_snapshot(D, 1.0))
     assert cycle.events == ()
     assert cycle.survivors == (0, 1, 2, 3) and cycle.retraction == [0, 1, 2, 3]
     full = flag_core(neighborhood_bitsets(D, 1.5))
@@ -286,10 +288,8 @@ def test_flag_core_unit_square():
 def test_flag_core_matches_matrix_collapse():
     for D in _clouds(41, 24, 40):
         for t in GRADES:
-            graph = ComplexMatrix.from_columns(
-                dict(enumerate(flag_core(neighborhood_bitsets(D, t)).cliques))
-            )
-            assert graph.stats() == core(rips_snapshot(D, t)).matrix.stats()
+            graph = dict(enumerate(flag_core(neighborhood_bitsets(D, t)).cliques))
+            assert complex_stats(graph) == complex_stats(core(rips_snapshot(D, t)).columns)
             assert core(graph).trace.events == ()
 
 
@@ -376,7 +376,7 @@ def test_flag_core_is_the_flag_complex_of_the_survivors_and_keeps_betti_numbers(
             induced = [[table[u][v] for v in keep] for u in keep]
             want = [tuple(keep[i] for i in c) for c in naive_maximal_cliques(induced)]
             assert result.cliques == want
-            full = betti_by_rank(expand_by_powerset(rips_snapshot(D, t).maximal_simplices()))
+            full = betti_by_rank(expand_by_powerset(maximal_simplices(rips_snapshot(D, t))))
             small = betti_by_rank(expand_by_powerset(result.cliques))
             width = max(len(full), len(small))
             assert full + (0,) * (width - len(full)) == small + (0,) * (width - len(small))

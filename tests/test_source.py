@@ -9,9 +9,11 @@ runs on an explicit stack or queue instead.
 ``persistence`` reduces any sequence of ``(simplex, grade)`` pairs, so it
 imports none of the modules that build them.
 
-The Rips path is flag-native: ``rips``, ``tower`` and ``pipeline`` pass
-cores as cliques and retractions as lists, and name none of the maximal-
-simplex matrix types that ``ripscollapse core`` uses.
+A complex is plain data, a dict from column id to vertex tuple, and so is a
+retraction: no module defines or names a ``ComplexMatrix`` or
+``RetractionMap`` wrapper type.  The Rips path is flag-native: ``rips``, ``tower`` and
+``pipeline`` pass cores as cliques and retractions as lists, and name none
+of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 """
 
 import ast
@@ -22,7 +24,8 @@ import ripscollapse
 SOURCES = sorted(Path(ripscollapse.__file__).parent.glob("*.py"))
 PERSISTENCE_MAY_IMPORT = {"_kernels", "complexes", "errors"}
 FLAG_NATIVE = ("rips", "tower", "pipeline")
-MATRIX_TYPES = {"ComplexMatrix", "RetractionMap", "CoreResult"}
+CORE_TYPES = {"CoreResult", "CollapseTrace"}
+WRAPPER_TYPES = {"ComplexMatrix", "RetractionMap"}
 
 
 def _self_calls(tree):
@@ -79,11 +82,14 @@ def _package_imports(tree):
 
 
 def _names(tree):
-    """Identifiers a module names: bare names, attributes, imported names
-    and their aliases, and string annotations."""
+    """Identifiers a module defines or names: classes and functions, bare
+    names, attributes, imported names and their aliases, and string
+    annotations."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -123,8 +129,15 @@ def test_rules_see_what_they_forbid():
         "from .collapse import CoreResult as Result\n"
         "def f(m: 'ComplexMatrix') -> None:\n"
         "    return collapse.RetractionMap(m)\n"
+        "x: 'CollapseTrace'\n"
     )
-    assert _names(tree) & MATRIX_TYPES == MATRIX_TYPES
+    assert _names(tree) >= CORE_TYPES | WRAPPER_TYPES
+    tree = ast.parse(
+        "class ComplexMatrix:\n"
+        "    pass\n"
+        "from ripscollapse.collapse import RetractionMap\n"
+    )
+    assert _names(tree) >= WRAPPER_TYPES
 
 
 def test_package_has_no_recursion():
@@ -141,8 +154,14 @@ def test_persistence_imports_none_of_the_producers():
     assert imported <= PERSISTENCE_MAY_IMPORT, imported - PERSISTENCE_MAY_IMPORT
 
 
+def test_no_module_defines_or_names_the_complex_wrappers():
+    for path in SOURCES:
+        named = _names(ast.parse(path.read_text(), filename=str(path))) & WRAPPER_TYPES
+        assert not named, (path.name, named)
+
+
 def test_flag_native_modules_name_no_matrix_types():
     for name in FLAG_NATIVE:
         path = Path(ripscollapse.__file__).parent / f"{name}.py"
-        named = _names(ast.parse(path.read_text(), filename=str(path))) & MATRIX_TYPES
+        named = _names(ast.parse(path.read_text(), filename=str(path))) & CORE_TYPES
         assert not named, (name, named)

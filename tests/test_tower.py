@@ -6,6 +6,7 @@ import random
 import pytest
 from oracles import (
     TowerOpError,
+    maximal_simplices,
     naive_assemble_core_tower,
     naive_check_filtration,
     naive_persistence,
@@ -15,7 +16,7 @@ from oracles import (
 )
 
 from ripscollapse.collapse import core
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, ComplexMatrix
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, maximal_columns
 from ripscollapse.errors import (
     CollapseConsistencyError,
     EmptyComplexError,
@@ -53,9 +54,9 @@ def _core_inputs(results, grades):
     and its retraction as a list indexed by point."""
     retractions = []
     for res in results:
-        target = res.retraction.target
+        target = res.retraction
         retractions.append([target.get(p, p) for p in range(max(target) + 1)])
-    return [res.matrix.maximal_simplices() for res in results], retractions, grades
+    return [maximal_simplices(res.columns) for res in results], retractions, grades
 
 
 def _flag_inputs(results, grades):
@@ -69,7 +70,7 @@ def _pipeline_inputs(points, grades):
 
 
 def test_single_snapshot_tower_is_expanded_core():
-    res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
+    res = core(maximal_columns(TABLE_COLUMNS))
     tower = _assemble(*_core_inputs([res], [0.0]))
     assert tuple(tower) == (
         Include((1,), 0.0),
@@ -83,7 +84,7 @@ def test_single_snapshot_tower_is_expanded_core():
 
 
 def test_identical_snapshots_add_no_ops():
-    res = core(ComplexMatrix.from_simplex_list(TABLE_COLUMNS))
+    res = core(maximal_columns(TABLE_COLUMNS))
     tower = _assemble(*_core_inputs([res, res], [0.0, 1.0]))
     assert all(op.grade == 0.0 for op in tower)
     assert len(tower) == 6
@@ -409,7 +410,7 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
             grades = grades[-1:]  # a single grade
         cases.append((pairwise_distances(pts), grades))
     for D, grades in cases:
-        snapshots = [rips_snapshot(D, g).maximal_simplices() for g in grades]
+        snapshots = [maximal_simplices(rips_snapshot(D, g)) for g in grades]
         identities = [list(range(len(D)))] * len(grades)
         tower, _ = assemble_tower(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
