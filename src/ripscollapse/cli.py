@@ -26,6 +26,7 @@ from .errors import ExpansionCapError, ReductionMemoryError, RipsCollapseError
 from .io_formats import (
     parse_complex,
     parse_distmat,
+    parse_grades,
     parse_points,
     write_complex,
     write_diagram,
@@ -63,16 +64,6 @@ def _write_text(path: Optional[str], text: str) -> None:
         fh.write(text)
 
 
-def _parse_grades_file(text: str) -> list[float]:
-    grades = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        grades.extend(float(tok) for tok in line.split())
-    return grades
-
-
 def _add_schedule_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--start", type=float, help="first snapshot grade")
     parser.add_argument("--step", type=float, help="grade increment")
@@ -85,7 +76,7 @@ def _resolve_schedule(parser: argparse.ArgumentParser, args: argparse.Namespace)
     if args.grades is not None:
         if any(v is not None for v in triple):
             parser.error("--grades excludes --start/--step/--end")
-        return _parse_grades_file(_read_text(args.grades))
+        return parse_grades(_read_text(args.grades))
     if any(v is None for v in triple):
         parser.error("either --grades or all of --start/--step/--end are required")
     return SnapshotSchedule(args.start, args.step, args.end)

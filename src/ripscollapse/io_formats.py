@@ -1,12 +1,14 @@
 """Line-oriented text formats of the files the command line reads and writes.
 
 All formats are UTF-8 text.  In the files read, a line whose first
-non-blank character is ``#`` is a comment.  Floats are written with
-``repr``, so a written grade or diagram value is the exact double computed.
+non-blank character is ``#`` is a comment, and every number read as a
+float must be finite.  Floats are written with ``repr``, so a written grade
+or diagram value is the exact double computed.
 
 Read:
 
 - points: one point per line, whitespace-separated coordinates.
+- grades: snapshot grades, one or more per line, whitespace-separated.
 - distmat: lower-triangular distance matrix; row ``k`` holds the ``k``
   distances to the earlier points, so the first row is empty and may be
   omitted.  An optional leading line holding a single integer declares the
@@ -65,8 +67,8 @@ def _floats(tokens: list[str], lineno: int) -> list[float]:
             values.append(float(tok))
         except ValueError:
             raise FormatError(f"expected a number, got {tok!r}", lineno) from None
-    if any(math.isnan(v) for v in values):
-        raise FormatError("NaN is not a valid value", lineno)
+        if not math.isfinite(values[-1]):
+            raise FormatError(f"expected a finite number, got {tok!r}", lineno)
     return values
 
 
@@ -88,8 +90,6 @@ def parse_points(text: str) -> np.ndarray:
     width = None
     for lineno, line in _data_lines(text):
         values = _floats(line.split(), lineno)
-        if math.inf in values or -math.inf in values:
-            raise FormatError("coordinates must be finite", lineno)
         if width is None:
             width = len(values)
         elif len(values) != width:
@@ -102,6 +102,13 @@ def parse_points(text: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
+# -- grades -------------------------------------------------------------------
+
+
+def parse_grades(text: str) -> list[float]:
+    return [g for lineno, line in _data_lines(text) for g in _floats(line.split(), lineno)]
+
+
 # -- lower-triangular distance matrix ----------------------------------------
 
 
@@ -112,8 +119,6 @@ def _distmat_from_rows(rows: list[tuple[int, list[float]]]) -> np.ndarray:
         if len(values) != i:
             raise FormatError(f"row should hold {i} distances, got {len(values)}", lineno)
         for j, v in enumerate(values):
-            if not math.isfinite(v):
-                raise FormatError("distances must be finite", lineno)
             if v < 0:
                 raise FormatError(f"negative distance {v}", lineno)
             D[i, j] = v

@@ -9,6 +9,9 @@ clearing (Chen & Kerber's twist): a cell already paired as the creator of a
 higher-dimensional class has a column that reduces to zero, so that column
 is never built.
 
+One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
+every filtration for the reduction, the tower's too as it is assembled.
+
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
 """
@@ -85,22 +88,44 @@ class BoundaryMatrix:
         it, or has a grade that is NaN or below its predecessor's.
         """
         cells = tuple(filtration)
-        pos: dict[Simplex, int] = {}
-        by_dim: list[list[int]] = []
-        columns: list[tuple[int, ...]] = []
-        last = -math.inf
-        for i, (s, grade) in enumerate(cells):
+        index = _Index()
+        index.emit(cells)
+        index.cells = cells  # so the matrix shares the input tuple
+        return index.matrix()
+
+
+class _Index:
+    """A filtration's :class:`BoundaryMatrix`, built as its cells are emitted
+    (by the tower while it is assembled); ``pos`` maps every cell emitted to
+    its position within its dimension, which never changes."""
+
+    __slots__ = ("cells", "pos", "by_dim", "columns", "last")
+
+    def __init__(self) -> None:
+        self.cells: list[tuple[Simplex, float]] = []
+        self.pos: dict[Simplex, int] = {}
+        self.by_dim: list[list[int]] = []
+        self.columns: list[tuple[int, ...]] = []
+        self.last = -math.inf
+
+    def emit(self, pairs: Iterable[tuple[Simplex, float]]) -> None:
+        """Append the ``(simplex, grade)`` *pairs* to the filtration, looking
+        each face up once, with the checks of
+        :meth:`BoundaryMatrix.from_filtration`."""
+        cells, pos, by_dim, columns = self.cells, self.pos, self.by_dim, self.columns
+        last = self.last
+        lookup = pos.get
+        for i, cell in enumerate(pairs, len(cells)):
+            s, grade = cell
             # written so that a NaN grade fails it too
             if not grade >= last:
                 raise FiltrationOrderError(
                     f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
                 )
             last = grade
-            if s in pos:
-                raise FiltrationOrderError(f"duplicate cell {s}", i)
             d = len(s) - 1
             if d > 0:
-                faces = tuple(map(pos.get, combinations(s, d)))
+                faces = tuple(map(lookup, combinations(s, d)))
                 if None in faces:
                     face = next(f for f in combinations(s, d) if f not in pos)
                     raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
@@ -112,9 +137,18 @@ class BoundaryMatrix:
                 by_dim.append([])
             cells_d = by_dim[d]
             pos[s] = len(cells_d)
+            # the i cells before are distinct, so a repeat leaves i entries
+            if len(pos) == i:
+                raise FiltrationOrderError(f"duplicate cell {s}", i)
             cells_d.append(i)
+            cells.append(cell)
             columns.append(faces)
-        return cls(cells, tuple(map(tuple, by_dim)), tuple(columns))
+        self.last = last
+
+    def matrix(self) -> BoundaryMatrix:
+        return BoundaryMatrix(
+            tuple(self.cells), tuple(map(tuple, self.by_dim)), tuple(self.columns)
+        )
 
 
 def _check_block_bound(sizes: Sequence[int]) -> None:

@@ -20,28 +20,22 @@ core's Includes cost in proportion to the faces of its maximal simplices
 that are not yet cells, and a Contract(u, v) to the star of ``u``, never to
 the whole complex.  A core's new cells are found level by level: the
 k-vertex faces of those maximal simplices, less the live cells, sorted, for
-k = 1, 2, ...  Each
-emitted cell's faces are looked up once, in a table of every emitted
-cell's position within its dimension, so the same pass builds the
-:class:`~ripscollapse.persistence.BoundaryMatrix` the reduction reads.
+k = 1, 2, ...  They are emitted into the checked builder behind
+:meth:`~ripscollapse.persistence.BoundaryMatrix.from_filtration`, so the
+same pass builds the boundary index the reduction reads.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 from .collapse import _bits
 from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
-from .errors import (
-    CollapseConsistencyError,
-    EmptyComplexError,
-    FiltrationOrderError,
-    SimplexError,
-)
-from .persistence import BoundaryMatrix
+from .errors import CollapseConsistencyError, EmptyComplexError, SimplexError
+from .persistence import BoundaryMatrix, _Index
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +90,12 @@ class Tower:
 
 
 class _Complex:
-    """The filtration emitted so far, indexed for the reduction, and the
+    """The filtration emitted so far, as its boundary ``index``, and the
     complex it has reached, with a per-vertex index of cofaces.
 
-    ``emitted`` is the filtration, and ``pos``, ``by_dim`` and ``columns``
-    are its :class:`BoundaryMatrix` fields: ``pos`` maps every emitted cell
-    to its position within its dimension, which never changes.  A cell is
-    live (in the complex) iff it has been emitted and contains no vertex of
-    ``dead``, the renamed-away ones; so a cell on live vertices is live iff
-    it is in ``pos``.
+    A cell is live (in the complex) iff it has been emitted and contains no
+    vertex of ``dead``, the renamed-away ones; so a cell on live vertices
+    is live iff it is in ``index.pos``.
 
     ``cofaces[x]`` lists, in order of addition, the live cells added that
     contain ``x``.  The lists are append-only: a cell that has left the
@@ -113,15 +104,12 @@ class _Complex:
     no cell that contains it is left.
     """
 
-    __slots__ = ("dead", "cofaces", "emitted", "pos", "by_dim", "columns")
+    __slots__ = ("dead", "cofaces", "index")
 
     def __init__(self) -> None:
         self.dead: set[int] = set()
         self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
-        self.emitted: list[tuple[Simplex, float]] = []
-        self.pos: dict[Simplex, int] = {}
-        self.by_dim: list[list[int]] = []
-        self.columns: list[tuple[int, ...]] = []
+        self.index = _Index()
 
     def add_cofaces(self, new: Iterable[Simplex]) -> None:
         """List the new live cells *new* under each of their vertices."""
@@ -129,27 +117,6 @@ class _Complex:
         for s in new:
             for x in s:
                 cofaces[x].append(s)
-
-    def emit(self, new: Iterable[Simplex], grade: float) -> None:
-        """Append the cells *new* at *grade* to the filtration, looking each
-        face up once; each cell's faces must be emitted before it."""
-        emitted, pos, by_dim, columns = self.emitted, self.pos, self.by_dim, self.columns
-        for s in new:
-            d = len(s) - 1
-            if d:
-                faces = tuple(map(pos.get, combinations(s, d)))
-                if None in faces:
-                    face = next(f for f in combinations(s, d) if f not in pos)
-                    raise FiltrationOrderError(f"cell {s} is missing face {face}", len(emitted))
-            else:
-                faces = ()
-            if d == len(by_dim):
-                by_dim.append([])
-            cells_d = by_dim[d]
-            pos[s] = len(cells_d)
-            cells_d.append(len(emitted))
-            emitted.append((s, grade))
-            columns.append(faces)
 
     def contract(self, u: int, v: int, grade: float) -> None:
         """Rename vertex *u* to *v*, emitting at *grade* the cells of the
@@ -161,7 +128,7 @@ class _Complex:
         over ``star(u)``; the images ``(s - {u}) + {v}`` then replace
         ``star(u)``.  The cost is in proportion to the star of ``u``.
         """
-        dead, pos = self.dead, self.pos
+        dead, pos = self.dead, self.index.pos
         star = [s for s in self.cofaces.pop(u, ()) if dead.isdisjoint(s)]
         images = {tuple(sorted({v if x == u else x for x in s})) for s in star}
         cone = images.union(tuple(sorted(s + (v,))) for s in star if v not in s)
@@ -169,7 +136,7 @@ class _Complex:
         fresh = images.difference(pos)
         new = sorted(cone.difference(pos))
         new.sort(key=len)
-        self.emit(new, grade)
+        self.index.emit(zip(new, repeat(grade)))
         dead.add(u)
         self.add_cofaces(fresh)
 
@@ -202,7 +169,9 @@ def assemble_tower(
     Contract(u, v), the cells of the cone over the closed star of ``u`` with
     apex ``v`` that are new to that complex.  No cell is emitted twice: the
     complex holds only live vertices, and a cell that has left it contains a
-    contracted id, which never returns.
+    contracted id, which never returns.  The cells are indexed with the
+    checks of :meth:`BoundaryMatrix.from_filtration`, so a cell emitted
+    twice, or before one of its faces, raises :class:`FiltrationOrderError`.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -226,6 +195,7 @@ def assemble_tower(
 
     contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
+    index = current.index
     # point id -> live tower id; identical until a contracted id returns
     ident: dict[int, int] = {}
     used: set[int] = set()
@@ -293,18 +263,18 @@ def assemble_tower(
             w = mapping[u]
             if w == u:
                 continue
-            if (w,) not in current.pos:
-                current.emit([(w,)], g)
+            if (w,) not in index.pos:
+                index.emit([((w,), g)])
                 current.add_cofaces([(w,)])
-            start = len(current.emitted)
+            start = len(index.cells)
             current.contract(u, w, g)
-            contractions.append((start, len(current.emitted), u, w, g))
+            contractions.append((start, len(index.cells), u, w, g))
 
         # the new cells are the faces of core j's maximal simplices that are
         # not live, found level by level, so each level sorts into
         # lexicographic order; a live maximal simplex has no such face, and
         # no contraction follows the last core to read its cofaces
-        pos = current.pos
+        pos = index.pos
         tops = [tuple(sorted(new_ident[q] for q in s)) for s in maximal]
         tops = [t for t in tops if t not in pos]
         k = 1
@@ -313,13 +283,12 @@ def assemble_tower(
             for t in tops:
                 level.update(combinations(t, k))
             new = sorted(level.difference(pos))
-            current.emit(new, g)
+            index.emit(zip(new, repeat(g)))
             if j < len(cores) - 1:
                 current.add_cofaces(new)
             tops = [t for t in tops if len(t) > k]
             k += 1
         ident = new_ident
 
-    cells = tuple(current.emitted)
-    matrix = BoundaryMatrix(cells, tuple(map(tuple, current.by_dim)), tuple(current.columns))
-    return Tower(cells, tuple(contractions)), matrix
+    matrix = index.matrix()
+    return Tower(matrix.cells, tuple(contractions)), matrix

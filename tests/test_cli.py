@@ -296,6 +296,7 @@ def test_non_finite_grade_exit_2(tmp_path, square_file, capsys, bad):
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert "finite" in err
+    assert "line 2" in err
     assert "Traceback" not in err
 
 

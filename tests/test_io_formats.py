@@ -9,6 +9,7 @@ from ripscollapse.errors import FormatError
 from ripscollapse.io_formats import (
     parse_complex,
     parse_distmat,
+    parse_grades,
     parse_points,
     write_complex,
     write_diagram,
@@ -37,6 +38,20 @@ def test_parse_points_errors():
         parse_points("0 nan\n")
     with pytest.raises(FormatError):
         parse_points("0 inf\n")
+
+
+def test_parse_grades_reports_the_line():
+    assert parse_grades("# thresholds\n0.5 1.0\n\n1.5\n") == [0.5, 1.0, 1.5]
+    assert parse_grades("# none\n") == []
+    for text, message in (
+        ("0.5\nabc\n", "line 2: expected a number, got 'abc'"),
+        ("0.5\n1 nan\n", "line 2: expected a finite number, got 'nan'"),
+        ("# c\n-inf 0.5\n", "line 2: expected a finite number, got '-inf'"),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_grades(text)
+        assert str(exc.value) == message
+        assert exc.value.line == 2
 
 
 def test_points_round_trip():

@@ -14,6 +14,10 @@ retraction: no module defines or names a ``ComplexMatrix`` or
 ``RetractionMap`` wrapper type.  The Rips path is flag-native: ``rips``, ``tower`` and
 ``pipeline`` pass cores as cliques and retractions as lists, and name none
 of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
+
+A filtration's boundary index has one builder, in ``persistence``, which
+both producers emit through: no other module builds a ``BoundaryMatrix``
+itself or names the ``FiltrationOrderError`` that its checks raise.
 """
 
 import ast
@@ -26,6 +30,7 @@ PERSISTENCE_MAY_IMPORT = {"_kernels", "complexes", "errors"}
 FLAG_NATIVE = ("rips", "tower", "pipeline")
 CORE_TYPES = {"CoreResult", "CollapseTrace"}
 WRAPPER_TYPES = {"ComplexMatrix", "RetractionMap"}
+INDEX_OWNERS = {"persistence", "errors", "__init__"}
 
 
 def _self_calls(tree):
@@ -79,6 +84,16 @@ def _package_imports(tree):
                 if parts[0] == "ripscollapse":
                     found.add(parts[1] if len(parts) > 1 else "ripscollapse")
     return found
+
+
+def _calls(tree, name):
+    """Lines that call *name*, bare or as an attribute (``m.BoundaryMatrix(...)``)."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
 
 
 def _names(tree):
@@ -138,6 +153,15 @@ def test_rules_see_what_they_forbid():
         "from ripscollapse.collapse import RetractionMap\n"
     )
     assert _names(tree) >= WRAPPER_TYPES
+    tree = ast.parse(
+        "from .errors import FiltrationOrderError as E\n"
+        "a = BoundaryMatrix(cells, by_dim, columns)\n"
+        "b = persistence.BoundaryMatrix(cells, by_dim, columns)\n"
+        "c = BoundaryMatrix.from_filtration(cells)\n"
+    )
+    assert "FiltrationOrderError" in _names(tree)
+    assert "FiltrationOrderError" in _names(ast.parse("raise errors.FiltrationOrderError('x', 0)"))
+    assert _calls(tree, "BoundaryMatrix") == [2, 3]
 
 
 def test_package_has_no_recursion():
@@ -165,3 +189,13 @@ def test_flag_native_modules_name_no_matrix_types():
         path = Path(ripscollapse.__file__).parent / f"{name}.py"
         named = _names(ast.parse(path.read_text(), filename=str(path))) & CORE_TYPES
         assert not named, (name, named)
+
+
+def test_only_persistence_builds_and_checks_the_boundary_index():
+    assert {"tower", "pipeline"} <= {path.stem for path in SOURCES}
+    for path in SOURCES:
+        if path.stem in INDEX_OWNERS:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "FiltrationOrderError" not in _names(tree), path.name
+        assert _calls(tree, "BoundaryMatrix") == [], path.name

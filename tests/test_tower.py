@@ -277,11 +277,21 @@ def test_contract_of_unknown_vertex_is_rejected():
 
 
 def test_a_cell_emitted_before_its_face_is_rejected():
-    complex_ = _Complex()
-    complex_.emit([(0,), (1,), (0, 1)], 0.0)
-    with pytest.raises(FiltrationOrderError, match=r"cell \(0, 2\) is missing face \(2,\)") as e:
-        complex_.emit([(0, 2)], 1.0)
-    assert e.value.cell_index == 3
+    """The builder the tower emits into checks each cell as
+    ``from_filtration`` does: faces first, no repeat, no empty simplex, and
+    grades that never fall (a NaN falls)."""
+    for cell, message in (
+        (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)"),
+        (((0, 1), 1.0), r"^duplicate cell \(0, 1\)"),
+        (((), 1.0), r"^the empty simplex is not a cell"),
+        (((2,), math.nan), r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0"),
+        (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0"),
+    ):
+        index = _Complex().index
+        index.emit([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0)])
+        with pytest.raises(FiltrationOrderError, match=message) as e:
+            index.emit([cell])
+        assert e.value.cell_index == 3
 
 
 def test_every_tower_prefix_stays_downward_closed():
