@@ -10,13 +10,12 @@ snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower`` on the ``flag_core`` cliques and retractions of the
 torus-tower workload's cloud and grades, taken from
 ``perfbench/workloads.py`` (without the run seed's isometry); that time
-includes the boundary index the assembly builds for the reduction.  It then checks, untimed, that the tower's cells equal
-``naive_tower_to_filtration`` of the tower, the whole-complex coning in
-``tests/oracles.py``.
+includes the boundary index the assembly builds for the reduction.
+``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, with its Python-int columns built the way
-``persistence._reduce`` builds them.
+``persistence._diagram`` builds them.
 """
 from __future__ import annotations
 
@@ -100,9 +99,8 @@ def _ms(times):
 
 
 def bench_tower():
-    sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "tests")]
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
-    from oracles import naive_tower_to_filtration
 
     w = workloads.get("torus-tower")
     grades = w.grades()
@@ -114,8 +112,6 @@ def bench_tower():
     contracts = len(tower.contractions)
     print(f"  assemble_tower: {_ms(_time(assemble_tower, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
-    if naive_tower_to_filtration(tower) != tower.cells:
-        raise SystemExit("naive_tower_to_filtration disagrees with assemble_tower")
 
 
 def bench_reduce():

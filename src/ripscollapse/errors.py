@@ -53,7 +53,8 @@ class FormatError(RipsCollapseError, ValueError):
 
 
 class FiltrationOrderError(RipsCollapseError, ValueError):
-    """A filtration cell repeats, precedes one of its faces, or lowers the grade."""
+    """A filtration cell repeats, precedes one of its faces, lowers the
+    grade, or has a grade that is not finite."""
 
     def __init__(self, message: str, cell_index: int) -> None:
         super().__init__(f"{message} (cell index {cell_index})")

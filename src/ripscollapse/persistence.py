@@ -44,9 +44,14 @@ class PersistenceDiagram:
     def from_pairs(cls, pairs: Iterable[tuple[int, float, float]]) -> "PersistenceDiagram":
         prepared = []
         for dim, birth, death in pairs:
+            birth, death = float(birth), float(death)
+            if not math.isfinite(birth):
+                raise ValueError(f"birth {birth} is not finite")
+            if math.isnan(death):
+                raise ValueError(f"death of the class born at {birth} is NaN")
             if death < birth:
                 raise ValueError(f"death {death} precedes birth {birth}")
-            prepared.append((int(dim), float(birth), float(death)))
+            prepared.append((int(dim), birth, death))
         return cls(tuple(sorted(prepared)))
 
     def __len__(self) -> int:
@@ -85,11 +90,15 @@ class BoundaryMatrix:
 
         Raises :class:`FiltrationOrderError` at the first cell that is
         empty, repeats an earlier one, lacks a face among the cells before
-        it, or has a grade that is NaN or below its predecessor's.
+        it, or has a grade that is NaN, infinite or below its predecessor's.
         """
         cells = tuple(filtration)
         index = _Index()
         index.emit(cells)
+        # the grades are in order now, so only the ends can be infinite
+        if cells and not (math.isfinite(cells[0][1]) and math.isfinite(cells[-1][1])):
+            i = next(i for i, (_, g) in enumerate(cells) if math.isinf(g))
+            raise FiltrationOrderError(f"cell {cells[i][0]} has non-finite grade {cells[i][1]}", i)
         index.cells = cells  # so the matrix shares the input tuple
         return index.matrix()
 
@@ -166,12 +175,40 @@ def _check_block_bound(sizes: Sequence[int]) -> None:
             raise ReductionMemoryError(p, bound, _MAX_BLOCK_BYTES)
 
 
-def _reduce(matrix: BoundaryMatrix):
-    """Run the bitset reduction; return (pairs, essential) as cell indices."""
-    by_dim = matrix.by_dim
+def compute_persistence(
+    filtration: Iterable[tuple[Simplex, float]],
+    *,
+    include_zero_pairs: bool = False,
+) -> PersistenceDiagram:
+    """Persistence diagram of a filtration over the two-element field.
+
+    *filtration* is any sequence of ``(simplex, grade)`` pairs.  The cells
+    are reduced in its own order, which must list every face before its
+    cofaces and never lower the grade, and every grade must be finite; a
+    cell that breaks this raises :class:`FiltrationOrderError`.  Within one
+    grade the order does not
+    change the diagram.
+
+    Zero-length pairs (birth equal to death) are computed but left out of
+    the diagram unless *include_zero_pairs* is set; essential classes get an
+    infinite death.
+
+    A filtration whose cell counts show that a boundary block must pass the
+    memory guard raises :class:`ReductionMemoryError` before it is indexed.
+    """
+    cells = tuple(filtration)
+    sizes = Counter(len(s) for s, _ in cells)
+    _check_block_bound([sizes[k] for k in range(1, max(sizes, default=0) + 1)])
+    return _diagram(BoundaryMatrix.from_filtration(cells), include_zero_pairs)
+
+
+def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
+    """Reduce an indexed filtration and read off its diagram: each pair as
+    its block finds it, then an essential class for each cell left unpaired."""
+    cells, by_dim = matrix.cells, matrix.by_dim
     _check_block_bound([len(cells_d) for cells_d in by_dim])
-    paired = [False] * len(matrix.cells)
-    pairs: list[tuple[int, int]] = []
+    paired = [False] * len(cells)
+    out: list[tuple[int, float, float]] = []
 
     for p in range(len(by_dim) - 1, 0, -1):
         # clearing: a cell that creates a class killed in dimension p + 1
@@ -196,53 +233,13 @@ def _reduce(matrix: BoundaryMatrix):
         for g, low in zip(cols_g, lows):
             if low >= 0:
                 creator = rows_g[low]
-                pairs.append((creator, g))
                 paired[creator] = True
                 paired[g] = True
+                birth, death = cells[creator][1], cells[g][1]
+                if birth != death or include_zero_pairs:
+                    out.append((p - 1, birth, death))
 
-    essential = [i for i, done in enumerate(paired) if not done]
-    return pairs, essential
-
-
-def compute_persistence(
-    filtration: Iterable[tuple[Simplex, float]],
-    *,
-    include_zero_pairs: bool = False,
-) -> PersistenceDiagram:
-    """Persistence diagram of a filtration over the two-element field.
-
-    *filtration* is any sequence of ``(simplex, grade)`` pairs.  The cells
-    are reduced in its own order, which must list every face before its
-    cofaces and never lower the grade; a cell that breaks this raises
-    :class:`FiltrationOrderError`.  Within one grade the order does not
-    change the diagram.
-
-    Zero-length pairs (birth equal to death) are computed but left out of
-    the diagram unless *include_zero_pairs* is set; essential classes get an
-    infinite death.
-
-    A filtration whose cell counts show that a boundary block must pass the
-    memory guard raises :class:`ReductionMemoryError` before it is indexed.
-    """
-    cells = tuple(filtration)
-    sizes = Counter(len(s) for s, _ in cells)
-    _check_block_bound([sizes[k] for k in range(1, max(sizes, default=0) + 1)])
-    return _diagram(BoundaryMatrix.from_filtration(cells), include_zero_pairs)
-
-
-def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
-    """Reduce an indexed filtration and read off its diagram."""
-    pairs, essential = _reduce(matrix)
-    cells = matrix.cells
-    out: list[tuple[int, float, float]] = []
-    for creator, destroyer in pairs:
-        birth = cells[creator][1]
-        death = cells[destroyer][1]
-        if birth == death and not include_zero_pairs:
-            continue
-        out.append((len(cells[creator][0]) - 1, birth, death))
-    for i in essential:
-        out.append((len(cells[i][0]) - 1, cells[i][1], math.inf))
+    out.extend((len(s) - 1, g, math.inf) for (s, g), done in zip(cells, paired) if not done)
     return PersistenceDiagram.from_pairs(out)
 
 

@@ -326,7 +326,7 @@ def compare_pipelines(
     b = run_pipeline(D, sched, collapse=False, cap=cap).diagram
     verdicts = []
     for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
-        equal = sorted(a.in_dimension(dim)) == sorted(b.in_dimension(dim))
+        equal = a.in_dimension(dim) == b.in_dimension(dim)
         verdicts.append(
             DimensionVerdict(dim, equal, 0.0 if equal else bottleneck_distance(a, b, dim))
         )

@@ -36,6 +36,7 @@ from .collapse import _bits
 from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
 from .errors import CollapseConsistencyError, EmptyComplexError, SimplexError
 from .persistence import BoundaryMatrix, _Index
+from .rips import as_grades
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +153,9 @@ def assemble_tower(
 
     Each core is given by its maximal simplices, tuples of point ids, and
     each retraction by a list whose entry ``p`` is the core point that point
-    ``p`` is sent to.  Each snapshot's retraction must fix every vertex of
+    ``p`` is sent to.  The *grades* must be finite and strictly increasing,
+    as :func:`~ripscollapse.rips.as_grades` checks; otherwise ``ValueError``
+    is raised.  Each snapshot's retraction must fix every vertex of
     its core and send every live point into that core, and for each
     snapshot j > 0 the image of every maximal simplex of core j - 1 must be
     a face of core j; otherwise :class:`CollapseConsistencyError` is
@@ -182,14 +185,9 @@ def assemble_tower(
     """
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
-    if len(cores) == 0:
-        raise ValueError("at least one snapshot is required")
     if not all(cores):
         raise EmptyComplexError("every core needs a maximal simplex")
-    grades = [float(g) for g in grades]
-    for a, b in zip(grades, grades[1:]):
-        if b <= a:
-            raise ValueError("snapshot grades must be strictly increasing")
+    grades = as_grades(grades)
 
     next_fresh = 1 + max(max(map(max, core)) for core in cores)
 
@@ -204,6 +202,12 @@ def assemble_tower(
         vertices = sorted({q for s in maximal for q in s})
         new_ident: dict[int, int] = {}
         for q in vertices:
+            # a retraction that moved a core vertex would contract an id
+            # that the core's Include ops then use again
+            if not (0 <= q < len(r) and r[q] == q):
+                raise CollapseConsistencyError(
+                    f"retraction of snapshot {j} does not fix core vertex {q}"
+                )
             if q in ident:
                 new_ident[q] = ident[q]
             elif q in used:
@@ -213,13 +217,6 @@ def assemble_tower(
                 new_ident[q] = q
         used.update(new_ident.values())
 
-        # a retraction that moved a core vertex would contract an id that
-        # the core's Include ops then use again
-        for q in vertices:
-            if not (0 <= q < len(r) and r[q] == q):
-                raise CollapseConsistencyError(
-                    f"retraction of snapshot {j} does not fix core vertex {q}"
-                )
         # stage map on live tower ids; targets are fixed points because the
         # retraction fixes core vertices and their tower ids carry over; a
         # live point is a vertex of core j - 1, so it is not negative

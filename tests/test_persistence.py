@@ -189,7 +189,7 @@ def test_early_memory_check_fires_only_where_the_block_guard_would(monkeypatch):
             # the per-block guard alone
             monkeypatch.setattr(persistence, "_check_block_bound", lambda sizes: None)
             try:
-                persistence._reduce(matrix)
+                persistence._diagram(matrix)
                 late = False
             except ReductionMemoryError:
                 late = True
@@ -255,6 +255,33 @@ def test_nan_grade_is_rejected():
     with pytest.raises(FiltrationOrderError) as exc:
         compute_persistence(cells)
     assert exc.value.cell_index == 1
+
+
+def test_infinite_grade_is_rejected():
+    # a class killed at an infinite grade would read as essential, and an
+    # infinite birth has no place in a diagram
+    for cells, cell_index in (
+        ((((0,), 0.0), ((1,), 0.0), ((0, 1), math.inf)), 2),
+        ((((0,), 0.0), ((1,), math.inf), ((0, 1), math.inf)), 1),
+        ((((0,), -math.inf), ((1,), 0.0), ((0, 1), 1.0)), 0),
+        ((((0,), -math.inf),), 0),
+    ):
+        with pytest.raises(FiltrationOrderError, match="non-finite grade") as exc:
+            compute_persistence(cells)
+        assert exc.value.cell_index == cell_index
+        assert f"cell {cells[cell_index][0]} " in str(exc.value)
+
+
+def test_diagram_refuses_nan_and_infinite_births():
+    for pairs in (
+        [(0, math.nan, 1.0)],
+        [(0, 0.0, math.nan)],
+        [(0, math.inf, math.inf)],
+        [(0, -math.inf, 1.0)],
+        [(math.nan, 0.0, 1.0)],
+    ):
+        with pytest.raises(ValueError):
+            PersistenceDiagram.from_pairs(pairs)
 
 
 def test_empty_cell_is_rejected():

@@ -17,7 +17,12 @@ of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 
 A filtration's boundary index has one builder, in ``persistence``, which
 both producers emit through: no other module builds a ``BoundaryMatrix``
-itself or names the ``FiltrationOrderError`` that its checks raise.
+itself or names the ``FiltrationOrderError`` that its checks raise.  One
+function reduces the boundary blocks: ``reduce_block`` has one caller.
+
+Modules share private names only through the seams listed in
+``PRIVATE_SEAMS``: outside ``__init__``, no module imports another
+``_``-prefixed name from a package module.
 """
 
 import ast
@@ -31,6 +36,14 @@ FLAG_NATIVE = ("rips", "tower", "pipeline")
 CORE_TYPES = {"CoreResult", "CollapseTrace"}
 WRAPPER_TYPES = {"ComplexMatrix", "RetractionMap"}
 INDEX_OWNERS = {"persistence", "errors", "__init__"}
+# (importing module, imported module, private name)
+PRIVATE_SEAMS = {
+    ("rips", "collapse", "_bits"),
+    ("rips", "collapse", "_retraction"),
+    ("tower", "collapse", "_bits"),
+    ("tower", "persistence", "_Index"),
+    ("pipeline", "persistence", "_diagram"),
+}
 
 
 def _self_calls(tree):
@@ -62,6 +75,18 @@ def _recursion_limit_uses(tree):
     ]
 
 
+def _from_module(node):
+    """The package module an ``ImportFrom`` imports from (``tower`` for
+    ``from .tower import x`` and ``from ripscollapse.tower import x``), ``""``
+    for the package itself, or None for a module outside it."""
+    parts = (node.module or "").split(".")
+    if node.level == 0:
+        if parts[0] != "ripscollapse":
+            return None
+        parts = parts[1:]
+    return parts[0] if parts else ""
+
+
 def _package_imports(tree):
     """Package modules a module imports from, by name, whether the import is
     relative or absolute (``from .tower import Tower``, ``from . import
@@ -69,14 +94,10 @@ def _package_imports(tree):
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
-            parts = (node.module or "").split(".")
-            if node.level == 0:
-                if parts[0] != "ripscollapse":
-                    continue
-                parts = parts[1:]
-            if parts and parts[0]:
-                found.add(parts[0])
-            else:
+            module = _from_module(node)
+            if module:
+                found.add(module)
+            elif module is not None:
                 found.update(a.name for a in node.names)
         elif isinstance(node, ast.Import):
             for a in node.names:
@@ -94,6 +115,27 @@ def _calls(tree, name):
         if isinstance(node, ast.Call)
         and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
     ]
+
+
+def _callers(tree, name):
+    """Functions whose bodies call *name*, bare or as an attribute; a
+    function that holds a calling function counts too."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls(fn, name)
+    ]
+
+
+def _private_imports(tree):
+    """``(module, name)`` of every ``_``-prefixed name imported from a
+    package module, relatively or absolutely; a module imported from the
+    package itself (``from . import _kernels``) is not a name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (module := _from_module(node)):
+            found.update((module, a.name) for a in node.names if a.name.startswith("_"))
+    return found
 
 
 def _names(tree):
@@ -162,6 +204,21 @@ def test_rules_see_what_they_forbid():
     assert "FiltrationOrderError" in _names(tree)
     assert "FiltrationOrderError" in _names(ast.parse("raise errors.FiltrationOrderError('x', 0)"))
     assert _calls(tree, "BoundaryMatrix") == [2, 3]
+    tree = ast.parse(
+        "from .persistence import _diagram, compute_persistence\n"
+        "from ripscollapse.collapse import _bits as bits\n"
+        "from ._kernels import reduce_block\n"
+        "from . import _kernels\n"
+        "from numpy import _private\n"
+        "def a(block):\n"
+        "    return reduce_block(block)\n"
+        "def b(block):\n"
+        "    def inner():\n"
+        "        return _kernels.reduce_block(block)\n"
+        "    return inner()\n"
+    )
+    assert _private_imports(tree) == {("persistence", "_diagram"), ("collapse", "_bits")}
+    assert _callers(tree, "reduce_block") == ["a", "b", "inner"]
 
 
 def test_package_has_no_recursion():
@@ -199,3 +256,22 @@ def test_only_persistence_builds_and_checks_the_boundary_index():
         tree = ast.parse(path.read_text(), filename=str(path))
         assert "FiltrationOrderError" not in _names(tree), path.name
         assert _calls(tree, "BoundaryMatrix") == [], path.name
+
+
+def test_private_names_cross_only_the_listed_seams():
+    seen = set()
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        seen.update((path.stem, module, name) for module, name in _private_imports(tree))
+    assert seen <= PRIVATE_SEAMS, seen - PRIVATE_SEAMS
+    assert ("pipeline", "persistence", "_diagram") in seen
+
+
+def test_one_function_reduces_the_blocks():
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers.extend((path.stem, fn) for fn in _callers(tree, "reduce_block"))
+    assert callers == [("persistence", "_diagram")]

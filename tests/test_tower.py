@@ -146,6 +146,10 @@ def test_assemble_input_validation():
         assemble_tower([[(0, 1)], []], [[0, 1], [0, 1]], [0.0, 1.0])
     with pytest.raises(SimplexError, match="repeats a vertex"):
         assemble_tower([[(0, 1, 1)]], [[0, 1]], [0.0])
+    with pytest.raises(ValueError, match="snapshot grades must be finite"):
+        assemble_tower([[(0,)]], [[0]], [math.inf])
+    with pytest.raises(ValueError, match="snapshot grades must be finite"):
+        assemble_tower([[(0,)], [(0,)]], [[0], [0]], [0.0, math.nan])
 
 
 def test_assemble_rejects_retraction_missing_a_point():
