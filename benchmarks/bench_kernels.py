@@ -14,8 +14,11 @@ includes the boundary index the assembly builds for the reduction.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
-3000-point geometric graph, with its Python-int columns built the way
-``persistence._diagram`` builds them.
+3000-point geometric graph, given as the boundary index's face tuples the
+way ``persistence._diagram`` passes them.  It is the heavy-addition case:
+most edges close a cycle, so 19,155 of the 21,950 columns collide and are
+packed, with 71,063 column additions, where the pipeline's blocks pack
+3-13% of their columns and add fewer than one column per column packed.
 """
 from __future__ import annotations
 
@@ -69,15 +72,10 @@ def _circle_cloud(n, seed):
 
 
 def _dim1_block(cells):
-    """The dimension-1 boundary columns as ints, bit r = the r-th vertex."""
+    """The dimension-1 boundary columns as the index's face tuples, the way
+    ``persistence._diagram`` passes them; face r is the r-th vertex."""
     matrix = BoundaryMatrix.from_filtration(cells)
-    columns = []
-    for i in matrix.by_dim[1]:
-        c = 0
-        for f in matrix.columns[i]:
-            c |= 1 << f
-        columns.append(c)
-    return columns, len(matrix.by_dim[0])
+    return [matrix.columns[i] for i in matrix.by_dim[1]], len(matrix.by_dim[0])
 
 
 def bench_collapse():

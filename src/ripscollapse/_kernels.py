@@ -1,8 +1,10 @@
 """The package's one numeric kernel: GF(2) block reduction.
 
-:func:`reduce_block` is one loop over Python-int bitset columns.  It sees
-only the columns the caller built, which excludes those that clearing has
-already shown to vanish.  Strong collapse needs no kernel: both
+:func:`reduce_block` reads each column's low straight off the boundary
+index's face tuples, and packs a column into a Python-int bitset only when
+its low collides with a column reduced before it.  It sees only the columns
+the caller built, which excludes those that clearing has already shown to
+vanish.  Strong collapse needs no kernel: both
 :func:`ripscollapse.collapse.core` and :func:`ripscollapse.rips.flag_core`
 work on Python-int bitsets too.
 
@@ -16,24 +18,45 @@ from __future__ import annotations
 USING_NUMBA = False
 
 
-def reduce_block(columns: list[int]) -> list[int]:
+def _pack(faces: tuple[int, ...]) -> int:
+    """The int bitset with bit ``f`` set for each (distinct) face ``f``."""
+    c = 0
+    for f in faces:
+        c |= 1 << f
+    return c
+
+
+def reduce_block(columns: list[tuple[int, ...] | int]) -> list[int]:
     """Left-to-right GF(2) column reduction of one boundary block, in place.
 
-    Bit ``r`` of ``columns[j]`` says face ``r`` occurs in the boundary of
-    cell ``j``.  Each column adds the reduced column that owns its lowest
-    (highest-index) face until the column vanishes or its low is unowned.
-    Returns each column's final low, or -1 when the column vanishes.
+    ``columns[j]`` lists the faces of cell ``j`` as distinct row indices, in
+    any order.  A column's low is its largest face.  Each column adds the
+    reduced column that owns its low until the column vanishes or its low is
+    unowned.  A column whose low is unowned from the start is already
+    reduced and stays the tuple it was given; only a column that collides,
+    and each owner it adds (once), is packed into an int bitset with bit
+    ``r`` set for face ``r``, which replaces it.  Returns each column's
+    final low, or -1 when the column vanishes.
     """
-    owner: dict[int, int] = {}  # low -> the reduced column that has it
+    owner: dict[int, tuple[int, ...] | int] = {}  # low -> the reduced column that has it
     get = owner.get
     lows = []
-    for j, c in enumerate(columns):
-        low = c.bit_length() - 1
-        while (r := get(low)) is not None:
-            c ^= r
-            low = c.bit_length() - 1
-        if low >= 0:
-            owner[low] = c
-        columns[j] = c
+    for j, faces in enumerate(columns):
+        low = max(faces) if faces else -1
+        r = get(low)
+        if r is None:
+            if low >= 0:
+                owner[low] = faces
+        else:
+            c = _pack(faces)
+            while r is not None:
+                if r.__class__ is tuple:
+                    r = owner[low] = _pack(r)
+                c ^= r
+                low = c.bit_length() - 1
+                r = get(low)
+            if low >= 0:
+                owner[low] = c
+            columns[j] = c
         lows.append(low)
     return lows

@@ -30,7 +30,12 @@ class ExpansionCapError(RipsCollapseError, RuntimeError):
 
 
 class ReductionMemoryError(RipsCollapseError, RuntimeError):
-    """A boundary block of the reduction would exceed the memory guard."""
+    """A boundary block of the reduction, packed densely as one bit per face
+    and column in 64-bit words, would exceed the memory guard.
+
+    The reduction packs only the columns whose low collides, so the guard
+    bounds more than it allocates; it refuses what it refused when every
+    column was packed, with the same dimension and byte count."""
 
     def __init__(self, dim: int, block_bytes: int, limit: int) -> None:
         super().__init__(

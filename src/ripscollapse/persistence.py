@@ -2,12 +2,13 @@
 
 A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
 non-decreasing order, and its cells are reduced in that order; each boundary
-column is a Python-int bitset over the faces of the dimension below, and the
-columns are reduced left to right, one dimension block at a time (columns of
-different dimensions never interact).  Dimensions are reduced top-down with
-clearing (Chen & Kerber's twist): a cell already paired as the creator of a
-higher-dimensional class has a column that reduces to zero, so that column
-is never built.
+column is the index's tuple of face positions in the dimension below, and
+the columns are reduced left to right, one dimension block at a time
+(columns of different dimensions never interact).  Dimensions are reduced
+top-down with clearing (Chen & Kerber's twist): a cell already paired as the
+creator of a higher-dimensional class has a column that reduces to zero, so
+that column is never built.  Of the columns built, only those whose low
+collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`).
 
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
 every filtration for the reduction, the tower's too as it is assembled.
@@ -28,9 +29,11 @@ from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# Refuse reductions whose boundary blocks, counted as one bit per face and
-# column rounded up to 64-bit words, would not fit comfortably in memory; at
-# that size the expansion cap has usually fired already.
+# Refuse reductions whose boundary blocks, packed densely as one bit per face
+# and column rounded up to 64-bit words, would not fit comfortably in memory;
+# at that size the expansion cap has usually fired already.  The kernel packs
+# only colliding columns, so this bounds more than it allocates, and refuses
+# exactly what it refused when every column was packed.
 _MAX_BLOCK_BYTES = 1 << 30
 
 
@@ -193,8 +196,9 @@ def compute_persistence(
     the diagram unless *include_zero_pairs* is set; essential classes get an
     infinite death.
 
-    A filtration whose cell counts show that a boundary block must pass the
-    memory guard raises :class:`ReductionMemoryError` before it is indexed.
+    A filtration whose cell counts show that a densely packed boundary block
+    must pass the memory guard raises :class:`ReductionMemoryError` before
+    it is indexed.
     """
     cells = tuple(filtration)
     sizes = Counter(len(s) for s, _ in cells)
@@ -205,7 +209,7 @@ def compute_persistence(
 def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
     """Reduce an indexed filtration and read off its diagram: each pair as
     its block finds it, then an essential class for each cell left unpaired."""
-    cells, by_dim = matrix.cells, matrix.by_dim
+    cells, by_dim, columns = matrix.cells, matrix.by_dim, matrix.columns
     _check_block_bound([len(cells_d) for cells_d in by_dim])
     paired = [False] * len(cells)
     out: list[tuple[int, float, float]] = []
@@ -221,14 +225,10 @@ def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> Persis
         block_bytes = len(cols_g) * ((len(rows_g) + 63) // 64) * 8
         if block_bytes > _MAX_BLOCK_BYTES:
             raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
-        block = []
-        for g in cols_g:
-            c = 0
-            for f in matrix.columns[g]:
-                c |= 1 << f
-            block.append(c)
+        # the index's own face tuples: the kernel packs only colliding columns
+        block = [columns[g] for g in cols_g]
         lows = reduce_block(block)
-        del block  # free this block before the next one is built
+        del block  # free the packed columns before the next block
 
         for g, low in zip(cols_g, lows):
             if low >= 0:

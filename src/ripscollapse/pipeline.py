@@ -27,13 +27,21 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from math import comb
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
-from .persistence import PersistenceDiagram, _diagram, bottleneck_distance, compute_persistence
+from .errors import ReductionMemoryError
+from .persistence import (
+    PersistenceDiagram,
+    _check_block_bound,
+    _diagram,
+    bottleneck_distance,
+    compute_persistence,
+)
 from .rips import (
     FlagCore,
     SnapshotSchedule,
@@ -162,7 +170,9 @@ def _snapshot_filtration(
     filtration order without a sort.
 
     Raises :class:`ExpansionCapError` at the first snapshot whose projected
-    cell count (from its maximal cliques) exceeds *cap*, before any cell is
+    cell count (from its maximal cliques) exceeds *cap*, and
+    :class:`ReductionMemoryError` when the cell counts show that a boundary
+    block must pass the reduction's memory guard, both before any cell is
     built.
     """
     graphs = graded_bitsets(D, grades)
@@ -171,10 +181,59 @@ def _snapshot_filtration(
         cliques = maximal_cliques(graph)
         check_expansion_cap(cliques, cap)
         sizes.append(_clique_stats(len(D), cliques))
+    _check_clique_blocks(graphs[-1], cliques)
+    return _first_appearance_cells(D, grades, graphs[-1]), sizes
 
+
+def _check_clique_blocks(adj: list[int], cliques: list[Simplex]) -> None:
+    """Refuse the clique complex of *adj*, whose maximal cliques are
+    *cliques*, as :func:`compute_persistence` would refuse it, without
+    building a cell.
+
+    ``U_k``, the sum of ``C(|c|, k)`` over the maximal cliques, bounds the
+    number of k-vertex cells from above, so each block fits in a dense one
+    of ``U_k`` columns over ``U_(k-1)`` rows.  ``_check_block_bound`` on
+    the pair ``[U_(k-1), U_k]`` tests that dense block, since no count above
+    it clears any of its columns.  Only when one passes the guard are the
+    cliques counted by size, which ``_check_block_bound`` then judges as
+    ``compute_persistence`` does.
+    """
+    top = max(map(len, cliques))
+    bound = [sum(comb(len(c), k) for c in cliques) for k in range(1, top + 1)]
+    try:
+        for k in range(1, top):
+            _check_block_bound(bound[k - 1 : k + 1])
+    except ReductionMemoryError:
+        _check_block_bound(_clique_counts(adj))
+
+
+def _clique_counts(adj: list[int]) -> list[int]:
+    """The number of cliques of each size 1, 2, ... in the graph *adj*,
+    found by a depth-first search that extends each clique by its common
+    neighbours below its last vertex and builds no tuples."""
+    counts: list[int] = []
+    stack = [(0, (1 << len(adj)) - 1)]  # (clique size, candidates)
+    while stack:
+        k, rest = stack.pop()
+        if k == len(counts):
+            counts.append(0)
+        counts[k] += rest.bit_count()
+        while rest:
+            w = rest.bit_length() - 1
+            rest ^= 1 << w
+            below = rest & adj[w]
+            if below:
+                stack.append((k + 1, below))
+    return counts
+
+
+def _first_appearance_cells(
+    D: np.ndarray, grades: list[float], adj: list[int]
+) -> tuple[tuple[Simplex, float], ...]:
+    """The cells of :func:`_snapshot_filtration`, in its order, from the
+    last snapshot's graph *adj*."""
     # grade index of each edge: the first grade g with D[u, v] <= g
     first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
-    adj = graphs[-1]
     buckets: dict[tuple[int, int], list[Simplex]] = {}
     for v in range(len(adj)):
         # frames (clique, grade index, common neighbours above its last vertex)
@@ -204,7 +263,7 @@ def _snapshot_filtration(
     for key in sorted(buckets):
         g = grades[key[0]]
         cells.extend((s, g) for s in buckets[key])
-    return tuple(cells), sizes
+    return tuple(cells)
 
 
 def run_pipeline(

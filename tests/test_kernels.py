@@ -117,26 +117,52 @@ def test_collapse_kernel_output_is_pinned():
 
 
 def _rows_of(column):
-    """Set of the rows whose bits are set in one int column."""
+    """Set of the rows of one reduced column: a face tuple or an int bitset."""
+    if isinstance(column, tuple):
+        return set(column)
     return {r for r in range(column.bit_length()) if column >> r & 1}
 
 
-def test_reduce_block_paths_agree():
-    """The int-bitset reduction gives the lows and reduced columns of the
-    set-based textbook reduction."""
-    rng = np.random.default_rng(17)
+def _face_blocks(rng):
+    """Blocks of face-tuple columns: random ones with unsorted faces and
+    empty columns, and ones built to collide in long chains and vanish."""
     for _ in range(40):
-        n_cols = int(rng.integers(1, 40))
         n_rows = int(rng.integers(1, 100))
-        n_words = (n_rows + 63) // 64
-        R = rng.integers(0, 2**63, size=(n_cols, n_words), dtype=np.uint64)
-        if n_rows % 64:
-            R[:, -1] &= (np.uint64(1) << np.uint64(n_rows % 64)) - np.uint64(1)
-        columns = [
-            sum(int(w) << (64 * k) for k, w in enumerate(R[j])) for j in range(n_cols)
-        ]
-        reduced = naive_column_reduction([_rows_of(c) for c in columns])
-        lows = reduce_block(columns)
+        block = []
+        for _ in range(int(rng.integers(1, 40))):
+            k = int(rng.integers(0, min(n_rows, 6) + 1))
+            block.append(tuple(int(f) for f in rng.choice(n_rows, size=k, replace=False)))
+        yield block
+    for _ in range(20):
+        # every column shares the low 90 with the first, so each one adds
+        # the chain of owners below it; repeats vanish
+        base = [tuple(int(f) for f in rng.choice(90, size=3, replace=False)) + (90,)]
+        for _ in range(int(rng.integers(5, 30))):
+            col = tuple(int(f) for f in rng.choice(90, size=int(rng.integers(1, 6)), replace=False))
+            base.append(col + (90,) if rng.random() < 0.7 else base[int(rng.integers(len(base)))])
+        yield [tuple(rng.permutation(c).tolist()) for c in base]
+
+
+def test_reduce_block_paths_agree():
+    """The reduction over face tuples gives the lows and reduced columns of
+    the set-based textbook reduction, and a column whose low was free comes
+    back as the very tuple it was given."""
+    rng = np.random.default_rng(17)
+    collided = vanished = 0
+    for block in _face_blocks(rng):
+        given = list(block)
+        reduced = naive_column_reduction(given)
+        lows = reduce_block(block)
         assert lows == [max(col, default=-1) for col in reduced]
-        assert [_rows_of(c) for c in columns] == reduced
+        assert [_rows_of(c) for c in block] == reduced
+        owned = set()
+        for col, back, low in zip(given, block, lows):
+            if max(col, default=-1) not in owned:
+                assert back is col
+            else:
+                collided += 1
+                vanished += low < 0
+            if low >= 0:
+                owned.add(low)
+    assert collided > 100 and vanished > 10
     assert _kernels.USING_NUMBA is False

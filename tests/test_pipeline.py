@@ -6,14 +6,15 @@ import os
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from oracles import complex_stats, naive_check_filtration, naive_tower_to_filtration, rips_snapshot
 
 import ripscollapse
-from ripscollapse import pipeline
+from ripscollapse import persistence, pipeline
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
-from ripscollapse.errors import ExpansionCapError
+from ripscollapse.errors import ExpansionCapError, ReductionMemoryError
 from ripscollapse.io_formats import write_diagram, write_tower
 from ripscollapse.persistence import (
     BoundaryMatrix,
@@ -226,6 +227,50 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
     assert calls.count("flag_core") == 4 and calls.count("maximal_cliques") == 4
     run_pipeline(D, grades, collapse=False)
     assert calls.count("maximal_cliques") == 8
+
+
+def _refusal(run):
+    """``(dim, bytes, message)`` of the memory error *run* raises, or None."""
+    try:
+        run()
+    except ReductionMemoryError as exc:
+        return exc.dim, exc.block_bytes, str(exc)
+    return None
+
+
+def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
+    """With the memory guard lowered, ``run_pipeline(collapse=False)`` raises
+    the error ``compute_persistence`` raises on its full filtration, and
+    builds no cell when the cell counts alone show a block must pass it."""
+    rng = random.Random(5)
+    D = pairwise_distances([(rng.random(), rng.random(), rng.random()) for _ in range(12)])
+    grades = [0.3, 0.5, 0.7, 0.9]
+    cells = run_pipeline(D, grades, collapse=False).filtration
+    n = Counter(len(s) for s, _ in cells)
+    n = [n[k] for k in range(1, max(n) + 2)]  # cells per dimension, then 0
+    assert len(n) > 6
+    lower = [max(0, n[p] - n[p + 1]) * ((n[p - 1] + 63) // 64) * 8 for p in range(1, len(n) - 1)]
+    dense = [n[p] * ((n[p - 1] + 63) // 64) * 8 for p in range(1, len(n) - 1)]
+    build = pipeline._first_appearance_cells
+    built = []
+
+    def counted(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(pipeline, "_first_appearance_cells", counted)
+    early = 0
+    for limit in sorted({b + d for b in lower + dense for d in (-1, 0)} | {0}):
+        monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", limit)
+        built.clear()
+        want = _refusal(lambda: compute_persistence(cells))
+        assert _refusal(lambda: run_pipeline(D, grades, collapse=False)) == want
+        if limit < max(lower):
+            assert want is not None and built == []
+            early += 1
+        else:
+            assert built == [1]
+    assert early > 6
 
 
 def _count_full_snapshot_cliques(monkeypatch):

@@ -43,6 +43,7 @@ PRIVATE_SEAMS = {
     ("tower", "collapse", "_bits"),
     ("tower", "persistence", "_Index"),
     ("pipeline", "persistence", "_diagram"),
+    ("pipeline", "persistence", "_check_block_bound"),
 }
 
 
