@@ -13,6 +13,13 @@ torus-tower workload's cloud and grades, taken from
 includes the boundary index the assembly builds for the reduction.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
+The index section times ``BoundaryMatrix.from_filtration`` and
+``compute_persistence`` on the uncollapsed filtration of the
+oracle-compare workload's cloud and grades, taken the same way.  It prints
+the filtration's cells, its face lookups (one per face of every cell) and
+its maximal runs of same-dimension cells, which the builder indexes one
+per step.
+
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, given as the boundary index's face tuples the
 way ``persistence._diagram`` passes them.  It is the heavy-addition case:
@@ -35,7 +42,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ripscollapse._kernels import reduce_block  # noqa: E402
 from ripscollapse.collapse import core  # noqa: E402
-from ripscollapse.persistence import BoundaryMatrix  # noqa: E402
+from ripscollapse.persistence import (  # noqa: E402
+    BoundaryMatrix,
+    _run_ends,
+    compute_persistence,
+)
 from ripscollapse.pipeline import run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
@@ -112,6 +123,24 @@ def bench_tower():
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
 
 
+def bench_index():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    w = workloads.get("oracle-compare")
+    grades = w.grades()
+    print(f"--- boundary index ({w.n}-point {w.cloud.__name__} cloud {w.cloud_seed},"
+          f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
+    D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
+    cells = run_pipeline(D, grades, collapse=False).filtration
+    matrix = BoundaryMatrix.from_filtration(cells)
+    lookups = sum(map(len, matrix.columns))
+    print(f"  input: {len(cells)} cells, {lookups} face lookups,"
+          f" {len(_run_ends(cells))} runs of same-dimension cells")
+    print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
+    print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
+
+
 def bench_reduce():
     print("--- boundary reduction, dimension-1 block (3000-point geometric graph) ---")
     rng = np.random.default_rng(2)
@@ -138,6 +167,8 @@ def main() -> None:
     bench_collapse()
     print()
     bench_tower()
+    print()
+    bench_index()
     print()
     bench_reduce()
     print()

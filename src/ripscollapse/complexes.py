@@ -28,9 +28,11 @@ DEFAULT_EXPANSION_CAP = 10**7
 def as_simplex(vertices: Iterable[int]) -> Simplex:
     """Normalise *vertices* into a valid simplex tuple.
 
-    Vertices are sorted; duplicates or negative ids are rejected.
+    Vertices are sorted; duplicates, negative ids and ids that are not
+    integers are rejected, the last before sorting, which could not compare
+    them.
     """
-    verts = tuple(sorted(vertices))
+    verts = tuple(vertices)
     if not verts:
         raise SimplexError("a simplex needs at least one vertex")
     for v in verts:
@@ -38,6 +40,7 @@ def as_simplex(vertices: Iterable[int]) -> Simplex:
             raise SimplexError(f"vertex ids must be integers, got {v!r}")
         if v < 0:
             raise SimplexError(f"vertex ids must be non-negative, got {v}")
+    verts = tuple(sorted(verts))
     for a, b in zip(verts, verts[1:]):
         if a == b:
             raise SimplexError(f"duplicate vertex {a} in simplex")

@@ -11,7 +11,13 @@ that column is never built.  Of the columns built, only those whose low
 collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`).
 
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
-every filtration for the reduction, the tower's too as it is assembled.
+every filtration for the reduction, the tower's too as it is assembled.  It
+checks each batch of cells in C-level passes and indexes each maximal run
+of same-dimension cells in one step, since no cell of a run is a face of
+another; a batch whose runs are short, and the rest of a batch from the
+first run that fails a check, are indexed one cell at a time, so an error
+always names the first failing cell.  An edge must list its vertices in
+increasing order; a higher cell whose faces are all cells then does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -22,7 +28,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, count, pairwise, repeat, starmap
+from operator import itemgetter, le, lt, ne
 from typing import Iterable, Sequence
 
 from ._kernels import reduce_block
@@ -35,6 +42,14 @@ from .errors import FiltrationOrderError, ReductionMemoryError
 # only colliding columns, so this bounds more than it allocates, and refuses
 # exactly what it refused when every column was packed.
 _MAX_BLOCK_BYTES = 1 << 30
+
+# The builder indexes a batch run by run only when its runs of same-dimension
+# cells average at least this many cells: shorter runs do not repay their
+# set-up, and the tower emits many batches of runs of two or three cells.
+_SHORT_RUN = 16
+
+_simplex = itemgetter(0)
+_grade = itemgetter(1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,12 +103,15 @@ class BoundaryMatrix:
 
     @classmethod
     def from_filtration(cls, filtration: Iterable[tuple[Simplex, float]]) -> "BoundaryMatrix":
-        """Index the ``(simplex, grade)`` pairs of *filtration* in one pass
-        that also checks their order.
+        """Index the ``(simplex, grade)`` pairs of *filtration*, checking
+        their order: after one pass over the grades, each maximal run of
+        same-dimension cells is indexed in one step.
 
         Raises :class:`FiltrationOrderError` at the first cell that is
-        empty, repeats an earlier one, lacks a face among the cells before
-        it, or has a grade that is NaN, infinite or below its predecessor's.
+        empty, is an edge whose vertices do not increase, repeats an
+        earlier one, lacks a face among the cells before it, or has a grade
+        that is NaN, infinite or below its predecessor's; the index and
+        message are those of a scan that checks one cell at a time.
         """
         cells = tuple(filtration)
         index = _Index()
@@ -120,16 +138,34 @@ class _Index:
         self.columns: list[tuple[int, ...]] = []
         self.last = -math.inf
 
-    def emit(self, pairs: Iterable[tuple[Simplex, float]]) -> None:
-        """Append the ``(simplex, grade)`` *pairs* to the filtration, looking
-        each face up once, with the checks of
-        :meth:`BoundaryMatrix.from_filtration`."""
+    def emit(self, pairs: Sequence[tuple[Simplex, float]]) -> None:
+        """Append the sequence *pairs* of ``(simplex, grade)`` pairs to the
+        filtration, with the checks of :meth:`BoundaryMatrix.from_filtration`.
+
+        The grades are checked in one pass, then each maximal run of
+        same-dimension cells is indexed in one step by :meth:`_run`.  The
+        first run that fails a check, and every cell after it, are indexed
+        one cell at a time, raising :class:`FiltrationOrderError` at the
+        first failing cell; so is a batch whose runs are too short to repay
+        their set-up.
+        """
+        done = 0
+        # written so that a NaN grade fails it too
+        if len(pairs) >= _SHORT_RUN and all(
+            starmap(le, pairwise(chain((self.last,), map(_grade, pairs))))
+        ):
+            ends = _run_ends(pairs)
+            if len(pairs) >= _SHORT_RUN * len(ends):
+                for stop in ends:
+                    if not self._run(pairs[done:stop]):
+                        break
+                    done = stop
+        # the rest one cell at a time, raising at the first that fails
         cells, pos, by_dim, columns = self.cells, self.pos, self.by_dim, self.columns
         last = self.last
         lookup = pos.get
-        for i, cell in enumerate(pairs, len(cells)):
+        for i, cell in enumerate(pairs[done:], len(cells)):
             s, grade = cell
-            # written so that a NaN grade fails it too
             if not grade >= last:
                 raise FiltrationOrderError(
                     f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
@@ -137,6 +173,15 @@ class _Index:
             last = grade
             d = len(s) - 1
             if d > 0:
+                if d == 1:
+                    try:
+                        increasing = s[0] < s[1]
+                    except TypeError:  # vertices that do not compare
+                        increasing = False
+                    if not increasing:
+                        raise FiltrationOrderError(
+                            f"edge {s} is not in increasing vertex order", i
+                        )
                 faces = tuple(map(lookup, combinations(s, d)))
                 if None in faces:
                     face = next(f for f in combinations(s, d) if f not in pos)
@@ -157,10 +202,62 @@ class _Index:
             columns.append(faces)
         self.last = last
 
+    def _run(self, run: Sequence[tuple[Simplex, float]]) -> bool:
+        """Index *run*, cells of one dimension in order, in one step, or
+        index none of them and return False if one fails a check.
+
+        No cell of the run is a face of another, so every face is looked up
+        among the cells before the run.  An edge must list its vertices in
+        increasing order; by induction a higher cell whose faces are all
+        cells then does too.
+        """
+        simplices = list(map(_simplex, run))
+        d = len(simplices[0]) - 1
+        pos, by_dim = self.pos, self.by_dim
+        try:
+            if d < 0 or d == 1 and not all(starmap(lt, simplices)):
+                return False
+            if d:
+                # every face of the run, looked up in one pass and grouped
+                # d + 1 to a cell
+                faces_in_order = chain.from_iterable(map(combinations, simplices, repeat(d)))
+                positions = map(pos.__getitem__, faces_in_order)
+                faces = list(zip(*[positions] * (d + 1)))
+            else:
+                faces = repeat((), len(simplices))
+        except (KeyError, TypeError):  # a missing face, or vertices that do not compare
+            return False
+        if d == len(by_dim):
+            by_dim.append([])
+        cells_d = by_dim[d]
+        n = len(pos)
+        pos.update(zip(simplices, count(len(cells_d))))
+        if len(pos) != n + len(simplices):
+            # a cell repeats: restore the positions the run overwrote
+            for s in simplices:
+                pos.pop(s, None)
+            cells = self.cells
+            for k, i in enumerate(cells_d):
+                pos[cells[i][0]] = k
+            return False
+        i = len(self.cells)
+        cells_d.extend(range(i, i + len(simplices)))
+        self.cells.extend(run)
+        self.columns.extend(faces)
+        self.last = run[-1][1]
+        return True
+
     def matrix(self) -> BoundaryMatrix:
         return BoundaryMatrix(
             tuple(self.cells), tuple(map(tuple, self.by_dim)), tuple(self.columns)
         )
+
+
+def _run_ends(pairs: Sequence[tuple[Simplex, float]]) -> list[int]:
+    """The end of each maximal run of same-dimension cells in *pairs*."""
+    ends = list(compress(count(1), starmap(ne, pairwise(map(len, map(_simplex, pairs))))))
+    ends.append(len(pairs))
+    return ends
 
 
 def _check_block_bound(sizes: Sequence[int]) -> None:
@@ -201,7 +298,7 @@ def compute_persistence(
     it is indexed.
     """
     cells = tuple(filtration)
-    sizes = Counter(len(s) for s, _ in cells)
+    sizes = Counter(map(len, map(_simplex, cells)))
     _check_block_bound([sizes[k] for k in range(1, max(sizes, default=0) + 1)])
     return _diagram(BoundaryMatrix.from_filtration(cells), include_zero_pairs)
 

@@ -27,6 +27,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -261,8 +262,7 @@ def _first_appearance_cells(
 
     cells: list[tuple[Simplex, float]] = []
     for key in sorted(buckets):
-        g = grades[key[0]]
-        cells.extend((s, g) for s in buckets[key])
+        cells.extend(zip(buckets[key], repeat(grades[key[0]])))
     return tuple(cells)
 
 

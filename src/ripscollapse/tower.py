@@ -137,7 +137,7 @@ class _Complex:
         fresh = images.difference(pos)
         new = sorted(cone.difference(pos))
         new.sort(key=len)
-        self.index.emit(zip(new, repeat(grade)))
+        self.index.emit(tuple(zip(new, repeat(grade))))
         dead.add(u)
         self.add_cofaces(fresh)
 
@@ -280,7 +280,7 @@ def assemble_tower(
             for t in tops:
                 level.update(combinations(t, k))
             new = sorted(level.difference(pos))
-            index.emit(zip(new, repeat(g)))
+            index.emit(tuple(zip(new, repeat(g))))
             if j < len(cores) - 1:
                 current.add_cofaces(new)
             tops = [t for t in tops if len(t) > k]

@@ -468,19 +468,66 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
     return tuple(cells)
 
 
-def naive_check_filtration(cells):
-    """Fail unless grades never decrease, no cell repeats and every cell's
-    codimension-1 faces come before it, so that every prefix is downward
-    closed."""
+#: The reasons :func:`naive_filtration_fault` gives, each a phrase of the
+#: message ``FiltrationOrderError`` carries for that fault.
+FAULT_REASONS = (
+    "has grade",
+    "the empty simplex",
+    "not in increasing vertex order",
+    "is missing face",
+    "duplicate cell",
+)
+
+
+def naive_filtration_fault(cells):
+    """``(index, reason)`` of the first cell that breaks face-first,
+    non-decreasing order, or None.  Each cell is judged in this order: a
+    grade below its predecessor's or NaN, the empty simplex, an edge whose
+    vertices do not increase, a codimension-1 face not among the cells
+    before it, a repeat.  A higher cell whose faces all came before is
+    sorted when every edge is, so only edges are checked for order."""
     seen = set()
     prev = -math.inf
     for i, (s, g) in enumerate(cells):
-        assert g >= prev, f"cell {i}: grade {g} after {prev}"
-        assert s not in seen, f"cell {i}: {s} repeats"
-        late = [f for f in combinations(s, len(s) - 1) if f and f not in seen]
-        assert not late, f"cell {i}: {s} precedes its faces {late}"
+        if not g >= prev:
+            return i, "has grade"
+        if not s:
+            return i, "the empty simplex"
+        if len(s) == 2 and not s[0] < s[1]:
+            return i, "not in increasing vertex order"
+        if any(f not in seen for f in combinations(s, len(s) - 1) if f):
+            return i, "is missing face"
+        if s in seen:
+            return i, "duplicate cell"
         seen.add(s)
         prev = g
+    return None
+
+
+def naive_check_filtration(cells):
+    """Fail unless grades never decrease, no cell repeats, every edge is
+    sorted and every cell's codimension-1 faces come before it, so that
+    every prefix is downward closed."""
+    fault = naive_filtration_fault(cells)
+    assert fault is None, f"cell {fault[0]}: {fault[1]}"
+
+
+def naive_boundary_index(cells):
+    """``(by_dim, columns)`` of *cells*, built one cell at a time:
+    ``by_dim[d]`` lists the indices of the dimension-d cells in order, and
+    ``columns[i]`` the positions in ``by_dim[d - 1]`` of the faces of cell
+    ``i``, in ``combinations`` order."""
+    pos = {}
+    by_dim = []
+    columns = []
+    for i, (s, _) in enumerate(cells):
+        d = len(s) - 1
+        if d == len(by_dim):
+            by_dim.append([])
+        columns.append(tuple(pos[f] for f in combinations(s, d)) if d else ())
+        pos[s] = len(by_dim[d])
+        by_dim[d].append(i)
+    return tuple(map(tuple, by_dim)), tuple(columns)
 
 
 def exact_rips_filtration(D, max_dim=None):

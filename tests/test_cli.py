@@ -70,6 +70,18 @@ def test_core_reads_stdin(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: line 2: duplicate vertex 2 in simplex\n"
 
 
+def test_core_non_integer_vertex_exit_2(capsys, monkeypatch):
+    """A vertex id that does not compare with the others is a data error,
+    not a ``TypeError`` traceback; the file parser yields only integers, so
+    the complex is handed to ``core`` directly."""
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n"))
+    monkeypatch.setattr("ripscollapse.cli.parse_complex", lambda text: {0: (1, None)})
+    assert main(["core", "--input", "-"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: vertex ids must be integers, got None\n"
+
+
 def test_pipeline_writes_all_artifacts(tmp_path, square_file, capsys):
     pd = tmp_path / "pd.txt"
     tower = tmp_path / "tower.txt"

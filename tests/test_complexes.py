@@ -9,6 +9,7 @@ from ripscollapse import (
     as_simplex,
     maximal_columns,
 )
+from ripscollapse.collapse import core
 from ripscollapse.complexes import check_expansion_cap
 
 from oracles import (
@@ -35,6 +36,18 @@ def test_as_simplex_sorts_and_validates():
         as_simplex([True, 2])
     with pytest.raises(SimplexError):
         as_simplex([0.5, 2])
+
+
+def test_a_vertex_id_that_is_not_an_integer_is_a_simplex_error():
+    """Checked before sorting, which would raise a bare ``TypeError`` on
+    ids that do not compare."""
+    for call in (
+        lambda: as_simplex([1, "a"]),
+        lambda: maximal_columns([[0, "x"]]),
+        lambda: core({0: (1, None)}),
+    ):
+        with pytest.raises(SimplexError, match="vertex ids must be integers"):
+            call()
 
 
 def test_maximal_columns_drops_duplicates_and_subsets():

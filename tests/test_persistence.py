@@ -2,14 +2,19 @@
 
 import math
 import random
+import re
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from oracles import (
+    FAULT_REASONS,
     betti_by_rank,
     expand_by_powerset,
+    naive_boundary_index,
     naive_check_filtration,
+    naive_filtration_fault,
     naive_column_reduction,
     naive_filtration_from_snapshots,
     maximal_simplices,
@@ -310,6 +315,133 @@ def test_filtration_validate():
             compute_persistence(bad)
         assert exc.value.cell_index == cell_index
         assert reason in str(exc.value)
+
+
+@pytest.mark.parametrize("short_run", [1, persistence._SHORT_RUN])
+def test_unsorted_edge_is_refused(monkeypatch, short_run):
+    """An edge must list its vertices in increasing order, whether the
+    builder indexes run by run or one cell at a time: ``(1, 0)`` once passed
+    as a second copy of ``(0, 1)`` that killed a component and left a
+    spurious class, ``(0, 0)`` passed as an edge, and ``(0, 'a')`` raised a
+    bare ``TypeError``."""
+    monkeypatch.setattr(persistence, "_SHORT_RUN", short_run)
+    for other, bad in ((1, (1, 0)), (1, (0, 0)), ("a", (0, "a"))):
+        cells = (((0,), 0.0), ((other,), 0.0), (bad, 1.0), ((0, 1), 2.0))
+        message = re.escape(f"edge {bad} is not in increasing vertex order")
+        with pytest.raises(FiltrationOrderError, match="^" + message) as e:
+            compute_persistence(cells)
+        assert e.value.cell_index == 2
+    judged = naive_filtration_fault((((0,), 0.0), ((1,), 0.0), ((1, 0), 1.0)))
+    assert judged == (2, "not in increasing vertex order")
+    # a higher cell on an unsorted vertex tuple lacks the unsorted edge
+    cells = [((u,), 0.0) for u in range(3)] + [(uv, 0.0) for uv in ((0, 1), (0, 2), (1, 2))]
+    cells.append(((0, 2, 1), 1.0))
+    assert naive_filtration_fault(cells) == (6, "is missing face")
+    with pytest.raises(FiltrationOrderError, match=r"missing face \(2, 1\)"):
+        compute_persistence(cells)
+
+
+def _seeded_filtrations():
+    """Uncollapsed (oracle) and tower filtrations of seeded clouds."""
+    for seed in range(3):
+        D = pairwise_distances(np.random.default_rng(seed).random((18, 3)))
+        for collapse in (False, True):
+            yield list(run_pipeline(D, [0.3, 0.35, 0.4, 0.45, 0.5], collapse=collapse).filtration)
+
+
+def _fault_positions(cells):
+    """The first, middle and last cell of every maximal run of
+    same-dimension cells, and the first cell of every grade but the first."""
+    ends = [i + 1 for i in range(len(cells) - 1) if len(cells[i][0]) != len(cells[i + 1][0])]
+    positions = set()
+    for start, stop in zip([0] + ends, ends + [len(cells)]):
+        positions.update((start, (start + stop) // 2, stop - 1))
+    positions.update(i for i in range(1, len(cells)) if cells[i][1] != cells[i - 1][1])
+    return sorted(positions)
+
+
+def _inject(cells, p, kind, rng):
+    """A copy of *cells* with one fault of *kind* placed at position *p*;
+    an inserted cell takes the grade before it, so it keeps the order."""
+    s, g = cells[p]
+    before = cells[p - 1][1] if p else g
+    out = list(cells)
+    if kind == "drop":  # a later coface, if any, misses it
+        del out[p]
+    elif kind == "orphan":
+        out.insert(p, (s + (1 + max(v for c, _ in cells for v in c),), before))
+    elif kind == "repeat-earlier":
+        earlier = [c for c, _ in cells[:p] if len(c) == len(s)] or [cells[0][0]]
+        out.insert(p, (rng.choice(earlier), before))
+    elif kind == "repeat-in-run":
+        out.insert(p + 1, (s, g))
+    elif kind == "lower":
+        out[p] = (s, before - 1.0)
+    elif kind == "nan":
+        out[p] = (s, math.nan)
+    elif kind == "empty":
+        out.insert(p, ((), before))
+    elif kind == "unsorted":
+        edges = [c for c, _ in cells if len(c) == 2]
+        out.insert(p, (rng.choice(edges)[::-1], before))
+    return out
+
+
+FAULTS = ("drop", "orphan", "repeat-earlier", "repeat-in-run", "lower", "nan", "empty", "unsorted")
+
+
+def _builder_outcome(cells, chunks=None):
+    """``(cell_index, reason)`` of the builder's refusal of *cells*, or the
+    ``(by_dim, columns)`` it built; with *chunks*, the cells are emitted in
+    batches of those sizes, as the tower emits them."""
+    try:
+        if chunks is None:
+            m = BoundaryMatrix.from_filtration(cells)
+        else:
+            index = persistence._Index()
+            start = 0
+            for size in chunks:
+                index.emit(tuple(cells[start : start + size]))
+                start += size
+            m = index.matrix()
+    except FiltrationOrderError as e:
+        reasons = [r for r in FAULT_REASONS if r in str(e)]
+        assert len(reasons) == 1, str(e)
+        return e.cell_index, reasons[0]
+    assert m.cells == tuple(cells)
+    return m.by_dim, m.columns
+
+
+@pytest.mark.parametrize("short_run", [1, persistence._SHORT_RUN])
+def test_builder_refuses_the_cell_the_judge_refuses(monkeypatch, short_run):
+    """One or two faults of every kind, placed at the start, middle and end
+    of runs and on grade boundaries of seeded oracle and tower filtrations:
+    the builder refuses the cell the judge names, for the judge's reason,
+    whether it gets the cells at once or in batches, and indexes an
+    unfaulted result as a naive per-cell index does.  With *short_run* 1
+    every batch is indexed run by run."""
+    monkeypatch.setattr(persistence, "_SHORT_RUN", short_run)
+    rng = random.Random(7)
+    faulted = 0
+    for cells in _seeded_filtrations():
+        cases = [cells]
+        for p in _fault_positions(cells):
+            one = _inject(cells, p, rng.choice(FAULTS), rng)
+            cases.append(one)
+            q = rng.randrange(len(one))
+            cases.append(_inject(one, q, rng.choice(FAULTS), rng))
+        for case in cases:
+            fault = naive_filtration_fault(case)
+            chunks = []
+            while sum(chunks) < len(case):
+                chunks.append(rng.choice((1, 3, 20, len(case))))
+            for outcome in (_builder_outcome(case), _builder_outcome(case, chunks)):
+                if fault is None:
+                    assert outcome == naive_boundary_index(case)
+                else:
+                    assert outcome == fault
+            faulted += fault is not None
+    assert faulted > 100
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

@@ -282,12 +282,13 @@ def test_contract_of_unknown_vertex_is_rejected():
 
 def test_a_cell_emitted_before_its_face_is_rejected():
     """The builder the tower emits into checks each cell as
-    ``from_filtration`` does: faces first, no repeat, no empty simplex, and
-    grades that never fall (a NaN falls)."""
+    ``from_filtration`` does: faces first, no repeat, no empty simplex, no
+    unsorted edge, and grades that never fall (a NaN falls)."""
     for cell, message in (
         (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)"),
         (((0, 1), 1.0), r"^duplicate cell \(0, 1\)"),
         (((), 1.0), r"^the empty simplex is not a cell"),
+        (((1, 0), 1.0), r"^edge \(1, 0\) is not in increasing vertex order"),
         (((2,), math.nan), r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0"),
         (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0"),
     ):
