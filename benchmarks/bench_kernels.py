@@ -13,12 +13,19 @@ torus-tower workload's cloud and grades, taken from
 includes the boundary index the assembly builds for the reduction.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
-The index section times ``BoundaryMatrix.from_filtration`` and
-``compute_persistence`` on the uncollapsed filtration of the
-oracle-compare workload's cloud and grades, taken the same way.  It prints
-the filtration's cells, its face lookups (one per face of every cell) and
-its maximal runs of same-dimension cells, which the builder indexes one
-per step.
+The index section times the oracle's cell build
+(``pipeline._first_appearance_cells`` on the graphs of ``graded_bitsets``),
+``BoundaryMatrix.from_filtration`` and ``compute_persistence`` on the
+uncollapsed filtration of the oracle-compare workload's grades, on its
+default and held-out clouds, taken the same way.  It prints the cliques,
+the extensions (cliques of two or more vertices, each one vertex added to
+its parent clique), the mean graph steps per extension (graphs scanned
+past the parent's first graph before the new vertex is adjacent to all of
+the parent) and the mean first-grade table reads those steps replace (one
+per vertex of the parent, as the cell build once read an n x n table of
+edge grades).  It also prints the face lookups (one per face of every
+cell) and the maximal runs of same-dimension cells, which the builder
+indexes one per step.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, given as the boundary index's face tuples the
@@ -47,7 +54,7 @@ from ripscollapse.persistence import (  # noqa: E402
     _run_ends,
     compute_persistence,
 )
-from ripscollapse.pipeline import run_pipeline  # noqa: E402
+from ripscollapse.pipeline import _first_appearance_cells, run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
@@ -123,22 +130,36 @@ def bench_tower():
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
 
 
+def _extension_stats(cells, grades):
+    """Extensions, and their mean graph steps and replaced table reads."""
+    index = {g: i for i, g in enumerate(grades)}
+    at = {s: index[g] for s, g in cells}
+    steps = [(at[s] - at[s[:-1]], len(s) - 1) for s in at if len(s) > 1]
+    n = len(steps)
+    return n, sum(a for a, _ in steps) / n, sum(b for _, b in steps) / n
+
+
 def bench_index():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     w = workloads.get("oracle-compare")
     grades = w.grades()
-    print(f"--- boundary index ({w.n}-point {w.cloud.__name__} cloud {w.cloud_seed},"
-          f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
-    D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
-    cells = run_pipeline(D, grades, collapse=False).filtration
-    matrix = BoundaryMatrix.from_filtration(cells)
-    lookups = sum(map(len, matrix.columns))
-    print(f"  input: {len(cells)} cells, {lookups} face lookups,"
-          f" {len(_run_ends(cells))} runs of same-dimension cells")
-    print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
-    print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
+    for seed in (w.cloud_seed, w.held_out_seed):
+        print(f"--- oracle cells and boundary index ({w.n}-point {w.cloud.__name__} cloud {seed},"
+              f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
+        graphs = graded_bitsets(pairwise_distances(w.cloud(seed, w.n)), grades)
+        cells = _first_appearance_cells(grades, graphs)
+        extensions, steps, reads = _extension_stats(cells, grades)
+        print(f"  cliques: {len(cells)}, extensions {extensions}, {steps:.2f} graph steps"
+              f" per extension, replacing {reads:.2f} table reads")
+        print(f"  cell build:          {_ms(_time(_first_appearance_cells, grades, graphs))}")
+        matrix = BoundaryMatrix.from_filtration(cells)
+        lookups = sum(map(len, matrix.columns))
+        print(f"  input: {len(cells)} cells, {lookups} face lookups,"
+              f" {len(_run_ends(cells))} runs of same-dimension cells")
+        print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
+        print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
 
 
 def bench_reduce():

@@ -1,21 +1,22 @@
 """End-to-end snapshot pipeline.
 
-The accelerated path builds the neighbourhood graph of every grade in one
-pass (:func:`~ripscollapse.rips.graded_bitsets`) and strong-collapses each
-snapshot to its core on its graph with :func:`~ripscollapse.rips.flag_core`
-(snapshots are independent, so a worker pool may handle them concurrently).
-It keeps each graph for the snapshot's ``before`` stats, whose maximal
-cliques are enumerated only when those stats are first read.  It then
-assembles the cores, each given by its maximal cliques and its retraction
-as a list indexed by point, into a tower, whose cells are the tower's
-equivalent filtration, and reduces that filtration: a sequence of
-``(simplex, grade)`` pairs in face-first, non-decreasing order.
+Both paths read only the nested neighbourhood graphs of the grades, built
+in one pass by :func:`~ripscollapse.rips.graded_bitsets`.  The accelerated
+path strong-collapses each snapshot to its core on its graph with
+:func:`~ripscollapse.rips.flag_core` (snapshots are independent, so a
+worker pool may handle them concurrently).  It keeps each graph for the
+snapshot's ``before`` stats, whose maximal cliques are enumerated only when
+those stats are first read.  It then assembles the cores, each given by its
+maximal cliques and its retraction as a list indexed by point, into a
+tower, whose cells are the tower's equivalent filtration, and reduces that
+filtration: a sequence of ``(simplex, grade)`` pairs in face-first,
+non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and reduces the first-appearance filtration of the snapshots,
-built in one clique enumeration of the last snapshot's graph; its tower is
-that filtration's cells as inclusions.  That twin is the verification
-oracle: :func:`compare_pipelines` compares its diagram with the collapsed
-diagram per dimension.
+built in one clique enumeration of the last graph; its tower is that
+filtration's cells as inclusions.  That twin is the verification oracle:
+:func:`compare_pipelines` compares its diagram with the collapsed diagram
+per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import os
 import threading
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -50,7 +52,6 @@ from .rips import (
     flag_core,
     graded_bitsets,
     maximal_cliques,
-    validate_distance_matrix,
 )
 from .tower import Tower, assemble_tower
 
@@ -119,8 +120,8 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    # tower assembly with its filtration (AT); when collapsing, also the
-    # boundary index the reduction reads, built as the cells are emitted
+    # tower assembly with its filtration (AT), not the graphs; when collapsing,
+    # also the boundary index the reduction reads, built as the cells are emitted
     assembly: float
     # boundary-matrix reduction (PDT); without collapsing, also the boundary
     # index, built from the finished filtration
@@ -151,24 +152,23 @@ def _map_ordered(fn: Callable[[_S], _T], items: Sequence[_S], workers: int) -> l
 
 
 def _snapshot_filtration(
-    D: np.ndarray, grades: list[float], cap: int
+    grades: list[float], graphs: list[list[int]], cap: int
 ) -> tuple[tuple[tuple[Simplex, float], ...], list[ComplexStats]]:
-    """Uncollapsed first-appearance filtration of the snapshot sequence of a
-    checked ``D`` at *grades*, with the stats of each snapshot in grade
-    order.
+    """Uncollapsed first-appearance filtration of the clique complexes of
+    the nested snapshot *graphs* at *grades*, with the stats of each
+    snapshot in grade order.
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
-    (dimension, lexicographic).  A Rips simplex first appears at the first
-    grade at or above its longest edge (a point at the first grade), so all
-    cells come from one enumeration of the cliques of the last snapshot's
-    graph: a depth-first search that extends a clique only by common
-    neighbours above its last vertex, smallest first, and grades each
-    extension by its parent's grade and its new edges.  That search meets
-    every clique exactly once, so no set of seen cells is needed, and in
-    lexicographic order, so appending each clique to the list of its
-    (grade, dimension) and concatenating the lists in that order gives the
-    filtration order without a sort.
+    (dimension, lexicographic).  All cells come from one enumeration of the
+    cliques of the last graph: a depth-first search that extends a clique
+    only by common neighbours above its last vertex, smallest first.  A
+    point is graded at the first graph, and ``s`` extended by ``w`` at the
+    first graph, from that of ``s`` on, where ``w`` is adjacent to all of
+    ``s``.  That search meets every clique once, so no set of seen cells is
+    needed, and in lexicographic order, so appending each clique to the
+    list of its (grade, dimension) and concatenating the lists in that
+    order gives the filtration order without a sort.
 
     Raises :class:`ExpansionCapError` at the first snapshot whose projected
     cell count (from its maximal cliques) exceeds *cap*, and
@@ -176,14 +176,13 @@ def _snapshot_filtration(
     block must pass the reduction's memory guard, both before any cell is
     built.
     """
-    graphs = graded_bitsets(D, grades)
     sizes = []
     for graph in graphs:
         cliques = maximal_cliques(graph)
         check_expansion_cap(cliques, cap)
-        sizes.append(_clique_stats(len(D), cliques))
+        sizes.append(_clique_stats(len(graph), cliques))
     _check_clique_blocks(graphs[-1], cliques)
-    return _first_appearance_cells(D, grades, graphs[-1]), sizes
+    return _first_appearance_cells(grades, graphs), sizes
 
 
 def _check_clique_blocks(adj: list[int], cliques: list[Simplex]) -> None:
@@ -229,36 +228,31 @@ def _clique_counts(adj: list[int]) -> list[int]:
 
 
 def _first_appearance_cells(
-    D: np.ndarray, grades: list[float], adj: list[int]
+    grades: list[float], graphs: list[list[int]]
 ) -> tuple[tuple[Simplex, float], ...]:
     """The cells of :func:`_snapshot_filtration`, in its order, from the
-    last snapshot's graph *adj*."""
-    # grade index of each edge: the first grade g with D[u, v] <= g
-    first = np.searchsorted(np.asarray(grades), D, side="left").tolist()
-    buckets: dict[tuple[int, int], list[Simplex]] = {}
-    for v in range(len(adj)):
-        # frames (clique, grade index, common neighbours above its last vertex)
-        stack = [((v,), 0, adj[v] >> (v + 1) << (v + 1))]
+    nested snapshot *graphs* at *grades*."""
+    # each vertex's neighbourhood in every graph, and its upper neighbours
+    rows = list(zip(*graphs))
+    up = [a >> (v + 1) << (v + 1) for v, a in enumerate(graphs[-1])]
+    buckets: defaultdict[tuple[int, int], list[Simplex]] = defaultdict(list)
+    for v in range(len(up)):
+        # frames (clique, its bitmask, graph index, common upper neighbours)
+        stack = [((v,), 1 << v, 0, up[v])]
         while stack:
-            s, i, above = stack.pop()
-            key = (i, len(s))
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [s]
-            else:
-                bucket.append(s)
+            s, mask, i, above = stack.pop()
+            buckets[i, len(s)].append(s)
             # push the extensions largest vertex first, so they pop in
             # lexicographic order
             rest = above
             while rest:
                 w = rest.bit_length() - 1
                 rest ^= 1 << w
-                row = first[w]
+                row = rows[w]
                 j = i
-                for u in s:
-                    if row[u] > j:
-                        j = row[u]
-                stack.append((s + (w,), j, above & adj[w] >> (w + 1) << (w + 1)))
+                while row[j] & mask != mask:
+                    j += 1
+                stack.append((s + (w,), mask | 1 << w, j, above & up[w]))
 
     cells: list[tuple[Simplex, float]] = []
     for key in sorted(buckets):
@@ -288,8 +282,8 @@ def run_pipeline(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_expansion_cap((), cap)
-    D = validate_distance_matrix(D)
     grades = as_grades(sched)
+    graphs = graded_bitsets(D, grades)
 
     if collapse:
 
@@ -298,7 +292,6 @@ def run_pipeline(
             result = flag_core(adj)
             return result, perf_counter() - t0
 
-        graphs = graded_bitsets(D, grades)
         results = _map_ordered(job, graphs, workers)
         stats = tuple(
             SnapshotStats._of_graph(g, graph, _clique_stats(len(res.survivors), res.cliques))
@@ -319,7 +312,7 @@ def run_pipeline(
     else:
         collapse_max = 0.0
         t0 = perf_counter()
-        cells, sizes = _snapshot_filtration(D, grades, cap)
+        cells, sizes = _snapshot_filtration(grades, graphs, cap)
         stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
         tower = Tower(cells, ())
         assembly = perf_counter() - t0

@@ -126,12 +126,16 @@ def as_grades(sched: SnapshotSchedule | Iterable[float]) -> list[float]:
 
 def graded_bitsets(D: np.ndarray, grades: Sequence[float]) -> list[list[int]]:
     """Adjacency of the distance-``<= g`` graph at each of the increasing
-    *grades*, one int bitmask per vertex.
+    *grades*, one int bitmask per vertex, after checking *D* and the grades
+    with :func:`validate_distance_matrix` and :func:`as_grades`.
 
-    One ``searchsorted`` finds the first grade of every edge; each grade's
-    list is then a copy of the previous grade's with the edges first present
-    at that grade OR-ed in, so no grade scans ``D`` again.
+    This is the one place an edge is graded, at the first grade at or above
+    its length: one ``searchsorted`` finds that grade for every edge; each
+    grade's list is then a copy of the previous grade's with the edges first
+    present at that grade OR-ed in, so no grade scans ``D`` again.
     """
+    D = validate_distance_matrix(D)
+    grades = as_grades(grades)
     count = len(grades)
     first = np.searchsorted(np.asarray(grades), D, side="left")
     us, vs = np.nonzero(np.triu(first < count, 1))

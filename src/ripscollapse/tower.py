@@ -155,17 +155,17 @@ def assemble_tower(
     each retraction by a list whose entry ``p`` is the core point that point
     ``p`` is sent to.  The *grades* must be finite and strictly increasing,
     as :func:`~ripscollapse.rips.as_grades` checks; otherwise ``ValueError``
-    is raised.  Each snapshot's retraction must fix every vertex of
-    its core and send every live point into that core, and for each
-    snapshot j > 0 the image of every maximal simplex of core j - 1 must be
-    a face of core j; otherwise :class:`CollapseConsistencyError` is
-    raised.  A core with no maximal simplex raises
-    :class:`EmptyComplexError`, and a simplex that repeats a vertex
-    :class:`SimplexError`.  For each snapshot j > 0, every live vertex whose image under
-    the snapshot's retraction differs from it is contracted into that image
-    (in increasing vertex id).  Then every simplex of core j missing from
-    the complex is included, in (dimension, lexicographic) order; for j = 0
-    that is all of core 0.
+    is raised.  Each snapshot's retraction must fix every vertex of its core
+    and send every live point into that core, and for each snapshot j > 0
+    the image of every maximal simplex of core j - 1 must be a face of core
+    j; otherwise :class:`CollapseConsistencyError` is raised.  A core with no
+    maximal simplex raises :class:`EmptyComplexError`, and a simplex that
+    :func:`~ripscollapse.complexes.as_simplex` would refuse
+    :class:`SimplexError`.  For each snapshot j > 0, every live vertex whose
+    image under the snapshot's retraction differs from it is contracted into
+    that image (in increasing vertex id).  Then every simplex of core j
+    missing from the complex is included, in (dimension, lexicographic)
+    order; for j = 0 that is all of core 0.
 
     The ops are replayed on one complex as they are met, and the tower's
     cells (its filtration) are each Include's cell and, for each
@@ -188,8 +188,21 @@ def assemble_tower(
     if not all(cores):
         raise EmptyComplexError("every core needs a maximal simplex")
     grades = as_grades(grades)
-
-    next_fresh = 1 + max(max(map(max, core)) for core in cores)
+    # per core, vertex -> masks of the maximal simplices holding it, checked first
+    holdings: list[defaultdict[int, list[int]]] = []
+    for j, maximal in enumerate(cores):
+        holdings.append(holding := defaultdict(list))
+        for s in maximal:
+            mask = 0
+            for q in s:
+                if q.__class__ is not int or q < 0:  # as in as_simplex, no bool
+                    raise SimplexError(f"vertex ids must be non-negative integers, got {q!r}")
+                mask |= 1 << q
+            if not s or mask.bit_count() != len(s):
+                raise SimplexError(f"simplex {s} of core {j} is empty or repeats a vertex")
+            for q in s:
+                holding[q].append(mask)
+    next_fresh = 1 + max(max(holding) for holding in holdings)
 
     contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
@@ -198,13 +211,13 @@ def assemble_tower(
     ident: dict[int, int] = {}
     used: set[int] = set()
 
-    for j, (maximal, r, g) in enumerate(zip(cores, retractions, grades)):
-        vertices = sorted({q for s in maximal for q in s})
+    for j, (maximal, r, g, holding) in enumerate(zip(cores, retractions, grades, holdings)):
+        vertices = sorted(holding)
         new_ident: dict[int, int] = {}
         for q in vertices:
             # a retraction that moved a core vertex would contract an id
             # that the core's Include ops then use again
-            if not (0 <= q < len(r) and r[q] == q):
+            if not (q < len(r) and r[q] == q):
                 raise CollapseConsistencyError(
                     f"retraction of snapshot {j} does not fix core vertex {q}"
                 )
@@ -230,16 +243,6 @@ def assemble_tower(
             mapping[x] = new_ident[w]
 
         check_expansion_cap(maximal, cap)
-        # vertex -> bitmasks of the maximal simplices of core j that hold it
-        holding: defaultdict[int, list[int]] = defaultdict(list)
-        for s in maximal:
-            mask = 0
-            for q in s:
-                mask |= 1 << q
-            if mask.bit_count() != len(s):
-                raise SimplexError(f"simplex {s} of core {j} repeats a vertex")
-            for q in s:
-                holding[q].append(mask)
         # After snapshot j-1 the complex equals core j-1 (in tower ids) and the
         # retraction is simplicial, so the contracted complex lies in core j
         # iff the image of every maximal simplex of core j-1 is a face of it,

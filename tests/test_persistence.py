@@ -494,6 +494,9 @@ def test_snapshot_filtration_matches_naive_expansion():
     cases.append((below_all, [0.5]))  # below every distance
     duplicates = pairwise_distances([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0)])
     cases.append((duplicates, [-1.0, 0.0, 2.0]))
+    # exact ties: every edge length of a 3 x 3 lattice is a grade
+    lattice = pairwise_distances([(i, j) for i in range(3) for j in range(3)])
+    cases.append((lattice, [1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), math.sqrt(8.0)]))
     caps = set()
     for D, grades in cases:
         for cap in (10**7, rng.randint(1, 60)):

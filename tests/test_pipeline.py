@@ -6,10 +6,18 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
-from oracles import complex_stats, naive_check_filtration, naive_tower_to_filtration, rips_snapshot
+from oracles import (
+    complex_stats,
+    naive_check_filtration,
+    naive_filtration_from_snapshots,
+    naive_maximal_cliques,
+    naive_tower_to_filtration,
+    rips_snapshot,
+)
 
 import ripscollapse
 from ripscollapse import persistence, pipeline
@@ -67,6 +75,55 @@ def test_uncollapsed_pipeline_matches_oracle():
     assert len(result.tower) == 15
     assert all(s.before == s.after for s in result.snapshots)
     assert result.timings.collapse_max == 0.0
+
+
+def test_first_appearance_cells_of_random_nested_graphs():
+    """The oracle grades each clique from the graph sequence alone: on
+    nested graphs whose edges arrive in random order at random grade
+    indices, and so follow no distances, its cells are the first-appearance
+    filtration of the graphs' clique complexes."""
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(150):
+        n, count = rng.randint(1, 9), rng.randint(1, 5)
+        grades = [g / 4 for g in sorted(rng.sample(range(-5, 50), count))]
+        graphs = [[0] * n for _ in range(count)]
+        tables = [[[0] * n for _ in range(n)] for _ in range(count)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            for j in range(rng.randint(0, count), count):  # count: never added
+                graphs[j][u] |= 1 << v
+                graphs[j][v] |= 1 << u
+                tables[j][u][v] = tables[j][v][u] = 1
+        want = naive_filtration_from_snapshots(
+            [dict(enumerate(naive_maximal_cliques(table))) for table in tables], grades
+        )
+        assert pipeline._first_appearance_cells(grades, graphs) == want
+        # cliques graded above every one of their faces
+        grade = dict(want)
+        raised += sum(len(s) > 2 and g > max(grade[s[1:]], grade[s[:-1]]) for s, g in want)
+    assert raised > 100
+
+
+def test_oracle_cells_hold_no_table_of_vertex_pairs():
+    """The cell build reads the graphs alone: on 2000 points of a circle,
+    each adjacent at grade k to the k nearest on either side, its peak stays
+    below n * n * 4 bytes, where a first-grade table of every pair of points
+    peaked at 61 MB."""
+    n, top = 2000, 4
+    graphs = [
+        [sum(1 << (v + d) % n for d in range(-k, k + 1) if d) for v in range(n)]
+        for k in range(1, top + 1)
+    ]
+    tracemalloc.start()
+    try:
+        cells = pipeline._first_appearance_cells(list(range(1, top + 1)), graphs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == n * 2**top
+    assert peak < n * n * 4
 
 
 def test_worker_count_never_changes_the_artifacts():

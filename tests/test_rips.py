@@ -22,6 +22,7 @@ from oracles import (
     neighborhood_bitsets,
     rips_snapshot,
 )
+from ripscollapse import rips
 from ripscollapse.collapse import core
 from ripscollapse.complexes import maximal_columns
 from ripscollapse.pipeline import SnapshotStats, compare_pipelines, run_pipeline
@@ -165,6 +166,31 @@ def test_graded_bitsets_equal_one_graph_per_grade():
         picked = rng.choice(lengths, min(len(lengths), 6), replace=False) if lengths else []
         grades = sorted({-1.0, 0.0, 2.0, float(rng.random()), *map(float, picked)})
         assert graded_bitsets(D, grades) == [neighborhood_bitsets(D, g) for g in grades]
+
+
+def test_graded_bitsets_checks_its_grades_and_distances(monkeypatch):
+    """Unchecked, the grades [1.5, 0.5] gave two empty graphs, [1.0, nan] a
+    last graph with every edge, an asymmetric D was read from its upper
+    triangle only and a NaN distance dropped its edge."""
+    D = pairwise_distances([(0, 0), (1, 0), (0, 1), (3, 3)])
+    for grades, message in (([1.5, 0.5], "strictly increasing"), ([1.0, math.nan], "finite")):
+        with pytest.raises(ValueError, match=message):
+            graded_bitsets(D, grades)
+    asymmetric = D.copy()
+    asymmetric[1, 0] = 5.0
+    undefined = D.copy()
+    undefined[0, 1] = undefined[1, 0] = math.nan
+    for bad, message in ((asymmetric, "symmetric"), (undefined, "finite")):
+        with pytest.raises(ValueError, match=message):
+            graded_bitsets(bad, [1.0])
+    # a pipeline run checks D once, on either path
+    checks = []
+    check = rips.validate_distance_matrix
+    monkeypatch.setattr(rips, "validate_distance_matrix", lambda D: checks.append(1) or check(D))
+    for collapse in (True, False):
+        checks.clear()
+        run_pipeline(D, [1.0, 1.5], collapse=collapse)
+        assert checks == [1]
 
 
 def test_unit_square_snapshots():

@@ -146,6 +146,14 @@ def test_assemble_input_validation():
         assemble_tower([[(0, 1)], []], [[0, 1], [0, 1]], [0.0, 1.0])
     with pytest.raises(SimplexError, match="repeats a vertex"):
         assemble_tower([[(0, 1, 1)]], [[0, 1]], [0.0])
+    # each refused before any id is read from a core: an empty simplex once
+    # failed in a bare max(), 1.5 raised a bare TypeError, and True was
+    # taken for vertex 1 and emitted as the cell (True,)
+    for bad in ((), (1.5,), (True,), (0, True), (-1, 0)):
+        with pytest.raises(SimplexError, match="empty|non-negative integers, got"):
+            assemble_tower([[(0,)], [bad]], [[0, 1], [0, 1]], [0.0, 1.0])
+        with pytest.raises(SimplexError):
+            assemble_tower([[bad]], [[0]], [1.0])
     with pytest.raises(ValueError, match="snapshot grades must be finite"):
         assemble_tower([[(0,)]], [[0]], [math.inf])
     with pytest.raises(ValueError, match="snapshot grades must be finite"):
@@ -185,10 +193,10 @@ def test_assemble_rejects_a_filled_triangle_mapped_into_a_hollow_one():
 
 
 def test_assemble_rejects_a_core_vertex_the_retraction_does_not_reach():
-    # core vertex 9 lies past the end of the retraction, and -1 is no point
-    for core_j in ([(0,), (9,)], [(-1, 0)]):
-        with pytest.raises(CollapseConsistencyError, match="does not fix core vertex"):
-            assemble_tower([[(0,)], core_j], [[0], [0]], [0.0, 1.0])
+    # core vertex 9 lies past the end of the retraction (-1, which is no
+    # point, is refused as a malformed simplex in test_assemble_input_validation)
+    with pytest.raises(CollapseConsistencyError, match="does not fix core vertex"):
+        assemble_tower([[(0,)], [(0,), (9,)]], [[0], [0]], [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_that_merges_core_vertices():
