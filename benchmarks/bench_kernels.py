@@ -33,6 +33,10 @@ way ``persistence._diagram`` passes them.  It is the heavy-addition case:
 most edges close a cycle, so 19,155 of the 21,950 columns collide and are
 packed, with 71,063 column additions, where the pipeline's blocks pack
 3-13% of their columns and add fewer than one column per column packed.
+The kernel gets the pipeline's byte limit.  The section prints the columns
+it packs (those that collide and the owners they add) and their bytes,
+which the limit bounds, next to the bytes of the dense block, one bit per
+face and column in 64-bit words, that the reduction once charged instead.
 """
 from __future__ import annotations
 
@@ -47,9 +51,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+from ripscollapse import _kernels  # noqa: E402
 from ripscollapse._kernels import reduce_block  # noqa: E402
 from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
+    _MAX_PACKED_BYTES,
     BoundaryMatrix,
     _run_ends,
     compute_persistence,
@@ -173,7 +179,29 @@ def bench_reduce():
                 cells.append(((i, j), 0.0))
     columns, n_rows = _dim1_block(cells)
     print(f"  input: {len(columns)} columns x {n_rows} rows")
-    print(f"  reduce_block: {_ms(_time(lambda: reduce_block(list(columns))))}")
+    packed, packed_bytes = _packed(columns)
+    dense_bytes = len(columns) * ((n_rows + 63) // 64) * 8
+    print(f"  packed: {packed} columns, {packed_bytes:,} bytes;"
+          f" dense block: {dense_bytes:,} bytes; limit {_MAX_PACKED_BYTES:,} bytes")
+    print(f"  reduce_block: {_ms(_time(lambda: reduce_block(list(columns), _MAX_PACKED_BYTES)))}")
+
+
+def _packed(columns):
+    """The number and the bytes of the bitsets ``reduce_block`` packs for *columns*."""
+    sizes = []
+    pack = _kernels._pack
+
+    def recording(faces):
+        c = pack(faces)
+        sizes.append((c.bit_length() + 7) // 8)
+        return c
+
+    _kernels._pack = recording
+    try:
+        reduce_block(list(columns), _MAX_PACKED_BYTES)
+    finally:
+        _kernels._pack = pack
+    return len(sizes), sum(sizes)
 
 
 def bench_pipeline():

@@ -123,7 +123,7 @@ def core(columns: Mapping[int, Iterable[int]]) -> CoreResult:
         raise EmptyComplexError()
     prepared: dict[int, Simplex] = {}
     for cid, verts in columns.items():
-        if not isinstance(cid, int) or cid < 0:
+        if not isinstance(cid, int) or isinstance(cid, bool) or cid < 0:
             raise SimplexError(f"column ids must be non-negative integers, got {cid!r}")
         prepared[cid] = as_simplex(verts)
     ids = (sorted({v for s in prepared.values() for v in s}), sorted(prepared))

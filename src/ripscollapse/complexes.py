@@ -72,15 +72,17 @@ def maximal_columns(simplices: Iterable[Iterable[int]]) -> dict[int, Simplex]:
 
 def check_expansion_cap(
     maximal: Iterable[Simplex], cap: int = DEFAULT_EXPANSION_CAP
-) -> None:
-    """Raise :class:`ExpansionCapError` when the projected cell count of the
-    complex with maximal simplices *maximal* (sum of their subset counts, an
-    upper bound) exceeds *cap*, and ``ValueError`` when *cap* is below 1."""
+) -> int:
+    """The projected cell count of the complex with maximal simplices
+    *maximal* (sum of their subset counts, an upper bound); raise
+    :class:`ExpansionCapError` when it exceeds *cap*, and ``ValueError``
+    when *cap* is below 1."""
     if cap < 1:
         raise ValueError(f"expansion cap must be at least 1, got {cap}")
     projected = sum(2 ** len(s) - 1 for s in maximal)
     if projected > cap:
         raise ExpansionCapError(projected, cap)
+    return projected
 
 
 @dataclass(frozen=True, slots=True)

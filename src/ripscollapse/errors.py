@@ -30,21 +30,17 @@ class ExpansionCapError(RipsCollapseError, RuntimeError):
 
 
 class ReductionMemoryError(RipsCollapseError, RuntimeError):
-    """A boundary block of the reduction, packed densely as one bit per face
-    and column in 64-bit words, would exceed the memory guard.
+    """The reduction would hold more than a memory guard allows: *held* cells
+    in the boundary index over its budget, or *held* bytes of one block's
+    packed columns over the kernel's limit (*unit* is "cells" or "bytes")."""
 
-    The reduction packs only the columns whose low collides, so the guard
-    bounds more than it allocates; it refuses what it refused when every
-    column was packed, with the same dimension and byte count."""
-
-    def __init__(self, dim: int, block_bytes: int, limit: int) -> None:
+    def __init__(self, held: int, limit: int, unit: str) -> None:
         super().__init__(
-            f"boundary block for dimension {dim} needs {block_bytes} bytes, "
-            f"over the {limit}-byte memory guard"
+            f"the reduction would hold {held} {unit}, over its memory guard of {limit} {unit}"
         )
-        self.dim = dim
-        self.block_bytes = block_bytes
+        self.held = held
         self.limit = limit
+        self.unit = unit
 
 
 class FormatError(RipsCollapseError, ValueError):

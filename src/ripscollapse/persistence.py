@@ -10,6 +10,10 @@ creator of a higher-dimensional class has a column that reduces to zero, so
 that column is never built.  Of the columns built, only those whose low
 collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`).
 
+Two bounds on the memory a run holds raise :class:`ReductionMemoryError`:
+the index refuses a batch that would take it past a cell budget, and the
+kernel a block once the columns it has packed pass a byte limit.
+
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
 every filtration for the reduction, the tower's too as it is assembled.  It
 checks each batch of cells in C-level passes and indexes each maximal run
@@ -26,7 +30,6 @@ collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, count, pairwise, repeat, starmap
 from operator import itemgetter, le, lt, ne
@@ -36,12 +39,13 @@ from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# Refuse reductions whose boundary blocks, packed densely as one bit per face
-# and column rounded up to 64-bit words, would not fit comfortably in memory;
-# at that size the expansion cap has usually fired already.  The kernel packs
-# only colliding columns, so this bounds more than it allocates, and refuses
-# exactly what it refused when every column was packed.
-_MAX_BLOCK_BYTES = 1 << 30
+# The most cells an index may hold.  An indexed cell costs about 410-495 B
+# of peak RSS (its simplex, grade, face tuple and position), so the budget
+# holds a run to about half a GiB.
+_MAX_CELLS = 1 << 20
+
+# The most bytes of packed columns the kernel may hold for one block.
+_MAX_PACKED_BYTES = 1 << 30
 
 # The builder indexes a batch run by run only when its runs of same-dimension
 # cells average at least this many cells: shorter runs do not repay their
@@ -112,6 +116,8 @@ class BoundaryMatrix:
         earlier one, lacks a face among the cells before it, or has a grade
         that is NaN, infinite or below its predecessor's; the index and
         message are those of a scan that checks one cell at a time.
+        More cells than the cell budget raise :class:`ReductionMemoryError`
+        before any is indexed.
         """
         cells = tuple(filtration)
         index = _Index()
@@ -149,6 +155,7 @@ class _Index:
         first failing cell; so is a batch whose runs are too short to repay
         their set-up.
         """
+        _check_cells(len(self.cells) + len(pairs))
         done = 0
         # written so that a NaN grade fails it too
         if len(pairs) >= _SHORT_RUN and all(
@@ -260,19 +267,11 @@ def _run_ends(pairs: Sequence[tuple[Simplex, float]]) -> list[int]:
     return ends
 
 
-def _check_block_bound(sizes: Sequence[int]) -> None:
-    """Raise :class:`ReductionMemoryError` when the cell counts *sizes*, one
-    per dimension, show that some boundary block must pass the guard.
-
-    Each dimension-(p+1) column clears at most one dimension-p cell, so the
-    dimension-p block keeps at least ``n_p - n_(p+1)`` columns of
-    ``n_(p-1)`` bits; that lower bound needs no boundary index.
-    """
-    for p in range(len(sizes) - 1, 0, -1):
-        above = sizes[p + 1] if p + 1 < len(sizes) else 0
-        bound = max(0, sizes[p] - above) * ((sizes[p - 1] + 63) // 64) * 8
-        if bound > _MAX_BLOCK_BYTES:
-            raise ReductionMemoryError(p, bound, _MAX_BLOCK_BYTES)
+def _check_cells(held: int) -> None:
+    """Raise :class:`ReductionMemoryError` when an index of *held* cells
+    would pass the cell budget."""
+    if held > _MAX_CELLS:
+        raise ReductionMemoryError(held, _MAX_CELLS, "cells")
 
 
 def compute_persistence(
@@ -293,21 +292,17 @@ def compute_persistence(
     the diagram unless *include_zero_pairs* is set; essential classes get an
     infinite death.
 
-    A filtration whose cell counts show that a densely packed boundary block
-    must pass the memory guard raises :class:`ReductionMemoryError` before
-    it is indexed.
+    A filtration of more cells than the cell budget raises
+    :class:`ReductionMemoryError` before any cell is indexed, and so does a
+    block whose packed columns pass the kernel's byte limit.
     """
-    cells = tuple(filtration)
-    sizes = Counter(map(len, map(_simplex, cells)))
-    _check_block_bound([sizes[k] for k in range(1, max(sizes, default=0) + 1)])
-    return _diagram(BoundaryMatrix.from_filtration(cells), include_zero_pairs)
+    return _diagram(BoundaryMatrix.from_filtration(filtration), include_zero_pairs)
 
 
 def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
     """Reduce an indexed filtration and read off its diagram: each pair as
     its block finds it, then an essential class for each cell left unpaired."""
     cells, by_dim, columns = matrix.cells, matrix.by_dim, matrix.columns
-    _check_block_bound([len(cells_d) for cells_d in by_dim])
     paired = [False] * len(cells)
     out: list[tuple[int, float, float]] = []
 
@@ -319,12 +314,9 @@ def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> Persis
         if not cols_g:
             continue
         rows_g = by_dim[p - 1]
-        block_bytes = len(cols_g) * ((len(rows_g) + 63) // 64) * 8
-        if block_bytes > _MAX_BLOCK_BYTES:
-            raise ReductionMemoryError(p, block_bytes, _MAX_BLOCK_BYTES)
         # the index's own face tuples: the kernel packs only colliding columns
         block = [columns[g] for g in cols_g]
-        lows = reduce_block(block)
+        lows = reduce_block(block, _MAX_PACKED_BYTES)
         del block  # free the packed columns before the next block
 
         for g, low in zip(cols_g, lows):

@@ -15,8 +15,8 @@ The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and reduces the first-appearance filtration of the snapshots,
 built in one clique enumeration of the last graph; its tower is that
 filtration's cells as inclusions.  That twin is the verification oracle:
-:func:`compare_pipelines` compares its diagram with the collapsed diagram
-per dimension.
+:func:`compare_pipelines` runs both paths on one graph sequence and compares
+their diagrams per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -30,7 +30,6 @@ from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from math import comb
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -40,7 +39,7 @@ from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expan
 from .errors import ReductionMemoryError
 from .persistence import (
     PersistenceDiagram,
-    _check_block_bound,
+    _check_cells,
     _diagram,
     bottleneck_distance,
     compute_persistence,
@@ -172,59 +171,39 @@ def _snapshot_filtration(
 
     Raises :class:`ExpansionCapError` at the first snapshot whose projected
     cell count (from its maximal cliques) exceeds *cap*, and
-    :class:`ReductionMemoryError` when the cell counts show that a boundary
-    block must pass the reduction's memory guard, both before any cell is
-    built.
+    :class:`ReductionMemoryError` when the filtration has more cells than
+    the boundary index's budget, both before any cell is built.  The last
+    snapshot's projected count bounds the filtration's from above, so only
+    when it passes the budget are the last graph's cliques counted.
     """
     sizes = []
     for graph in graphs:
         cliques = maximal_cliques(graph)
-        check_expansion_cap(cliques, cap)
+        projected = check_expansion_cap(cliques, cap)
         sizes.append(_clique_stats(len(graph), cliques))
-    _check_clique_blocks(graphs[-1], cliques)
+    try:
+        _check_cells(projected)
+    except ReductionMemoryError:
+        _check_cells(_clique_count(graphs[-1]))
     return _first_appearance_cells(grades, graphs), sizes
 
 
-def _check_clique_blocks(adj: list[int], cliques: list[Simplex]) -> None:
-    """Refuse the clique complex of *adj*, whose maximal cliques are
-    *cliques*, as :func:`compute_persistence` would refuse it, without
-    building a cell.
-
-    ``U_k``, the sum of ``C(|c|, k)`` over the maximal cliques, bounds the
-    number of k-vertex cells from above, so each block fits in a dense one
-    of ``U_k`` columns over ``U_(k-1)`` rows.  ``_check_block_bound`` on
-    the pair ``[U_(k-1), U_k]`` tests that dense block, since no count above
-    it clears any of its columns.  Only when one passes the guard are the
-    cliques counted by size, which ``_check_block_bound`` then judges as
-    ``compute_persistence`` does.
-    """
-    top = max(map(len, cliques))
-    bound = [sum(comb(len(c), k) for c in cliques) for k in range(1, top + 1)]
-    try:
-        for k in range(1, top):
-            _check_block_bound(bound[k - 1 : k + 1])
-    except ReductionMemoryError:
-        _check_block_bound(_clique_counts(adj))
-
-
-def _clique_counts(adj: list[int]) -> list[int]:
-    """The number of cliques of each size 1, 2, ... in the graph *adj*,
-    found by a depth-first search that extends each clique by its common
-    neighbours below its last vertex and builds no tuples."""
-    counts: list[int] = []
-    stack = [(0, (1 << len(adj)) - 1)]  # (clique size, candidates)
+def _clique_count(adj: list[int]) -> int:
+    """The number of cliques in the graph *adj*, found by a depth-first
+    search that extends each clique by its common neighbours below its last
+    vertex and builds no tuples."""
+    total = 0
+    stack = [(1 << len(adj)) - 1]  # the candidates that extend one clique
     while stack:
-        k, rest = stack.pop()
-        if k == len(counts):
-            counts.append(0)
-        counts[k] += rest.bit_count()
+        rest = stack.pop()
+        total += rest.bit_count()
         while rest:
             w = rest.bit_length() - 1
             rest ^= 1 << w
             below = rest & adj[w]
             if below:
-                stack.append((k + 1, below))
-    return counts
+                stack.append(below)
+    return total
 
 
 def _first_appearance_cells(
@@ -279,53 +258,66 @@ def run_pipeline(
     A *workers* or *cap* below 1 raises ``ValueError`` before any snapshot
     is built.
     """
+    grades, graphs = _snapshot_graphs(D, sched, workers, cap)
+    if collapse:
+        return _collapsed(grades, graphs, workers, cap)
+    return _uncollapsed(grades, graphs, cap)
+
+
+def _snapshot_graphs(
+    D: np.ndarray, sched: SnapshotSchedule | Iterable[float], workers: int, cap: int
+) -> tuple[list[float], list[list[int]]]:
+    """The grades of *sched* and *D*'s graphs at them, once *workers* and *cap* pass."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_expansion_cap((), cap)
-    grades = as_grades(sched)
-    graphs = graded_bitsets(D, grades)
+    grades = as_grades(sched)  # an iterable schedule can be read only once
+    return grades, graded_bitsets(D, grades)
 
-    if collapse:
 
-        def job(adj: list[int]) -> tuple[FlagCore, float]:
-            t0 = perf_counter()
-            result = flag_core(adj)
-            return result, perf_counter() - t0
+def _collapsed(
+    grades: list[float], graphs: list[list[int]], workers: int, cap: int
+) -> PipelineResult:
+    """The collapsed pipeline on the snapshot *graphs* at *grades*."""
 
-        results = _map_ordered(job, graphs, workers)
-        stats = tuple(
-            SnapshotStats._of_graph(g, graph, _clique_stats(len(res.survivors), res.cliques))
-            for g, graph, (res, _) in zip(grades, graphs, results)
-        )
-        collapse_max = max(elapsed for _, elapsed in results)
+    def job(adj: list[int]) -> tuple[FlagCore, float]:
         t0 = perf_counter()
-        tower, matrix = assemble_tower(
-            [res.cliques for res, _ in results],
-            [res.retraction for res, _ in results],
-            grades,
-            cap,
-        )
-        assembly = perf_counter() - t0
-        t0 = perf_counter()
-        diagram = _diagram(matrix)
-        reduction = perf_counter() - t0
-    else:
-        collapse_max = 0.0
-        t0 = perf_counter()
-        cells, sizes = _snapshot_filtration(grades, graphs, cap)
-        stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-        tower = Tower(cells, ())
-        assembly = perf_counter() - t0
-        t0 = perf_counter()
-        diagram = compute_persistence(cells)
-        reduction = perf_counter() - t0
-    return PipelineResult(
-        diagram,
-        tower,
-        tower.cells,
-        stats,
-        PipelineTimings(collapse_max, assembly, reduction),
+        result = flag_core(adj)
+        return result, perf_counter() - t0
+
+    results = _map_ordered(job, graphs, workers)
+    stats = tuple(
+        SnapshotStats._of_graph(g, graph, _clique_stats(len(res.survivors), res.cliques))
+        for g, graph, (res, _) in zip(grades, graphs, results)
     )
+    collapse_max = max(elapsed for _, elapsed in results)
+    t0 = perf_counter()
+    tower, matrix = assemble_tower(
+        [res.cliques for res, _ in results],
+        [res.retraction for res, _ in results],
+        grades,
+        cap,
+    )
+    assembly = perf_counter() - t0
+    t0 = perf_counter()
+    diagram = _diagram(matrix)
+    reduction = perf_counter() - t0
+    timings = PipelineTimings(collapse_max, assembly, reduction)
+    return PipelineResult(diagram, tower, tower.cells, stats, timings)
+
+
+def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
+    """The uncollapsed oracle on the snapshot *graphs* at *grades*."""
+    t0 = perf_counter()
+    cells, sizes = _snapshot_filtration(grades, graphs, cap)
+    stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
+    tower = Tower(cells, ())
+    assembly = perf_counter() - t0
+    t0 = perf_counter()
+    diagram = compute_persistence(cells)
+    reduction = perf_counter() - t0
+    timings = PipelineTimings(0.0, assembly, reduction)
+    return PipelineResult(diagram, tower, tower.cells, stats, timings)
 
 
 STATS_CSV_HEADER = "grade,v_before,m_before,d_before,v_after,m_after,d_after"
@@ -371,11 +363,13 @@ def compare_pipelines(
     """Run the pipeline with and without collapsing and compare the
     diagrams.
 
-    Where a dimension's diagrams are equal their bottleneck distance is
-    exactly 0.0, so it is computed only for the unequal dimensions.
+    Both paths read one snapshot graph sequence.  Where a dimension's
+    diagrams are equal their bottleneck distance is exactly 0.0, so it is
+    computed only for the unequal dimensions.
     """
-    a = run_pipeline(D, sched, workers=workers, collapse=True, cap=cap).diagram
-    b = run_pipeline(D, sched, collapse=False, cap=cap).diagram
+    grades, graphs = _snapshot_graphs(D, sched, workers, cap)
+    a = _collapsed(grades, graphs, workers, cap).diagram
+    b = _uncollapsed(grades, graphs, cap).diagram
     verdicts = []
     for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
         equal = a.in_dimension(dim) == b.in_dimension(dim)

@@ -361,14 +361,13 @@ def test_cap_exit_3(tmp_path, capsys):
 
 
 def test_reduction_memory_guard_exit_3(square_file, monkeypatch, capsys):
-    monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", 0)
-    rc = main(
-        ["pipeline", "--input", square_file, "--start", "0.5", "--step", "0.5", "--end", "1.5"]
-    )
-    assert rc == EXIT_CAP
-    err = capsys.readouterr().err
-    assert "memory guard" in err
-    assert "Traceback" not in err
+    monkeypatch.setattr(persistence, "_MAX_CELLS", 0)
+    argv = ["pipeline", "--input", square_file, "--start", "0.5", "--step", "0.5", "--end", "1.5"]
+    for extra in ([], ["--no-collapse"]):
+        assert main(argv + extra) == EXIT_CAP
+        err = capsys.readouterr().err
+        assert "over its memory guard of 0 cells" in err
+        assert "Traceback" not in err
 
 
 # sha256 of the artifacts at commit 3421828, before the tower kept only its

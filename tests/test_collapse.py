@@ -53,7 +53,7 @@ def test_core_of_fixture_is_exact():
 def test_core_checks_its_input():
     with pytest.raises(EmptyComplexError):
         core({})
-    for cid in (-1, "0", 1.0):
+    for cid in (-1, "0", 1.0, True):
         with pytest.raises(SimplexError, match="column ids"):
             core({cid: (0, 1)})
     for verts in ((), (1, 1), (-1, 2)):

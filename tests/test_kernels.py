@@ -3,11 +3,13 @@ import math
 import random
 
 import numpy as np
+import pytest
 
 from ripscollapse import _kernels
 from ripscollapse._kernels import reduce_block
 from ripscollapse.collapse import core, trace_to_text
 from ripscollapse.complexes import maximal_columns
+from ripscollapse.errors import ReductionMemoryError
 from ripscollapse.rips import pairwise_distances
 
 from oracles import (
@@ -152,7 +154,7 @@ def test_reduce_block_paths_agree():
     for block in _face_blocks(rng):
         given = list(block)
         reduced = naive_column_reduction(given)
-        lows = reduce_block(block)
+        lows = reduce_block(block, 1 << 30)
         assert lows == [max(col, default=-1) for col in reduced]
         assert [_rows_of(c) for c in block] == reduced
         owned = set()
@@ -166,3 +168,34 @@ def test_reduce_block_paths_agree():
                 owned.add(low)
     assert collided > 100 and vanished > 10
     assert _kernels.USING_NUMBA is False
+
+
+def test_reduce_block_refuses_past_its_byte_limit(monkeypatch):
+    """The kernel raises once the bitsets it has packed, by their bytes as
+    packed, pass its limit, and returns the same lows at any limit at or
+    above their total; a block with no collision packs nothing."""
+    rng = np.random.default_rng(23)
+    # the edges of a random graph on 60 vertices: most close a cycle and collide
+    edges = {tuple(sorted(rng.choice(60, size=2, replace=False).tolist())) for _ in range(400)}
+    block = [tuple(rng.permutation(e).tolist()) for e in sorted(edges)]
+    sizes = []
+    pack = _kernels._pack
+
+    def recording(faces):
+        c = pack(faces)
+        sizes.append((c.bit_length() + 7) // 8)
+        return c
+
+    monkeypatch.setattr(_kernels, "_pack", recording)
+    want = reduce_block(list(block), 1 << 30)
+    assert want == [max(col, default=-1) for col in naive_column_reduction(block)]
+    peak = sum(sizes)
+    assert len(sizes) > 300
+    for limit in (0, peak // 2, peak - 1):
+        with pytest.raises(ReductionMemoryError) as exc:
+            reduce_block(list(block), limit)
+        assert limit < exc.value.held <= peak and exc.value.unit == "bytes"
+    for limit in (peak, peak + 1):
+        assert reduce_block(list(block), limit) == want
+    sizes.clear()
+    assert reduce_block([(1, 0), (2, 1), (3,)], 0) == [1, 2, 3] and sizes == []

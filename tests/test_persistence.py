@@ -22,7 +22,7 @@ from oracles import (
     random_maximal_simplices,
     rips_snapshot,
 )
-from ripscollapse import persistence
+from ripscollapse import persistence, tower
 from ripscollapse.complexes import maximal_columns
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError, ReductionMemoryError
 from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
@@ -112,9 +112,9 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
     packed = []
     kernel = persistence.reduce_block
 
-    def recording(columns):
+    def recording(columns, limit):
         packed.append(len(columns))
-        return kernel(columns)
+        return kernel(columns, limit)
 
     monkeypatch.setattr(persistence, "reduce_block", recording)
     rng = random.Random(1731)
@@ -147,62 +147,66 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
     assert cleared > 0
 
 
-def test_early_memory_check_fires_only_where_the_block_guard_would(monkeypatch):
-    """The bound from cell counts alone refuses a filtration only when the
-    reduction's per-block guard would refuse it too, and it refuses before
-    the boundary index is built.  The limit is set just below and at each
-    dimension's bound, on the uncollapsed and the collapsed filtrations of
-    seeded clouds."""
+def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
+    """With the cell budget set around each filtration's size,
+    ``compute_persistence`` is refused exactly when the filtration has more
+    cells than the budget, before any cell is indexed, and the tower's index
+    never holds more cells than the budget: the collapsed run is refused
+    exactly when the tower has more.  Seeded clouds, both paths."""
+    held = []  # the cells an index holds after each emit, or when it raises
+
+    class Recording(persistence._Index):
+        __slots__ = ()
+
+        def emit(self, pairs):
+            try:
+                super().emit(pairs)
+            finally:
+                held.append(len(self.cells))
+
     rng = random.Random(1732)
-    filtrations = []
+    grades = [0.3, 0.5, 0.7]
+    runs = []
     for _ in range(12):
         pts = [tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(rng.randint(4, 12))]
         D = pairwise_distances(pts)
-        for collapse in (False, True):
-            filtrations.append(run_pipeline(D, [0.3, 0.5, 0.7], collapse=collapse).filtration)
-
-    indexed = []
-    from_filtration = BoundaryMatrix.from_filtration.__func__
-
-    def counted(cls, cells):
-        indexed.append(len(cells))
-        return from_filtration(cls, cells)
-
-    monkeypatch.setattr(BoundaryMatrix, "from_filtration", classmethod(counted))
-    guard = persistence._check_block_bound
+        runs.append((D, run_pipeline(D, grades, collapse=False), run_pipeline(D, grades)))
+    monkeypatch.setattr(persistence, "_Index", Recording)
+    monkeypatch.setattr(tower, "_Index", Recording)
     outcomes = set()
-    for cells in filtrations:
-        matrix = from_filtration(BoundaryMatrix, cells)
-        sizes = [len(cells_d) for cells_d in matrix.by_dim]
-        bounds = [
-            max(0, sizes[p] - (sizes[p + 1] if p + 1 < len(sizes) else 0))
-            * ((sizes[p - 1] + 63) // 64)
-            * 8
-            for p in range(1, len(sizes))
-        ]
-        for limit in {b + d for b in bounds for d in (-1, 0)} - {-1}:
-            monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", limit)
-            try:
-                guard(sizes)
-                early = False
-            except ReductionMemoryError:
-                early = True
-                indexed.clear()
-                with pytest.raises(ReductionMemoryError):
+    for D, flat, collapsed in runs:
+        cells = flat.filtration
+        for limit in (0, len(cells) // 2, len(cells) - 1, len(cells), len(cells) + 1):
+            monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
+            held.clear()
+            refused = len(cells) > limit
+            if refused:
+                with pytest.raises(ReductionMemoryError) as exc:
                     compute_persistence(cells)
-                assert indexed == []
-            # the per-block guard alone
-            monkeypatch.setattr(persistence, "_check_block_bound", lambda sizes: None)
-            try:
-                persistence._diagram(matrix)
-                late = False
-            except ReductionMemoryError:
-                late = True
-            monkeypatch.setattr(persistence, "_check_block_bound", guard)
-            assert late or not early, (sizes, limit)
-            outcomes.add((early, late))
-    # the bound fires, and the block guard also fires where the bound does not
-    assert outcomes == {(True, True), (False, True), (False, False)}
+                assert (exc.value.held, exc.value.limit, exc.value.unit) == (
+                    len(cells), limit, "cells"
+                )
+                assert held == [0]
+            else:
+                assert compute_persistence(cells) == flat.diagram
+                assert held == [len(cells)]
+            outcomes.add(("uncollapsed", refused))
+        tower_cells = collapsed.filtration
+        n = len(tower_cells)
+        for limit in (0, n // 2, n - 1, n, n + 1):
+            monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
+            held.clear()
+            refused = n > limit
+            if refused:
+                with pytest.raises(ReductionMemoryError) as exc:
+                    run_pipeline(D, grades)
+                assert limit < exc.value.held <= n and exc.value.unit == "cells"
+            else:
+                result = run_pipeline(D, grades)
+                assert (result.filtration, result.diagram) == (tower_cells, collapsed.diagram)
+            assert max(held, default=0) <= limit
+            outcomes.add(("collapsed", refused))
+    assert len(outcomes) == 4
 
 
 def _face_first_shuffle(rng, cells):

@@ -7,12 +7,12 @@ import random
 import sys
 import threading
 import tracemalloc
-from collections import Counter
 
 import pytest
 from oracles import (
     complex_stats,
     naive_check_filtration,
+    naive_clique_count,
     naive_filtration_from_snapshots,
     naive_maximal_cliques,
     naive_tower_to_filtration,
@@ -32,12 +32,14 @@ from ripscollapse.persistence import (
 )
 from ripscollapse.pipeline import (
     STATS_CSV_HEADER,
+    CompareReport,
+    DimensionVerdict,
     SnapshotStats,
     compare_pipelines,
     run_pipeline,
     stats_to_csv,
 )
-from ripscollapse.rips import SnapshotSchedule, pairwise_distances
+from ripscollapse.rips import SnapshotSchedule, graded_bitsets, maximal_cliques, pairwise_distances
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -191,12 +193,10 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
     """Equal dimensions report 0.0 without a matching; it must be the exact
     bottleneck distance there too, and on unequal dimensions."""
     rng = random.Random(988)
-    run = pipeline.run_pipeline
+    run = pipeline._uncollapsed
 
-    def perturbed(D, sched, *, collapse=True, **kwargs):
-        result = run(D, sched, collapse=collapse, **kwargs)
-        if collapse:
-            return result
+    def perturbed(*args):
+        result = run(*args)
         pairs = list(result.diagram.pairs)
         kind = rng.randrange(4)
         if kind == 1 and pairs:
@@ -207,7 +207,7 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
             pairs.append((1, 0.5, math.inf))
         return dataclasses.replace(result, diagram=PersistenceDiagram.from_pairs(pairs))
 
-    monkeypatch.setattr(pipeline, "run_pipeline", perturbed)
+    monkeypatch.setattr(pipeline, "_uncollapsed", perturbed)
     seen = set()
     for _ in range(30):
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(2, 10))]
@@ -225,6 +225,35 @@ def test_compare_pipelines_random_clouds():
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(2, 10))]
         report = compare_pipelines(pairwise_distances(pts), SnapshotSchedule(0.25, 0.25, 1.0))
         assert report.equal
+
+
+def test_compare_builds_one_graph_sequence(monkeypatch):
+    """``compare_pipelines`` builds the snapshot graphs once for both paths,
+    and reports what two ``run_pipeline`` calls find."""
+    calls = []
+    build = pipeline.graded_bitsets
+
+    def counted(D, grades):
+        calls.append(1)
+        return build(D, grades)
+
+    monkeypatch.setattr(pipeline, "graded_bitsets", counted)
+    rng = random.Random(989)
+    for _ in range(6):
+        D = pairwise_distances([(rng.random(), rng.random()) for _ in range(rng.randint(2, 30))])
+        grades = iter([0.1, 0.2, 0.3, 0.4])  # read once
+        calls.clear()
+        report = compare_pipelines(D, grades)
+        assert calls == [1]
+        a = run_pipeline(D, [0.1, 0.2, 0.3, 0.4]).diagram
+        b = run_pipeline(D, [0.1, 0.2, 0.3, 0.4], collapse=False).diagram
+        verdicts = tuple(
+            DimensionVerdict(
+                k, a.in_dimension(k) == b.in_dimension(k), bottleneck_distance(a, b, k)
+            )
+            for k in sorted(set(a.dimensions()) | set(b.dimensions()))
+        )
+        assert report == CompareReport(a, b, verdicts)
 
 
 def test_zero_pair_flag_passes_through():
@@ -287,47 +316,56 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
 
 
 def _refusal(run):
-    """``(dim, bytes, message)`` of the memory error *run* raises, or None."""
+    """``(held, limit, unit, message)`` of the memory error *run* raises, or None."""
     try:
         run()
     except ReductionMemoryError as exc:
-        return exc.dim, exc.block_bytes, str(exc)
+        return exc.held, exc.limit, exc.unit, str(exc)
     return None
 
 
 def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
-    """With the memory guard lowered, ``run_pipeline(collapse=False)`` raises
-    the error ``compute_persistence`` raises on its full filtration, and
-    builds no cell when the cell counts alone show a block must pass it."""
+    """With the cell budget lowered, ``run_pipeline(collapse=False)`` raises
+    the error ``compute_persistence`` raises on its full filtration, and a
+    refused run builds no cell.  The last snapshot's projected count is
+    checked first, and the cliques are counted only when it passes the
+    budget."""
     rng = random.Random(5)
     D = pairwise_distances([(rng.random(), rng.random(), rng.random()) for _ in range(12)])
     grades = [0.3, 0.5, 0.7, 0.9]
     cells = run_pipeline(D, grades, collapse=False).filtration
-    n = Counter(len(s) for s, _ in cells)
-    n = [n[k] for k in range(1, max(n) + 2)]  # cells per dimension, then 0
-    assert len(n) > 6
-    lower = [max(0, n[p] - n[p + 1]) * ((n[p - 1] + 63) // 64) * 8 for p in range(1, len(n) - 1)]
-    dense = [n[p] * ((n[p - 1] + 63) // 64) * 8 for p in range(1, len(n) - 1)]
-    build = pipeline._first_appearance_cells
-    built = []
+    last = graded_bitsets(D, grades)[-1]
+    assert pipeline._clique_count(last) == len(cells) == naive_clique_count(
+        (D <= grades[-1]).astype(int)
+    )
+    projected = sum(2 ** len(c) - 1 for c in maximal_cliques(last))
+    assert projected > len(cells) + 1
+    build, count = pipeline._first_appearance_cells, pipeline._clique_count
+    built, counted = [], []
 
-    def counted(*args):
+    def counted_build(*args):
         built.append(1)
         return build(*args)
 
-    monkeypatch.setattr(pipeline, "_first_appearance_cells", counted)
-    early = 0
-    for limit in sorted({b + d for b in lower + dense for d in (-1, 0)} | {0}):
-        monkeypatch.setattr(persistence, "_MAX_BLOCK_BYTES", limit)
+    def counted_count(adj):
+        counted.append(1)
+        return count(adj)
+
+    monkeypatch.setattr(pipeline, "_first_appearance_cells", counted_build)
+    monkeypatch.setattr(pipeline, "_clique_count", counted_count)
+    refused = 0
+    n = len(cells)
+    for limit in sorted({0, n // 2, n - 1, n, n + 1, projected - 1, projected}):
+        monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
         built.clear()
+        counted.clear()
         want = _refusal(lambda: compute_persistence(cells))
+        assert (want is not None) == (n > limit)
         assert _refusal(lambda: run_pipeline(D, grades, collapse=False)) == want
-        if limit < max(lower):
-            assert want is not None and built == []
-            early += 1
-        else:
-            assert built == [1]
-    assert early > 6
+        assert built == ([] if want else [1])
+        assert counted == ([1] if projected > limit else [])
+        refused += want is not None
+    assert refused == 3
 
 
 def _count_full_snapshot_cliques(monkeypatch):
