@@ -23,13 +23,15 @@ its parent clique), the mean graph steps per extension (graphs scanned
 past the parent's first graph before the new vertex is adjacent to all of
 the parent) and the mean first-grade table reads those steps replace (one
 per vertex of the parent, as the cell build once read an n x n table of
-edge grades).  It also prints the face lookups (one per face of every
-cell) and the maximal runs of same-dimension cells, which the builder
-indexes one per step.
+edge grades).  It also prints the faces (one per face of every cell) and
+the cells per dimension, which ``from_filtration`` locates by key in one
+NumPy pass per dimension, and times the per-cell scan that it falls back
+to, ``persistence._scan``, on the same cells.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
-3000-point geometric graph, given as the boundary index's face tuples the
-way ``persistence._diagram`` passes them.  It is the heavy-addition case:
+3000-point geometric graph, given as the boundary index's array of face
+rows with the rows' largest faces as lows, the way ``persistence._diagram``
+passes them.  It is the heavy-addition case:
 most edges close a cycle, so 19,155 of the 21,950 columns collide and are
 packed, with 71,063 column additions, where the pipeline's blocks pack
 3-13% of their columns and add fewer than one column per column packed.
@@ -57,7 +59,7 @@ from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
-    _run_ends,
+    _scan,
     compute_persistence,
 )
 from ripscollapse.pipeline import _first_appearance_cells, run_pipeline  # noqa: E402
@@ -96,10 +98,14 @@ def _circle_cloud(n, seed):
 
 
 def _dim1_block(cells):
-    """The dimension-1 boundary columns as the index's face tuples, the way
-    ``persistence._diagram`` passes them; face r is the r-th vertex."""
+    """The dimension-1 boundary block as the index's array of face rows, the
+    way ``persistence._diagram`` passes it; face r is the r-th vertex."""
     matrix = BoundaryMatrix.from_filtration(cells)
-    return [matrix.columns[i] for i in matrix.by_dim[1]], len(matrix.by_dim[0])
+    return matrix.faces[1], len(matrix.by_dim[0])
+
+
+def _reduce(block):
+    return reduce_block(block, block.max(axis=1).tolist(), _MAX_PACKED_BYTES)
 
 
 def bench_collapse():
@@ -161,10 +167,11 @@ def bench_index():
               f" per extension, replacing {reads:.2f} table reads")
         print(f"  cell build:          {_ms(_time(_first_appearance_cells, grades, graphs))}")
         matrix = BoundaryMatrix.from_filtration(cells)
-        lookups = sum(map(len, matrix.columns))
-        print(f"  input: {len(cells)} cells, {lookups} face lookups,"
-              f" {len(_run_ends(cells))} runs of same-dimension cells")
+        faces = sum(f.size for f in matrix.faces)
+        per_dim = ", ".join(str(len(rows)) for rows in matrix.by_dim)
+        print(f"  input: {len(cells)} cells, {faces} faces; cells per dimension {per_dim}")
         print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
+        print(f"  per-cell scan:       {_ms(_time(_scan, cells))}")
         print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
 
 
@@ -177,16 +184,16 @@ def bench_reduce():
         for j in range(i + 1, D.shape[0]):
             if D[i, j] <= 0.04:
                 cells.append(((i, j), 0.0))
-    columns, n_rows = _dim1_block(cells)
-    print(f"  input: {len(columns)} columns x {n_rows} rows")
-    packed, packed_bytes = _packed(columns)
-    dense_bytes = len(columns) * ((n_rows + 63) // 64) * 8
+    block, n_rows = _dim1_block(cells)
+    print(f"  input: {len(block)} columns x {n_rows} rows")
+    packed, packed_bytes = _packed(block)
+    dense_bytes = len(block) * ((n_rows + 63) // 64) * 8
     print(f"  packed: {packed} columns, {packed_bytes:,} bytes;"
           f" dense block: {dense_bytes:,} bytes; limit {_MAX_PACKED_BYTES:,} bytes")
-    print(f"  reduce_block: {_ms(_time(lambda: reduce_block(list(columns), _MAX_PACKED_BYTES)))}")
+    print(f"  reduce_block: {_ms(_time(_reduce, block))}")
 
 
-def _packed(columns):
+def _packed(block):
     """The number and the bytes of the bitsets ``reduce_block`` packs for *columns*."""
     sizes = []
     pack = _kernels._pack
@@ -198,7 +205,7 @@ def _packed(columns):
 
     _kernels._pack = recording
     try:
-        reduce_block(list(columns), _MAX_PACKED_BYTES)
+        _reduce(block)
     finally:
         _kernels._pack = pack
     return len(sizes), sum(sizes)

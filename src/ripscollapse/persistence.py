@@ -1,27 +1,37 @@
 """Persistence diagrams via GF(2) boundary-matrix reduction.
 
 A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
-non-decreasing order, and its cells are reduced in that order; each boundary
-column is the index's tuple of face positions in the dimension below, and
-the columns are reduced left to right, one dimension block at a time
-(columns of different dimensions never interact).  Dimensions are reduced
-top-down with clearing (Chen & Kerber's twist): a cell already paired as the
-creator of a higher-dimensional class has a column that reduces to zero, so
-that column is never built.  Of the columns built, only those whose low
-collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`).
+non-decreasing order, and its cells are reduced in that order.  Its
+boundary index, a :class:`BoundaryMatrix`, holds per dimension the cells'
+places in the filtration, their grades and an array of their faces'
+positions in the dimension below; each dimension is one block of columns,
+and columns of different dimensions never interact.  Dimensions are
+reduced top-down with clearing (Chen & Kerber's twist): a cell already
+paired as the creator of a higher-dimensional class has a column that
+reduces to zero, so that column is never built.  Each block's lows are its
+rows' largest faces, taken in one NumPy pass; only the columns whose low
+collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`),
+and the pairs are read off the final lows one dimension at a time.
 
 Two bounds on the memory a run holds raise :class:`ReductionMemoryError`:
 the index refuses a batch that would take it past a cell budget, and the
 kernel a block once the columns it has packed pass a byte limit.
 
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
-every filtration for the reduction, the tower's too as it is assembled.  It
-checks each batch of cells in C-level passes and indexes each maximal run
-of same-dimension cells in one step, since no cell of a run is a face of
-another; a batch whose runs are short, and the rest of a batch from the
-first run that fails a check, are indexed one cell at a time, so an error
-always names the first failing cell.  An edge must list its vertices in
-increasing order; a higher cell whose faces are all cells then does too.
+every filtration for the reduction, the tower's too as it is assembled.  As
+cells are emitted it checks their grades, that none is empty and that none
+repeats.  When the index is read, it finds the faces of each dimension in
+one NumPy pass.  Each cell gets a 64-bit key, the wrapping sum of a fixed
+mix of its vertex ids, so a face's key is its cell's key less the mix of the
+vertex it drops, and is looked up among the sorted keys of the dimension
+below.  Every face found is then checked exactly, one face column at a
+time.  A missing or later face, an edge whose vertices do not increase, a
+key shared within a dimension, or vertex ids that are not integers send
+every cell to a scan that indexes one cell at a time: it raises at the
+first failing cell, with the index and message of a check of each cell in
+turn, or, when nothing was wrong but a key, builds the same index.  So the
+keys never decide a result.  An edge must list its vertices in increasing
+order; a higher cell whose faces are all cells then does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -31,26 +41,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, count, pairwise, repeat, starmap
-from operator import itemgetter, le, lt, ne
+from itertools import chain, combinations, pairwise, repeat, starmap
+from operator import itemgetter, le
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# The most cells an index may hold.  An indexed cell costs about 410-495 B
-# of peak RSS (its simplex, grade, face tuple and position), so the budget
-# holds a run to about half a GiB.
+# The most cells an index may hold.  An indexed cell costs about 180-310 B
+# of peak RSS (its simplex and grade, its entry in the table of cells
+# emitted, its face positions, and a few words per vertex while the faces
+# are found), as the tower's assembly grows on circles of 1,000 and 2,000
+# points, so the budget holds a run to about a third of a GiB.
 _MAX_CELLS = 1 << 20
 
 # The most bytes of packed columns the kernel may hold for one block.
 _MAX_PACKED_BYTES = 1 << 30
 
-# The builder indexes a batch run by run only when its runs of same-dimension
-# cells average at least this many cells: shorter runs do not repay their
-# set-up, and the tower emits many batches of runs of two or three cells.
-_SHORT_RUN = 16
+# splitmix64's finaliser, the fixed mix of a vertex id into its share of a key
+_MIX = (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
 
 _simplex = itemgetter(0)
 _grade = itemgetter(1)
@@ -92,179 +104,251 @@ class PersistenceDiagram:
         return tuple(b for k, b, d in self.pairs if k == dim and math.isinf(d))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class BoundaryMatrix:
     """A filtration's cells, in its own order, indexed for the reduction.
 
-    ``by_dim[d]`` lists the indices into ``cells`` of the dimension-``d``
-    cells in order, and ``columns[i]`` holds the faces of cell ``i`` as
-    positions in ``by_dim[d - 1]``, unsorted (empty for a vertex).
+    For each dimension ``d``, ``by_dim[d]`` holds the indices into ``cells``
+    of the dimension-``d`` cells in order, ``grades[d]`` their grades, and
+    ``faces[d]``, an ``n_d x (d + 1)`` array, the positions in
+    ``by_dim[d - 1]`` of each cell's faces, in ``itertools.combinations``
+    order (``n_0 x 0`` for the vertices).  Two matrices are equal only when
+    they are the same object.
     """
 
     cells: tuple[tuple[Simplex, float], ...]
-    by_dim: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
+    by_dim: tuple[np.ndarray, ...]
+    faces: tuple[np.ndarray, ...]
+    grades: tuple[np.ndarray, ...]
 
     @classmethod
     def from_filtration(cls, filtration: Iterable[tuple[Simplex, float]]) -> "BoundaryMatrix":
         """Index the ``(simplex, grade)`` pairs of *filtration*, checking
-        their order: after one pass over the grades, each maximal run of
-        same-dimension cells is indexed in one step.
+        their order, and find the faces of each dimension in one pass.
 
         Raises :class:`FiltrationOrderError` at the first cell that is
         empty, is an edge whose vertices do not increase, repeats an
         earlier one, lacks a face among the cells before it, or has a grade
-        that is NaN, infinite or below its predecessor's; the index and
-        message are those of a scan that checks one cell at a time.
-        More cells than the cell budget raise :class:`ReductionMemoryError`
-        before any is indexed.
+        that is NaN or below its predecessor's, with the index and message
+        of a scan that checks one cell at a time; then, at the first cell
+        whose grade is infinite.  More cells than the cell budget raise
+        :class:`ReductionMemoryError` before any is indexed.
         """
         cells = tuple(filtration)
-        index = _Index()
-        index.emit(cells)
+        # the index's table of cells is not needed past these checks
+        _Index().emit(cells)
+        matrix = _located(cells) or _scan(cells)
         # the grades are in order now, so only the ends can be infinite
         if cells and not (math.isfinite(cells[0][1]) and math.isfinite(cells[-1][1])):
             i = next(i for i, (_, g) in enumerate(cells) if math.isinf(g))
             raise FiltrationOrderError(f"cell {cells[i][0]} has non-finite grade {cells[i][1]}", i)
-        index.cells = cells  # so the matrix shares the input tuple
-        return index.matrix()
+        return matrix
 
 
 class _Index:
-    """A filtration's :class:`BoundaryMatrix`, built as its cells are emitted
-    (by the tower while it is assembled); ``pos`` maps every cell emitted to
-    its position within its dimension, which never changes."""
+    """A filtration's cells, checked as they are emitted (by the tower while
+    it is assembled), and read as a :class:`BoundaryMatrix` by
+    :meth:`matrix`; ``emitted`` holds the simplex of every cell emitted."""
 
-    __slots__ = ("cells", "pos", "by_dim", "columns", "last")
+    __slots__ = ("cells", "emitted", "last")
 
     def __init__(self) -> None:
         self.cells: list[tuple[Simplex, float]] = []
-        self.pos: dict[Simplex, int] = {}
-        self.by_dim: list[list[int]] = []
-        self.columns: list[tuple[int, ...]] = []
+        self.emitted: set[Simplex] = set()
         self.last = -math.inf
 
     def emit(self, pairs: Sequence[tuple[Simplex, float]]) -> None:
         """Append the sequence *pairs* of ``(simplex, grade)`` pairs to the
-        filtration, with the checks of :meth:`BoundaryMatrix.from_filtration`.
+        filtration.
 
-        The grades are checked in one pass, then each maximal run of
-        same-dimension cells is indexed in one step by :meth:`_run`.  The
-        first run that fails a check, and every cell after it, are indexed
-        one cell at a time, raising :class:`FiltrationOrderError` at the
-        first failing cell; so is a batch whose runs are too short to repay
-        their set-up.
+        A batch that would take the index past the cell budget raises
+        :class:`ReductionMemoryError`.  The grades, the empty simplex and
+        repeats are checked in C-level passes; a batch that fails one is
+        scanned, with every cell emitted before it, one cell at a time,
+        which raises :class:`FiltrationOrderError` at the first failing
+        cell.  The faces are checked by :meth:`matrix`, so a face emitted
+        late raises only there.
         """
-        _check_cells(len(self.cells) + len(pairs))
-        done = 0
+        cells, emitted = self.cells, self.emitted
+        start = len(cells)
+        _check_cells(start + len(pairs))
+        simplices = list(map(_simplex, pairs))
+        emitted.update(simplices)
         # written so that a NaN grade fails it too
-        if len(pairs) >= _SHORT_RUN and all(
-            starmap(le, pairwise(chain((self.last,), map(_grade, pairs))))
+        if not (
+            len(emitted) == start + len(pairs)
+            and () not in simplices
+            and all(starmap(le, pairwise(chain((self.last,), map(_grade, pairs)))))
         ):
-            ends = _run_ends(pairs)
-            if len(pairs) >= _SHORT_RUN * len(ends):
-                for stop in ends:
-                    if not self._run(pairs[done:stop]):
-                        break
-                    done = stop
-        # the rest one cell at a time, raising at the first that fails
-        cells, pos, by_dim, columns = self.cells, self.pos, self.by_dim, self.columns
-        last = self.last
-        lookup = pos.get
-        for i, cell in enumerate(pairs[done:], len(cells)):
-            s, grade = cell
-            if not grade >= last:
-                raise FiltrationOrderError(
-                    f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
-                )
-            last = grade
-            d = len(s) - 1
-            if d > 0:
-                if d == 1:
-                    try:
-                        increasing = s[0] < s[1]
-                    except TypeError:  # vertices that do not compare
-                        increasing = False
-                    if not increasing:
-                        raise FiltrationOrderError(
-                            f"edge {s} is not in increasing vertex order", i
-                        )
-                faces = tuple(map(lookup, combinations(s, d)))
-                if None in faces:
-                    face = next(f for f in combinations(s, d) if f not in pos)
-                    raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
-            elif d < 0:
-                raise FiltrationOrderError("the empty simplex is not a cell", i)
-            else:
-                faces = ()
-            if d == len(by_dim):
-                by_dim.append([])
-            cells_d = by_dim[d]
-            pos[s] = len(cells_d)
-            # the i cells before are distinct, so a repeat leaves i entries
-            if len(pos) == i:
-                raise FiltrationOrderError(f"duplicate cell {s}", i)
-            cells_d.append(i)
-            cells.append(cell)
-            columns.append(faces)
-        self.last = last
-
-    def _run(self, run: Sequence[tuple[Simplex, float]]) -> bool:
-        """Index *run*, cells of one dimension in order, in one step, or
-        index none of them and return False if one fails a check.
-
-        No cell of the run is a face of another, so every face is looked up
-        among the cells before the run.  An edge must list its vertices in
-        increasing order; by induction a higher cell whose faces are all
-        cells then does too.
-        """
-        simplices = list(map(_simplex, run))
-        d = len(simplices[0]) - 1
-        pos, by_dim = self.pos, self.by_dim
-        try:
-            if d < 0 or d == 1 and not all(starmap(lt, simplices)):
-                return False
-            if d:
-                # every face of the run, looked up in one pass and grouped
-                # d + 1 to a cell
-                faces_in_order = chain.from_iterable(map(combinations, simplices, repeat(d)))
-                positions = map(pos.__getitem__, faces_in_order)
-                faces = list(zip(*[positions] * (d + 1)))
-            else:
-                faces = repeat((), len(simplices))
-        except (KeyError, TypeError):  # a missing face, or vertices that do not compare
-            return False
-        if d == len(by_dim):
-            by_dim.append([])
-        cells_d = by_dim[d]
-        n = len(pos)
-        pos.update(zip(simplices, count(len(cells_d))))
-        if len(pos) != n + len(simplices):
-            # a cell repeats: restore the positions the run overwrote
-            for s in simplices:
-                pos.pop(s, None)
-            cells = self.cells
-            for k, i in enumerate(cells_d):
-                pos[cells[i][0]] = k
-            return False
-        i = len(self.cells)
-        cells_d.extend(range(i, i + len(simplices)))
-        self.cells.extend(run)
-        self.columns.extend(faces)
-        self.last = run[-1][1]
-        return True
+            _scan([*cells, *pairs])  # a cell is at fault, so this raises
+        cells.extend(pairs)
+        if pairs:
+            self.last = pairs[-1][1]
 
     def matrix(self) -> BoundaryMatrix:
-        return BoundaryMatrix(
-            tuple(self.cells), tuple(map(tuple, self.by_dim)), tuple(self.columns)
-        )
+        """The index of the cells emitted, found in one pass per dimension
+        or, when a check of that pass fails, by a scan of one cell at a
+        time, which raises :class:`FiltrationOrderError` at the first cell
+        at fault."""
+        cells = tuple(self.cells)
+        return _located(cells) or _scan(cells)
 
 
-def _run_ends(pairs: Sequence[tuple[Simplex, float]]) -> list[int]:
-    """The end of each maximal run of same-dimension cells in *pairs*."""
-    ends = list(compress(count(1), starmap(ne, pairwise(map(len, map(_simplex, pairs))))))
-    ends.append(len(pairs))
-    return ends
+def _mixed(vertices: np.ndarray) -> np.ndarray:
+    """Each vertex id's share of a key: a fixed 64-bit mix of the id."""
+    a, m1, b, m2, c = _MIX
+    x = vertices.astype(np.uint64)
+    x ^= x >> a
+    x *= m1
+    x ^= x >> b
+    x *= m2
+    x ^= x >> c
+    return x
+
+
+def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
+    """The index of *cells*, emitted and checked but for their faces, with
+    the faces of each dimension located by key in one pass and checked
+    exactly, one face column at a time; None when a check fails or a vertex
+    id is not an integer."""
+    simplices = list(map(_simplex, cells))
+    sizes = np.fromiter(map(len, simplices), np.intp, len(cells))
+    per_dim = np.bincount(sizes)[1:]
+    if not per_dim.all():  # a dimension with no cells below a cell
+        return None
+    # the simplices in (dimension, filtration) order
+    order = np.argsort(sizes, kind="stable")
+    simplices = list(map(simplices.__getitem__, order.tolist()))
+    by_dim, faces = [], []
+    below = None  # the dimension below: its vertices, indices and keys
+    hi = 0
+    for d, n in enumerate(per_dim.tolist()):
+        lo, hi = hi, hi + n
+        rows = order[lo:hi]
+        ids = np.array(list(chain.from_iterable(simplices[lo:hi])))
+        if ids.dtype.kind not in "ib":  # strings, floats, ids past 64 bits
+            return None
+        # row c holds each cell's c-th vertex id, and its share of the key
+        vertices = ids.reshape(n, d + 1).T.copy()
+        mix = _mixed(vertices)
+        key = mix.sum(axis=0)  # wraps modulo 2**64
+        located = np.empty((n, d + 1 if d else 0), np.intp)
+        if d:
+            if d == 1 and not (vertices[0] < vertices[1]).all():
+                return None
+            vertices_b, rows_b, keys_b = below
+            for k in range(d + 1):
+                j = d - k  # combinations order drops the last vertex first
+                found = keys_b.find(key - mix[j])
+                if not (
+                    all(
+                        (b.take(found) == v).all()
+                        for b, v in zip(vertices_b, chain(vertices[:j], vertices[j + 1 :]))
+                    )
+                    and (rows_b.take(found) < rows).all()
+                ):
+                    return None
+                located[:, k] = found
+        keys = _Keys(key)
+        if not keys.distinct:
+            return None
+        below = vertices, rows, keys
+        by_dim.append(rows)
+        faces.append(located)
+    return _matrix(cells, by_dim, faces)
+
+
+class _Keys:
+    """One dimension's keys, sorted and bucketed by their top bits so that
+    a key is found in a step or two where a binary search takes many."""
+
+    __slots__ = ("distinct", "padded", "rows", "first", "shift")
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.rows = np.argsort(key)
+        # a last key above every other stops each walk within the keys
+        self.padded = padded = np.empty(len(key) + 1, np.uint64)
+        ordered = key.take(self.rows, out=padded[:-1])
+        padded[-1] = 2**64 - 1
+        self.distinct = not (ordered[1:] == ordered[:-1]).any()
+        bits = len(key).bit_length()  # about one key per bucket
+        self.shift = 64 - bits
+        # signed, since bincount refuses uint64 before NumPy 2.3
+        load = np.bincount((ordered >> self.shift).astype(np.intp), minlength=1 << bits)
+        self.first = np.cumsum(load) - load  # each bucket's first key
+
+    def find(self, needles: np.ndarray) -> np.ndarray:
+        """The row of the least key at or above each needle (the last row
+        when there is none), so the row of each needle that is a key."""
+        at = self.first[needles >> self.shift]
+        padded = self.padded
+        # walk each needle up its bucket: it passes only keys below it
+        step = np.flatnonzero(padded[at] < needles)
+        while step.size:
+            at[step] += 1
+            step = step[padded[at[step]] < needles[step]]
+        np.minimum(at, len(self.rows) - 1, out=at)
+        return self.rows[at]
+
+
+def _scan(cells: Sequence[tuple[Simplex, float]]) -> BoundaryMatrix:
+    """The index of *cells*, built one cell at a time with every check of
+    :meth:`BoundaryMatrix.from_filtration` but for infinite grades, raising
+    :class:`FiltrationOrderError` at the first cell that fails one."""
+    pos: dict[Simplex, int] = {}
+    lookup = pos.get
+    by_dim: list[list[int]] = []
+    faces: list[list[tuple[int, ...]]] = []
+    last = -math.inf
+    for i, (s, grade) in enumerate(cells):
+        if not grade >= last:
+            raise FiltrationOrderError(
+                f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
+            )
+        last = grade
+        d = len(s) - 1
+        if d > 0:
+            if d == 1:
+                try:
+                    increasing = s[0] < s[1]
+                except TypeError:  # vertices that do not compare
+                    increasing = False
+                if not increasing:
+                    raise FiltrationOrderError(f"edge {s} is not in increasing vertex order", i)
+            column = tuple(map(lookup, combinations(s, d)))
+            if None in column:
+                face = next(f for f in combinations(s, d) if f not in pos)
+                raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
+        elif d < 0:
+            raise FiltrationOrderError("the empty simplex is not a cell", i)
+        else:
+            column = ()
+        if d == len(by_dim):
+            by_dim.append([])
+            faces.append([])
+        cells_d = by_dim[d]
+        pos[s] = len(cells_d)
+        # the i cells before are distinct, so a repeat leaves i entries
+        if len(pos) == i:
+            raise FiltrationOrderError(f"duplicate cell {s}", i)
+        cells_d.append(i)
+        faces[d].append(column)
+    return _matrix(
+        tuple(cells),
+        [np.array(rows, np.intp) for rows in by_dim],
+        [np.array(f, np.intp).reshape(len(f), d + 1 if d else 0) for d, f in enumerate(faces)],
+    )
+
+
+def _matrix(
+    cells: tuple[tuple[Simplex, float], ...],
+    by_dim: Sequence[np.ndarray],
+    faces: Sequence[np.ndarray],
+) -> BoundaryMatrix:
+    """The :class:`BoundaryMatrix` of *cells* with their indices and faces
+    per dimension, each dimension's grades read off *cells*."""
+    grades = np.fromiter(map(_grade, cells), np.float64, len(cells))
+    return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades[i] for i in by_dim))
 
 
 def _check_cells(held: int) -> None:
@@ -300,35 +384,37 @@ def compute_persistence(
 
 
 def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:
-    """Reduce an indexed filtration and read off its diagram: each pair as
-    its block finds it, then an essential class for each cell left unpaired."""
-    cells, by_dim, columns = matrix.cells, matrix.by_dim, matrix.columns
-    paired = [False] * len(cells)
+    """Reduce an indexed filtration and read off its diagram: the pairs of
+    each block from its final lows, then an essential class for each cell
+    left unpaired."""
+    faces, grades = matrix.faces, matrix.grades
+    paired = [np.zeros(len(rows), bool) for rows in matrix.by_dim]
     out: list[tuple[int, float, float]] = []
 
-    for p in range(len(by_dim) - 1, 0, -1):
+    for p in range(len(faces) - 1, 0, -1):
         # clearing: a cell that creates a class killed in dimension p + 1
         # has a column that reduces to zero, so it is never built; no dim-p
         # cell is paired as a destroyer before this block is built
-        cols_g = [g for g in by_dim[p] if not paired[g]]
-        if not cols_g:
+        live = np.flatnonzero(~paired[p])
+        if not live.size:
             continue
-        rows_g = by_dim[p - 1]
-        # the index's own face tuples: the kernel packs only colliding columns
-        block = [columns[g] for g in cols_g]
-        lows = reduce_block(block, _MAX_PACKED_BYTES)
-        del block  # free the packed columns before the next block
+        block = faces[p][live]
+        lows = block.max(axis=1).tolist()
+        reduce_block(block, lows, _MAX_PACKED_BYTES)
+        del block  # free the block before the next one
+        lows = np.array(lows, np.intp)
+        hit = lows >= 0
+        destroyers, creators = live[hit], lows[hit]
+        paired[p][destroyers] = True
+        paired[p - 1][creators] = True
+        birth, death = grades[p - 1][creators], grades[p][destroyers]
+        if not include_zero_pairs:
+            real = birth != death
+            birth, death = birth[real], death[real]
+        out.extend(zip(repeat(p - 1), birth.tolist(), death.tolist()))
 
-        for g, low in zip(cols_g, lows):
-            if low >= 0:
-                creator = rows_g[low]
-                paired[creator] = True
-                paired[g] = True
-                birth, death = cells[creator][1], cells[g][1]
-                if birth != death or include_zero_pairs:
-                    out.append((p - 1, birth, death))
-
-    out.extend((len(s) - 1, g, math.inf) for (s, g), done in zip(cells, paired) if not done)
+    for p, (done, births) in enumerate(zip(paired, grades)):
+        out.extend(zip(repeat(p), births[~done].tolist(), repeat(math.inf)))
     return PersistenceDiagram.from_pairs(out)
 
 

@@ -120,10 +120,12 @@ class PipelineTimings:
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
     # tower assembly with its filtration (AT), not the graphs; when collapsing,
-    # also the boundary index the reduction reads, built as the cells are emitted
+    # also the boundary index the reduction reads: its cells are checked as
+    # they are emitted, and its faces found in one NumPy pass per dimension
+    # once the last core is in
     assembly: float
     # boundary-matrix reduction (PDT); without collapsing, also the boundary
-    # index, built from the finished filtration
+    # index, checked and its faces found from the finished filtration
     reduction: float
 
 

@@ -21,12 +21,15 @@ that are not yet cells, and a Contract(u, v) to the star of ``u``, never to
 the whole complex.  A core's new cells are found level by level: the
 k-vertex faces of those maximal simplices, less the live cells, sorted, for
 k = 1, 2, ...  They are emitted into the checked builder behind
-:meth:`~ripscollapse.persistence.BoundaryMatrix.from_filtration`, so the
-same pass builds the boundary index the reduction reads.
+:meth:`~ripscollapse.persistence.BoundaryMatrix.from_filtration`, which
+checks them as they come and finds their faces in one pass per dimension
+once the last core is in, so the same pass builds the boundary index the
+reduction reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -96,7 +99,7 @@ class _Complex:
 
     A cell is live (in the complex) iff it has been emitted and contains no
     vertex of ``dead``, the renamed-away ones; so a cell on live vertices
-    is live iff it is in ``index.pos``.
+    is live iff it is in ``index.emitted``.
 
     ``cofaces[x]`` lists, in order of addition, the live cells added that
     contain ``x``.  The lists are append-only: a cell that has left the
@@ -129,13 +132,25 @@ class _Complex:
         over ``star(u)``; the images ``(s - {u}) + {v}`` then replace
         ``star(u)``.  The cost is in proportion to the star of ``u``.
         """
-        dead, pos = self.dead, self.index.pos
-        star = [s for s in self.cofaces.pop(u, ()) if dead.isdisjoint(s)]
-        images = {tuple(sorted({v if x == u else x for x in s})) for s in star}
-        cone = images.union(tuple(sorted(s + (v,))) for s in star if v not in s)
+        dead, emitted = self.dead, self.index.emitted
+        images: set[Simplex] = set()
+        joins: list[Simplex] = []  # s + {v} for each s in star(u) without v
+        for s in self.cofaces.pop(u, ()):
+            if not dead.isdisjoint(s):
+                continue
+            i = bisect_left(s, u)
+            rest = s[:i] + s[i + 1 :]  # s - {u}
+            k = bisect_left(rest, v)
+            if rest[k : k + 1] == (v,):  # v in s: the image is s - {u}
+                images.add(rest)
+            else:
+                images.add(rest[:k] + (v,) + rest[k:])
+                k = bisect_left(s, v)
+                joins.append(s[:k] + (v,) + s[k:])
+        cone = images.union(joins)
         # every cone cell is on live vertices, so it is live iff emitted
-        fresh = images.difference(pos)
-        new = sorted(cone.difference(pos))
+        fresh = images.difference(emitted)
+        new = sorted(cone.difference(emitted))
         new.sort(key=len)
         self.index.emit(tuple(zip(new, repeat(grade))))
         dead.add(u)
@@ -174,7 +189,8 @@ def assemble_tower(
     complex holds only live vertices, and a cell that has left it contains a
     contracted id, which never returns.  The cells are indexed with the
     checks of :meth:`BoundaryMatrix.from_filtration`, so a cell emitted
-    twice, or before one of its faces, raises :class:`FiltrationOrderError`.
+    twice raises :class:`FiltrationOrderError`, and so does a cell emitted
+    before one of its faces, once the last core is assembled.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -263,7 +279,7 @@ def assemble_tower(
             w = mapping[u]
             if w == u:
                 continue
-            if (w,) not in index.pos:
+            if (w,) not in index.emitted:
                 index.emit([((w,), g)])
                 current.add_cofaces([(w,)])
             start = len(index.cells)
@@ -274,15 +290,15 @@ def assemble_tower(
         # not live, found level by level, so each level sorts into
         # lexicographic order; a live maximal simplex has no such face, and
         # no contraction follows the last core to read its cofaces
-        pos = index.pos
+        emitted = index.emitted
         tops = [tuple(sorted(new_ident[q] for q in s)) for s in maximal]
-        tops = [t for t in tops if t not in pos]
+        tops = [t for t in tops if t not in emitted]
         k = 1
         while tops:
             level: set[Simplex] = set()
             for t in tops:
                 level.update(combinations(t, k))
-            new = sorted(level.difference(pos))
+            new = sorted(level.difference(emitted))
             index.emit(tuple(zip(new, repeat(g))))
             if j < len(cores) - 1:
                 current.add_cofaces(new)

@@ -530,6 +530,20 @@ def naive_boundary_index(cells):
     return tuple(map(tuple, by_dim)), tuple(columns)
 
 
+def boundary_index_of(matrix):
+    """``(by_dim, columns)`` of a ``BoundaryMatrix``, laid out as
+    :func:`naive_boundary_index` lays them out, once each dimension's face
+    array is checked for its shape and its grades against the cells."""
+    by_dim = tuple(tuple(rows.tolist()) for rows in matrix.by_dim)
+    columns = [None] * len(matrix.cells)
+    for d, (rows, faces, grades) in enumerate(zip(by_dim, matrix.faces, matrix.grades)):
+        assert faces.shape == (len(rows), d + 1 if d else 0)
+        assert grades.tolist() == [matrix.cells[i][1] for i in rows]
+        for i, column in zip(rows, faces.tolist()):
+            columns[i] = tuple(column)
+    return by_dim, tuple(columns)
+
+
 def exact_rips_filtration(D, max_dim=None):
     """Edge-length Rips filtration of a full distance matrix (n <= ~12).
 

@@ -118,50 +118,51 @@ def test_collapse_kernel_output_is_pinned():
     assert hashlib.sha256(f"{rows}|{cols}".encode()).hexdigest()[:16] == "673c90e9e3a710b9"
 
 
-def _rows_of(column):
-    """Set of the rows of one reduced column: a face tuple or an int bitset."""
-    if isinstance(column, tuple):
-        return set(column)
-    return {r for r in range(column.bit_length()) if column >> r & 1}
-
-
 def _face_blocks(rng):
-    """Blocks of face-tuple columns: random ones with unsorted faces and
-    empty columns, and ones built to collide in long chains and vanish."""
+    """Blocks of columns as arrays of rows of faces: random ones with
+    unsorted faces, and ones built to collide in long chains and vanish."""
     for _ in range(40):
         n_rows = int(rng.integers(1, 100))
-        block = []
-        for _ in range(int(rng.integers(1, 40))):
-            k = int(rng.integers(0, min(n_rows, 6) + 1))
-            block.append(tuple(int(f) for f in rng.choice(n_rows, size=k, replace=False)))
-        yield block
+        k = int(rng.integers(1, min(n_rows, 6) + 1))
+        n_cols = int(rng.integers(1, 40))
+        yield np.array([rng.choice(n_rows, size=k, replace=False) for _ in range(n_cols)])
     for _ in range(20):
         # every column shares the low 90 with the first, so each one adds
         # the chain of owners below it; repeats vanish
         base = [tuple(int(f) for f in rng.choice(90, size=3, replace=False)) + (90,)]
         for _ in range(int(rng.integers(5, 30))):
-            col = tuple(int(f) for f in rng.choice(90, size=int(rng.integers(1, 6)), replace=False))
+            col = tuple(int(f) for f in rng.choice(90, size=3, replace=False))
             base.append(col + (90,) if rng.random() < 0.7 else base[int(rng.integers(len(base)))])
-        yield [tuple(rng.permutation(c).tolist()) for c in base]
+        yield np.array([rng.permutation(c) for c in base])
+
+
+def _reduce(block, limit=1 << 30):
+    """The final lows of *block* and the bitsets ``reduce_block`` returns."""
+    lows = block.max(axis=1).tolist()
+    packed = reduce_block(block, lows, limit)
+    return lows, packed
 
 
 def test_reduce_block_paths_agree():
-    """The reduction over face tuples gives the lows and reduced columns of
-    the set-based textbook reduction, and a column whose low was free comes
-    back as the very tuple it was given."""
+    """The reduction over rows of faces gives the lows and reduced columns
+    of the set-based textbook reduction: a column that owns its low is the
+    bitset returned for it, or, when it was never packed, its own row."""
     rng = np.random.default_rng(17)
     collided = vanished = 0
     for block in _face_blocks(rng):
-        given = list(block)
+        given = [set(row) for row in block.tolist()]
         reduced = naive_column_reduction(given)
-        lows = reduce_block(block, 1 << 30)
+        lows, packed = _reduce(block)
         assert lows == [max(col, default=-1) for col in reduced]
-        assert [_rows_of(c) for c in block] == reduced
         owned = set()
-        for col, back, low in zip(given, block, lows):
-            if max(col, default=-1) not in owned:
-                assert back is col
+        for j, (col, low, want) in enumerate(zip(given, lows, reduced)):
+            if low < 0:
+                assert want == set() and j not in packed
+            elif j in packed:
+                assert {r for r in range(low + 1) if packed[j] >> r & 1} == want
             else:
+                assert col == want
+            if max(col) in owned:
                 collided += 1
                 vanished += low < 0
             if low >= 0:
@@ -177,7 +178,7 @@ def test_reduce_block_refuses_past_its_byte_limit(monkeypatch):
     rng = np.random.default_rng(23)
     # the edges of a random graph on 60 vertices: most close a cycle and collide
     edges = {tuple(sorted(rng.choice(60, size=2, replace=False).tolist())) for _ in range(400)}
-    block = [tuple(rng.permutation(e).tolist()) for e in sorted(edges)]
+    block = np.array([rng.permutation(e) for e in sorted(edges)])
     sizes = []
     pack = _kernels._pack
 
@@ -187,15 +188,15 @@ def test_reduce_block_refuses_past_its_byte_limit(monkeypatch):
         return c
 
     monkeypatch.setattr(_kernels, "_pack", recording)
-    want = reduce_block(list(block), 1 << 30)
-    assert want == [max(col, default=-1) for col in naive_column_reduction(block)]
+    want, _ = _reduce(block)
+    assert want == [max(col, default=-1) for col in naive_column_reduction(block.tolist())]
     peak = sum(sizes)
     assert len(sizes) > 300
     for limit in (0, peak // 2, peak - 1):
         with pytest.raises(ReductionMemoryError) as exc:
-            reduce_block(list(block), limit)
+            _reduce(block, limit)
         assert limit < exc.value.held <= peak and exc.value.unit == "bytes"
     for limit in (peak, peak + 1):
-        assert reduce_block(list(block), limit) == want
+        assert _reduce(block, limit)[0] == want
     sizes.clear()
-    assert reduce_block([(1, 0), (2, 1), (3,)], 0) == [1, 2, 3] and sizes == []
+    assert _reduce(np.array([(1, 0), (2, 1), (3, 2)]), 0) == ([1, 2, 3], {}) and sizes == []

@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     FAULT_REASONS,
     betti_by_rank,
+    boundary_index_of,
     expand_by_powerset,
     naive_boundary_index,
     naive_check_filtration,
@@ -112,9 +113,9 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
     packed = []
     kernel = persistence.reduce_block
 
-    def recording(columns, limit):
-        packed.append(len(columns))
-        return kernel(columns, limit)
+    def recording(faces, lows, limit):
+        packed.append(len(faces))
+        return kernel(faces, lows, limit)
 
     monkeypatch.setattr(persistence, "reduce_block", recording)
     rng = random.Random(1731)
@@ -123,17 +124,14 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
         pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(rng.randint(3, 9))]
         grades = sorted({round(rng.uniform(0.1, 1.0), 2) for _ in range(rng.randint(1, 4))})
         filtration = run_pipeline(pairwise_distances(pts), grades, collapse=False).filtration
-        matrix = BoundaryMatrix.from_filtration(filtration)
+        by_dim, columns = boundary_index_of(BoundaryMatrix.from_filtration(filtration))
         # columns hold positions in the dimension below; the naive reduction
         # wants cell indices
         reduced = naive_column_reduction(
-            [
-                {matrix.by_dim[len(s) - 2][f] for f in faces}
-                for (s, _), faces in zip(matrix.cells, matrix.columns)
-            ]
+            [{by_dim[len(s) - 2][f] for f in faces} for (s, _), faces in zip(filtration, columns)]
         )
         killed = {max(col) for col in reduced if col}
-        dims = [len(s) - 1 for s, _ in matrix.cells]
+        dims = [len(s) - 1 for s, _ in filtration]
         want = []
         for p in range(max(dims), 0, -1):
             cells = [i for i, d in enumerate(dims) if d == p]
@@ -321,14 +319,26 @@ def test_filtration_validate():
         assert reason in str(exc.value)
 
 
-@pytest.mark.parametrize("short_run", [1, persistence._SHORT_RUN])
-def test_unsorted_edge_is_refused(monkeypatch, short_run):
+def _constant_mix(ids):
+    return np.zeros_like(ids, np.uint64)
+
+
+@pytest.fixture(params=["located", "scanned"])
+def index_path(request, monkeypatch):
+    """Each way the builder finds faces: located by key, or, with a constant
+    key mix that makes the keys of every dimension collide, by the scan of
+    one cell at a time."""
+    if request.param == "scanned":
+        monkeypatch.setattr(persistence, "_mixed", _constant_mix)
+    return request.param
+
+
+def test_unsorted_edge_is_refused(index_path):
     """An edge must list its vertices in increasing order, whether the
-    builder indexes run by run or one cell at a time: ``(1, 0)`` once passed
-    as a second copy of ``(0, 1)`` that killed a component and left a
-    spurious class, ``(0, 0)`` passed as an edge, and ``(0, 'a')`` raised a
-    bare ``TypeError``."""
-    monkeypatch.setattr(persistence, "_SHORT_RUN", short_run)
+    builder locates faces by key or scans one cell at a time: ``(1, 0)``
+    once passed as a second copy of ``(0, 1)`` that killed a component and
+    left a spurious class, ``(0, 0)`` passed as an edge, and ``(0, 'a')``
+    raised a bare ``TypeError``."""
     for other, bad in ((1, (1, 0)), (1, (0, 0)), ("a", (0, "a"))):
         cells = (((0,), 0.0), ((other,), 0.0), (bad, 1.0), ((0, 1), 2.0))
         message = re.escape(f"edge {bad} is not in increasing vertex order")
@@ -396,7 +406,8 @@ FAULTS = ("drop", "orphan", "repeat-earlier", "repeat-in-run", "lower", "nan", "
 
 def _builder_outcome(cells, chunks=None):
     """``(cell_index, reason)`` of the builder's refusal of *cells*, or the
-    ``(by_dim, columns)`` it built; with *chunks*, the cells are emitted in
+    ``(by_dim, columns)`` it built, laid out as the naive index lays them
+    out; with *chunks*, the cells are emitted in
     batches of those sizes, as the tower emits them."""
     try:
         if chunks is None:
@@ -413,18 +424,16 @@ def _builder_outcome(cells, chunks=None):
         assert len(reasons) == 1, str(e)
         return e.cell_index, reasons[0]
     assert m.cells == tuple(cells)
-    return m.by_dim, m.columns
+    return boundary_index_of(m)
 
 
-@pytest.mark.parametrize("short_run", [1, persistence._SHORT_RUN])
-def test_builder_refuses_the_cell_the_judge_refuses(monkeypatch, short_run):
+def test_builder_refuses_the_cell_the_judge_refuses(index_path):
     """One or two faults of every kind, placed at the start, middle and end
     of runs and on grade boundaries of seeded oracle and tower filtrations:
     the builder refuses the cell the judge names, for the judge's reason,
-    whether it gets the cells at once or in batches, and indexes an
-    unfaulted result as a naive per-cell index does.  With *short_run* 1
-    every batch is indexed run by run."""
-    monkeypatch.setattr(persistence, "_SHORT_RUN", short_run)
+    whether it gets the cells at once or in batches and whether it locates
+    faces by key or scans one cell at a time, and indexes an unfaulted
+    result as a naive per-cell index does."""
     rng = random.Random(7)
     faulted = 0
     for cells in _seeded_filtrations():
@@ -446,6 +455,80 @@ def test_builder_refuses_the_cell_the_judge_refuses(monkeypatch, short_run):
                     assert outcome == fault
             faulted += fault is not None
     assert faulted > 100
+
+
+def _scans(monkeypatch):
+    """A list that records each filtration the per-cell scan indexes."""
+    scanned = []
+    scan = persistence._scan
+
+    def recording(cells):
+        scanned.append(len(cells))
+        return scan(cells)
+
+    monkeypatch.setattr(persistence, "_scan", recording)
+    return scanned
+
+
+def test_scan_builds_the_index_the_keys_locate(monkeypatch):
+    """With a constant key mix every filtration falls back to the per-cell
+    scan, which builds the index and the diagrams, zero-length pairs too,
+    that locating faces by key builds, on seeded oracle and tower
+    filtrations; with the fixed mix, none of them falls back."""
+    scanned = _scans(monkeypatch)
+    for cells in _seeded_filtrations():
+        located = BoundaryMatrix.from_filtration(cells)
+        diagrams = [persistence._diagram(located, zero) for zero in (False, True)]
+        assert scanned == []
+        with monkeypatch.context() as m:
+            m.setattr(persistence, "_mixed", _constant_mix)
+            by_scan = BoundaryMatrix.from_filtration(cells)
+        assert scanned == [len(cells)]
+        scanned.clear()
+        assert boundary_index_of(by_scan) == boundary_index_of(located)
+        assert [persistence._diagram(by_scan, zero) for zero in (False, True)] == diagrams
+
+
+def test_keys_are_bucketed_without_an_unsigned_count(monkeypatch):
+    """``np.bincount`` refuses uint64 input before NumPy 2.3 (numpy>=1.24 is
+    supported), so the key pass must hand it signed bucket numbers: with a
+    bincount that refuses unsigned input, faces are still found by key."""
+    filtrations = list(_seeded_filtrations())
+    want = [compute_persistence(cells, include_zero_pairs=True) for cells in filtrations]
+    bincount = np.bincount
+
+    def signed_only(x, *args, **kwargs):
+        if np.asarray(x).dtype.kind == "u":
+            raise TypeError("Cannot cast array data from dtype('uint64') to dtype('int64')")
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", signed_only)
+    scanned = _scans(monkeypatch)
+    assert [compute_persistence(cells, include_zero_pairs=True) for cells in filtrations] == want
+    assert scanned == []
+
+
+def test_vertex_ids_of_any_kind(monkeypatch):
+    """Strings, ids at or past 2**63, bools and negative ids give the
+    diagram of the same filtration on 0, 1, ...: the first two through the
+    per-cell scan, the others through the keys."""
+    scanned = _scans(monkeypatch)
+    cells = next(_seeded_filtrations())
+    want = compute_persistence(cells, include_zero_pairs=True)
+    for relabel, scans in (
+        (lambda v: f"v{v:03d}", True),
+        (lambda v: v + 2**63, True),
+        (lambda v: v - 1000, False),
+    ):
+        scanned.clear()
+        moved = [(tuple(map(relabel, s)), g) for s, g in cells]
+        assert compute_persistence(moved, include_zero_pairs=True) == want
+        assert scanned == ([len(cells)] if scans else [])
+    scanned.clear()
+    edge = [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
+    booleans = [(tuple(map(bool, s)), g) for s, g in edge]
+    assert compute_persistence(booleans) == compute_persistence(edge)
+    assert scanned == []
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

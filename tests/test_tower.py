@@ -6,6 +6,7 @@ import random
 import pytest
 from oracles import (
     TowerOpError,
+    boundary_index_of,
     maximal_simplices,
     naive_assemble_core_tower,
     naive_check_filtration,
@@ -42,7 +43,9 @@ def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     tower, matrix = assemble_tower(cores, retractions, grades, cap)
     naive_check_filtration(tower.cells)
     assert tower.cells == naive_tower_to_filtration(tower)
-    assert matrix == BoundaryMatrix.from_filtration(tower.cells)
+    assert matrix.cells == tower.cells
+    rebuilt = BoundaryMatrix.from_filtration(tower.cells)
+    assert boundary_index_of(matrix) == boundary_index_of(rebuilt)
     diagram = _diagram(matrix)
     assert diagram == compute_persistence(tower.cells)
     assert list(diagram.pairs) == naive_persistence(tower.cells)
@@ -290,20 +293,27 @@ def test_contract_of_unknown_vertex_is_rejected():
 
 def test_a_cell_emitted_before_its_face_is_rejected():
     """The builder the tower emits into checks each cell as
-    ``from_filtration`` does: faces first, no repeat, no empty simplex, no
-    unsorted edge, and grades that never fall (a NaN falls)."""
-    for cell, message in (
-        (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)"),
-        (((0, 1), 1.0), r"^duplicate cell \(0, 1\)"),
-        (((), 1.0), r"^the empty simplex is not a cell"),
-        (((1, 0), 1.0), r"^edge \(1, 0\) is not in increasing vertex order"),
-        (((2,), math.nan), r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0"),
-        (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0"),
+    ``from_filtration`` does: no repeat, no empty simplex and grades that
+    never fall (a NaN falls) as the cell is emitted; faces first and no
+    unsorted edge once the index is read."""
+    for cell, message, on_emit in (
+        (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)", False),
+        (((0, 1), 1.0), r"^duplicate cell \(0, 1\)", True),
+        (((), 1.0), r"^the empty simplex is not a cell", True),
+        (((1, 0), 1.0), r"^edge \(1, 0\) is not in increasing vertex order", False),
+        (
+            ((2,), math.nan),
+            r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0",
+            True,
+        ),
+        (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0", True),
     ):
         index = _Complex().index
         index.emit([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0)])
         with pytest.raises(FiltrationOrderError, match=message) as e:
             index.emit([cell])
+            assert not on_emit
+            index.matrix()
         assert e.value.cell_index == 3
 
 

@@ -5,17 +5,23 @@ default cloud (no isometry) is collapsed at each of its grades with
 ``flag_core``, and the cores are assembled into a tower.  The tower's cells
 must equal the whole-complex coning of that tower, form a face-first
 filtration, and reduce, through the index built at assembly, to the diagram
-that ``compute_persistence`` finds from the cells alone.
+that ``compute_persistence`` finds from the cells alone.  Neither that index
+nor the uncollapsed oracle's of a comparison falls back to the per-cell
+scan, and on both oracle-compare clouds that scan, forced by a constant key
+mix, builds the oracle's index and diagrams all the same.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from oracles import naive_check_filtration, naive_tower_to_filtration
+from oracles import boundary_index_of, naive_check_filtration, naive_tower_to_filtration
 
-from ripscollapse.persistence import _diagram, compute_persistence
+from ripscollapse import persistence
+from ripscollapse.persistence import BoundaryMatrix, _diagram, compute_persistence
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import assemble_tower
 
@@ -33,8 +39,13 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
+def _no_scan(cells):
+    raise AssertionError(f"{len(cells)} cells fell back to the per-cell scan")
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_tower_passes_the_judges(name):
+def test_workload_tower_passes_the_judges(name, monkeypatch):
+    monkeypatch.setattr(persistence, "_scan", _no_scan)
     w = WORKLOADS[name]
     grades = w.grades()
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
@@ -45,3 +56,23 @@ def test_workload_tower_passes_the_judges(name):
     assert tower.cells == naive_tower_to_filtration(tower)
     naive_check_filtration(tower.cells)
     assert _diagram(matrix) == compute_persistence(tower.cells)
+    if w.api == "compare_pipelines":
+        run_pipeline(D, grades, collapse=False)
+
+
+@pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
+def test_oracle_index_is_the_same_by_key_and_by_scan(seed, monkeypatch):
+    w = WORKLOADS["oracle-compare"]
+    grades = w.grades()
+    D = pairwise_distances(w.cloud(getattr(w, seed), w.n))
+    cells = run_pipeline(D, grades, collapse=False).filtration
+    located = BoundaryMatrix.from_filtration(cells)
+    monkeypatch.setattr(persistence, "_mixed", lambda ids: np.zeros_like(ids, np.uint64))
+    scanned = []
+    scan = persistence._scan
+    monkeypatch.setattr(persistence, "_scan", lambda c: scanned.append(c) or scan(c))
+    by_scan = BoundaryMatrix.from_filtration(cells)
+    assert len(scanned) == 1
+    assert boundary_index_of(by_scan) == boundary_index_of(located)
+    for zero in (False, True):
+        assert _diagram(by_scan, zero) == _diagram(located, zero)
