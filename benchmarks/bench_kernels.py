@@ -9,8 +9,9 @@ and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower`` on the ``flag_core`` cliques and retractions of the
 torus-tower workload's cloud and grades, taken from
-``perfbench/workloads.py`` (without the run seed's isometry); that time
-includes the boundary index the assembly builds for the reduction.
+``perfbench/workloads.py`` (without the run seed's isometry), and
+``compute_persistence`` on the tower's cells, which indexes and reduces
+them as the collapsed pipeline does.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The index section times the oracle's cell build
@@ -136,10 +137,11 @@ def bench_tower():
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     results = [flag_core(adj) for adj in graded_bitsets(D, grades)]
     args = ([r.cliques for r in results], [r.retraction for r in results], grades)
-    tower, _ = assemble_tower(*args)
+    tower = assemble_tower(*args)
     contracts = len(tower.contractions)
-    print(f"  assemble_tower: {_ms(_time(assemble_tower, *args))}"
+    print(f"  assemble_tower:      {_ms(_time(assemble_tower, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
+    print(f"  compute_persistence: {_ms(_time(compute_persistence, tower.cells))}")
 
 
 def _extension_stats(cells, grades):

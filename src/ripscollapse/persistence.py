@@ -14,24 +14,26 @@ collides are packed into Python-int bitsets (see :mod:`ripscollapse._kernels`),
 and the pairs are read off the final lows one dimension at a time.
 
 Two bounds on the memory a run holds raise :class:`ReductionMemoryError`:
-the index refuses a batch that would take it past a cell budget, and the
-kernel a block once the columns it has packed pass a byte limit.
+the index refuses a filtration of more cells than a cell budget (so does
+the tower, as it emits them), and the kernel a block once the columns it
+has packed pass a byte limit.
 
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
-every filtration for the reduction, the tower's too as it is assembled.  As
-cells are emitted it checks their grades, that none is empty and that none
-repeats.  When the index is read, it finds the faces of each dimension in
-one NumPy pass.  Each cell gets a 64-bit key, the wrapping sum of a fixed
-mix of its vertex ids, so a face's key is its cell's key less the mix of the
-vertex it drops, and is looked up among the sorted keys of the dimension
-below.  Every face found is then checked exactly, one face column at a
-time.  A missing or later face, an edge whose vertices do not increase, a
-key shared within a dimension, or vertex ids that are not integers send
-every cell to a scan that indexes one cell at a time: it raises at the
-first failing cell, with the index and message of a check of each cell in
-turn, or, when nothing was wrong but a key, builds the same index.  So the
-keys never decide a result.  An edge must list its vertices in increasing
-order; a higher cell whose faces are all cells then does too.
+every filtration for the reduction, the tower's and the oracle's alike.  It
+checks the cells and finds the faces of each dimension in one NumPy pass.
+Each cell gets a 64-bit key, the wrapping sum of a fixed mix of its vertex
+ids, so a face's key is its cell's key less the mix of the vertex it drops,
+and is looked up among the sorted keys of the dimension below.  Every face
+found is then checked exactly, one face column at a time.  A cell that is
+not a vertex tuple with a real grade, a grade that is NaN or below its
+predecessor's, the empty simplex, a missing or later face, an edge whose
+vertices do not increase, a key shared within a dimension (as a repeat's
+is), or vertex ids that are not integers send every cell to a scan that
+indexes one cell at a time: it raises at the first failing cell, with the
+index and message of a check of each cell in turn, or, when nothing was
+wrong but a key, builds the same index.  So the keys never decide a result.
+An edge must list its vertices in increasing order; a higher cell whose
+faces are all cells then does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -41,8 +43,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, pairwise, repeat, starmap
-from operator import itemgetter, le
+from itertools import chain, combinations, repeat
+from numbers import Real
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,11 +54,11 @@ from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# The most cells an index may hold.  An indexed cell costs about 180-310 B
-# of peak RSS (its simplex and grade, its entry in the table of cells
-# emitted, its face positions, and a few words per vertex while the faces
-# are found), as the tower's assembly grows on circles of 1,000 and 2,000
-# points, so the budget holds a run to about a third of a GiB.
+# The most cells an index, or the tower that emits them, may hold.  An
+# indexed cell costs a few hundred bytes of peak RSS (its simplex and grade,
+# its face positions, and a few words per vertex while the faces are
+# found), as a tower's run grows on circles of 1,000 and 2,000 points, so
+# the budget holds a run to about a third of a GiB.
 _MAX_CELLS = 1 << 20
 
 # The most bytes of packed columns the kernel may hold for one block.
@@ -126,72 +129,22 @@ class BoundaryMatrix:
         """Index the ``(simplex, grade)`` pairs of *filtration*, checking
         their order, and find the faces of each dimension in one pass.
 
-        Raises :class:`FiltrationOrderError` at the first cell that is
-        empty, is an edge whose vertices do not increase, repeats an
-        earlier one, lacks a face among the cells before it, or has a grade
-        that is NaN or below its predecessor's, with the index and message
-        of a scan that checks one cell at a time; then, at the first cell
-        whose grade is infinite.  More cells than the cell budget raise
+        Raises :class:`FiltrationOrderError` at the first cell that is not
+        a hashable vertex tuple with a real grade, is empty, is an edge
+        whose vertices do not increase, repeats an earlier one, lacks a face
+        among the cells before it, or has a grade that is NaN or below its
+        predecessor's, with the index and message of a scan that checks one
+        cell at a time; then, at the first cell whose grade is infinite.  More cells than the cell budget raise
         :class:`ReductionMemoryError` before any is indexed.
         """
         cells = tuple(filtration)
-        # the index's table of cells is not needed past these checks
-        _Index().emit(cells)
+        _check_cells(len(cells))
         matrix = _located(cells) or _scan(cells)
         # the grades are in order now, so only the ends can be infinite
         if cells and not (math.isfinite(cells[0][1]) and math.isfinite(cells[-1][1])):
             i = next(i for i, (_, g) in enumerate(cells) if math.isinf(g))
             raise FiltrationOrderError(f"cell {cells[i][0]} has non-finite grade {cells[i][1]}", i)
         return matrix
-
-
-class _Index:
-    """A filtration's cells, checked as they are emitted (by the tower while
-    it is assembled), and read as a :class:`BoundaryMatrix` by
-    :meth:`matrix`; ``emitted`` holds the simplex of every cell emitted."""
-
-    __slots__ = ("cells", "emitted", "last")
-
-    def __init__(self) -> None:
-        self.cells: list[tuple[Simplex, float]] = []
-        self.emitted: set[Simplex] = set()
-        self.last = -math.inf
-
-    def emit(self, pairs: Sequence[tuple[Simplex, float]]) -> None:
-        """Append the sequence *pairs* of ``(simplex, grade)`` pairs to the
-        filtration.
-
-        A batch that would take the index past the cell budget raises
-        :class:`ReductionMemoryError`.  The grades, the empty simplex and
-        repeats are checked in C-level passes; a batch that fails one is
-        scanned, with every cell emitted before it, one cell at a time,
-        which raises :class:`FiltrationOrderError` at the first failing
-        cell.  The faces are checked by :meth:`matrix`, so a face emitted
-        late raises only there.
-        """
-        cells, emitted = self.cells, self.emitted
-        start = len(cells)
-        _check_cells(start + len(pairs))
-        simplices = list(map(_simplex, pairs))
-        emitted.update(simplices)
-        # written so that a NaN grade fails it too
-        if not (
-            len(emitted) == start + len(pairs)
-            and () not in simplices
-            and all(starmap(le, pairwise(chain((self.last,), map(_grade, pairs)))))
-        ):
-            _scan([*cells, *pairs])  # a cell is at fault, so this raises
-        cells.extend(pairs)
-        if pairs:
-            self.last = pairs[-1][1]
-
-    def matrix(self) -> BoundaryMatrix:
-        """The index of the cells emitted, found in one pass per dimension
-        or, when a check of that pass fails, by a scan of one cell at a
-        time, which raises :class:`FiltrationOrderError` at the first cell
-        at fault."""
-        cells = tuple(self.cells)
-        return _located(cells) or _scan(cells)
 
 
 def _mixed(vertices: np.ndarray) -> np.ndarray:
@@ -207,14 +160,30 @@ def _mixed(vertices: np.ndarray) -> np.ndarray:
 
 
 def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
-    """The index of *cells*, emitted and checked but for their faces, with
-    the faces of each dimension located by key in one pass and checked
-    exactly, one face column at a time; None when a check fails or a vertex
-    id is not an integer."""
+    """The index of *cells*, checked in one pass but for infinite grades,
+    with the faces of each dimension located by key and checked exactly,
+    one face column at a time; None when a check fails or a vertex id is
+    not an integer."""
     simplices = list(map(_simplex, cells))
+    given = list(map(_grade, cells))
+    kinds = set(map(type, given))
+    # a float array would read "1" as 1.0 and None as NaN
+    if not (
+        all(issubclass(t, tuple) for t in set(map(type, simplices)))
+        and all(issubclass(t, Real) for t in kinds)
+    ):
+        return None
+    grades = np.fromiter(given, np.float64, len(cells))
+    # and would round an int past 2**53, so its order is checked on the grades given
+    if kinds != {float} and grades.tolist() != given:
+        return None
+    del given  # the face pass needs only the float grades
+    if np.isnan(grades).any() or (grades[1:] < grades[:-1]).any():
+        return None
     sizes = np.fromiter(map(len, simplices), np.intp, len(cells))
-    per_dim = np.bincount(sizes)[1:]
-    if not per_dim.all():  # a dimension with no cells below a cell
+    per_dim = np.bincount(sizes, minlength=1)
+    # the empty simplex, or a dimension with no cells below a cell
+    if per_dim[0] or not per_dim[1:].all():
         return None
     # the simplices in (dimension, filtration) order
     order = np.argsort(sizes, kind="stable")
@@ -222,11 +191,14 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
     by_dim, faces = [], []
     below = None  # the dimension below: its vertices, indices and keys
     hi = 0
-    for d, n in enumerate(per_dim.tolist()):
+    for d, n in enumerate(per_dim[1:].tolist()):
         lo, hi = hi, hi + n
         rows = order[lo:hi]
-        ids = np.array(list(chain.from_iterable(simplices[lo:hi])))
-        if ids.dtype.kind not in "ib":  # strings, floats, ids past 64 bits
+        try:
+            ids = np.array(list(chain.from_iterable(simplices[lo:hi])))
+        except ValueError:  # vertices that are sequences of unequal lengths
+            return None
+        if ids.dtype.kind not in "ib" or ids.ndim != 1:  # strings, floats, ids past 64 bits
             return None
         # row c holds each cell's c-th vertex id, and its share of the key
         vertices = ids.reshape(n, d + 1).T.copy()
@@ -255,7 +227,7 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
         below = vertices, rows, keys
         by_dim.append(rows)
         faces.append(located)
-    return _matrix(cells, by_dim, faces)
+    return _matrix(cells, by_dim, faces, grades)
 
 
 class _Keys:
@@ -301,6 +273,15 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> BoundaryMatrix:
     faces: list[list[tuple[int, ...]]] = []
     last = -math.inf
     for i, (s, grade) in enumerate(cells):
+        try:
+            hash(s)
+            well_formed = isinstance(s, tuple) and isinstance(grade, Real)
+        except TypeError:  # a cell or vertex that is not hashable
+            well_formed = False
+        if not well_formed:
+            raise FiltrationOrderError(
+                f"malformed cell {(s, grade)!r}: not a vertex tuple with a real grade", i
+            )
         if not grade >= last:
             raise FiltrationOrderError(
                 f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
@@ -337,6 +318,7 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> BoundaryMatrix:
         tuple(cells),
         [np.array(rows, np.intp) for rows in by_dim],
         [np.array(f, np.intp).reshape(len(f), d + 1 if d else 0) for d, f in enumerate(faces)],
+        np.fromiter(map(_grade, cells), np.float64, len(cells)),
     )
 
 
@@ -344,10 +326,10 @@ def _matrix(
     cells: tuple[tuple[Simplex, float], ...],
     by_dim: Sequence[np.ndarray],
     faces: Sequence[np.ndarray],
+    grades: np.ndarray,
 ) -> BoundaryMatrix:
     """The :class:`BoundaryMatrix` of *cells* with their indices and faces
-    per dimension, each dimension's grades read off *cells*."""
-    grades = np.fromiter(map(_grade, cells), np.float64, len(cells))
+    per dimension, and each dimension's share of the *grades* of *cells*."""
     return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades[i] for i in by_dim))
 
 
@@ -365,12 +347,12 @@ def compute_persistence(
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
 
-    *filtration* is any sequence of ``(simplex, grade)`` pairs.  The cells
-    are reduced in its own order, which must list every face before its
-    cofaces and never lower the grade, and every grade must be finite; a
-    cell that breaks this raises :class:`FiltrationOrderError`.  Within one
-    grade the order does not
-    change the diagram.
+    *filtration* is any sequence of ``(simplex, grade)`` pairs, each a
+    tuple of hashable vertices and a real number.  The cells are reduced in
+    its own order, which must list every face before its cofaces and never
+    lower the grade, and every grade must be finite; a cell that breaks
+    this raises :class:`FiltrationOrderError`.  Within one grade the order
+    does not change the diagram.
 
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an

@@ -8,15 +8,15 @@ worker pool may handle them concurrently).  It keeps each graph for the
 snapshot's ``before`` stats, whose maximal cliques are enumerated only when
 those stats are first read.  It then assembles the cores, each given by its
 maximal cliques and its retraction as a list indexed by point, into a
-tower, whose cells are the tower's equivalent filtration, and reduces that
-filtration: a sequence of ``(simplex, grade)`` pairs in face-first,
-non-decreasing order.
+tower, whose cells are the tower's equivalent filtration: a sequence of
+``(simplex, grade)`` pairs in face-first, non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
-collapsing and reduces the first-appearance filtration of the snapshots,
-built in one clique enumeration of the last graph; its tower is that
-filtration's cells as inclusions.  That twin is the verification oracle:
-:func:`compare_pipelines` runs both paths on one graph sequence and compares
-their diagrams per dimension.
+collapsing and builds the first-appearance filtration of the snapshots in
+one clique enumeration of the last graph; its tower is that filtration's
+cells as inclusions.  Both paths reduce their filtration with
+:func:`~ripscollapse.persistence.compute_persistence`.  The twin is the
+verification oracle: :func:`compare_pipelines` runs both paths on one graph
+sequence and compares their diagrams per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -37,13 +37,7 @@ import numpy as np
 
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
 from .errors import ReductionMemoryError
-from .persistence import (
-    PersistenceDiagram,
-    _check_cells,
-    _diagram,
-    bottleneck_distance,
-    compute_persistence,
-)
+from .persistence import PersistenceDiagram, _check_cells, bottleneck_distance, compute_persistence
 from .rips import (
     FlagCore,
     SnapshotSchedule,
@@ -119,13 +113,9 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    # tower assembly with its filtration (AT), not the graphs; when collapsing,
-    # also the boundary index the reduction reads: its cells are checked as
-    # they are emitted, and its faces found in one NumPy pass per dimension
-    # once the last core is in
-    assembly: float
-    # boundary-matrix reduction (PDT); without collapsing, also the boundary
-    # index, checked and its faces found from the finished filtration
+    assembly: float  # the tower and its filtration's cells (AT), not the graphs
+    # the boundary index, its cells checked and its faces found in one NumPy
+    # pass per dimension, and the boundary-matrix reduction (PDT)
     reduction: float
 
 
@@ -294,18 +284,13 @@ def _collapsed(
     )
     collapse_max = max(elapsed for _, elapsed in results)
     t0 = perf_counter()
-    tower, matrix = assemble_tower(
+    tower = assemble_tower(
         [res.cliques for res, _ in results],
         [res.retraction for res, _ in results],
         grades,
         cap,
     )
-    assembly = perf_counter() - t0
-    t0 = perf_counter()
-    diagram = _diagram(matrix)
-    reduction = perf_counter() - t0
-    timings = PipelineTimings(collapse_max, assembly, reduction)
-    return PipelineResult(diagram, tower, tower.cells, stats, timings)
+    return _reduced(tower, stats, collapse_max, perf_counter() - t0)
 
 
 def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
@@ -313,12 +298,17 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     t0 = perf_counter()
     cells, sizes = _snapshot_filtration(grades, graphs, cap)
     stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-    tower = Tower(cells, ())
-    assembly = perf_counter() - t0
+    return _reduced(Tower(cells, ()), stats, 0.0, perf_counter() - t0)
+
+
+def _reduced(
+    tower: Tower, stats: tuple[SnapshotStats, ...], collapse_max: float, assembly: float
+) -> PipelineResult:
+    """The result of a run whose *tower* is assembled: the diagram of its
+    cells, and the run's timings."""
     t0 = perf_counter()
-    diagram = compute_persistence(cells)
-    reduction = perf_counter() - t0
-    timings = PipelineTimings(0.0, assembly, reduction)
+    diagram = compute_persistence(tower.cells)
+    timings = PipelineTimings(collapse_max, assembly, perf_counter() - t0)
     return PipelineResult(diagram, tower, tower.cells, stats, timings)
 
 

@@ -20,11 +20,9 @@ core's Includes cost in proportion to the faces of its maximal simplices
 that are not yet cells, and a Contract(u, v) to the star of ``u``, never to
 the whole complex.  A core's new cells are found level by level: the
 k-vertex faces of those maximal simplices, less the live cells, sorted, for
-k = 1, 2, ...  They are emitted into the checked builder behind
-:meth:`~ripscollapse.persistence.BoundaryMatrix.from_filtration`, which
-checks them as they come and finds their faces in one pass per dimension
-once the last core is in, so the same pass builds the boundary index the
-reduction reads.
+k = 1, 2, ...  The tower holds no more cells than the boundary index's
+cell budget; :func:`~ripscollapse.persistence.compute_persistence` checks
+and indexes its cells for the reduction.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from typing import Iterable, Iterator, Sequence, Union
 from .collapse import _bits
 from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
 from .errors import CollapseConsistencyError, EmptyComplexError, SimplexError
-from .persistence import BoundaryMatrix, _Index
+from .persistence import _check_cells
 from .rips import as_grades
 
 
@@ -94,12 +92,13 @@ class Tower:
 
 
 class _Complex:
-    """The filtration emitted so far, as its boundary ``index``, and the
-    complex it has reached, with a per-vertex index of cofaces.
+    """The filtration emitted so far, as its ``cells`` and the set of their
+    simplices, ``emitted``, and the complex it has reached, with a
+    per-vertex index of cofaces.
 
     A cell is live (in the complex) iff it has been emitted and contains no
     vertex of ``dead``, the renamed-away ones; so a cell on live vertices
-    is live iff it is in ``index.emitted``.
+    is live iff it is in ``emitted``.
 
     ``cofaces[x]`` lists, in order of addition, the live cells added that
     contain ``x``.  The lists are append-only: a cell that has left the
@@ -108,12 +107,21 @@ class _Complex:
     no cell that contains it is left.
     """
 
-    __slots__ = ("dead", "cofaces", "index")
+    __slots__ = ("dead", "cofaces", "cells", "emitted")
 
     def __init__(self) -> None:
         self.dead: set[int] = set()
         self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
-        self.index = _Index()
+        self.cells: list[tuple[Simplex, float]] = []
+        self.emitted: set[Simplex] = set()
+
+    def emit(self, new: Sequence[Simplex], grade: float) -> None:
+        """Append the simplices *new* to the filtration at *grade*, unless
+        the cells would pass the cell budget, which raises
+        :class:`~ripscollapse.errors.ReductionMemoryError` first."""
+        _check_cells(len(self.cells) + len(new))
+        self.cells.extend(zip(new, repeat(grade)))
+        self.emitted.update(new)
 
     def add_cofaces(self, new: Iterable[Simplex]) -> None:
         """List the new live cells *new* under each of their vertices."""
@@ -132,7 +140,7 @@ class _Complex:
         over ``star(u)``; the images ``(s - {u}) + {v}`` then replace
         ``star(u)``.  The cost is in proportion to the star of ``u``.
         """
-        dead, emitted = self.dead, self.index.emitted
+        dead, emitted = self.dead, self.emitted
         images: set[Simplex] = set()
         joins: list[Simplex] = []  # s + {v} for each s in star(u) without v
         for s in self.cofaces.pop(u, ()):
@@ -152,7 +160,7 @@ class _Complex:
         fresh = images.difference(emitted)
         new = sorted(cone.difference(emitted))
         new.sort(key=len)
-        self.index.emit(tuple(zip(new, repeat(grade))))
+        self.emit(new, grade)
         dead.add(u)
         self.add_cofaces(fresh)
 
@@ -162,9 +170,8 @@ def assemble_tower(
     retractions: Sequence[Sequence[int]],
     grades: Sequence[float],
     cap: int = DEFAULT_EXPANSION_CAP,
-) -> tuple[Tower, BoundaryMatrix]:
-    """Assemble per-snapshot cores into one tower, and the
-    :class:`BoundaryMatrix` of its cells, built as they are emitted.
+) -> Tower:
+    """Assemble per-snapshot cores into one tower.
 
     Each core is given by its maximal simplices, tuples of point ids, and
     each retraction by a list whose entry ``p`` is the core point that point
@@ -187,10 +194,10 @@ def assemble_tower(
     Contract(u, v), the cells of the cone over the closed star of ``u`` with
     apex ``v`` that are new to that complex.  No cell is emitted twice: the
     complex holds only live vertices, and a cell that has left it contains a
-    contracted id, which never returns.  The cells are indexed with the
-    checks of :meth:`BoundaryMatrix.from_filtration`, so a cell emitted
-    twice raises :class:`FiltrationOrderError`, and so does a cell emitted
-    before one of its faces, once the last core is assembled.
+    contracted id, which never returns.  A tower of more cells than the
+    boundary index's cell budget raises
+    :class:`~ripscollapse.errors.ReductionMemoryError` before its cells pass
+    the budget.
 
     Tower ids are permanent: a contracted id never reappears.  Cores may
     nevertheless mention a point whose id was contracted at an earlier grade
@@ -222,7 +229,7 @@ def assemble_tower(
 
     contractions: list[tuple[int, int, int, int, float]] = []
     current = _Complex()
-    index = current.index
+    emitted = current.emitted
     # point id -> live tower id; identical until a contracted id returns
     ident: dict[int, int] = {}
     used: set[int] = set()
@@ -279,18 +286,17 @@ def assemble_tower(
             w = mapping[u]
             if w == u:
                 continue
-            if (w,) not in index.emitted:
-                index.emit([((w,), g)])
+            if (w,) not in emitted:
+                current.emit([(w,)], g)
                 current.add_cofaces([(w,)])
-            start = len(index.cells)
+            start = len(current.cells)
             current.contract(u, w, g)
-            contractions.append((start, len(index.cells), u, w, g))
+            contractions.append((start, len(current.cells), u, w, g))
 
         # the new cells are the faces of core j's maximal simplices that are
         # not live, found level by level, so each level sorts into
         # lexicographic order; a live maximal simplex has no such face, and
         # no contraction follows the last core to read its cofaces
-        emitted = index.emitted
         tops = [tuple(sorted(new_ident[q] for q in s)) for s in maximal]
         tops = [t for t in tops if t not in emitted]
         k = 1
@@ -299,12 +305,11 @@ def assemble_tower(
             for t in tops:
                 level.update(combinations(t, k))
             new = sorted(level.difference(emitted))
-            index.emit(tuple(zip(new, repeat(g))))
+            current.emit(new, g)
             if j < len(cores) - 1:
                 current.add_cofaces(new)
             tops = [t for t in tops if len(t) > k]
             k += 1
         ident = new_ident
 
-    matrix = index.matrix()
-    return Tower(matrix.cells, tuple(contractions)), matrix
+    return Tower(tuple(current.cells), tuple(contractions))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import chain, combinations, permutations
+from numbers import Real
 from typing import Iterable
 
 import numpy as np
@@ -471,6 +472,7 @@ def naive_filtration_from_snapshots(snapshots, grades, cap=DEFAULT_EXPANSION_CAP
 #: The reasons :func:`naive_filtration_fault` gives, each a phrase of the
 #: message ``FiltrationOrderError`` carries for that fault.
 FAULT_REASONS = (
+    "malformed cell",
     "has grade",
     "the empty simplex",
     "not in increasing vertex order",
@@ -481,14 +483,21 @@ FAULT_REASONS = (
 
 def naive_filtration_fault(cells):
     """``(index, reason)`` of the first cell that breaks face-first,
-    non-decreasing order, or None.  Each cell is judged in this order: a
-    grade below its predecessor's or NaN, the empty simplex, an edge whose
-    vertices do not increase, a codimension-1 face not among the cells
-    before it, a repeat.  A higher cell whose faces all came before is
+    non-decreasing order, or None.  Each cell is judged in this order: not
+    a hashable tuple of vertices with a real grade, a grade below its
+    predecessor's or NaN, the empty simplex, an edge whose vertices do not
+    increase, a codimension-1 face not among the cells before it, a
+    repeat.  A higher cell whose faces all came before is
     sorted when every edge is, so only edges are checked for order."""
     seen = set()
     prev = -math.inf
     for i, (s, g) in enumerate(cells):
+        try:
+            hash(s)
+        except TypeError:
+            return i, "malformed cell"
+        if not (isinstance(s, tuple) and isinstance(g, Real)):
+            return i, "malformed cell"
         if not g >= prev:
             return i, "has grade"
         if not s:

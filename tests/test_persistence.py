@@ -148,19 +148,24 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
 def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
     """With the cell budget set around each filtration's size,
     ``compute_persistence`` is refused exactly when the filtration has more
-    cells than the budget, before any cell is indexed, and the tower's index
-    never holds more cells than the budget: the collapsed run is refused
-    exactly when the tower has more.  Seeded clouds, both paths."""
-    held = []  # the cells an index holds after each emit, or when it raises
+    cells than the budget, before either builder indexes a cell, and the
+    tower never holds more cells than the budget: the collapsed run is
+    refused exactly when the tower has more, before any cell is indexed.
+    Seeded clouds, both paths."""
+    held = []  # the cells the tower holds after each emit, or when it raises
+    indexed = []  # the size of each filtration a builder indexes
 
-    class Recording(persistence._Index):
+    class Recording(tower._Complex):
         __slots__ = ()
 
-        def emit(self, pairs):
+        def emit(self, new, grade):
             try:
-                super().emit(pairs)
+                super().emit(new, grade)
             finally:
                 held.append(len(self.cells))
+
+    def recorded(build):
+        return lambda cells: indexed.append(len(cells)) or build(cells)
 
     rng = random.Random(1732)
     grades = [0.3, 0.5, 0.7]
@@ -169,14 +174,15 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
         pts = [tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(rng.randint(4, 12))]
         D = pairwise_distances(pts)
         runs.append((D, run_pipeline(D, grades, collapse=False), run_pipeline(D, grades)))
-    monkeypatch.setattr(persistence, "_Index", Recording)
-    monkeypatch.setattr(tower, "_Index", Recording)
+    monkeypatch.setattr(tower, "_Complex", Recording)
+    monkeypatch.setattr(persistence, "_located", recorded(persistence._located))
+    monkeypatch.setattr(persistence, "_scan", recorded(persistence._scan))
     outcomes = set()
     for D, flat, collapsed in runs:
         cells = flat.filtration
         for limit in (0, len(cells) // 2, len(cells) - 1, len(cells), len(cells) + 1):
             monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
-            held.clear()
+            indexed.clear()
             refused = len(cells) > limit
             if refused:
                 with pytest.raises(ReductionMemoryError) as exc:
@@ -184,24 +190,27 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
                 assert (exc.value.held, exc.value.limit, exc.value.unit) == (
                     len(cells), limit, "cells"
                 )
-                assert held == [0]
+                assert indexed == []
             else:
                 assert compute_persistence(cells) == flat.diagram
-                assert held == [len(cells)]
+                assert indexed == [len(cells)]
             outcomes.add(("uncollapsed", refused))
         tower_cells = collapsed.filtration
         n = len(tower_cells)
         for limit in (0, n // 2, n - 1, n, n + 1):
             monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
             held.clear()
+            indexed.clear()
             refused = n > limit
             if refused:
                 with pytest.raises(ReductionMemoryError) as exc:
                     run_pipeline(D, grades)
                 assert limit < exc.value.held <= n and exc.value.unit == "cells"
+                assert indexed == []
             else:
                 result = run_pipeline(D, grades)
                 assert (result.filtration, result.diagram) == (tower_cells, collapsed.diagram)
+                assert held[-1] == n and indexed == [n]
             assert max(held, default=0) <= limit
             outcomes.add(("collapsed", refused))
     assert len(outcomes) == 4
@@ -355,6 +364,36 @@ def test_unsorted_edge_is_refused(index_path):
         compute_persistence(cells)
 
 
+def test_malformed_cells_are_refused(index_path):
+    """A cell that is not a hashable vertex tuple with a real grade is
+    refused at its index, whether the builder locates faces by key or scans
+    one cell at a time: a grade given as text, as bytes or as None once
+    raised a bare ``TypeError``, and so did a list simplex or vertex."""
+    edge = [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
+    for bad in (((0,), "1"), ((0,), b"1"), ((0,), None), ([0], 0.0), (([0],), 0.0)):
+        for i in (0, 3):
+            cells = edge[:i] + [bad] + edge[i:]
+            message = re.escape(f"malformed cell {bad!r}: not a vertex tuple with a real grade")
+            with pytest.raises(FiltrationOrderError, match="^" + message) as e:
+                compute_persistence(cells)
+            assert e.value.cell_index == i
+            assert naive_filtration_fault(cells) == (i, "malformed cell")
+
+
+def test_int_grades_are_compared_exactly(index_path):
+    """An int grade past 2**53 that falls is refused, though a float array
+    rounds it to its predecessor's grade; one that rises is reduced at the
+    grade a float holds."""
+    big = 2**53
+    falling = [((0,), big + 1), ((1,), big)]
+    with pytest.raises(FiltrationOrderError, match="has grade") as e:
+        compute_persistence(falling)
+    assert e.value.cell_index == 1
+    assert naive_filtration_fault(falling) == (1, "has grade")
+    rising = compute_persistence([((0,), big), ((1,), big + 1)])
+    assert rising.pairs == ((0, float(big), math.inf),) * 2
+
+
 def _seeded_filtrations():
     """Uncollapsed (oracle) and tower filtrations of seeded clouds."""
     for seed in range(3):
@@ -404,21 +443,22 @@ def _inject(cells, p, kind, rng):
 FAULTS = ("drop", "orphan", "repeat-earlier", "repeat-in-run", "lower", "nan", "empty", "unsorted")
 
 
-def _builder_outcome(cells, chunks=None):
+def _malform(cells, p, rng):
+    """A copy of *cells* whose cell at *p* is not a vertex tuple with a real
+    grade: a list, or a grade given as text, as bytes or as None (a float
+    array reads the first two as numbers and None as NaN)."""
+    s, g = cells[p]
+    out = list(cells)
+    out[p] = rng.choice(((list(s), g), (s, str(g)), (s, str(g).encode()), (s, None)))
+    return out
+
+
+def _builder_outcome(cells):
     """``(cell_index, reason)`` of the builder's refusal of *cells*, or the
     ``(by_dim, columns)`` it built, laid out as the naive index lays them
-    out; with *chunks*, the cells are emitted in
-    batches of those sizes, as the tower emits them."""
+    out."""
     try:
-        if chunks is None:
-            m = BoundaryMatrix.from_filtration(cells)
-        else:
-            index = persistence._Index()
-            start = 0
-            for size in chunks:
-                index.emit(tuple(cells[start : start + size]))
-                start += size
-            m = index.matrix()
+        m = BoundaryMatrix.from_filtration(cells)
     except FiltrationOrderError as e:
         reasons = [r for r in FAULT_REASONS if r in str(e)]
         assert len(reasons) == 1, str(e)
@@ -429,13 +469,13 @@ def _builder_outcome(cells, chunks=None):
 
 def test_builder_refuses_the_cell_the_judge_refuses(index_path):
     """One or two faults of every kind, placed at the start, middle and end
-    of runs and on grade boundaries of seeded oracle and tower filtrations:
-    the builder refuses the cell the judge names, for the judge's reason,
-    whether it gets the cells at once or in batches and whether it locates
-    faces by key or scans one cell at a time, and indexes an unfaulted
-    result as a naive per-cell index does."""
+    of runs and on grade boundaries of seeded oracle and tower filtrations,
+    and a malformed cell on its own or after another fault: the builder
+    refuses the cell the judge names, for the judge's reason, whether it
+    locates faces by key or scans one cell at a time, and indexes an
+    unfaulted result as a naive per-cell index does."""
     rng = random.Random(7)
-    faulted = 0
+    faulted = malformed = 0
     for cells in _seeded_filtrations():
         cases = [cells]
         for p in _fault_positions(cells):
@@ -443,18 +483,17 @@ def test_builder_refuses_the_cell_the_judge_refuses(index_path):
             cases.append(one)
             q = rng.randrange(len(one))
             cases.append(_inject(one, q, rng.choice(FAULTS), rng))
+            base = rng.choice((cells, one))
+            cases.append(_malform(base, rng.randrange(len(base)), rng))
         for case in cases:
             fault = naive_filtration_fault(case)
-            chunks = []
-            while sum(chunks) < len(case):
-                chunks.append(rng.choice((1, 3, 20, len(case))))
-            for outcome in (_builder_outcome(case), _builder_outcome(case, chunks)):
-                if fault is None:
-                    assert outcome == naive_boundary_index(case)
-                else:
-                    assert outcome == fault
+            if fault is None:
+                assert _builder_outcome(case) == naive_boundary_index(case)
+            else:
+                assert _builder_outcome(case) == fault
             faulted += fault is not None
-    assert faulted > 100
+            malformed += fault is not None and fault[1] == "malformed cell"
+    assert faulted > 100 and malformed > 30
 
 
 def _scans(monkeypatch):
@@ -509,15 +548,17 @@ def test_keys_are_bucketed_without_an_unsigned_count(monkeypatch):
 
 
 def test_vertex_ids_of_any_kind(monkeypatch):
-    """Strings, ids at or past 2**63, bools and negative ids give the
-    diagram of the same filtration on 0, 1, ...: the first two through the
-    per-cell scan, the others through the keys."""
+    """Strings, ids at or past 2**63, tuples (of unequal lengths, which
+    once raised a bare ``ValueError``), bools and negative ids give the
+    diagram of the same filtration on 0, 1, ...: the first three through
+    the per-cell scan, the others through the keys."""
     scanned = _scans(monkeypatch)
     cells = next(_seeded_filtrations())
     want = compute_persistence(cells, include_zero_pairs=True)
     for relabel, scans in (
         (lambda v: f"v{v:03d}", True),
         (lambda v: v + 2**63, True),
+        (lambda v: tuple(range(v)), True),
         (lambda v: v - 1000, False),
     ):
         scanned.clear()

@@ -401,28 +401,31 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
     assert len(calls) == len(grades)
 
 
-def test_collapsed_path_reduces_the_index_built_at_assembly(monkeypatch):
-    """The collapsed path indexes its cells for the reduction as the tower
-    emits them, so ``from_filtration`` indexes only the oracle's filtration
-    in a comparison."""
+def test_each_path_indexes_its_own_filtration_once(monkeypatch):
+    """``from_filtration`` runs once per ``run_pipeline`` call on either
+    path, on the run's own filtration (no copy), and twice per
+    ``compare_pipelines`` call, once on each path's filtration."""
     calls = []
     index = BoundaryMatrix.from_filtration.__func__
 
     def counted(cls, filtration):
-        calls.append(cls)
+        calls.append(filtration)
         return index(cls, filtration)
 
     monkeypatch.setattr(BoundaryMatrix, "from_filtration", classmethod(counted))
     rng = random.Random(33)
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
     grades = [0.1, 0.2, 0.3, 0.4]
-    result = run_pipeline(D, grades)
-    assert calls == []
-    assert result.diagram == compute_persistence(result.filtration)
-    assert len(calls) == 1
+    filtrations = []
+    for collapse in (True, False):
+        calls.clear()
+        result = run_pipeline(D, grades, collapse=collapse)
+        assert len(calls) == 1 and calls[0] is result.filtration
+        filtrations.append(result.filtration)
+    assert filtrations[0] != filtrations[1]
     calls.clear()
     compare_pipelines(D, grades)
-    assert len(calls) == 1
+    assert calls == filtrations
 
 
 def test_lazy_before_stats_behave_as_values(monkeypatch):

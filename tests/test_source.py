@@ -15,10 +15,12 @@ retraction: no module defines or names a ``ComplexMatrix`` or
 ``pipeline`` pass cores as cliques and retractions as lists, and name none
 of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 
-A filtration's boundary index has one builder, in ``persistence``, which
-both producers emit through: no other module builds a ``BoundaryMatrix``
-itself or names the ``FiltrationOrderError`` that its checks raise.  One
-function reduces the boundary blocks: ``reduce_block`` has one caller.
+A filtration's boundary index has one builder, in ``persistence``: no other
+module builds a ``BoundaryMatrix`` itself or names the
+``FiltrationOrderError`` that its checks raise.  Both producers' filtrations
+are indexed and reduced through ``compute_persistence``: no other module
+calls ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function
+reduces the boundary blocks: ``reduce_block`` has one caller.
 
 Modules share private names only through the seams listed in
 ``PRIVATE_SEAMS``: outside ``__init__``, no module imports another
@@ -41,8 +43,7 @@ PRIVATE_SEAMS = {
     ("rips", "collapse", "_bits"),
     ("rips", "collapse", "_retraction"),
     ("tower", "collapse", "_bits"),
-    ("tower", "persistence", "_Index"),
-    ("pipeline", "persistence", "_diagram"),
+    ("tower", "persistence", "_check_cells"),
     ("pipeline", "persistence", "_check_cells"),
 }
 
@@ -201,10 +202,12 @@ def test_rules_see_what_they_forbid():
         "a = BoundaryMatrix(cells, by_dim, columns)\n"
         "b = persistence.BoundaryMatrix(cells, by_dim, columns)\n"
         "c = BoundaryMatrix.from_filtration(cells)\n"
+        "d = persistence._diagram(c)\n"
     )
     assert "FiltrationOrderError" in _names(tree)
     assert "FiltrationOrderError" in _names(ast.parse("raise errors.FiltrationOrderError('x', 0)"))
     assert _calls(tree, "BoundaryMatrix") == [2, 3]
+    assert (_calls(tree, "from_filtration"), _calls(tree, "_diagram")) == ([4], [5])
     tree = ast.parse(
         "from .persistence import _diagram, compute_persistence\n"
         "from ripscollapse.collapse import _bits as bits\n"
@@ -267,7 +270,16 @@ def test_private_names_cross_only_the_listed_seams():
         tree = ast.parse(path.read_text(), filename=str(path))
         seen.update((path.stem, module, name) for module, name in _private_imports(tree))
     assert seen <= PRIVATE_SEAMS, seen - PRIVATE_SEAMS
-    assert ("pipeline", "persistence", "_diagram") in seen
+
+
+def test_only_compute_persistence_indexes_and_reduces_a_filtration():
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem == "persistence":
+            assert _callers(tree, "_diagram") == ["compute_persistence"]
+        else:
+            assert _calls(tree, "from_filtration") == [], path.name
+            assert _calls(tree, "_diagram") == [], path.name
 
 
 def test_one_function_reduces_the_blocks():

@@ -9,6 +9,7 @@ from oracles import (
     boundary_index_of,
     maximal_simplices,
     naive_assemble_core_tower,
+    naive_boundary_index,
     naive_check_filtration,
     naive_persistence,
     naive_tower_to_filtration,
@@ -26,10 +27,10 @@ from ripscollapse.errors import (
     SimplexError,
 )
 from ripscollapse.io_formats import write_tower
-from ripscollapse.persistence import BoundaryMatrix, _diagram, compute_persistence
+from ripscollapse.persistence import BoundaryMatrix, compute_persistence
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
-from ripscollapse.tower import Contract, Include, _Complex, assemble_tower
+from ripscollapse.tower import Contract, Include, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -38,17 +39,16 @@ TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 
 def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     """The assembled tower, once its filtration is checked for face-first
-    order and against the whole-complex coning of that tower, and the
-    boundary index built with it against the one built from its cells."""
-    tower, matrix = assemble_tower(cores, retractions, grades, cap)
+    order and against the whole-complex coning of that tower, the boundary
+    index of its cells against the one built a cell at a time, and their
+    diagram against the naive reduction's."""
+    tower = assemble_tower(cores, retractions, grades, cap)
     naive_check_filtration(tower.cells)
     assert tower.cells == naive_tower_to_filtration(tower)
-    assert matrix.cells == tower.cells
-    rebuilt = BoundaryMatrix.from_filtration(tower.cells)
-    assert boundary_index_of(matrix) == boundary_index_of(rebuilt)
-    diagram = _diagram(matrix)
-    assert diagram == compute_persistence(tower.cells)
-    assert list(diagram.pairs) == naive_persistence(tower.cells)
+    matrix = BoundaryMatrix.from_filtration(tower.cells)
+    assert matrix.cells is tower.cells
+    assert boundary_index_of(matrix) == naive_boundary_index(tower.cells)
+    assert list(compute_persistence(tower.cells).pairs) == naive_persistence(tower.cells)
     return tower
 
 
@@ -292,41 +292,31 @@ def test_contract_of_unknown_vertex_is_rejected():
 
 
 def test_a_cell_emitted_before_its_face_is_rejected():
-    """The builder the tower emits into checks each cell as
-    ``from_filtration`` does: no repeat, no empty simplex and grades that
-    never fall (a NaN falls) as the cell is emitted; faces first and no
-    unsorted edge once the index is read."""
-    for cell, message, on_emit in (
-        (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)", False),
-        (((0, 1), 1.0), r"^duplicate cell \(0, 1\)", True),
-        (((), 1.0), r"^the empty simplex is not a cell", True),
-        (((1, 0), 1.0), r"^edge \(1, 0\) is not in increasing vertex order", False),
-        (
-            ((2,), math.nan),
-            r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0",
-            True,
-        ),
-        (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0", True),
+    """The reduction of a tower's cells refuses, at the cell and with its
+    message, a cell emitted before one of its faces, a repeat, the empty
+    simplex, an unsorted edge and a grade that falls (a NaN falls)."""
+    for cell, message in (
+        (((0, 2), 1.0), r"cell \(0, 2\) is missing face \(2,\)"),
+        (((0, 1), 1.0), r"^duplicate cell \(0, 1\)"),
+        (((), 1.0), r"^the empty simplex is not a cell"),
+        (((1, 0), 1.0), r"^edge \(1, 0\) is not in increasing vertex order"),
+        (((2,), math.nan), r"cell \(2,\) has grade nan, not at or above its predecessor's 0.0"),
+        (((2,), -1.0), r"cell \(2,\) has grade -1.0, not at or above its predecessor's 0.0"),
     ):
-        index = _Complex().index
-        index.emit([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0)])
         with pytest.raises(FiltrationOrderError, match=message) as e:
-            index.emit([cell])
-            assert not on_emit
-            index.matrix()
+            compute_persistence([((0,), 0.0), ((1,), 0.0), ((0, 1), 0.0), cell])
         assert e.value.cell_index == 3
 
 
 def test_every_tower_prefix_stays_downward_closed():
-    tower, _ = assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
+    tower = assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
     naive_check_filtration(tower.cells)
 
 
 def test_conversion_matches_uncollapsed_pipeline_on_random_clouds():
     """Towers of ``core`` and ``flag_core`` cores reduce to the uncollapsed
-    diagram, through the index built at assembly and through the one built
-    from the cells, also with duplicate points and grades equal to edge
-    lengths (lattice points)."""
+    diagram, also with duplicate points and grades equal to edge lengths
+    (lattice points)."""
     rng = random.Random(2025)
     clouds = []
     for _ in range(10):
@@ -445,7 +435,7 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
     for D, grades in cases:
         snapshots = [maximal_simplices(rips_snapshot(D, g)) for g in grades]
         identities = [list(range(len(D)))] * len(grades)
-        tower, _ = assemble_tower(snapshots, identities, grades)
+        tower = assemble_tower(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
         assert tower.cells == want.filtration
         assert tuple(tower) == tuple(want.tower)

@@ -4,11 +4,10 @@
 default cloud (no isometry) is collapsed at each of its grades with
 ``flag_core``, and the cores are assembled into a tower.  The tower's cells
 must equal the whole-complex coning of that tower, form a face-first
-filtration, and reduce, through the index built at assembly, to the diagram
-that ``compute_persistence`` finds from the cells alone.  Neither that index
-nor the uncollapsed oracle's of a comparison falls back to the per-cell
-scan, and on both oracle-compare clouds that scan, forced by a constant key
-mix, builds the oracle's index and diagrams all the same.
+filtration, and be indexed by key as a per-cell index lays them out.
+Neither that index nor the uncollapsed oracle's of a comparison falls back
+to the per-cell scan, and on both oracle-compare clouds that scan, forced
+by a constant key mix, builds the oracle's index and diagrams all the same.
 """
 
 import importlib.util
@@ -17,10 +16,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import boundary_index_of, naive_check_filtration, naive_tower_to_filtration
+from oracles import (
+    boundary_index_of,
+    naive_boundary_index,
+    naive_check_filtration,
+    naive_tower_to_filtration,
+)
 
 from ripscollapse import persistence
-from ripscollapse.persistence import BoundaryMatrix, _diagram, compute_persistence
+from ripscollapse.persistence import BoundaryMatrix, _diagram
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import assemble_tower
@@ -50,12 +54,11 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
     grades = w.grades()
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
-    tower, matrix = assemble_tower(
-        [c.cliques for c in cores], [c.retraction for c in cores], grades
-    )
+    tower = assemble_tower([c.cliques for c in cores], [c.retraction for c in cores], grades)
     assert tower.cells == naive_tower_to_filtration(tower)
     naive_check_filtration(tower.cells)
-    assert _diagram(matrix) == compute_persistence(tower.cells)
+    matrix = BoundaryMatrix.from_filtration(tower.cells)
+    assert boundary_index_of(matrix) == naive_boundary_index(tower.cells)
     if w.api == "compare_pipelines":
         run_pipeline(D, grades, collapse=False)
 
