@@ -25,9 +25,10 @@ past the parent's first graph before the new vertex is adjacent to all of
 the parent) and the mean first-grade table reads those steps replace (one
 per vertex of the parent, as the cell build once read an n x n table of
 edge grades).  It also prints the faces (one per face of every cell) and
-the cells per dimension, which ``from_filtration`` locates by key in one
-NumPy pass per dimension, and times the per-cell scan that it falls back
-to, ``persistence._scan``, on the same cells.
+the cells per dimension, which ``from_filtration`` locates by exact key in
+one NumPy pass per dimension, and times ``from_filtration`` again on the
+same cells with their vertex ids relabelled as strings, which it indexes
+the same way.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, given as the boundary index's array of face
@@ -60,7 +61,6 @@ from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
-    _scan,
     compute_persistence,
 )
 from ripscollapse.pipeline import _first_appearance_cells, run_pipeline  # noqa: E402
@@ -173,7 +173,8 @@ def bench_index():
         per_dim = ", ".join(str(len(rows)) for rows in matrix.by_dim)
         print(f"  input: {len(cells)} cells, {faces} faces; cells per dimension {per_dim}")
         print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
-        print(f"  per-cell scan:       {_ms(_time(_scan, cells))}")
+        named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
+        print(f"  ... on string ids:   {_ms(_time(BoundaryMatrix.from_filtration, named))}")
         print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
 
 

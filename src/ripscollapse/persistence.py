@@ -19,21 +19,25 @@ the tower, as it emits them), and the kernel a block once the columns it
 has packed pass a byte limit.
 
 One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
-every filtration for the reduction, the tower's and the oracle's alike.  It
-checks the cells and finds the faces of each dimension in one NumPy pass.
-Each cell gets a 64-bit key, the wrapping sum of a fixed mix of its vertex
-ids, so a face's key is its cell's key less the mix of the vertex it drops,
-and is looked up among the sorted keys of the dimension below.  Every face
-found is then checked exactly, one face column at a time.  A cell that is
-not a vertex tuple with a real grade, a grade that is NaN or below its
-predecessor's, the empty simplex, a missing or later face, an edge whose
-vertices do not increase, a key shared within a dimension (as a repeat's
-is), or vertex ids that are not integers send every cell to a scan that
-indexes one cell at a time: it raises at the first failing cell, with the
-index and message of a check of each cell in turn, or, when nothing was
-wrong but a key, builds the same index.  So the keys never decide a result.
-An edge must list its vertices in increasing order; a higher cell whose
-faces are all cells then does too.
+every filtration for the reduction, the tower's and the oracle's alike, with
+vertex ids of any hashable kind.  It checks the cells and finds the faces of
+each dimension in one NumPy pass, by exact integer keys (as Ripser indexes
+simplices).  Each vertex id maps to its rank among the vertex cells, so
+``V`` vertex cells give digits ``0 .. V - 1``.  A cell of at most ``m``
+vertices has its ranks, read in base ``V``, as its key; a longer cell has
+the position of all but its last ``m`` vertices among the cells of that
+dimension, followed by the last ``m`` digits.  ``m`` is the most digits
+that keep every key below ``2**63`` for any filtration within the cell
+budget, so a key names exactly one vertex tuple.  A face's key is then read
+off its cell's digits and its cell's prefix's face row, and looked up among
+the sorted keys of the dimension below.  A cell that is not a pair of a
+vertex tuple and a real grade, a grade that is NaN or below its
+predecessor's, the empty simplex, a vertex id that is not a vertex cell's, a
+missing or later face, an edge whose vertices do not increase, or a key
+repeated within a dimension fails the pass; a scan that checks one cell at
+a time then raises at the first faulty cell, with its index and reason.  An
+edge must list its vertices in increasing order; a higher cell whose faces
+are all cells then does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -43,9 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, repeat, starmap
 from numbers import Real
-from operator import itemgetter
+from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +67,6 @@ _MAX_CELLS = 1 << 20
 
 # The most bytes of packed columns the kernel may hold for one block.
 _MAX_PACKED_BYTES = 1 << 30
-
-# splitmix64's finaliser, the fixed mix of a vertex id into its share of a key
-_MIX = (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31)
 
 _simplex = itemgetter(0)
 _grade = itemgetter(1)
@@ -129,17 +130,20 @@ class BoundaryMatrix:
         """Index the ``(simplex, grade)`` pairs of *filtration*, checking
         their order, and find the faces of each dimension in one pass.
 
-        Raises :class:`FiltrationOrderError` at the first cell that is not
-        a hashable vertex tuple with a real grade, is empty, is an edge
-        whose vertices do not increase, repeats an earlier one, lacks a face
-        among the cells before it, or has a grade that is NaN or below its
-        predecessor's, with the index and message of a scan that checks one
-        cell at a time; then, at the first cell whose grade is infinite.  More cells than the cell budget raise
+        Raises :class:`FiltrationOrderError` at the first cell that is not a
+        pair of a hashable vertex tuple and a real grade, has a grade that
+        is NaN or below its predecessor's, is empty, is an edge whose
+        vertices do not increase, lacks a face among the cells before it or
+        repeats an earlier one, with the index and message of a scan that
+        checks one cell at a time; then at the first cell whose grade is
+        infinite.  More cells than the cell budget raise
         :class:`ReductionMemoryError` before any is indexed.
         """
         cells = tuple(filtration)
         _check_cells(len(cells))
-        matrix = _located(cells) or _scan(cells)
+        matrix = _located(cells)
+        if matrix is None:
+            _scan(cells)  # raises at the first faulty cell
         # the grades are in order now, so only the ends can be infinite
         if cells and not (math.isfinite(cells[0][1]) and math.isfinite(cells[-1][1])):
             i = next(i for i, (_, g) in enumerate(cells) if math.isinf(g))
@@ -147,23 +151,13 @@ class BoundaryMatrix:
         return matrix
 
 
-def _mixed(vertices: np.ndarray) -> np.ndarray:
-    """Each vertex id's share of a key: a fixed 64-bit mix of the id."""
-    a, m1, b, m2, c = _MIX
-    x = vertices.astype(np.uint64)
-    x ^= x >> a
-    x *= m1
-    x ^= x >> b
-    x *= m2
-    x ^= x >> c
-    return x
-
-
 def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
     """The index of *cells*, checked in one pass but for infinite grades,
-    with the faces of each dimension located by key and checked exactly,
-    one face column at a time; None when a check fails or a vertex id is
-    not an integer."""
+    with the faces of each dimension located by exact key; None when a
+    check fails."""
+    pairs = all(issubclass(t, tuple) for t in set(map(type, cells))) and set(map(len, cells)) <= {2}
+    if not pairs:
+        return None
     simplices = list(map(_simplex, cells))
     given = list(map(_grade, cells))
     kinds = set(map(type, given))
@@ -174,113 +168,108 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
     ):
         return None
     grades = np.fromiter(given, np.float64, len(cells))
-    # and would round an int past 2**53, so its order is checked on the grades given
-    if kinds != {float} and grades.tolist() != given:
+    # and rounds an int past 2**53, so the order of such grades is checked as given
+    if kinds != {float} and grades.tolist() != given and not all(map(le, given, given[1:])):
         return None
     del given  # the face pass needs only the float grades
     if np.isnan(grades).any() or (grades[1:] < grades[:-1]).any():
         return None
     sizes = np.fromiter(map(len, simplices), np.intp, len(cells))
-    per_dim = np.bincount(sizes, minlength=1)
+    per_dim = np.bincount(sizes, minlength=1).tolist()
     # the empty simplex, or a dimension with no cells below a cell
-    if per_dim[0] or not per_dim[1:].all():
+    if per_dim[0] or not all(per_dim[1:]):
         return None
-    # the simplices in (dimension, filtration) order
+    # the cells in (dimension, filtration) order
     order = np.argsort(sizes, kind="stable")
-    simplices = list(map(simplices.__getitem__, order.tolist()))
-    by_dim, faces = [], []
-    below = None  # the dimension below: its vertices, indices and keys
+    n_vertices, n_edges = (per_dim + [0, 0])[1:3]
+    vertices = map(simplices.__getitem__, order[:n_vertices].tolist())
+    edges = map(simplices.__getitem__, order[n_vertices : n_vertices + n_edges].tolist())
+    try:
+        # each vertex id's rank among the vertex cells; an id of none is a missing face
+        rank = dict(zip(chain.from_iterable(vertices), range(n_vertices)))
+        if not all(starmap(lt, edges)):
+            return None
+        ranks = np.fromiter(map(rank.get, chain.from_iterable(simplices)), np.int32, sizes.sum())
+    except TypeError:  # an id that does not hash, a missing one, or an edge's that do not compare
+        return None
+    del simplices
+    first = np.cumsum(sizes) - sizes  # where each cell's ranks start
+    # m vertices per digit run: a key of any dimension stays below 2**63
+    m = 1
+    while m < len(per_dim) - 1 and _MAX_CELLS * n_vertices ** (m + 1) < 2**63:
+        m += 1
+    base = n_vertices**m
+    by_dim, faces, keys = [], [], []  # keys[d]: dimension d's sorted keys and their positions
+
+    def find(d: int, needle: np.ndarray) -> np.ndarray | None:
+        """Each needle's position in dimension *d*, or None if one is no key there."""
+        ordered, positions = keys[d]
+        at = np.searchsorted(ordered, needle)
+        np.minimum(at, len(ordered) - 1, out=at)
+        return positions.take(at) if (ordered.take(at) == needle).all() else None
+
     hi = 0
-    for d, n in enumerate(per_dim[1:].tolist()):
+    for d, n in enumerate(per_dim[1:]):
         lo, hi = hi, hi + n
         rows = order[lo:hi]
-        try:
-            ids = np.array(list(chain.from_iterable(simplices[lo:hi])))
-        except ValueError:  # vertices that are sequences of unequal lengths
+        digits = ranks[first[rows, None] + np.arange(d + 1)]
+        # a cell's key: the position of all but its last m vertices, then their digits
+        stop = d % m + 1
+        key = digits[:, :stop] @ _powers(n_vertices, stop)
+        for stop in range(stop, d + 1, m):
+            prefix = find(stop - 1, key)
+            if prefix is None:
+                return None
+            key = prefix * base + digits[:, stop : stop + m] @ _powers(n_vertices, m)
+        sort = np.argsort(key)
+        ordered = key.take(sort)
+        if (ordered[1:] == ordered[:-1]).any():  # a repeat
             return None
-        if ids.dtype.kind not in "ib" or ids.ndim != 1:  # strings, floats, ids past 64 bits
-            return None
-        # row c holds each cell's c-th vertex id, and its share of the key
-        vertices = ids.reshape(n, d + 1).T.copy()
-        mix = _mixed(vertices)
-        key = mix.sum(axis=0)  # wraps modulo 2**64
         located = np.empty((n, d + 1 if d else 0), np.intp)
         if d:
-            if d == 1 and not (vertices[0] < vertices[1]).all():
+            # row c reads the digits of face c's last m vertices; face c lacks vertex d - c
+            weights = np.zeros((d + 1, d + 1), np.int64)
+            for c in range(d + 1):
+                kept = [i for i in range(d + 1) if i != d - c][-m:]
+                weights[c, kept] = _powers(n_vertices, len(kept))
+            # the cells in key order keep each face's needles close to sorted
+            needles = weights @ digits[sort].T
+            if d > m:
+                # face c's prefix is the face of the cell's prefix (vertices 0..p)
+                # that lacks vertex d - c, or, if the prefix holds no such vertex, vertex p
+                p = d - m
+                drop = [p - min(d - c, p) for c in range(d + 1)]
+                needles += faces[p][prefix[sort]][:, drop].T * base
+            found = find(d - 1, needles)
+            if found is None or not (by_dim[d - 1].take(found) < rows.take(sort)).all():
                 return None
-            vertices_b, rows_b, keys_b = below
-            for k in range(d + 1):
-                j = d - k  # combinations order drops the last vertex first
-                found = keys_b.find(key - mix[j])
-                if not (
-                    all(
-                        (b.take(found) == v).all()
-                        for b, v in zip(vertices_b, chain(vertices[:j], vertices[j + 1 :]))
-                    )
-                    and (rows_b.take(found) < rows).all()
-                ):
-                    return None
-                located[:, k] = found
-        keys = _Keys(key)
-        if not keys.distinct:
-            return None
-        below = vertices, rows, keys
+            located[sort] = found.T
+        keys.append((ordered, sort))
         by_dim.append(rows)
         faces.append(located)
-    return _matrix(cells, by_dim, faces, grades)
+    return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades[i] for i in by_dim))
 
 
-class _Keys:
-    """One dimension's keys, sorted and bucketed by their top bits so that
-    a key is found in a step or two where a binary search takes many."""
-
-    __slots__ = ("distinct", "padded", "rows", "first", "shift")
-
-    def __init__(self, key: np.ndarray) -> None:
-        self.rows = np.argsort(key)
-        # a last key above every other stops each walk within the keys
-        self.padded = padded = np.empty(len(key) + 1, np.uint64)
-        ordered = key.take(self.rows, out=padded[:-1])
-        padded[-1] = 2**64 - 1
-        self.distinct = not (ordered[1:] == ordered[:-1]).any()
-        bits = len(key).bit_length()  # about one key per bucket
-        self.shift = 64 - bits
-        # signed, since bincount refuses uint64 before NumPy 2.3
-        load = np.bincount((ordered >> self.shift).astype(np.intp), minlength=1 << bits)
-        self.first = np.cumsum(load) - load  # each bucket's first key
-
-    def find(self, needles: np.ndarray) -> np.ndarray:
-        """The row of the least key at or above each needle (the last row
-        when there is none), so the row of each needle that is a key."""
-        at = self.first[needles >> self.shift]
-        padded = self.padded
-        # walk each needle up its bucket: it passes only keys below it
-        step = np.flatnonzero(padded[at] < needles)
-        while step.size:
-            at[step] += 1
-            step = step[padded[at[step]] < needles[step]]
-        np.minimum(at, len(self.rows) - 1, out=at)
-        return self.rows[at]
+def _powers(base: int, k: int) -> np.ndarray:
+    """The weights that read *k* digits in *base*, most significant first."""
+    return base ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
-def _scan(cells: Sequence[tuple[Simplex, float]]) -> BoundaryMatrix:
-    """The index of *cells*, built one cell at a time with every check of
-    :meth:`BoundaryMatrix.from_filtration` but for infinite grades, raising
-    :class:`FiltrationOrderError` at the first cell that fails one."""
-    pos: dict[Simplex, int] = {}
-    lookup = pos.get
-    by_dim: list[list[int]] = []
-    faces: list[list[tuple[int, ...]]] = []
+def _scan(cells: Sequence[tuple[Simplex, float]]) -> None:
+    """Raise :class:`FiltrationOrderError` at the first cell that fails a
+    check of :meth:`BoundaryMatrix.from_filtration` but for infinite
+    grades, checking one cell at a time."""
+    seen: set[Simplex] = set()
     last = -math.inf
-    for i, (s, grade) in enumerate(cells):
+    for i, cell in enumerate(cells):
         try:
+            s, grade = cell
             hash(s)
-            well_formed = isinstance(s, tuple) and isinstance(grade, Real)
-        except TypeError:  # a cell or vertex that is not hashable
-            well_formed = False
-        if not well_formed:
+        except (TypeError, ValueError):  # not a pair, or a simplex or vertex that is not hashable
+            s = grade = None
+        if not (isinstance(cell, tuple) and isinstance(s, tuple) and isinstance(grade, Real)):
             raise FiltrationOrderError(
-                f"malformed cell {(s, grade)!r}: not a vertex tuple with a real grade", i
+                f"malformed cell {cell!r}: not a vertex tuple with a real grade", i
             )
         if not grade >= last:
             raise FiltrationOrderError(
@@ -288,49 +277,23 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> BoundaryMatrix:
             )
         last = grade
         d = len(s) - 1
-        if d > 0:
-            if d == 1:
-                try:
-                    increasing = s[0] < s[1]
-                except TypeError:  # vertices that do not compare
-                    increasing = False
-                if not increasing:
-                    raise FiltrationOrderError(f"edge {s} is not in increasing vertex order", i)
-            column = tuple(map(lookup, combinations(s, d)))
-            if None in column:
-                face = next(f for f in combinations(s, d) if f not in pos)
-                raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
-        elif d < 0:
+        if d < 0:
             raise FiltrationOrderError("the empty simplex is not a cell", i)
-        else:
-            column = ()
-        if d == len(by_dim):
-            by_dim.append([])
-            faces.append([])
-        cells_d = by_dim[d]
-        pos[s] = len(cells_d)
-        # the i cells before are distinct, so a repeat leaves i entries
-        if len(pos) == i:
+        if d == 1:
+            try:
+                increasing = s[0] < s[1]
+            except TypeError:  # vertices that do not compare
+                increasing = False
+            if not increasing:
+                raise FiltrationOrderError(f"edge {s} is not in increasing vertex order", i)
+        if d > 0:
+            face = next((f for f in combinations(s, d) if f not in seen), None)
+            if face is not None:
+                raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
+        if s in seen:
             raise FiltrationOrderError(f"duplicate cell {s}", i)
-        cells_d.append(i)
-        faces[d].append(column)
-    return _matrix(
-        tuple(cells),
-        [np.array(rows, np.intp) for rows in by_dim],
-        [np.array(f, np.intp).reshape(len(f), d + 1 if d else 0) for d, f in enumerate(faces)],
-        np.fromiter(map(_grade, cells), np.float64, len(cells)),
-    )
-
-
-def _matrix(
-    cells: tuple[tuple[Simplex, float], ...],
-    by_dim: Sequence[np.ndarray],
-    faces: Sequence[np.ndarray],
-    grades: np.ndarray,
-) -> BoundaryMatrix:
-    """The :class:`BoundaryMatrix` of *cells* with their indices and faces
-    per dimension, and each dimension's share of the *grades* of *cells*."""
-    return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades[i] for i in by_dim))
+        seen.add(s)
+    raise AssertionError("no cell is faulty, yet the index refused the cells")
 
 
 def _check_cells(held: int) -> None:

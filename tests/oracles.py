@@ -484,14 +484,17 @@ FAULT_REASONS = (
 def naive_filtration_fault(cells):
     """``(index, reason)`` of the first cell that breaks face-first,
     non-decreasing order, or None.  Each cell is judged in this order: not
-    a hashable tuple of vertices with a real grade, a grade below its
+    a pair of a hashable tuple of vertices and a real grade, a grade below its
     predecessor's or NaN, the empty simplex, an edge whose vertices do not
     increase, a codimension-1 face not among the cells before it, a
     repeat.  A higher cell whose faces all came before is
     sorted when every edge is, so only edges are checked for order."""
     seen = set()
     prev = -math.inf
-    for i, (s, g) in enumerate(cells):
+    for i, cell in enumerate(cells):
+        if not (isinstance(cell, tuple) and len(cell) == 2):
+            return i, "malformed cell"
+        s, g = cell
         try:
             hash(s)
         except TypeError:

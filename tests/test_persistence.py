@@ -328,23 +328,17 @@ def test_filtration_validate():
         assert reason in str(exc.value)
 
 
-def _constant_mix(ids):
-    return np.zeros_like(ids, np.uint64)
-
-
-@pytest.fixture(params=["located", "scanned"])
+@pytest.fixture(params=["located"])
 def index_path(request, monkeypatch):
-    """Each way the builder finds faces: located by key, or, with a constant
-    key mix that makes the keys of every dimension collide, by the scan of
-    one cell at a time."""
-    if request.param == "scanned":
-        monkeypatch.setattr(persistence, "_mixed", _constant_mix)
-    return request.param
+    """The one way the builder indexes a filtration: faces located by exact
+    key, with every fault reported by the scan of one cell at a time.  The
+    list it gives records the size of each filtration that reaches the scan."""
+    return _scans(monkeypatch)
 
 
 def test_unsorted_edge_is_refused(index_path):
-    """An edge must list its vertices in increasing order, whether the
-    builder locates faces by key or scans one cell at a time: ``(1, 0)``
+    """An edge must list its vertices in increasing order, as the per-cell
+    scan reports once the keys refuse the cells: ``(1, 0)``
     once passed as a second copy of ``(0, 1)`` that killed a component and
     left a spurious class, ``(0, 0)`` passed as an edge, and ``(0, 'a')``
     raised a bare ``TypeError``."""
@@ -365,12 +359,18 @@ def test_unsorted_edge_is_refused(index_path):
 
 
 def test_malformed_cells_are_refused(index_path):
-    """A cell that is not a hashable vertex tuple with a real grade is
-    refused at its index, whether the builder locates faces by key or scans
-    one cell at a time: a grade given as text, as bytes or as None once
-    raised a bare ``TypeError``, and so did a list simplex or vertex."""
+    """A cell that is not a pair of a hashable vertex tuple and a real grade
+    is refused at its index, as the per-cell scan reports: a grade given as
+    text, as bytes or as None once raised a bare ``TypeError``, and so did a
+    list simplex or vertex.  So did a cell that is not a pair, an int or
+    None, and one of one entry raised a bare ``IndexError``; one of three,
+    or a pair given as a list, was indexed as a pair, and after an empty
+    simplex one of three raised a bare ``ValueError``."""
     edge = [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
-    for bad in (((0,), "1"), ((0,), b"1"), ((0,), None), ([0], 0.0), (([0],), 0.0)):
+    for bad in (
+        ((0,), "1"), ((0,), b"1"), ((0,), None), ([0], 0.0), (([0],), 0.0),
+        ((0,),), ((0,), 0.0, "x"), 5, None, [(0,), 0.0],
+    ):
         for i in (0, 3):
             cells = edge[:i] + [bad] + edge[i:]
             message = re.escape(f"malformed cell {bad!r}: not a vertex tuple with a real grade")
@@ -378,12 +378,18 @@ def test_malformed_cells_are_refused(index_path):
                 compute_persistence(cells)
             assert e.value.cell_index == i
             assert naive_filtration_fault(cells) == (i, "malformed cell")
+    assert len(index_path) == 20
+    # these once returned a diagram, or raised a bare ValueError or TypeError
+    for cells in ([((0,), 0.0, "x")], [((0,), 0.0, "x"), ((), 0.0)], [((0,), 0.0), 7]):
+        with pytest.raises(FiltrationOrderError, match="^malformed cell") as e:
+            compute_persistence(cells)
+        assert (e.value.cell_index, "malformed cell") == naive_filtration_fault(cells)
 
 
 def test_int_grades_are_compared_exactly(index_path):
     """An int grade past 2**53 that falls is refused, though a float array
     rounds it to its predecessor's grade; one that rises is reduced at the
-    grade a float holds."""
+    grade a float holds, by key."""
     big = 2**53
     falling = [((0,), big + 1), ((1,), big)]
     with pytest.raises(FiltrationOrderError, match="has grade") as e:
@@ -392,6 +398,7 @@ def test_int_grades_are_compared_exactly(index_path):
     assert naive_filtration_fault(falling) == (1, "has grade")
     rising = compute_persistence([((0,), big), ((1,), big + 1)])
     assert rising.pairs == ((0, float(big), math.inf),) * 2
+    assert index_path == [len(falling)]  # the rising grades are indexed by key
 
 
 def _seeded_filtrations():
@@ -444,12 +451,16 @@ FAULTS = ("drop", "orphan", "repeat-earlier", "repeat-in-run", "lower", "nan", "
 
 
 def _malform(cells, p, rng):
-    """A copy of *cells* whose cell at *p* is not a vertex tuple with a real
-    grade: a list, or a grade given as text, as bytes or as None (a float
-    array reads the first two as numbers and None as NaN)."""
+    """A copy of *cells* whose cell at *p* is not a pair of a vertex tuple
+    and a real grade: a list, a grade given as text, as bytes or as None (a
+    float array reads the first two as numbers and None as NaN), or a cell
+    of one entry, of three, or that is no tuple at all."""
     s, g = cells[p]
     out = list(cells)
-    out[p] = rng.choice(((list(s), g), (s, str(g)), (s, str(g).encode()), (s, None)))
+    out[p] = rng.choice((
+        (list(s), g), (s, str(g)), (s, str(g).encode()), (s, None),
+        (s,), (s, g, "x"), [s, g], len(s), None,
+    ))
     return out
 
 
@@ -471,9 +482,9 @@ def test_builder_refuses_the_cell_the_judge_refuses(index_path):
     """One or two faults of every kind, placed at the start, middle and end
     of runs and on grade boundaries of seeded oracle and tower filtrations,
     and a malformed cell on its own or after another fault: the builder
-    refuses the cell the judge names, for the judge's reason, whether it
-    locates faces by key or scans one cell at a time, and indexes an
-    unfaulted result as a naive per-cell index does."""
+    refuses the cell the judge names, for the judge's reason, reported by
+    the per-cell scan, and indexes an unfaulted result by key, as a naive
+    per-cell index does, without a scan."""
     rng = random.Random(7)
     faulted = malformed = 0
     for cells in _seeded_filtrations():
@@ -486,18 +497,20 @@ def test_builder_refuses_the_cell_the_judge_refuses(index_path):
             base = rng.choice((cells, one))
             cases.append(_malform(base, rng.randrange(len(base)), rng))
         for case in cases:
+            index_path.clear()
             fault = naive_filtration_fault(case)
             if fault is None:
                 assert _builder_outcome(case) == naive_boundary_index(case)
             else:
                 assert _builder_outcome(case) == fault
+            assert index_path == ([] if fault is None else [len(case)])
             faulted += fault is not None
             malformed += fault is not None and fault[1] == "malformed cell"
     assert faulted > 100 and malformed > 30
 
 
 def _scans(monkeypatch):
-    """A list that records each filtration the per-cell scan indexes."""
+    """A list that records each filtration the per-cell scan checks."""
     scanned = []
     scan = persistence._scan
 
@@ -509,28 +522,9 @@ def _scans(monkeypatch):
     return scanned
 
 
-def test_scan_builds_the_index_the_keys_locate(monkeypatch):
-    """With a constant key mix every filtration falls back to the per-cell
-    scan, which builds the index and the diagrams, zero-length pairs too,
-    that locating faces by key builds, on seeded oracle and tower
-    filtrations; with the fixed mix, none of them falls back."""
-    scanned = _scans(monkeypatch)
-    for cells in _seeded_filtrations():
-        located = BoundaryMatrix.from_filtration(cells)
-        diagrams = [persistence._diagram(located, zero) for zero in (False, True)]
-        assert scanned == []
-        with monkeypatch.context() as m:
-            m.setattr(persistence, "_mixed", _constant_mix)
-            by_scan = BoundaryMatrix.from_filtration(cells)
-        assert scanned == [len(cells)]
-        scanned.clear()
-        assert boundary_index_of(by_scan) == boundary_index_of(located)
-        assert [persistence._diagram(by_scan, zero) for zero in (False, True)] == diagrams
-
-
 def test_keys_are_bucketed_without_an_unsigned_count(monkeypatch):
     """``np.bincount`` refuses uint64 input before NumPy 2.3 (numpy>=1.24 is
-    supported), so the key pass must hand it signed bucket numbers: with a
+    supported), so the index must hand it signed numbers only: with a
     bincount that refuses unsigned input, faces are still found by key."""
     filtrations = list(_seeded_filtrations())
     want = [compute_persistence(cells, include_zero_pairs=True) for cells in filtrations]
@@ -550,26 +544,61 @@ def test_keys_are_bucketed_without_an_unsigned_count(monkeypatch):
 def test_vertex_ids_of_any_kind(monkeypatch):
     """Strings, ids at or past 2**63, tuples (of unequal lengths, which
     once raised a bare ``ValueError``), bools and negative ids give the
-    diagram of the same filtration on 0, 1, ...: the first three through
-    the per-cell scan, the others through the keys."""
+    diagram of the same filtration on 0, 1, ..., all located by key, with
+    no cell left to the per-cell scan."""
     scanned = _scans(monkeypatch)
     cells = next(_seeded_filtrations())
     want = compute_persistence(cells, include_zero_pairs=True)
-    for relabel, scans in (
-        (lambda v: f"v{v:03d}", True),
-        (lambda v: v + 2**63, True),
-        (lambda v: tuple(range(v)), True),
-        (lambda v: v - 1000, False),
+    for relabel in (
+        lambda v: f"v{v:03d}",
+        lambda v: v + 2**63,
+        lambda v: tuple(range(v)),
+        lambda v: v - 1000,
     ):
-        scanned.clear()
         moved = [(tuple(map(relabel, s)), g) for s, g in cells]
         assert compute_persistence(moved, include_zero_pairs=True) == want
-        assert scanned == ([len(cells)] if scans else [])
-    scanned.clear()
     edge = [((0,), 0.0), ((1,), 0.0), ((0, 1), 1.0)]
     booleans = [(tuple(map(bool, s)), g) for s, g in edge]
     assert compute_persistence(booleans) == compute_persistence(edge)
     assert scanned == []
+
+
+def test_keys_at_their_limits(monkeypatch):
+    """Past about 20,000 vertex cells a key holds two vertices' digits after
+    its prefix's position, so a 7-simplex's key takes three prefix lookups,
+    and its faces drop a vertex inside the prefix or among the last two.
+    The index is the naive one, and a repeat and a missing face are refused
+    at the judge's cell.  A key holds three digits up to 20,642 vertex cells.
+    With one digit after the position, every cell past the vertices is
+    keyed by its prefix."""
+    scanned = _scans(monkeypatch)
+    n = 70_000
+    top = tuple(range(n - 8, n))
+    cells = [((v,), 0.0) for v in range(n)]
+    cells += [(s, 1.0) for k in range(2, 9) for s in combinations(top, k)]
+    assert _builder_outcome(cells) == naive_boundary_index(cells)
+    assert scanned == []
+    # the 7-simplex repeated, or missing its face without its last vertex or its first
+    for case in (cells + cells[-1:], cells[:-9] + cells[-8:], cells[:-2] + cells[-1:]):
+        fault = naive_filtration_fault(case)
+        assert fault[1] in ("duplicate cell", "is missing face")
+        assert _builder_outcome(case) == fault
+    assert len(scanned) == 3
+    # the most digits that keep a key below 2**63 within the cell budget
+    powers = persistence._powers
+    digits = []
+    monkeypatch.setattr(persistence, "_powers", lambda b, k: digits.append(k) or powers(b, k))
+    for n, m in ((20_642, 3), (20_643, 2)):
+        digits.clear()
+        cells = [((v,), 0.0) for v in range(n)]
+        cells += [(s, 1.0) for k in range(2, 5) for s in combinations(range(4), k)]
+        assert _builder_outcome(cells) == naive_boundary_index(cells)
+        assert max(digits) == m
+    # a budget so large that a key holds one digit after its prefix's position
+    monkeypatch.setattr(persistence, "_MAX_CELLS", 2**61)
+    for cells in _seeded_filtrations():
+        assert _builder_outcome(cells) == naive_boundary_index(cells)
+    assert len(scanned) == 3
 
 
 def test_filtration_from_snapshots_grades_by_first_appearance():

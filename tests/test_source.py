@@ -15,9 +15,9 @@ retraction: no module defines or names a ``ComplexMatrix`` or
 ``pipeline`` pass cores as cliques and retractions as lists, and name none
 of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 
-A filtration's boundary index has one builder, in ``persistence``: no other
-module builds a ``BoundaryMatrix`` itself or names the
-``FiltrationOrderError`` that its checks raise.  Both producers' filtrations
+A filtration's boundary index has one builder, ``persistence._located``: no
+other function builds a ``BoundaryMatrix`` itself, and no other module names
+the ``FiltrationOrderError`` that its checks raise.  Both producers' filtrations
 are indexed and reduced through ``compute_persistence``: no other module
 calls ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function
 reduces the boundary blocks: ``reduce_block`` has one caller.
@@ -223,6 +223,15 @@ def test_rules_see_what_they_forbid():
     )
     assert _private_imports(tree) == {("persistence", "_diagram"), ("collapse", "_bits")}
     assert _callers(tree, "reduce_block") == ["a", "b", "inner"]
+    tree = ast.parse(
+        "def _located(cells):\n"
+        "    return BoundaryMatrix(cells, (), (), ())\n"
+        "def _scan(cells):\n"
+        "    return persistence.BoundaryMatrix(cells, (), (), ())\n"
+        "def from_filtration(cells):\n"
+        "    return BoundaryMatrix.from_filtration(cells)\n"
+    )
+    assert _callers(tree, "BoundaryMatrix") == ["_located", "_scan"]
 
 
 def test_package_has_no_recursion():
@@ -255,9 +264,11 @@ def test_flag_native_modules_name_no_matrix_types():
 def test_only_persistence_builds_and_checks_the_boundary_index():
     assert {"tower", "pipeline"} <= {path.stem for path in SOURCES}
     for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.stem == "persistence":
+            assert _callers(tree, "BoundaryMatrix") == ["_located"]
         if path.stem in INDEX_OWNERS:
             continue
-        tree = ast.parse(path.read_text(), filename=str(path))
         assert "FiltrationOrderError" not in _names(tree), path.name
         assert _calls(tree, "BoundaryMatrix") == [], path.name
 

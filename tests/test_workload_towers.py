@@ -6,15 +6,14 @@ default cloud (no isometry) is collapsed at each of its grades with
 must equal the whole-complex coning of that tower, form a face-first
 filtration, and be indexed by key as a per-cell index lays them out.
 Neither that index nor the uncollapsed oracle's of a comparison falls back
-to the per-cell scan, and on both oracle-compare clouds that scan, forced
-by a constant key mix, builds the oracle's index and diagrams all the same.
+to the per-cell scan, and on both oracle-compare clouds the oracle's index
+is the per-cell one, with the vertex ids as given and relabelled as strings.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from oracles import (
     boundary_index_of,
@@ -24,7 +23,7 @@ from oracles import (
 )
 
 from ripscollapse import persistence
-from ripscollapse.persistence import BoundaryMatrix, _diagram
+from ripscollapse.persistence import BoundaryMatrix
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import assemble_tower
@@ -64,18 +63,13 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
-def test_oracle_index_is_the_same_by_key_and_by_scan(seed, monkeypatch):
+def test_oracle_index_is_the_naive_index(seed, monkeypatch):
+    monkeypatch.setattr(persistence, "_scan", _no_scan)
     w = WORKLOADS["oracle-compare"]
     grades = w.grades()
     D = pairwise_distances(w.cloud(getattr(w, seed), w.n))
     cells = run_pipeline(D, grades, collapse=False).filtration
-    located = BoundaryMatrix.from_filtration(cells)
-    monkeypatch.setattr(persistence, "_mixed", lambda ids: np.zeros_like(ids, np.uint64))
-    scanned = []
-    scan = persistence._scan
-    monkeypatch.setattr(persistence, "_scan", lambda c: scanned.append(c) or scan(c))
-    by_scan = BoundaryMatrix.from_filtration(cells)
-    assert len(scanned) == 1
-    assert boundary_index_of(by_scan) == boundary_index_of(located)
-    for zero in (False, True):
-        assert _diagram(by_scan, zero) == _diagram(located, zero)
+    want = naive_boundary_index(cells)
+    assert boundary_index_of(BoundaryMatrix.from_filtration(cells)) == want
+    named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
+    assert boundary_index_of(BoundaryMatrix.from_filtration(named)) == want
