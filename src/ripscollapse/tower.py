@@ -7,7 +7,9 @@ grade, Contract merges a live vertex into another.  Because a filtration
 cannot express vertex merges directly, each Contract(u, v) is realised by
 coning: every cell of the closed star of ``u`` gains the cone cell with apex
 ``v``, which makes ``u`` dominated by ``v`` from that grade on without ever
-renaming existing cells.
+renaming existing cells.  A map that sends ``u`` to a vertex not in the
+complex is an isomorphism, so it needs no op: that vertex takes over the
+tower id ``u``.
 
 A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
 non-decreasing order.  Every Include is a cell of the tower's filtration
@@ -185,7 +187,8 @@ def assemble_tower(
     :func:`~ripscollapse.complexes.as_simplex` would refuse
     :class:`SimplexError`.  For each snapshot j > 0, every live vertex whose
     image under the snapshot's retraction differs from it is contracted into
-    that image (in increasing vertex id).  Then every simplex of core j
+    that image (in increasing vertex id), or relabelled, as below, when the
+    image is not live.  Then every simplex of core j
     missing from the complex is included, in (dimension, lexicographic)
     order; for j = 0 that is all of core 0.
 
@@ -199,12 +202,15 @@ def assemble_tower(
     :class:`~ripscollapse.errors.ReductionMemoryError` before its cells pass
     the budget.
 
+    A live vertex whose image is not live is not contracted: the image's
+    point takes over the vertex's tower id, with no op and no cell, and the
+    live vertices after it with that image are contracted into that id.
+
     Tower ids are permanent: a contracted id never reappears.  Cores may
-    nevertheless mention a point whose id was contracted at an earlier grade
-    (collapses are independent per snapshot), so each core is rewritten
-    through a point-to-tower-id table; a returning point is given a fresh
-    id.  A contract whose target id is not yet live is preceded by the
-    inclusion of that single vertex, keeping every op valid.
+    nevertheless mention a point whose id was contracted or taken over at an
+    earlier grade (collapses are independent per snapshot), so each core is
+    rewritten through a point-to-tower-id table; a returning point is given
+    a fresh id.
     """
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
@@ -282,16 +288,22 @@ def assemble_tower(
                         f"snapshot {j}: contracted cell {_bits(image)} is not in the next core"
                     )
 
-        for u in sorted(mapping):
-            w = mapping[u]
+        # contracting u into a target that is not live is an isomorphism, so
+        # the target's point takes over u's id instead; u is not a target,
+        # since a live core vertex is fixed, so the alias clashes with no id
+        alias: dict[int, int] = {}
+        for u, w in sorted(mapping.items()):
+            w = alias.get(w, w)
             if w == u:
                 continue
             if (w,) not in emitted:
-                current.emit([(w,)], g)
-                current.add_cofaces([(w,)])
+                alias[w] = u
+                continue
             start = len(current.cells)
             current.contract(u, w, g)
             contractions.append((start, len(current.cells), u, w, g))
+        if alias:
+            new_ident = {q: alias.get(x, x) for q, x in new_ident.items()}
 
         # the new cells are the faces of core j's maximal simplices that are
         # not live, found level by level, so each level sorts into

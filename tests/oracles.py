@@ -615,7 +615,10 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
     """The ops of the core tower, by expanding every core (a list of
     maximal simplices) in full, rewriting the whole contracted complex after
     every snapshot and comparing it cell by cell with the next core.  A
-    retraction is a list indexed by point, read here as a dict."""
+    retraction is a list indexed by point, read here as a dict.  Ids sent to
+    a vertex that is not live map isomorphically onto it, so the least of
+    them becomes that vertex's id, with no op, and the rest contract into
+    it."""
 
     def expand(c):
         projected = sum(2 ** len(s) - 1 for s in c)
@@ -661,18 +664,19 @@ def naive_assemble_core_tower(cores, retractions, grades, cap):
                 raise CollapseConsistencyError(f"snapshot {j}: no core image of point {p}")
             mapping[x] = new_ident[r[p]]
 
+        # a target outside the complex is renamed, not contracted into: the
+        # least of the ids sent to it takes its place, and the others follow
         live = set(ident.values())
-        for u in sorted(mapping):
-            w = mapping[u]
-            if w == u:
-                continue
+        renamed = {}
+        for u, w in mapping.items():
             if w not in live:
-                ops.append(Include((w,), g))
-                present.add((w,))
-                live.add(w)
-            ops.append(Contract(u, w, g))
-            live.discard(u)
-        present = {tuple(sorted({mapping.get(x, x) for x in s})) for s in present}
+                renamed[w] = min(renamed.get(w, u), u)
+        image = {u: renamed.get(w, w) for u, w in mapping.items()}
+        for u in sorted(mapping):
+            if image[u] != u:
+                ops.append(Contract(u, image[u], g))
+        present = {tuple(sorted({image[x] for x in s})) for s in present}
+        new_ident = {q: renamed.get(x, x) for q, x in new_ident.items()}
 
         target = [tuple(sorted(new_ident[x] for x in s)) for s in expand(cores[j])]
         if not present <= set(target):

@@ -371,10 +371,13 @@ def test_reduction_memory_guard_exit_3(square_file, monkeypatch, capsys):
 
 
 # sha256 of the artifacts at commit 3421828, before the tower kept only its
-# contractions: a tower, diagram or stats change must be argued and logged
+# contractions, but for the collapsed tower, re-pinned when a retraction onto
+# a vertex outside the tower became a relabel (61 -> 46 includes, 37 -> 22
+# contracts, the same diagram): a tower, diagram or stats change must be
+# argued and logged
 CIRCLE_DIGESTS = {
     ("pipeline", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
-    ("pipeline", "tower"): "ef8551a4d4b197864f4710c96bc96a38c95f24ffa319633f8125e5ad732cbd8d",
+    ("pipeline", "tower"): "b8fff39ab8d648bea581e972e75e409a7e643621be2aa7e9348ad8ae5d201259",
     ("pipeline", "stats"): "eb23add47d3fcdb344254840bfe7f2c5c29376114959a56b6391ea1973bf5942",
     ("no-collapse", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
     ("no-collapse", "tower"): "f44a0ef16665618112590e2fe3f82a9b2c3a53bb3473b76cd5ec294ddcda231a",

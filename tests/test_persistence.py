@@ -522,10 +522,11 @@ def _scans(monkeypatch):
     return scanned
 
 
-def test_keys_are_bucketed_without_an_unsigned_count(monkeypatch):
+def test_cell_sizes_are_counted_with_a_signed_bincount(monkeypatch):
     """``np.bincount`` refuses uint64 input before NumPy 2.3 (numpy>=1.24 is
-    supported), so the index must hand it signed numbers only: with a
-    bincount that refuses unsigned input, faces are still found by key."""
+    supported).  The index's one bincount, over the cell sizes, must get
+    signed input: with a bincount that refuses unsigned input, the diagrams
+    are unchanged and no cell is left to the per-cell scan."""
     filtrations = list(_seeded_filtrations())
     want = [compute_persistence(cells, include_zero_pairs=True) for cells in filtrations]
     bincount = np.bincount

@@ -111,16 +111,49 @@ def test_unit_square_tower_ops():
     naive_validate_tower(tower)
 
 
-def test_contract_into_vertex_absent_from_tower_includes_it_first():
+def _relabelled(cores, retractions, grades):
+    """The assembled tower, once it is checked against the whole-set oracle
+    and replayed op by op."""
+    tower = _assemble(cores, retractions, grades)
+    cap = DEFAULT_EXPANSION_CAP
+    assert tuple(tower) == naive_assemble_core_tower(cores, retractions, grades, cap)
+    naive_validate_tower(tower)
+    return tower
+
+
+def test_contract_into_vertex_absent_from_tower_relabels_it():
     # first core is the vertex 0, the next snapshot retracts everything onto
-    # vertex 1, which the tower has never seen: it must be included on the fly
-    tower = _assemble([[(0,)], [(1,)]], [[0], [1, 1, 1]], [0.0, 1.0])
+    # vertex 1, which the tower has never seen: point 1 takes over tower id 0,
+    # an isomorphism that needs no op
+    tower = _relabelled([[(0,)], [(1,)]], [[0], [1, 1, 1]], [0.0, 1.0])
+    assert tuple(tower) == (Include((0,), 0.0),)
+    assert compute_persistence(tower.cells).pairs == ((0, 0.0, math.inf),)
+
+
+def test_two_sources_retracted_onto_an_absent_vertex_contract_into_the_first():
+    # points 0 and 1 both go to point 2, which is not in the tower: the lower
+    # id is relabelled, and the other one contracts into the id it inherits
+    tower = _relabelled([[(0,), (1,)], [(2,)]], [[0, 1], [2, 2, 2]], [0.0, 1.0])
     assert tuple(tower) == (
         Include((0,), 0.0),
-        Include((1,), 1.0),
-        Contract(0, 1, 1.0),
+        Include((1,), 0.0),
+        Contract(1, 0, 1.0),
     )
-    naive_validate_tower(tower)
+    assert compute_persistence(tower.cells).pairs == ((0, 0.0, 1.0), (0, 0.0, math.inf))
+
+
+def test_point_relabelled_away_returns_with_a_fresh_id():
+    # point 1 takes over point 0's id at grade 1, then point 0 returns: it
+    # may reuse neither id 0, which point 1 holds, nor id 1, which was handed
+    # out at grade 1, so it gets the fresh id 2
+    cores = [[(0,)], [(1,)], [(0,), (1,)]]
+    tower = _relabelled(cores, [[0], [1, 1], [0, 1]], [0.0, 1.0, 2.0])
+    assert tuple(tower) == (
+        Include((0,), 0.0),
+        Include((2,), 2.0),
+    )
+    diagram = compute_persistence(tower.cells)
+    assert diagram.pairs == ((0, 0.0, math.inf), (0, 2.0, math.inf))
 
 
 def test_returning_point_id_gets_a_fresh_tower_id():

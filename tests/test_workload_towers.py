@@ -8,10 +8,20 @@ filtration, and be indexed by key as a per-cell index lays them out.
 Neither that index nor the uncollapsed oracle's of a comparison falls back
 to the per-cell scan, and on both oracle-compare clouds the oracle's index
 is the per-cell one, with the vertex ids as given and relabelled as strings.
+The tower's cells and contractions are pinned: they count the assembly's
+work, noise-free.
+
+At every grade, the collapsed diagram's bars alive there must count, with
+alternating signs by dimension, the Euler characteristic of the full
+snapshot's clique complex.  That judges the collapse and the tower at every
+grade and in every dimension, though not the reduction: any pairing of
+adjacent dimensions keeps the count.
 """
 
 import importlib.util
+import random
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -41,6 +51,13 @@ def _load_workloads():
 
 WORKLOADS = _load_workloads()
 
+# (cells, contractions) of each workload's default-cloud tower
+TOWER_SIZES = {
+    "circle-snapshots": (2146, 301),
+    "oracle-compare": (290, 75),
+    "torus-tower": (27491, 231),
+}
+
 
 def _no_scan(cells):
     raise AssertionError(f"{len(cells)} cells fell back to the per-cell scan")
@@ -54,6 +71,7 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
     cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
     tower = assemble_tower([c.cliques for c in cores], [c.retraction for c in cores], grades)
+    assert (len(tower.cells), len(tower.contractions)) == TOWER_SIZES[name]
     assert tower.cells == naive_tower_to_filtration(tower)
     naive_check_filtration(tower.cells)
     matrix = BoundaryMatrix.from_filtration(tower.cells)
@@ -73,3 +91,54 @@ def test_oracle_index_is_the_naive_index(seed, monkeypatch):
     assert boundary_index_of(BoundaryMatrix.from_filtration(cells)) == want
     named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
     assert boundary_index_of(BoundaryMatrix.from_filtration(named)) == want
+
+
+def _euler_characteristic(adj):
+    """The Euler characteristic of the clique complex of the graph *adj*, one
+    bitmask per vertex: its cliques counted with sign (-1)**(size - 1) by a
+    depth-first search that extends each clique by its common neighbours
+    below its last vertex and builds no tuples."""
+    chi = 0
+    stack = [((1 << len(adj)) - 1, 1)]  # the candidates that extend one clique, and their sign
+    while stack:
+        rest, sign = stack.pop()
+        chi += sign * rest.bit_count()
+        while rest:
+            w = rest.bit_length() - 1
+            rest ^= 1 << w
+            below = rest & adj[w]
+            if below:
+                stack.append((below, -sign))
+    return chi
+
+
+def test_euler_characteristic_counts_every_clique():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        adj = [0] * n
+        for u, v in combinations(range(n), 2):
+            if rng.random() < 0.6:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        cliques = [
+            c
+            for k in range(1, n + 1)
+            for c in combinations(range(n), k)
+            if all(adj[u] >> v & 1 for u, v in combinations(c, 2))
+        ]
+        assert _euler_characteristic(adj) == sum((-1) ** (len(c) - 1) for c in cliques)
+
+
+@pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
+@pytest.mark.parametrize("name", ["oracle-compare", "torus-tower"])
+def test_bars_alive_at_each_grade_give_the_snapshot_euler_characteristic(name, seed):
+    # circle's full snapshots have too many cliques to count in a test
+    w = WORKLOADS[name]
+    grades = w.grades()
+    D = pairwise_distances(w.cloud(getattr(w, seed), w.n))
+    pairs = run_pipeline(D, grades).diagram.pairs
+    for t, adj in zip(grades, graded_bitsets(D, grades)):
+        alive = sum((-1) ** dim for dim, birth, death in pairs if birth <= t < death)
+        chi = _euler_characteristic(adj)
+        assert alive == chi, f"grade {t}"
