@@ -15,20 +15,17 @@ them as the collapsed pipeline does.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The index section times the oracle's cell build
-(``pipeline._first_appearance_cells`` on the graphs of ``graded_bitsets``),
-``BoundaryMatrix.from_filtration`` and ``compute_persistence`` on the
-uncollapsed filtration of the oracle-compare workload's grades, on its
-default and held-out clouds, taken the same way.  It prints the cliques,
-the extensions (cliques of two or more vertices, each one vertex added to
-its parent clique), the mean graph steps per extension (graphs scanned
-past the parent's first graph before the new vertex is adjacent to all of
-the parent) and the mean first-grade table reads those steps replace (one
-per vertex of the parent, as the cell build once read an n x n table of
-edge grades).  It also prints the faces (one per face of every cell) and
-the cells per dimension, which ``from_filtration`` locates by exact key in
-one NumPy pass per dimension, and times ``from_filtration`` again on the
-same cells with their vertex ids relabelled as strings, which it indexes
-the same way.
+(``pipeline._first_appearance_arrays`` on the graphs of ``graded_bitsets``,
+which builds per-dimension vertex arrays level by level), the arrays' pairs
+(``CellArrays.cells``), and ``BoundaryMatrix.from_filtration`` and
+``compute_persistence`` on those pairs and on the arrays themselves (the
+array entry, ``persistence._arrays_indexed``), for the uncollapsed
+filtration of the oracle-compare workload's grades, on its default and
+held-out clouds, taken the same way.  It prints the cells, the faces (one
+per face of every cell) and the cells per dimension, which both entries
+locate by exact key in one NumPy pass per dimension, and times
+``from_filtration`` again on the same cells with their vertex ids
+relabelled as strings, which it indexes the same way.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, given as the boundary index's array of face
@@ -61,9 +58,10 @@ from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
+    _arrays_indexed,
     compute_persistence,
 )
-from ripscollapse.pipeline import _first_appearance_cells, run_pipeline  # noqa: E402
+from ripscollapse.pipeline import _first_appearance_arrays, run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
@@ -144,15 +142,6 @@ def bench_tower():
     print(f"  compute_persistence: {_ms(_time(compute_persistence, tower.cells))}")
 
 
-def _extension_stats(cells, grades):
-    """Extensions, and their mean graph steps and replaced table reads."""
-    index = {g: i for i, g in enumerate(grades)}
-    at = {s: index[g] for s, g in cells}
-    steps = [(at[s] - at[s[:-1]], len(s) - 1) for s in at if len(s) > 1]
-    n = len(steps)
-    return n, sum(a for a, _ in steps) / n, sum(b for _, b in steps) / n
-
-
 def bench_index():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -163,11 +152,10 @@ def bench_index():
         print(f"--- oracle cells and boundary index ({w.n}-point {w.cloud.__name__} cloud {seed},"
               f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
         graphs = graded_bitsets(pairwise_distances(w.cloud(seed, w.n)), grades)
-        cells = _first_appearance_cells(grades, graphs)
-        extensions, steps, reads = _extension_stats(cells, grades)
-        print(f"  cliques: {len(cells)}, extensions {extensions}, {steps:.2f} graph steps"
-              f" per extension, replacing {reads:.2f} table reads")
-        print(f"  cell build:          {_ms(_time(_first_appearance_cells, grades, graphs))}")
+        arrays = _first_appearance_arrays(grades, graphs)
+        cells = arrays.cells()
+        print(f"  array build:         {_ms(_time(_first_appearance_arrays, grades, graphs))}")
+        print(f"  ... as pairs:        {_ms(_time(arrays.cells))}")
         matrix = BoundaryMatrix.from_filtration(cells)
         faces = sum(f.size for f in matrix.faces)
         per_dim = ", ".join(str(len(rows)) for rows in matrix.by_dim)
@@ -175,7 +163,9 @@ def bench_index():
         print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
         named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
         print(f"  ... on string ids:   {_ms(_time(BoundaryMatrix.from_filtration, named))}")
+        print(f"  ... on the arrays:   {_ms(_time(_arrays_indexed, arrays))}")
         print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
+        print(f"  ... on the arrays:   {_ms(_time(compute_persistence, arrays))}")
 
 
 def bench_reduce():

@@ -18,10 +18,13 @@ the index refuses a filtration of more cells than a cell budget (so does
 the tower, as it emits them), and the kernel a block once the columns it
 has packed pass a byte limit.
 
-One checked builder, behind :meth:`BoundaryMatrix.from_filtration`, indexes
-every filtration for the reduction, the tower's and the oracle's alike, with
-vertex ids of any hashable kind.  It checks the cells and finds the faces of
-each dimension in one NumPy pass, by exact integer keys (as Ripser indexes
+One checked key pass indexes every filtration for the reduction, the
+tower's and the oracle's alike.  It has two fronts.
+:meth:`BoundaryMatrix.from_filtration` takes ``(simplex, grade)`` pairs
+with vertex ids of any hashable kind; a :class:`CellArrays`, the oracle's
+per-dimension vertex arrays, is indexed from its arrays, with the same
+checks run vectorised and no tuple built.  The pass finds the faces of each
+dimension in one NumPy pass, by exact integer keys (as Ripser indexes
 simplices).  Each vertex id maps to its rank among the vertex cells, so
 ``V`` vertex cells give digits ``0 .. V - 1``.  A cell of at most ``m``
 vertices has its ranks, read in base ``V``, as its key; a longer cell has
@@ -35,9 +38,10 @@ vertex tuple and a real grade, a grade that is NaN or below its
 predecessor's, the empty simplex, a vertex id that is not a vertex cell's, a
 missing or later face, an edge whose vertices do not increase, or a key
 repeated within a dimension fails the pass; a scan that checks one cell at
-a time then raises at the first faulty cell, with its index and reason.  An
-edge must list its vertices in increasing order; a higher cell whose faces
-are all cells then does too.
+a time then raises at the first faulty cell, with its index and reason
+(refused arrays are scanned as their pairs).  An edge must list its
+vertices in increasing order; a higher cell whose faces are all cells then
+does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -108,19 +112,58 @@ class PersistenceDiagram:
         return tuple(b for k, b, d in self.pairs if k == dim and math.isinf(d))
 
 
+class CellArrays:
+    """A filtration given as per-dimension vertex arrays, not as pairs.
+
+    For each dimension ``d``, ``vertices[d]`` is an ``n_d x (d + 1)``
+    integer array whose rows are the vertex ids of the dimension-``d``
+    cells in filtration order, ``grades[d]`` their grades and
+    ``positions[d]`` their indices in the filtration.  It is indexed
+    without a tuple when the vertex cells are ``0 .. n_0 - 1`` in order, so
+    that each id is its vertex cell's rank; :meth:`cells` gives the same
+    filtration as ``(simplex, grade)`` pairs.
+    """
+
+    __slots__ = ("vertices", "grades", "positions")
+
+    def __init__(
+        self,
+        vertices: Sequence[np.ndarray],
+        grades: Sequence[np.ndarray],
+        positions: Sequence[np.ndarray],
+    ) -> None:
+        self.vertices, self.grades = tuple(vertices), tuple(grades)
+        self.positions = tuple(positions)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.positions))
+
+    def cells(self) -> tuple[tuple[Simplex, float], ...]:
+        """The ``(simplex, grade)`` pairs, ordered by position (stably, so
+        a position held twice keeps the lower dimension first)."""
+        pairs = list(
+            chain.from_iterable(
+                zip(zip(*v.T.tolist()), g.tolist()) for v, g in zip(self.vertices, self.grades)
+            )
+        )
+        order = np.argsort(np.concatenate((np.empty(0, np.intp),) + self.positions), kind="stable")
+        return tuple(map(pairs.__getitem__, order.tolist()))
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class BoundaryMatrix:
     """A filtration's cells, in its own order, indexed for the reduction.
 
-    For each dimension ``d``, ``by_dim[d]`` holds the indices into ``cells``
-    of the dimension-``d`` cells in order, ``grades[d]`` their grades, and
-    ``faces[d]``, an ``n_d x (d + 1)`` array, the positions in
-    ``by_dim[d - 1]`` of each cell's faces, in ``itertools.combinations``
-    order (``n_0 x 0`` for the vertices).  Two matrices are equal only when
-    they are the same object.
+    ``cells`` is the filtration as given: its pairs, or its
+    :class:`CellArrays`.  For each dimension ``d``, ``by_dim[d]`` holds the
+    indices in the filtration of the dimension-``d`` cells in order,
+    ``grades[d]`` their grades, and ``faces[d]``, an ``n_d x (d + 1)``
+    array, the positions in ``by_dim[d - 1]`` of each cell's faces, in
+    ``itertools.combinations`` order (``n_0 x 0`` for the vertices).  Two
+    matrices are equal only when they are the same object.
     """
 
-    cells: tuple[tuple[Simplex, float], ...]
+    cells: tuple[tuple[Simplex, float], ...] | CellArrays
     by_dim: tuple[np.ndarray, ...]
     faces: tuple[np.ndarray, ...]
     grades: tuple[np.ndarray, ...]
@@ -152,9 +195,10 @@ class BoundaryMatrix:
 
 
 def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
-    """The index of *cells*, checked in one pass but for infinite grades,
-    with the faces of each dimension located by exact key; None when a
-    check fails."""
+    """The index of *cells*, checked in one pass but for infinite grades;
+    None when a check fails.  The pairs, their types, the grade order and
+    the vertex ids are checked here, and each cell's vertices ranked among
+    the vertex cells; :func:`_keyed` checks and locates the faces."""
     pairs = all(issubclass(t, tuple) for t in set(map(type, cells))) and set(map(len, cells)) <= {2}
     if not pairs:
         return None
@@ -194,12 +238,66 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
         return None
     del simplices
     first = np.cumsum(sizes) - sizes  # where each cell's ranks start
+    levels = (
+        (rows, ranks[first[rows, None] + np.arange(d + 1)], grades[rows])
+        for d, rows in enumerate(np.split(order, np.cumsum(per_dim[1:]))[:-1])
+    )
+    return _keyed(cells, n_vertices, len(per_dim) - 1, levels)
+
+
+def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
+    """The index of *arrays*, checked in one vectorised pass; None when a
+    check fails.  The shapes, the positions, the grade order, the vertex ids
+    and the edges are checked here; :func:`_keyed` checks and locates the
+    faces."""
+    vertices, grades, positions = arrays.vertices, arrays.grades, arrays.positions
+    total = len(arrays)
+    if not vertices or not all(
+        v.ndim == 2 and v.shape == (len(g), d + 1) == (len(p), d + 1) and len(p)
+        and v.dtype.kind == p.dtype.kind == "i"
+        for d, (v, g, p) in enumerate(zip(vertices, grades, positions))
+    ):
+        return None  # no cells, or a dimension with no cells below a cell
+    # each dimension's positions increase, and together they are 0 .. total - 1
+    held = np.zeros(total, bool)
+    for p in positions:
+        if p[0] < 0 or p[-1] >= total or (p[1:] <= p[:-1]).any():
+            return None
+        held[p] = True
+    if not held.all():
+        return None
+    along = np.empty(total)
+    for p, g in zip(positions, grades):
+        along[p] = g
+    if not (np.isfinite(along).all() and (along[1:] >= along[:-1]).all()):
+        return None
+    # each vertex id is its rank among the vertex cells; an id of none is a missing face
+    n_vertices = len(positions[0])
+    if (vertices[0][:, 0] != np.arange(n_vertices)).any() or any(
+        v.min() < 0 or v.max() >= n_vertices for v in vertices[1:]
+    ):
+        return None
+    if len(vertices) > 1 and (vertices[1][:, 0] >= vertices[1][:, 1]).any():
+        return None
+    return _keyed(arrays, n_vertices, len(vertices), zip(positions, vertices, grades))
+
+
+def _keyed(
+    cells: tuple[tuple[Simplex, float], ...] | CellArrays, n_vertices: int, n_dims: int, levels
+) -> BoundaryMatrix | None:
+    """The index of *cells*, given as *levels*: for each of its *n_dims*
+    dimensions, lowest first, the cells' places in the filtration (which
+    increase), their vertices' ranks among the *n_vertices* vertex cells
+    (one row per cell) and their grades.  Each cell gets an exact key and
+    its faces are located by key; None when a face is missing or comes
+    later, or a key repeats within a dimension."""
     # m vertices per digit run: a key of any dimension stays below 2**63
     m = 1
-    while m < len(per_dim) - 1 and _MAX_CELLS * n_vertices ** (m + 1) < 2**63:
+    while m < n_dims - 1 and _MAX_CELLS * n_vertices ** (m + 1) < 2**63:
         m += 1
     base = n_vertices**m
-    by_dim, faces, keys = [], [], []  # keys[d]: dimension d's sorted keys and their positions
+    by_dim, faces, grades = [], [], []
+    keys = []  # keys[d]: dimension d's sorted keys and their positions
 
     def find(d: int, needle: np.ndarray) -> np.ndarray | None:
         """Each needle's position in dimension *d*, or None if one is no key there."""
@@ -208,11 +306,8 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
         np.minimum(at, len(ordered) - 1, out=at)
         return positions.take(at) if (ordered.take(at) == needle).all() else None
 
-    hi = 0
-    for d, n in enumerate(per_dim[1:]):
-        lo, hi = hi, hi + n
-        rows = order[lo:hi]
-        digits = ranks[first[rows, None] + np.arange(d + 1)]
+    for d, (rows, digits, level_grades) in enumerate(levels):
+        n = len(rows)
         # a cell's key: the position of all but its last m vertices, then their digits
         stop = d % m + 1
         key = digits[:, :stop] @ _powers(n_vertices, stop)
@@ -247,7 +342,8 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
         keys.append((ordered, sort))
         by_dim.append(rows)
         faces.append(located)
-    return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades[i] for i in by_dim))
+        grades.append(level_grades)
+    return BoundaryMatrix(cells, tuple(by_dim), tuple(faces), tuple(grades))
 
 
 def _powers(base: int, k: int) -> np.ndarray:
@@ -304,18 +400,19 @@ def _check_cells(held: int) -> None:
 
 
 def compute_persistence(
-    filtration: Iterable[tuple[Simplex, float]],
+    filtration: Iterable[tuple[Simplex, float]] | CellArrays,
     *,
     include_zero_pairs: bool = False,
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
 
     *filtration* is any sequence of ``(simplex, grade)`` pairs, each a
-    tuple of hashable vertices and a real number.  The cells are reduced in
-    its own order, which must list every face before its cofaces and never
-    lower the grade, and every grade must be finite; a cell that breaks
-    this raises :class:`FiltrationOrderError`.  Within one grade the order
-    does not change the diagram.
+    tuple of hashable vertices and a real number, or a :class:`CellArrays`,
+    which is indexed without a tuple and refused as its pairs would be.
+    The cells are reduced in its own order, which must list every face
+    before its cofaces and never lower the grade, and every grade must be
+    finite; a cell that breaks this raises :class:`FiltrationOrderError`.
+    Within one grade the order does not change the diagram.
 
     Zero-length pairs (birth equal to death) are computed but left out of
     the diagram unless *include_zero_pairs* is set; essential classes get an
@@ -325,7 +422,19 @@ def compute_persistence(
     :class:`ReductionMemoryError` before any cell is indexed, and so does a
     block whose packed columns pass the kernel's byte limit.
     """
-    return _diagram(BoundaryMatrix.from_filtration(filtration), include_zero_pairs)
+    if isinstance(filtration, CellArrays):
+        matrix = _arrays_indexed(filtration)
+    else:
+        matrix = BoundaryMatrix.from_filtration(filtration)
+    return _diagram(matrix, include_zero_pairs)
+
+
+def _arrays_indexed(arrays: CellArrays) -> BoundaryMatrix:
+    """The index of *arrays*, or, when a check refuses them, that of their
+    pairs, which raises as :meth:`BoundaryMatrix.from_filtration` does."""
+    _check_cells(len(arrays))
+    matrix = _arrays_located(arrays)
+    return BoundaryMatrix.from_filtration(arrays.cells()) if matrix is None else matrix
 
 
 def _diagram(matrix: BoundaryMatrix, include_zero_pairs: bool = False) -> PersistenceDiagram:

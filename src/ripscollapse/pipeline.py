@@ -11,12 +11,14 @@ maximal cliques and its retraction as a list indexed by point, into a
 tower, whose cells are the tower's equivalent filtration: a sequence of
 ``(simplex, grade)`` pairs in face-first, non-decreasing order.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
-collapsing and builds the first-appearance filtration of the snapshots in
-one clique enumeration of the last graph; its tower is that filtration's
-cells as inclusions.  Both paths reduce their filtration with
-:func:`~ripscollapse.persistence.compute_persistence`.  The twin is the
-verification oracle: :func:`compare_pipelines` runs both paths on one graph
-sequence and compares their diagrams per dimension.
+collapsing and builds the first-appearance filtration of the snapshots
+level by level, as per-dimension vertex arrays, from the last graph's
+edges; its tower is that filtration's cells as inclusions.  Both paths
+reduce their filtration with
+:func:`~ripscollapse.persistence.compute_persistence`, the twin from its
+arrays.  The twin is the verification oracle: :func:`compare_pipelines`
+runs both paths on one graph sequence, builds no tuple of the oracle's,
+and compares their diagrams per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -26,10 +28,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -37,7 +36,13 @@ import numpy as np
 
 from .complexes import DEFAULT_EXPANSION_CAP, ComplexStats, Simplex, check_expansion_cap
 from .errors import ReductionMemoryError
-from .persistence import PersistenceDiagram, _check_cells, bottleneck_distance, compute_persistence
+from .persistence import (
+    CellArrays,
+    PersistenceDiagram,
+    _check_cells,
+    bottleneck_distance,
+    compute_persistence,
+)
 from .rips import (
     FlagCore,
     SnapshotSchedule,
@@ -138,28 +143,32 @@ def _map_ordered(fn: Callable[[_S], _T], items: Sequence[_S], workers: int) -> l
     workers = min(workers, len(items), os.cpu_count() or 1)
     if workers == 1:
         return [fn(x) for x in items]
+    # imported here: with it, ``logging`` too, which a one-worker run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
 def _snapshot_filtration(
     grades: list[float], graphs: list[list[int]], cap: int
-) -> tuple[tuple[tuple[Simplex, float], ...], list[ComplexStats]]:
+) -> tuple[CellArrays, list[ComplexStats]]:
     """Uncollapsed first-appearance filtration of the clique complexes of
-    the nested snapshot *graphs* at *grades*, with the stats of each
-    snapshot in grade order.
+    the nested snapshot *graphs* at *grades*, as per-dimension vertex
+    arrays, with the stats of each snapshot in grade order.
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
-    (dimension, lexicographic).  All cells come from one enumeration of the
-    cliques of the last graph: a depth-first search that extends a clique
-    only by common neighbours above its last vertex, smallest first.  A
-    point is graded at the first graph, and ``s`` extended by ``w`` at the
-    first graph, from that of ``s`` on, where ``w`` is adjacent to all of
-    ``s``.  That search meets every clique once, so no set of seen cells is
-    needed, and in lexicographic order, so appending each clique to the
-    list of its (grade, dimension) and concatenating the lists in that
-    order gives the filtration order without a sort.
+    (dimension, lexicographic).  The cells are built level by level in
+    NumPy, with no tuple per clique (Zomorodian's inductive construction):
+    the points at the first graph; the last graph's edges ``u < v`` in
+    lexicographic order, each at the first graph that holds it; and the
+    cliques one vertex larger than a level's, each joined from two of its
+    rows that share all but their last vertex, when those last vertices
+    are an edge, at the latest graph of the two rows and the edge.  Each
+    level comes out in lexicographic order, so a stable sort by graph
+    index within each dimension, placed at the offsets of the (graph,
+    dimension) buckets, gives the filtration order.
 
     Raises :class:`ExpansionCapError` at the first snapshot whose projected
     cell count (from its maximal cliques) exceeds *cap*, and
@@ -177,7 +186,7 @@ def _snapshot_filtration(
         _check_cells(projected)
     except ReductionMemoryError:
         _check_cells(_clique_count(graphs[-1]))
-    return _first_appearance_cells(grades, graphs), sizes
+    return _first_appearance_arrays(grades, graphs), sizes
 
 
 def _clique_count(adj: list[int]) -> int:
@@ -198,37 +207,95 @@ def _clique_count(adj: list[int]) -> int:
     return total
 
 
-def _first_appearance_cells(
-    grades: list[float], graphs: list[list[int]]
-) -> tuple[tuple[Simplex, float], ...]:
+def _first_appearance_arrays(grades: list[float], graphs: list[list[int]]) -> CellArrays:
     """The cells of :func:`_snapshot_filtration`, in its order, from the
-    nested snapshot *graphs* at *grades*."""
-    # each vertex's neighbourhood in every graph, and its upper neighbours
-    rows = list(zip(*graphs))
-    up = [a >> (v + 1) << (v + 1) for v, a in enumerate(graphs[-1])]
-    buckets: defaultdict[tuple[int, int], list[Simplex]] = defaultdict(list)
-    for v in range(len(up)):
-        # frames (clique, its bitmask, graph index, common upper neighbours)
-        stack = [((v,), 1 << v, 0, up[v])]
-        while stack:
-            s, mask, i, above = stack.pop()
-            buckets[i, len(s)].append(s)
-            # push the extensions largest vertex first, so they pop in
-            # lexicographic order
-            rest = above
-            while rest:
-                w = rest.bit_length() - 1
-                rest ^= 1 << w
-                row = rows[w]
-                j = i
-                while row[j] & mask != mask:
-                    j += 1
-                stack.append((s + (w,), mask | 1 << w, j, above & up[w]))
+    nested snapshot *graphs* at *grades*, as per-dimension vertex arrays."""
+    n = len(graphs[0])
+    keys, first = _graded_edges(graphs)
+    # each level's rows in lexicographic order, with their first graph's index
+    levels = [(np.arange(n)[:, None], np.zeros(n, np.intp))]
+    rows, at = np.column_stack(np.divmod(keys, n)), first
+    while len(rows):
+        levels.append((rows, at))
+        rows, at = _sibling_join(rows, at, keys, first, n)
+    # the cells of one (graph, dimension) bucket are contiguous, buckets in that order
+    counts = np.array([np.bincount(at, minlength=len(graphs)) for _, at in levels]).T
+    bucket = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    bucket -= np.cumsum(counts, axis=0) - counts  # less the rows before it in its dimension
+    along = np.asarray(grades, np.float64)
+    vertices, graded, positions = [], [], []
+    for d, (rows, at) in enumerate(levels):
+        order = np.argsort(at, kind="stable")
+        at = at.take(order)
+        vertices.append(rows[order])
+        graded.append(along.take(at))
+        positions.append(np.arange(len(at)) + bucket[:, d].take(at))
+    return CellArrays(vertices, graded, positions)
 
-    cells: list[tuple[Simplex, float]] = []
-    for key in sorted(buckets):
-        cells.extend(zip(buckets[key], repeat(grades[key[0]])))
-    return tuple(cells)
+
+def _graded_edges(graphs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``u < v`` of the last of the nested *graphs*, as sorted
+    keys ``u * n + v``, and the index of the first graph that holds each."""
+    n = len(graphs[0])
+    width = (n + 7) // 8
+    keys, first = [], []
+    held = [0] * n
+    for i, graph in enumerate(graphs):
+        # one row of bytes per vertex: its upper neighbours new in this graph
+        fresh = b"".join(
+            ((a & ~b) >> (u + 1) << (u + 1)).to_bytes(width, "little")
+            for u, (a, b) in enumerate(zip(graph, held))
+        )
+        held = graph
+        packed = np.frombuffer(fresh, np.uint8)
+        nonzero = np.flatnonzero(packed)
+        byte, bit = np.nonzero(np.unpackbits(packed[nonzero, None], axis=1, bitorder="little"))
+        u, v = np.divmod(nonzero.take(byte) * 8 + bit, width * 8)
+        keys.append(u * n + v)
+        first.append(np.full(len(u), i))
+    keys, first = np.concatenate(keys), np.concatenate(first)
+    order = np.argsort(keys, kind="stable")
+    return keys.take(order), first.take(order)
+
+
+# the most vertex pairs one step of a sibling join tests at once
+_JOIN_CHUNK = 1 << 16
+
+
+def _sibling_join(
+    rows: np.ndarray, at: np.ndarray, keys: np.ndarray, first: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cliques one vertex larger than the sorted cliques *rows* (held
+    from graphs *at*), and the first graph of each, in lexicographic order,
+    given the edges' sorted *keys* and *first* graphs.  Rows ``i < j`` that
+    share all but their last vertex are contiguous; when those last
+    vertices are an edge, row ``i`` followed by row ``j``'s last vertex is
+    a clique."""
+    m = len(rows)
+    breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    sizes = np.diff(np.append(starts, m))
+    partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
+    ends = np.cumsum(partners)
+    last = rows[:, -1]
+    joined, graded = [], []
+    lo = 0
+    while lo < m:
+        # the rows from lo whose pairs fit in one chunk, or row lo alone
+        hi = np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")
+        hi = max(lo + 1, int(hi))
+        count = partners[lo:hi]
+        i = np.repeat(np.arange(lo, hi), count)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+        key = last.take(i) * n + last.take(j)
+        e = np.searchsorted(keys, key)
+        np.minimum(e, len(keys) - 1, out=e)
+        hit = keys.take(e) == key
+        i, j, e = i[hit], j[hit], e[hit]
+        joined.append(np.column_stack((rows[i], last.take(j))))
+        graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
+        lo = hi
+    return np.concatenate(joined), np.concatenate(graded)
 
 
 def run_pipeline(
@@ -290,26 +357,31 @@ def _collapsed(
         grades,
         cap,
     )
-    return _reduced(tower, stats, collapse_max, perf_counter() - t0)
-
-
-def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
-    """The uncollapsed oracle on the snapshot *graphs* at *grades*."""
-    t0 = perf_counter()
-    cells, sizes = _snapshot_filtration(grades, graphs, cap)
-    stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-    return _reduced(Tower(cells, ()), stats, 0.0, perf_counter() - t0)
-
-
-def _reduced(
-    tower: Tower, stats: tuple[SnapshotStats, ...], collapse_max: float, assembly: float
-) -> PipelineResult:
-    """The result of a run whose *tower* is assembled: the diagram of its
-    cells, and the run's timings."""
+    assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(tower.cells)
     timings = PipelineTimings(collapse_max, assembly, perf_counter() - t0)
     return PipelineResult(diagram, tower, tower.cells, stats, timings)
+
+
+def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
+    """The uncollapsed oracle on the snapshot *graphs* at *grades*: its
+    arrays are reduced, and its tower is their cells as inclusions."""
+    t0 = perf_counter()
+    arrays, sizes = _snapshot_filtration(grades, graphs, cap)
+    cells = arrays.cells()
+    assembly = perf_counter() - t0
+    t0 = perf_counter()
+    diagram = compute_persistence(arrays)
+    timings = PipelineTimings(0.0, assembly, perf_counter() - t0)
+    stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
+    return PipelineResult(diagram, Tower(cells, ()), cells, stats, timings)
+
+
+def _oracle_diagram(grades: list[float], graphs: list[list[int]], cap: int) -> PersistenceDiagram:
+    """The diagram of the uncollapsed oracle on the snapshot *graphs* at
+    *grades*, reduced from its arrays without a tuple."""
+    return compute_persistence(_snapshot_filtration(grades, graphs, cap)[0])
 
 
 STATS_CSV_HEADER = "grade,v_before,m_before,d_before,v_after,m_after,d_after"
@@ -355,13 +427,14 @@ def compare_pipelines(
     """Run the pipeline with and without collapsing and compare the
     diagrams.
 
-    Both paths read one snapshot graph sequence.  Where a dimension's
-    diagrams are equal their bottleneck distance is exactly 0.0, so it is
-    computed only for the unequal dimensions.
+    Both paths read one snapshot graph sequence, and the uncollapsed
+    diagram is reduced from the oracle's arrays, with no tuple built.
+    Where a dimension's diagrams are equal their bottleneck distance is
+    exactly 0.0, so it is computed only for the unequal dimensions.
     """
     grades, graphs = _snapshot_graphs(D, sched, workers, cap)
     a = _collapsed(grades, graphs, workers, cap).diagram
-    b = _uncollapsed(grades, graphs, cap).diagram
+    b = _oracle_diagram(grades, graphs, cap)
     verdicts = []
     for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
         equal = a.in_dimension(dim) == b.in_dimension(dim)

@@ -1,5 +1,6 @@
 """Diagram computation against a textbook set-based reduction oracle."""
 
+import dataclasses
 import math
 import random
 import re
@@ -23,12 +24,17 @@ from oracles import (
     random_maximal_simplices,
     rips_snapshot,
 )
-from ripscollapse import persistence, tower
+from ripscollapse import persistence, pipeline, tower
 from ripscollapse.complexes import maximal_columns
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError, ReductionMemoryError
-from ripscollapse.persistence import BoundaryMatrix, PersistenceDiagram, compute_persistence
+from ripscollapse.persistence import (
+    BoundaryMatrix,
+    CellArrays,
+    PersistenceDiagram,
+    compute_persistence,
+)
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import pairwise_distances
+from ripscollapse.rips import graded_bitsets, pairwise_distances
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -507,6 +513,118 @@ def test_builder_refuses_the_cell_the_judge_refuses(index_path):
             faulted += fault is not None
             malformed += fault is not None and fault[1] == "malformed cell"
     assert faulted > 100 and malformed > 30
+
+
+def _arrays_of(cells):
+    """The :class:`CellArrays` of *cells*, pairs of integer vertex tuples
+    and grades: per dimension, its cells' rows, grades and positions."""
+    levels = [[] for _ in range(max(len(s) for s, _ in cells))]
+    for i, (s, g) in enumerate(cells):
+        levels[len(s) - 1].append((s, g, i))
+    return CellArrays(
+        [np.array([s for s, _, _ in cs], np.intp).reshape(-1, d + 1)
+         for d, cs in enumerate(levels)],
+        [np.array([g for _, g, _ in cs]) for cs in levels],
+        [np.array([i for _, _, i in cs], np.intp) for cs in levels],
+    )
+
+
+def _oracle_arrays():
+    """The oracle's arrays of seeded clouds, as the pipeline builds them."""
+    grades = [0.3, 0.35, 0.4, 0.45, 0.5]
+    for seed in range(3):
+        D = pairwise_distances(np.random.default_rng(seed).random((18, 3)))
+        yield pipeline._first_appearance_arrays(grades, graded_bitsets(D, grades))
+
+
+def test_array_entry_is_the_naive_index(monkeypatch):
+    """The oracle's arrays are indexed by key with no tuple built and no
+    scan, as a naive per-cell index lays out their pairs, and reduce to the
+    diagram of their pairs; the arrays of those pairs are the oracle's."""
+    scanned = _scans(monkeypatch)
+    for arrays in _oracle_arrays():
+        cells = arrays.cells()
+        matrix = persistence._arrays_indexed(arrays)
+        assert matrix.cells is arrays
+        want = naive_boundary_index(cells)
+        assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
+        assert compute_persistence(arrays, include_zero_pairs=True) == compute_persistence(
+            cells, include_zero_pairs=True
+        )
+        again = _arrays_of(cells)
+        for mine, theirs in (
+            (again.vertices, arrays.vertices),
+            (again.grades, arrays.grades),
+            (again.positions, arrays.positions),
+        ):
+            assert len(mine) == len(theirs)
+            assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
+    assert scanned == []
+
+
+def _corrupted(cells, kind, rng):
+    """A copy of the oracle's pairs *cells* with one fault of *kind*."""
+    out = list(cells)
+    at = {s: i for i, (s, _) in enumerate(cells)}
+    triangles = [i for i, (s, _) in enumerate(cells) if len(s) == 3]
+    if kind == "drop":  # a face of a later cell
+        del out[at[cells[rng.choice(triangles)][0][1:]]]
+    elif kind == "move":  # a face put right after a coface of its grade
+        t, f = rng.choice([
+            (t, at[f]) for t in triangles for f in combinations(cells[t][0], 2)
+            if cells[at[f]][1] == cells[t][1]
+        ])
+        out.insert(t + 1, cells[f])
+        del out[f]
+    elif kind == "repeat":
+        t = rng.choice(triangles)
+        out.insert(t + 1, cells[t])
+    elif kind == "reverse":
+        e = rng.choice([i for i, (s, _) in enumerate(cells) if len(s) == 2])
+        out[e] = (cells[e][0][::-1], cells[e][1])
+    elif kind == "orphan":  # an id with no vertex cell
+        t = rng.choice(triangles)
+        out[t] = (cells[t][0][:2] + (len(at),), cells[t][1])
+    elif kind == "lower":
+        i = rng.randrange(1, len(cells))
+        out[i] = (cells[i][0], cells[i - 1][1] - 1.0)
+    return out
+
+
+ARRAY_FAULTS = {
+    "drop": "is missing face",
+    "move": "is missing face",
+    "repeat": "duplicate cell",
+    "reverse": "not in increasing vertex order",
+    "orphan": "is missing face",
+    "lower": "has grade",
+}
+
+
+def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
+    """The oracle's arrays with a face row dropped, a face moved after its
+    coface, a row repeated, an edge reversed, an id with no vertex cell or
+    a grade lowered raise the :class:`FiltrationOrderError` that their
+    pairs raise, index and message, at the cell and for the reason the
+    judge names, and the scan runs once for each."""
+    scanned = _scans(monkeypatch)
+    rng = random.Random(8)
+    for arrays in _oracle_arrays():
+        cells = arrays.cells()
+        for kind, reason in ARRAY_FAULTS.items():
+            for _ in range(3):
+                case = _corrupted(cells, kind, rng)
+                assert naive_filtration_fault(case)[1] == reason
+                with pytest.raises(FiltrationOrderError) as want:
+                    compute_persistence(case)
+                scanned.clear()
+                with pytest.raises(FiltrationOrderError) as got:
+                    compute_persistence(_arrays_of(case))
+                assert (got.value.cell_index, str(got.value)) == (
+                    want.value.cell_index, str(want.value)
+                )
+                assert got.value.cell_index == naive_filtration_fault(case)[0]
+                assert scanned == [len(case)]
 
 
 def _scans(monkeypatch):

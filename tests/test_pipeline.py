@@ -1,12 +1,13 @@
 """The end-to-end pipeline: frozen artifacts, determinism, oracle parity."""
 
-import dataclasses
+import concurrent.futures
 import math
 import os
 import random
 import sys
 import threading
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from oracles import (
@@ -101,15 +102,70 @@ def test_first_appearance_cells_of_random_nested_graphs():
         want = naive_filtration_from_snapshots(
             [dict(enumerate(naive_maximal_cliques(table))) for table in tables], grades
         )
-        assert pipeline._first_appearance_cells(grades, graphs) == want
+        assert pipeline._first_appearance_arrays(grades, graphs).cells() == want
         # cliques graded above every one of their faces
         grade = dict(want)
         raised += sum(len(s) > 2 and g > max(grade[s[1:]], grade[s[:-1]]) for s, g in want)
     assert raised > 100
 
 
+def _naive_first_appearance(tables, grades):
+    """The first-appearance filtration of nested graphs given as adjacency
+    tables, by brute force: every clique of the last graph, grown by one
+    larger vertex at a time, graded by the first table that holds all its
+    edges, in (graph, size, vertices) order."""
+    n, last = len(tables[-1]), tables[-1]
+    level, cliques = [(v,) for v in range(n)], []
+    while level:
+        cliques += level
+        level = [
+            c + (w,) for c in level for w in range(c[-1] + 1, n) if all(last[u][w] for u in c)
+        ]
+    first = [
+        next(j for j, t in enumerate(tables) if all(t[u][v] for u, v in combinations(c, 2)))
+        for c in cliques
+    ]
+    return tuple((c, grades[j]) for j, _, c in sorted(zip(first, map(len, cliques), cliques)))
+
+
+def test_first_appearance_arrays_of_wide_empty_and_tied_graphs(monkeypatch):
+    """The level-by-level build on graphs of 60 to 80 points, whose rows of
+    bits cross a 64-bit word, with planted cliques of up to 7 points; on
+    sequences whose graphs hold no edge; and on grade lists with ties, where
+    the cells of a later graph at an equal grade still follow the earlier
+    graph's.  Its pairs are the brute-force first-appearance filtration,
+    also when each join tests at most 3 vertex pairs at once, or one row's
+    partners where a row has more."""
+    rng = random.Random(44)
+    kinds, deepest = set(), 0
+    for case in range(60):
+        wide, empty = case % 3 == 0, case % 5 == 1
+        n = rng.randint(60, 80) if wide else rng.randint(1, 12)
+        count = rng.randint(1, 5)
+        grades = sorted(rng.choice((0.25, 0.5, 0.75, 1.0)) for _ in range(count))
+        tables = [[[0] * n for _ in range(n)] for _ in range(count)]
+        pairs = list(combinations(range(n), 2))
+        if not empty:
+            chosen = set(rng.sample(pairs, min(len(pairs), 2 * n)))
+            for _ in range(3):
+                chosen.update(combinations(sorted(rng.sample(range(n), min(n, 7))), 2))
+            for u, v in chosen:
+                for j in range(rng.randint(0, count - 1), count):
+                    tables[j][u][v] = tables[j][v][u] = 1
+        graphs = [[sum(t[u][v] << v for v in range(n)) for u in range(n)] for t in tables]
+        want = _naive_first_appearance(tables, grades)
+        for chunk in (pipeline._JOIN_CHUNK, 3):
+            monkeypatch.setattr(pipeline, "_JOIN_CHUNK", chunk)
+            cells = pipeline._first_appearance_arrays(grades, graphs).cells()
+            assert cells == want
+        kinds.add((wide, empty, len(set(grades)) < count))
+        if wide:
+            deepest = max(deepest, max(len(s) for s, _ in cells))
+    assert len(kinds) == 8 and deepest >= 7
+
+
 def test_oracle_cells_hold_no_table_of_vertex_pairs():
-    """The cell build reads the graphs alone: on 2000 points of a circle,
+    """The array build reads the graphs alone: on 2000 points of a circle,
     each adjacent at grade k to the k nearest on either side, its peak stays
     below n * n * 4 bytes, where a first-grade table of every pair of points
     peaked at 61 MB."""
@@ -120,7 +176,7 @@ def test_oracle_cells_hold_no_table_of_vertex_pairs():
     ]
     tracemalloc.start()
     try:
-        cells = pipeline._first_appearance_cells(list(range(1, top + 1)), graphs)
+        cells = pipeline._first_appearance_arrays(list(range(1, top + 1)), graphs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -193,11 +249,10 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
     """Equal dimensions report 0.0 without a matching; it must be the exact
     bottleneck distance there too, and on unequal dimensions."""
     rng = random.Random(988)
-    run = pipeline._uncollapsed
+    run = pipeline._oracle_diagram
 
     def perturbed(*args):
-        result = run(*args)
-        pairs = list(result.diagram.pairs)
+        pairs = list(run(*args).pairs)
         kind = rng.randrange(4)
         if kind == 1 and pairs:
             pairs.pop(rng.randrange(len(pairs)))
@@ -205,9 +260,9 @@ def test_verdict_bottleneck_is_the_distance_of_the_dimension(monkeypatch):
             pairs.append((rng.randrange(3), 0.25, 0.25 + rng.choice([0.25, 0.5])))
         elif kind == 3:
             pairs.append((1, 0.5, math.inf))
-        return dataclasses.replace(result, diagram=PersistenceDiagram.from_pairs(pairs))
+        return PersistenceDiagram.from_pairs(pairs)
 
-    monkeypatch.setattr(pipeline, "_uncollapsed", perturbed)
+    monkeypatch.setattr(pipeline, "_oracle_diagram", perturbed)
     seen = set()
     for _ in range(30):
         pts = [(rng.uniform(0, 2), rng.uniform(0, 2)) for _ in range(rng.randint(2, 10))]
@@ -340,7 +395,7 @@ def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
     )
     projected = sum(2 ** len(c) - 1 for c in maximal_cliques(last))
     assert projected > len(cells) + 1
-    build, count = pipeline._first_appearance_cells, pipeline._clique_count
+    build, count = pipeline._first_appearance_arrays, pipeline._clique_count
     built, counted = [], []
 
     def counted_build(*args):
@@ -351,7 +406,7 @@ def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
         counted.append(1)
         return count(adj)
 
-    monkeypatch.setattr(pipeline, "_first_appearance_cells", counted_build)
+    monkeypatch.setattr(pipeline, "_first_appearance_arrays", counted_build)
     monkeypatch.setattr(pipeline, "_clique_count", counted_count)
     refused = 0
     n = len(cells)
@@ -402,30 +457,38 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
 
 
 def test_each_path_indexes_its_own_filtration_once(monkeypatch):
-    """``from_filtration`` runs once per ``run_pipeline`` call on either
-    path, on the run's own filtration (no copy), and twice per
-    ``compare_pipelines`` call, once on each path's filtration."""
-    calls = []
+    """``from_filtration`` runs once per collapsed ``run_pipeline`` call, on
+    the run's own filtration (no copy), and never on the oracle's: the
+    oracle's arrays are indexed once per call through the array entry, on
+    either path that runs the oracle, and hold its filtration.
+    ``compare_pipelines`` indexes each path's filtration once."""
+    calls, arrays = [], []
     index = BoundaryMatrix.from_filtration.__func__
+    entry = persistence._arrays_indexed
 
     def counted(cls, filtration):
         calls.append(filtration)
         return index(cls, filtration)
 
+    def counted_arrays(given):
+        arrays.append(given)
+        return entry(given)
+
     monkeypatch.setattr(BoundaryMatrix, "from_filtration", classmethod(counted))
+    monkeypatch.setattr(persistence, "_arrays_indexed", counted_arrays)
     rng = random.Random(33)
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
     grades = [0.1, 0.2, 0.3, 0.4]
-    filtrations = []
-    for collapse in (True, False):
-        calls.clear()
-        result = run_pipeline(D, grades, collapse=collapse)
-        assert len(calls) == 1 and calls[0] is result.filtration
-        filtrations.append(result.filtration)
-    assert filtrations[0] != filtrations[1]
+    collapsed = run_pipeline(D, grades)
+    assert len(calls) == 1 and calls[0] is collapsed.filtration and arrays == []
     calls.clear()
+    oracle = run_pipeline(D, grades, collapse=False)
+    assert calls == [] and len(arrays) == 1 and arrays[0].cells() == oracle.filtration
+    assert collapsed.filtration != oracle.filtration
+    arrays.clear()
     compare_pipelines(D, grades)
-    assert calls == filtrations
+    assert calls == [collapsed.filtration] and len(arrays) == 1
+    assert arrays[0].cells() == oracle.filtration
 
 
 def test_lazy_before_stats_behave_as_values(monkeypatch):
@@ -490,7 +553,7 @@ def test_worker_pool_is_bounded_by_grades_and_cpus(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
     D = pairwise_distances(UNIT_SQUARE)
     serial = run_pipeline(D, SQUARE_SCHED)
     # three grades; no CPU count reported means one worker

@@ -15,12 +15,14 @@ retraction: no module defines or names a ``ComplexMatrix`` or
 ``pipeline`` pass cores as cliques and retractions as lists, and name none
 of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 
-A filtration's boundary index has one builder, ``persistence._located``: no
-other function builds a ``BoundaryMatrix`` itself, and no other module names
-the ``FiltrationOrderError`` that its checks raise.  Both producers' filtrations
-are indexed and reduced through ``compute_persistence``: no other module
-calls ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function
-reduces the boundary blocks: ``reduce_block`` has one caller.
+A filtration's boundary index has one builder, ``persistence._keyed``, the
+key pass that a filtration given as pairs and one given as per-dimension
+vertex arrays share: no other function builds a ``BoundaryMatrix`` itself,
+and no other module names the ``FiltrationOrderError`` that its checks
+raise.  Both producers' filtrations are indexed and reduced through
+``compute_persistence``: no other module calls
+``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function reduces
+the boundary blocks: ``reduce_block`` has one caller.
 
 Modules share private names only through the seams listed in
 ``PRIVATE_SEAMS``: outside ``__init__``, no module imports another
@@ -224,14 +226,14 @@ def test_rules_see_what_they_forbid():
     assert _private_imports(tree) == {("persistence", "_diagram"), ("collapse", "_bits")}
     assert _callers(tree, "reduce_block") == ["a", "b", "inner"]
     tree = ast.parse(
-        "def _located(cells):\n"
+        "def _keyed(cells):\n"
         "    return BoundaryMatrix(cells, (), (), ())\n"
         "def _scan(cells):\n"
         "    return persistence.BoundaryMatrix(cells, (), (), ())\n"
         "def from_filtration(cells):\n"
         "    return BoundaryMatrix.from_filtration(cells)\n"
     )
-    assert _callers(tree, "BoundaryMatrix") == ["_located", "_scan"]
+    assert _callers(tree, "BoundaryMatrix") == ["_keyed", "_scan"]
 
 
 def test_package_has_no_recursion():
@@ -266,7 +268,7 @@ def test_only_persistence_builds_and_checks_the_boundary_index():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.stem == "persistence":
-            assert _callers(tree, "BoundaryMatrix") == ["_located"]
+            assert _callers(tree, "BoundaryMatrix") == ["_keyed"]
         if path.stem in INDEX_OWNERS:
             continue
         assert "FiltrationOrderError" not in _names(tree), path.name

@@ -7,7 +7,8 @@ must equal the whole-complex coning of that tower, form a face-first
 filtration, and be indexed by key as a per-cell index lays them out.
 Neither that index nor the uncollapsed oracle's of a comparison falls back
 to the per-cell scan, and on both oracle-compare clouds the oracle's index
-is the per-cell one, with the vertex ids as given and relabelled as strings.
+is the per-cell one, with the vertex ids as given and relabelled as strings,
+and from its per-dimension vertex arrays.
 The tower's cells and contractions are pinned: they count the assembly's
 work, noise-free.
 
@@ -18,6 +19,7 @@ grade and in every dimension, though not the reduction: any pairing of
 adjacent dimensions keeps the count.
 """
 
+import dataclasses
 import importlib.util
 import random
 import sys
@@ -34,7 +36,7 @@ from oracles import (
 
 from ripscollapse import persistence
 from ripscollapse.persistence import BoundaryMatrix
-from ripscollapse.pipeline import run_pipeline
+from ripscollapse.pipeline import _first_appearance_arrays, run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import assemble_tower
 
@@ -91,6 +93,11 @@ def test_oracle_index_is_the_naive_index(seed, monkeypatch):
     assert boundary_index_of(BoundaryMatrix.from_filtration(cells)) == want
     named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
     assert boundary_index_of(BoundaryMatrix.from_filtration(named)) == want
+    # the oracle's arrays, indexed by the array entry with no tuple built
+    arrays = _first_appearance_arrays(grades, graded_bitsets(D, grades))
+    matrix = persistence._arrays_indexed(arrays)
+    assert matrix.cells is arrays and arrays.cells() == cells
+    assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
 
 
 def _euler_characteristic(adj):
