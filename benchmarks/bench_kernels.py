@@ -10,8 +10,9 @@ snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower`` on the ``flag_core`` cliques and retractions of the
 torus-tower workload's cloud and grades, taken from
 ``perfbench/workloads.py`` (without the run seed's isometry), and
-``compute_persistence`` on the tower's cells, which indexes and reduces
-them as the collapsed pipeline does.
+``compute_persistence`` on the tower's ``(simplex, grade)`` pairs and on
+its per-dimension vertex arrays (``Tower.arrays``), which the collapsed
+pipeline indexes and reduces.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The index section times the oracle's cell build
@@ -140,6 +141,7 @@ def bench_tower():
     print(f"  assemble_tower:      {_ms(_time(assemble_tower, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
     print(f"  compute_persistence: {_ms(_time(compute_persistence, tower.cells))}")
+    print(f"  ... on the arrays:   {_ms(_time(compute_persistence, tower.arrays))}")
 
 
 def bench_index():

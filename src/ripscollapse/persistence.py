@@ -21,27 +21,28 @@ has packed pass a byte limit.
 One checked key pass indexes every filtration for the reduction, the
 tower's and the oracle's alike.  It has two fronts.
 :meth:`BoundaryMatrix.from_filtration` takes ``(simplex, grade)`` pairs
-with vertex ids of any hashable kind; a :class:`CellArrays`, the oracle's
-per-dimension vertex arrays, is indexed from its arrays, with the same
-checks run vectorised and no tuple built.  The pass finds the faces of each
-dimension in one NumPy pass, by exact integer keys (as Ripser indexes
-simplices).  Each vertex id maps to its rank among the vertex cells, so
-``V`` vertex cells give digits ``0 .. V - 1``.  A cell of at most ``m``
-vertices has its ranks, read in base ``V``, as its key; a longer cell has
-the position of all but its last ``m`` vertices among the cells of that
-dimension, followed by the last ``m`` digits.  ``m`` is the most digits
-that keep every key below ``2**63`` for any filtration within the cell
-budget, so a key names exactly one vertex tuple.  A face's key is then read
-off its cell's digits and its cell's prefix's face row, and looked up among
-the sorted keys of the dimension below.  A cell that is not a pair of a
-vertex tuple and a real grade, a grade that is NaN or below its
-predecessor's, the empty simplex, a vertex id that is not a vertex cell's, a
-missing or later face, an edge whose vertices do not increase, or a key
-repeated within a dimension fails the pass; a scan that checks one cell at
-a time then raises at the first faulty cell, with its index and reason
-(refused arrays are scanned as their pairs).  An edge must list its
-vertices in increasing order; a higher cell whose faces are all cells then
-does too.
+with vertex ids of any hashable kind; a :class:`CellArrays`, the
+per-dimension vertex arrays that the tower and the oracle both build, is
+indexed from its arrays, with the same checks run vectorised and no tuple
+built.  The pass finds the faces of each dimension in one NumPy pass, by
+exact integer keys (as Ripser indexes simplices).  Each vertex id maps to
+its rank among the vertex cells (or, in arrays whose ids are all below
+``V``, to itself), so ``V`` vertex cells give digits ``0 .. V - 1``.  A
+cell of at most ``m`` vertices has its ranks, read in base ``V``, as its
+key; a longer cell has the position of all but its last ``m`` vertices
+among the cells of that dimension, followed by the last ``m`` digits.
+``m`` is the most digits that keep every key below ``2**63`` for any
+filtration within the cell budget, so a key names exactly one vertex
+tuple.  A face's key is then read off its cell's digits and its cell's
+prefix's face row, and looked up among the sorted keys of the dimension
+below.  A cell that is not a pair of a vertex tuple and a real grade, a
+grade that is NaN or below its predecessor's, the empty simplex, a vertex
+id that is not a vertex cell's, a missing or later face, an edge whose
+vertices do not increase, or a key repeated within a dimension fails the
+pass; a scan that checks one cell at a time then raises at the first faulty
+cell, with its index and reason (refused arrays are scanned as their
+pairs).  An edge must list its vertices in increasing order; a higher cell
+whose faces are all cells then does too.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -118,9 +119,11 @@ class CellArrays:
     For each dimension ``d``, ``vertices[d]`` is an ``n_d x (d + 1)``
     integer array whose rows are the vertex ids of the dimension-``d``
     cells in filtration order, ``grades[d]`` their grades and
-    ``positions[d]`` their indices in the filtration.  It is indexed
-    without a tuple when the vertex cells are ``0 .. n_0 - 1`` in order, so
-    that each id is its vertex cell's rank; :meth:`cells` gives the same
+    ``positions[d]`` their indices in the filtration.  The ids may be any
+    distinct non-negative integers, in any order, up to a few times the
+    cell budget: ids below the number of vertex cells serve as ranks as
+    they are, and others are ranked among the vertex cells through one
+    table of every id up to the largest.  :meth:`cells` gives the same
     filtration as ``(simplex, grade)`` pairs.
     """
 
@@ -179,8 +182,8 @@ class BoundaryMatrix:
         vertices do not increase, lacks a face among the cells before it or
         repeats an earlier one, with the index and message of a scan that
         checks one cell at a time; then at the first cell whose grade is
-        infinite.  More cells than the cell budget raise
-        :class:`ReductionMemoryError` before any is indexed.
+        infinite, or an int past the float range.  More cells than the cell
+        budget raise :class:`ReductionMemoryError` before any is indexed.
         """
         cells = tuple(filtration)
         _check_cells(len(cells))
@@ -189,8 +192,7 @@ class BoundaryMatrix:
             _scan(cells)  # raises at the first faulty cell
         # the grades are in order now, so only the ends can be infinite
         if cells and not (math.isfinite(cells[0][1]) and math.isfinite(cells[-1][1])):
-            i = next(i for i, (_, g) in enumerate(cells) if math.isinf(g))
-            raise FiltrationOrderError(f"cell {cells[i][0]} has non-finite grade {cells[i][1]}", i)
+            _refuse_non_finite(cells)
         return matrix
 
 
@@ -211,7 +213,10 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
         and all(issubclass(t, Real) for t in kinds)
     ):
         return None
-    grades = np.fromiter(given, np.float64, len(cells))
+    try:
+        grades = np.fromiter(given, np.float64, len(cells))
+    except OverflowError:  # an int past the float range, which is not finite
+        return None
     # and rounds an int past 2**53, so the order of such grades is checked as given
     if kinds != {float} and grades.tolist() != given and not all(map(le, given, given[1:])):
         return None
@@ -248,8 +253,9 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
 def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
     """The index of *arrays*, checked in one vectorised pass; None when a
     check fails.  The shapes, the positions, the grade order, the vertex ids
-    and the edges are checked here; :func:`_keyed` checks and locates the
-    faces."""
+    and the edges are checked here, and each id ranked among the vertex
+    cells; :func:`_keyed` checks and locates the faces.  Rows keep their id
+    order, so a face's ranks are a subsequence of its cell's."""
     vertices, grades, positions = arrays.vertices, arrays.grades, arrays.positions
     total = len(arrays)
     if not vertices or not all(
@@ -271,15 +277,34 @@ def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
         along[p] = g
     if not (np.isfinite(along).all() and (along[1:] >= along[:-1]).all()):
         return None
-    # each vertex id is its rank among the vertex cells; an id of none is a missing face
-    n_vertices = len(positions[0])
-    if (vertices[0][:, 0] != np.arange(n_vertices)).any() or any(
-        v.min() < 0 or v.max() >= n_vertices for v in vertices[1:]
-    ):
-        return None
     if len(vertices) > 1 and (vertices[1][:, 0] >= vertices[1][:, 1]).any():
         return None
-    return _keyed(arrays, n_vertices, len(vertices), zip(positions, vertices, grades))
+    n_vertices = len(positions[0])
+    top = max(v.max() for v in vertices)
+    if min(v.min() for v in vertices) < 0 or top >= 4 * _MAX_CELLS:
+        return None
+    if top < n_vertices:
+        # the ids are digits already, as the oracle's are, so no rank array
+        # is allocated (its fresh pages cost more than the gather); then
+        # either the vertex cells hold every id or one repeats, which
+        # :func:`_keyed` refuses
+        return _keyed(arrays, n_vertices, len(vertices), zip(positions, vertices, grades))
+    # each vertex id's rank among the vertex cells, read from one table of
+    # every id up to the largest, of at most four entries a budget cell
+    ranked = np.arange(n_vertices)
+    rank = np.full(top + 1, -1, np.intp)
+    rank[vertices[0][:, 0]] = ranked
+    if (rank.take(vertices[0][:, 0]) != ranked).any():  # a vertex cell repeats
+        return None
+    used = np.zeros(top + 1, bool)
+    for v in vertices[1:]:
+        used[v] = True
+    if (used & (rank < 0)).any():  # an id of no vertex cell is a missing face
+        return None
+    # a dimension's ranks are taken when the key pass reaches it, so one is held at a time
+    levels = ((p, rank.take(v), g) for p, v, g in zip(positions[1:], vertices[1:], grades[1:]))
+    first = (positions[0], ranked[:, None], grades[0])
+    return _keyed(arrays, n_vertices, len(vertices), chain((first,), levels))
 
 
 def _keyed(
@@ -354,7 +379,9 @@ def _powers(base: int, k: int) -> np.ndarray:
 def _scan(cells: Sequence[tuple[Simplex, float]]) -> None:
     """Raise :class:`FiltrationOrderError` at the first cell that fails a
     check of :meth:`BoundaryMatrix.from_filtration` but for infinite
-    grades, checking one cell at a time."""
+    grades, checking one cell at a time; when no cell does, at the first
+    grade that is not finite, as an int past the float range refuses the
+    index."""
     seen: set[Simplex] = set()
     last = -math.inf
     for i, cell in enumerate(cells):
@@ -389,7 +416,20 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> None:
         if s in seen:
             raise FiltrationOrderError(f"duplicate cell {s}", i)
         seen.add(s)
+    _refuse_non_finite(cells)
     raise AssertionError("no cell is faulty, yet the index refused the cells")
+
+
+def _refuse_non_finite(cells: Sequence[tuple[Simplex, float]]) -> None:
+    """Raise :class:`FiltrationOrderError` at the first of the pairs
+    *cells* whose grade is infinite or an int past the float range."""
+    for i, (s, grade) in enumerate(cells):
+        try:
+            if math.isfinite(grade):
+                continue
+        except OverflowError:  # an int past the float range, maybe too long to print
+            grade = "past the float range"
+        raise FiltrationOrderError(f"cell {s} has non-finite grade {grade}", i)
 
 
 def _check_cells(held: int) -> None:

@@ -8,17 +8,18 @@ worker pool may handle them concurrently).  It keeps each graph for the
 snapshot's ``before`` stats, whose maximal cliques are enumerated only when
 those stats are first read.  It then assembles the cores, each given by its
 maximal cliques and its retraction as a list indexed by point, into a
-tower, whose cells are the tower's equivalent filtration: a sequence of
-``(simplex, grade)`` pairs in face-first, non-decreasing order.
+tower, whose cells are the tower's equivalent filtration, recorded as
+per-dimension vertex arrays as they are emitted.
 The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
 collapsing and builds the first-appearance filtration of the snapshots
 level by level, as per-dimension vertex arrays, from the last graph's
 edges; its tower is that filtration's cells as inclusions.  Both paths
-reduce their filtration with
-:func:`~ripscollapse.persistence.compute_persistence`, the twin from its
-arrays.  The twin is the verification oracle: :func:`compare_pipelines`
-runs both paths on one graph sequence, builds no tuple of the oracle's,
-and compares their diagrams per dimension.
+reduce their filtration's arrays with
+:func:`~ripscollapse.persistence.compute_persistence`, and neither builds
+the ``(simplex, grade)`` pairs of ``PipelineResult.filtration`` until they
+are read.  The twin is the verification oracle: :func:`compare_pipelines`
+runs both paths on one graph sequence and compares their diagrams per
+dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -118,7 +119,7 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    assembly: float  # the tower and its filtration's cells (AT), not the graphs
+    assembly: float  # the tower and its filtration's arrays (AT), not the graphs
     # the boundary index, its cells checked and its faces found in one NumPy
     # pass per dimension, and the boundary-matrix reduction (PDT)
     reduction: float
@@ -128,9 +129,13 @@ class PipelineTimings:
 class PipelineResult:
     diagram: PersistenceDiagram
     tower: Tower
-    filtration: tuple[tuple[Simplex, float], ...]  # the tower's cells
     snapshots: tuple[SnapshotStats, ...]
     timings: PipelineTimings
+
+    @property
+    def filtration(self) -> tuple[tuple[Simplex, float], ...]:
+        """The tower's cells, built on their first read."""
+        return self.tower.cells
 
 
 def _clique_stats(n: int, cliques: list[Simplex]) -> ComplexStats:
@@ -359,9 +364,9 @@ def _collapsed(
     )
     assembly = perf_counter() - t0
     t0 = perf_counter()
-    diagram = compute_persistence(tower.cells)
+    diagram = compute_persistence(tower.arrays)
     timings = PipelineTimings(collapse_max, assembly, perf_counter() - t0)
-    return PipelineResult(diagram, tower, tower.cells, stats, timings)
+    return PipelineResult(diagram, tower, stats, timings)
 
 
 def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
@@ -369,13 +374,12 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     arrays are reduced, and its tower is their cells as inclusions."""
     t0 = perf_counter()
     arrays, sizes = _snapshot_filtration(grades, graphs, cap)
-    cells = arrays.cells()
     assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(arrays)
     timings = PipelineTimings(0.0, assembly, perf_counter() - t0)
     stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-    return PipelineResult(diagram, Tower(cells, ()), cells, stats, timings)
+    return PipelineResult(diagram, Tower(arrays, ()), stats, timings)
 
 
 def _oracle_diagram(grades: list[float], graphs: list[list[int]], cap: int) -> PersistenceDiagram:

@@ -14,7 +14,12 @@ tower id ``u``.
 A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
 non-decreasing order.  Every Include is a cell of the tower's filtration
 and only a Contract adds more, so a :class:`Tower` is that filtration's
-cell tuple and one record per Contract.
+cells and one record per Contract.  It holds the cells as per-dimension
+vertex-id rows, with their grades and positions in the filtration (a
+:class:`~ripscollapse.persistence.CellArrays`), which
+:func:`~ripscollapse.persistence.compute_persistence` checks and indexes
+for the reduction with no tuple built; the ``(simplex, grade)`` pairs are
+built only when they are first read.
 
 :func:`assemble_tower` builds the tower of a sequence of cores, and so its
 filtration, in one pass.  It replays the ops on a :class:`_Complex`, so a
@@ -22,9 +27,9 @@ core's Includes cost in proportion to the faces of its maximal simplices
 that are not yet cells, and a Contract(u, v) to the star of ``u``, never to
 the whole complex.  A core's new cells are found level by level: the
 k-vertex faces of those maximal simplices, less the live cells, sorted, for
-k = 1, 2, ...  The tower holds no more cells than the boundary index's
-cell budget; :func:`~ripscollapse.persistence.compute_persistence` checks
-and indexes its cells for the reduction.
+k = 1, 2, ...  Each batch of new cells is recorded per dimension as it is
+emitted, and each dimension's rows become one integer array at the end.
+The tower holds no more cells than the boundary index's cell budget.
 """
 
 from __future__ import annotations
@@ -32,13 +37,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, combinations, groupby, repeat
+from typing import Callable, Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 from .collapse import _bits
 from .complexes import DEFAULT_EXPANSION_CAP, Simplex, check_expansion_cap
 from .errors import CollapseConsistencyError, EmptyComplexError, SimplexError
-from .persistence import _check_cells
+from .persistence import CellArrays, _check_cells
 from .rips import as_grades
 
 
@@ -62,24 +69,53 @@ class Contract:
 ElementaryOp = Union[Include, Contract]
 
 
-@dataclass(frozen=True, slots=True)
 class Tower:
     """Ordered elementary ops building a complex from nothing, kept as the
-    *cells* of the tower's filtration (``(simplex, grade)`` pairs, faces
-    first) and one ``(start, stop, source, target, grade)`` record per
-    Contract, whose cone ``cells[start:stop]`` may be empty; every other
-    cell is an Include.  The ops are built only while the tower is
-    iterated.
+    cells of the tower's filtration and one ``(start, stop, source, target,
+    grade)`` record per Contract, whose cone ``cells[start:stop]`` may be
+    empty; every other cell is an Include.
+
+    ``arrays`` holds the cells as a
+    :class:`~ripscollapse.persistence.CellArrays`.  ``cells`` is the same
+    filtration as ``(simplex, grade)`` pairs, faces first: it is built on
+    its first read, by *pairs* when given and else from the arrays, and
+    kept.  ``len`` builds no tuple, and the ops are built only while the
+    tower is iterated.  Towers are equal when their cells and contractions
+    are.
 
     Grades are non-decreasing; a Contract's endpoints must be live (present
     in the current complex) and its source is dead afterwards.
     """
 
-    cells: tuple[tuple[Simplex, float], ...]
-    contractions: tuple[tuple[int, int, int, int, float], ...]
+    __slots__ = ("arrays", "contractions", "_cells")
+
+    def __init__(
+        self,
+        arrays: CellArrays,
+        contractions: Sequence[tuple[int, int, int, int, float]],
+        pairs: Callable[[], tuple[tuple[Simplex, float], ...]] | None = None,
+    ) -> None:
+        self.arrays = arrays
+        self.contractions = tuple(contractions)
+        # what builds the cells on their first read, then the cells
+        self._cells = arrays.cells if pairs is None else pairs
+
+    @property
+    def cells(self) -> tuple[tuple[Simplex, float], ...]:
+        if callable(self._cells):
+            self._cells = self._cells()
+        return self._cells
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cells, self.contractions) == (other.cells, other.contractions)
+
+    def __hash__(self) -> int:
+        return hash((self.cells, self.contractions))
 
     def __len__(self) -> int:
-        return len(self.cells) - sum(stop - start - 1 for start, stop, *_ in self.contractions)
+        return len(self.arrays) - sum(stop - start - 1 for start, stop, *_ in self.contractions)
 
     def __iter__(self) -> Iterator[ElementaryOp]:
         cells = self.cells
@@ -94,9 +130,14 @@ class Tower:
 
 
 class _Complex:
-    """The filtration emitted so far, as its ``cells`` and the set of their
-    simplices, ``emitted``, and the complex it has reached, with a
+    """The filtration emitted so far, as its cells per dimension and the set
+    of their simplices, ``emitted``, and the complex it has reached, with a
     per-vertex index of cofaces.
+
+    ``rows[d]`` lists the dimension-``d`` cells in filtration order, and
+    ``batches`` records each run of one dimension emitted at once, in
+    order, as ``(d, start in rows[d], count, grade)``; ``size`` counts the
+    cells.
 
     A cell is live (in the complex) iff it has been emitted and contains no
     vertex of ``dead``, the renamed-away ones; so a cell on live vertices
@@ -109,21 +150,52 @@ class _Complex:
     no cell that contains it is left.
     """
 
-    __slots__ = ("dead", "cofaces", "cells", "emitted")
+    __slots__ = ("dead", "cofaces", "emitted", "rows", "batches", "size")
 
     def __init__(self) -> None:
         self.dead: set[int] = set()
         self.cofaces: defaultdict[int, list[Simplex]] = defaultdict(list)
-        self.cells: list[tuple[Simplex, float]] = []
         self.emitted: set[Simplex] = set()
+        self.rows: list[list[Simplex]] = []
+        self.batches: list[tuple[int, int, int, float]] = []
+        self.size = 0
 
     def emit(self, new: Sequence[Simplex], grade: float) -> None:
-        """Append the simplices *new* to the filtration at *grade*, unless
-        the cells would pass the cell budget, which raises
+        """Append the simplices *new*, in (dimension, lexicographic) order,
+        to the filtration at *grade*, unless the cells would pass the cell
+        budget, which raises
         :class:`~ripscollapse.errors.ReductionMemoryError` first."""
-        _check_cells(len(self.cells) + len(new))
-        self.cells.extend(zip(new, repeat(grade)))
+        _check_cells(self.size + len(new))
         self.emitted.update(new)
+        self.size += len(new)
+        for k, run in groupby(new, len):
+            while len(self.rows) < k:
+                self.rows.append([])
+            rows = self.rows[k - 1]
+            start = len(rows)
+            rows.extend(run)
+            self.batches.append((k - 1, start, len(rows) - start, grade))
+
+    def tower(self, contractions: Sequence[tuple[int, int, int, int, float]]) -> Tower:
+        """The tower of the filtration emitted, with *contractions*: each
+        dimension's rows as one vertex-id array, and the pairs built from
+        the emitted simplices when first read."""
+        rows, batches = self.rows, self.batches
+        dim, start, count, grade = map(np.array, zip(*batches))
+        at = np.cumsum(count) - count - start  # a batch's position, less its start in its dimension
+        vertices, grades, positions = [], [], []
+        for d, simplices in enumerate(rows):
+            ids = np.fromiter(chain.from_iterable(simplices), np.int64, len(simplices) * (d + 1))
+            vertices.append(ids.reshape(-1, d + 1))
+            mine = dim == d
+            grades.append(np.repeat(grade[mine], count[mine]))
+            positions.append(np.repeat(at[mine], count[mine]) + np.arange(len(simplices)))
+
+        def pairs() -> tuple[tuple[Simplex, float], ...]:
+            runs = (zip(rows[d][s : s + c], repeat(g)) for d, s, c, g in batches)
+            return tuple(chain.from_iterable(runs))
+
+        return Tower(CellArrays(vertices, grades, positions), contractions, pairs)
 
     def add_cofaces(self, new: Iterable[Simplex]) -> None:
         """List the new live cells *new* under each of their vertices."""
@@ -299,9 +371,9 @@ def assemble_tower(
             if (w,) not in emitted:
                 alias[w] = u
                 continue
-            start = len(current.cells)
+            start = current.size
             current.contract(u, w, g)
-            contractions.append((start, len(current.cells), u, w, g))
+            contractions.append((start, current.size, u, w, g))
         if alias:
             new_ident = {q: alias.get(x, x) for q, x in new_ident.items()}
 
@@ -324,4 +396,4 @@ def assemble_tower(
             k += 1
         ident = new_ident
 
-    return Tower(tuple(current.cells), tuple(contractions))
+    return current.tower(contractions)

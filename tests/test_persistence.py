@@ -154,10 +154,11 @@ def test_blocks_hold_only_the_columns_clearing_leaves(monkeypatch):
 def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
     """With the cell budget set around each filtration's size,
     ``compute_persistence`` is refused exactly when the filtration has more
-    cells than the budget, before either builder indexes a cell, and the
+    cells than the budget, before any builder indexes a cell, and the
     tower never holds more cells than the budget: the collapsed run is
-    refused exactly when the tower has more, before any cell is indexed.
-    Seeded clouds, both paths."""
+    refused exactly when the tower has more, before any cell is indexed,
+    and otherwise indexes the tower's arrays once.  Seeded clouds, both
+    paths."""
     held = []  # the cells the tower holds after each emit, or when it raises
     indexed = []  # the size of each filtration a builder indexes
 
@@ -168,7 +169,7 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
             try:
                 super().emit(new, grade)
             finally:
-                held.append(len(self.cells))
+                held.append(self.size)
 
     def recorded(build):
         return lambda cells: indexed.append(len(cells)) or build(cells)
@@ -182,6 +183,7 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
         runs.append((D, run_pipeline(D, grades, collapse=False), run_pipeline(D, grades)))
     monkeypatch.setattr(tower, "_Complex", Recording)
     monkeypatch.setattr(persistence, "_located", recorded(persistence._located))
+    monkeypatch.setattr(persistence, "_arrays_located", recorded(persistence._arrays_located))
     monkeypatch.setattr(persistence, "_scan", recorded(persistence._scan))
     outcomes = set()
     for D, flat, collapsed in runs:
@@ -281,12 +283,17 @@ def test_nan_grade_is_rejected():
 
 def test_infinite_grade_is_rejected():
     # a class killed at an infinite grade would read as essential, and an
-    # infinite birth has no place in a diagram
+    # infinite birth has no place in a diagram; an int past the float range
+    # is refused as infinite, after any fault the scan finds
     for cells, cell_index in (
         ((((0,), 0.0), ((1,), 0.0), ((0, 1), math.inf)), 2),
         ((((0,), 0.0), ((1,), math.inf), ((0, 1), math.inf)), 1),
         ((((0,), -math.inf), ((1,), 0.0), ((0, 1), 1.0)), 0),
         ((((0,), -math.inf),), 0),
+        ((((0,), 10**400),), 0),
+        ((((0,), 0.0), ((1,), 0.0), ((0, 1), 10**5000)), 2),
+        ((((0,), -(10**400)), ((1,), 0), ((0, 1), math.inf)), 0),
+        ((((0,), 0), ((1,), 10**400), ((0, 1), 10**401)), 1),
     ):
         with pytest.raises(FiltrationOrderError, match="non-finite grade") as exc:
             compute_persistence(cells)
@@ -540,14 +547,26 @@ def _oracle_arrays():
 def test_array_entry_is_the_naive_index(monkeypatch):
     """The oracle's arrays are indexed by key with no tuple built and no
     scan, as a naive per-cell index lays out their pairs, and reduce to the
-    diagram of their pairs; the arrays of those pairs are the oracle's."""
+    diagram of their pairs; the arrays of those pairs are the oracle's.  So
+    are the arrays of those pairs with their ids permuted, whose vertex
+    cells are no longer in id order, and with their ids spread out."""
     scanned = _scans(monkeypatch)
+    rng = random.Random(12)
     for arrays in _oracle_arrays():
         cells = arrays.cells()
         matrix = persistence._arrays_indexed(arrays)
         assert matrix.cells is arrays
         want = naive_boundary_index(cells)
         assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
+        n = len(arrays.vertices[0])
+        for ids in (rng.sample(range(n), n), rng.sample(range(3 * n), n)):
+            moved = [(tuple(sorted(ids[v] for v in s)), g) for s, g in cells]
+            assert [s for s, _ in moved[:n]] != sorted(s for s, _ in moved[:n])
+            arrays_moved = _arrays_of(moved)
+            matrix = persistence._arrays_indexed(arrays_moved)
+            assert matrix.cells is arrays_moved
+            want = naive_boundary_index(moved)
+            assert boundary_index_of(dataclasses.replace(matrix, cells=moved)) == want
         assert compute_persistence(arrays, include_zero_pairs=True) == compute_persistence(
             cells, include_zero_pairs=True
         )
@@ -585,6 +604,28 @@ def _corrupted(cells, kind, rng):
     elif kind == "orphan":  # an id with no vertex cell
         t = rng.choice(triangles)
         out[t] = (cells[t][0][:2] + (len(at),), cells[t][1])
+    elif kind == "twin":  # a vertex cell repeated before any coface
+        v = rng.choice([i for i, (s, _) in enumerate(cells) if len(s) == 1])
+        out.insert(v + 1, cells[v])
+    elif kind == "hole":
+        # a last triangle (a, b, h) on the least id h with no vertex cell,
+        # placed where rank -1 for h would pass the key pass: -1 borrows
+        # from the digit before it, so (a, h) reads as (a', z), (b, h) as
+        # (b', z) and (a, b, h) as (a, b', z), where x' is the vertex cell
+        # before x and z the last one; those edges are cells, that triangle not
+        verts = [s[0] for s, _ in cells if len(s) == 1]
+        rank = {v: r for r, v in enumerate(verts)}
+        z = verts[-1]
+        aliased = [
+            (a, b) for a, b in sorted(s for s, _ in cells if len(s) == 2)
+            if min(rank[a], rank[b]) > 0
+            and (verts[rank[a] - 1], z) in at and (verts[rank[b] - 1], z) in at
+            and (a, verts[rank[b] - 1], z) not in at
+        ]
+        if not aliased:
+            return None
+        h = min(set(range(len(verts) + 1)) - rank.keys())
+        out.append((rng.choice(aliased) + (h,), cells[-1][1]))
     elif kind == "lower":
         i = rng.randrange(1, len(cells))
         out[i] = (cells[i][0], cells[i - 1][1] - 1.0)
@@ -597,23 +638,37 @@ ARRAY_FAULTS = {
     "repeat": "duplicate cell",
     "reverse": "not in increasing vertex order",
     "orphan": "is missing face",
+    "twin": "duplicate cell",
+    "hole": "is missing face",
     "lower": "has grade",
 }
 
 
 def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
-    """The oracle's arrays with a face row dropped, a face moved after its
-    coface, a row repeated, an edge reversed, an id with no vertex cell or
-    a grade lowered raise the :class:`FiltrationOrderError` that their
-    pairs raise, index and message, at the cell and for the reason the
-    judge names, and the scan runs once for each."""
+    """The oracle's arrays, and a collapsed run's tower arrays, with a face
+    row dropped, a face moved after its coface, a row repeated, an edge
+    reversed, an id with no vertex cell (past the largest id, or below it
+    where its rank would alias cells), a vertex cell repeated or a grade
+    lowered raise the :class:`FiltrationOrderError` that their pairs raise,
+    index and message, at the cell and for the reason the judge names, and
+    the scan runs once for each."""
     scanned = _scans(monkeypatch)
     rng = random.Random(8)
-    for arrays in _oracle_arrays():
+    # sparse ids, fresh ids among them, and ranks not monotone in id
+    D = pairwise_distances(np.random.default_rng(3).random((40, 2)))
+    collapsed = run_pipeline(D, [0.1, 0.2, 0.3, 0.4, 0.5]).tower.arrays
+    ids = collapsed.vertices[0][:, 0]
+    assert ids.max() >= 40 and ids.max() >= len(ids) and (ids[1:] < ids[:-1]).any()
+    holes = []
+    for arrays in [*_oracle_arrays(), collapsed]:
         cells = arrays.cells()
         for kind, reason in ARRAY_FAULTS.items():
             for _ in range(3):
                 case = _corrupted(cells, kind, rng)
+                if case is None:
+                    continue
+                if kind == "hole":
+                    holes.append(arrays)
                 assert naive_filtration_fault(case)[1] == reason
                 with pytest.raises(FiltrationOrderError) as want:
                     compute_persistence(case)
@@ -625,6 +680,7 @@ def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
                 )
                 assert got.value.cell_index == naive_filtration_fault(case)[0]
                 assert scanned == [len(case)]
+    assert any(a is collapsed for a in holes)
 
 
 def _scans(monkeypatch):

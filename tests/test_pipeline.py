@@ -457,11 +457,10 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
 
 
 def test_each_path_indexes_its_own_filtration_once(monkeypatch):
-    """``from_filtration`` runs once per collapsed ``run_pipeline`` call, on
-    the run's own filtration (no copy), and never on the oracle's: the
-    oracle's arrays are indexed once per call through the array entry, on
-    either path that runs the oracle, and hold its filtration.
-    ``compare_pipelines`` indexes each path's filtration once."""
+    """Neither path runs ``from_filtration``: each ``run_pipeline`` call
+    indexes its own tower's arrays (no copy) once through the array entry,
+    and those arrays hold the run's filtration.  ``compare_pipelines``
+    indexes each path's filtration once."""
     calls, arrays = [], []
     index = BoundaryMatrix.from_filtration.__func__
     entry = persistence._arrays_indexed
@@ -480,15 +479,17 @@ def test_each_path_indexes_its_own_filtration_once(monkeypatch):
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
     grades = [0.1, 0.2, 0.3, 0.4]
     collapsed = run_pipeline(D, grades)
-    assert len(calls) == 1 and calls[0] is collapsed.filtration and arrays == []
-    calls.clear()
+    assert calls == [] and len(arrays) == 1 and arrays[0] is collapsed.tower.arrays
+    assert arrays[0].cells() == collapsed.filtration
+    arrays.clear()
     oracle = run_pipeline(D, grades, collapse=False)
-    assert calls == [] and len(arrays) == 1 and arrays[0].cells() == oracle.filtration
+    assert calls == [] and len(arrays) == 1 and arrays[0] is oracle.tower.arrays
+    assert arrays[0].cells() == oracle.filtration
     assert collapsed.filtration != oracle.filtration
     arrays.clear()
     compare_pipelines(D, grades)
-    assert calls == [collapsed.filtration] and len(arrays) == 1
-    assert arrays[0].cells() == oracle.filtration
+    assert calls == [] and len(arrays) == 2
+    assert [a.cells() for a in arrays] == [collapsed.filtration, oracle.filtration]
 
 
 def test_lazy_before_stats_behave_as_values(monkeypatch):

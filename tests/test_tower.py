@@ -1,5 +1,6 @@
 """Tower assembly from cores, and the coning that turns a tower into a filtration."""
 
+import dataclasses
 import math
 import random
 
@@ -17,6 +18,7 @@ from oracles import (
     rips_snapshot,
 )
 
+from ripscollapse import persistence
 from ripscollapse.collapse import core
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, maximal_columns
 from ripscollapse.errors import (
@@ -30,7 +32,7 @@ from ripscollapse.io_formats import write_tower
 from ripscollapse.persistence import BoundaryMatrix, compute_persistence
 from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
-from ripscollapse.tower import Contract, Include, assemble_tower
+from ripscollapse.tower import Contract, Include, Tower, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -40,15 +42,20 @@ TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
 def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     """The assembled tower, once its filtration is checked for face-first
     order and against the whole-complex coning of that tower, the boundary
-    index of its cells against the one built a cell at a time, and their
-    diagram against the naive reduction's."""
+    index of its cells, and of its arrays, against the one built a cell at a
+    time, and their diagram against the naive reduction's."""
     tower = assemble_tower(cores, retractions, grades, cap)
     naive_check_filtration(tower.cells)
     assert tower.cells == naive_tower_to_filtration(tower)
     matrix = BoundaryMatrix.from_filtration(tower.cells)
     assert matrix.cells is tower.cells
-    assert boundary_index_of(matrix) == naive_boundary_index(tower.cells)
+    want = naive_boundary_index(tower.cells)
+    assert boundary_index_of(matrix) == want
+    matrix = persistence._arrays_indexed(tower.arrays)
+    assert matrix.cells is tower.arrays
+    assert boundary_index_of(dataclasses.replace(matrix, cells=tower.cells)) == want
     assert list(compute_persistence(tower.cells).pairs) == naive_persistence(tower.cells)
+    assert compute_persistence(tower.arrays) == compute_persistence(tower.cells)
     return tower
 
 
@@ -515,6 +522,22 @@ def test_contraction_with_an_empty_cone_is_still_an_op():
     assert write_tower(tower) == "# tower 1\ni 0.0 0\ni 0.0 1\ni 0.0 0 1\nc 1.0 0 1\n"
 
 
+def test_towers_compare_by_value_however_their_pairs_are_built():
+    """A tower equals, hashes and iterates as the tower of its arrays and
+    contractions whose pairs are built from the arrays, and differs from a
+    tower with other contractions or other cells."""
+    results = list(_derived_tower_cases())
+    for result in results:
+        tower = result.tower
+        twin = Tower(tower.arrays, tower.contractions)
+        assert twin == tower and hash(twin) == hash(tower)
+        assert tuple(twin) == tuple(tower) and twin.cells is not tower.cells
+        if tower.contractions:
+            assert Tower(tower.arrays, tower.contractions[1:]) != tower
+        assert tower != tower.cells
+    assert results[0].tower != results[2].tower
+
+
 def test_ops_are_built_only_while_the_tower_is_iterated(monkeypatch):
     made = []
     for cls in (Include, Contract):
@@ -528,10 +551,12 @@ def test_ops_are_built_only_while_the_tower_is_iterated(monkeypatch):
     D = pairwise_distances([(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(20)])
     for collapse in (True, False):
         result = run_pipeline(D, [0.2, 0.35, 0.5], collapse=collapse)
-        assert made == []
-        assert len(result.tower) > 0 and made == []
+        # neither the run nor ``len`` builds the tower's pairs
+        assert made == [] and callable(result.tower._cells)
+        assert len(result.tower) > 0 and made == [] and callable(result.tower._cells)
         for _ in result.tower:
             pass
+        assert result.tower._cells is result.filtration
         assert len(made) == len(result.tower)
         assert made.count("Contract") == len(result.tower.contractions)
         assert (made.count("Contract") > 0) == collapse

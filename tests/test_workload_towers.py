@@ -82,6 +82,31 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
         run_pipeline(D, grades, collapse=False)
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tower_arrays_index_as_the_naive_index(name, monkeypatch):
+    """On the default and held-out clouds, the tower's arrays are indexed
+    by the array entry, with no tuple built and no scan, as a per-cell index
+    lays out the tower's pairs.  Their vertex ids are sparse and include
+    fresh ids past the points, and on one of the clouds the vertex cells'
+    ranks are not monotone in their ids."""
+    monkeypatch.setattr(persistence, "_scan", _no_scan)
+    w = WORKLOADS[name]
+    grades = w.grades()
+    unordered = 0
+    for seed in (w.cloud_seed, w.held_out_seed):
+        D = pairwise_distances(w.cloud(seed, w.n))
+        cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
+        tower = assemble_tower([c.cliques for c in cores], [c.retraction for c in cores], grades)
+        matrix = persistence._arrays_indexed(tower.arrays)
+        assert matrix.cells is tower.arrays
+        want = naive_boundary_index(tower.cells)
+        assert boundary_index_of(dataclasses.replace(matrix, cells=tower.cells)) == want
+        ids = tower.arrays.vertices[0][:, 0]
+        assert ids.max() >= max(w.n, len(ids))
+        unordered += bool((ids[1:] < ids[:-1]).any())
+    assert unordered
+
+
 @pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
 def test_oracle_index_is_the_naive_index(seed, monkeypatch):
     monkeypatch.setattr(persistence, "_scan", _no_scan)
