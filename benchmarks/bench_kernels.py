@@ -7,7 +7,8 @@ on ``sys.path``).
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
 and ``flag_core``, the graph collapse the pipeline runs, on the same
 snapshot's neighbourhood graph.  The tower section times
-``assemble_tower`` on the ``flag_core`` cliques and retractions of the
+``assemble_tower``, which also runs the level join that builds the
+tower's cells, on the ``flag_core`` core graphs and retractions of the
 torus-tower workload's cloud and grades, taken from
 ``perfbench/workloads.py`` (without the run seed's isometry), and
 ``compute_persistence`` on the tower's ``(simplex, grade)`` pairs and on
@@ -15,9 +16,10 @@ its per-dimension vertex arrays (``Tower.arrays``), which the collapsed
 pipeline indexes and reduces.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
-The index section times the oracle's cell build
-(``pipeline._first_appearance_arrays`` on the graphs of ``graded_bitsets``,
-which builds per-dimension vertex arrays level by level), the arrays' pairs
+The index section times the oracle's cell build (the level join,
+``persistence._level_join``, of the graded edges of ``graded_bitsets``'
+graphs, ``pipeline._graded_edges``, which builds per-dimension vertex
+arrays level by level), the arrays' pairs
 (``CellArrays.cells``), and ``BoundaryMatrix.from_filtration`` and
 ``compute_persistence`` on those pairs and on the arrays themselves (the
 array entry, ``persistence._arrays_indexed``), for the uncollapsed
@@ -60,9 +62,10 @@ from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
     _arrays_indexed,
+    _level_join,
     compute_persistence,
 )
-from ripscollapse.pipeline import _first_appearance_arrays, run_pipeline  # noqa: E402
+from ripscollapse.pipeline import _graded_edges, run_pipeline  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     flag_core,
@@ -134,8 +137,13 @@ def bench_tower():
     grades = w.grades()
     print(f"--- tower ({w.n}-point torus, {len(grades)} grades from {w.start} by {w.step}) ---")
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
-    results = [flag_core(adj) for adj in graded_bitsets(D, grades)]
-    args = ([r.cliques for r in results], [r.retraction for r in results], grades)
+    graphs = graded_bitsets(D, grades)
+    results = [flag_core(adj) for adj in graphs]
+    cores = []
+    for adj, r in zip(graphs, results):
+        survivors = sum(1 << q for q in r.survivors)
+        cores.append({q: adj[q] & survivors for q in r.survivors})
+    args = (cores, [r.retraction for r in results], grades)
     tower = assemble_tower(*args)
     contracts = len(tower.contractions)
     print(f"  assemble_tower:      {_ms(_time(assemble_tower, *args))}"
@@ -154,9 +162,12 @@ def bench_index():
         print(f"--- oracle cells and boundary index ({w.n}-point {w.cloud.__name__} cloud {seed},"
               f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
         graphs = graded_bitsets(pairwise_distances(w.cloud(seed, w.n)), grades)
-        arrays = _first_appearance_arrays(grades, graphs)
+        def build():
+            return _level_join(np.zeros(len(graphs[0]), np.intp), *_graded_edges(graphs), grades)
+
+        arrays = build()
         cells = arrays.cells()
-        print(f"  array build:         {_ms(_time(_first_appearance_arrays, grades, graphs))}")
+        print(f"  array build:         {_ms(_time(build))}")
         print(f"  ... as pairs:        {_ms(_time(arrays.cells))}")
         matrix = BoundaryMatrix.from_filtration(cells)
         faces = sum(f.size for f in matrix.faces)

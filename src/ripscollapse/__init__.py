@@ -1,10 +1,13 @@
 """Strong-collapse acceleration for persistent homology of Rips snapshots.
 
 The library represents simplicial complexes by their maximal simplices,
-collapses each Rips snapshot to its core, assembles the cores into a tower
-of inclusions and vertex contractions whose cells are an equivalent
-filtration, and reduces that filtration to a persistence diagram.  An
-uncollapsed twin of the pipeline serves as the verification oracle.
+and a Rips snapshot by its neighbourhood graph.  It collapses each
+snapshot to its core on that graph, assembles the cores' graphs into a
+flag tower of vertex and edge inclusions and vertex contractions, one
+graded graph whose clique filtration is an equivalent filtration, and
+reduces that filtration to a persistence diagram.  An uncollapsed twin of
+the pipeline, the clique filtration of the snapshots' graded graph, built
+by the same level join, serves as the verification oracle.
 """
 
 from .collapse import (

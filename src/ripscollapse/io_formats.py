@@ -21,8 +21,11 @@ Read:
 
 Written:
 
-- tower: header ``# tower 1``; then ``i <grade> <v0> ... <vk>`` for an
-  inclusion and ``c <grade> <u> <v>`` for a contraction, in replay order.
+- tower: header ``# flag tower 1``; then ``i <grade> <v>`` and
+  ``i <grade> <u> <v>`` for the inclusion of a vertex and of an edge, and
+  ``c <grade> <u> <v>`` for the contraction of ``u`` into ``v``, in replay
+  order.  The tower's filtration is the clique filtration of the graph the
+  ops replay, as :mod:`ripscollapse.tower` describes.
 - diagram: ``<dim> <birth> <death>`` lines, ``inf`` for essential classes.
 """
 
@@ -172,7 +175,7 @@ def write_complex(columns: dict[int, Simplex]) -> str:
 # -- tower --------------------------------------------------------------------
 
 def write_tower(tower: Iterable[ElementaryOp]) -> str:
-    lines = ["# tower 1"]
+    lines = ["# flag tower 1"]
     for op in tower:
         if isinstance(op, Include):
             lines.append("i " + _fmt(op.grade) + " " + " ".join(str(v) for v in op.simplex))

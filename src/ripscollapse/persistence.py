@@ -15,14 +15,18 @@ and the pairs are read off the final lows one dimension at a time.
 
 Two bounds on the memory a run holds raise :class:`ReductionMemoryError`:
 the index refuses a filtration of more cells than a cell budget (so does
-the tower, as it emits them), and the kernel a block once the columns it
-has packed pass a byte limit.
+the level join below, as it builds them), and the kernel a block once the
+columns it has packed pass a byte limit.
+
+The tower's filtration and the uncollapsed oracle's are both the clique
+filtration of a graded graph, and one level join, ``_level_join``, builds
+either as a :class:`CellArrays` from the graph's graded vertices and edges.
 
 One checked key pass indexes every filtration for the reduction, the
 tower's and the oracle's alike.  It has two fronts.
 :meth:`BoundaryMatrix.from_filtration` takes ``(simplex, grade)`` pairs
 with vertex ids of any hashable kind; a :class:`CellArrays`, the
-per-dimension vertex arrays that the tower and the oracle both build, is
+per-dimension vertex arrays that the level join builds, is
 indexed from its arrays, with the same checks run vectorised and no tuple
 built.  The pass finds the faces of each dimension in one NumPy pass, by
 exact integer keys (as Ripser indexes simplices).  Each vertex id maps to
@@ -63,7 +67,7 @@ from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# The most cells an index, or the tower that emits them, may hold.  An
+# The most cells an index, or the level join that builds them, may hold.  An
 # indexed cell costs a few hundred bytes of peak RSS (its simplex and grade,
 # its face positions, and a few words per vertex while the faces are
 # found), as a tower's run grows on circles of 1,000 and 2,000 points, so
@@ -143,14 +147,26 @@ class CellArrays:
 
     def cells(self) -> tuple[tuple[Simplex, float], ...]:
         """The ``(simplex, grade)`` pairs, ordered by position (stably, so
-        a position held twice keeps the lower dimension first)."""
-        pairs = list(
-            chain.from_iterable(
-                zip(zip(*v.T.tolist()), g.tolist()) for v, g in zip(self.vertices, self.grades)
-            )
-        )
+        a position held twice keeps the lower dimension first).  Each pair
+        is put in its place as it is made, and the cells of a dimension
+        share one Python object per distinct vertex id and grade."""
         order = np.argsort(np.concatenate((np.empty(0, np.intp),) + self.positions), kind="stable")
-        return tuple(map(pairs.__getitem__, order.tolist()))
+        place = np.empty_like(order)
+        place[order] = np.arange(len(order))
+        cells = np.empty(len(order), object)
+        start = 0
+        for v, g in zip(self.vertices, self.grades):
+            pairs = zip(zip(*_shared(v).T.tolist()), _shared(g).tolist())
+            cells[place[start : start + len(v)]] = np.fromiter(pairs, object, len(v))
+            start += len(v)
+        return tuple(cells)
+
+
+def _shared(values: np.ndarray) -> np.ndarray:
+    """*values* as an object array holding one Python object per distinct
+    value, where ``tolist`` would make one per entry."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array(distinct.tolist(), object)[at.reshape(values.shape)]
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -392,11 +408,13 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> None:
             s = grade = None
         if not (isinstance(cell, tuple) and isinstance(s, tuple) and isinstance(grade, Real)):
             raise FiltrationOrderError(
-                f"malformed cell {cell!r}: not a vertex tuple with a real grade", i
+                f"malformed cell {_shown(cell, repr)}: not a vertex tuple with a real grade", i
             )
         if not grade >= last:
             raise FiltrationOrderError(
-                f"cell {s} has grade {grade}, not at or above its predecessor's {last}", i
+                f"cell {_shown(s)} has grade {_shown(grade)}, "
+                f"not at or above its predecessor's {_shown(last)}",
+                i,
             )
         last = grade
         d = len(s) - 1
@@ -408,13 +426,13 @@ def _scan(cells: Sequence[tuple[Simplex, float]]) -> None:
             except TypeError:  # vertices that do not compare
                 increasing = False
             if not increasing:
-                raise FiltrationOrderError(f"edge {s} is not in increasing vertex order", i)
+                raise FiltrationOrderError(f"edge {_shown(s)} is not in increasing vertex order", i)
         if d > 0:
             face = next((f for f in combinations(s, d) if f not in seen), None)
             if face is not None:
-                raise FiltrationOrderError(f"cell {s} is missing face {face}", i)
+                raise FiltrationOrderError(f"cell {_shown(s)} is missing face {_shown(face)}", i)
         if s in seen:
-            raise FiltrationOrderError(f"duplicate cell {s}", i)
+            raise FiltrationOrderError(f"duplicate cell {_shown(s)}", i)
         seen.add(s)
     _refuse_non_finite(cells)
     raise AssertionError("no cell is faulty, yet the index refused the cells")
@@ -429,7 +447,18 @@ def _refuse_non_finite(cells: Sequence[tuple[Simplex, float]]) -> None:
                 continue
         except OverflowError:  # an int past the float range, maybe too long to print
             grade = "past the float range"
-        raise FiltrationOrderError(f"cell {s} has non-finite grade {grade}", i)
+        raise FiltrationOrderError(f"cell {_shown(s)} has non-finite grade {grade}", i)
+
+
+def _shown(value: object, form=str) -> str:
+    """*value* in a refusal's message: ``form(value)``, cut to 100
+    characters, or its type's name where that would print an int past the
+    interpreter's digit limit, alone or inside a tuple."""
+    try:
+        text = form(value)
+    except ValueError:  # an int too long to print
+        return f"<{type(value).__name__} holding an int too long to print>"
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 def _check_cells(held: int) -> None:
@@ -437,6 +466,96 @@ def _check_cells(held: int) -> None:
     would pass the cell budget."""
     if held > _MAX_CELLS:
         raise ReductionMemoryError(held, _MAX_CELLS, "cells")
+
+
+# the most vertex pairs one step of a sibling join tests at once
+_JOIN_CHUNK = 1 << 16
+
+
+def _level_join(
+    vertex_at: np.ndarray, keys: np.ndarray, first: np.ndarray, grades: Sequence[float]
+) -> CellArrays:
+    """The clique (flag) filtration of a graded graph, as per-dimension
+    vertex arrays.
+
+    The graph's vertices are ``0 .. n - 1``, each included at the grade of
+    index ``vertex_at[v]``, and its edges ``u < v`` the sorted keys
+    ``u * n + v``, each included at the grade of index ``first``.  Every
+    clique is a cell, at the latest grade of its vertices and edges, and
+    the cells are in (grade, dimension, lexicographic) order.  They are
+    built level by level in NumPy, with no tuple per clique (Zomorodian's
+    inductive construction): the vertices, the edges in key order, and the
+    cliques one vertex larger than a level's, each joined from two of its
+    rows that share all but their last vertex, when those last vertices are
+    an edge.  Each level comes out in lexicographic order, so a stable sort
+    by grade within each dimension, placed at the offsets of the (grade,
+    dimension) buckets, gives the filtration order.
+
+    Raises :class:`ReductionMemoryError` once the cells built pass the cell
+    budget, checked once per join chunk, so the join never holds more than
+    one chunk past it.
+    """
+    n = len(vertex_at)
+    u, v = np.divmod(keys, n)
+    at = np.maximum(first, np.maximum(vertex_at.take(u), vertex_at.take(v)))
+    levels = [(np.arange(n)[:, None], vertex_at)]
+    rows, held = np.column_stack((u, v)), n + len(keys)
+    _check_cells(held)
+    while len(rows):
+        levels.append((rows, at))
+        rows, at, held = _sibling_join(rows, at, keys, first, n, held)
+    # the cells of one (grade, dimension) bucket are contiguous, buckets in that order
+    counts = np.array([np.bincount(at, minlength=len(grades)) for _, at in levels]).T
+    bucket = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
+    bucket -= np.cumsum(counts, axis=0) - counts  # less the rows before it in its dimension
+    along = np.asarray(grades, np.float64)
+    vertices, graded, positions = [], [], []
+    for d, (rows, at) in enumerate(levels):
+        order = np.argsort(at, kind="stable")
+        at = at.take(order)
+        vertices.append(rows[order])
+        graded.append(along.take(at))
+        positions.append(np.arange(len(at)) + bucket[:, d].take(at))
+    return CellArrays(vertices, graded, positions)
+
+
+def _sibling_join(
+    rows: np.ndarray, at: np.ndarray, keys: np.ndarray, first: np.ndarray, n: int, held: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The cliques one vertex larger than the sorted cliques *rows* (at
+    grade indices *at*), the grade index of each, in lexicographic order,
+    and *held*, the cells built before them, plus their count, given the
+    edges' sorted *keys* and *first* grade indices.  Rows ``i < j`` that
+    share all but their last vertex are contiguous; when those last
+    vertices are an edge, row ``i`` followed by row ``j``'s last vertex is
+    a clique.  The cell budget is checked after each chunk."""
+    m = len(rows)
+    breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    sizes = np.diff(np.append(starts, m))
+    partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
+    ends = np.cumsum(partners)
+    last = rows[:, -1]
+    joined, graded = [], []
+    lo = 0
+    while lo < m:
+        # the rows from lo whose pairs fit in one chunk, or row lo alone
+        hi = np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")
+        hi = max(lo + 1, int(hi))
+        count = partners[lo:hi]
+        i = np.repeat(np.arange(lo, hi), count)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
+        key = last.take(i) * n + last.take(j)
+        e = np.searchsorted(keys, key)
+        np.minimum(e, len(keys) - 1, out=e)
+        hit = keys.take(e) == key
+        i, j, e = i[hit], j[hit], e[hit]
+        held += len(i)
+        _check_cells(held)
+        joined.append(np.column_stack((rows[i], last.take(j))))
+        graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
+        lo = hi
+    return np.concatenate(joined), np.concatenate(graded), held
 
 
 def compute_persistence(

@@ -7,14 +7,16 @@ path strong-collapses each snapshot to its core on its graph with
 worker pool may handle them concurrently).  It keeps each graph for the
 snapshot's ``before`` stats, whose maximal cliques are enumerated only when
 those stats are first read.  It then assembles the cores, each given by its
-maximal cliques and its retraction as a list indexed by point, into a
-tower, whose cells are the tower's equivalent filtration, recorded as
-per-dimension vertex arrays as they are emitted.
-The uncollapsed twin, ``run_pipeline(..., collapse=False)``, skips
-collapsing and builds the first-appearance filtration of the snapshots
-level by level, as per-dimension vertex arrays, from the last graph's
-edges; its tower is that filtration's cells as inclusions.  Both paths
-reduce their filtration's arrays with
+graph and its retraction as a list indexed by point, into a flag tower: one
+graded graph on tower ids, whose clique filtration is the tower's
+equivalent filtration.  The uncollapsed twin, ``run_pipeline(...,
+collapse=False)``, skips collapsing and takes the first-appearance
+filtration of the snapshots, the clique filtration of the last graph with
+each edge graded by the first graph that holds it; its tower is that
+graph's vertices and edges as inclusions.  One level join,
+``persistence._level_join``, builds both clique filtrations as
+per-dimension vertex arrays.  Both paths reduce their filtration's arrays
+with
 :func:`~ripscollapse.persistence.compute_persistence`, and neither builds
 the ``(simplex, grade)`` pairs of ``PipelineResult.filtration`` until they
 are read.  The twin is the verification oracle: :func:`compare_pipelines`
@@ -41,6 +43,7 @@ from .persistence import (
     CellArrays,
     PersistenceDiagram,
     _check_cells,
+    _level_join,
     bottleneck_distance,
     compute_persistence,
 )
@@ -119,7 +122,9 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    assembly: float  # the tower and its filtration's arrays (AT), not the graphs
+    # the tower and the level join of its filtration's arrays (AT), or the
+    # oracle's stats, cap check and level join; not the graphs
+    assembly: float
     # the boundary index, its cells checked and its faces found in one NumPy
     # pass per dimension, and the boundary-matrix reduction (PDT)
     reduction: float
@@ -164,16 +169,9 @@ def _snapshot_filtration(
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
-    (dimension, lexicographic).  The cells are built level by level in
-    NumPy, with no tuple per clique (Zomorodian's inductive construction):
-    the points at the first graph; the last graph's edges ``u < v`` in
-    lexicographic order, each at the first graph that holds it; and the
-    cliques one vertex larger than a level's, each joined from two of its
-    rows that share all but their last vertex, when those last vertices
-    are an edge, at the latest graph of the two rows and the edge.  Each
-    level comes out in lexicographic order, so a stable sort by graph
-    index within each dimension, placed at the offsets of the (graph,
-    dimension) buckets, gives the filtration order.
+    (dimension, lexicographic): the level join of the last graph's edges,
+    each at the first graph that holds it, with every point at the first
+    graph.
 
     Raises :class:`ExpansionCapError` at the first snapshot whose projected
     cell count (from its maximal cliques) exceeds *cap*, and
@@ -191,7 +189,8 @@ def _snapshot_filtration(
         _check_cells(projected)
     except ReductionMemoryError:
         _check_cells(_clique_count(graphs[-1]))
-    return _first_appearance_arrays(grades, graphs), sizes
+    n = len(graphs[0])
+    return _level_join(np.zeros(n, np.intp), *_graded_edges(graphs), grades), sizes
 
 
 def _clique_count(adj: list[int]) -> int:
@@ -210,32 +209,6 @@ def _clique_count(adj: list[int]) -> int:
             if below:
                 stack.append(below)
     return total
-
-
-def _first_appearance_arrays(grades: list[float], graphs: list[list[int]]) -> CellArrays:
-    """The cells of :func:`_snapshot_filtration`, in its order, from the
-    nested snapshot *graphs* at *grades*, as per-dimension vertex arrays."""
-    n = len(graphs[0])
-    keys, first = _graded_edges(graphs)
-    # each level's rows in lexicographic order, with their first graph's index
-    levels = [(np.arange(n)[:, None], np.zeros(n, np.intp))]
-    rows, at = np.column_stack(np.divmod(keys, n)), first
-    while len(rows):
-        levels.append((rows, at))
-        rows, at = _sibling_join(rows, at, keys, first, n)
-    # the cells of one (graph, dimension) bucket are contiguous, buckets in that order
-    counts = np.array([np.bincount(at, minlength=len(graphs)) for _, at in levels]).T
-    bucket = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
-    bucket -= np.cumsum(counts, axis=0) - counts  # less the rows before it in its dimension
-    along = np.asarray(grades, np.float64)
-    vertices, graded, positions = [], [], []
-    for d, (rows, at) in enumerate(levels):
-        order = np.argsort(at, kind="stable")
-        at = at.take(order)
-        vertices.append(rows[order])
-        graded.append(along.take(at))
-        positions.append(np.arange(len(at)) + bucket[:, d].take(at))
-    return CellArrays(vertices, graded, positions)
 
 
 def _graded_edges(graphs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -263,46 +236,6 @@ def _graded_edges(graphs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     return keys.take(order), first.take(order)
 
 
-# the most vertex pairs one step of a sibling join tests at once
-_JOIN_CHUNK = 1 << 16
-
-
-def _sibling_join(
-    rows: np.ndarray, at: np.ndarray, keys: np.ndarray, first: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cliques one vertex larger than the sorted cliques *rows* (held
-    from graphs *at*), and the first graph of each, in lexicographic order,
-    given the edges' sorted *keys* and *first* graphs.  Rows ``i < j`` that
-    share all but their last vertex are contiguous; when those last
-    vertices are an edge, row ``i`` followed by row ``j``'s last vertex is
-    a clique."""
-    m = len(rows)
-    breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], breaks)))
-    sizes = np.diff(np.append(starts, m))
-    partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
-    ends = np.cumsum(partners)
-    last = rows[:, -1]
-    joined, graded = [], []
-    lo = 0
-    while lo < m:
-        # the rows from lo whose pairs fit in one chunk, or row lo alone
-        hi = np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")
-        hi = max(lo + 1, int(hi))
-        count = partners[lo:hi]
-        i = np.repeat(np.arange(lo, hi), count)
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
-        key = last.take(i) * n + last.take(j)
-        e = np.searchsorted(keys, key)
-        np.minimum(e, len(keys) - 1, out=e)
-        hit = keys.take(e) == key
-        i, j, e = i[hit], j[hit], e[hit]
-        joined.append(np.column_stack((rows[i], last.take(j))))
-        graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
-        lo = hi
-    return np.concatenate(joined), np.concatenate(graded)
-
-
 def run_pipeline(
     D: np.ndarray,
     sched: SnapshotSchedule | Iterable[float],
@@ -314,9 +247,9 @@ def run_pipeline(
     """Run the snapshot pipeline on a distance matrix.
 
     With ``collapse=False`` the snapshots are not collapsed: the filtration
-    is the first-appearance filtration of the snapshots, the tower is its
-    cells as inclusions, the stats report each snapshot unchanged, and
-    *workers* is not used.  This is the oracle that
+    is the first-appearance filtration of the snapshots, the tower is the
+    graph it expands, as inclusions, the stats report each snapshot
+    unchanged, and *workers* is not used.  This is the oracle that
     :func:`compare_pipelines` checks the collapsed diagram against.
 
     A *workers* or *cap* below 1 raises ``ValueError`` before any snapshot
@@ -355,13 +288,14 @@ def _collapsed(
         for g, graph, (res, _) in zip(grades, graphs, results)
     )
     collapse_max = max(elapsed for _, elapsed in results)
+    for res, _ in results:
+        check_expansion_cap(res.cliques, cap)
     t0 = perf_counter()
-    tower = assemble_tower(
-        [res.cliques for res, _ in results],
-        [res.retraction for res, _ in results],
-        grades,
-        cap,
-    )
+    cores = []
+    for graph, (res, _) in zip(graphs, results):
+        kept = sum(1 << q for q in res.survivors)
+        cores.append({q: graph[q] & kept for q in res.survivors})
+    tower = assemble_tower(cores, [res.retraction for res, _ in results], grades)
     assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(tower.arrays)
@@ -371,7 +305,8 @@ def _collapsed(
 
 def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
     """The uncollapsed oracle on the snapshot *graphs* at *grades*: its
-    arrays are reduced, and its tower is their cells as inclusions."""
+    arrays are reduced, and its tower is the graph they expand, as
+    inclusions."""
     t0 = perf_counter()
     arrays, sizes = _snapshot_filtration(grades, graphs, cap)
     assembly = perf_counter() - t0
@@ -379,7 +314,13 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     diagram = compute_persistence(arrays)
     timings = PipelineTimings(0.0, assembly, perf_counter() - t0)
     stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
-    return PipelineResult(diagram, Tower(arrays, ()), stats, timings)
+    # the graph it expands: its vertices, all at the first grade, then its edges
+    ops = [
+        op
+        for rows, along in zip(arrays.vertices[:2], arrays.grades[:2])
+        for op in zip(map(tuple, rows.tolist()), along.tolist())
+    ]
+    return PipelineResult(diagram, Tower(arrays, ops), stats, timings)
 
 
 def _oracle_diagram(grades: list[float], graphs: list[list[int]], cap: int) -> PersistenceDiagram:

@@ -11,8 +11,11 @@ subset scan, Betti numbers by dense GF(2) rank, persistence by the textbook
 set-based column reduction, the snapshot filtration by expanding every
 snapshot and dropping the cells seen before, the exact edge-length Rips
 filtration, bottleneck distance by exhaustive matching, tower assembly,
-replay and coning by whole-complex rewrites, and face-first order by a set of
-the cells seen so far.  The collapse judges read and return complexes in the
+replay and coning by whole-complex rewrites, the flag tower's filtration by
+replaying its ops on a plain graph and listing its cliques, and face-first
+order by a set of the cells seen so far.  The coned tower is the judge of
+the package's flag tower diagram by diagram, and the replayed graph cell by
+cell.  The collapse judges read and return complexes in the
 package's form, a dict from column id to sorted vertex tuple, and raise its
 ``CollapseConsistencyError``, so that they compare with ``core`` directly.
 The tower oracles take the package's op types and ``as_simplex``, and the
@@ -786,3 +789,74 @@ def naive_tower_to_filtration(tower):
             raise TowerOpError(f"op {i}: unknown op {op!r}")
 
     return tuple(cells)
+
+
+def naive_flag_tower_filtration(tower):
+    """The filtration of a flag tower, by replaying its ops on a plain graph
+    and listing every clique of the final graph.
+
+    Include((v,), g) adds the vertex v and Include((a, b), g) the edge ab at
+    g; Contract(u, v, g) adds at g the edge uv and an edge vy for each live
+    neighbour y of u, where they are missing, and u dies.  Every vertex and
+    edge keeps the grade it first appears at, dead vertices' too.  Each
+    clique of the final graph is a cell at the latest grade of its vertices
+    and edges, and the cells are listed in (grade, dimension, lexicographic)
+    order.  A decreasing grade, an Include that is not a vertex or an edge,
+    or is of a present cell or on a vertex that is not live, and a Contract
+    of a vertex into itself or of one that is not live raise
+    :class:`TowerOpError`."""
+    grade = {}  # vertex or edge -> the grade it first appears at
+    neighbours: dict[int, set[int]] = {}
+    live: set[int] = set()
+    prev_grade = None
+
+    def add_edge(a, b, g):
+        edge = (min(a, b), max(a, b))
+        if edge not in grade:
+            grade[edge] = g
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+
+    for i, op in enumerate(tower):
+        if prev_grade is not None and op.grade < prev_grade:
+            raise TowerOpError(f"op {i}: grade decreases along the tower")
+        prev_grade = op.grade
+        if isinstance(op, Include):
+            s = as_simplex(op.simplex)
+            if len(s) > 2 or s in grade:
+                raise TowerOpError(f"op {i}: include of {s}, present or not a vertex or edge")
+            if len(s) == 1:
+                grade[s] = op.grade
+                neighbours[s[0]] = set()
+                live.add(s[0])
+            elif set(s) <= live:
+                add_edge(*s, op.grade)
+            else:
+                raise TowerOpError(f"op {i}: include of {s} on a vertex that is not live")
+        elif isinstance(op, Contract):
+            u, v = op.source, op.target
+            if u == v or u not in live or v not in live:
+                raise TowerOpError(f"op {i}: contract ({u} -> {v}) of a non-live vertex")
+            add_edge(u, v, op.grade)
+            for y in sorted(neighbours[u] & live - {v}):
+                add_edge(v, y, op.grade)
+            live.discard(u)
+        else:  # pragma: no cover - type misuse
+            raise TowerOpError(f"op {i}: unknown op {op!r}")
+
+    # every clique, grown by one larger common neighbour at a time
+    vertices = sorted(v for (v, *rest) in grade if not rest)
+    level = [((v,), grade[(v,)], {y for y in neighbours[v] if y > v}) for v in vertices]
+    cells = []
+    while level:
+        cells.extend((c, g) for c, g, _ in level)
+        level = [
+            (
+                c + (w,),
+                max([g, grade[(w,)]] + [grade[(x, w)] for x in c]),
+                {y for y in above if y > w and y in neighbours[w]},
+            )
+            for c, g, above in level
+            for w in sorted(above)
+        ]
+    return tuple(sorted(cells, key=lambda cell: (cell[1], len(cell[0]), cell[0])))

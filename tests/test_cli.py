@@ -16,7 +16,7 @@ UNIT_SQUARE_POINTS = "0 0\n1 0\n1 1\n0 1\n"
 SQUARE_PD = "0 0.5 1.0\n0 0.5 1.0\n0 0.5 1.0\n0 0.5 inf\n1 1.0 1.5\n"
 
 SQUARE_TOWER = (
-    "# tower 1\n"
+    "# flag tower 1\n"
     "i 0.5 0\ni 0.5 1\ni 0.5 2\ni 0.5 3\n"
     "i 1.0 0 1\ni 1.0 0 3\ni 1.0 1 2\ni 1.0 2 3\n"
     "c 1.5 1 0\nc 1.5 2 0\nc 1.5 3 0\n"
@@ -174,8 +174,10 @@ def test_pipeline_no_collapse(square_file, tmp_path, capsys):
     assert rc == EXIT_OK
     assert capsys.readouterr().out == SQUARE_PD
     lines = tower.read_text().splitlines()
-    assert lines[0] == "# tower 1"
-    assert len(lines) == 16 and all(l.startswith("i ") for l in lines[1:])
+    # the graph the oracle expands: 4 points, 4 sides at 1.0, 2 diagonals at 1.5
+    assert lines[0] == "# flag tower 1"
+    assert len(lines) == 11 and all(l.startswith("i ") for l in lines[1:])
+    assert lines[5:] == ["i 1.0 0 1", "i 1.0 0 3", "i 1.0 1 2", "i 1.0 2 3", "i 1.5 0 2", "i 1.5 1 3"]
 
 
 def test_workers_do_not_change_output_bytes(tmp_path, square_file):
@@ -371,16 +373,19 @@ def test_reduction_memory_guard_exit_3(square_file, monkeypatch, capsys):
 
 
 # sha256 of the artifacts at commit 3421828, before the tower kept only its
-# contractions, but for the collapsed tower, re-pinned when a retraction onto
-# a vertex outside the tower became a relabel (61 -> 46 includes, 37 -> 22
-# contracts, the same diagram): a tower, diagram or stats change must be
-# argued and logged
+# contractions, but for the towers.  The collapsed tower was re-pinned when a
+# retraction onto a vertex outside the tower became a relabel (61 -> 46
+# includes, 37 -> 22 contracts, the same diagram), and both towers when they
+# became flag towers: the collapsed one keeps its ops (34 vertex and 12 edge
+# includes, 22 contracts) under the header "# flag tower 1", and the
+# uncollapsed one lists its graph (60 vertices, 341 edges) instead of its
+# 16,518 cells.  A tower, diagram or stats change must be argued and logged.
 CIRCLE_DIGESTS = {
     ("pipeline", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
-    ("pipeline", "tower"): "b8fff39ab8d648bea581e972e75e409a7e643621be2aa7e9348ad8ae5d201259",
+    ("pipeline", "tower"): "b13bfbf4f812b87afad5e5f50e54ec1bac659ad763c4ae1e34436a988c52bd5e",
     ("pipeline", "stats"): "eb23add47d3fcdb344254840bfe7f2c5c29376114959a56b6391ea1973bf5942",
     ("no-collapse", "pd"): "2e1fe518b3e503656444637e47f4b5528fe5bcabec4365aa2eb3175b9f875085",
-    ("no-collapse", "tower"): "f44a0ef16665618112590e2fe3f82a9b2c3a53bb3473b76cd5ec294ddcda231a",
+    ("no-collapse", "tower"): "6eb111389f88efd20fa2835c630b9ce164746c673733729401b92d317b682888",
     ("no-collapse", "stats"): "8d9ad5384b297f451f51373881345a07b47b3bb244b2339be2dda5f7623ff380",
     ("compare", "stdout"): "2121454a5b50238748c57ae02233d9afc1e76cc379c77afcf8b99f92a8624601",
 }

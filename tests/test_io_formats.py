@@ -157,15 +157,15 @@ def test_tower_round_trip():
     tower = (
         Include((0,), 0.1),
         Include((3,), 0.1),
-        Include((0, 3, 7), 0.1 + 0.2),
-        Contract(7, 0, 1.5),
+        Include((0, 3), 0.1 + 0.2),
+        Contract(3, 0, 1.5),
     )
     assert write_tower(tower) == (
-        "# tower 1\n"
+        "# flag tower 1\n"
         "i 0.1 0\n"
         "i 0.1 3\n"
-        "i 0.30000000000000004 0 3 7\n"
-        "c 1.5 7 0\n"
+        "i 0.30000000000000004 0 3\n"
+        "c 1.5 3 0\n"
     )
 
 

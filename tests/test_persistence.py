@@ -24,7 +24,7 @@ from oracles import (
     random_maximal_simplices,
     rips_snapshot,
 )
-from ripscollapse import persistence, pipeline, tower
+from ripscollapse import persistence, pipeline
 from ripscollapse.complexes import maximal_columns
 from ripscollapse.errors import ExpansionCapError, FiltrationOrderError, ReductionMemoryError
 from ripscollapse.persistence import (
@@ -155,21 +155,10 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
     """With the cell budget set around each filtration's size,
     ``compute_persistence`` is refused exactly when the filtration has more
     cells than the budget, before any builder indexes a cell, and the
-    tower never holds more cells than the budget: the collapsed run is
-    refused exactly when the tower has more, before any cell is indexed,
-    and otherwise indexes the tower's arrays once.  Seeded clouds, both
-    paths."""
-    held = []  # the cells the tower holds after each emit, or when it raises
+    collapsed run is refused exactly when the tower has more, by the level
+    join that builds its cells, before any cell is indexed, and otherwise
+    indexes the tower's arrays once.  Seeded clouds, both paths."""
     indexed = []  # the size of each filtration a builder indexes
-
-    class Recording(tower._Complex):
-        __slots__ = ()
-
-        def emit(self, new, grade):
-            try:
-                super().emit(new, grade)
-            finally:
-                held.append(self.size)
 
     def recorded(build):
         return lambda cells: indexed.append(len(cells)) or build(cells)
@@ -181,7 +170,6 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
         pts = [tuple(rng.uniform(0, 1) for _ in range(3)) for _ in range(rng.randint(4, 12))]
         D = pairwise_distances(pts)
         runs.append((D, run_pipeline(D, grades, collapse=False), run_pipeline(D, grades)))
-    monkeypatch.setattr(tower, "_Complex", Recording)
     monkeypatch.setattr(persistence, "_located", recorded(persistence._located))
     monkeypatch.setattr(persistence, "_arrays_located", recorded(persistence._arrays_located))
     monkeypatch.setattr(persistence, "_scan", recorded(persistence._scan))
@@ -207,7 +195,6 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
         n = len(tower_cells)
         for limit in (0, n // 2, n - 1, n, n + 1):
             monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
-            held.clear()
             indexed.clear()
             refused = n > limit
             if refused:
@@ -218,8 +205,7 @@ def test_cell_budget_refuses_before_any_cell_is_indexed(monkeypatch):
             else:
                 result = run_pipeline(D, grades)
                 assert (result.filtration, result.diagram) == (tower_cells, collapsed.diagram)
-                assert held[-1] == n and indexed == [n]
-            assert max(held, default=0) <= limit
+                assert indexed == [n]
             outcomes.add(("collapsed", refused))
     assert len(outcomes) == 4
 
@@ -299,6 +285,23 @@ def test_infinite_grade_is_rejected():
             compute_persistence(cells)
         assert exc.value.cell_index == cell_index
         assert f"cell {cells[cell_index][0]} " in str(exc.value)
+
+
+def test_refusals_show_ints_too_long_to_print():
+    """A grade or vertex id past the interpreter's digit limit is refused
+    at its cell with a bounded message, not with the ``ValueError`` that
+    printing it raises; a long grade is cut."""
+    huge = 10**5000
+    for cells, cell_index, reason in (
+        ([((0,), huge), ((0,), 0.0)], 1, "not at or above its predecessor's <int holding"),
+        ([((huge,), 0.0), ((huge,), 0.0)], 1, "duplicate cell <tuple holding an int"),
+        ([((0,), 0.0), ((huge,), math.inf)], 1, "cell <tuple holding an int too long to print>"),
+        ([((0,), 10**400), ((0,), 0.0)], 1, r"predecessor's 10{96}\.\.\. "),
+    ):
+        with pytest.raises(FiltrationOrderError, match=reason) as exc:
+            compute_persistence(cells)
+        assert exc.value.cell_index == cell_index
+        assert len(str(exc.value)) < 300
 
 
 def test_diagram_refuses_nan_and_infinite_births():
@@ -541,7 +544,7 @@ def _oracle_arrays():
     grades = [0.3, 0.35, 0.4, 0.45, 0.5]
     for seed in range(3):
         D = pairwise_distances(np.random.default_rng(seed).random((18, 3)))
-        yield pipeline._first_appearance_arrays(grades, graded_bitsets(D, grades))
+        yield pipeline.run_pipeline(D, grades, collapse=False).tower.arrays
 
 
 def test_array_entry_is_the_naive_index(monkeypatch):

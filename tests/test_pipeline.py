@@ -9,14 +9,15 @@ import threading
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from oracles import (
     complex_stats,
     naive_check_filtration,
     naive_clique_count,
     naive_filtration_from_snapshots,
+    naive_flag_tower_filtration,
     naive_maximal_cliques,
-    naive_tower_to_filtration,
     rips_snapshot,
 )
 
@@ -53,7 +54,7 @@ def test_unit_square_artifacts():
         "0 0.5 1.0\n0 0.5 1.0\n0 0.5 1.0\n0 0.5 inf\n1 1.0 1.5\n"
     )
     assert write_tower(result.tower) == (
-        "# tower 1\n"
+        "# flag tower 1\n"
         "i 0.5 0\ni 0.5 1\ni 0.5 2\ni 0.5 3\n"
         "i 1.0 0 1\ni 1.0 0 3\ni 1.0 1 2\ni 1.0 2 3\n"
         "c 1.5 1 0\nc 1.5 2 0\nc 1.5 3 0\n"
@@ -75,9 +76,16 @@ def test_uncollapsed_pipeline_matches_oracle():
     result = run_pipeline(D, SQUARE_SCHED, collapse=False)
     assert result.diagram.pairs == run_pipeline(D, SQUARE_SCHED).diagram.pairs
     assert len(result.filtration) == 15
-    assert len(result.tower) == 15
+    assert len(result.tower) == 10  # 4 points, 4 sides, 2 diagonals
     assert all(s.before == s.after for s in result.snapshots)
     assert result.timings.collapse_max == 0.0
+
+
+def _first_appearance_arrays(grades, graphs):
+    """The oracle's arrays of the nested *graphs* at *grades*: the level
+    join of their graded edges, every point at the first grade."""
+    zeros = np.zeros(len(graphs[0]), np.intp)
+    return persistence._level_join(zeros, *pipeline._graded_edges(graphs), grades)
 
 
 def test_first_appearance_cells_of_random_nested_graphs():
@@ -102,7 +110,7 @@ def test_first_appearance_cells_of_random_nested_graphs():
         want = naive_filtration_from_snapshots(
             [dict(enumerate(naive_maximal_cliques(table))) for table in tables], grades
         )
-        assert pipeline._first_appearance_arrays(grades, graphs).cells() == want
+        assert _first_appearance_arrays(grades, graphs).cells() == want
         # cliques graded above every one of their faces
         grade = dict(want)
         raised += sum(len(s) > 2 and g > max(grade[s[1:]], grade[s[:-1]]) for s, g in want)
@@ -154,9 +162,9 @@ def test_first_appearance_arrays_of_wide_empty_and_tied_graphs(monkeypatch):
                     tables[j][u][v] = tables[j][v][u] = 1
         graphs = [[sum(t[u][v] << v for v in range(n)) for u in range(n)] for t in tables]
         want = _naive_first_appearance(tables, grades)
-        for chunk in (pipeline._JOIN_CHUNK, 3):
-            monkeypatch.setattr(pipeline, "_JOIN_CHUNK", chunk)
-            cells = pipeline._first_appearance_arrays(grades, graphs).cells()
+        for chunk in (persistence._JOIN_CHUNK, 3):
+            monkeypatch.setattr(persistence, "_JOIN_CHUNK", chunk)
+            cells = _first_appearance_arrays(grades, graphs).cells()
             assert cells == want
         kinds.add((wide, empty, len(set(grades)) < count))
         if wide:
@@ -176,7 +184,7 @@ def test_oracle_cells_hold_no_table_of_vertex_pairs():
     ]
     tracemalloc.start()
     try:
-        cells = pipeline._first_appearance_arrays(list(range(1, top + 1)), graphs)
+        cells = _first_appearance_arrays(list(range(1, top + 1)), graphs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -220,7 +228,7 @@ def test_filtration_is_the_conversion_of_the_tower():
         for collapse, upto in ((True, 5), (False, 3)):
             result = run_pipeline(D, grades[:upto], collapse=collapse)
             naive_check_filtration(result.filtration)
-            assert result.filtration == naive_tower_to_filtration(result.tower)
+            assert result.filtration == naive_flag_tower_filtration(result.tower)
 
 
 def test_before_stats_are_those_of_the_full_snapshot():
@@ -395,7 +403,7 @@ def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
     )
     projected = sum(2 ** len(c) - 1 for c in maximal_cliques(last))
     assert projected > len(cells) + 1
-    build, count = pipeline._first_appearance_arrays, pipeline._clique_count
+    build, count = pipeline._level_join, pipeline._clique_count
     built, counted = [], []
 
     def counted_build(*args):
@@ -406,7 +414,7 @@ def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
         counted.append(1)
         return count(adj)
 
-    monkeypatch.setattr(pipeline, "_first_appearance_arrays", counted_build)
+    monkeypatch.setattr(pipeline, "_level_join", counted_build)
     monkeypatch.setattr(pipeline, "_clique_count", counted_count)
     refused = 0
     n = len(cells)

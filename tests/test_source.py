@@ -24,9 +24,14 @@ raise.  Both producers' filtrations are indexed and reduced through
 ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function reduces
 the boundary blocks: ``reduce_block`` has one caller.
 
+Both filtrations the pipeline reduces, the collapsed tower's and the
+uncollapsed oracle's, are the clique filtration of a graded graph, built
+by one level join: ``_level_join`` has one definition, and both ``tower``
+and ``pipeline`` call it.
+
 Modules share private names only through the seams listed in
-``PRIVATE_SEAMS``: outside ``__init__``, no module imports another
-``_``-prefixed name from a package module.
+``PRIVATE_SEAMS``, and every seam listed is used: outside ``__init__``, no
+module imports another ``_``-prefixed name from a package module.
 """
 
 import ast
@@ -45,9 +50,11 @@ PRIVATE_SEAMS = {
     ("rips", "collapse", "_bits"),
     ("rips", "collapse", "_retraction"),
     ("tower", "collapse", "_bits"),
-    ("tower", "persistence", "_check_cells"),
+    ("tower", "persistence", "_level_join"),
     ("pipeline", "persistence", "_check_cells"),
+    ("pipeline", "persistence", "_level_join"),
 }
+LEVEL_JOIN = "_level_join"
 
 
 def _self_calls(tree):
@@ -234,6 +241,7 @@ def test_rules_see_what_they_forbid():
         "    return BoundaryMatrix.from_filtration(cells)\n"
     )
     assert _callers(tree, "BoundaryMatrix") == ["_keyed", "_scan"]
+    assert _definitions(tree, "_keyed") == [1] and _definitions(tree, "BoundaryMatrix") == []
 
 
 def test_package_has_no_recursion():
@@ -282,7 +290,28 @@ def test_private_names_cross_only_the_listed_seams():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         seen.update((path.stem, module, name) for module, name in _private_imports(tree))
-    assert seen <= PRIVATE_SEAMS, seen - PRIVATE_SEAMS
+    assert seen == PRIVATE_SEAMS, (seen - PRIVATE_SEAMS, PRIVATE_SEAMS - seen)
+
+
+def _definitions(tree, name):
+    """Lines that define a function or class called *name*."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name == name
+    ]
+
+
+def test_one_level_join_builds_both_filtrations():
+    defined, callers = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined.extend(path.stem for _ in _definitions(tree, LEVEL_JOIN))
+        if _calls(tree, LEVEL_JOIN):
+            callers.add(path.stem)
+    assert len(defined) == 1, defined
+    assert {"tower", "pipeline"} <= callers, callers
 
 
 def test_only_compute_persistence_indexes_and_reduces_a_filtration():

@@ -1,4 +1,5 @@
-"""Tower assembly from cores, and the coning that turns a tower into a filtration."""
+"""Tower assembly from flag cores, judged cell by cell by the flag tower's
+replay and diagram by diagram by the coned tower's oracles."""
 
 import dataclasses
 import math
@@ -12,6 +13,7 @@ from oracles import (
     naive_assemble_core_tower,
     naive_boundary_index,
     naive_check_filtration,
+    naive_flag_tower_filtration,
     naive_persistence,
     naive_tower_to_filtration,
     naive_validate_tower,
@@ -20,7 +22,7 @@ from oracles import (
 
 from ripscollapse import persistence
 from ripscollapse.collapse import core
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, maximal_columns
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, check_expansion_cap
 from ripscollapse.errors import (
     CollapseConsistencyError,
     EmptyComplexError,
@@ -36,17 +38,42 @@ from ripscollapse.tower import Contract, Include, Tower, assemble_tower
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
-TABLE_COLUMNS = [(1, 2), (1, 4), (0, 1, 3), (3, 4), (4, 5)]
+
+def _graphs(cores):
+    """Each core, a list of maximal simplices, as its graph: a dict from each
+    vertex to the bitset of its neighbours."""
+    graphs = []
+    for maximal in cores:
+        graph = {}
+        for s in maximal:
+            mask = sum(1 << q for q in s)
+            for q in s:
+                graph[q] = graph.get(q, 0) | mask & ~(1 << q)
+        graphs.append(graph)
+    return graphs
 
 
-def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
-    """The assembled tower, once its filtration is checked for face-first
-    order and against the whole-complex coning of that tower, the boundary
-    index of its cells, and of its arrays, against the one built a cell at a
-    time, and their diagram against the naive reduction's."""
-    tower = assemble_tower(cores, retractions, grades, cap)
+def _tower(cores, retractions, grades):
+    """The tower of flag *cores*, each given by its maximal simplices."""
+    return assemble_tower(_graphs(cores), retractions, grades)
+
+
+def _coned_diagram(cores, retractions, grades):
+    """The diagram of the coned tower's oracle on the same inputs."""
+    ops = naive_assemble_core_tower(cores, retractions, grades, DEFAULT_EXPANSION_CAP)
+    return compute_persistence(naive_tower_to_filtration(ops))
+
+
+def _assemble(cores, retractions, grades):
+    """The assembled tower of flag *cores*, given by their maximal
+    simplices, once its filtration is checked for face-first order and,
+    cell by cell, against the replay of its ops on a plain graph, the
+    boundary index of its cells, and of its arrays, against the one built a
+    cell at a time, and their diagram against the naive reduction's and the
+    coned tower's."""
+    tower = _tower(cores, retractions, grades)
     naive_check_filtration(tower.cells)
-    assert tower.cells == naive_tower_to_filtration(tower)
+    assert tower.cells == naive_flag_tower_filtration(tower)
     matrix = BoundaryMatrix.from_filtration(tower.cells)
     assert matrix.cells is tower.cells
     want = naive_boundary_index(tower.cells)
@@ -56,6 +83,7 @@ def _assemble(cores, retractions, grades, cap=DEFAULT_EXPANSION_CAP):
     assert boundary_index_of(dataclasses.replace(matrix, cells=tower.cells)) == want
     assert list(compute_persistence(tower.cells).pairs) == naive_persistence(tower.cells)
     assert compute_persistence(tower.arrays) == compute_persistence(tower.cells)
+    assert compute_persistence(tower.arrays) == _coned_diagram(cores, retractions, grades)
     return tower
 
 
@@ -79,25 +107,33 @@ def _pipeline_inputs(points, grades):
     return _core_inputs([core(rips_snapshot(D, g)) for g in grades], grades)
 
 
+def _square_core():
+    """The core of the unit square's snapshot at 1.0: the 4-cycle, a flag
+    complex that collapses no further."""
+    return core(rips_snapshot(pairwise_distances(UNIT_SQUARE), 1.0))
+
+
 def test_single_snapshot_tower_is_expanded_core():
-    res = core(maximal_columns(TABLE_COLUMNS))
-    tower = _assemble(*_core_inputs([res], [0.0]))
+    tower = _assemble(*_core_inputs([_square_core()], [0.0]))
     assert tuple(tower) == (
+        Include((0,), 0.0),
         Include((1,), 0.0),
+        Include((2,), 0.0),
         Include((3,), 0.0),
-        Include((4,), 0.0),
-        Include((1, 3), 0.0),
-        Include((1, 4), 0.0),
-        Include((3, 4), 0.0),
+        Include((0, 1), 0.0),
+        Include((0, 3), 0.0),
+        Include((1, 2), 0.0),
+        Include((2, 3), 0.0),
     )
+    assert tower.cells == tuple((op.simplex, op.grade) for op in tower)
     naive_validate_tower(tower)
 
 
 def test_identical_snapshots_add_no_ops():
-    res = core(maximal_columns(TABLE_COLUMNS))
+    res = _square_core()
     tower = _assemble(*_core_inputs([res, res], [0.0, 1.0]))
     assert all(op.grade == 0.0 for op in tower)
-    assert len(tower) == 6
+    assert len(tower) == 8
 
 
 def test_unit_square_tower_ops():
@@ -179,34 +215,41 @@ def test_returning_point_id_gets_a_fresh_tower_id():
 
 
 def test_assemble_input_validation():
+    edge = {0: 0b10, 1: 0b01}
     with pytest.raises(ValueError):
-        assemble_tower([[(0, 1)]], [[0, 1], [0, 1]], [0.0])
+        assemble_tower([edge], [[0, 1], [0, 1]], [0.0])
     with pytest.raises(ValueError):
         assemble_tower([], [], [])
     with pytest.raises(ValueError):
-        assemble_tower([[(0, 1)], [(0, 1)]], [[0, 1], [0, 1]], [1.0, 1.0])
-    with pytest.raises(EmptyComplexError, match="needs a maximal simplex"):
-        assemble_tower([[(0, 1)], []], [[0, 1], [0, 1]], [0.0, 1.0])
-    with pytest.raises(SimplexError, match="repeats a vertex"):
-        assemble_tower([[(0, 1, 1)]], [[0, 1]], [0.0])
-    # each refused before any id is read from a core: an empty simplex once
-    # failed in a bare max(), 1.5 raised a bare TypeError, and True was
-    # taken for vertex 1 and emitted as the cell (True,)
-    for bad in ((), (1.5,), (True,), (0, True), (-1, 0)):
-        with pytest.raises(SimplexError, match="empty|non-negative integers, got"):
-            assemble_tower([[(0,)], [bad]], [[0, 1], [0, 1]], [0.0, 1.0])
+        assemble_tower([edge, edge], [[0, 1], [0, 1]], [1.0, 1.0])
+    with pytest.raises(EmptyComplexError, match="needs a vertex"):
+        assemble_tower([edge, {}], [[0, 1], [0, 1]], [0.0, 1.0])
+    # each refused before any id is read from a core: 1.5 once raised a bare
+    # TypeError, and True was taken for vertex 1 and emitted as the cell (True,)
+    for bad in (1.5, True, -1, "0"):
+        with pytest.raises(SimplexError, match="non-negative integers, got"):
+            assemble_tower([{0: 0}, {bad: 0}], [[0, 1], [0, 1]], [0.0, 1.0])
         with pytest.raises(SimplexError):
-            assemble_tower([[bad]], [[0]], [1.0])
+            assemble_tower([{bad: 0}], [[0]], [1.0])
+    # neighbours that are no bitset, a loop, a vertex outside the core
+    for nbrs in (1.0, True, -2, 0b01, 0b100):
+        with pytest.raises(SimplexError, match="neighbours of 0 are no set of other vertices"):
+            assemble_tower([{0: nbrs, 1: 0b01}], [[0, 1]], [0.0])
+    # an edge listed at one end only, also at the next grade
+    with pytest.raises(SimplexError, match=r"core 0: edge \(0, 1\) is listed at one end only"):
+        assemble_tower([{0: 0b10, 1: 0}], [[0, 1]], [0.0])
+    with pytest.raises(SimplexError, match=r"core 1: edge \(0, 1\) is listed at one end only"):
+        assemble_tower([{0: 0, 1: 0}, {0: 0, 1: 0b01}], [[0, 1], [0, 1]], [0.0, 1.0])
     with pytest.raises(ValueError, match="snapshot grades must be finite"):
-        assemble_tower([[(0,)]], [[0]], [math.inf])
+        assemble_tower([{0: 0}], [[0]], [math.inf])
     with pytest.raises(ValueError, match="snapshot grades must be finite"):
-        assemble_tower([[(0,)], [(0,)]], [[0], [0]], [0.0, math.nan])
+        assemble_tower([{0: 0}, {0: 0}], [[0], [0]], [0.0, math.nan])
 
 
 def test_assemble_rejects_retraction_missing_a_point():
     # point 7 of the first core lies past the end of the second retraction
     with pytest.raises(CollapseConsistencyError, match="send point 7 into its core"):
-        assemble_tower([[(7,)], [(5,)]], [list(range(8)), [5] * 6], [0.0, 1.0])
+        _tower([[(7,)], [(5,)]], [list(range(8)), [5] * 6], [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
@@ -214,32 +257,23 @@ def test_assemble_rejects_retraction_onto_a_point_outside_the_next_core():
     for image in (3, 99, -1):
         retractions = [[0, 1], [image, 1, 2, 3]]
         with pytest.raises(CollapseConsistencyError, match="send point 0 into its core"):
-            assemble_tower(cores, retractions, [0.0, 1.0])
+            _tower(cores, retractions, [0.0, 1.0])
 
 
 def test_assemble_rejects_contracted_cell_missing_from_the_next_core():
     # the edge 01 retracts onto 12, but the next core is two loose vertices
     with pytest.raises(CollapseConsistencyError, match=r"cell \(1, 2\) is not in the next core"):
-        assemble_tower([[(0, 1)], [(1,), (2,)]], [[0, 1], [2, 1, 2]], [0.0, 1.0])
-
-
-def test_assemble_rejects_a_filled_triangle_mapped_into_a_hollow_one():
-    # The next core holds the triangle's three edges but not the triangle:
-    # its vertices are pairwise adjacent, so only a containment test in the
-    # maximal simplices sees that the image is not a face.
-    hollow = [(0, 1), (0, 2), (1, 2)]
-    with pytest.raises(CollapseConsistencyError, match=r"\(0, 1, 2\) is not in the next core"):
-        assemble_tower([[(0, 1, 2)], hollow], [[0, 1, 2], [0, 1, 2]], [0.0, 1.0])
-    # the image of each edge is an edge of the hollow triangle
-    tower = _assemble([hollow, hollow], [[0, 1, 2], [0, 1, 2]], [0.0, 1.0])
-    assert len(tower.cells) == 6 and tower.contractions == ()
+        _tower([[(0, 1)], [(1,), (2,)]], [[0, 1], [2, 1, 2]], [0.0, 1.0])
+    # the path 1 0 2 contracts 0 into 1, which gives 1 the neighbour 2
+    with pytest.raises(CollapseConsistencyError, match=r"cell \(1, 2\) is not in the next core"):
+        _tower([[(0, 1), (0, 2)], [(1,), (2,)]], [[0, 1, 2], [1, 1, 2]], [0.0, 1.0])
 
 
 def test_assemble_rejects_a_core_vertex_the_retraction_does_not_reach():
     # core vertex 9 lies past the end of the retraction (-1, which is no
     # point, is refused as a malformed simplex in test_assemble_input_validation)
     with pytest.raises(CollapseConsistencyError, match="does not fix core vertex"):
-        assemble_tower([[(0,)], [(0,), (9,)]], [[0], [0]], [0.0, 1.0])
+        _tower([[(0,)], [(0,), (9,)]], [[0], [0]], [0.0, 1.0])
 
 
 def test_assemble_rejects_retraction_that_merges_core_vertices():
@@ -255,7 +289,7 @@ def test_assemble_rejects_retraction_that_merges_core_vertices():
         merged = list(retractions)
         merged[j] = [b if w == a else w for w in retractions[j]]
         with pytest.raises(CollapseConsistencyError, match=f"does not fix core vertex {a}"):
-            assemble_tower(cores, merged, grades)
+            _tower(cores, merged, grades)
 
 
 def test_tower_validate_rejects_bad_ops():
@@ -349,7 +383,7 @@ def test_a_cell_emitted_before_its_face_is_rejected():
 
 
 def test_every_tower_prefix_stays_downward_closed():
-    tower = assemble_tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
+    tower = _tower(*_pipeline_inputs(UNIT_SQUARE, [0.5, 1.0, 1.5]))
     naive_check_filtration(tower.cells)
 
 
@@ -422,11 +456,19 @@ def _mutated(rng, cores, retractions, grades):
 
 
 def _assembly_outcome(fn, inputs, cap):
-    """(ops, None) or (None, error type) of one assembly."""
+    """(diagram, None) or (None, error type) of *fn* on the flag cores
+    *inputs*, once the expansion cap is checked on each core in grade order,
+    as ``run_pipeline`` checks it before assembly."""
     try:
-        return tuple(fn(*inputs, cap)), None
+        for maximal in inputs[0]:
+            check_expansion_cap(maximal, cap)
+        return fn(*inputs), None
     except (CollapseConsistencyError, ExpansionCapError) as e:
         return None, type(e)
+
+
+def _diagram_of_tower(cores, retractions, grades):
+    return compute_persistence(_tower(cores, retractions, grades).arrays)
 
 
 def test_incremental_assembly_matches_whole_set_oracle():
@@ -444,8 +486,8 @@ def test_incremental_assembly_matches_whole_set_oracle():
     seen = []
     for inputs in cases:
         for cap in (DEFAULT_EXPANSION_CAP, rng.randint(1, 40)):
-            got = _assembly_outcome(_assemble, inputs, cap)
-            assert got == _assembly_outcome(naive_assemble_core_tower, inputs, cap), inputs
+            got = _assembly_outcome(_diagram_of_tower, inputs, cap)
+            assert got == _assembly_outcome(_coned_diagram, inputs, cap), inputs
             seen.append(got[1])
     # successes and both error types are reached
     assert {None, CollapseConsistencyError, ExpansionCapError} <= set(seen)
@@ -475,7 +517,7 @@ def test_include_path_equals_the_uncollapsed_oracle_cell_for_cell():
     for D, grades in cases:
         snapshots = [maximal_simplices(rips_snapshot(D, g)) for g in grades]
         identities = [list(range(len(D)))] * len(grades)
-        tower = assemble_tower(snapshots, identities, grades)
+        tower = _tower(snapshots, identities, grades)
         want = run_pipeline(D, grades, collapse=False)
         assert tower.cells == want.filtration
         assert tuple(tower) == tuple(want.tower)
@@ -494,46 +536,46 @@ def _derived_tower_cases():
 
 
 def test_derived_tower_replays_to_its_filtration():
-    cone_sizes = set()
+    contracted = 0
     for result in _derived_tower_cases():
         tower = result.tower
         assert result.filtration is tower.cells
         assert len(tower) == sum(1 for _ in tower)
         naive_validate_tower(tower)
-        assert naive_tower_to_filtration(tower) == result.filtration
+        assert naive_flag_tower_filtration(tower) == result.filtration
         ops = tuple(tower)
         assert sum(isinstance(op, Contract) for op in ops) == len(tower.contractions)
-        cone_sizes.update(stop - start for start, stop, *_ in tower.contractions)
-    # empty cones, and cones of one cell and of several
-    assert {0, 1} < cone_sizes
+        assert all(len(op.simplex) <= 2 for op in ops if isinstance(op, Include))
+        contracted += len(tower.contractions)
+    assert contracted > 0
 
 
 def test_contraction_with_an_empty_cone_is_still_an_op():
-    # 1 dominates 0 in the edge 01, so contracting 0 into 1 adds no cell
+    # 1 dominates 0 in the edge 01, so contracting 0 into 1 adds no edge
     tower = _assemble([[(0, 1)], [(1,)]], [[0, 1], [1, 1]], [0.0, 1.0])
-    assert tower.contractions == ((3, 3, 0, 1, 1.0),)
-    assert len(tower) == 4
+    assert tower.contractions == ((0, 1, 1.0),)
+    assert len(tower) == 4 and len(tower.cells) == 3
     assert tuple(tower) == (
         Include((0,), 0.0),
         Include((1,), 0.0),
         Include((0, 1), 0.0),
         Contract(0, 1, 1.0),
     )
-    assert write_tower(tower) == "# tower 1\ni 0.0 0\ni 0.0 1\ni 0.0 0 1\nc 1.0 0 1\n"
+    assert write_tower(tower) == "# flag tower 1\ni 0.0 0\ni 0.0 1\ni 0.0 0 1\nc 1.0 0 1\n"
 
 
-def test_towers_compare_by_value_however_their_pairs_are_built():
+def test_towers_compare_by_their_ops():
     """A tower equals, hashes and iterates as the tower of its arrays and
-    contractions whose pairs are built from the arrays, and differs from a
-    tower with other contractions or other cells."""
+    its ops' records, and differs from a tower with other ops."""
     results = list(_derived_tower_cases())
     for result in results:
         tower = result.tower
-        twin = Tower(tower.arrays, tower.contractions)
+        records = [dataclasses.astuple(op) for op in tower]
+        twin = Tower(tower.arrays, records)
         assert twin == tower and hash(twin) == hash(tower)
-        assert tuple(twin) == tuple(tower) and twin.cells is not tower.cells
+        assert tuple(twin) == tuple(tower) and twin.cells == tower.cells
         if tower.contractions:
-            assert Tower(tower.arrays, tower.contractions[1:]) != tower
+            assert Tower(tower.arrays, [r for r in records if len(r) == 2]) != tower
         assert tower != tower.cells
     assert results[0].tower != results[2].tower
 
@@ -552,11 +594,12 @@ def test_ops_are_built_only_while_the_tower_is_iterated(monkeypatch):
     for collapse in (True, False):
         result = run_pipeline(D, [0.2, 0.35, 0.5], collapse=collapse)
         # neither the run nor ``len`` builds the tower's pairs
-        assert made == [] and callable(result.tower._cells)
-        assert len(result.tower) > 0 and made == [] and callable(result.tower._cells)
+        assert made == [] and result.tower._cells is None
+        assert len(result.tower) > 0 and made == [] and result.tower._cells is None
         for _ in result.tower:
             pass
-        assert result.tower._cells is result.filtration
+        assert result.tower._cells is None
+        assert result.filtration is result.tower._cells
         assert len(made) == len(result.tower)
         assert made.count("Contract") == len(result.tower.contractions)
         assert (made.count("Contract") > 0) == collapse

@@ -2,13 +2,15 @@
 
 ``perfbench/workloads.py`` is loaded by path and only read.  Each workload's
 default cloud (no isometry) is collapsed at each of its grades with
-``flag_core``, and the cores are assembled into a tower.  The tower's cells
-must equal the whole-complex coning of that tower, form a face-first
-filtration, and be indexed by key as a per-cell index lays them out.
-Neither that index nor the uncollapsed oracle's of a comparison falls back
-to the per-cell scan, and on both oracle-compare clouds the oracle's index
-is the per-cell one, with the vertex ids as given and relabelled as strings,
-and from its per-dimension vertex arrays.
+``flag_core``, and the cores' graphs are assembled into a tower.  The
+tower's cells must equal, cell for cell, the clique filtration of the graph
+its ops replay, form a face-first filtration, and be indexed by key as a
+per-cell index lays them out; on the default and held-out clouds its
+diagram must equal that of the coned tower the whole-set oracle assembles
+from the same cores.  Neither that index nor the uncollapsed oracle's of a
+comparison falls back to the per-cell scan, and on both oracle-compare
+clouds the oracle's index is the per-cell one, with the vertex ids as given
+and relabelled as strings, and from its per-dimension vertex arrays.
 The tower's cells and contractions are pinned: they count the assembly's
 work, noise-free.
 
@@ -29,14 +31,18 @@ from pathlib import Path
 import pytest
 from oracles import (
     boundary_index_of,
+    naive_assemble_core_tower,
     naive_boundary_index,
     naive_check_filtration,
+    naive_flag_tower_filtration,
     naive_tower_to_filtration,
 )
 
 from ripscollapse import persistence
-from ripscollapse.persistence import BoundaryMatrix
-from ripscollapse.pipeline import _first_appearance_arrays, run_pipeline
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
+from ripscollapse.errors import ReductionMemoryError
+from ripscollapse.persistence import BoundaryMatrix, compute_persistence
+from ripscollapse.pipeline import run_pipeline
 from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
 from ripscollapse.tower import assemble_tower
 
@@ -53,16 +59,34 @@ def _load_workloads():
 
 WORKLOADS = _load_workloads()
 
-# (cells, contractions) of each workload's default-cloud tower
+# (cells, contractions) of each workload's default-cloud tower.  Re-pinned
+# when the tower became the clique filtration of its graph (2146, 290 and
+# 27491 cells as a coned tower): the contractions are the same, and the
+# extra cells are cliques through a vertex contracted at or before their
+# grade, whose edges a Contract adds to its target.
 TOWER_SIZES = {
-    "circle-snapshots": (2146, 301),
-    "oracle-compare": (290, 75),
-    "torus-tower": (27491, 231),
+    "circle-snapshots": (2200, 301),
+    "oracle-compare": (300, 75),
+    "torus-tower": (31277, 231),
 }
 
 
 def _no_scan(cells):
     raise AssertionError(f"{len(cells)} cells fell back to the per-cell scan")
+
+
+def _assembled(D, grades):
+    """The ``flag_core`` results of *D*'s snapshots at *grades*, and their
+    tower, assembled from each core's graph as ``run_pipeline`` passes it."""
+    graphs = graded_bitsets(D, grades)
+    cores = [flag_core(adj) for adj in graphs]
+    survivors = [sum(1 << q for q in c.survivors) for c in cores]
+    tower = assemble_tower(
+        [{q: adj[q] & s for q in c.survivors} for adj, c, s in zip(graphs, cores, survivors)],
+        [c.retraction for c in cores],
+        grades,
+    )
+    return cores, tower
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -71,10 +95,9 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
     w = WORKLOADS[name]
     grades = w.grades()
     D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
-    cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
-    tower = assemble_tower([c.cliques for c in cores], [c.retraction for c in cores], grades)
+    _, tower = _assembled(D, grades)
     assert (len(tower.cells), len(tower.contractions)) == TOWER_SIZES[name]
-    assert tower.cells == naive_tower_to_filtration(tower)
+    assert tower.cells == naive_flag_tower_filtration(tower)
     naive_check_filtration(tower.cells)
     matrix = BoundaryMatrix.from_filtration(tower.cells)
     assert boundary_index_of(matrix) == naive_boundary_index(tower.cells)
@@ -94,9 +117,7 @@ def test_tower_arrays_index_as_the_naive_index(name, monkeypatch):
     grades = w.grades()
     unordered = 0
     for seed in (w.cloud_seed, w.held_out_seed):
-        D = pairwise_distances(w.cloud(seed, w.n))
-        cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
-        tower = assemble_tower([c.cliques for c in cores], [c.retraction for c in cores], grades)
+        _, tower = _assembled(pairwise_distances(w.cloud(seed, w.n)), grades)
         matrix = persistence._arrays_indexed(tower.arrays)
         assert matrix.cells is tower.arrays
         want = naive_boundary_index(tower.cells)
@@ -108,21 +129,69 @@ def test_tower_arrays_index_as_the_naive_index(name, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_tower_diagram_is_the_coned_towers(name, seed):
+    """The flag tower's diagram equals that of the coned tower the
+    whole-set oracle assembles from the same cliques and retractions."""
+    w = WORKLOADS[name]
+    grades = w.grades()
+    cores, tower = _assembled(pairwise_distances(w.cloud(getattr(w, seed), w.n)), grades)
+    cliques, retractions = [c.cliques for c in cores], [c.retraction for c in cores]
+    ops = naive_assemble_core_tower(cliques, retractions, grades, DEFAULT_EXPANSION_CAP)
+    want = compute_persistence(naive_tower_to_filtration(ops))
+    assert compute_persistence(tower.arrays) == want
+    assert tower.cells == naive_flag_tower_filtration(tower)
+
+
+@pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
 def test_oracle_index_is_the_naive_index(seed, monkeypatch):
     monkeypatch.setattr(persistence, "_scan", _no_scan)
     w = WORKLOADS["oracle-compare"]
     grades = w.grades()
     D = pairwise_distances(w.cloud(getattr(w, seed), w.n))
-    cells = run_pipeline(D, grades, collapse=False).filtration
+    result = run_pipeline(D, grades, collapse=False)
+    cells = result.filtration
     want = naive_boundary_index(cells)
     assert boundary_index_of(BoundaryMatrix.from_filtration(cells)) == want
     named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
     assert boundary_index_of(BoundaryMatrix.from_filtration(named)) == want
     # the oracle's arrays, indexed by the array entry with no tuple built
-    arrays = _first_appearance_arrays(grades, graded_bitsets(D, grades))
+    arrays = result.tower.arrays
     matrix = persistence._arrays_indexed(arrays)
     assert matrix.cells is arrays and arrays.cells() == cells
     assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
+
+
+def test_collapsed_run_is_refused_within_one_join_chunk_of_the_budget(monkeypatch):
+    """With the cell budget lowered, the level join that builds the
+    collapsed torus tower's cells raises once its running count passes the
+    budget, at most one chunk past it and before any cell is indexed; the
+    vertices and edges it starts from are counted first, as a whole.  At
+    the tower's own size the run passes."""
+    w = WORKLOADS["torus-tower"]
+    grades = w.grades()
+    D = pairwise_distances(w.cloud(w.cloud_seed, w.n))
+    arrays = run_pipeline(D, grades).tower.arrays
+    n, graph = len(arrays), len(arrays.positions[0]) + len(arrays.positions[1])
+    chunk = 256  # more pairs than any row of the tower has partners
+    monkeypatch.setattr(persistence, "_JOIN_CHUNK", chunk)
+    indexed = []
+    located = persistence._arrays_located
+    monkeypatch.setattr(persistence, "_arrays_located", lambda a: indexed.append(1) or located(a))
+    refused = 0
+    for limit in (graph - 1, graph, (graph + n) // 2, n - chunk, n - 1, n):
+        monkeypatch.setattr(persistence, "_MAX_CELLS", limit)
+        indexed.clear()
+        try:
+            run_pipeline(D, grades)
+        except ReductionMemoryError as exc:
+            assert limit < exc.held <= n and exc.unit == "cells"
+            assert exc.held == graph if limit < graph else exc.held <= limit + chunk
+            assert indexed == []
+            refused += 1
+        else:
+            assert limit == n and indexed == [1]
+    assert refused == 5 and n - graph > 100 * chunk
 
 
 def _euler_characteristic(adj):
