@@ -19,16 +19,16 @@ pipeline indexes and reduces.
 The index section times the oracle's cell build (the level join,
 ``persistence._level_join``, of the graded edges of ``graded_bitsets``'
 graphs, ``pipeline._graded_edges``, which builds per-dimension vertex
-arrays level by level), the arrays' pairs
-(``CellArrays.cells``), and ``BoundaryMatrix.from_filtration`` and
-``compute_persistence`` on those pairs and on the arrays themselves (the
-array entry, ``persistence._arrays_indexed``), for the uncollapsed
-filtration of the oracle-compare workload's grades, on its default and
-held-out clouds, taken the same way.  It prints the cells, the faces (one
-per face of every cell) and the cells per dimension, which both entries
-locate by exact key in one NumPy pass per dimension, and times
-``from_filtration`` again on the same cells with their vertex ids
-relabelled as strings, which it indexes the same way.
+arrays level by level and finds each cell's faces as it builds the cell),
+the arrays' pairs (``CellArrays.cells``), and
+``BoundaryMatrix.from_filtration`` and ``compute_persistence`` on those
+pairs and on the arrays themselves, for the uncollapsed filtration of the
+oracle-compare workload's grades, on its default and held-out clouds,
+taken the same way.  It prints the cells, the faces (one per face of every
+cell) and the cells per dimension: ``from_filtration`` locates every face
+by exact key in one NumPy pass per dimension, and the join by two gathers,
+with no search.  It times ``from_filtration`` again on the same cells with
+their vertex ids relabelled as strings, which it indexes the same way.
 
 The reduction section times ``reduce_block`` on the dimension-1 block of a
 3000-point geometric graph, given as the boundary index's array of face
@@ -61,7 +61,6 @@ from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
-    _arrays_indexed,
     _level_join,
     compute_persistence,
 )
@@ -167,7 +166,7 @@ def bench_index():
 
         arrays = build()
         cells = arrays.cells()
-        print(f"  array build:         {_ms(_time(build))}")
+        print(f"  join, faces found:   {_ms(_time(build))}")
         print(f"  ... as pairs:        {_ms(_time(arrays.cells))}")
         matrix = BoundaryMatrix.from_filtration(cells)
         faces = sum(f.size for f in matrix.faces)
@@ -176,7 +175,6 @@ def bench_index():
         print(f"  from_filtration:     {_ms(_time(BoundaryMatrix.from_filtration, cells))}")
         named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
         print(f"  ... on string ids:   {_ms(_time(BoundaryMatrix.from_filtration, named))}")
-        print(f"  ... on the arrays:   {_ms(_time(_arrays_indexed, arrays))}")
         print(f"  compute_persistence: {_ms(_time(compute_persistence, cells))}")
         print(f"  ... on the arrays:   {_ms(_time(compute_persistence, arrays))}")
 

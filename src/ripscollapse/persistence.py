@@ -19,34 +19,24 @@ the level join below, as it builds them), and the kernel a block once the
 columns it has packed pass a byte limit.
 
 The tower's filtration and the uncollapsed oracle's are both the clique
-filtration of a graded graph, and one level join, ``_level_join``, builds
-either as a :class:`CellArrays` from the graph's graded vertices and edges.
+filtration of a graded graph, built by one level join, ``_level_join``, as
+a :class:`CellArrays`.  The join builds each cell from two cells of the
+level below, so it hands over each cell's faces with the cell, and the
+index only checks them cheaply and reads itself off them.
 
-One checked key pass indexes every filtration for the reduction, the
-tower's and the oracle's alike.  It has two fronts.
-:meth:`BoundaryMatrix.from_filtration` takes ``(simplex, grade)`` pairs
-with vertex ids of any hashable kind; a :class:`CellArrays`, the
-per-dimension vertex arrays that the level join builds, is
-indexed from its arrays, with the same checks run vectorised and no tuple
-built.  The pass finds the faces of each dimension in one NumPy pass, by
-exact integer keys (as Ripser indexes simplices).  Each vertex id maps to
-its rank among the vertex cells (or, in arrays whose ids are all below
-``V``, to itself), so ``V`` vertex cells give digits ``0 .. V - 1``.  A
-cell of at most ``m`` vertices has its ranks, read in base ``V``, as its
-key; a longer cell has the position of all but its last ``m`` vertices
-among the cells of that dimension, followed by the last ``m`` digits.
-``m`` is the most digits that keep every key below ``2**63`` for any
-filtration within the cell budget, so a key names exactly one vertex
-tuple.  A face's key is then read off its cell's digits and its cell's
-prefix's face row, and looked up among the sorted keys of the dimension
-below.  A cell that is not a pair of a vertex tuple and a real grade, a
+Pairs from outside, ``(simplex, grade)`` with vertex ids of any hashable
+kind, are indexed by :meth:`BoundaryMatrix.from_filtration` in one checked
+key pass, :func:`_keyed`, which finds each dimension's faces in one NumPy
+pass by exact integer keys (as Ripser indexes simplices): a key reads the
+ranks of a cell's vertices among the vertex cells as digits, after the
+position of its prefix for a long cell, so it names exactly one vertex
+tuple.  A cell that is not a pair of a vertex tuple and a real grade, a
 grade that is NaN or below its predecessor's, the empty simplex, a vertex
 id that is not a vertex cell's, a missing or later face, an edge whose
 vertices do not increase, or a key repeated within a dimension fails the
 pass; a scan that checks one cell at a time then raises at the first faulty
-cell, with its index and reason (refused arrays are scanned as their
-pairs).  An edge must list its vertices in increasing order; a higher cell
-whose faces are all cells then does too.
+cell, with its index and reason.  Arrays that a cheap check refuses are
+indexed as their pairs, and so raise as their pairs do.
 
 The exact bottleneck distance between two diagrams, which compares the
 collapsed pipeline's diagram with the uncollapsed oracle's, lives here too.
@@ -56,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat, starmap
+from itertools import chain, combinations, repeat, starmap, zip_longest
 from numbers import Real
 from operator import itemgetter, le, lt
 from typing import Iterable, Sequence
@@ -67,11 +57,9 @@ from ._kernels import reduce_block
 from .complexes import Simplex
 from .errors import FiltrationOrderError, ReductionMemoryError
 
-# The most cells an index, or the level join that builds them, may hold.  An
-# indexed cell costs a few hundred bytes of peak RSS (its simplex and grade,
-# its face positions, and a few words per vertex while the faces are
-# found), as a tower's run grows on circles of 1,000 and 2,000 points, so
-# the budget holds a run to about a third of a GiB.
+# The most cells an index, or the level join that builds them, may hold.  A
+# cell costs a few hundred bytes of peak RSS as a tower's run grows on
+# circles of 1,000 and 2,000 points, so this holds a run to about 1/3 GiB.
 _MAX_CELLS = 1 << 20
 
 # The most bytes of packed columns the kernel may hold for one block.
@@ -118,29 +106,31 @@ class PersistenceDiagram:
 
 
 class CellArrays:
-    """A filtration given as per-dimension vertex arrays, not as pairs.
+    """A filtration given as per-dimension vertex arrays with each cell's
+    faces, not as pairs.
 
     For each dimension ``d``, ``vertices[d]`` is an ``n_d x (d + 1)``
     integer array whose rows are the vertex ids of the dimension-``d``
-    cells in filtration order, ``grades[d]`` their grades and
-    ``positions[d]`` their indices in the filtration.  The ids may be any
-    distinct non-negative integers, in any order, up to a few times the
-    cell budget: ids below the number of vertex cells serve as ranks as
-    they are, and others are ranked among the vertex cells through one
-    table of every id up to the largest.  :meth:`cells` gives the same
-    filtration as ``(simplex, grade)`` pairs.
+    cells in filtration order, ``grades[d]`` their grades,
+    ``positions[d]`` their indices in the filtration, and ``faces[d]`` the
+    places of each cell's faces among the rows of dimension ``d - 1``, in
+    ``itertools.combinations`` order (``n_0 x 0`` for the vertices).  The
+    faces are trusted to be those of the vertex rows, as the level join
+    that builds them knows them: the index checks only that each is a cell
+    placed before its coface.  :meth:`cells` gives the pairs.
     """
 
-    __slots__ = ("vertices", "grades", "positions")
+    __slots__ = ("vertices", "grades", "positions", "faces")
 
     def __init__(
         self,
         vertices: Sequence[np.ndarray],
         grades: Sequence[np.ndarray],
         positions: Sequence[np.ndarray],
+        faces: Sequence[np.ndarray],
     ) -> None:
         self.vertices, self.grades = tuple(vertices), tuple(grades)
-        self.positions = tuple(positions)
+        self.positions, self.faces = tuple(positions), tuple(faces)
 
     def __len__(self) -> int:
         return sum(map(len, self.positions))
@@ -192,11 +182,8 @@ class BoundaryMatrix:
         """Index the ``(simplex, grade)`` pairs of *filtration*, checking
         their order, and find the faces of each dimension in one pass.
 
-        Raises :class:`FiltrationOrderError` at the first cell that is not a
-        pair of a hashable vertex tuple and a real grade, has a grade that
-        is NaN or below its predecessor's, is empty, is an edge whose
-        vertices do not increase, lacks a face among the cells before it or
-        repeats an earlier one, with the index and message of a scan that
+        Raises :class:`FiltrationOrderError` at the first faulty cell (see
+        the module docstring), with the index and message of a scan that
         checks one cell at a time; then at the first cell whose grade is
         infinite, or an int past the float range.  More cells than the cell
         budget raise :class:`ReductionMemoryError` before any is indexed.
@@ -267,71 +254,53 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
 
 
 def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
-    """The index of *arrays*, checked in one vectorised pass; None when a
-    check fails.  The shapes, the positions, the grade order, the vertex ids
-    and the edges are checked here, and each id ranked among the vertex
-    cells; :func:`_keyed` checks and locates the faces.  Rows keep their id
-    order, so a face's ranks are a subsequence of its cell's."""
-    vertices, grades, positions = arrays.vertices, arrays.grades, arrays.positions
-    total = len(arrays)
+    """The index of *arrays*, read off their faces once a vectorised pass
+    has checked the positions, the grade order, the edges and the faces;
+    None when a check fails.  Arrays whose shapes disagree, which no pairs
+    show, raise :class:`FiltrationOrderError` at the count of cells of the
+    dimensions below the first that disagrees."""
+    vertices, positions, faces = arrays.vertices, arrays.positions, arrays.faces
+    below = 0
+    for d, level in enumerate(zip_longest(vertices, arrays.grades, positions, faces)):
+        v, g, p, f = map(np.shape, level)  # a missing array has shape ()
+        n = p[0] if len(p) == 1 else -1
+        if (v, g, p, f) != ((n, d + 1), (n,), (n,), (n, d + 1 if d else 0)):
+            shapes = f"vertices {v}, grades {g}, positions {p} and faces {f}"
+            raise FiltrationOrderError(f"dimension {d} of the arrays has shapes {shapes}", below)
+        below += n
     if not vertices or not all(
-        v.ndim == 2 and v.shape == (len(g), d + 1) == (len(p), d + 1) and len(p)
-        and v.dtype.kind == p.dtype.kind == "i"
-        for d, (v, g, p) in enumerate(zip(vertices, grades, positions))
+        len(p) and v.dtype.kind == p.dtype.kind == f.dtype.kind == "i"
+        for v, p, f in zip(vertices, positions, faces)
     ):
         return None  # no cells, or a dimension with no cells below a cell
-    # each dimension's positions increase, and together they are 0 .. total - 1
-    held = np.zeros(total, bool)
-    for p in positions:
-        if p[0] < 0 or p[-1] >= total or (p[1:] <= p[:-1]).any():
-            return None
-        held[p] = True
-    if not held.all():
+    total = len(arrays)
+    if any(p[0] < 0 or p[-1] >= total or (p[1:] <= p[:-1]).any() for p in positions):
         return None
-    along = np.empty(total)
-    for p, g in zip(positions, grades):
+    along = np.full(total, np.nan)
+    for p, g in zip(positions, arrays.grades):
         along[p] = g
+    # the positions increase in each dimension, so a NaN left is a position no cell holds
     if not (np.isfinite(along).all() and (along[1:] >= along[:-1]).all()):
         return None
     if len(vertices) > 1 and (vertices[1][:, 0] >= vertices[1][:, 1]).any():
         return None
-    n_vertices = len(positions[0])
-    top = max(v.max() for v in vertices)
-    if min(v.min() for v in vertices) < 0 or top >= 4 * _MAX_CELLS:
-        return None
-    if top < n_vertices:
-        # the ids are digits already, as the oracle's are, so no rank array
-        # is allocated (its fresh pages cost more than the gather); then
-        # either the vertex cells hold every id or one repeats, which
-        # :func:`_keyed` refuses
-        return _keyed(arrays, n_vertices, len(vertices), zip(positions, vertices, grades))
-    # each vertex id's rank among the vertex cells, read from one table of
-    # every id up to the largest, of at most four entries a budget cell
-    ranked = np.arange(n_vertices)
-    rank = np.full(top + 1, -1, np.intp)
-    rank[vertices[0][:, 0]] = ranked
-    if (rank.take(vertices[0][:, 0]) != ranked).any():  # a vertex cell repeats
-        return None
-    used = np.zeros(top + 1, bool)
-    for v in vertices[1:]:
-        used[v] = True
-    if (used & (rank < 0)).any():  # an id of no vertex cell is a missing face
-        return None
-    # a dimension's ranks are taken when the key pass reaches it, so one is held at a time
-    levels = ((p, rank.take(v), g) for p, v, g in zip(positions[1:], vertices[1:], grades[1:]))
-    first = (positions[0], ranked[:, None], grades[0])
-    return _keyed(arrays, n_vertices, len(vertices), chain((first,), levels))
+    # every face is a cell of the dimension below, placed before its coface
+    for p, f, lower in zip(positions[1:], faces[1:], positions):
+        if f.min() < 0 or f.max() >= len(lower) or (lower.take(f) >= p[:, None]).any():
+            return None
+    return BoundaryMatrix(arrays, positions, faces, arrays.grades)
 
 
 def _keyed(
-    cells: tuple[tuple[Simplex, float], ...] | CellArrays, n_vertices: int, n_dims: int, levels
+    cells: tuple[tuple[Simplex, float], ...], n_vertices: int, n_dims: int, levels
 ) -> BoundaryMatrix | None:
-    """The index of *cells*, given as *levels*: for each of its *n_dims*
-    dimensions, lowest first, the cells' places in the filtration (which
-    increase), their vertices' ranks among the *n_vertices* vertex cells
-    (one row per cell) and their grades.  Each cell gets an exact key and
-    its faces are located by key; None when a face is missing or comes
-    later, or a key repeats within a dimension."""
+    """The index of the pairs *cells*, given as *levels*: for each of its
+    *n_dims* dimensions, lowest first, the cells' places in the filtration
+    (which increase), their vertices' ranks among the *n_vertices* vertex
+    cells (one row per cell) and their grades.  Each cell gets an exact key
+    and its faces are located by key; None when a face is missing or comes
+    later, or a key repeats within a dimension.  (The edges were checked to
+    increase, so a higher cell whose faces are all cells does too.)"""
     # m vertices per digit run: a key of any dimension stays below 2**63
     m = 1
     while m < n_dims - 1 and _MAX_CELLS * n_vertices ** (m + 1) < 2**63:
@@ -476,7 +445,7 @@ def _level_join(
     vertex_at: np.ndarray, keys: np.ndarray, first: np.ndarray, grades: Sequence[float]
 ) -> CellArrays:
     """The clique (flag) filtration of a graded graph, as per-dimension
-    vertex arrays.
+    vertex arrays with each cell's faces.
 
     The graph's vertices are ``0 .. n - 1``, each included at the grade of
     index ``vertex_at[v]``, and its edges ``u < v`` the sorted keys
@@ -484,59 +453,77 @@ def _level_join(
     clique is a cell, at the latest grade of its vertices and edges, and
     the cells are in (grade, dimension, lexicographic) order.  They are
     built level by level in NumPy, with no tuple per clique (Zomorodian's
-    inductive construction): the vertices, the edges in key order, and the
-    cliques one vertex larger than a level's, each joined from two of its
-    rows that share all but their last vertex, when those last vertices are
-    an edge.  Each level comes out in lexicographic order, so a stable sort
-    by grade within each dimension, placed at the offsets of the (grade,
-    dimension) buckets, gives the filtration order.
-
-    Raises :class:`ReductionMemoryError` once the cells built pass the cell
-    budget, checked once per join chunk, so the join never holds more than
-    one chunk past it.
+    inductive construction): the vertices, the edges in key order, then the
+    cliques one vertex larger than a level's, with their faces, by
+    :func:`_sibling_join`.  Each level comes out in lexicographic order, and
+    once the level above has read its faces it is sorted stably by grade,
+    its faces renumbered, and placed at the offsets of the (grade,
+    dimension) buckets.  Raises :class:`ReductionMemoryError` once the cells
+    built pass the cell budget, checked once per join chunk.
     """
     n = len(vertex_at)
     u, v = np.divmod(keys, n)
+    edges = np.column_stack((u, v))  # their faces are their vertices, which are in id order
     at = np.maximum(first, np.maximum(vertex_at.take(u), vertex_at.take(v)))
-    levels = [(np.arange(n)[:, None], vertex_at)]
-    rows, held = np.column_stack((u, v)), n + len(keys)
+    held = n + len(keys)
     _check_cells(held)
-    while len(rows):
-        levels.append((rows, at))
-        rows, at, held = _sibling_join(rows, at, keys, first, n, held)
+    levels, placed, lookup = [], np.empty(0, np.int32), None
+    level, above = (np.arange(n)[:, None], vertex_at, np.empty((n, 0), np.intp)), (edges, at, edges)
+    while len(level[0]):
+        if levels:  # the level above the edges is joined from them, and so on
+            above, lookup, held = _sibling_join(*level, lookup, keys, first, n, held)
+        *done, placed = _by_grade(*level, placed)
+        levels.append(done)
+        level = above  # frees the level's lexicographic copy
     # the cells of one (grade, dimension) bucket are contiguous, buckets in that order
-    counts = np.array([np.bincount(at, minlength=len(grades)) for _, at in levels]).T
+    counts = np.array([np.bincount(at, minlength=len(grades)) for _, at, _ in levels]).T
     bucket = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     bucket -= np.cumsum(counts, axis=0) - counts  # less the rows before it in its dimension
     along = np.asarray(grades, np.float64)
-    vertices, graded, positions = [], [], []
-    for d, (rows, at) in enumerate(levels):
-        order = np.argsort(at, kind="stable")
-        at = at.take(order)
-        vertices.append(rows[order])
-        graded.append(along.take(at))
-        positions.append(np.arange(len(at)) + bucket[:, d].take(at))
-    return CellArrays(vertices, graded, positions)
+    return CellArrays(
+        [rows for rows, _, _ in levels],
+        [along.take(at) for _, at, _ in levels],
+        [np.arange(len(at)) + bucket[:, d].take(at) for d, (_, at, _) in enumerate(levels)],
+        [faces for _, _, faces in levels],
+    )
+
+
+def _by_grade(rows: np.ndarray, at: np.ndarray, faces: np.ndarray, below: np.ndarray) -> tuple:
+    """A level's *rows*, grade indices *at* and *faces*, stably sorted by
+    grade, the faces renumbered by *below*, the place of each row of the
+    level below in its sort; and the place of each row of this level."""
+    order = np.argsort(at, kind="stable")
+    placed = np.empty(len(order), np.int32)  # halves the faces the result holds
+    placed[order] = np.arange(len(order))
+    faces = below.take(faces.take(order, axis=0))
+    return rows.take(order, axis=0), at.take(order), faces, placed
 
 
 def _sibling_join(
-    rows: np.ndarray, at: np.ndarray, keys: np.ndarray, first: np.ndarray, n: int, held: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+    rows: np.ndarray, at: np.ndarray, faces: np.ndarray, lookup: tuple | None,
+    keys: np.ndarray, first: np.ndarray, n: int, held: int,
+) -> tuple[tuple, tuple, int]:
     """The cliques one vertex larger than the sorted cliques *rows* (at
-    grade indices *at*), the grade index of each, in lexicographic order,
-    and *held*, the cells built before them, plus their count, given the
-    edges' sorted *keys* and *first* grade indices.  Rows ``i < j`` that
-    share all but their last vertex are contiguous; when those last
-    vertices are an edge, row ``i`` followed by row ``j``'s last vertex is
-    a clique.  The cell budget is checked after each chunk."""
+    grade indices *at*, with *faces* among the sorted rows below), as
+    ``(rows, at, faces)`` in lexicographic order; the *lookup* of their
+    pairs; and *held*, the cells built before them, plus their count, given
+    the edges' sorted *keys* and *first* grade indices.  Rows ``i < j`` that
+    share all but their last vertex are contiguous; when those last vertices
+    are an edge, row ``i`` followed by row ``j``'s last vertex is a clique.
+    Its faces are row ``i``, row ``j``, and, without each earlier vertex,
+    the join of ``i``'s and ``j``'s faces without it: by the *lookup* of the
+    join that built *rows*, pair ``(i', j')`` is candidate ``start[i'] +
+    j'``, and ``rank`` counts the pairs joined before each (for a triangle,
+    *lookup* is None and that face is the edge of its last two vertices).
+    The cell budget is checked after each chunk."""
     m = len(rows)
     breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], breaks)))
     sizes = np.diff(np.append(starts, m))
     partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
     ends = np.cumsum(partners)
-    last = rows[:, -1]
-    joined, graded = [], []
+    last, lower = rows[:, -1], faces[:, 1:]
+    joined, graded, found, hits = [], [], [], []
     lo = 0
     while lo < m:
         # the rows from lo whose pairs fit in one chunk, or row lo alone
@@ -549,13 +536,25 @@ def _sibling_join(
         e = np.searchsorted(keys, key)
         np.minimum(e, len(keys) - 1, out=e)
         hit = keys.take(e) == key
-        i, j, e = i[hit], j[hit], e[hit]
+        pick = np.flatnonzero(hit)
+        i, j, e = i.take(pick), j.take(pick), e.take(pick)
         held += len(i)
         _check_cells(held)
-        joined.append(np.column_stack((rows[i], last.take(j))))
+        hits.append(hit)
+        joined.append(np.column_stack((rows.take(i, axis=0), last.take(j))))
         graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
+        if lookup is None:
+            rest = e[:, None]
+        else:
+            start, rank = lookup
+            rest = rank.take(start.take(lower.take(i, axis=0)) + lower.take(j, axis=0))
+        found.append(np.column_stack((i, j, rest)))
         lo = hi
-    return np.concatenate(joined), np.concatenate(graded), held
+    hit = np.concatenate(hits)
+    rank = np.cumsum(hit, dtype=np.int32)
+    rank -= hit
+    above = np.concatenate(joined), np.concatenate(graded), np.concatenate(found)
+    return above, (ends - partners - np.arange(m) - 1, rank), held
 
 
 def compute_persistence(

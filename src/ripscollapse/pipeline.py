@@ -15,8 +15,8 @@ filtration of the snapshots, the clique filtration of the last graph with
 each edge graded by the first graph that holds it; its tower is that
 graph's vertices and edges as inclusions.  One level join,
 ``persistence._level_join``, builds both clique filtrations as
-per-dimension vertex arrays.  Both paths reduce their filtration's arrays
-with
+per-dimension vertex arrays, and finds each cell's faces as it builds it.
+Both paths reduce their filtration's arrays with
 :func:`~ripscollapse.persistence.compute_persistence`, and neither builds
 the ``(simplex, grade)`` pairs of ``PipelineResult.filtration`` until they
 are read.  The twin is the verification oracle: :func:`compare_pipelines`
@@ -122,11 +122,10 @@ class PipelineTimings:
     """The three timed phases, in seconds."""
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    # the tower and the level join of its filtration's arrays (AT), or the
-    # oracle's stats, cap check and level join; not the graphs
+    # the tower and the level join of its filtration's arrays and faces (AT),
+    # or the oracle's stats, cap check and level join; not the graphs
     assembly: float
-    # the boundary index, its cells checked and its faces found in one NumPy
-    # pass per dimension, and the boundary-matrix reduction (PDT)
+    # the boundary-matrix reduction (PDT), after the arrays' cheap checks
     reduction: float
 
 

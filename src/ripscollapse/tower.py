@@ -19,12 +19,12 @@ no op: that vertex takes over the tower id ``u``.
 A filtration is a sequence of ``(simplex, grade)`` pairs in face-first,
 non-decreasing order.  A :class:`Tower` holds its ops and its filtration's
 cells, in (grade, dimension, lexicographic) order, as per-dimension
-vertex-id rows with their grades and positions (a
+vertex-id rows with their grades, positions and faces (a
 :class:`~ripscollapse.persistence.CellArrays`), built by the level join
 that also builds the uncollapsed oracle's filtration.
-:func:`~ripscollapse.persistence.compute_persistence` checks and indexes
-them for the reduction with no tuple built; the ``(simplex, grade)`` pairs
-are built only when they are first read.
+:func:`~ripscollapse.persistence.compute_persistence` checks them and reads
+their index off the faces with no tuple built; the ``(simplex, grade)``
+pairs are built only when they are first read.
 
 :func:`assemble_tower` builds the tower of a sequence of cores, each given
 as its graph, in one pass over live adjacency bitsets: a Contract(u, v)
@@ -288,5 +288,6 @@ def assemble_tower(
     keys = np.searchsorted(ids, a) * len(ids) + np.searchsorted(ids, b)
     order = np.argsort(keys)
     ranked = _level_join(at, keys.take(order), first.take(order), grades)
-    arrays = CellArrays([ids.take(v) for v in ranked.vertices], ranked.grades, ranked.positions)
-    return Tower(arrays, ops)
+    # ids are sorted, so renamed rows still increase; faces name rows, not ids
+    vertices = [ids.take(v) for v in ranked.vertices]
+    return Tower(CellArrays(vertices, ranked.grades, ranked.positions, ranked.faces), ops)

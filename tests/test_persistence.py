@@ -525,165 +525,196 @@ def test_builder_refuses_the_cell_the_judge_refuses(index_path):
     assert faulted > 100 and malformed > 30
 
 
-def _arrays_of(cells):
-    """The :class:`CellArrays` of *cells*, pairs of integer vertex tuples
-    and grades: per dimension, its cells' rows, grades and positions."""
-    levels = [[] for _ in range(max(len(s) for s, _ in cells))]
-    for i, (s, g) in enumerate(cells):
-        levels[len(s) - 1].append((s, g, i))
-    return CellArrays(
-        [np.array([s for s, _, _ in cs], np.intp).reshape(-1, d + 1)
-         for d, cs in enumerate(levels)],
-        [np.array([g for _, g, _ in cs]) for cs in levels],
-        [np.array([i for _, _, i in cs], np.intp) for cs in levels],
-    )
-
-
-def _oracle_arrays():
-    """The oracle's arrays of seeded clouds, as the pipeline builds them."""
-    grades = [0.3, 0.35, 0.4, 0.45, 0.5]
-    for seed in range(3):
-        D = pairwise_distances(np.random.default_rng(seed).random((18, 3)))
-        yield pipeline.run_pipeline(D, grades, collapse=False).tower.arrays
+def _join_builds():
+    """Builds of the level join, each a function of no argument: both paths
+    of seeded clouds with duplicate points, on a coarse grid where many
+    cells share a grade, and random graded graphs whose vertices come at
+    random grades and whose grade lists hold ties."""
+    rng = np.random.default_rng(37)
+    for _ in range(6):
+        pts = rng.random((int(rng.integers(8, 16)), 3))
+        D = pairwise_distances(np.concatenate((pts, pts[: int(rng.integers(1, 4))])))
+        for collapse in (False, True):
+            yield lambda D=D, collapse=collapse: run_pipeline(
+                D, [0.3, 0.5, 0.7], collapse=collapse
+            ).tower.arrays
+    py = random.Random(38)
+    for _ in range(12):
+        n = py.randint(1, 14)
+        grades = sorted(py.choice((0.25, 0.5, 0.75)) for _ in range(py.randint(1, 4)))
+        keys = [u * n + v for u, v in combinations(range(n), 2) if py.random() < 0.7]
+        first = [py.randrange(len(grades)) for _ in keys]
+        vertex_at = [py.randrange(len(grades)) for _ in range(n)]
+        args = (np.array(vertex_at, np.intp), np.array(keys, np.int64), np.array(first, np.intp))
+        yield lambda args=args, grades=grades: persistence._level_join(*args, grades)
 
 
 def test_array_entry_is_the_naive_index(monkeypatch):
-    """The oracle's arrays are indexed by key with no tuple built and no
-    scan, as a naive per-cell index lays out their pairs, and reduce to the
-    diagram of their pairs; the arrays of those pairs are the oracle's.  So
-    are the arrays of those pairs with their ids permuted, whose vertex
-    cells are no longer in id order, and with their ids spread out."""
+    """The level join hands over each cell's faces, and the array entry
+    reads the index off them with no tuple built and no scan.  On every
+    build of :func:`_join_builds` that index is the per-cell index of the
+    arrays' pairs and reduces to their diagram, and the arrays are the same
+    when each join step tests at most 7 vertex pairs at once, so a chunk
+    border moves no face.  The pairs front indexes the oracle's pairs as the
+    naive index does with their ids permuted, so that the vertex cells are
+    no longer in id order, and with their ids spread out."""
     scanned = _scans(monkeypatch)
     rng = random.Random(12)
-    for arrays in _oracle_arrays():
+    chunk = persistence._JOIN_CHUNK
+    moved_ids = 0
+    for build in _join_builds():
+        arrays = build()
         cells = arrays.cells()
         matrix = persistence._arrays_indexed(arrays)
         assert matrix.cells is arrays
         want = naive_boundary_index(cells)
         assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
-        n = len(arrays.vertices[0])
-        for ids in (rng.sample(range(n), n), rng.sample(range(3 * n), n)):
-            moved = [(tuple(sorted(ids[v] for v in s)), g) for s, g in cells]
-            assert [s for s, _ in moved[:n]] != sorted(s for s, _ in moved[:n])
-            arrays_moved = _arrays_of(moved)
-            matrix = persistence._arrays_indexed(arrays_moved)
-            assert matrix.cells is arrays_moved
-            want = naive_boundary_index(moved)
-            assert boundary_index_of(dataclasses.replace(matrix, cells=moved)) == want
         assert compute_persistence(arrays, include_zero_pairs=True) == compute_persistence(
             cells, include_zero_pairs=True
         )
-        again = _arrays_of(cells)
-        for mine, theirs in (
-            (again.vertices, arrays.vertices),
-            (again.grades, arrays.grades),
-            (again.positions, arrays.positions),
+        monkeypatch.setattr(persistence, "_JOIN_CHUNK", 7)
+        small = build()
+        monkeypatch.setattr(persistence, "_JOIN_CHUNK", chunk)
+        for mine, theirs in zip(
+            (small.vertices, small.grades, small.positions, small.faces),
+            (arrays.vertices, arrays.grades, arrays.positions, arrays.faces),
         ):
             assert len(mine) == len(theirs)
             assert all(np.array_equal(a, b) for a, b in zip(mine, theirs))
-    assert scanned == []
+        n = len(arrays.vertices[0])
+        if not (arrays.vertices[0][:, 0] == np.arange(n)).all() or len(arrays.vertices) < 3:
+            continue
+        for ids in (rng.sample(range(n), n), rng.sample(range(3 * n), n)):
+            moved = [(tuple(sorted(ids[v] for v in s)), g) for s, g in cells]
+            assert [s for s, _ in moved[:n]] != sorted(s for s, _ in moved[:n])
+            matrix = BoundaryMatrix.from_filtration(moved)
+            assert boundary_index_of(matrix) == naive_boundary_index(moved)
+            moved_ids += 1
+    assert scanned == [] and moved_ids >= 10
 
 
-def _corrupted(cells, kind, rng):
-    """A copy of the oracle's pairs *cells* with one fault of *kind*."""
-    out = list(cells)
-    at = {s: i for i, (s, _) in enumerate(cells)}
-    triangles = [i for i, (s, _) in enumerate(cells) if len(s) == 3]
-    if kind == "drop":  # a face of a later cell
-        del out[at[cells[rng.choice(triangles)][0][1:]]]
-    elif kind == "move":  # a face put right after a coface of its grade
-        t, f = rng.choice([
-            (t, at[f]) for t in triangles for f in combinations(cells[t][0], 2)
-            if cells[at[f]][1] == cells[t][1]
-        ])
-        out.insert(t + 1, cells[f])
-        del out[f]
-    elif kind == "repeat":
-        t = rng.choice(triangles)
-        out.insert(t + 1, cells[t])
+def _corrupted(arrays, kind, rng):
+    """A copy of the join's *arrays* with one fault of *kind*: a grade
+    lowered below its predecessor's, the positions of a cell and one of its
+    faces swapped, an edge reversed, or a face pointed at a cell placed
+    after its coface or past the end of the dimension below."""
+    vertices, grades, positions, faces = (
+        [a.copy() for a in part]
+        for part in (arrays.vertices, arrays.grades, arrays.positions, arrays.faces)
+    )
+    d = rng.randrange(1, len(vertices))
+    r = rng.randrange(len(positions[d]))
+    c = rng.randrange(d + 1)
+    if kind == "lower":
+        before = positions[d][r] - 1
+        dim = next(k for k, p in enumerate(positions) if before in p)
+        grades[d][r] = grades[dim][np.flatnonzero(positions[dim] == before)[0]] - 1.0
+    elif kind == "swap":
+        f = faces[d][r, c]
+        positions[d][r], positions[d - 1][f] = positions[d - 1][f], positions[d][r]
     elif kind == "reverse":
-        e = rng.choice([i for i, (s, _) in enumerate(cells) if len(s) == 2])
-        out[e] = (cells[e][0][::-1], cells[e][1])
-    elif kind == "orphan":  # an id with no vertex cell
-        t = rng.choice(triangles)
-        out[t] = (cells[t][0][:2] + (len(at),), cells[t][1])
-    elif kind == "twin":  # a vertex cell repeated before any coface
-        v = rng.choice([i for i, (s, _) in enumerate(cells) if len(s) == 1])
-        out.insert(v + 1, cells[v])
-    elif kind == "hole":
-        # a last triangle (a, b, h) on the least id h with no vertex cell,
-        # placed where rank -1 for h would pass the key pass: -1 borrows
-        # from the digit before it, so (a, h) reads as (a', z), (b, h) as
-        # (b', z) and (a, b, h) as (a, b', z), where x' is the vertex cell
-        # before x and z the last one; those edges are cells, that triangle not
-        verts = [s[0] for s, _ in cells if len(s) == 1]
-        rank = {v: r for r, v in enumerate(verts)}
-        z = verts[-1]
-        aliased = [
-            (a, b) for a, b in sorted(s for s, _ in cells if len(s) == 2)
-            if min(rank[a], rank[b]) > 0
-            and (verts[rank[a] - 1], z) in at and (verts[rank[b] - 1], z) in at
-            and (a, verts[rank[b] - 1], z) not in at
-        ]
-        if not aliased:
+        r = rng.randrange(len(vertices[1]))
+        vertices[1][r] = vertices[1][r][::-1].copy()
+    elif kind == "later":
+        later = np.flatnonzero(positions[d - 1] > positions[d][r])
+        if not later.size:
             return None
-        h = min(set(range(len(verts) + 1)) - rank.keys())
-        out.append((rng.choice(aliased) + (h,), cells[-1][1]))
-    elif kind == "lower":
-        i = rng.randrange(1, len(cells))
-        out[i] = (cells[i][0], cells[i - 1][1] - 1.0)
-    return out
+        faces[d][r, c] = rng.choice(later.tolist())
+    elif kind == "past":
+        faces[d][r, c] = len(positions[d - 1])
+    return CellArrays(vertices, grades, positions, faces)
 
 
-ARRAY_FAULTS = {
-    "drop": "is missing face",
-    "move": "is missing face",
-    "repeat": "duplicate cell",
-    "reverse": "not in increasing vertex order",
-    "orphan": "is missing face",
-    "twin": "duplicate cell",
-    "hole": "is missing face",
-    "lower": "has grade",
-}
+def _outcome(filtration):
+    """``(cell_index, message)`` of the refusal of *filtration*, or its
+    diagram with its zero-length pairs."""
+    try:
+        return compute_persistence(filtration, include_zero_pairs=True)
+    except FiltrationOrderError as e:
+        return e.cell_index, str(e)
 
 
 def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
-    """The oracle's arrays, and a collapsed run's tower arrays, with a face
-    row dropped, a face moved after its coface, a row repeated, an edge
-    reversed, an id with no vertex cell (past the largest id, or below it
-    where its rank would alias cells), a vertex cell repeated or a grade
-    lowered raise the :class:`FiltrationOrderError` that their pairs raise,
+    """The oracle's arrays, and a collapsed run's tower arrays, with a grade
+    lowered, the positions of a cell and its face swapped or an edge
+    reversed raise the :class:`FiltrationOrderError` that their pairs raise,
     index and message, at the cell and for the reason the judge names, and
-    the scan runs once for each."""
+    the scan runs once for each.  With a face pointed at a later cell or
+    past the end of the dimension below, the pairs are well formed: the
+    array entry refuses the arrays, and their pairs are indexed by key, with
+    no scan, and reduce to their diagram."""
     scanned = _scans(monkeypatch)
+    refused = []
+    located = persistence._arrays_located
+
+    def recorded(arrays):
+        matrix = located(arrays)
+        refused.append(matrix is None)
+        return matrix
+
+    monkeypatch.setattr(persistence, "_arrays_located", recorded)
     rng = random.Random(8)
-    # sparse ids, fresh ids among them, and ranks not monotone in id
     D = pairwise_distances(np.random.default_rng(3).random((40, 2)))
     collapsed = run_pipeline(D, [0.1, 0.2, 0.3, 0.4, 0.5]).tower.arrays
-    ids = collapsed.vertices[0][:, 0]
-    assert ids.max() >= 40 and ids.max() >= len(ids) and (ids[1:] < ids[:-1]).any()
-    holes = []
-    for arrays in [*_oracle_arrays(), collapsed]:
-        cells = arrays.cells()
-        for kind, reason in ARRAY_FAULTS.items():
+    clouds = (pairwise_distances(np.random.default_rng(seed).random((18, 3))) for seed in range(3))
+    oracles = [run_pipeline(D, [0.3, 0.4, 0.5], collapse=False).tower.arrays for D in clouds]
+    kinds = set()
+    for arrays in [*oracles, collapsed]:
+        for kind in ("lower", "swap", "reverse", "later", "past"):
             for _ in range(3):
-                case = _corrupted(cells, kind, rng)
+                case = _corrupted(arrays, kind, rng)
                 if case is None:
                     continue
-                if kind == "hole":
-                    holes.append(arrays)
-                assert naive_filtration_fault(case)[1] == reason
-                with pytest.raises(FiltrationOrderError) as want:
-                    compute_persistence(case)
+                cells = case.cells()
+                fault = naive_filtration_fault(cells)
+                assert (fault is None) == (kind in ("later", "past"))
+                want = _outcome(cells)
                 scanned.clear()
-                with pytest.raises(FiltrationOrderError) as got:
-                    compute_persistence(_arrays_of(case))
-                assert (got.value.cell_index, str(got.value)) == (
-                    want.value.cell_index, str(want.value)
-                )
-                assert got.value.cell_index == naive_filtration_fault(case)[0]
-                assert scanned == [len(case)]
-    assert any(a is collapsed for a in holes)
+                refused.clear()
+                got = _outcome(case)
+                assert got == want and refused == [True]
+                if fault is None:
+                    assert scanned == [] and got == _outcome(arrays.cells())
+                else:
+                    assert got[0] == fault[0] and fault[1] in got[1]
+                    assert scanned == [len(cells)]
+                kinds.add(kind)
+    assert len(kinds) == 5
+
+
+def test_arrays_whose_shapes_disagree_are_refused(monkeypatch):
+    """Per-dimension arrays whose lengths or shapes disagree raise
+    :class:`FiltrationOrderError` at the count of cells of the dimensions
+    below the first that disagrees, and their pairs are never built: two
+    vertex rows with one grade (which once raised a bare ``ValueError``
+    from ``CellArrays.cells``), and arrays with a face row too many, a face
+    column or a vertex column too few, grades given as a column, or a
+    dimension of faces missing."""
+
+    def no_pairs(self):
+        raise AssertionError("the pairs of malformed arrays were built")
+
+    monkeypatch.setattr(CellArrays, "cells", no_pairs)
+    rows, none = np.array([[0], [1]]), np.empty((2, 0), np.intp)
+    edge, at, edge_faces = np.array([[0, 1]]), np.array([1.0]), np.array([[0, 1]])
+    grades, positions = np.array([0.0, 0.0]), np.array([0, 1])
+    cases = [
+        (CellArrays([rows], [np.array([0.0])], [positions], [none]), 0),
+        (CellArrays([rows], [grades], [positions], [np.empty((3, 0), np.intp)]), 0),
+        (CellArrays([rows, edge], [grades, at], [positions, [2]], [none, edge_faces[:, :1]]), 2),
+        (CellArrays([rows, rows[:1]], [grades, at], [positions, [2]], [none, edge_faces]), 2),
+        (CellArrays([rows], [grades[:, None]], [positions], [none]), 0),
+        (CellArrays([rows, edge], [grades, at], [positions, np.array([2])], [none]), 2),
+    ]
+    for arrays, index in cases:
+        with pytest.raises(FiltrationOrderError, match="of the arrays has shapes") as exc:
+            compute_persistence(arrays)
+        assert exc.value.cell_index == index
+    well_formed = CellArrays(
+        [rows, edge], [grades, at], [positions, np.array([2])], [none, edge_faces]
+    )
+    monkeypatch.undo()
+    assert compute_persistence(well_formed) == compute_persistence(well_formed.cells())
 
 
 def _scans(monkeypatch):

@@ -15,11 +15,16 @@ retraction: no module defines or names a ``ComplexMatrix`` or
 ``pipeline`` pass cores as cliques and retractions as lists, and name none
 of the result types of ``collapse.core``, which ``ripscollapse core`` uses.
 
-A filtration's boundary index has one builder, ``persistence._keyed``, the
-key pass that a filtration given as pairs and one given as per-dimension
-vertex arrays share: no other function builds a ``BoundaryMatrix`` itself,
-and no other module names the ``FiltrationOrderError`` that its checks
-raise.  Both producers' filtrations are indexed and reduced through
+A filtration's boundary index has two builders, one per front:
+``persistence._keyed``, the key pass that locates the faces of a filtration
+given as pairs, and ``persistence._arrays_located``, which reads the index
+off the faces that per-dimension vertex arrays carry.  No other function
+builds a ``BoundaryMatrix`` itself, and no other module names the
+``FiltrationOrderError`` that their checks raise.  Those arrays, a
+``CellArrays``, are built only where their faces are known: by the level
+join, ``persistence._level_join``, and by ``tower.assemble_tower``, which
+renames the join's vertices and keeps its faces.  Both producers'
+filtrations are indexed and reduced through
 ``compute_persistence``: no other module calls
 ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function reduces
 the boundary blocks: ``reduce_block`` has one caller.
@@ -276,11 +281,19 @@ def test_only_persistence_builds_and_checks_the_boundary_index():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path.stem == "persistence":
-            assert _callers(tree, "BoundaryMatrix") == ["_keyed"]
+            assert _callers(tree, "BoundaryMatrix") == ["_arrays_located", "_keyed"]
         if path.stem in INDEX_OWNERS:
             continue
         assert "FiltrationOrderError" not in _names(tree), path.name
         assert _calls(tree, "BoundaryMatrix") == [], path.name
+
+
+def test_only_the_join_and_the_tower_build_cell_arrays():
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers.extend((path.stem, fn) for fn in _callers(tree, "CellArrays"))
+    assert sorted(callers) == [("persistence", "_level_join"), ("tower", "assemble_tower")]
 
 
 def test_private_names_cross_only_the_listed_seams():

@@ -7,10 +7,14 @@ tower's cells must equal, cell for cell, the clique filtration of the graph
 its ops replay, form a face-first filtration, and be indexed by key as a
 per-cell index lays them out; on the default and held-out clouds its
 diagram must equal that of the coned tower the whole-set oracle assembles
-from the same cores.  Neither that index nor the uncollapsed oracle's of a
-comparison falls back to the per-cell scan, and on both oracle-compare
+from the same cores, and the index read off the faces the level join found
+must be the per-cell one.  Neither that index nor the uncollapsed oracle's
+of a comparison falls back to the per-cell scan, and on both oracle-compare
 clouds the oracle's index is the per-cell one, with the vertex ids as given
-and relabelled as strings, and from its per-dimension vertex arrays.
+and relabelled as strings, and read off its join's faces; so is the
+held-out torus cloud's.  (The circle clouds' uncollapsed oracle passes the
+expansion cap, and the default torus cloud's holds 538,825 cells, too many
+to judge a cell at a time here.)
 The tower's cells and contractions are pinned: they count the assembly's
 work, noise-free.
 
@@ -28,6 +32,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import (
     boundary_index_of,
@@ -105,26 +110,51 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
         run_pipeline(D, grades, collapse=False)
 
 
+def _join_index_is_naive(arrays, cells):
+    """Check that the array entry reads the index of the join's *arrays*
+    off their faces as a per-cell index lays out their pairs *cells*."""
+    matrix = persistence._arrays_indexed(arrays)
+    assert matrix.cells is arrays
+    want = naive_boundary_index(cells)
+    assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
+    return want
+
+
+def _same_arrays(a, b):
+    return all(
+        len(x) == len(y) and all(map(np.array_equal, x, y))
+        for x, y in zip(
+            (a.vertices, a.grades, a.positions, a.faces),
+            (b.vertices, b.grades, b.positions, b.faces),
+        )
+    )
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_tower_arrays_index_as_the_naive_index(name, monkeypatch):
-    """On the default and held-out clouds, the tower's arrays are indexed
-    by the array entry, with no tuple built and no scan, as a per-cell index
-    lays out the tower's pairs.  Their vertex ids are sparse and include
-    fresh ids past the points, and on one of the clouds the vertex cells'
-    ranks are not monotone in their ids."""
+    """On the default and held-out clouds, the index that the array entry
+    reads off the faces the level join found is, with no tuple built and no
+    scan, the per-cell index of the tower's pairs.  On the default cloud the
+    join gives the same arrays when each of its steps tests at most 7
+    vertex pairs at once.  The vertex ids are sparse and include fresh ids
+    past the points, and on one of the clouds the vertex cells' ids do not
+    increase, none of which the faces depend on."""
     monkeypatch.setattr(persistence, "_scan", _no_scan)
     w = WORKLOADS[name]
     grades = w.grades()
     unordered = 0
     for seed in (w.cloud_seed, w.held_out_seed):
-        _, tower = _assembled(pairwise_distances(w.cloud(seed, w.n)), grades)
-        matrix = persistence._arrays_indexed(tower.arrays)
-        assert matrix.cells is tower.arrays
-        want = naive_boundary_index(tower.cells)
-        assert boundary_index_of(dataclasses.replace(matrix, cells=tower.cells)) == want
+        D = pairwise_distances(w.cloud(seed, w.n))
+        _, tower = _assembled(D, grades)
+        _join_index_is_naive(tower.arrays, tower.cells)
         ids = tower.arrays.vertices[0][:, 0]
         assert ids.max() >= max(w.n, len(ids))
         unordered += bool((ids[1:] < ids[:-1]).any())
+        if seed == w.cloud_seed:
+            chunk = persistence._JOIN_CHUNK
+            monkeypatch.setattr(persistence, "_JOIN_CHUNK", 7)
+            assert _same_arrays(_assembled(D, grades)[1].arrays, tower.arrays)
+            monkeypatch.setattr(persistence, "_JOIN_CHUNK", chunk)
     assert unordered
 
 
@@ -145,6 +175,9 @@ def test_workload_tower_diagram_is_the_coned_towers(name, seed):
 
 @pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
 def test_oracle_index_is_the_naive_index(seed, monkeypatch):
+    """The uncollapsed oracle's pairs are indexed by key as a per-cell
+    index lays them out, with their ids as given and relabelled as strings,
+    and so are its arrays, off the faces the level join found."""
     monkeypatch.setattr(persistence, "_scan", _no_scan)
     w = WORKLOADS["oracle-compare"]
     grades = w.grades()
@@ -155,11 +188,24 @@ def test_oracle_index_is_the_naive_index(seed, monkeypatch):
     assert boundary_index_of(BoundaryMatrix.from_filtration(cells)) == want
     named = [(tuple(f"v{v:03d}" for v in s), g) for s, g in cells]
     assert boundary_index_of(BoundaryMatrix.from_filtration(named)) == want
-    # the oracle's arrays, indexed by the array entry with no tuple built
-    arrays = result.tower.arrays
-    matrix = persistence._arrays_indexed(arrays)
-    assert matrix.cells is arrays and arrays.cells() == cells
-    assert boundary_index_of(dataclasses.replace(matrix, cells=cells)) == want
+    # the oracle's arrays, indexed off the join's faces with no tuple built,
+    # also when each join step tests at most 7 vertex pairs at once
+    assert _join_index_is_naive(result.tower.arrays, cells) == want
+    monkeypatch.setattr(persistence, "_JOIN_CHUNK", 7)
+    assert _same_arrays(run_pipeline(D, grades, collapse=False).tower.arrays, result.tower.arrays)
+
+
+def test_torus_oracle_index_is_the_naive_index(monkeypatch):
+    """On the held-out torus cloud the uncollapsed oracle's 67,096 cells,
+    up to dimension 11, are indexed off the level join's faces as a
+    per-cell index lays out their pairs.  (The default cloud's oracle holds
+    538,825 cells, too many to judge a cell at a time here.)"""
+    monkeypatch.setattr(persistence, "_scan", _no_scan)
+    w = WORKLOADS["torus-tower"]
+    D = pairwise_distances(w.cloud(w.held_out_seed, w.n))
+    arrays = run_pipeline(D, w.grades(), collapse=False).tower.arrays
+    assert (len(arrays), len(arrays.vertices)) == (67_096, 12)
+    _join_index_is_naive(arrays, arrays.cells())
 
 
 def test_collapsed_run_is_refused_within_one_join_chunk_of_the_budget(monkeypatch):
