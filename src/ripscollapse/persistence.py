@@ -22,7 +22,7 @@ The tower's filtration and the uncollapsed oracle's are both the clique
 filtration of a graded graph, built by one level join, ``_level_join``, as
 a :class:`CellArrays`.  The join builds each cell from two cells of the
 level below, so it hands over each cell's faces with the cell, and the
-index only checks them cheaply and reads itself off them.
+index trusts them, checks them cheaply and reads itself off them.
 
 Pairs from outside, ``(simplex, grade)`` with vertex ids of any hashable
 kind, are indexed by :meth:`BoundaryMatrix.from_filtration` in one checked
@@ -115,19 +115,16 @@ class CellArrays:
     ``positions[d]`` their indices in the filtration, and ``faces[d]`` the
     places of each cell's faces among the rows of dimension ``d - 1``, in
     ``itertools.combinations`` order (``n_0 x 0`` for the vertices).  The
-    faces are trusted to be those of the vertex rows, as the level join
-    that builds them knows them: the index checks only that each is a cell
-    placed before its coface.  :meth:`cells` gives the pairs.
+    faces are trusted to be those of the vertex rows, as the join that
+    builds them knows them: the index checks only that each is a cell placed
+    before its coface and that no cell repeats.  :meth:`cells` gives pairs.
     """
 
     __slots__ = ("vertices", "grades", "positions", "faces")
 
     def __init__(
-        self,
-        vertices: Sequence[np.ndarray],
-        grades: Sequence[np.ndarray],
-        positions: Sequence[np.ndarray],
-        faces: Sequence[np.ndarray],
+        self, vertices: Sequence[np.ndarray], grades: Sequence[np.ndarray],
+        positions: Sequence[np.ndarray], faces: Sequence[np.ndarray],
     ) -> None:
         self.vertices, self.grades = tuple(vertices), tuple(grades)
         self.positions, self.faces = tuple(positions), tuple(faces)
@@ -255,10 +252,10 @@ def _located(cells: tuple[tuple[Simplex, float], ...]) -> BoundaryMatrix | None:
 
 def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
     """The index of *arrays*, read off their faces once a vectorised pass
-    has checked the positions, the grade order, the edges and the faces;
-    None when a check fails.  Arrays whose shapes disagree, which no pairs
-    show, raise :class:`FiltrationOrderError` at the count of cells of the
-    dimensions below the first that disagrees."""
+    has checked the positions, the grade order, the edges, the faces and
+    that no cell repeats; None when a check fails.  Arrays whose shapes
+    disagree, which no pairs show, raise :class:`FiltrationOrderError` at
+    the count of cells of the dimensions below the first that disagrees."""
     vertices, positions, faces = arrays.vertices, arrays.positions, arrays.faces
     below = 0
     for d, level in enumerate(zip_longest(vertices, arrays.grades, positions, faces)):
@@ -284,11 +281,15 @@ def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
         return None
     if len(vertices) > 1 and (vertices[1][:, 0] >= vertices[1][:, 1]).any():
         return None
-    # every face is a cell of the dimension below, placed before its coface
+    # every face is a cell below placed before its coface, and no cell repeats:
+    # no vertex id, nor a higher cell's first two faces, which hold its vertices
+    keys = [vertices[0][:, 0]]
     for p, f, lower in zip(positions[1:], faces[1:], positions):
         if f.min() < 0 or f.max() >= len(lower) or (lower.take(f) >= p[:, None]).any():
             return None
-    return BoundaryMatrix(arrays, positions, faces, arrays.grades)
+        keys.append(f[:, 0].astype(np.int64) * len(lower) + f[:, 1])
+    repeated = any((k[1:] == k[:-1]).any() for k in map(np.sort, keys))
+    return None if repeated else BoundaryMatrix(arrays, positions, faces, arrays.grades)
 
 
 def _keyed(
@@ -511,11 +512,11 @@ def _sibling_join(
     share all but their last vertex are contiguous; when those last vertices
     are an edge, row ``i`` followed by row ``j``'s last vertex is a clique.
     Its faces are row ``i``, row ``j``, and, without each earlier vertex,
-    the join of ``i``'s and ``j``'s faces without it: by the *lookup* of the
-    join that built *rows*, pair ``(i', j')`` is candidate ``start[i'] +
-    j'``, and ``rank`` counts the pairs joined before each (for a triangle,
-    *lookup* is None and that face is the edge of its last two vertices).
-    The cell budget is checked after each chunk."""
+    the pair ``(i', j')`` of ``i``'s and ``j``'s faces without it, which is
+    candidate ``start[i'] + j'`` of the *lookup* of the join that built
+    *rows*; ``locate`` maps it to its cell by a table of every candidate, or
+    by a search among those joined where they are sparser than one in four
+    past a chunk (for a triangle, the edge of its last two vertices)."""
     m = len(rows)
     breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
     starts = np.flatnonzero(np.concatenate(([True], breaks)))
@@ -523,50 +524,50 @@ def _sibling_join(
     partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
     ends = np.cumsum(partners)
     last, lower = rows[:, -1], faces[:, 1:]
-    joined, graded, found, hits = [], [], [], []
+    joined, graded, found, picked = [], [], [], []
     lo = 0
     while lo < m:
         # the rows from lo whose pairs fit in one chunk, or row lo alone
-        hi = np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")
-        hi = max(lo + 1, int(hi))
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")))
         count = partners[lo:hi]
         i = np.repeat(np.arange(lo, hi), count)
         j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)
         key = last.take(i) * n + last.take(j)
         e = np.searchsorted(keys, key)
         np.minimum(e, len(keys) - 1, out=e)
-        hit = keys.take(e) == key
-        pick = np.flatnonzero(hit)
+        pick = np.flatnonzero(keys.take(e) == key)
         i, j, e = i.take(pick), j.take(pick), e.take(pick)
         held += len(i)
         _check_cells(held)
-        hits.append(hit)
+        picked.append(ends[lo] - partners[lo] + pick)  # candidate index of each hit
         joined.append(np.column_stack((rows.take(i, axis=0), last.take(j))))
         graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
         if lookup is None:
             rest = e[:, None]
         else:
-            start, rank = lookup
-            rest = rank.take(start.take(lower.take(i, axis=0)) + lower.take(j, axis=0))
+            start, locate = lookup
+            rest = locate(start.take(lower.take(i, axis=0)) + lower.take(j, axis=0))
         found.append(np.column_stack((i, j, rest)))
         lo = hi
-    hit = np.concatenate(hits)
-    rank = np.cumsum(hit, dtype=np.int32)
-    rank -= hit
+    hits = np.concatenate(picked)
+    locate = hits.searchsorted
+    if ends[-1] <= _JOIN_CHUNK + 4 * len(hits):
+        table = np.zeros(ends[-1], np.int32)
+        table[hits] = np.arange(len(hits), dtype=np.int32)
+        locate = table.take
     above = np.concatenate(joined), np.concatenate(graded), np.concatenate(found)
-    return above, (ends - partners - np.arange(m) - 1, rank), held
+    return above, (ends - partners - np.arange(m) - 1, locate), held
 
 
 def compute_persistence(
-    filtration: Iterable[tuple[Simplex, float]] | CellArrays,
-    *,
-    include_zero_pairs: bool = False,
+    filtration: Iterable[tuple[Simplex, float]] | CellArrays, *, include_zero_pairs: bool = False
 ) -> PersistenceDiagram:
     """Persistence diagram of a filtration over the two-element field.
 
     *filtration* is any sequence of ``(simplex, grade)`` pairs, each a
     tuple of hashable vertices and a real number, or a :class:`CellArrays`,
-    which is indexed without a tuple and refused as its pairs would be.
+    which is indexed without a tuple and refused as its pairs would be, but
+    for a face placed at a wrong earlier cell (its faces are trusted).
     The cells are reduced in its own order, which must list every face
     before its cofaces and never lower the grade, and every grade must be
     finite; a cell that breaks this raises :class:`FiltrationOrderError`.

@@ -596,7 +596,8 @@ def test_array_entry_is_the_naive_index(monkeypatch):
 def _corrupted(arrays, kind, rng):
     """A copy of the join's *arrays* with one fault of *kind*: a grade
     lowered below its predecessor's, the positions of a cell and one of its
-    faces swapped, an edge reversed, or a face pointed at a cell placed
+    faces swapped, an edge reversed, a row repeated right after itself with
+    its faces (a vertex row for a twin), or a face pointed at a cell placed
     after its coface or past the end of the dimension below."""
     vertices, grades, positions, faces = (
         [a.copy() for a in part]
@@ -615,6 +616,17 @@ def _corrupted(arrays, kind, rng):
     elif kind == "reverse":
         r = rng.randrange(len(vertices[1]))
         vertices[1][r] = vertices[1][r][::-1].copy()
+    elif kind in ("repeat", "twin"):
+        if kind == "twin":
+            d, r = 0, rng.randrange(len(positions[0]))
+        p = positions[d][r]
+        for q in positions:
+            q[q > p] += 1
+        for part in (vertices, grades, faces):
+            part[d] = np.insert(part[d], r + 1, part[d][r], axis=0)
+        positions[d] = np.insert(positions[d], r + 1, p + 1)
+        if d + 1 < len(faces):
+            faces[d + 1][faces[d + 1] > r] += 1
     elif kind == "later":
         later = np.flatnonzero(positions[d - 1] > positions[d][r])
         if not later.size:
@@ -636,8 +648,9 @@ def _outcome(filtration):
 
 def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
     """The oracle's arrays, and a collapsed run's tower arrays, with a grade
-    lowered, the positions of a cell and its face swapped or an edge
-    reversed raise the :class:`FiltrationOrderError` that their pairs raise,
+    lowered, the positions of a cell and its face swapped, an edge
+    reversed, a row repeated with its faces or a vertex row repeated raise
+    the :class:`FiltrationOrderError` that their pairs raise,
     index and message, at the cell and for the reason the judge names, and
     the scan runs once for each.  With a face pointed at a later cell or
     past the end of the dimension below, the pairs are well formed: the
@@ -660,7 +673,7 @@ def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
     oracles = [run_pipeline(D, [0.3, 0.4, 0.5], collapse=False).tower.arrays for D in clouds]
     kinds = set()
     for arrays in [*oracles, collapsed]:
-        for kind in ("lower", "swap", "reverse", "later", "past"):
+        for kind in ("lower", "swap", "reverse", "repeat", "twin", "later", "past"):
             for _ in range(3):
                 case = _corrupted(arrays, kind, rng)
                 if case is None:
@@ -679,7 +692,64 @@ def test_array_entry_refuses_as_the_pairs_are_refused(monkeypatch):
                     assert got[0] == fault[0] and fault[1] in got[1]
                     assert scanned == [len(cells)]
                 kinds.add(kind)
-    assert len(kinds) == 5
+    assert len(kinds) == 7
+
+
+def test_array_entry_trusts_the_faces(monkeypatch):
+    """A face pointed at a wrong cell placed before its coface is not
+    refused: the array entry trusts the faces to be those of the vertex
+    rows, as ``compute_persistence`` says, and reads the index off them as
+    given, with no scan, though it is not the index of the arrays' pairs."""
+    scanned = _scans(monkeypatch)
+    rng = random.Random(9)
+    D = pairwise_distances(np.random.default_rng(4).random((18, 3)))
+    arrays = run_pipeline(D, [0.3, 0.4, 0.5], collapse=False).tower.arrays
+    faces = [f.copy() for f in arrays.faces]
+    # a triangle's last face, which the check for repeats does not read
+    r = rng.randrange(len(faces[2]))
+    wrong = rng.choice([
+        e for e in range(len(faces[1]))
+        if arrays.positions[1][e] < arrays.positions[2][r] and e not in faces[2][r]
+    ])
+    faces[2][r, 2] = wrong
+    case = CellArrays(arrays.vertices, arrays.grades, arrays.positions, faces)
+    matrix = persistence._arrays_located(case)
+    assert matrix is not None and matrix.faces[2][r, 2] == wrong
+    cells = case.cells()
+    got = boundary_index_of(dataclasses.replace(matrix, cells=cells))
+    assert got != naive_boundary_index(cells)
+    compute_persistence(case)
+    assert scanned == []
+
+
+def test_join_keeps_no_table_larger_than_a_chunk_or_its_cells(monkeypatch):
+    """What a join step keeps to locate the faces of the level above, a
+    table of every vertex pair it tested or the pairs it joined, is no
+    larger than a chunk plus four entries per cell the step built, however
+    many pairs it tested: on a star of 300 edges, whose 44,850 pairs of
+    edges make no triangle, the step keeps its joined pairs (none) and
+    searches them; on an oracle's levels, with 100 pairs a chunk, it
+    keeps tables that span several chunks."""
+    kept = []
+    join = persistence._sibling_join
+
+    def recorded(*args):
+        above, (start, locate), held = join(*args)
+        kept.append((locate.__name__, len(locate.__self__), len(above[0])))
+        return above, (start, locate), held
+
+    monkeypatch.setattr(persistence, "_sibling_join", recorded)
+    monkeypatch.setattr(persistence, "_JOIN_CHUNK", 100)
+    n = 301
+    star = persistence._level_join(
+        np.zeros(n, np.intp), np.arange(1, n, dtype=np.int64), np.zeros(n - 1, np.intp), [0.0]
+    )
+    assert [len(v) for v in star.vertices] == [301, 300] and kept == [("searchsorted", 0, 0)]
+    kept.clear()
+    D = pairwise_distances(np.random.default_rng(5).random((40, 3)))
+    run_pipeline(D, [0.3, 0.4, 0.5], collapse=False)
+    assert all(size <= 100 + 4 * cells for _, size, cells in kept)
+    assert any(kind == "take" and size > 100 for kind, size, _ in kept)
 
 
 def test_arrays_whose_shapes_disagree_are_refused(monkeypatch):
