@@ -13,9 +13,15 @@ equivalent filtration.  The uncollapsed twin, ``run_pipeline(...,
 collapse=False)``, skips collapsing and takes the first-appearance
 filtration of the snapshots, the clique filtration of the last graph with
 each edge graded by the first graph that holds it; its tower is that
-graph's vertices and edges as inclusions.  One level join,
-``persistence._level_join``, builds both clique filtrations as
-per-dimension vertex arrays, and finds each cell's faces as it builds it.
+graph's vertices and edges as inclusions.  Its expansion cap is checked on
+the last graph's maximal cliques alone: an added edge strictly raises a
+graph's projected cell count, so on nested graphs the last one's bounds
+them all, and the earlier graphs are enumerated only to find the first
+one over the cap.  Its ``before`` stats, too, are counted from each graph
+when first read, except the last snapshot's, which the cap check counts.
+One level join, ``persistence._level_join``, builds both clique
+filtrations as per-dimension vertex arrays, and finds each cell's faces as
+it builds it.
 Both paths reduce their filtration's arrays with
 :func:`~ripscollapse.persistence.compute_persistence`, and neither builds
 the ``(simplex, grade)`` pairs of ``PipelineResult.filtration`` until they
@@ -67,27 +73,30 @@ _BEFORE_LOCK = threading.Lock()
 class SnapshotStats:
     """Size of one snapshot before and after collapsing.
 
-    The collapsed pipeline keeps each full snapshot's graph in place of its
-    ``before`` stats: nothing on its path needs them, and counting the
-    snapshot's maximal cliques costs a Bron-Kerbosch run on the full graph.
-    That run happens on the first read of ``before``, and its stats are
-    kept.  Equality, hashing and ``repr`` go by value, so they read
-    ``before``.
+    A run keeps each full snapshot's graph in place of its ``before``
+    stats: nothing on either path needs them, and counting the snapshot's
+    maximal cliques costs a Bron-Kerbosch run on the full graph.  That run
+    happens on the first read of ``before``, and its stats are kept.  The
+    uncollapsed run's ``after`` is its ``before``.  Equality, hashing and
+    ``repr`` go by value, so they read ``before``.
     """
 
-    __slots__ = ("grade", "after", "_before", "_graph")
+    __slots__ = ("grade", "_after", "_before", "_graph")
 
     def __init__(self, grade: float, before: ComplexStats, after: ComplexStats) -> None:
         self.grade = grade
-        self.after = after
+        self._after: ComplexStats | None = after
         self._before: ComplexStats | None = before
         self._graph: list[int] | None = None
 
     @classmethod
-    def _of_graph(cls, grade: float, graph: list[int], after: ComplexStats) -> SnapshotStats:
-        """Stats whose ``before`` is counted from *graph* when first read."""
+    def _of_graph(
+        cls, grade: float, graph: list[int], after: ComplexStats | None
+    ) -> SnapshotStats:
+        """Stats whose ``before`` is counted from *graph* when first read,
+        and whose ``after`` is *after*, or ``before`` when *after* is None."""
         s = cls.__new__(cls)
-        s.grade, s.after, s._before, s._graph = grade, after, None, graph
+        s.grade, s._after, s._before, s._graph = grade, after, None, graph
         return s
 
     @property
@@ -99,6 +108,10 @@ class SnapshotStats:
                     self._before = _clique_stats(len(graph), maximal_cliques(graph))
                     self._graph = None
         return self._before
+
+    @property
+    def after(self) -> ComplexStats:
+        return self.before if self._after is None else self._after
 
     def _key(self) -> tuple[float, ComplexStats, ComplexStats]:
         return (self.grade, self.before, self.after)
@@ -123,7 +136,8 @@ class PipelineTimings:
 
     collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
     # the tower and the level join of its filtration's arrays and faces (AT),
-    # or the oracle's stats, cap check and level join; not the graphs
+    # or the oracle's cap check on its last snapshot and its level join; not
+    # the graphs, nor the oracle's stats, counted when read
     assembly: float
     # the boundary-matrix reduction (PDT), after the arrays' cheap checks
     reduction: float
@@ -161,10 +175,10 @@ def _map_ordered(fn: Callable[[_S], _T], items: Sequence[_S], workers: int) -> l
 
 def _snapshot_filtration(
     grades: list[float], graphs: list[list[int]], cap: int
-) -> tuple[CellArrays, list[ComplexStats]]:
+) -> tuple[CellArrays, ComplexStats]:
     """Uncollapsed first-appearance filtration of the clique complexes of
     the nested snapshot *graphs* at *grades*, as per-dimension vertex
-    arrays, with the stats of each snapshot in grade order.
+    arrays, with the stats of the last snapshot.
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
@@ -172,34 +186,57 @@ def _snapshot_filtration(
     each at the first graph that holds it, with every point at the first
     graph.
 
-    Raises :class:`ExpansionCapError` at the first snapshot whose projected
-    cell count (from its maximal cliques) exceeds *cap*, and
-    :class:`ReductionMemoryError` when the filtration has more cells than
-    the boundary index's budget, both before any cell is built.  The last
-    snapshot's projected count bounds the filtration's from above, so only
-    when it passes the budget are the last graph's cliques counted.
+    The projected cell count P of a graph, the sum of 2^|c| - 1 over its
+    maximal cliques c, grows strictly with each edge uv added.  Let K range
+    over the maximal cliques of the common neighbourhood of u and v (the
+    empty clique when there is none).  At most {u} + K and {v} + K stop
+    being maximal, one pair per K, and each K gains {u, v} + K, whose
+    2^(|K|+2) - 1 exceeds 2 (2^(|K|+1) - 1).  So the last snapshot's P
+    bounds every earlier one's, and only the last graph's maximal cliques
+    are enumerated unless it is over *cap*.  Then the snapshots are scanned
+    in grade order, and :class:`ExpansionCapError` is raised at the first
+    one over it.  No induced subgraph, a core for one, has a larger P than
+    its graph either.
+
+    :class:`ReductionMemoryError` is raised when the filtration has more
+    cells than the boundary index's budget.  Both errors come before any
+    cell is built.  The last snapshot's P bounds the filtration's cell
+    count from above, so only when it passes the budget are the last
+    graph's cliques counted.
     """
-    sizes = []
-    for graph in graphs:
-        cliques = maximal_cliques(graph)
-        projected = check_expansion_cap(cliques, cap)
-        sizes.append(_clique_stats(len(graph), cliques))
+    cliques = maximal_cliques(graphs[-1])
+    if sum(2 ** len(c) - 1 for c in cliques) > cap:
+        for graph in graphs[:-1]:
+            check_expansion_cap(maximal_cliques(graph), cap)
+    projected = check_expansion_cap(cliques, cap)
     try:
         _check_cells(projected)
     except ReductionMemoryError:
         _check_cells(_clique_count(graphs[-1]))
     n = len(graphs[0])
-    return _level_join(np.zeros(n, np.intp), *_graded_edges(graphs), grades), sizes
+    arrays = _level_join(np.zeros(n, np.intp), *_graded_edges(graphs), grades)
+    return arrays, _clique_stats(n, cliques)
 
 
 def _clique_count(adj: list[int]) -> int:
     """The number of cliques in the graph *adj*, found by a depth-first
     search that extends each clique by its common neighbours below its last
-    vertex and builds no tuples."""
+    vertex and builds no tuples.  Candidates that are themselves a clique
+    extend it by each of their non-empty subsets, so they are counted at
+    once, without a descent."""
     total = 0
     stack = [(1 << len(adj)) - 1]  # the candidates that extend one clique
     while stack:
         rest = stack.pop()
+        below = rest
+        while below:
+            w = below.bit_length() - 1
+            below ^= 1 << w
+            if below & adj[w] != below:
+                break
+        else:
+            total += (1 << rest.bit_count()) - 1
+            continue
         total += rest.bit_count()
         while rest:
             w = rest.bit_length() - 1
@@ -307,12 +344,15 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     arrays are reduced, and its tower is the graph they expand, as
     inclusions."""
     t0 = perf_counter()
-    arrays, sizes = _snapshot_filtration(grades, graphs, cap)
+    arrays, last = _snapshot_filtration(grades, graphs, cap)
     assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(arrays)
     timings = PipelineTimings(0.0, assembly, perf_counter() - t0)
-    stats = tuple(SnapshotStats(g, s, s) for g, s in zip(grades, sizes))
+    # the cap check counted the last snapshot; the others are counted when read
+    stats = tuple(
+        SnapshotStats._of_graph(g, graph, None) for g, graph in zip(grades[:-1], graphs)
+    ) + (SnapshotStats(grades[-1], last, last),)
     # the graph it expands: its vertices, all at the first grade, then its edges
     ops = [
         op

@@ -23,7 +23,7 @@ from oracles import (
 
 import ripscollapse
 from ripscollapse import persistence, pipeline
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, check_expansion_cap
 from ripscollapse.errors import ExpansionCapError, ReductionMemoryError
 from ripscollapse.io_formats import write_diagram, write_tower
 from ripscollapse.persistence import (
@@ -41,7 +41,13 @@ from ripscollapse.pipeline import (
     run_pipeline,
     stats_to_csv,
 )
-from ripscollapse.rips import SnapshotSchedule, graded_bitsets, maximal_cliques, pairwise_distances
+from ripscollapse.rips import (
+    SnapshotSchedule,
+    flag_core,
+    graded_bitsets,
+    maximal_cliques,
+    pairwise_distances,
+)
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 SQUARE_SCHED = SnapshotSchedule(0.5, 0.5, 1.5)
@@ -345,6 +351,81 @@ def test_cap_propagates_to_expansion():
             run_pipeline(D, [20.0], collapse=collapse, cap=0)
 
 
+def _projected(adj):
+    """The projected cell count that the expansion cap tests, of the
+    maximal cliques of the graph *adj*."""
+    return check_expansion_cap(maximal_cliques(adj), 1 << 64)
+
+
+def _induced(adj, keep):
+    """The subgraph of *adj* induced on the vertices *keep*, renumbered."""
+    return [sum(1 << i for i, x in enumerate(keep) if adj[w] >> x & 1) for w in keep]
+
+
+def test_an_added_edge_raises_the_projected_count_and_a_subgraph_never_does():
+    """The oracle checks its cap on its last snapshot alone: the projected
+    count grows strictly with each edge added, so the last of nested graphs
+    bounds the others, and an induced subgraph (a core is one) never counts
+    more than its graph."""
+    rng = random.Random(38)
+    added = 0
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        adj = [0] * n
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        before = _projected(adj)
+        assert before == n
+        for u, v in pairs[: rng.randint(0, len(pairs))]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            after = _projected(adj)
+            assert after > before, (adj, u, v)
+            before = after
+            added += 1
+            for _ in range(3):
+                keep = [w for w in range(n) if rng.random() < 0.7]
+                assert _projected(_induced(adj, keep)) <= after, (adj, keep)
+            for w in range(n):
+                assert _projected(_induced(adj, [x for x in range(n) if x != w])) <= after
+    assert added > 800
+
+
+def test_cap_refusals_keep_their_order():
+    """At a cap just below and at each core's and each snapshot's projected
+    count, a comparison refuses at the first core over the cap, in grade
+    order, and then at the first snapshot over it; an uncollapsed run at
+    the first snapshot over it.  Where none is over, the run passes."""
+    rng = random.Random(39)
+    refused = 0
+    for _ in range(8):
+        D = pairwise_distances([(rng.random(), rng.random()) for _ in range(rng.randint(6, 18))])
+        grades = sorted(rng.sample([0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4], rng.randint(1, 4)))
+        graphs = graded_bitsets(D, grades)
+        snapshots = [_projected(adj) for adj in graphs]
+        cores = [check_expansion_cap(flag_core(adj).cliques, 1 << 64) for adj in graphs]
+        for cap in sorted({p + d for p in cores + snapshots for d in (-1, 0)} - {0}):
+            for run, counts in (
+                (lambda: compare_pipelines(D, grades, cap=cap), cores + snapshots),
+                (lambda: run_pipeline(D, grades, collapse=False, cap=cap), snapshots),
+            ):
+                over = [p for p in counts if p > cap]
+                if not over:
+                    run()
+                    continue
+                with pytest.raises(ExpansionCapError) as caught:
+                    run()
+                want = ExpansionCapError(over[0], cap)
+                assert (caught.value.projected, caught.value.cap, str(caught.value)) == (
+                    want.projected,
+                    want.cap,
+                    str(want),
+                )
+                assert caught.value.__context__ is None
+                refused += 1
+    assert refused > 50
+
+
 def test_bad_cap_fails_before_any_snapshot(monkeypatch):
     calls = []
 
@@ -374,8 +455,11 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
     for s in run_pipeline(D, grades).snapshots:
         s.before
     assert calls.count("flag_core") == 4 and calls.count("maximal_cliques") == 4
+    # the oracle's cap check enumerates its last snapshot alone
     run_pipeline(D, grades, collapse=False)
-    assert calls.count("maximal_cliques") == 8
+    assert calls.count("maximal_cliques") == 5
+    compare_pipelines(D, grades)
+    assert calls.count("flag_core") == 8 and calls.count("maximal_cliques") == 6
 
 
 def _refusal(run):
@@ -431,6 +515,31 @@ def test_uncollapsed_run_is_refused_before_any_cell_is_built(monkeypatch):
     assert refused == 3
 
 
+def test_clique_count_counts_every_clique():
+    """The budget check's count, which adds a clique of candidates at once,
+    agrees with a scan of every vertex subset, on graphs from empty to
+    complete and on cliques joined at a vertex."""
+    rng = random.Random(40)
+    graphs = []
+    for _ in range(150):
+        n, density = rng.randint(0, 10), rng.random()
+        table = [[0] * n for _ in range(n)]
+        for u, v in combinations(range(n), 2):
+            table[u][v] = table[v][u] = int(rng.random() < density)
+        graphs.append(table)
+    for k in range(1, 7):  # two k-cliques that share vertex k - 1
+        n = 2 * k - 1
+        graphs.append(
+            [
+                [int(u != v and (max(u, v) < k or min(u, v) >= k - 1)) for v in range(n)]
+                for u in range(n)
+            ]
+        )
+    for table in graphs:
+        adj = [sum(1 << v for v, e in enumerate(row) if e) for row in table]
+        assert pipeline._clique_count(adj) == naive_clique_count(table), table
+
+
 def _count_full_snapshot_cliques(monkeypatch):
     """A list that grows by one on each pipeline-level ``maximal_cliques``
     call, that is once per full snapshot enumerated; ``flag_core`` reaches
@@ -458,9 +567,18 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
     assert [s.before for s in snapshots] == first
     assert len(calls) == len(grades)
     assert first == [complex_stats(rips_snapshot(D, g)) for g in grades]
-    # the oracle's cap check is the only enumeration left in a comparison
+    # the oracle's cap check, on the last snapshot, is the only enumeration
+    # left in a comparison
     calls.clear()
     compare_pipelines(D, grades)
+    assert calls == [len(D)]
+    # an uncollapsed run counts each earlier snapshot on its first read
+    calls.clear()
+    snapshots = run_pipeline(D, grades, collapse=False).snapshots
+    assert calls == [len(D)]
+    assert [s.after for s in snapshots] == first
+    assert len(calls) == len(grades)
+    assert [s.before for s in snapshots] == first
     assert len(calls) == len(grades)
 
 
@@ -512,6 +630,14 @@ def test_lazy_before_stats_behave_as_values(monkeypatch):
     assert lazy == eager and list(map(hash, lazy)) == list(map(hash, eager))
     # a fresh run, so that the CSV writer is the first reader
     assert stats_to_csv(run_pipeline(D, grades).snapshots) == stats_to_csv(eager)
+    # the uncollapsed run's stats are lazy too, and its after is its before
+    flat = run_pipeline(D, grades, collapse=False).snapshots
+    unchanged = tuple(SnapshotStats(s.grade, s.before, s.before) for s in eager)
+    assert [repr(s) for s in flat] == [repr(s) for s in unchanged]
+    assert flat == unchanged and list(map(hash, flat)) == list(map(hash, unchanged))
+    assert all(s.before == s.after for s in flat)
+    flat = run_pipeline(D, grades, collapse=False).snapshots
+    assert stats_to_csv(flat) == stats_to_csv(unchanged)
 
     # threads that read one snapshot's before at once get one value, counted once
     calls = _count_full_snapshot_cliques(monkeypatch)

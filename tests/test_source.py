@@ -34,6 +34,11 @@ uncollapsed oracle's, are the clique filtration of a graded graph, built
 by one level join: ``_level_join`` has one definition, and both ``tower``
 and ``pipeline`` call it.
 
+The uncollapsed oracle checks its expansion cap on its last snapshot's
+maximal cliques, and a snapshot's stats are counted only when read: the
+pipeline calls ``maximal_cliques`` only in ``SnapshotStats.before`` and in
+the cap check of ``_snapshot_filtration``.
+
 Modules share private names only through the seams listed in
 ``PRIVATE_SEAMS``, and every seam listed is used: outside ``__init__``, no
 module imports another ``_``-prefixed name from a package module.
@@ -343,3 +348,10 @@ def test_one_function_reduces_the_blocks():
         tree = ast.parse(path.read_text(), filename=str(path))
         callers.extend((path.stem, fn) for fn in _callers(tree, "reduce_block"))
     assert callers == [("persistence", "_diagram")]
+
+
+def test_pipeline_enumerates_full_snapshots_only_for_stats_and_the_cap():
+    path = Path(ripscollapse.__file__).parent / "pipeline.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(_callers(tree, "maximal_cliques")) == ["_snapshot_filtration", "before"]
+    assert len(_calls(tree, "maximal_cliques")) == 3
