@@ -5,15 +5,18 @@ Run: python3 benchmarks/bench_kernels.py (from a checkout; it puts ``src``
 on ``sys.path``).
 
 The collapse section times ``core`` on a Rips snapshot's maximal simplices
-and ``flag_core``, the graph collapse the pipeline runs, on the same
-snapshot's neighbourhood graph.  The tower section times
+and ``rips._flag_collapse``, the collapse step of ``flag_core`` and the
+graph collapse the pipeline runs (it enumerates no core's cliques), on the
+same snapshot's neighbourhood graph.  The tower section times
 ``assemble_tower``, which also runs the level join that builds the
 tower's cells, on the ``flag_core`` core graphs and retractions of the
 torus-tower workload's cloud and grades, taken from
-``perfbench/workloads.py`` (without the run seed's isometry), and
-``compute_persistence`` on the tower's ``(simplex, grade)`` pairs and on
-its per-dimension vertex arrays (``Tower.arrays``), which the collapsed
-pipeline indexes and reduces.
+``perfbench/workloads.py`` (without the run seed's isometry), the census
+of the tower's graph on which the collapsed pipeline checks its expansion
+cap (``pipeline._tower_projection``: the graph's bitsets and its maximal
+cliques), and ``compute_persistence`` on the tower's ``(simplex, grade)``
+pairs and on its per-dimension vertex arrays (``Tower.arrays``), which
+the collapsed pipeline indexes and reduces.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
 The index section times the oracle's cell build (the level join,
@@ -64,15 +67,21 @@ from ripscollapse.persistence import (  # noqa: E402
     _level_join,
     compute_persistence,
 )
-from ripscollapse.pipeline import _graded_edges, run_pipeline  # noqa: E402
+from ripscollapse.pipeline import (  # noqa: E402
+    _graded_edges,
+    _keyed_bitsets,
+    _tower_projection,
+    run_pipeline,
+)
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
+    _flag_collapse,
     flag_core,
     graded_bitsets,
     maximal_cliques,
     pairwise_distances,
 )
-from ripscollapse.tower import assemble_tower  # noqa: E402
+from ripscollapse.tower import _tower_graph, assemble_tower  # noqa: E402
 
 N_WARMUP = 2
 N_RUNS = 7
@@ -117,10 +126,10 @@ def bench_collapse():
     columns = dict(enumerate(maximal_cliques(adj)))
     edges = sum(a.bit_count() for a in adj) // 2
     times_core = _time(core, columns)
-    print(f"  core:      {np.mean(times_core) * 1000:8.3f} +- {np.std(times_core) * 1000:.3f} ms"
+    print(f"  core:           {np.mean(times_core) * 1000:8.3f} +- {np.std(times_core) * 1000:.3f} ms"
           f" ({len(adj)} vertices x {len(columns)} maximal)")
-    times_graph = _time(flag_core, adj)
-    print(f"  flag_core: {np.mean(times_graph) * 1000:8.3f} +- {np.std(times_graph) * 1000:.3f} ms"
+    times_graph = _time(_flag_collapse, adj)
+    print(f"  _flag_collapse: {np.mean(times_graph) * 1000:8.3f} +- {np.std(times_graph) * 1000:.3f} ms"
           f" ({len(adj)} vertices x {edges} edges)")
 
 
@@ -147,6 +156,11 @@ def bench_tower():
     contracts = len(tower.contractions)
     print(f"  assemble_tower:      {_ms(_time(assemble_tower, *args))}"
           f" ({len(tower) - contracts} includes, {contracts} contracts, {len(tower.cells)} cells)")
+    graph = _tower_graph(*args)
+    census = (len(graph.ids), graph.keys)
+    maximal = len(maximal_cliques(_keyed_bitsets(*census)))
+    print(f"  census of its graph: {_ms(_time(_tower_projection, *census))}"
+          f" ({len(graph.ids)} vertices, {len(graph.keys)} edges, {maximal} maximal cliques)")
     print(f"  compute_persistence: {_ms(_time(compute_persistence, tower.cells))}")
     print(f"  ... on the arrays:   {_ms(_time(compute_persistence, tower.arrays))}")
 

@@ -2,14 +2,19 @@
 
 Both paths read only the nested neighbourhood graphs of the grades, built
 in one pass by :func:`~ripscollapse.rips.graded_bitsets`.  The accelerated
-path strong-collapses each snapshot to its core on its graph with
-:func:`~ripscollapse.rips.flag_core` (snapshots are independent, so a
-worker pool may handle them concurrently).  It keeps each graph for the
-snapshot's ``before`` stats, whose maximal cliques are enumerated only when
-those stats are first read.  It then assembles the cores, each given by its
-graph and its retraction as a list indexed by point, into a flag tower: one
-graded graph on tower ids, whose clique filtration is the tower's
-equivalent filtration.  The uncollapsed twin, ``run_pipeline(...,
+path strong-collapses each snapshot to its core on its graph with the
+collapse step of :func:`~ripscollapse.rips.flag_core`, which enumerates no
+clique (snapshots are independent, so a worker pool may handle them
+concurrently).  It keeps each graph and its core's survivors for the
+snapshot's ``before`` and ``after`` stats, whose maximal cliques are
+enumerated only when those stats are first read.  It then assembles the
+cores, each given by its graph and its retraction as a list indexed by
+point, into a flag tower: one graded graph T on tower ids, whose clique
+filtration is the tower's equivalent filtration.  Every core is a
+subgraph of T, so its expansion cap is checked on T's maximal cliques,
+the run's one clique enumeration, before the join builds any cell; the
+cores are enumerated only when T is over the cap, to find the first one
+over it.  The uncollapsed twin, ``run_pipeline(...,
 collapse=False)``, skips collapsing and takes the first-appearance
 filtration of the snapshots, the clique filtration of the last graph with
 each edge graded by the first graph that holds it; its tower is that
@@ -54,64 +59,87 @@ from .persistence import (
     compute_persistence,
 )
 from .rips import (
-    FlagCore,
     SnapshotSchedule,
+    _core_cliques,
+    _flag_collapse,
     as_grades,
-    flag_core,
     graded_bitsets,
     maximal_cliques,
 )
-from .tower import Tower, assemble_tower
+from .tower import Tower, _tower_graph, _tower_of
 
 _S = TypeVar("_S")
 _T = TypeVar("_T")
 
-# held while a lazy ``before`` enumerates its cliques, so each is counted once
-_BEFORE_LOCK = threading.Lock()
+# held while a lazy stat enumerates its cliques, so each is counted once
+_STATS_LOCK = threading.Lock()
 
 
 class SnapshotStats:
     """Size of one snapshot before and after collapsing.
 
-    A run keeps each full snapshot's graph in place of its ``before``
-    stats: nothing on either path needs them, and counting the snapshot's
-    maximal cliques costs a Bron-Kerbosch run on the full graph.  That run
-    happens on the first read of ``before``, and its stats are kept.  The
-    uncollapsed run's ``after`` is its ``before``.  Equality, hashing and
-    ``repr`` go by value, so they read ``before``.
+    A run keeps each full snapshot's graph in place of its stats: nothing on
+    either path needs them, and counting the maximal cliques of a snapshot
+    or of its core costs a Bron-Kerbosch run.  ``before`` is counted from
+    the graph on its first read, and ``after`` from the core, the subgraph
+    on the collapse's survivors, on its first read, unless the run's cap
+    check counted it; the stats are kept, and the graph is dropped once
+    both are known.  The uncollapsed run's ``after`` is its ``before``.
+    Equality, hashing and ``repr`` go by value, so they read both.
     """
 
-    __slots__ = ("grade", "_after", "_before", "_graph")
+    __slots__ = ("grade", "_after", "_before", "_graph", "_survivors")
 
     def __init__(self, grade: float, before: ComplexStats, after: ComplexStats) -> None:
         self.grade = grade
         self._after: ComplexStats | None = after
         self._before: ComplexStats | None = before
         self._graph: list[int] | None = None
+        self._survivors: tuple[int, ...] | None = None
 
     @classmethod
     def _of_graph(
-        cls, grade: float, graph: list[int], after: ComplexStats | None
+        cls,
+        grade: float,
+        graph: list[int],
+        survivors: tuple[int, ...] | None = None,
+        after: ComplexStats | None = None,
     ) -> SnapshotStats:
         """Stats whose ``before`` is counted from *graph* when first read,
-        and whose ``after`` is *after*, or ``before`` when *after* is None."""
+        and whose ``after`` is *after*, or else is counted from the core on
+        *survivors* when first read, or is ``before`` when *survivors* is
+        None."""
         s = cls.__new__(cls)
-        s.grade, s._after, s._before, s._graph = grade, after, None, graph
+        s.grade, s._after, s._before = grade, after, None
+        s._graph, s._survivors = graph, survivors
         return s
 
     @property
     def before(self) -> ComplexStats:
         if self._before is None:
-            with _BEFORE_LOCK:
+            with _STATS_LOCK:
                 if self._before is None:
                     graph = self._graph
                     self._before = _clique_stats(len(graph), maximal_cliques(graph))
-                    self._graph = None
+                    self._release()
         return self._before
 
     @property
     def after(self) -> ComplexStats:
-        return self.before if self._after is None else self._after
+        if self._after is None:
+            if self._survivors is None:
+                return self.before
+            with _STATS_LOCK:
+                if self._after is None:
+                    core = self._survivors
+                    self._after = _clique_stats(len(core), _core_cliques(self._graph, core))
+                    self._release()
+        return self._after
+
+    def _release(self) -> None:
+        """Drop the graph once neither stat needs it."""
+        if self._before is not None and (self._after is not None or self._survivors is None):
+            self._graph = None
 
     def _key(self) -> tuple[float, ComplexStats, ComplexStats]:
         return (self.grade, self.before, self.after)
@@ -134,10 +162,13 @@ class SnapshotStats:
 class PipelineTimings:
     """The three timed phases, in seconds."""
 
-    collapse_max: float  # slowest single-snapshot graph collapse, flag_core (MCT)
-    # the tower and the level join of its filtration's arrays and faces (AT),
-    # or the oracle's cap check on its last snapshot and its level join; not
-    # the graphs, nor the oracle's stats, counted when read
+    # slowest single-snapshot graph collapse, flag_core's collapse step,
+    # which enumerates no clique (MCT)
+    collapse_max: float
+    # the tower, the cap check's census of its graph and the level join of
+    # its filtration's arrays and faces (AT), or the oracle's cap check on
+    # its last snapshot and its level join; not the graphs, nor the stats,
+    # counted when read
     assembly: float
     # the boundary-matrix reduction (PDT), after the arrays' cheap checks
     reduction: float
@@ -311,32 +342,69 @@ def _snapshot_graphs(
 def _collapsed(
     grades: list[float], graphs: list[list[int]], workers: int, cap: int
 ) -> PipelineResult:
-    """The collapsed pipeline on the snapshot *graphs* at *grades*."""
+    """The collapsed pipeline on the snapshot *graphs* at *grades*.
 
-    def job(adj: list[int]) -> tuple[FlagCore, float]:
+    Each snapshot is collapsed, and its core's cliques are enumerated only
+    when its ``after`` stats are first read, or when the cap check below
+    needs them.  The cap is checked once, on the tower's graded graph T
+    before its join: every vertex and edge the tower ever includes, or a
+    Contract adds.  Core j, in its tower ids S_j, is a subgraph of T on
+    S_j, as :func:`~ripscollapse.tower.assemble_tower` checks that the live
+    graph at grade j is core j, and T never loses an edge.  An added edge
+    raises the projected cell count P, and no induced subgraph has a larger
+    P than its graph (see :func:`_snapshot_filtration`), so P(core j) <=
+    P(T[S_j]) <= P(T) for every j.  When P(T) is within *cap*, every core
+    is; otherwise the cores are enumerated in grade order, and
+    :class:`ExpansionCapError` is raised at the first one over *cap*.  Either
+    way it comes before any cell is built.
+    """
+
+    def job(adj: list[int]) -> tuple[tuple[int, ...], list[int], float]:
         t0 = perf_counter()
-        result = flag_core(adj)
-        return result, perf_counter() - t0
+        survivors, retraction, _, _ = _flag_collapse(adj)
+        return survivors, retraction, perf_counter() - t0
 
-    results = _map_ordered(job, graphs, workers)
-    stats = tuple(
-        SnapshotStats._of_graph(g, graph, _clique_stats(len(res.survivors), res.cliques))
-        for g, graph, (res, _) in zip(grades, graphs, results)
-    )
-    collapse_max = max(elapsed for _, elapsed in results)
-    for res, _ in results:
-        check_expansion_cap(res.cliques, cap)
+    survivors, retractions, elapsed = zip(*_map_ordered(job, graphs, workers))
     t0 = perf_counter()
     cores = []
-    for graph, (res, _) in zip(graphs, results):
-        kept = sum(1 << q for q in res.survivors)
-        cores.append({q: graph[q] & kept for q in res.survivors})
-    tower = assemble_tower(cores, [res.retraction for res, _ in results], grades)
+    for graph, core in zip(graphs, survivors):
+        kept = sum(1 << q for q in core)
+        cores.append({q: graph[q] & kept for q in core})
+    tower_graph = _tower_graph(cores, retractions, grades)
+    after: list[ComplexStats | None] = [None] * len(graphs)
+    if _tower_projection(len(tower_graph.ids), tower_graph.keys) > cap:
+        for j, (graph, core) in enumerate(zip(graphs, survivors)):
+            cliques = _core_cliques(graph, core)
+            check_expansion_cap(cliques, cap)
+            after[j] = _clique_stats(len(core), cliques)
+    tower = _tower_of(tower_graph)
     assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(tower.arrays)
-    timings = PipelineTimings(collapse_max, assembly, perf_counter() - t0)
+    timings = PipelineTimings(max(elapsed), assembly, perf_counter() - t0)
+    stats = tuple(
+        SnapshotStats._of_graph(g, graph, core, counted)
+        for g, graph, core, counted in zip(grades, graphs, survivors, after)
+    )
     return PipelineResult(diagram, tower, stats, timings)
+
+
+def _tower_projection(n: int, keys: np.ndarray) -> int:
+    """The projected cell count P of the graph on *n* vertices with the
+    edges ``u * n + v``, *keys*: the sum of 2^|c| - 1 over its maximal
+    cliques c."""
+    return sum(2 ** len(c) - 1 for c in maximal_cliques(_keyed_bitsets(n, keys)))
+
+
+def _keyed_bitsets(n: int, keys: np.ndarray) -> list[int]:
+    """The graph on *n* vertices with the edges ``u * n + v``, *keys*, as
+    one bitset of neighbours per vertex."""
+    adj = [0] * n
+    us, vs = np.divmod(keys, n)
+    for u, v in zip(us.tolist(), vs.tolist()):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
@@ -351,7 +419,7 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     timings = PipelineTimings(0.0, assembly, perf_counter() - t0)
     # the cap check counted the last snapshot; the others are counted when read
     stats = tuple(
-        SnapshotStats._of_graph(g, graph, None) for g, graph in zip(grades[:-1], graphs)
+        SnapshotStats._of_graph(g, graph) for g, graph in zip(grades[:-1], graphs)
     ) + (SnapshotStats(grades[-1], last, last),)
     # the graph it expands: its vertices, all at the first grade, then its edges
     ops = [

@@ -8,6 +8,8 @@ recursion).  Because a snapshot is a flag complex, :func:`flag_core`
 strong-collapses it on the graph itself, by closed-neighbourhood containment
 on int bitsets, enumerates cliques only on the core, and returns the core as
 plain data: its cliques, and its retraction as a list indexed by point.
+The pipeline runs its collapse step alone, and its clique step only when a
+core's cliques are needed.
 Vertex ids are point indices and are identical across all snapshots, which
 is what lets the collapse cores of consecutive snapshots be compared
 vertex-by-vertex downstream.
@@ -216,7 +218,9 @@ def maximal_cliques(adj: list[int]) -> list[Simplex]:
 
 
 class FlagCore(NamedTuple):
-    """The core of a flag complex, as :func:`flag_core` returns it."""
+    """The core of a flag complex, as :func:`flag_core` returns it: the
+    collapse step's survivors, retraction, events and test count, and the
+    clique step's maximal cliques."""
 
     survivors: tuple[int, ...]  # the core's vertices, in increasing order
     cliques: list[Simplex]  # its maximal cliques, in lexicographic order
@@ -244,13 +248,28 @@ def flag_core(adj: list[int]) -> FlagCore:
     neighbours of ``z``.  This drops only non-dominators, so the dominator
     found is the same as without it.
 
-    The core's maximal cliques are those of the survivors' induced graph.
     The retraction composes the removals, so it sends each point to a
-    survivor and fixes every survivor.
+    survivor and fixes every survivor.  The core's maximal cliques are
+    those of the survivors' induced graph.  The two steps are separate
+    functions, :func:`_flag_collapse` and :func:`_core_cliques`: the
+    pipeline runs the first alone, and enumerates a core's cliques only
+    where its cap check or its stats need them.
     """
+    survivors, retraction, events, tests = _flag_collapse(adj)
+    return FlagCore(survivors, _core_cliques(adj, survivors), retraction, events, tests)
+
+
+def _flag_collapse(
+    adj: list[int],
+) -> tuple[tuple[int, ...], list[int], tuple[RowEvent, ...], int]:
+    """The collapse step of :func:`flag_core` on the graph *adj*: the
+    survivors, the retraction, the events and the candidate test count."""
     n = len(adj)
     closed = [a | 1 << v for v, a in enumerate(adj)]
-    alive = (1 << n) - 1
+    # every nx lies within full, so nx - N[y] is one AND with outside[y]
+    full = (1 << n) - 1
+    outside = [full ^ c for c in closed]
+    alive = full
     queued = alive
     queue = list(range(n))
     events: list[RowEvent] = []
@@ -264,7 +283,7 @@ def flag_core(adj: list[int]) -> FlagCore:
             y = low.bit_length() - 1
             cand ^= low
             tests += 1
-            miss = nx & ~closed[y]
+            miss = nx & outside[y]
             if miss:
                 # a dominator of x is adjacent to the witness z, the lowest
                 # vertex of miss; z itself is none, as y is in N[x], not N[z]
@@ -276,15 +295,17 @@ def flag_core(adj: list[int]) -> FlagCore:
                 queued |= fresh
                 queue.extend(_bits(fresh))
                 break
+    return _bits(alive), _retraction(list(range(n)), events), tuple(events), tests
 
-    survivors = _bits(alive)
+
+def _core_cliques(adj: list[int], survivors: Sequence[int]) -> list[Simplex]:
+    """The maximal cliques, in lexicographic order, of the subgraph of the
+    graph *adj* induced on the increasing vertices *survivors*."""
     pos = {v: i for i, v in enumerate(survivors)}
+    alive = sum(1 << v for v in survivors)
     sub = [0] * len(survivors)
     for i, v in enumerate(survivors):
         for w in _bits(adj[v] & alive):
             sub[i] |= 1 << pos[w]
     # survivors increase, so relabelling keeps the lexicographic order
-    cliques = [tuple(survivors[i] for i in c) for c in maximal_cliques(sub)]
-    return FlagCore(
-        survivors, cliques, _retraction(list(range(n)), events), tuple(events), tests
-    )
+    return [tuple(survivors[i] for i in c) for c in maximal_cliques(sub)]

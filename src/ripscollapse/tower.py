@@ -35,7 +35,7 @@ its vertices and its edges that are not yet live.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -158,6 +158,28 @@ def assemble_tower(
     rewritten through a point-to-tower-id table; a returning point is given
     a fresh id.
     """
+    return _tower_of(_tower_graph(cores, retractions, grades))
+
+
+class _TowerGraph(NamedTuple):
+    """The graded graph of a tower, whose level join builds its cells, and
+    the tower's ops."""
+
+    ids: np.ndarray  # the tower ids, increasing
+    at: np.ndarray  # the index of the grade that includes each id
+    keys: np.ndarray  # each edge as rank(a) * len(ids) + rank(b), a < b, sorted
+    first: np.ndarray  # the index of the grade that adds each edge
+    ops: list[tuple[Simplex, float] | tuple[int, int, float]]
+    grades: list[float]
+
+
+def _tower_graph(
+    cores: Sequence[Mapping[int, int]],
+    retractions: Sequence[Sequence[int]],
+    grades: Sequence[float],
+) -> _TowerGraph:
+    """The checks and the ops of :func:`assemble_tower`, and the graded
+    graph its cells are the cliques of."""
     if not (len(cores) == len(retractions) == len(grades)):
         raise ValueError("cores, retractions and grades must have equal length")
     if not all(cores):
@@ -287,7 +309,14 @@ def assemble_tower(
     first, a, b = np.array(edges, np.int64).reshape(-1, 3).T
     keys = np.searchsorted(ids, a) * len(ids) + np.searchsorted(ids, b)
     order = np.argsort(keys)
-    ranked = _level_join(at, keys.take(order), first.take(order), grades)
+    return _TowerGraph(ids, at, keys.take(order), first.take(order), ops, grades)
+
+
+def _tower_of(graph: _TowerGraph) -> Tower:
+    """The tower of the graded *graph*: its ops, and its cells built by the
+    level join of the graph."""
+    ranked = _level_join(graph.at, graph.keys, graph.first, graph.grades)
     # ids are sorted, so renamed rows still increase; faces name rows, not ids
-    vertices = [ids.take(v) for v in ranked.vertices]
-    return Tower(CellArrays(vertices, ranked.grades, ranked.positions, ranked.faces), ops)
+    vertices = [graph.ids.take(v) for v in ranked.vertices]
+    cells = CellArrays(vertices, ranked.grades, ranked.positions, ranked.faces)
+    return Tower(cells, graph.ops)

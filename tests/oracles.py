@@ -119,6 +119,19 @@ def neighborhood_bitsets(D, t):
     ]
 
 
+def tower_graph(tower):
+    """The graph whose clique filtration is *tower*'s, read off its cells:
+    a vertex per vertex cell and an edge per edge cell, as bitsets on the
+    vertices' ranks."""
+    vertices = tower.arrays.vertices
+    rank = {v: i for i, v in enumerate(vertices[0][:, 0].tolist())}
+    adj = [0] * len(rank)
+    for a, b in vertices[1].tolist() if len(vertices) > 1 else ():
+        adj[rank[a]] |= 1 << rank[b]
+        adj[rank[b]] |= 1 << rank[a]
+    return adj
+
+
 def rips_snapshot(D, t):
     """Maximal simplices of the Rips complex of *D* at threshold *t*, as
     columns numbered in lexicographic order of their cliques."""

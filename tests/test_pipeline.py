@@ -19,10 +19,11 @@ from oracles import (
     naive_flag_tower_filtration,
     naive_maximal_cliques,
     rips_snapshot,
+    tower_graph,
 )
 
 import ripscollapse
-from ripscollapse import persistence, pipeline
+from ripscollapse import persistence, pipeline, rips, tower
 from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, check_expansion_cap
 from ripscollapse.errors import ExpansionCapError, ReductionMemoryError
 from ripscollapse.io_formats import write_diagram, write_tower
@@ -391,27 +392,42 @@ def test_an_added_edge_raises_the_projected_count_and_a_subgraph_never_does():
     assert added > 800
 
 
-def test_cap_refusals_keep_their_order():
+def test_cap_refusals_keep_their_order(monkeypatch):
     """At a cap just below and at each core's and each snapshot's projected
-    count, a comparison refuses at the first core over the cap, in grade
-    order, and then at the first snapshot over it; an uncollapsed run at
-    the first snapshot over it.  Where none is over, the run passes."""
+    count, and at that of the tower's graph T, a collapsed run refuses at
+    the first core over the cap, in grade order, before the tower's level
+    join; a comparison refuses there too, and then at the first snapshot
+    over the cap; an uncollapsed run at the first snapshot over it.  Where
+    none is over, the run passes, also where T is over the cap and the
+    cores are scanned."""
+    join = tower._level_join
+    joined = []
+
+    def counted_join(*args):
+        joined.append(1)
+        return join(*args)
+
+    monkeypatch.setattr(tower, "_level_join", counted_join)
     rng = random.Random(39)
-    refused = 0
+    refused = scanned = 0
     for _ in range(8):
         D = pairwise_distances([(rng.random(), rng.random()) for _ in range(rng.randint(6, 18))])
         grades = sorted(rng.sample([0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4], rng.randint(1, 4)))
         graphs = graded_bitsets(D, grades)
         snapshots = [_projected(adj) for adj in graphs]
         cores = [check_expansion_cap(flag_core(adj).cliques, 1 << 64) for adj in graphs]
-        for cap in sorted({p + d for p in cores + snapshots for d in (-1, 0)} - {0}):
-            for run, counts in (
-                (lambda: compare_pipelines(D, grades, cap=cap), cores + snapshots),
-                (lambda: run_pipeline(D, grades, collapse=False, cap=cap), snapshots),
+        whole = _projected(tower_graph(run_pipeline(D, grades, cap=1 << 64).tower))
+        for cap in sorted({p + d for p in cores + snapshots + [whole] for d in (-1, 0)} - {0}):
+            for collapsed, run, counts in (
+                (True, lambda: run_pipeline(D, grades, cap=cap), cores),
+                (False, lambda: compare_pipelines(D, grades, cap=cap), cores + snapshots),
+                (False, lambda: run_pipeline(D, grades, collapse=False, cap=cap), snapshots),
             ):
                 over = [p for p in counts if p > cap]
+                joined.clear()
                 if not over:
                     run()
+                    scanned += collapsed and whole > cap
                     continue
                 with pytest.raises(ExpansionCapError) as caught:
                     run()
@@ -422,8 +438,25 @@ def test_cap_refusals_keep_their_order():
                     str(want),
                 )
                 assert caught.value.__context__ is None
+                if collapsed:
+                    assert joined == []
                 refused += 1
-    assert refused > 50
+    assert refused > 150 and scanned > 20
+
+
+def test_no_core_projects_more_than_the_tower_graph():
+    """The collapsed run checks its cap on the tower's graph T alone: each
+    core's projected count is at most T's, read off the tower's vertex and
+    edge cells, on seeded random clouds (the workloads' default clouds are
+    checked in ``test_workload_towers``)."""
+    rng = random.Random(41)
+    for _ in range(40):
+        n, dim = rng.randint(2, 40), rng.randint(1, 3)
+        D = pairwise_distances([[rng.random() for _ in range(dim)] for _ in range(n)])
+        grades = sorted(rng.sample([0.1 * k for k in range(1, 11)], rng.randint(1, 6)))
+        whole = _projected(tower_graph(run_pipeline(D, grades).tower))
+        for adj in graded_bitsets(D, grades):
+            assert check_expansion_cap(flag_core(adj).cliques, 1 << 64) <= whole
 
 
 def test_bad_cap_fails_before_any_snapshot(monkeypatch):
@@ -436,7 +469,7 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
 
         return wrapper
 
-    for name in ("flag_core", "maximal_cliques"):
+    for name in ("_flag_collapse", "_core_cliques", "maximal_cliques"):
         monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
     rng = random.Random(30)
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
@@ -451,15 +484,24 @@ def test_bad_cap_fails_before_any_snapshot(monkeypatch):
             with pytest.raises(ValueError, match="at least 1"):
                 run(cap)
         assert calls == []
-    # the wrappers do count: a valid cap reaches both stages
-    for s in run_pipeline(D, grades).snapshots:
+    # the wrappers do count: a valid cap reaches every stage.  The collapsed
+    # run collapses each snapshot and enumerates its tower's graph; reading
+    # the before stats enumerates each snapshot, and no core is enumerated
+    snapshots = run_pipeline(D, grades).snapshots
+    for s in snapshots:
         s.before
-    assert calls.count("flag_core") == 4 and calls.count("maximal_cliques") == 4
+    assert calls.count("_flag_collapse") == 4 and calls.count("maximal_cliques") == 5
+    assert calls.count("_core_cliques") == 0
     # the oracle's cap check enumerates its last snapshot alone
     run_pipeline(D, grades, collapse=False)
-    assert calls.count("maximal_cliques") == 5
+    assert calls.count("maximal_cliques") == 6
     compare_pipelines(D, grades)
-    assert calls.count("flag_core") == 8 and calls.count("maximal_cliques") == 6
+    assert calls.count("_flag_collapse") == 8 and calls.count("maximal_cliques") == 8
+    assert calls.count("_core_cliques") == 0
+    # each core is enumerated on its first after read
+    for s in snapshots:
+        s.after
+    assert calls.count("_core_cliques") == 4 and len(calls) == 20
 
 
 def _refusal(run):
@@ -542,8 +584,9 @@ def test_clique_count_counts_every_clique():
 
 def _count_full_snapshot_cliques(monkeypatch):
     """A list that grows by one on each pipeline-level ``maximal_cliques``
-    call, that is once per full snapshot enumerated; ``flag_core`` reaches
-    ``rips.maximal_cliques`` for its cores and is not counted."""
+    call, that is once per full snapshot and per tower graph enumerated;
+    the cores' cliques go through ``rips.maximal_cliques`` and are not
+    counted."""
     calls = []
     enumerate_cliques = pipeline.maximal_cliques
 
@@ -560,18 +603,20 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
     rng = random.Random(31)
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
     grades = [0.1, 0.2, 0.3, 0.4]
-    snapshots = run_pipeline(D, grades).snapshots
-    assert calls == []
-    first = [s.before for s in snapshots]
-    assert len(calls) == len(grades)
-    assert [s.before for s in snapshots] == first
-    assert len(calls) == len(grades)
+    result = run_pipeline(D, grades)
+    # the cap check's census of the tower's graph is the run's one enumeration
+    whole = len(tower_graph(result.tower))
+    assert calls == [whole]
+    first = [s.before for s in result.snapshots]
+    assert calls == [whole] + [len(D)] * len(grades)
+    assert [s.before for s in result.snapshots] == first
+    assert len(calls) == 1 + len(grades)
     assert first == [complex_stats(rips_snapshot(D, g)) for g in grades]
-    # the oracle's cap check, on the last snapshot, is the only enumeration
-    # left in a comparison
+    # the oracle's cap check, on the last snapshot, is the only other
+    # enumeration in a comparison
     calls.clear()
     compare_pipelines(D, grades)
-    assert calls == [len(D)]
+    assert calls == [whole, len(D)]
     # an uncollapsed run counts each earlier snapshot on its first read
     calls.clear()
     snapshots = run_pipeline(D, grades, collapse=False).snapshots
@@ -580,6 +625,49 @@ def test_full_snapshot_cliques_are_enumerated_once_and_only_when_read(monkeypatc
     assert len(calls) == len(grades)
     assert [s.before for s in snapshots] == first
     assert len(calls) == len(grades)
+
+
+def _core_stats(core):
+    """The stats of the ``flag_core`` result *core*, counted by the oracle."""
+    return complex_stats(dict(enumerate(core.cliques)))
+
+
+def test_a_collapsed_run_enumerates_its_cores_only_when_read(monkeypatch):
+    """Counting every Bron-Kerbosch run: a collapsed run enumerates one
+    graph, its tower's, until its stats are read, and then each core once,
+    on its first ``after`` read.  At a cap below the tower graph's count
+    but at or above every core's, the cap check enumerates each core once,
+    and the ``after`` stats reuse those counts."""
+    rng = random.Random(34)
+    D = pairwise_distances([(rng.random(), rng.random()) for _ in range(30)])
+    grades = [0.1, 0.2, 0.3, 0.4]
+    cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
+    want = [_core_stats(c) for c in cores]
+    sizes = [len(c.survivors) for c in cores]
+    whole = tower_graph(run_pipeline(D, grades).tower)
+    calls = []
+    enumerate_cliques = rips.maximal_cliques
+
+    def counted(adj):
+        calls.append(len(adj))
+        return enumerate_cliques(adj)
+
+    monkeypatch.setattr(pipeline, "maximal_cliques", counted)
+    monkeypatch.setattr(rips, "maximal_cliques", counted)
+    snapshots = run_pipeline(D, grades).snapshots
+    assert calls == [len(whole)]
+    assert [s.after for s in snapshots] == want
+    assert calls == [len(whole)] + sizes
+    assert [s.after for s in snapshots] == want
+    assert [s.before for s in snapshots] == [complex_stats(rips_snapshot(D, g)) for g in grades]
+    assert calls == [len(whole)] + sizes + [len(D)] * len(grades)
+    # the cap check's scan of the cores counts them once for the stats too
+    cap = _projected(whole) - 1
+    assert max(check_expansion_cap(c.cliques, 1 << 64) for c in cores) <= cap
+    calls.clear()
+    snapshots = run_pipeline(D, grades, cap=cap).snapshots
+    assert [s.after for s in snapshots] == want
+    assert calls == [len(whole)] + sizes
 
 
 def test_each_path_indexes_its_own_filtration_once(monkeypatch):
@@ -622,12 +710,20 @@ def test_lazy_before_stats_behave_as_values(monkeypatch):
     rng = random.Random(32)
     D = pairwise_distances([(rng.random(), rng.random()) for _ in range(40)])
     grades = [0.2, 0.4, 0.6]
-    lazy = run_pipeline(D, grades).snapshots
+    cores = [flag_core(adj) for adj in graded_bitsets(D, grades)]
     eager = tuple(
-        SnapshotStats(s.grade, complex_stats(rips_snapshot(D, s.grade)), s.after) for s in lazy
+        SnapshotStats(g, complex_stats(rips_snapshot(D, g)), _core_stats(c))
+        for g, c in zip(grades, cores)
     )
+    lazy = run_pipeline(D, grades).snapshots
     assert [repr(s) for s in lazy] == [repr(s) for s in eager]
+    lazy = run_pipeline(D, grades).snapshots
     assert lazy == eager and list(map(hash, lazy)) == list(map(hash, eager))
+    lazy = run_pipeline(D, grades).snapshots
+    assert list(map(hash, lazy)) == list(map(hash, eager)) and lazy == eager
+    # each stat read first, alone, on a fresh run
+    assert [s.after for s in run_pipeline(D, grades).snapshots] == [s.after for s in eager]
+    assert [s.before for s in run_pipeline(D, grades).snapshots] == [s.before for s in eager]
     # a fresh run, so that the CSV writer is the first reader
     assert stats_to_csv(run_pipeline(D, grades).snapshots) == stats_to_csv(eager)
     # the uncollapsed run's stats are lazy too, and its after is its before
@@ -639,21 +735,35 @@ def test_lazy_before_stats_behave_as_values(monkeypatch):
     flat = run_pipeline(D, grades, collapse=False).snapshots
     assert stats_to_csv(flat) == stats_to_csv(unchanged)
 
-    # threads that read one snapshot's before at once get one value, counted once
+    # threads that read one snapshot's stats at once, half of them after
+    # first, get one value of each, and each is counted once
     calls = _count_full_snapshot_cliques(monkeypatch)
+    counted_cores = []
+    core_cliques = pipeline._core_cliques
+
+    def counted_core(adj, survivors):
+        counted_cores.append(1)
+        return core_cliques(adj, survivors)
+
+    monkeypatch.setattr(pipeline, "_core_cliques", counted_core)
     snapshot = run_pipeline(D, grades[-1:]).snapshots[0]
+    calls.clear()
     readers = 8
     barrier = threading.Barrier(readers)
     seen = []
 
-    def read():
+    def read(k):
         barrier.wait(timeout=10)
-        seen.append(snapshot.before)
+        if k % 2:
+            after = snapshot.after
+            seen.append((snapshot.before, after))
+        else:
+            seen.append((snapshot.before, snapshot.after))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
         for t in threads:
             t.start()
         for t in threads:
@@ -661,8 +771,8 @@ def test_lazy_before_stats_behave_as_values(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert seen == [eager[-1].before] * readers
-    assert len(calls) == 1
+    assert seen == [(eager[-1].before, eager[-1].after)] * readers
+    assert len(calls) == 1 and len(counted_cores) == 1
 
 
 def test_workers_validation():

@@ -22,8 +22,9 @@ off the faces that per-dimension vertex arrays carry.  No other function
 builds a ``BoundaryMatrix`` itself, and no other module names the
 ``FiltrationOrderError`` that their checks raise.  Those arrays, a
 ``CellArrays``, are built only where their faces are known: by the level
-join, ``persistence._level_join``, and by ``tower.assemble_tower``, which
-renames the join's vertices and keeps its faces.  Both producers'
+join, ``persistence._level_join``, and by ``tower._tower_of``, the join
+step of ``tower.assemble_tower``, which renames the join's vertices and
+keeps its faces.  Both producers'
 filtrations are indexed and reduced through
 ``compute_persistence``: no other module calls
 ``BoundaryMatrix.from_filtration`` or ``_diagram``.  One function reduces
@@ -35,9 +36,12 @@ by one level join: ``_level_join`` has one definition, and both ``tower``
 and ``pipeline`` call it.
 
 The uncollapsed oracle checks its expansion cap on its last snapshot's
-maximal cliques, and a snapshot's stats are counted only when read: the
-pipeline calls ``maximal_cliques`` only in ``SnapshotStats.before`` and in
-the cap check of ``_snapshot_filtration``.
+maximal cliques, the collapsed run on those of its tower's graph, and a
+snapshot's stats are counted only when read: the pipeline calls
+``maximal_cliques`` only in ``SnapshotStats.before``, in the cap check of
+``_snapshot_filtration`` and in ``_tower_projection``, and it enumerates a
+core's cliques only in ``SnapshotStats.after`` and in the collapsed run's
+scan of the cores, when its tower's graph is over the cap.
 
 Modules share private names only through the seams listed in
 ``PRIVATE_SEAMS``, and every seam listed is used: outside ``__init__``, no
@@ -63,6 +67,10 @@ PRIVATE_SEAMS = {
     ("tower", "persistence", "_level_join"),
     ("pipeline", "persistence", "_check_cells"),
     ("pipeline", "persistence", "_level_join"),
+    ("pipeline", "rips", "_core_cliques"),
+    ("pipeline", "rips", "_flag_collapse"),
+    ("pipeline", "tower", "_tower_graph"),
+    ("pipeline", "tower", "_tower_of"),
 }
 LEVEL_JOIN = "_level_join"
 
@@ -298,7 +306,7 @@ def test_only_the_join_and_the_tower_build_cell_arrays():
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         callers.extend((path.stem, fn) for fn in _callers(tree, "CellArrays"))
-    assert sorted(callers) == [("persistence", "_level_join"), ("tower", "assemble_tower")]
+    assert sorted(callers) == [("persistence", "_level_join"), ("tower", "_tower_of")]
 
 
 def test_private_names_cross_only_the_listed_seams():
@@ -353,5 +361,11 @@ def test_one_function_reduces_the_blocks():
 def test_pipeline_enumerates_full_snapshots_only_for_stats_and_the_cap():
     path = Path(ripscollapse.__file__).parent / "pipeline.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert sorted(_callers(tree, "maximal_cliques")) == ["_snapshot_filtration", "before"]
-    assert len(_calls(tree, "maximal_cliques")) == 3
+    assert sorted(_callers(tree, "maximal_cliques")) == [
+        "_snapshot_filtration",
+        "_tower_projection",
+        "before",
+    ]
+    assert len(_calls(tree, "maximal_cliques")) == 4
+    assert sorted(_callers(tree, "_core_cliques")) == ["_collapsed", "after"]
+    assert len(_calls(tree, "_core_cliques")) == 2

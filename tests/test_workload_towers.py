@@ -16,7 +16,9 @@ held-out torus cloud's.  (The circle clouds' uncollapsed oracle passes the
 expansion cap, and the default torus cloud's holds 538,825 cells, too many
 to judge a cell at a time here.)
 The tower's cells and contractions are pinned: they count the assembly's
-work, noise-free.
+work, noise-free.  So are the largest core's and the tower graph's
+projected cell counts: the collapsed run checks its expansion cap on the
+tower's graph alone, which no core may exceed.
 
 At every grade, the collapsed diagram's bars alive there must count, with
 alternating signs by dimension, the Euler characteristic of the full
@@ -41,14 +43,15 @@ from oracles import (
     naive_check_filtration,
     naive_flag_tower_filtration,
     naive_tower_to_filtration,
+    tower_graph,
 )
 
 from ripscollapse import persistence
-from ripscollapse.complexes import DEFAULT_EXPANSION_CAP
+from ripscollapse.complexes import DEFAULT_EXPANSION_CAP, check_expansion_cap
 from ripscollapse.errors import ReductionMemoryError
 from ripscollapse.persistence import BoundaryMatrix, compute_persistence
 from ripscollapse.pipeline import run_pipeline
-from ripscollapse.rips import flag_core, graded_bitsets, pairwise_distances
+from ripscollapse.rips import flag_core, graded_bitsets, maximal_cliques, pairwise_distances
 from ripscollapse.tower import assemble_tower
 
 
@@ -108,6 +111,29 @@ def test_workload_tower_passes_the_judges(name, monkeypatch):
     assert boundary_index_of(matrix) == naive_boundary_index(tower.cells)
     if w.api == "compare_pipelines":
         run_pipeline(D, grades, collapse=False)
+
+
+# (largest core's, tower graph's) projected cell count on each workload's
+# default cloud: the collapsed run checks its cap on the second alone
+PROJECTIONS = {
+    "circle-snapshots": (630, 3755),
+    "oracle-compare": (117, 466),
+    "torus-tower": (37397, 62821),
+}
+
+
+@pytest.mark.parametrize("seed", ["cloud_seed", "held_out_seed"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_no_core_projects_more_than_the_tower_graph(name, seed):
+    """Each core's projected cell count is at most that of the tower's
+    graph, read off the tower's vertex and edge cells."""
+    w = WORKLOADS[name]
+    cores, tower = _assembled(pairwise_distances(w.cloud(getattr(w, seed), w.n)), w.grades())
+    largest = max(check_expansion_cap(c.cliques, 1 << 64) for c in cores)
+    whole = check_expansion_cap(maximal_cliques(tower_graph(tower)), 1 << 64)
+    assert largest <= whole
+    if seed == "cloud_seed":
+        assert (largest, whole) == PROJECTIONS[name]
 
 
 def _join_index_is_naive(arrays, cells):
