@@ -19,11 +19,16 @@ pairs and on its per-dimension vertex arrays (``Tower.arrays``), which
 the collapsed pipeline indexes and reduces.
 ``tests/test_workload_towers.py`` checks those towers against the oracles.
 
-The index section times the oracle's cell build (the level join,
-``persistence._level_join``, of the graded edges of ``graded_bitsets``'
-graphs, ``pipeline._graded_edges``, which builds per-dimension vertex
-arrays level by level and finds each cell's faces as it builds the cell),
-the arrays' pairs (``CellArrays.cells``), and
+The index section times the oracle's cell build: the level join,
+``persistence._level_join``, of the last graph's edges, graded by
+``rips._graded_graphs``, the pass of ``graded_bitsets``.  The join builds
+the cells level by level, carrying each as its prefix and its last
+vertex, and finds each cell's faces as it builds the cell.  It holds the
+vertex rows of the vertices and the edges alone: the section prints the
+vertex ids held in rows of dimension 2 and up after the join and once
+``CellArrays.vertices`` has been read, and times that first read, which
+builds those rows from the faces, as its own row.  It then times the
+arrays' pairs (``CellArrays.cells``), and
 ``BoundaryMatrix.from_filtration`` and ``compute_persistence`` on those
 pairs and on the arrays themselves, for the uncollapsed filtration of the
 oracle-compare workload's grades, on its default and held-out clouds,
@@ -64,11 +69,11 @@ from ripscollapse.collapse import core  # noqa: E402
 from ripscollapse.persistence import (  # noqa: E402
     _MAX_PACKED_BYTES,
     BoundaryMatrix,
+    CellArrays,
     _level_join,
     compute_persistence,
 )
 from ripscollapse.pipeline import (  # noqa: E402
-    _graded_edges,
     _keyed_bitsets,
     _tower_projection,
     run_pipeline,
@@ -76,6 +81,7 @@ from ripscollapse.pipeline import (  # noqa: E402
 from ripscollapse.rips import (  # noqa: E402
     SnapshotSchedule,
     _flag_collapse,
+    _graded_graphs,
     flag_core,
     graded_bitsets,
     maximal_cliques,
@@ -174,13 +180,22 @@ def bench_index():
     for seed in (w.cloud_seed, w.held_out_seed):
         print(f"--- oracle cells and boundary index ({w.n}-point {w.cloud.__name__} cloud {seed},"
               f" {len(grades)} grades from {w.start} by {w.step}, uncollapsed) ---")
-        graphs = graded_bitsets(pairwise_distances(w.cloud(seed, w.n)), grades)
+        graphs, *edges = _graded_graphs(pairwise_distances(w.cloud(seed, w.n)), grades)
         def build():
-            return _level_join(np.zeros(len(graphs[0]), np.intp), *_graded_edges(graphs), grades)
+            return _level_join(np.zeros(len(graphs[0]), np.intp), *edges, grades)
 
         arrays = build()
+        held = arrays._rows
+        def first_read():
+            return CellArrays(held, arrays.grades, arrays.positions, arrays.faces).vertices
+
+        before = sum(rows.size for rows in held[2:] if isinstance(rows, np.ndarray))
+        after = sum(rows.size for rows in arrays.vertices[2:])
         cells = arrays.cells()
         print(f"  join, faces found:   {_ms(_time(build))}")
+        print(f"  vertex ids in rows of dimension >= 2: {before} after the join,"
+              f" {after} once vertices is read")
+        print(f"  first vertices read: {_ms(_time(first_read))}")
         print(f"  ... as pairs:        {_ms(_time(arrays.cells))}")
         matrix = BoundaryMatrix.from_filtration(cells)
         faces = sum(f.size for f in matrix.faces)

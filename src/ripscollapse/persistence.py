@@ -22,7 +22,10 @@ The tower's filtration and the uncollapsed oracle's are both the clique
 filtration of a graded graph, built by one level join, ``_level_join``, as
 a :class:`CellArrays`.  The join builds each cell from two cells of the
 level below, so it hands over each cell's faces with the cell, and the
-index trusts them, checks them cheaply and reads itself off them.
+index trusts them, checks them cheaply and reads itself off them.  It
+carries a cell as its prefix, its face 0, and its last vertex, so it holds
+the vertex rows of the vertices and the edges alone; the rows above, which
+the index never reads, are built from the faces when first read.
 
 Pairs from outside, ``(simplex, grade)`` with vertex ids of any hashable
 kind, are indexed by :meth:`BoundaryMatrix.from_filtration` in one checked
@@ -118,16 +121,31 @@ class CellArrays:
     faces are trusted to be those of the vertex rows, as the join that
     builds them knows them: the index checks only that each is a cell placed
     before its coface and that no cell repeats.  :meth:`cells` gives pairs.
+
+    The level join holds the rows of the vertices and the edges alone.  A
+    row of a higher dimension is its face 0's row followed by the last
+    vertex of its face 1's row, so those rows are built from the faces on
+    the first read of ``vertices``, and kept; the index reads none of them.
     """
 
-    __slots__ = ("vertices", "grades", "positions", "faces")
+    __slots__ = ("_rows", "grades", "positions", "faces")
 
     def __init__(
         self, vertices: Sequence[np.ndarray], grades: Sequence[np.ndarray],
         positions: Sequence[np.ndarray], faces: Sequence[np.ndarray],
     ) -> None:
-        self.vertices, self.grades = tuple(vertices), tuple(grades)
+        self._rows, self.grades = tuple(vertices), tuple(grades)
         self.positions, self.faces = tuple(positions), tuple(faces)
+
+    @property
+    def vertices(self) -> tuple[np.ndarray, ...]:
+        if any(rows is _DERIVED for rows in self._rows):
+            built = list(self._rows)
+            for d, faces in enumerate(self.faces):
+                if built[d] is _DERIVED:
+                    built[d] = _rows_above(built[d - 1], faces)
+            self._rows = tuple(built)
+        return self._rows
 
     def __len__(self) -> int:
         return sum(map(len, self.positions))
@@ -147,6 +165,16 @@ class CellArrays:
             cells[place[start : start + len(v)]] = np.fromiter(pairs, object, len(v))
             start += len(v)
         return tuple(cells)
+
+
+# stands in the join's arrays for the rows of a level above the edges
+_DERIVED = object()
+
+
+def _rows_above(below: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """The vertex rows of the cells whose *faces* are among the rows
+    *below*: each cell's face 0's row followed by its face 1's last vertex."""
+    return np.column_stack((below.take(faces[:, 0], axis=0), below[:, -1].take(faces[:, 1])))
 
 
 def _shared(values: np.ndarray) -> np.ndarray:
@@ -255,18 +283,22 @@ def _arrays_located(arrays: CellArrays) -> BoundaryMatrix | None:
     has checked the positions, the grade order, the edges, the faces and
     that no cell repeats; None when a check fails.  Arrays whose shapes
     disagree, which no pairs show, raise :class:`FiltrationOrderError` at
-    the count of cells of the dimensions below the first that disagrees."""
-    vertices, positions, faces = arrays.vertices, arrays.positions, arrays.faces
+    the count of cells of the dimensions below the first that disagrees.
+    The rows the join derives from the faces are read nowhere here: only
+    the vertices' and the edges' rows are."""
+    vertices, positions, faces = arrays._rows, arrays.positions, arrays.faces
     below = 0
     for d, level in enumerate(zip_longest(vertices, arrays.grades, positions, faces)):
         v, g, p, f = map(np.shape, level)  # a missing array has shape ()
         n = p[0] if len(p) == 1 else -1
+        if level[0] is _DERIVED:  # built from the faces, so of this shape
+            v = (n, d + 1)
         if (v, g, p, f) != ((n, d + 1), (n,), (n,), (n, d + 1 if d else 0)):
             shapes = f"vertices {v}, grades {g}, positions {p} and faces {f}"
             raise FiltrationOrderError(f"dimension {d} of the arrays has shapes {shapes}", below)
         below += n
     if not vertices or not all(
-        len(p) and v.dtype.kind == p.dtype.kind == f.dtype.kind == "i"
+        len(p) and (v is _DERIVED or v.dtype.kind == "i") and p.dtype.kind == f.dtype.kind == "i"
         for v, p, f in zip(vertices, positions, faces)
     ):
         return None  # no cells, or a dimension with no cells below a cell
@@ -446,7 +478,7 @@ def _level_join(
     vertex_at: np.ndarray, keys: np.ndarray, first: np.ndarray, grades: Sequence[float]
 ) -> CellArrays:
     """The clique (flag) filtration of a graded graph, as per-dimension
-    vertex arrays with each cell's faces.
+    arrays with each cell's faces.
 
     The graph's vertices are ``0 .. n - 1``, each included at the grade of
     index ``vertex_at[v]``, and its edges ``u < v`` the sorted keys
@@ -456,11 +488,16 @@ def _level_join(
     built level by level in NumPy, with no tuple per clique (Zomorodian's
     inductive construction): the vertices, the edges in key order, then the
     cliques one vertex larger than a level's, with their faces, by
-    :func:`_sibling_join`.  Each level comes out in lexicographic order, and
-    once the level above has read its faces it is sorted stably by grade,
-    its faces renumbered, and placed at the offsets of the (grade,
-    dimension) buckets.  Raises :class:`ReductionMemoryError` once the cells
-    built pass the cell budget, checked once per join chunk.
+    :func:`_sibling_join`.  A level is carried in lexicographic order as
+    each cell's last vertex, grade index and faces: face 0, the cell
+    without its last vertex, is the row of its prefix in the level below
+    (``u`` for an edge ``uv``), so no vertex row is built past the edges.
+    Once the level above has read its faces, a level is sorted stably by
+    grade, its faces renumbered, and placed at the offsets of the (grade,
+    dimension) buckets.  The arrays hold the vertices' and the edges' rows;
+    the rows above are built from the faces when first read (see
+    :class:`CellArrays`).  Raises :class:`ReductionMemoryError` once the
+    cells built pass the cell budget, checked once per join chunk.
     """
     n = len(vertex_at)
     u, v = np.divmod(keys, n)
@@ -469,65 +506,70 @@ def _level_join(
     held = n + len(keys)
     _check_cells(held)
     levels, placed, lookup = [], np.empty(0, np.int32), None
-    level, above = (np.arange(n)[:, None], vertex_at, np.empty((n, 0), np.intp)), (edges, at, edges)
-    while len(level[0]):
+    rows, lexicographic = [], [np.arange(n)[:, None], edges]  # the rows held
+    level, above = (None, vertex_at, np.empty((n, 0), np.intp)), (v, at, edges)
+    while len(level[1]):
         if levels:  # the level above the edges is joined from them, and so on
             above, lookup, held = _sibling_join(*level, lookup, keys, first, n, held)
-        *done, placed = _by_grade(*level, placed)
+        order, *done, placed = _by_grade(*level[1:], placed)
+        if lexicographic:
+            rows.append(lexicographic.pop(0).take(order, axis=0))
         levels.append(done)
         level = above  # frees the level's lexicographic copy
     # the cells of one (grade, dimension) bucket are contiguous, buckets in that order
-    counts = np.array([np.bincount(at, minlength=len(grades)) for _, at, _ in levels]).T
+    counts = np.array([np.bincount(at, minlength=len(grades)) for at, _ in levels]).T
     bucket = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)
     bucket -= np.cumsum(counts, axis=0) - counts  # less the rows before it in its dimension
     along = np.asarray(grades, np.float64)
     return CellArrays(
-        [rows for rows, _, _ in levels],
-        [along.take(at) for _, at, _ in levels],
-        [np.arange(len(at)) + bucket[:, d].take(at) for d, (_, at, _) in enumerate(levels)],
-        [faces for _, _, faces in levels],
+        rows + [_DERIVED] * (len(levels) - len(rows)),
+        [along.take(at) for at, _ in levels],
+        [np.arange(len(at)) + bucket[:, d].take(at) for d, (at, _) in enumerate(levels)],
+        [faces for _, faces in levels],
     )
 
 
-def _by_grade(rows: np.ndarray, at: np.ndarray, faces: np.ndarray, below: np.ndarray) -> tuple:
-    """A level's *rows*, grade indices *at* and *faces*, stably sorted by
-    grade, the faces renumbered by *below*, the place of each row of the
-    level below in its sort; and the place of each row of this level."""
+def _by_grade(at: np.ndarray, faces: np.ndarray, below: np.ndarray) -> tuple:
+    """The stable sort by grade of a level's cells at grade indices *at*
+    with *faces*; their grade indices and faces in it, the faces renumbered
+    by *below*, the place of each cell of the level below in its sort; and
+    the place of each cell of this level."""
     order = np.argsort(at, kind="stable")
     placed = np.empty(len(order), np.int32)  # halves the faces the result holds
     placed[order] = np.arange(len(order))
-    faces = below.take(faces.take(order, axis=0))
-    return rows.take(order, axis=0), at.take(order), faces, placed
+    return order, at.take(order), below.take(faces.take(order, axis=0)), placed
 
 
 def _sibling_join(
-    rows: np.ndarray, at: np.ndarray, faces: np.ndarray, lookup: tuple | None,
+    last: np.ndarray, at: np.ndarray, faces: np.ndarray, lookup: tuple | None,
     keys: np.ndarray, first: np.ndarray, n: int, held: int,
 ) -> tuple[tuple, tuple, int]:
-    """The cliques one vertex larger than the sorted cliques *rows* (at
-    grade indices *at*, with *faces* among the sorted rows below), as
-    ``(rows, at, faces)`` in lexicographic order; the *lookup* of their
-    pairs; and *held*, the cells built before them, plus their count, given
-    the edges' sorted *keys* and *first* grade indices.  Rows ``i < j`` that
-    share all but their last vertex are contiguous; when those last vertices
-    are an edge, row ``i`` followed by row ``j``'s last vertex is a clique.
-    Its faces are row ``i``, row ``j``, and, without each earlier vertex,
-    the pair ``(i', j')`` of ``i``'s and ``j``'s faces without it, which is
-    candidate ``start[i'] + j'`` of the *lookup* of the join that built
-    *rows*; ``locate`` maps it to its cell by a table of every candidate, or
-    by a search among those joined where they are sparser than one in four
-    past a chunk (for a triangle, the edge of its last two vertices)."""
-    m = len(rows)
-    breaks = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-    starts = np.flatnonzero(np.concatenate(([True], breaks)))
+    """The cliques one vertex larger than the cliques of a level in
+    lexicographic order, given as their *last* vertices, grade indices *at*
+    and *faces* among the sorted level below, as ``(last, at, faces)`` in
+    lexicographic order; the *lookup* of their pairs; and *held*, the cells
+    built before them, plus their count, given the edges' sorted *keys* and
+    *first* grade indices.  Cells ``i < j`` that share all but their last
+    vertex share face 0, their prefix, and are contiguous; when those last
+    vertices are an edge, cell ``i`` followed by cell ``j``'s last vertex
+    is a clique.  Its faces are ``i``, ``j``, and, without each earlier
+    vertex, the pair ``(i', j')`` of ``i``'s and ``j``'s faces without it,
+    which is candidate ``start[i'] + j'`` of the *lookup* of the join that
+    built this level; ``locate`` maps it to its cell by a table of every
+    candidate, or by a search among those joined where they are sparser
+    than one in four past a chunk (for a triangle, the edge of its last two
+    vertices)."""
+    m = len(last)
+    prefix = faces[:, 0]
+    starts = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
     sizes = np.diff(np.append(starts, m))
-    partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # rows after each in its run
+    partners = np.repeat(starts + sizes, sizes) - np.arange(m) - 1  # cells after each in its run
     ends = np.cumsum(partners)
-    last, lower = rows[:, -1], faces[:, 1:]
+    lower = faces[:, 1:]
     joined, graded, found, picked = [], [], [], []
     lo = 0
     while lo < m:
-        # the rows from lo whose pairs fit in one chunk, or row lo alone
+        # the cells from lo whose pairs fit in one chunk, or cell lo alone
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - partners[lo] + _JOIN_CHUNK, "right")))
         count = partners[lo:hi]
         i = np.repeat(np.arange(lo, hi), count)
@@ -540,7 +582,7 @@ def _sibling_join(
         held += len(i)
         _check_cells(held)
         picked.append(ends[lo] - partners[lo] + pick)  # candidate index of each hit
-        joined.append(np.column_stack((rows.take(i, axis=0), last.take(j))))
+        joined.append(last.take(j))
         graded.append(np.maximum(np.maximum(at.take(i), at.take(j)), first.take(e)))
         if lookup is None:
             rest = e[:, None]

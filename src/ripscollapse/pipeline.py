@@ -1,7 +1,8 @@
 """End-to-end snapshot pipeline.
 
 Both paths read only the nested neighbourhood graphs of the grades, built
-in one pass by :func:`~ripscollapse.rips.graded_bitsets`.  The accelerated
+in one pass, the pass of :func:`~ripscollapse.rips.graded_bitsets`, which
+also hands the oracle's join the last graph's graded edges.  The accelerated
 path strong-collapses each snapshot to its core on its graph with the
 collapse step of :func:`~ripscollapse.rips.flag_core`, which enumerates no
 clique (snapshots are independent, so a worker pool may handle them
@@ -25,14 +26,14 @@ them all, and the earlier graphs are enumerated only to find the first
 one over the cap.  Its ``before`` stats, too, are counted from each graph
 when first read, except the last snapshot's, which the cap check counts.
 One level join, ``persistence._level_join``, builds both clique
-filtrations as per-dimension vertex arrays, and finds each cell's faces as
-it builds it.
+filtrations as per-dimension arrays, and finds each cell's faces as it
+builds it; it holds the vertex rows of the vertices and the edges alone.
 Both paths reduce their filtration's arrays with
 :func:`~ripscollapse.persistence.compute_persistence`, and neither builds
-the ``(simplex, grade)`` pairs of ``PipelineResult.filtration`` until they
-are read.  The twin is the verification oracle: :func:`compare_pipelines`
-runs both paths on one graph sequence and compares their diagrams per
-dimension.
+the rows above the edges, nor the ``(simplex, grade)`` pairs of
+``PipelineResult.filtration``, until they are read.  The twin is the
+verification oracle: :func:`compare_pipelines` runs both paths on one
+graph sequence and compares their diagrams per dimension.
 
 Worker count never affects the output: results are merged in snapshot order.
 Only the collapsing path uses workers, at most one per snapshot and per CPU.
@@ -62,14 +63,16 @@ from .rips import (
     SnapshotSchedule,
     _core_cliques,
     _flag_collapse,
+    _graded_graphs,
     as_grades,
-    graded_bitsets,
     maximal_cliques,
 )
 from .tower import Tower, _tower_graph, _tower_of
 
 _S = TypeVar("_S")
 _T = TypeVar("_T")
+# a graph's edges u < v as sorted keys u * n + v, and the grade index of each
+_Edges = tuple[np.ndarray, np.ndarray]
 
 # held while a lazy stat enumerates its cliques, so each is counted once
 _STATS_LOCK = threading.Lock()
@@ -205,17 +208,17 @@ def _map_ordered(fn: Callable[[_S], _T], items: Sequence[_S], workers: int) -> l
 
 
 def _snapshot_filtration(
-    grades: list[float], graphs: list[list[int]], cap: int
+    grades: list[float], graphs: list[list[int]], edges: _Edges, cap: int
 ) -> tuple[CellArrays, ComplexStats]:
     """Uncollapsed first-appearance filtration of the clique complexes of
-    the nested snapshot *graphs* at *grades*, as per-dimension vertex
-    arrays, with the stats of the last snapshot.
+    the nested snapshot *graphs* at *grades*, as per-dimension arrays, with
+    the stats of the last snapshot.
 
     Every simplex of every snapshot appears once, graded by the first
     snapshot containing it, and cells of one grade are ordered by
-    (dimension, lexicographic): the level join of the last graph's edges,
-    each at the first graph that holds it, with every point at the first
-    graph.
+    (dimension, lexicographic): the level join of the last graph's *edges*,
+    sorted keys each with the index of the first graph that holds it, with
+    every point at the first graph.
 
     The projected cell count P of a graph, the sum of 2^|c| - 1 over its
     maximal cliques c, grows strictly with each edge uv added.  Let K range
@@ -245,7 +248,7 @@ def _snapshot_filtration(
     except ReductionMemoryError:
         _check_cells(_clique_count(graphs[-1]))
     n = len(graphs[0])
-    arrays = _level_join(np.zeros(n, np.intp), *_graded_edges(graphs), grades)
+    arrays = _level_join(np.zeros(n, np.intp), *edges, grades)
     return arrays, _clique_stats(n, cliques)
 
 
@@ -278,31 +281,6 @@ def _clique_count(adj: list[int]) -> int:
     return total
 
 
-def _graded_edges(graphs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The edges ``u < v`` of the last of the nested *graphs*, as sorted
-    keys ``u * n + v``, and the index of the first graph that holds each."""
-    n = len(graphs[0])
-    width = (n + 7) // 8
-    keys, first = [], []
-    held = [0] * n
-    for i, graph in enumerate(graphs):
-        # one row of bytes per vertex: its upper neighbours new in this graph
-        fresh = b"".join(
-            ((a & ~b) >> (u + 1) << (u + 1)).to_bytes(width, "little")
-            for u, (a, b) in enumerate(zip(graph, held))
-        )
-        held = graph
-        packed = np.frombuffer(fresh, np.uint8)
-        nonzero = np.flatnonzero(packed)
-        byte, bit = np.nonzero(np.unpackbits(packed[nonzero, None], axis=1, bitorder="little"))
-        u, v = np.divmod(nonzero.take(byte) * 8 + bit, width * 8)
-        keys.append(u * n + v)
-        first.append(np.full(len(u), i))
-    keys, first = np.concatenate(keys), np.concatenate(first)
-    order = np.argsort(keys, kind="stable")
-    return keys.take(order), first.take(order)
-
-
 def run_pipeline(
     D: np.ndarray,
     sched: SnapshotSchedule | Iterable[float],
@@ -322,21 +300,24 @@ def run_pipeline(
     A *workers* or *cap* below 1 raises ``ValueError`` before any snapshot
     is built.
     """
-    grades, graphs = _snapshot_graphs(D, sched, workers, cap)
+    grades, graphs, edges = _snapshot_graphs(D, sched, workers, cap)
     if collapse:
         return _collapsed(grades, graphs, workers, cap)
-    return _uncollapsed(grades, graphs, cap)
+    return _uncollapsed(grades, graphs, edges, cap)
 
 
 def _snapshot_graphs(
     D: np.ndarray, sched: SnapshotSchedule | Iterable[float], workers: int, cap: int
-) -> tuple[list[float], list[list[int]]]:
-    """The grades of *sched* and *D*'s graphs at them, once *workers* and *cap* pass."""
+) -> tuple[list[float], list[list[int]], _Edges]:
+    """The grades of *sched*, *D*'s graphs at them and the last graph's
+    edges, as sorted keys with the index of the first grade that holds
+    each, from one grading pass, once *workers* and *cap* pass."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     check_expansion_cap((), cap)
     grades = as_grades(sched)  # an iterable schedule can be read only once
-    return grades, graded_bitsets(D, grades)
+    graphs, keys, first = _graded_graphs(D, grades)
+    return grades, graphs, (keys, first)
 
 
 def _collapsed(
@@ -407,12 +388,14 @@ def _keyed_bitsets(n: int, keys: np.ndarray) -> list[int]:
     return adj
 
 
-def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> PipelineResult:
-    """The uncollapsed oracle on the snapshot *graphs* at *grades*: its
-    arrays are reduced, and its tower is the graph they expand, as
-    inclusions."""
+def _uncollapsed(
+    grades: list[float], graphs: list[list[int]], edges: _Edges, cap: int
+) -> PipelineResult:
+    """The uncollapsed oracle on the snapshot *graphs* at *grades*, whose
+    last graph has the graded *edges*: its arrays are reduced, and its
+    tower is the graph they expand, as inclusions."""
     t0 = perf_counter()
-    arrays, last = _snapshot_filtration(grades, graphs, cap)
+    arrays, last = _snapshot_filtration(grades, graphs, edges, cap)
     assembly = perf_counter() - t0
     t0 = perf_counter()
     diagram = compute_persistence(arrays)
@@ -421,19 +404,23 @@ def _uncollapsed(grades: list[float], graphs: list[list[int]], cap: int) -> Pipe
     stats = tuple(
         SnapshotStats._of_graph(g, graph) for g, graph in zip(grades[:-1], graphs)
     ) + (SnapshotStats(grades[-1], last, last),)
-    # the graph it expands: its vertices, all at the first grade, then its edges
+    # the graph it expands: its vertices, all at the first grade, then its
+    # edges, the rows the arrays hold (reading vertices would build the rest)
     ops = [
         op
-        for rows, along in zip(arrays.vertices[:2], arrays.grades[:2])
+        for rows, along in zip(arrays._rows[:2], arrays.grades[:2])
         for op in zip(map(tuple, rows.tolist()), along.tolist())
     ]
     return PipelineResult(diagram, Tower(arrays, ops), stats, timings)
 
 
-def _oracle_diagram(grades: list[float], graphs: list[list[int]], cap: int) -> PersistenceDiagram:
+def _oracle_diagram(
+    grades: list[float], graphs: list[list[int]], edges: _Edges, cap: int
+) -> PersistenceDiagram:
     """The diagram of the uncollapsed oracle on the snapshot *graphs* at
-    *grades*, reduced from its arrays without a tuple."""
-    return compute_persistence(_snapshot_filtration(grades, graphs, cap)[0])
+    *grades*, whose last graph has the graded *edges*, reduced from its
+    arrays without a tuple."""
+    return compute_persistence(_snapshot_filtration(grades, graphs, edges, cap)[0])
 
 
 STATS_CSV_HEADER = "grade,v_before,m_before,d_before,v_after,m_after,d_after"
@@ -484,9 +471,9 @@ def compare_pipelines(
     Where a dimension's diagrams are equal their bottleneck distance is
     exactly 0.0, so it is computed only for the unequal dimensions.
     """
-    grades, graphs = _snapshot_graphs(D, sched, workers, cap)
+    grades, graphs, edges = _snapshot_graphs(D, sched, workers, cap)
     a = _collapsed(grades, graphs, workers, cap).diagram
-    b = _oracle_diagram(grades, graphs, cap)
+    b = _oracle_diagram(grades, graphs, edges, cap)
     verdicts = []
     for dim in sorted(set(a.dimensions()) | set(b.dimensions())):
         equal = a.in_dimension(dim) == b.in_dimension(dim)

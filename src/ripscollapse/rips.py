@@ -134,14 +134,24 @@ def graded_bitsets(D: np.ndarray, grades: Sequence[float]) -> list[list[int]]:
     This is the one place an edge is graded, at the first grade at or above
     its length: one ``searchsorted`` finds that grade for every edge; each
     grade's list is then a copy of the previous grade's with the edges first
-    present at that grade OR-ed in, so no grade scans ``D`` again.
+    present at that grade OR-ed in, so no grade scans ``D`` again.  The
+    pass, :func:`_graded_graphs`, also returns those graded edges.
     """
+    return _graded_graphs(D, grades)[0]
+
+
+def _graded_graphs(
+    D: np.ndarray, grades: Sequence[float]
+) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    """The graphs of :func:`graded_bitsets`, and the edges ``u < v`` of the
+    last, as sorted keys ``u * n + v``, with the index of the first grade
+    that holds each."""
     D = validate_distance_matrix(D)
     grades = as_grades(grades)
     count = len(grades)
     first = np.searchsorted(np.asarray(grades), D, side="left")
-    us, vs = np.nonzero(np.triu(first < count, 1))
-    at = first[us, vs]
+    us, vs = np.nonzero(np.triu(first < count, 1))  # in key order
+    keys, at = us * len(D) + vs, first[us, vs]
     order = np.argsort(at, kind="stable")
     ends = np.searchsorted(at[order], np.arange(1, count + 1)).tolist()
     us, vs = us[order].tolist(), vs[order].tolist()
@@ -155,7 +165,7 @@ def graded_bitsets(D: np.ndarray, grades: Sequence[float]) -> list[list[int]]:
             adj[v] |= 1 << u
         out.append(adj)
         lo = hi
-    return out
+    return out, keys, at
 
 
 def _extension(P: int, X: int, adj: list[int]) -> int:

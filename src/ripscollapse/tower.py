@@ -23,8 +23,9 @@ vertex-id rows with their grades, positions and faces (a
 :class:`~ripscollapse.persistence.CellArrays`), built by the level join
 that also builds the uncollapsed oracle's filtration.
 :func:`~ripscollapse.persistence.compute_persistence` checks them and reads
-their index off the faces with no tuple built; the ``(simplex, grade)``
-pairs are built only when they are first read.
+their index off the faces with no tuple built; the rows above the edges,
+and the ``(simplex, grade)`` pairs, are built only when they are first
+read.
 
 :func:`assemble_tower` builds the tower of a sequence of cores, each given
 as its graph, in one pass over live adjacency bitsets: a Contract(u, v)
@@ -314,9 +315,12 @@ def _tower_graph(
 
 def _tower_of(graph: _TowerGraph) -> Tower:
     """The tower of the graded *graph*: its ops, and its cells built by the
-    level join of the graph."""
+    level join of the graph, on the ranks of its ids.  Only the rows the
+    join holds, the vertices' and the edges', are renamed to tower ids; the
+    rows above are built from them and the faces when first read, and so
+    carry tower ids too."""
     ranked = _level_join(graph.at, graph.keys, graph.first, graph.grades)
     # ids are sorted, so renamed rows still increase; faces name rows, not ids
-    vertices = [graph.ids.take(v) for v in ranked.vertices]
+    vertices = [graph.ids.take(v) for v in ranked._rows[:2]] + list(ranked._rows[2:])
     cells = CellArrays(vertices, ranked.grades, ranked.positions, ranked.faces)
     return Tower(cells, graph.ops)

@@ -28,7 +28,8 @@ that form after their own cap check and so raises the package's cap error;
 enumeration, on the graph of one ``D <= t`` comparison per threshold
 (:func:`neighborhood_bitsets`, the judge of the package's one-pass
 ``graded_bitsets``), and :func:`complex_stats` sizes them as the package's
-``ComplexStats``.
+``ComplexStats``.  :func:`graded_edges` grades a graph sequence's edges by
+testing each graph in turn, as the oracle's level join takes them.
 """
 
 from __future__ import annotations
@@ -117,6 +118,21 @@ def neighborhood_bitsets(D, t):
         int.from_bytes(np.packbits(mask[i], bitorder="little").tobytes(), "little")
         for i in range(D.shape[0])
     ]
+
+
+def graded_edges(graphs):
+    """The edges ``u < v`` of the last of the nested bitset *graphs*, as
+    sorted keys ``u * n + v``, and the index of the first graph that holds
+    each, found by testing the graphs in turn for each edge."""
+    n = len(graphs[0])
+    keys, first = [], []
+    for u, nbrs in enumerate(graphs[-1]):
+        bits = bin(nbrs)[:1:-1]  # bits[v] is bit v of nbrs
+        for v in range(u + 1, len(bits)):
+            if bits[v] == "1":
+                keys.append(u * n + v)
+                first.append(next(i for i, graph in enumerate(graphs) if graph[u] >> v & 1))
+    return np.array(keys, np.int64), np.array(first, np.intp)
 
 
 def tower_graph(tower):

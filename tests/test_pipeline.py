@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from oracles import (
     complex_stats,
+    graded_edges,
     naive_check_filtration,
     naive_clique_count,
     naive_filtration_from_snapshots,
@@ -92,7 +93,7 @@ def _first_appearance_arrays(grades, graphs):
     """The oracle's arrays of the nested *graphs* at *grades*: the level
     join of their graded edges, every point at the first grade."""
     zeros = np.zeros(len(graphs[0]), np.intp)
-    return persistence._level_join(zeros, *pipeline._graded_edges(graphs), grades)
+    return persistence._level_join(zeros, *graded_edges(graphs), grades)
 
 
 def test_first_appearance_cells_of_random_nested_graphs():
@@ -146,13 +147,17 @@ def _naive_first_appearance(tables, grades):
 def test_first_appearance_arrays_of_wide_empty_and_tied_graphs(monkeypatch):
     """The level-by-level build on graphs of 60 to 80 points, whose rows of
     bits cross a 64-bit word, with planted cliques of up to 7 points; on
-    sequences whose graphs hold no edge; and on grade lists with ties, where
+    sequences whose graphs hold no edge; on grade lists with ties, where
     the cells of a later graph at an equal grade still follow the earlier
-    graph's.  Its pairs are the brute-force first-appearance filtration,
-    also when each join tests at most 3 vertex pairs at once, or one row's
-    partners where a row has more."""
+    graph's; and on a star, whose pairs of edges make no triangle, and a
+    single vertex.  Its pairs are the brute-force first-appearance
+    filtration, and each dimension's vertex rows, most of them built from
+    the faces when read, are the rows of those pairs, also when each join
+    tests at most 3 vertex pairs at once, or one row's partners where a row
+    has more."""
     rng = random.Random(44)
     kinds, deepest = set(), 0
+    cases = []
     for case in range(60):
         wide, empty = case % 3 == 0, case % 5 == 1
         n = rng.randint(60, 80) if wide else rng.randint(1, 12)
@@ -167,16 +172,66 @@ def test_first_appearance_arrays_of_wide_empty_and_tied_graphs(monkeypatch):
             for u, v in chosen:
                 for j in range(rng.randint(0, count - 1), count):
                     tables[j][u][v] = tables[j][v][u] = 1
+        cases.append((tables, grades, (wide, empty, len(set(grades)) < count)))
+    star = [[[int(u != v and 0 in (u, v) and max(u, v) > j) for v in range(9)] for u in range(9)]
+            for j in range(3)]
+    cases += [(star, [0.25, 0.5, 0.75], "star"), ([[[0]]], [0.5], "single")]
+    for tables, grades, kind in cases:
+        n = len(tables[0])
         graphs = [[sum(t[u][v] << v for v in range(n)) for u in range(n)] for t in tables]
         want = _naive_first_appearance(tables, grades)
+        rows = [
+            [list(s) for s, _ in want if len(s) == d + 1] for d in range(max(map(len, dict(want))))
+        ]
         for chunk in (persistence._JOIN_CHUNK, 3):
             monkeypatch.setattr(persistence, "_JOIN_CHUNK", chunk)
-            cells = _first_appearance_arrays(grades, graphs).cells()
+            arrays = _first_appearance_arrays(grades, graphs)
+            assert [v.tolist() for v in arrays.vertices] == rows
+            cells = arrays.cells()
             assert cells == want
-        kinds.add((wide, empty, len(set(grades)) < count))
-        if wide:
+        kinds.add(kind)
+        if n >= 60:
             deepest = max(deepest, max(len(s) for s, _ in cells))
-    assert len(kinds) == 8 and deepest >= 7
+    assert len(kinds) == 10 and deepest >= 7
+
+
+def test_rows_above_the_edges_are_built_only_when_read(monkeypatch):
+    """Neither path builds a vertex row of dimension 2 or more to find its
+    diagram: a comparison builds none, and a run none until its tower's
+    cells, its filtration or its arrays' vertices are read.  The first such
+    read builds each level above the edges once, from its faces, and later
+    reads build nothing; the rows built are the rows of the pairs."""
+    built = []
+    rows_above = persistence._rows_above
+
+    def counted(below, faces):
+        built.append(len(faces))
+        return rows_above(below, faces)
+
+    monkeypatch.setattr(persistence, "_rows_above", counted)
+    D = pairwise_distances(np.random.default_rng(1).random((60, 3)))
+    grades = [0.1, 0.2, 0.3, 0.4]
+    compare_pipelines(D, grades)
+    assert built == []
+    reads = (
+        lambda result: result.tower.cells,
+        lambda result: result.filtration,
+        lambda result: result.tower.arrays.vertices,
+    )
+    for collapse in (True, False):
+        for k, first_read in enumerate(reads):
+            result = run_pipeline(D, grades, collapse=collapse)
+            arrays = result.tower.arrays
+            assert len(arrays.faces) > 5 and built == []
+            first_read(result)
+            assert built == [len(f) for f in arrays.faces[2:]]
+            for read in reads[k:] + reads[:k]:
+                read(result)
+            assert built == [len(f) for f in arrays.faces[2:]]
+            cells = result.filtration
+            for d, v in enumerate(arrays.vertices):
+                assert v.tolist() == [list(s) for s, _ in cells if len(s) == d + 1]
+            built.clear()
 
 
 def test_oracle_cells_hold_no_table_of_vertex_pairs():
@@ -298,16 +353,17 @@ def test_compare_pipelines_random_clouds():
 
 
 def test_compare_builds_one_graph_sequence(monkeypatch):
-    """``compare_pipelines`` builds the snapshot graphs once for both paths,
-    and reports what two ``run_pipeline`` calls find."""
+    """``compare_pipelines`` builds the snapshot graphs and grades their
+    edges once for both paths, and reports what two ``run_pipeline`` calls
+    find."""
     calls = []
-    build = pipeline.graded_bitsets
+    build = pipeline._graded_graphs
 
     def counted(D, grades):
         calls.append(1)
         return build(D, grades)
 
-    monkeypatch.setattr(pipeline, "graded_bitsets", counted)
+    monkeypatch.setattr(pipeline, "_graded_graphs", counted)
     rng = random.Random(989)
     for _ in range(6):
         D = pairwise_distances([(rng.random(), rng.random()) for _ in range(rng.randint(2, 30))])

@@ -12,6 +12,7 @@ from oracles import (
     betti_by_rank,
     complex_stats,
     expand_by_powerset,
+    graded_edges,
     naive_clique_count,
     naive_flag_core,
     naive_is_face,
@@ -166,6 +167,39 @@ def test_graded_bitsets_equal_one_graph_per_grade():
         picked = rng.choice(lengths, min(len(lengths), 6), replace=False) if lengths else []
         grades = sorted({-1.0, 0.0, 2.0, float(rng.random()), *map(float, picked)})
         assert graded_bitsets(D, grades) == [neighborhood_bitsets(D, g) for g in grades]
+
+
+def test_graded_edges_come_from_the_grading_pass():
+    """The oracle's join takes the last graph's edges, as sorted keys with
+    the index of the first grade that holds each, from the pass that builds
+    the graphs.  They are those that testing each graph in turn finds, on
+    seeded clouds with duplicate points and grades equal to edge lengths,
+    on lattices where many edges tie at each grade, and on a single point
+    and grades below every distance."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        X = rng.random((n, int(rng.integers(1, 4))))
+        if n > 2:
+            X[rng.integers(n)] = X[rng.integers(n)]
+        D = pairwise_distances(X)
+        lengths = np.unique(D[np.triu_indices(n, 1)]).tolist()
+        picked = rng.choice(lengths, min(len(lengths), 6), replace=False) if lengths else []
+        cases.append((D, sorted({-1.0, 0.0, float(rng.random()), *map(float, picked)})))
+    for side in (3, 5):
+        lattice = pairwise_distances([(i, j) for i in range(side) for j in range(side)])
+        cases.append((lattice, [1.0, math.sqrt(2.0), 2.0, math.sqrt(5.0), 3.0]))
+    cases.append((pairwise_distances([(0.0, 0.0)]), [0.5]))
+    cases.append((pairwise_distances([(0.0,), (1.0,), (3.0,)]), [0.25, 0.5]))
+    tied = 0
+    for D, grades in cases:
+        graphs, keys, first = rips._graded_graphs(D, grades)
+        assert graphs == graded_bitsets(D, grades)
+        want = graded_edges([neighborhood_bitsets(D, g) for g in grades])
+        assert keys.tolist() == want[0].tolist() and first.tolist() == want[1].tolist()
+        tied += len(first) > len(set(first.tolist())) + 10
+    assert tied >= 2
 
 
 def test_graded_bitsets_checks_its_grades_and_distances(monkeypatch):

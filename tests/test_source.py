@@ -69,6 +69,7 @@ PRIVATE_SEAMS = {
     ("pipeline", "persistence", "_level_join"),
     ("pipeline", "rips", "_core_cliques"),
     ("pipeline", "rips", "_flag_collapse"),
+    ("pipeline", "rips", "_graded_graphs"),
     ("pipeline", "tower", "_tower_graph"),
     ("pipeline", "tower", "_tower_of"),
 }
